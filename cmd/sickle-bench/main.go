@@ -13,12 +13,8 @@
 //
 //	sickle-bench -serve http://localhost:8080 [-model demo] [-clients 32] [-requests 256]
 //
-// With -kernels it benchmarks the tensor/solver compute engine (matmul
-// GFLOP/s, train-step and solver-step throughput, allocs/op, pooled÷serial
-// speedups) into BENCH_kernels.json and optionally gates regressions
-// against a committed baseline:
-//
-//	sickle-bench -kernels [-kernelsout BENCH_kernels.json] [-baseline BENCH_kernels.json] [-tol 0.20]
+// Performance numbers (kernels, train step, solvers, streaming, the online
+// path) are not measured here: the bench/ ledger owns them (bench/README.md).
 package main
 
 import (
@@ -43,12 +39,6 @@ func main() {
 	requests := flag.Int("requests", 256, "total requests in load-generator mode")
 	shardPhase := flag.Bool("shard", false, "with -serve pointed at sickle-shard: verify routing via the router's shard metrics")
 	serveOut := flag.String("serveout", "", "output path for the -serve durability-phase JSON report (\"\" = print only)")
-	streamBench := flag.Bool("stream", false, "streaming-pipeline bench mode: run the in-situ pipeline and emit a JSON report")
-	streamOut := flag.String("streamout", "BENCH_stream.json", "output path for the -stream JSON report")
-	kernels := flag.Bool("kernels", false, "kernel bench mode: measure the tensor/solver compute engine and emit a JSON report")
-	kernelsOut := flag.String("kernelsout", "BENCH_kernels.json", "output path for the -kernels JSON report")
-	baseline := flag.String("baseline", "", "committed BENCH_kernels.json to gate speedup regressions against (with -kernels)")
-	tol := flag.Float64("tol", 0.20, "relative speedup-regression tolerance for -baseline")
 	lintURL := flag.String("lintmetrics", "", "exposition-lint mode: fetch this /metrics URL, lint it, exit non-zero on violations")
 	flag.Parse()
 
@@ -60,18 +50,6 @@ func main() {
 	}
 	if *serveURL != "" {
 		if err := runLoadGen(*serveURL, *model, *clients, *requests, *shardPhase, *serveOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *streamBench {
-		if err := runStreamBench(*streamOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *kernels {
-		if err := runKernelBench(*kernelsOut, *baseline, *tol); err != nil {
 			log.Fatal(err)
 		}
 		return

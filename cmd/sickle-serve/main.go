@@ -21,14 +21,13 @@
 //	                        sampling/training loops)
 //	GET /api/version        version negotiation handshake
 //
-// /v1/{infer,subsample,models} remain as a frozen byte-compatible shim
-// with the legacy {"error":"..."} envelope; GET /healthz and GET /metrics
-// are unversioned. GET /debug/traces[/{id}] serves the span ring, and
-// -debug-addr starts a net/http/pprof sidecar listener. Use pkg/client as
-// the Go SDK.
+// GET /healthz and GET /metrics are unversioned. GET /debug/traces[/{id}]
+// serves the span ring, and -debug-addr starts a net/http/pprof sidecar
+// listener. Use pkg/client as the Go SDK.
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -40,10 +39,9 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/obs"
 	olog "repro/internal/obs/log"
-	"repro/internal/obs/slo"
 	"repro/internal/serve"
+	"repro/internal/tier"
 	"repro/internal/train"
 )
 
@@ -71,90 +69,46 @@ func main() {
 	inputShape := flag.String("input-shape", "", "per-example input shape, comma-separated (e.g. 1,64,4)")
 
 	demo := flag.Bool("demo", false, "train a small surrogate at startup and register it as \"demo\"")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines")
-	debugAddr := flag.String("debug-addr", "", "pprof + debug sidecar listen address (\"\" = off)")
-	slos := flag.String("slo", "", "comma-separated SLO specs (e.g. latency:/v2/infer:250ms:99.9,availability:/v2/infer:99.9)")
+	shared := tier.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	lvl, ok := olog.ParseLevel(*logLevel)
-	lg := olog.New(os.Stderr, lvl, *logJSON)
-	if !ok {
-		lg.Warn("unknown -log-level, using info", "given", *logLevel)
-	}
+	lg := shared.Logger()
 	fatal := func(msg string, err error) {
 		lg.Error(msg, "err", err)
 		os.Exit(1)
 	}
 
-	cfg := serve.Config{Logger: lg}
+	// Unset case keys are zero, so without -case the zero Case below is
+	// exactly "every default".
+	c := &config.Case{}
 	if *caseFile != "" {
-		c, err := config.LoadCase(*caseFile)
-		if err != nil {
+		var err error
+		if c, err = config.LoadCase(*caseFile); err != nil {
 			fatal("load case file", err)
 		}
-		cfg = serve.Config{
-			Addr:         c.Serve.Addr,
-			MaxBatch:     c.Serve.MaxBatch,
-			Window:       time.Duration(c.Serve.WindowMS) * time.Millisecond,
-			Workers:      c.Serve.Workers,
-			QueueCap:     c.Serve.QueueCap,
-			CacheEntries: c.Serve.CacheEntries,
-			Replicas:     c.Serve.Replicas,
-			JobWorkers:   c.Serve.JobWorkers,
-			JobTTL:       time.Duration(c.Serve.JobTTLMin) * time.Minute,
-			DataDir:      c.Serve.DataDir,
-			Logger:       lg,
+	}
+	rec, err := shared.Recorder(c.Obs, c.Serve.DebugAddr)
+	if err != nil {
+		fatal("parse SLO specs", err)
+	}
+	// A flag that was given (non-zero) wins over the case file's key.
+	cfg := serve.Config{
+		Addr:         cmp.Or(*addr, c.Serve.Addr),
+		MaxBatch:     cmp.Or(*maxBatch, c.Serve.MaxBatch),
+		Window:       time.Duration(cmp.Or(*windowMS, c.Serve.WindowMS)) * time.Millisecond,
+		Workers:      cmp.Or(*workers, c.Serve.Workers),
+		QueueCap:     cmp.Or(*queueCap, c.Serve.QueueCap),
+		CacheEntries: cmp.Or(*cacheEntries, c.Serve.CacheEntries),
+		Replicas:     cmp.Or(*replicas, c.Serve.Replicas),
+		JobWorkers:   cmp.Or(*jobWorkers, c.Serve.JobWorkers),
+		JobTTL:       time.Duration(cmp.Or(*jobTTLMin, c.Serve.JobTTLMin)) * time.Minute,
+		DataDir:      cmp.Or(*dataDir, c.Serve.DataDir),
+		Logger:       lg,
 
-			HistoryInterval: time.Duration(c.Obs.HistoryIntervalMS) * time.Millisecond,
-			HistoryCapacity: c.Obs.HistoryCapacity,
-			EventCapacity:   c.Obs.EventCapacity,
-		}
-		objectives, err := slo.ParseObjectives(c.Obs.SLOs)
-		if err != nil {
-			fatal("parse obs.slos", err)
-		}
-		cfg.SLOs = objectives
-		if *debugAddr == "" {
-			*debugAddr = c.Serve.DebugAddr
-		}
-	}
-	if *slos != "" {
-		objectives, err := slo.ParseObjectives(strings.Split(*slos, ","))
-		if err != nil {
-			fatal("parse -slo", err)
-		}
-		cfg.SLOs = objectives
-	}
-	if *addr != "" {
-		cfg.Addr = *addr
-	}
-	if *maxBatch > 0 {
-		cfg.MaxBatch = *maxBatch
-	}
-	if *windowMS > 0 {
-		cfg.Window = time.Duration(*windowMS) * time.Millisecond
-	}
-	if *workers > 0 {
-		cfg.Workers = *workers
-	}
-	if *queueCap > 0 {
-		cfg.QueueCap = *queueCap
-	}
-	if *cacheEntries > 0 {
-		cfg.CacheEntries = *cacheEntries
-	}
-	if *replicas > 0 {
-		cfg.Replicas = *replicas
-	}
-	if *jobWorkers > 0 {
-		cfg.JobWorkers = *jobWorkers
-	}
-	if *jobTTLMin > 0 {
-		cfg.JobTTL = time.Duration(*jobTTLMin) * time.Minute
-	}
-	if *dataDir != "" {
-		cfg.DataDir = *dataDir
+		HistoryInterval: rec.HistoryInterval,
+		HistoryCapacity: rec.HistoryCapacity,
+		EventCapacity:   rec.EventCapacity,
+		SLOs:            rec.SLOs,
 	}
 
 	s, err := serve.NewServer(cfg)
@@ -162,12 +116,7 @@ func main() {
 		fatal("start server", err)
 	}
 
-	if *debugAddr != "" {
-		obs.ServeDebug(*debugAddr, s.Metrics().Registry(), s.Tracer(), func(err error) {
-			lg.Error("debug listener", "err", err)
-		}, s.History(), s.Journal(), s.SLO())
-		lg.Info("debug endpoints up", "addr", *debugAddr)
-	}
+	s.ServeDebug(rec.DebugAddr)
 
 	if *name != "" {
 		spec := train.ArchSpec{Arch: *arch, InDim: *inDim, Hidden: *hidden,

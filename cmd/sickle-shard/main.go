@@ -33,6 +33,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -44,11 +45,9 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/obs"
-	olog "repro/internal/obs/log"
-	"repro/internal/obs/slo"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/tier"
 )
 
 func main() {
@@ -63,78 +62,46 @@ func main() {
 	demo := flag.Bool("demo", false, "spawn in-process replicas sharing a freshly trained demo model")
 	demoReplicas := flag.Int("demo-replicas", 3, "in-process replicas to spawn with -demo")
 	demoDataDir := flag.String("demo-data-dir", "", "per-replica durability dirs <dir>/r<i> for -demo replicas (\"\" = in-memory)")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines")
-	debugAddr := flag.String("debug-addr", "", "pprof + debug sidecar listen address (\"\" = off)")
-	slos := flag.String("slo", "", "comma-separated SLO specs (e.g. latency:/v2/infer:250ms:99.9)")
+	shared := tier.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	lvl, ok := olog.ParseLevel(*logLevel)
-	lg := olog.New(os.Stderr, lvl, *logJSON)
-	if !ok {
-		lg.Warn("unknown -log-level, using info", "given", *logLevel)
-	}
+	lg := shared.Logger()
 	fatal := func(msg string, kv ...any) {
 		lg.Error(msg, kv...)
 		os.Exit(1)
 	}
 
-	cfg := shard.Config{Logger: lg}
+	// Unset case keys are zero, so without -case the zero Case below is
+	// exactly "every default".
+	c := &config.Case{}
 	if *caseFile != "" {
-		c, err := config.LoadCase(*caseFile)
-		if err != nil {
+		var err error
+		if c, err = config.LoadCase(*caseFile); err != nil {
 			fatal("load case file", "err", err)
 		}
-		cfg = shard.Config{
-			Addr:        c.Shard.Addr,
-			URLs:        c.Shard.Replicas,
-			VNodes:      c.Shard.VNodes,
-			ProbeEvery:  time.Duration(c.Shard.ProbeMS) * time.Millisecond,
-			FailAfter:   c.Shard.FailAfter,
-			MaxFailover: c.Shard.MaxFailover,
-			Replication: c.Shard.Replication,
-			Logger:      lg,
+	}
+	rec, err := shared.Recorder(c.Obs, c.Shard.DebugAddr)
+	if err != nil {
+		fatal("parse SLO specs", "err", err)
+	}
+	// A flag that was given (non-zero) wins over the case file's key.
+	cfg := shard.Config{
+		Addr:        cmp.Or(*addr, c.Shard.Addr),
+		URLs:        c.Shard.Replicas,
+		VNodes:      cmp.Or(*vnodes, c.Shard.VNodes),
+		ProbeEvery:  time.Duration(cmp.Or(*probeMS, c.Shard.ProbeMS)) * time.Millisecond,
+		FailAfter:   cmp.Or(*failAfter, c.Shard.FailAfter),
+		MaxFailover: cmp.Or(*maxFailover, c.Shard.MaxFailover),
+		Replication: cmp.Or(*replication, c.Shard.Replication),
+		Logger:      lg,
 
-			HistoryInterval: time.Duration(c.Obs.HistoryIntervalMS) * time.Millisecond,
-			HistoryCapacity: c.Obs.HistoryCapacity,
-			EventCapacity:   c.Obs.EventCapacity,
-		}
-		objectives, err := slo.ParseObjectives(c.Obs.SLOs)
-		if err != nil {
-			fatal("parse obs.slos", "err", err)
-		}
-		cfg.SLOs = objectives
-		if *debugAddr == "" {
-			*debugAddr = c.Shard.DebugAddr
-		}
-	}
-	if *slos != "" {
-		objectives, err := slo.ParseObjectives(strings.Split(*slos, ","))
-		if err != nil {
-			fatal("parse -slo", "err", err)
-		}
-		cfg.SLOs = objectives
-	}
-	if *addr != "" {
-		cfg.Addr = *addr
+		HistoryInterval: rec.HistoryInterval,
+		HistoryCapacity: rec.HistoryCapacity,
+		EventCapacity:   rec.EventCapacity,
+		SLOs:            rec.SLOs,
 	}
 	if *backends != "" {
 		cfg.URLs = strings.Split(*backends, ",")
-	}
-	if *probeMS > 0 {
-		cfg.ProbeEvery = time.Duration(*probeMS) * time.Millisecond
-	}
-	if *failAfter > 0 {
-		cfg.FailAfter = *failAfter
-	}
-	if *maxFailover > 0 {
-		cfg.MaxFailover = *maxFailover
-	}
-	if *replication > 0 {
-		cfg.Replication = *replication
-	}
-	if *vnodes > 0 {
-		cfg.VNodes = *vnodes
 	}
 
 	var inprocs []*serve.InProc
@@ -177,12 +144,7 @@ func main() {
 		fatal("build router", "err", err)
 	}
 	rt.Start()
-	if *debugAddr != "" {
-		obs.ServeDebug(*debugAddr, rt.Metrics().Registry(), rt.Tracer(), func(err error) {
-			lg.Error("debug listener", "err", err)
-		}, rt.History(), rt.Journal(), rt.SLO())
-		lg.Info("debug endpoints up", "addr", *debugAddr)
-	}
+	rt.ServeDebug(rec.DebugAddr)
 	if owner, ok := rt.ReplicaSet().Owner("demo"); ok && *demo {
 		lg.Info("consistent-hash owner of demo", "replica", owner.ID, "url", owner.URL)
 	}

@@ -54,16 +54,11 @@ func main() {
 	hsel := flag.String("hypercubes", "", "phase-1 selector: random|maxent")
 	method := flag.String("method", "", "phase-2 sampler: full|random|uniform|lhs|stratified|uips|maxent")
 	compare := flag.Bool("compare-offline", false, "also run the offline pipeline and compare selection quality (replay source only)")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines")
+	newLogger := olog.Flags(flag.CommandLine)
 	debugAddr := flag.String("debug-addr", "", "pprof + metrics + traces listen address for the run (\"\" = off)")
 	flag.Parse()
 
-	lvl, lok := olog.ParseLevel(*logLevel)
-	lg := olog.New(os.Stderr, lvl, *logJSON)
-	if !lok {
-		lg.Warn("unknown -log-level, using info", "given", *logLevel)
-	}
+	lg := newLogger()
 	fatal := func(msg string, kv ...any) {
 		lg.Error(msg, kv...)
 		os.Exit(1)

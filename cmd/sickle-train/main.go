@@ -45,16 +45,11 @@ func main() {
 	scaleStr := flag.String("scale", "small", "dataset scale")
 	doTune := flag.Bool("tune", false, "run hyperparameter search first (the paper's --tune / DeepHyper analogue)")
 	ckptOut := flag.String("ckpt-out", "", "save the trained model checkpoint here (servable by sickle-serve)")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines")
+	newLogger := olog.Flags(flag.CommandLine)
 	debugAddr := flag.String("debug-addr", "", "pprof + metrics + traces listen address for the run (\"\" = off)")
 	flag.Parse()
 
-	lvl, lok := olog.ParseLevel(*logLevel)
-	lg := olog.New(os.Stderr, lvl, *logJSON)
-	if !lok {
-		lg.Warn("unknown -log-level, using info", "given", *logLevel)
-	}
+	lg := newLogger()
 	fatal := func(msg string, err error) {
 		lg.Error(msg, "err", err)
 		os.Exit(1)

@@ -13,11 +13,13 @@
 // consistent-hash router over N serve backends with health-probe
 // ejection/re-admission, bounded failover, scatter-gather listings and
 // sticky job routing, served by cmd/sickle-shard and smoke-tested by
-// cmd/sickle-bench -serve URL -shard), and stream (the in-situ
+// cmd/sickle-bench -serve URL -shard), tier (the chassis both online
+// tiers embed: flight-recorder bundle, route table with typed 405/404
+// fallbacks, request middleware, envelope helpers, /metrics, the
+// -debug-addr sidecar and listen/serve/shutdown), and stream (the in-situ
 // subsystem: solver-coupled streaming subsampling under a bounded snapshot
 // window with collective sketch merges and sharded .skl output, driven by
-// cmd/sickle-stream and benchmarked by cmd/sickle-bench -stream). See
-// README.md.
+// cmd/sickle-stream). See README.md.
 //
 // Observability is one shared substrate, internal/obs: a unified metrics
 // registry rendering lint-clean Prometheus text exposition with
@@ -52,15 +54,15 @@
 // request and job contexts reach the batcher queues, replica acquisition,
 // the cache, and the sampling/training loops, so DELETE /v2/jobs/{id}
 // stops a subsample between cube batches and a training run between
-// epochs. /v1 remains as a frozen byte-compatible shim (README "API").
+// epochs.
 //
 // All of these share the tensor package's kernel engine: a persistent
 // worker pool (tensor.Pool) with a deterministic ParallelFor, a
 // cache-blocked transpose-free matmul family, and a size-classed tensor
 // workspace (Get/Put). Every pooled kernel is bit-identical to its serial
-// reference — asserted by parity tests — and cmd/sickle-bench -kernels
-// tracks throughput and pooled÷serial speedups in BENCH_kernels.json,
-// which CI gates against the committed baseline (README "Performance").
+// reference, asserted by parity tests. Throughput, allocations and latency
+// are measured end to end and per layer by the bench/ ledger
+// (BENCHMARK.json, bench/README.md; README "Performance").
 //
 // The contracts above are machine-enforced: cmd/sicklevet is a six-analyzer
 // static-analysis suite (closecheck, ctxfirst, apierr, metricname, ologonly,

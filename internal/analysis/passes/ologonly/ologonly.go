@@ -7,7 +7,7 @@
 // log.Printf or fmt.Println bypasses leveling, JSON mode, and the
 // warn/error rate limiter.
 //
-// Within the long-running packages (serve, shard, stream, train,
+// Within the long-running packages (serve, shard, tier, stream, train,
 // durable, minimpi, obs and its subpackages except the terminal renderer
 // obs/top, and the four binaries) the pass bans:
 //
@@ -40,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 // is banned. internal/obs/top is deliberately absent: it renders the
 // terminal console.
 var longRunning = []string{
-	"internal/serve", "internal/shard", "internal/stream", "internal/train",
+	"internal/serve", "internal/shard", "internal/tier", "internal/stream", "internal/train",
 	"internal/durable", "internal/minimpi",
 	"internal/obs", "internal/obs/log", "internal/obs/slo", "internal/obs/events", "internal/obs/tsdb",
 	"cmd/sickle-serve", "cmd/sickle-shard", "cmd/sickle-stream", "cmd/sickle-train",

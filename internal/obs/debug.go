@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // TracePayload is the /debug/traces/{id} response body: one trace's spans,
@@ -54,6 +55,12 @@ func (t *Tracer) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /debug/traces/{id}", t.HandleTraceByID)
 }
 
+// HandleMetrics serves the text exposition (GET /metrics).
+func (r *Registry) HandleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Write([]byte(r.Render()))
+}
+
 // Mounter is anything that can register its debug endpoints on a mux —
 // the tsdb history store, the event journal, and the SLO engine all
 // implement it, so binaries can hang extra surfaces off the -debug-addr
@@ -74,10 +81,7 @@ func NewDebugMux(reg *Registry, t *Tracer, extra ...Mounter) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	if reg != nil {
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			w.Write([]byte(reg.Render()))
-		})
+		mux.HandleFunc("GET /metrics", reg.HandleMetrics)
 	}
 	if t != nil {
 		t.Mount(mux)
@@ -101,4 +105,17 @@ func ServeDebug(addr string, reg *Registry, t *Tracer, onErr func(error), extra 
 		}
 	}()
 	return srv
+}
+
+// ParseSince interprets the since query value of the /debug/history and
+// /debug/events endpoints: "" means no cutoff, a Go duration ("5m") means
+// that long before now, anything else must be RFC3339.
+func ParseSince(s string, now time.Time) (time.Time, error) {
+	if s == "" {
+		return time.Time{}, nil
+	}
+	if d, err := time.ParseDuration(s); err == nil {
+		return now.Add(-d), nil
+	}
+	return time.Parse(time.RFC3339, s)
 }

@@ -11,6 +11,8 @@
 //     ring. Trace identity (IDs, the X-Sickle-Trace header, context
 //     propagation) lives in pkg/api so clients outside internal/ can mint
 //     and propagate traces; this package records and serves the spans.
+//   - ring.go — Ring[T]: the one bounded overwrite-oldest buffer behind
+//     the span ring, the event journal and the tsdb series.
 //   - debug.go — HTTP surface: /debug/traces + /debug/traces/{id} JSON
 //     handlers over a Tracer's ring, and NewDebugMux, the opt-in
 //     -debug-addr mux bundling net/http/pprof with /metrics and the trace

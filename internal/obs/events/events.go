@@ -12,6 +12,7 @@ package events
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -63,12 +64,9 @@ type Event struct {
 type Journal struct {
 	tier string
 
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	full    bool
-	seq     uint64
-	dropped uint64
+	mu   sync.Mutex
+	ring *obs.Ring[Event]
+	seq  uint64
 
 	now func() time.Time // injectable clock (tests)
 }
@@ -82,7 +80,7 @@ func NewJournal(tier string, capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Journal{tier: tier, buf: make([]Event, 0, capacity), now: time.Now}
+	return &Journal{tier: tier, ring: obs.NewRing[Event](capacity), now: time.Now}
 }
 
 // Emit records one event. kv pairs become Attrs (odd tails are dropped).
@@ -102,17 +100,7 @@ func (j *Journal) Emit(typ Type, msg, traceID string, kv ...string) {
 	j.mu.Lock()
 	j.seq++
 	e.Seq = j.seq
-	if !j.full && len(j.buf) < cap(j.buf) {
-		j.buf = append(j.buf, e)
-		if len(j.buf) == cap(j.buf) {
-			j.full = true
-		}
-	} else {
-		j.buf[j.next] = e
-		j.full = true
-		j.dropped++
-	}
-	j.next = (j.next + 1) % cap(j.buf)
+	j.ring.Push(e)
 	j.mu.Unlock()
 }
 
@@ -123,7 +111,7 @@ func (j *Journal) Dropped() uint64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.dropped
+	return j.ring.Dropped()
 }
 
 // Events returns up to limit most recent events (all when limit <= 0),
@@ -133,13 +121,7 @@ func (j *Journal) Events(limit int, typ Type, since time.Time) []Event {
 		return nil
 	}
 	j.mu.Lock()
-	var snap []Event
-	if !j.full {
-		snap = append(snap, j.buf...)
-	} else {
-		snap = append(snap, j.buf[j.next:]...)
-		snap = append(snap, j.buf[:j.next]...)
-	}
+	snap := j.ring.Snapshot()
 	j.mu.Unlock()
 	out := snap[:0]
 	for _, e := range snap {
@@ -154,7 +136,7 @@ func (j *Journal) Events(limit int, typ Type, since time.Time) []Event {
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]
 	}
-	return append([]Event(nil), out...)
+	return out
 }
 
 // Register mounts the eviction counter on reg as
@@ -174,29 +156,42 @@ type Payload struct {
 	Events  []Event `json:"events"`
 }
 
-// HandleEvents serves the journal tail (GET /debug/events). Query params:
-// limit (default 256), type (exact event type), since (RFC3339 or a Go
-// duration like "5m" meaning that long ago).
-func (j *Journal) HandleEvents(w http.ResponseWriter, r *http.Request) {
-	limit := 256
-	if s := r.URL.Query().Get("limit"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			limit = n
-		}
+// Query is the parsed /debug/events query string: limit (default 256),
+// type (exact event type), since (RFC3339 or a Go duration like "5m"
+// meaning that long ago; a malformed value means no cutoff).
+type Query struct {
+	Limit int
+	Type  Type
+	Since time.Time
+}
+
+// ParseQuery reads a /debug/events query string. The journal's own handler
+// and the shard router's fleet-wide merge share it.
+func ParseQuery(v url.Values) Query {
+	q := Query{Limit: 256, Type: Type(v.Get("type"))}
+	if n, err := strconv.Atoi(v.Get("limit")); err == nil && n > 0 {
+		q.Limit = n
 	}
-	typ := Type(r.URL.Query().Get("type"))
-	since, _ := ParseSince(r.URL.Query().Get("since"), time.Now())
-	tier := ""
+	q.Since, _ = obs.ParseSince(v.Get("since"), time.Now())
+	return q
+}
+
+// Payload answers one query from this journal alone. Nil-safe.
+func (j *Journal) Payload(q Query) Payload {
+	p := Payload{Dropped: j.Dropped(), Events: j.Events(q.Limit, q.Type, q.Since)}
 	if j != nil {
-		tier = j.tier
+		p.Tier = j.tier
 	}
-	payload := Payload{Tier: tier, Dropped: j.Dropped(),
-		Events: j.Events(limit, typ, since)}
-	if payload.Events == nil {
-		payload.Events = []Event{}
+	if p.Events == nil {
+		p.Events = []Event{}
 	}
+	return p
+}
+
+// HandleEvents serves the journal tail (GET /debug/events).
+func (j *Journal) HandleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(payload)
+	json.NewEncoder(w).Encode(j.Payload(ParseQuery(r.URL.Query())))
 }
 
 // Mount registers the /debug/events endpoint on a mux.
@@ -204,23 +199,10 @@ func (j *Journal) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /debug/events", j.HandleEvents)
 }
 
-// ParseSince interprets a since query value: "" means no cutoff, a Go
-// duration ("5m") means that long before now, anything else must be
-// RFC3339. Shared with the history endpoint.
-func ParseSince(s string, now time.Time) (time.Time, error) {
-	if s == "" {
-		return time.Time{}, nil
-	}
-	if d, err := time.ParseDuration(s); err == nil {
-		return now.Add(-d), nil
-	}
-	return time.Parse(time.RFC3339, s)
-}
-
 // Merge combines event lists (the router's own plus every replica's) into
 // one time-ordered slice, stable across equal timestamps.
 func Merge(lists ...[]Event) []Event {
-	var out []Event
+	out := []Event{} // never nil: the payloads built from it encode as [], not null
 	for _, l := range lists {
 		out = append(out, l...)
 	}

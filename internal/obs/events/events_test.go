@@ -135,22 +135,6 @@ func TestNilJournalIsSafe(t *testing.T) {
 	}
 }
 
-func TestParseSince(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	if got, err := ParseSince("", now); err != nil || !got.IsZero() {
-		t.Errorf(`ParseSince("") = %v, %v; want zero`, got, err)
-	}
-	if got, err := ParseSince("5m", now); err != nil || !got.Equal(now.Add(-5*time.Minute)) {
-		t.Errorf(`ParseSince("5m") = %v, %v`, got, err)
-	}
-	if got, err := ParseSince("2026-01-02T15:04:05Z", now); err != nil || got.Year() != 2026 {
-		t.Errorf("RFC3339 parse = %v, %v", got, err)
-	}
-	if _, err := ParseSince("bogus", now); err == nil {
-		t.Error("bogus since should error")
-	}
-}
-
 // TestConcurrentEmit is the journal's -race proof.
 func TestConcurrentEmit(t *testing.T) {
 	j := NewJournal("race", 32)

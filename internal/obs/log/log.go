@@ -6,6 +6,7 @@ package olog
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -160,6 +161,23 @@ func (l *Logger) SetRateLimit(burst int, refill time.Duration) {
 	l.lim.burst = float64(burst)
 	l.lim.refill = refill
 	l.lim.mu.Unlock()
+}
+
+// Flags registers -log-level and -log-json on fs and returns the
+// constructor to call once fs is parsed: it builds the stderr logger the
+// flags describe, warning through it when the level is unknown (info is
+// used instead).
+func Flags(fs *flag.FlagSet) func() *Logger {
+	level := fs.String("log-level", "info", "minimum log level: debug|info|warn|error")
+	jsonOut := fs.Bool("log-json", false, "emit logs as JSON lines")
+	return func() *Logger {
+		lvl, ok := ParseLevel(*level)
+		lg := New(os.Stderr, lvl, *jsonOut)
+		if !ok {
+			lg.Warn("unknown -log-level, using info", "given", *level)
+		}
+		return lg
+	}
 }
 
 // Default returns a text logger to stderr at info level.

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -331,7 +333,7 @@ func (f *family) render(b *strings.Builder) {
 	}
 	if f.mapFn != nil {
 		m := f.mapFn()
-		for _, k := range sortedMapKeys(m) {
+		for _, k := range slices.Sorted(maps.Keys(m)) {
 			fmt.Fprintf(b, "%s{%s=%s} %s\n", f.name, f.labels[0], quoteLabel(k), fmtVal(m[k]))
 		}
 		return
@@ -414,15 +416,6 @@ func fmtVal(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func sortedMapKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // ---- snapshots (the tsdb sampler's view) ----
 
 // Sample is one series' instantaneous value as captured by Snapshot:
@@ -464,7 +457,7 @@ func (r *Registry) Snapshot() []Sample {
 		}
 		if f.mapFn != nil {
 			m := f.mapFn()
-			for _, k := range sortedMapKeys(m) {
+			for _, k := range slices.Sorted(maps.Keys(m)) {
 				out = append(out, Sample{
 					Name: f.name, Kind: f.kind.String(),
 					LabelNames: f.labels, LabelValues: []string{k}, Value: m[k],

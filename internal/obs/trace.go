@@ -41,11 +41,8 @@ type TraceInfo struct {
 type Tracer struct {
 	tier string
 
-	mu      sync.Mutex
-	buf     []Span
-	next    int
-	full    bool
-	dropped uint64
+	mu   sync.Mutex
+	ring *Ring[Span]
 }
 
 // DefaultTraceCapacity bounds the span ring when the caller does not.
@@ -58,7 +55,7 @@ func NewTracer(tier string, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{tier: tier, buf: make([]Span, 0, capacity)}
+	return &Tracer{tier: tier, ring: NewRing[Span](capacity)}
 }
 
 // Record stores one finished span (stamping the tracer's tier).
@@ -68,17 +65,7 @@ func (t *Tracer) Record(s Span) {
 	}
 	s.Tier = t.tier
 	t.mu.Lock()
-	if !t.full && len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, s)
-		if len(t.buf) == cap(t.buf) {
-			t.full = true
-		}
-	} else {
-		t.buf[t.next] = s
-		t.full = true
-		t.dropped++
-	}
-	t.next = (t.next + 1) % cap(t.buf)
+	t.ring.Push(s)
 	t.mu.Unlock()
 }
 
@@ -91,7 +78,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.Dropped()
 }
 
 // RegisterDropped mounts the span-eviction counter on reg. Nil-safe.
@@ -184,13 +171,7 @@ func (a *ActiveSpan) End() {
 func (t *Tracer) snapshot() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.full {
-		return append([]Span(nil), t.buf...)
-	}
-	out := make([]Span, 0, cap(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out
+	return t.ring.Snapshot()
 }
 
 // Spans returns every recorded span of one trace, ordered by start time.

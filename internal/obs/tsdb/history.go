@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Point is one sampled value in the wire payload: t is unix seconds, v is
@@ -81,7 +83,7 @@ func (s *Store) Query(patterns []string, since time.Time) []Series {
 				ws.Labels[k] = v
 			}
 		}
-		pts := sr.snapshotPoints()
+		pts := sr.pts.Snapshot()
 		if sr.kind == "histogram" {
 			ws.Buckets = sr.buckets
 			ws.Exemplars = exemplarMap(sr.buckets, sr.exemplars)
@@ -131,47 +133,45 @@ func exemplarMap(buckets []float64, exemplars []string) map[string]string {
 	return out
 }
 
-// HandleHistory serves the stored history (GET /debug/history). Query
-// params: series (comma-separated name globs, default all), since
-// (RFC3339 or a Go duration like "5m" meaning that long ago).
-func (s *Store) HandleHistory(w http.ResponseWriter, r *http.Request) {
-	var patterns []string
-	if q := r.URL.Query().Get("series"); q != "" {
-		for _, p := range strings.Split(q, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				patterns = append(patterns, p)
-			}
+// ParseQuery reads a /debug/history query string: series (comma-separated
+// name globs, default all) and since (RFC3339 or a Go duration like "5m"
+// meaning that long ago). A malformed since is answered with a 400 here
+// (ok false) — for the store's own handler and for the shard router's
+// fleet-wide merge alike.
+func ParseQuery(w http.ResponseWriter, r *http.Request) (patterns []string, since time.Time, ok bool) {
+	v := r.URL.Query()
+	for _, p := range strings.Split(v.Get("series"), ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			patterns = append(patterns, p)
 		}
 	}
-	var since time.Time
-	if q := r.URL.Query().Get("since"); q != "" {
-		t, err := parseSince(q, time.Now())
-		if err != nil {
-			http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = t
+	since, err := obs.ParseSince(v.Get("since"), time.Now())
+	if err != nil {
+		http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
 	}
-	tier := ""
-	if s != nil {
-		tier = s.tier
-	}
-	payload := Payload{Tier: tier, IntervalSeconds: s.Interval().Seconds(),
-		Series: s.Query(patterns, since)}
-	if payload.Series == nil {
-		payload.Series = []Series{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(payload)
+	return patterns, since, err == nil
 }
 
-// parseSince mirrors events.ParseSince without the import: "" is no
-// cutoff, a Go duration means that long before now, else RFC3339.
-func parseSince(s string, now time.Time) (time.Time, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return now.Add(-d), nil
+// Payload answers one query from this store alone. Nil-safe.
+func (s *Store) Payload(patterns []string, since time.Time) Payload {
+	p := Payload{IntervalSeconds: s.Interval().Seconds(), Series: s.Query(patterns, since)}
+	if s != nil {
+		p.Tier = s.tier
 	}
-	return time.Parse(time.RFC3339, s)
+	if p.Series == nil {
+		p.Series = []Series{}
+	}
+	return p
+}
+
+// HandleHistory serves the stored history (GET /debug/history).
+func (s *Store) HandleHistory(w http.ResponseWriter, r *http.Request) {
+	patterns, since, ok := ParseQuery(w, r)
+	if !ok {
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(s.Payload(patterns, since))
 }
 
 // Mount registers the /debug/history endpoint on a mux.

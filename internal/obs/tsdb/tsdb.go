@@ -43,8 +43,8 @@ type Store struct {
 	now func() time.Time // injectable clock (tests)
 }
 
-// series is one metric stream's ring. Points are appended at next; when
-// the ring is full the oldest point is overwritten.
+// series is one metric stream: its ring of sampled points plus the raw
+// cumulative values the next delta is computed against.
 type series struct {
 	name    string
 	labels  map[string]string
@@ -58,9 +58,7 @@ type series struct {
 	prevCount   uint64
 	prevSum     float64
 
-	pts  []point
-	next int
-	full bool
+	pts *obs.Ring[point]
 
 	exemplars []string // latest bucket exemplars (histogram), +Inf last
 }
@@ -182,7 +180,7 @@ func (s *Store) ingestLocked(sm *obs.Sample, t time.Time) {
 		}
 		sr = &series{
 			name: sm.Name, labels: labels, kind: sm.Kind, buckets: sm.Buckets,
-			pts: make([]point, 0, s.capacity),
+			pts: obs.NewRing[point](s.capacity),
 		}
 		s.series[key] = sr
 		s.order = append(s.order, key)
@@ -223,17 +221,7 @@ func (s *Store) ingestLocked(sm *obs.Sample, t time.Time) {
 		sr.exemplars = sm.Exemplars
 	}
 	sr.primed = true
-
-	if !sr.full && len(sr.pts) < cap(sr.pts) {
-		sr.pts = append(sr.pts, p)
-		if len(sr.pts) == cap(sr.pts) {
-			sr.full = true
-		}
-	} else {
-		sr.pts[sr.next] = p
-		sr.full = true
-	}
-	sr.next = (sr.next + 1) % cap(sr.pts)
+	sr.pts.Push(p)
 }
 
 // counterDelta absorbs resets: a cumulative value that went backwards
@@ -243,17 +231,6 @@ func counterDelta(prev, cur float64, primed bool) float64 {
 		return cur
 	}
 	return cur - prev
-}
-
-// snapshotPoints copies a series' live points, oldest first.
-func (sr *series) snapshotPoints() []point {
-	if !sr.full {
-		return append([]point(nil), sr.pts...)
-	}
-	out := make([]point, 0, cap(sr.pts))
-	out = append(out, sr.pts[sr.next:]...)
-	out = append(out, sr.pts[:sr.next]...)
-	return out
 }
 
 // matchName reports whether a family name matches a glob pattern: "*"
@@ -298,7 +275,7 @@ func (s *Store) SumCounter(name string, match map[string]string, window time.Dur
 		if sr.name != name || sr.kind != "counter" || !matchLabels(match, sr.labels) {
 			continue
 		}
-		for _, p := range sr.snapshotPoints() {
+		for _, p := range sr.pts.Snapshot() {
 			if !p.t.Before(cutoff) {
 				total += p.v
 			}
@@ -326,7 +303,7 @@ func (s *Store) HistWindow(name string, match map[string]string, window time.Dur
 			buckets = sr.buckets
 			counts = make([]uint64, len(sr.buckets)+1)
 		}
-		for _, p := range sr.snapshotPoints() {
+		for _, p := range sr.pts.Snapshot() {
 			if p.t.Before(cutoff) {
 				continue
 			}
@@ -355,7 +332,7 @@ func (s *Store) GaugeAbove(name string, match map[string]string, window time.Dur
 		if sr.name != name || sr.kind != "gauge" || !matchLabels(match, sr.labels) {
 			continue
 		}
-		for _, p := range sr.snapshotPoints() {
+		for _, p := range sr.pts.Snapshot() {
 			if p.t.Before(cutoff) {
 				continue
 			}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -292,51 +291,6 @@ func TestBackpressureOverloaded(t *testing.T) {
 	}
 }
 
-// TestJobAdmissionOverloadedRetryAfter checks the job queue's bounded
-// admission: with MaxJobs=1 and the only slot parked, a second submission
-// gets HTTP 429 with a Retry-After header and the typed overloaded code.
-func TestJobAdmissionOverloadedRetryAfter(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxJobs: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.testProgressHook = func(done, total int) {
-		if done == 1 {
-			once.Do(func() { close(started) })
-			<-release
-		}
-	}
-	defer close(release)
-
-	c := client.New(ts.URL, client.WithRetry(0, 0))
-	ctx := context.Background()
-	sub := api.SubsampleRequest{Dataset: "GESTS-2048", Cube: 8, NumHypercubes: 2, NumSamples: 16, Seed: 1}
-	if _, err := c.SubmitSubsampleJob(ctx, &sub); err != nil {
-		t.Fatalf("first submit: %v", err)
-	}
-	<-started
-
-	body, _ := json.Marshal(api.SubmitJobRequest{Type: api.JobSubsample, Subsample: &sub})
-	resp, err := http.Post(ts.URL+"/v2/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second submit HTTP %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After header")
-	}
-	var env api.ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == nil || env.Error.Code != api.CodeOverloaded {
-		t.Fatalf("envelope = %+v, %v; want overloaded", env.Error, err)
-	}
-}
-
 // TestBatcherDrainTyped pins the shutdown-drain contract at the batcher
 // level: requests admitted (queued) before Stop either complete with real
 // results or fail fast with the typed shutting_down error — nothing hangs.
@@ -431,107 +385,52 @@ func TestBatcherDrainTyped(t *testing.T) {
 	}
 }
 
-// TestV1CompatShim freezes the v1 surface: success payloads byte-identical
-// to v2 (same wire types), error envelopes in the legacy
-// {"error":"message"} shape with the original statuses.
-func TestV1CompatShim(t *testing.T) {
+// TestTypedErrorEnvelope: application failures on the v2 surface carry the
+// typed envelope with the code a client branches on. (The chassis-level
+// 405/404/bad-JSON envelopes are pinned for both tiers by the contract
+// test in internal/tier.)
+func TestTypedErrorEnvelope(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	_ = s
 
-	get := func(path string) (int, string) {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(raw)
-	}
-	post := func(path string, body any) (int, string) {
+	post := func(path string, body any) (int, api.ErrorEnvelope) {
 		b, _ := json.Marshal(body)
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(raw)
+		var env api.ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == nil {
+			t.Fatalf("POST %s: HTTP %d without a typed envelope (%v)", path, resp.StatusCode, err)
+		}
+		return resp.StatusCode, env
 	}
 
-	// Model listings agree byte for byte across versions.
-	c1, v1Models := get("/v1/models")
-	c2, v2Models := get("/v2/models")
-	if c1 != 200 || c2 != 200 || v1Models != v2Models {
-		t.Fatalf("model listings diverge:\nv1(%d) %s\nv2(%d) %s", c1, v1Models, c2, v2Models)
-	}
-
-	// Inference success bodies agree byte for byte (serial requests ride
-	// batch size 1 deterministically).
 	rng := rand.New(rand.NewSource(51))
-	req := api.InferRequest{Model: "m", Items: []api.InferItem{randomItem(rng)}}
-	c1, v1Out := post("/v1/infer", req)
-	c2, v2Out := post("/v2/infer", req)
-	if c1 != 200 || c2 != 200 || v1Out != v2Out {
-		t.Fatalf("infer bodies diverge:\nv1(%d) %s\nv2(%d) %s", c1, v1Out, c2, v2Out)
+	items := []api.InferItem{randomItem(rng)}
+	if code, env := post("/v2/infer", api.InferRequest{Model: "nope", Items: items}); code != http.StatusNotFound || env.Error.Code != api.CodeModelNotFound {
+		t.Fatalf("unknown-model = %d %+v", code, env.Error)
 	}
-
-	// v1 errors keep the legacy envelope and statuses.
-	code, body := post("/v1/infer", api.InferRequest{Model: "nope", Items: req.Items})
-	if code != http.StatusNotFound || body != "{\"error\":\"unknown model \\\"nope\\\"\"}\n" {
-		t.Fatalf("v1 unknown-model = %d %q", code, body)
-	}
-	code, body = get("/v1/infer")
-	if code != http.StatusMethodNotAllowed || body != "{\"error\":\"POST only\"}\n" {
-		t.Fatalf("v1 bad-method = %d %q", code, body)
-	}
-	code, body = post("/v1/subsample", api.SubsampleRequest{Dataset: "no-such-dataset"})
-	if code != http.StatusBadRequest || !strings.HasPrefix(body, "{\"error\":\"") {
-		t.Fatalf("v1 subsample error = %d %q, want legacy 400 envelope", code, body)
-	}
-
-	// The same failures on v2 carry the typed envelope.
-	code, body = post("/v2/infer", api.InferRequest{Model: "nope", Items: req.Items})
-	var env api.ErrorEnvelope
-	if code != http.StatusNotFound || json.Unmarshal([]byte(body), &env) != nil ||
-		env.Error == nil || env.Error.Code != api.CodeModelNotFound {
-		t.Fatalf("v2 unknown-model = %d %q", code, body)
-	}
-	code, body = post("/v2/subsample", api.SubsampleRequest{Dataset: "no-such-dataset"})
-	env = api.ErrorEnvelope{}
-	if code != http.StatusNotFound || json.Unmarshal([]byte(body), &env) != nil ||
-		env.Error == nil || env.Error.Code != api.CodeNotFound {
-		t.Fatalf("v2 unknown-dataset = %d %q", code, body)
-	}
-
-	// Wrong method and unknown path on v2 stay inside the typed envelope
-	// (the mux's plain-text 405/404 pages would break strict clients).
-	code, body = get("/v2/infer")
-	env = api.ErrorEnvelope{}
-	if code != http.StatusMethodNotAllowed || json.Unmarshal([]byte(body), &env) != nil ||
-		env.Error == nil || env.Error.Code != api.CodeMethodNotAllowed {
-		t.Fatalf("v2 bad-method = %d %q", code, body)
-	}
-	code, body = get("/v2/no-such-route")
-	env = api.ErrorEnvelope{}
-	if code != http.StatusNotFound || json.Unmarshal([]byte(body), &env) != nil ||
-		env.Error == nil || env.Error.Code != api.CodeNotFound {
-		t.Fatalf("v2 unknown-path = %d %q", code, body)
+	if code, env := post("/v2/subsample", api.SubsampleRequest{Dataset: "no-such-dataset"}); code != http.StatusNotFound || env.Error.Code != api.CodeNotFound {
+		t.Fatalf("unknown-dataset = %d %+v", code, env.Error)
 	}
 	// A missing .skl shard is the caller's bad reference, not a 500.
-	code, body = post("/v2/subsample", api.SubsampleRequest{Shard: "/no/such/shard.skl"})
-	env = api.ErrorEnvelope{}
-	if code != http.StatusNotFound || json.Unmarshal([]byte(body), &env) != nil ||
-		env.Error == nil || env.Error.Code != api.CodeNotFound {
-		t.Fatalf("v2 missing-shard = %d %q", code, body)
+	if code, env := post("/v2/subsample", api.SubsampleRequest{Shard: "/no/such/shard.skl"}); code != http.StatusNotFound || env.Error.Code != api.CodeNotFound {
+		t.Fatalf("missing-shard = %d %+v", code, env.Error)
 	}
 
-	// Version negotiation advertises both surfaces.
-	code, body = get("/api/version")
+	// Version negotiation advertises the one surface left.
+	resp, err := http.Get(ts.URL + "/api/version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
 	var vi api.VersionInfo
-	if code != 200 || json.Unmarshal([]byte(body), &vi) != nil || vi.Latest != api.V2 {
-		t.Fatalf("/api/version = %d %q", code, body)
+	if err := json.NewDecoder(resp.Body).Decode(&vi); err != nil || resp.StatusCode != 200 ||
+		vi.Latest != api.V2 || len(vi.Versions) != 1 || vi.Versions[0] != api.V2 {
+		t.Fatalf("/api/version = %d %+v (%v)", resp.StatusCode, vi, err)
 	}
 }
 

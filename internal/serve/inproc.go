@@ -31,10 +31,8 @@ func StartInProc(cfg Config) (*InProc, error) {
 	}
 	l, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		s.jobs.Close()
-		s.batcher.Stop()
-		s.history.Stop()
-		s.durable.Close()
+		s.History().Stop()
+		_ = s.teardown() // never served: the listen error is the one to report
 		return nil, err
 	}
 	p := &InProc{
@@ -70,10 +68,7 @@ func (p *InProc) Close(ctx context.Context) error {
 // are still torn down so tests leak no goroutines.
 func (p *InProc) Kill() {
 	p.Server.durable.Freeze()
-	p.Server.httpSrv.Close()
+	p.Server.Tier.Close()
 	<-p.done
-	p.Server.jobs.Close()
-	p.Server.batcher.Stop()
-	p.Server.history.Stop()
-	p.Server.durable.Close()
+	_ = p.Server.teardown() // a crash reports nothing
 }

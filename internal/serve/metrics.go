@@ -1,77 +1,44 @@
 package serve
 
 import (
-	"sort"
-	"sync"
-	"time"
-
 	"repro/internal/obs"
+	"repro/internal/tier"
 )
 
 // batchSizeBuckets are the upper bounds of the micro-batch size histogram.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
-// Metrics is the service's instrumentation, backed by the shared
-// obs.Registry: per-route request counters and latency histograms, the
+// Metrics is the service's own instrumentation on the chassis registry:
+// the per-route request series the tier middleware counts on, the
 // micro-batch size histogram, queue depth, job states, and cache counters.
-// The registry renders Prometheus text exposition (with # HELP/# TYPE and
-// le-bucketed histograms) so any scraper — or the load generator in
-// cmd/sickle-bench — can consume it. All pre-registry series names are
-// preserved; sickle_request_seconds_sum{route} is now the _sum series of
-// the sickle_request_seconds histogram.
+// All pre-registry series names are preserved; sickle_request_seconds_sum
+// {route} is the _sum series of the sickle_request_seconds histogram.
 type Metrics struct {
 	reg *obs.Registry
+	tier.RequestSeries
 
-	requests *obs.CounterVec
-	errors   *obs.CounterVec
-	seconds  *obs.HistogramVec
 	batch    *obs.Histogram
-	inflight *obs.Gauge
 	rejected *obs.Counter
-
-	mu         sync.Mutex
-	cacheBound bool
 }
 
-// NewMetrics returns a collector over a fresh registry, with the process
-// runtime gauges (goroutines, heap, GC, tensor pool, build info) attached.
-func NewMetrics() *Metrics {
-	reg := obs.NewRegistry()
-	m := &Metrics{
+// newMetrics registers the serve series on reg.
+func newMetrics(reg *obs.Registry) *Metrics {
+	return &Metrics{
 		reg: reg,
-		requests: reg.Counter("sickle_requests_total",
-			"Requests served, by route.", "route"),
-		errors: reg.Counter("sickle_request_errors_total",
-			"Requests that returned an error, by route.", "route"),
-		seconds: reg.Histogram("sickle_request_seconds",
-			"Request latency in seconds, by route.", nil, "route"),
+		RequestSeries: tier.RequestSeries{
+			Requests: reg.Counter("sickle_requests_total",
+				"Requests served, by route.", "route"),
+			Errors: reg.Counter("sickle_request_errors_total",
+				"Requests that returned an error, by route.", "route"),
+			Seconds: reg.Histogram("sickle_request_seconds",
+				"Request latency in seconds, by route.", nil, "route"),
+			Inflight: reg.Gauge("sickle_inflight_requests",
+				"Requests currently being handled.").With(),
+		},
 		batch: reg.Histogram("sickle_batch_size",
 			"Size of dispatched micro-batches.", batchSizeBuckets).With(),
-		inflight: reg.Gauge("sickle_inflight_requests",
-			"Requests currently being handled.").With(),
 		rejected: reg.Counter("sickle_rejected_requests_total",
 			"Requests refused at admission because a bounded queue was full.").With(),
-	}
-	obs.RegisterRuntime(reg)
-	return m
-}
-
-// Registry exposes the underlying registry so the server can mount extra
-// probes (and the debug mux can share /metrics).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// ObserveRequest records one request on a route.
-func (m *Metrics) ObserveRequest(route string, d time.Duration, failed bool) {
-	m.ObserveRequestEx(route, d, failed, "")
-}
-
-// ObserveRequestEx is ObserveRequest carrying the request's trace ID as a
-// latency-histogram exemplar (surfaced in /debug/history, not /metrics).
-func (m *Metrics) ObserveRequestEx(route string, d time.Duration, failed bool, traceID string) {
-	m.requests.With(route).Inc()
-	m.seconds.With(route).ObserveEx(d.Seconds(), traceID)
-	if failed {
-		m.errors.With(route).Inc()
 	}
 }
 
@@ -86,11 +53,6 @@ func (m *Metrics) MeanBatchSize() float64 {
 		return m.batch.Sum() / float64(n)
 	}
 	return 0
-}
-
-// AddInflight adjusts the in-flight request gauge.
-func (m *Metrics) AddInflight(d int64) {
-	m.inflight.Add(float64(d))
 }
 
 // ObserveRejected counts one request rejected for backpressure.
@@ -110,8 +72,8 @@ func (m *Metrics) SetQueueDepthFunc(f func() int) {
 		func() float64 { return float64(f()) })
 }
 
-// SetJobStatsFunc installs the live job-state counter probe.
-func (m *Metrics) SetJobStatsFunc(f func() map[string]int) {
+// bindJobStats installs the live job-state counter probe.
+func (m *Metrics) bindJobStats(f func() map[string]int) {
 	m.reg.GaugeMapFunc("sickle_jobs",
 		"Jobs by lifecycle state.", "state",
 		func() map[string]float64 {
@@ -123,36 +85,18 @@ func (m *Metrics) SetJobStatsFunc(f func() map[string]int) {
 		})
 }
 
-// Render writes the Prometheus text exposition. cache may be nil; the
-// first non-nil cache binds the sickle_cache_* probes.
-func (m *Metrics) Render(cache *LRU) string {
-	if cache != nil {
-		m.mu.Lock()
-		if !m.cacheBound {
-			m.cacheBound = true
-			m.reg.CounterFunc("sickle_cache_hits_total",
-				"Inference cache hits.",
-				func() float64 { h, _, _ := cache.Stats(); return float64(h) })
-			m.reg.CounterFunc("sickle_cache_misses_total",
-				"Inference cache misses.",
-				func() float64 { _, mi, _ := cache.Stats(); return float64(mi) })
-			m.reg.CounterFunc("sickle_cache_evictions_total",
-				"Inference cache evictions.",
-				func() float64 { _, _, e := cache.Stats(); return float64(e) })
-			m.reg.GaugeFunc("sickle_cache_entries",
-				"Entries currently resident in the inference cache.",
-				func() float64 { return float64(cache.Len()) })
-		}
-		m.mu.Unlock()
-	}
-	return m.reg.Render()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// bindCache installs the dataset/shard LRU probes.
+func (m *Metrics) bindCache(cache *LRU) {
+	m.reg.CounterFunc("sickle_cache_hits_total",
+		"Inference cache hits.",
+		func() float64 { h, _, _ := cache.Stats(); return float64(h) })
+	m.reg.CounterFunc("sickle_cache_misses_total",
+		"Inference cache misses.",
+		func() float64 { _, mi, _ := cache.Stats(); return float64(mi) })
+	m.reg.CounterFunc("sickle_cache_evictions_total",
+		"Inference cache evictions.",
+		func() float64 { _, _, e := cache.Stats(); return float64(e) })
+	m.reg.GaugeFunc("sickle_cache_entries",
+		"Entries currently resident in the inference cache.",
+		func() float64 { return float64(cache.Len()) })
 }

@@ -37,9 +37,9 @@ func TestMetricsExpositionLint(t *testing.T) {
 		t.Errorf("/metrics fails lint: %v", errs)
 	}
 	for _, want := range []string{
-		`sickle_request_seconds_bucket{route="/v1/infer",le="`,
-		`sickle_request_seconds_sum{route="/v1/infer"}`,
-		`sickle_request_seconds_count{route="/v1/infer"}`,
+		`sickle_request_seconds_bucket{route="/v2/infer",le="`,
+		`sickle_request_seconds_sum{route="/v2/infer"}`,
+		`sickle_request_seconds_count{route="/v2/infer"}`,
 		"sickle_build_info{go_version=",
 		"sickle_process_start_time_seconds",
 		"sickle_go_goroutines",

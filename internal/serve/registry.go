@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/nn"
@@ -69,7 +71,7 @@ func NewRegistry() *Registry {
 // checkpoint into each, and publishes them under name. With an empty
 // checkpoint path the freshly initialized weights are served (useful in
 // tests). inputShape documents the per-example tensor shape clients must
-// send; it is surfaced through /v1/models for load generators.
+// send; it is surfaced through /v2/models for load generators.
 func (r *Registry) Register(name string, spec train.ArchSpec, checkpoint string, inputShape []int, replicas int) (*ModelEntry, error) {
 	if err := validateModelName(name); err != nil {
 		return nil, err
@@ -78,7 +80,7 @@ func (r *Registry) Register(name string, spec train.ArchSpec, checkpoint string,
 		replicas = 1
 	}
 	// Each replica is a full weight copy (plus a checkpoint read); an
-	// unbounded count would let one POST /v1/models OOM the process.
+	// unbounded count would let one POST /v2/models OOM the process.
 	if replicas > maxReplicas {
 		return nil, fmt.Errorf("serve: %d replicas exceeds the limit of %d", replicas, maxReplicas)
 	}
@@ -127,7 +129,7 @@ func (r *Registry) List() []*ModelEntry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]*ModelEntry, 0, len(r.models))
-	for _, name := range sortedKeys(r.models) {
+	for _, name := range slices.Sorted(maps.Keys(r.models)) {
 		out = append(out, r.models[name])
 	}
 	return out

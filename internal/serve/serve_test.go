@@ -71,7 +71,7 @@ func doInfer(url string, req api.InferRequest) (*api.InferResponse, int, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := http.Post(url+"/v1/infer", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v2/infer", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -214,7 +214,7 @@ func TestHotSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := json.Marshal(api.RegisterModelRequest{Name: "m", Spec: archToSpec(testSpec), Checkpoint: ckpt2, InputShape: testShape})
-	resp, err := http.Post(ts.URL+"/v1/models", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v2/models", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// Wait until all n requests have entered their handler (in-flight or
 	// already finished); Shutdown then must drain, not drop, them.
 	admitted := func() int64 {
-		return int64(s.met.inflight.Value() + s.met.requests.With("/v1/infer").Value())
+		return int64(s.met.Inflight.Value() + s.met.Requests.With("/v2/infer").Value())
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for admitted() < n {
@@ -303,7 +303,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestSubsampleCacheHit checks the LRU path end to end: the second
-// identical /v1/subsample request must be served from cache.
+// identical /v2/subsample request must be served from cache.
 func TestSubsampleCacheHit(t *testing.T) {
 	s, _ := newTestServer(t, Config{CacheEntries: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -313,7 +313,7 @@ func TestSubsampleCacheHit(t *testing.T) {
 	var first, second api.SubsampleResponse
 	for i, out := range []*api.SubsampleResponse{&first, &second} {
 		body, _ := json.Marshal(req)
-		resp, err := http.Post(ts.URL+"/v1/subsample", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v2/subsample", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,29 +14,28 @@
 // deduplicate retried submissions, and identical subsample jobs are
 // served byte-identically from a content-addressed cache.
 //
-// Two API versions are served: /v2 (typed error envelope, jobs) and /v1, a
-// thin frozen shim over the same types that keeps the original payloads
-// byte-compatible. cmd/sickle-serve is the binary; cmd/sickle-bench -serve
-// is the matching load generator, built on pkg/client.
+// The HTTP scaffolding — flight recorder, route table with typed 405/404
+// fallbacks, request middleware, listen/serve/shutdown — is the
+// internal/tier chassis shared with internal/shard. cmd/sickle-serve is
+// the binary; cmd/sickle-bench -serve is the matching load generator,
+// built on pkg/client.
 package serve
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/url"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/obs"
 	"repro/internal/obs/events"
 	olog "repro/internal/obs/log"
 	"repro/internal/obs/slo"
-	"repro/internal/obs/tsdb"
 	"repro/internal/tensor"
+	"repro/internal/tier"
 	"repro/internal/train"
 	"repro/pkg/api"
 )
@@ -88,21 +87,16 @@ func (c *Config) defaults() {
 }
 
 // Server wires the registry, batcher, cache, job manager and metrics
-// behind an HTTP mux.
+// behind the tier chassis.
 type Server struct {
+	*tier.Tier
 	cfg      Config
 	reg      *Registry
 	batcher  *Batcher
 	cache    *LRU
 	jobs     *JobManager
 	met      *Metrics
-	tracer   *obs.Tracer
-	logger   *olog.Logger
-	journal  *events.Journal
-	history  *tsdb.Store
-	sloEng   *slo.Engine
 	durable  *durable.Store // nil without Config.DataDir
-	httpSrv  *http.Server
 	start    time.Time
 	draining atomic.Bool
 
@@ -118,47 +112,48 @@ type Server struct {
 // refuse to start rather than silently serve without durability.
 func NewServer(cfg Config) (*Server, error) {
 	cfg.defaults()
-	met := NewMetrics()
+	t := tier.New(tier.Config{
+		Name: "serve", SpanPrefix: "server:", Addr: cfg.Addr, Logger: cfg.Logger,
+		TraceCapacity:   cfg.TraceCapacity,
+		HistoryInterval: cfg.HistoryInterval, HistoryCapacity: cfg.HistoryCapacity,
+		EventCapacity: cfg.EventCapacity, SLOs: cfg.SLOs, SLOMetrics: slo.ServeMetrics,
+	})
+	met := newMetrics(t.MetricsRegistry())
+	t.CountRequests(met.RequestSeries)
 	reg := NewRegistry()
 	s := &Server{
+		Tier:    t,
 		cfg:     cfg,
 		reg:     reg,
 		batcher: NewBatcher(reg, met, cfg.MaxBatch, cfg.Window, cfg.Workers, cfg.QueueCap),
 		cache:   NewLRU(cfg.CacheEntries),
 		jobs:    NewJobManager(cfg.JobWorkers, cfg.MaxJobs, cfg.JobTTL),
 		met:     met,
-		tracer:  obs.NewTracer("serve", cfg.TraceCapacity),
-		logger:  cfg.Logger,
-		journal: events.NewJournal("serve", cfg.EventCapacity),
 		start:   time.Now(),
 	}
-	met.SetJobStatsFunc(s.jobs.Stats)
-	s.batcher.SetTracer(s.tracer)
-	s.jobs.SetTracer(s.tracer)
+	met.bindJobStats(s.jobs.Stats)
+	met.bindCache(s.cache)
+	s.batcher.SetTracer(s.Tracer())
+	s.jobs.SetTracer(s.Tracer())
 	s.jobs.SetPanicHook(func(id string, typ api.JobType, traceID, msg string) {
-		s.journal.Emit(events.TypeJobPanic, "job panicked (recovered)", traceID,
+		s.Journal().Emit(events.TypeJobPanic, "job panicked (recovered)", traceID,
 			"job", id, "type", string(typ), "panic", msg)
 	})
-	s.tracer.RegisterDropped(met.Registry())
-	s.journal.Register(met.Registry())
 	if cfg.DataDir != "" {
 		st, records, err := durable.Open(cfg.DataDir)
 		if err != nil {
 			return nil, fmt.Errorf("serve: open data dir %s: %w", cfg.DataDir, err)
 		}
 		s.durable = st
-		st.Register(met.Registry())
+		st.Register(t.MetricsRegistry())
 		s.jobs.SetDurable(st, func(err error) {
-			s.logger.Error("wal append failed; next submission will be refused",
+			s.Logger().Error("wal append failed; next submission will be refused",
 				"err", err.Error())
 		})
 		s.recoverJobs(records)
 	}
-	s.history = tsdb.NewStore("serve", met.Registry(), cfg.HistoryInterval, cfg.HistoryCapacity)
-	s.sloEng = slo.NewEngine("serve", s.history, slo.ServeMetrics, cfg.SLOs,
-		met.Registry(), s.journal)
-	s.history.Start()
-	s.httpSrv = &http.Server{Addr: cfg.Addr, Handler: s.Handler()}
+	s.routes()
+	s.History().Start()
 	return s, nil
 }
 
@@ -251,16 +246,16 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 	// Seal first so the runners the restores spawn append to a log whose
 	// every record is individually fsync'd.
 	if err := s.durable.Seal(); err != nil {
-		s.logger.Error("wal compaction failed", "err", err.Error())
+		s.Logger().Error("wal compaction failed", "err", err.Error())
 	}
 	for _, r := range restores {
 		s.jobs.Restore(r.job, r.run, r.result)
 		wal.CountRecovered(r.action)
-		s.journal.Emit(events.TypeRecovery, "job recovered from WAL", "",
+		s.Journal().Emit(events.TypeRecovery, "job recovered from WAL", "",
 			"job", r.job.ID, "action", r.action, "state", string(r.job.State))
 	}
 	if n := len(records); n > 0 {
-		s.logger.Info("wal replayed", "jobs", n, "restored", len(restores))
+		s.Logger().Info("wal replayed", "jobs", n, "restored", len(restores))
 	}
 }
 
@@ -295,95 +290,31 @@ func (s *Server) Cache() *LRU { return s.cache }
 // Jobs exposes the job manager (tests and embedders).
 func (s *Server) Jobs() *JobManager { return s.jobs }
 
-// Tracer exposes the span ring behind /debug/traces (tests and embedders).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// Journal exposes the event journal behind /debug/events.
-func (s *Server) Journal() *events.Journal { return s.journal }
-
 // Durable exposes the durability store (nil without Config.DataDir).
 // Embedders and crash-recovery tests use it for fault injection:
 // Store.WAL.SetCrashPoint arms a stage-precise freeze, Store.Freeze
 // simulates process death outright.
 func (s *Server) Durable() *durable.Store { return s.durable }
 
-// History exposes the metrics-history store behind /debug/history.
-func (s *Server) History() *tsdb.Store { return s.history }
-
-// SLO exposes the burn-rate engine behind /debug/slo.
-func (s *Server) SLO() *slo.Engine { return s.sloEng }
-
-// Handler returns the route mux (also usable under httptest). The /v1
-// routes are the frozen compatibility shim; /v2 is the current surface.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	s.tracer.Mount(mux)
-	s.journal.Mount(mux)
-	s.history.Mount(mux)
-	s.sloEng.Mount(mux)
-	mux.HandleFunc("GET /api/version", s.instrument("/api/version", s.handleVersion))
-
-	// v1: legacy envelope, original status mapping.
-	mux.HandleFunc("/v1/infer", s.instrument("/v1/infer", s.handleInferV1))
-	mux.HandleFunc("/v1/subsample", s.instrument("/v1/subsample", s.handleSubsampleV1))
-	mux.HandleFunc("/v1/models", s.instrument("/v1/models", s.handleModelsV1))
-
-	// v2: typed envelope + jobs.
-	mux.HandleFunc("POST /v2/infer", s.instrument("/v2/infer", s.handleInferV2))
-	mux.HandleFunc("POST /v2/subsample", s.instrument("/v2/subsample", s.handleSubsampleV2))
-	mux.HandleFunc("GET /v2/models", s.instrument("/v2/models", s.handleListModelsV2))
-	mux.HandleFunc("POST /v2/models", s.instrument("/v2/models", s.handleRegisterModelV2))
-	mux.HandleFunc("POST /v2/jobs", s.instrument("/v2/jobs", s.handleSubmitJob))
-	mux.HandleFunc("GET /v2/jobs", s.instrument("/v2/jobs", s.handleListJobs))
-	mux.HandleFunc("GET /v2/jobs/{id}", s.instrument("/v2/jobs/{id}", s.handleGetJob))
-	mux.HandleFunc("DELETE /v2/jobs/{id}", s.instrument("/v2/jobs/{id}", s.handleCancelJob))
-	mux.HandleFunc("GET /v2/jobs/{id}/result", s.instrument("/v2/jobs/{id}/result", s.handleJobResult))
-	mux.HandleFunc("GET /v2/keys/{key}", s.instrument("/v2/keys/{key}", s.handleGetJobByKey))
-
-	// Keep the "every v2 failure is a typed envelope" contract even for
-	// requests the method-qualified patterns above don't match: a generic
-	// (method-less) registration per route loses to the specific pattern
-	// for matching methods and catches the rest with a typed 405; the /v2/
-	// prefix fallback turns unknown paths into a typed 404 instead of the
-	// mux's plain-text page.
-	methodNotAllowed := func(allow string) func(http.ResponseWriter, *http.Request) error {
-		return func(w http.ResponseWriter, r *http.Request) error {
-			w.Header().Set("Allow", allow)
-			return writeAPIError(w, api.Errorf(api.CodeMethodNotAllowed, "%s only", allow))
-		}
-	}
-	mux.HandleFunc("/v2/infer", s.instrument("/v2/infer", methodNotAllowed("POST")))
-	mux.HandleFunc("/v2/subsample", s.instrument("/v2/subsample", methodNotAllowed("POST")))
-	mux.HandleFunc("/v2/models", s.instrument("/v2/models", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v2/jobs", s.instrument("/v2/jobs", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v2/keys/{key}", s.instrument("/v2/keys/{key}", methodNotAllowed("GET")))
-	mux.HandleFunc("/v2/jobs/{id}", s.instrument("/v2/jobs/{id}", methodNotAllowed("GET, DELETE")))
-	mux.HandleFunc("/v2/jobs/{id}/result", s.instrument("/v2/jobs/{id}/result", methodNotAllowed("GET")))
-	mux.HandleFunc("/v2/", s.instrument("/v2/", func(w http.ResponseWriter, r *http.Request) error {
-		return writeAPIError(w, api.Errorf(api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
+// routes fills the chassis route table with the v2 surface.
+func (s *Server) routes() {
+	s.Handle("/healthz", s.handleHealthz)
+	s.Handle("GET /api/version", s.handleVersion)
+	s.Handle("POST /v2/infer", tier.Call(s.doInfer))
+	s.Handle("POST /v2/subsample", tier.Call(func(ctx context.Context, req *api.SubsampleRequest) (*api.SubsampleResponse, error) {
+		return s.doSubsample(ctx, req, nil)
 	}))
-	mux.HandleFunc("/api/version", s.instrument("/api/version", methodNotAllowed("GET")))
-	return mux
-}
-
-// ListenAndServe blocks serving on cfg.Addr until Shutdown.
-func (s *Server) ListenAndServe() error {
-	l, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Serve blocks serving on l until Shutdown.
-func (s *Server) Serve(l net.Listener) error {
-	err := s.httpSrv.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
+	s.Handle("GET /v2/models", s.handleListModels)
+	s.Handle("POST /v2/models", tier.Call(func(_ context.Context, req *api.RegisterModelRequest) (api.ModelInfo, error) {
+		return s.doRegisterModel(req)
+	}))
+	s.Handle("GET /v2/jobs", s.handleListJobs)
+	s.Handle("POST /v2/jobs", s.handleSubmitJob)
+	s.Handle("GET /v2/jobs/{id}", s.handleGetJob)
+	s.Handle("DELETE /v2/jobs/{id}", s.handleCancelJob)
+	s.Handle("GET /v2/jobs/{id}/result", s.handleJobResult)
+	s.Handle("GET /v2/keys/{key}", s.handleGetJobByKey)
+	s.Finish(nil)
 }
 
 // Shutdown drains gracefully: new batcher admissions fail fast with the
@@ -395,50 +326,22 @@ func (s *Server) Serve(l net.Listener) error {
 // never a hang.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	err := s.httpSrv.Shutdown(ctx)
-	s.jobs.Close()
-	s.batcher.Stop()
-	s.history.Stop()
-	if cerr := s.durable.Close(); err == nil {
+	err := s.Tier.Shutdown(ctx)
+	if cerr := s.teardown(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// instrument wraps a handler with latency/error accounting, a server span
-// (joining the caller's trace when an X-Sickle-Trace header is present,
-// minting one otherwise), and a trace-ID-stamped request log.
-func (s *Server) instrument(route string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
-		if tc, ok := api.ParseTraceHeader(r.Header.Get(api.TraceHeader)); ok {
-			ctx = api.WithTrace(ctx, tc)
-		}
-		ctx, span := s.tracer.StartSpan(ctx, "server:"+route)
-		span.SetAttr("method", r.Method)
-		t0 := time.Now()
-		s.met.AddInflight(1)
-		err := h(w, r.WithContext(ctx))
-		s.met.AddInflight(-1)
-		d := time.Since(t0)
-		s.met.ObserveRequestEx(route, d, err != nil, span.TraceID())
-		if err != nil {
-			span.SetAttr("error", string(api.AsError(err).Code))
-		}
-		span.End()
-		if s.logger.Enabled(olog.LevelDebug) || err != nil {
-			kv := []any{"route", route, "method", r.Method,
-				"trace", span.TraceID(), "seconds", d.Seconds()}
-			if err != nil {
-				s.logger.Warn("request failed", append(kv, "error", err.Error())...)
-			} else {
-				s.logger.Debug("request", kv...)
-			}
-		}
-	}
+// teardown stops what lives behind the HTTP front: running jobs are
+// canceled, the batcher drained, the durability store closed.
+func (s *Server) teardown() error {
+	s.jobs.Close()
+	s.batcher.Stop()
+	return s.durable.Close()
 }
 
-// ---- shared core (both API versions decode into pkg/api types) ----
+// ---- shared core ----
 
 func specToArch(s api.ModelSpec) train.ArchSpec {
 	return train.ArchSpec{Arch: s.Arch, InDim: s.InDim, Hidden: s.Hidden,
@@ -453,13 +356,6 @@ func archToSpec(a train.ArchSpec) api.ModelSpec {
 func entryToInfo(e *ModelEntry) api.ModelInfo {
 	return api.ModelInfo{Name: e.Name, Version: e.Version, Spec: archToSpec(e.Spec),
 		Checkpoint: e.Checkpoint, InputShape: e.InputShape, Replicas: e.Replicas}
-}
-
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return api.Errorf(api.CodeInvalidArgument, "bad JSON: %v", err)
-	}
-	return nil
 }
 
 // doInfer validates, fans the items into the batcher under the request
@@ -529,7 +425,7 @@ func (s *Server) doRegisterModel(req *api.RegisterModelRequest) (api.ModelInfo, 
 		return api.ModelInfo{}, api.Errorf(api.CodeInvalidArgument, "%s", err.Error())
 	}
 	if e.Version > 1 {
-		s.journal.Emit(events.TypeHotSwap, "model checkpoint hot-swapped", "",
+		s.Journal().Emit(events.TypeHotSwap, "model checkpoint hot-swapped", "",
 			"model", e.Name, "version", fmt.Sprint(e.Version),
 			"checkpoint", e.Checkpoint)
 	}
@@ -545,117 +441,29 @@ func (s *Server) listModels() []api.ModelInfo {
 	return out
 }
 
-// ---- v1 handlers (frozen compatibility shim) ----
-
-func (s *Server) handleInferV1(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return writeLegacyError(w, api.Errorf(api.CodeMethodNotAllowed, "POST only"), 0)
-	}
-	var req api.InferRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeLegacyError(w, err, 0)
-	}
-	resp, err := s.doInfer(r.Context(), &req)
-	if err != nil {
-		return writeLegacyError(w, err, 0)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSubsampleV1(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return writeLegacyError(w, api.Errorf(api.CodeMethodNotAllowed, "POST only"), 0)
-	}
-	var req api.SubsampleRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeLegacyError(w, err, 0)
-	}
-	resp, err := s.doSubsample(r.Context(), &req, nil)
-	if err != nil {
-		// v1 reported every pipeline failure as a 400.
-		return writeLegacyError(w, err, http.StatusBadRequest)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleModelsV1(w http.ResponseWriter, r *http.Request) error {
-	switch r.Method {
-	case http.MethodGet:
-		return writeJSON(w, http.StatusOK, s.listModels())
-	case http.MethodPost:
-		var req api.RegisterModelRequest
-		if err := decodeBody(r, &req); err != nil {
-			return writeLegacyError(w, err, 0)
-		}
-		info, err := s.doRegisterModel(&req)
-		if err != nil {
-			return writeLegacyError(w, err, http.StatusBadRequest)
-		}
-		return writeJSON(w, http.StatusOK, info)
-	default:
-		return writeLegacyError(w, api.Errorf(api.CodeMethodNotAllowed, "GET or POST"), 0)
-	}
-}
-
-// ---- v2 handlers (typed envelope) ----
+// ---- handlers (typed envelope) ----
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, http.StatusOK, api.VersionInfo{
+	return tier.WriteJSON(w, http.StatusOK, api.VersionInfo{
 		Versions: api.SupportedVersions(), Latest: api.Latest,
 	})
 }
 
-func (s *Server) handleInferV2(w http.ResponseWriter, r *http.Request) error {
-	var req api.InferRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	resp, err := s.doInfer(r.Context(), &req)
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSubsampleV2(w http.ResponseWriter, r *http.Request) error {
-	var req api.SubsampleRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	resp, err := s.doSubsample(r.Context(), &req, nil)
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleListModelsV2(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, http.StatusOK, s.listModels())
-}
-
-func (s *Server) handleRegisterModelV2(w http.ResponseWriter, r *http.Request) error {
-	var req api.RegisterModelRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	info, err := s.doRegisterModel(&req)
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, info)
+func (s *Server) handleListModels(w http.ResponseWriter, _ *http.Request) error {
+	return tier.WriteJSON(w, http.StatusOK, s.listModels())
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 	if s.draining.Load() {
-		return writeAPIError(w, errShuttingDown())
+		return tier.WriteError(w, errShuttingDown())
 	}
 	var req api.SubmitJobRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
+	if err := tier.DecodeBody(r, &req); err != nil {
+		return tier.WriteError(w, err)
 	}
 	runner, err := s.runnerFor(&req)
 	if err != nil {
-		return writeAPIError(w, err)
+		return tier.WriteError(w, err)
 	}
 	opts := SubmitOptions{Key: req.IdempotencyKey}
 	if s.durable != nil {
@@ -665,29 +473,26 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 	}
 	job, dup, err := s.jobs.SubmitWith(r.Context(), req.Type, runner, opts)
 	if err != nil {
-		return writeAPIError(w, err)
+		return tier.WriteError(w, err)
 	}
 	if dup {
 		// A keyed resubmission deduplicated onto its original job: 200
 		// (nothing new was created) with the original snapshot.
 		tc, _ := api.TraceFrom(r.Context())
-		s.journal.Emit(events.TypeDedupHit, "idempotent resubmission returned original job",
+		s.Journal().Emit(events.TypeDedupHit, "idempotent resubmission returned original job",
 			tc.TraceID, "job", job.ID, "kind", "idempotency_key")
-		return writeJSON(w, http.StatusOK, job)
+		return tier.WriteJSON(w, http.StatusOK, job)
 	}
-	return writeJSON(w, http.StatusAccepted, job)
+	return tier.WriteJSON(w, http.StatusAccepted, job)
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, http.StatusOK, s.jobs.List())
+	return tier.WriteJSON(w, http.StatusOK, s.jobs.List())
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) error {
 	job, err := s.jobs.Get(r.PathValue("id"))
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, job)
+	return tier.Reply(w, job, err)
 }
 
 // handleGetJobByKey answers "do you hold idempotency key X?" — the
@@ -697,29 +502,20 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) error {
 func (s *Server) handleGetJobByKey(w http.ResponseWriter, r *http.Request) error {
 	key, err := url.PathUnescape(r.PathValue("key"))
 	if err != nil {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
+		return tier.WriteError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
 	job, err := s.jobs.GetByKey(key)
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, job)
+	return tier.Reply(w, job, err)
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) error {
 	job, err := s.jobs.Cancel(r.PathValue("id"))
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, job)
+	return tier.Reply(w, job, err)
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) error {
 	res, err := s.jobs.Result(r.PathValue("id"))
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, res)
+	return tier.Reply(w, res, err)
 }
 
 // ---- shared plain endpoints ----
@@ -729,16 +525,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 	for _, e := range s.reg.List() {
 		models = append(models, fmt.Sprintf("%s@v%d", e.Name, e.Version))
 	}
-	return writeJSON(w, http.StatusOK, api.Health{
-		Status:        s.sloEng.Status(),
+	return tier.WriteJSON(w, http.StatusOK, api.Health{
+		Status:        s.SLO().Status(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Models:        models,
 		QueueDepth:    s.batcher.QueueDepth(),
 		Jobs:          s.jobs.Stats(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprint(w, s.met.Render(s.cache))
 }

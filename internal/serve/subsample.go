@@ -170,7 +170,7 @@ func (s *Server) subsampleJobRunner(req api.SubsampleRequest) JobRunner {
 				var res api.JobResult
 				if json.Unmarshal(b, &res) == nil && res.Subsample != nil {
 					tc, _ := api.TraceFrom(ctx)
-					s.journal.Emit(events.TypeDedupHit, "subsample served from content-addressed cache",
+					s.Journal().Emit(events.TypeDedupHit, "subsample served from content-addressed cache",
 						tc.TraceID, "key", key[:12], "kind", "cas")
 					return &res, nil
 				}

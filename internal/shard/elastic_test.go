@@ -170,6 +170,13 @@ func TestShardReplicatedKeyedSubmitNoDuplicateOnFailover(t *testing.T) {
 // TestShardReplicatedReadFailsOverToCopy covers the read path of the owner
 // set: a keyed job's status stays readable under its original client-facing
 // ID while the replica that admitted it is dead but not yet ejected.
+//
+// Each owner executes its copy independently, so the copy can still be
+// running after the primary reported succeeded; a read that fails over in
+// that window sees the job's state go backwards. That window is real and
+// is NOT fixed here — it closes when results are replicated instead of
+// executions (ROADMAP open item 1). This test pins only the failover
+// itself, so it waits for the copy to finish before killing the primary.
 func TestShardReplicatedReadFailsOverToCopy(t *testing.T) {
 	_, ckpt := newCheckpoint(t)
 	ctx := context.Background()
@@ -202,6 +209,13 @@ func TestShardReplicatedReadFailsOverToCopy(t *testing.T) {
 	}
 	if done, err := c.WaitJob(ctx, job.ID, 5*time.Millisecond); err != nil || done.State != api.JobSucceeded {
 		t.Fatalf("job before the crash = %+v, %v", done, err)
+	}
+	cp, err := owners[1].C.JobByKey(ctx, req.IdempotencyKey)
+	if err != nil {
+		t.Fatalf("copy on %s: %v", owners[1].ID, err)
+	}
+	if cp, err = owners[1].C.WaitJob(ctx, cp.ID, 5*time.Millisecond); err != nil || cp.State != api.JobSucceeded {
+		t.Fatalf("copy on %s = %+v, %v", owners[1].ID, cp, err)
 	}
 
 	for i, p := range reps {

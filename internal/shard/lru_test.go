@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestOwnerCacheBoundsAndEviction(t *testing.T) {
@@ -128,7 +130,7 @@ func TestEjectionEvictsOwnerCache(t *testing.T) {
 	rs, err := NewReplicaSet(SetConfig{
 		URLs:      []string{"http://127.0.0.1:1", "http://127.0.0.1:2"},
 		FailAfter: 2,
-	}, NewMetrics())
+	}, newMetrics(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}

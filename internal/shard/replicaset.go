@@ -268,7 +268,7 @@ func (rs *ReplicaSet) noteUp(r *Replica, h *api.Health) {
 	}
 	rs.mu.Unlock()
 	if !wasUp && member {
-		rs.met.ObserveReadmission()
+		rs.met.readmissions.Inc()
 		rs.met.SetUp(r.ID, true)
 		rs.journal.Emit(events.TypeReadmission, "replica re-admitted to the ring", "",
 			"replica", r.ID, "url", r.URL)
@@ -293,7 +293,7 @@ func (rs *ReplicaSet) NoteFailure(r *Replica, err error) {
 	}
 	rs.mu.Unlock()
 	if eject {
-		rs.met.ObserveEjection()
+		rs.met.ejections.Inc()
 		rs.met.SetUp(r.ID, false)
 		if rs.onEject != nil {
 			rs.onEject(r.ID)

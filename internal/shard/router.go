@@ -3,12 +3,11 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"net"
+	"maps"
 	"net/http"
-	"net/url"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,7 +16,9 @@ import (
 	olog "repro/internal/obs/log"
 	"repro/internal/obs/slo"
 	"repro/internal/obs/tsdb"
+	"repro/internal/tier"
 	"repro/pkg/api"
+	"repro/pkg/client"
 )
 
 // Config sizes the router. Zero values select the documented defaults.
@@ -44,22 +45,20 @@ type Config struct {
 	SLOs            []slo.Objective // declared objectives (empty = always ok)
 }
 
-// Router fronts a ReplicaSet with the pkg/api HTTP surface. Keyed
-// requests (infer by model, subsample by dataset, registration by name,
-// job submission by dataset) go to the key's ring owner with bounded
-// failover; listings and the version handshake scatter-gather; job
-// lookups stick to the accepting replica through an ID suffix.
+// Router fronts a ReplicaSet with the pkg/api HTTP surface on the tier
+// chassis it shares with internal/serve, so pkg/client works unchanged
+// against it. Keyed requests (infer by model, subsample by dataset,
+// registration by name, job submission by dataset) go to the key's ring
+// owner with bounded failover; listings, the version handshake and the
+// /debug views gather from every replica; job lookups stick to the
+// accepting replica through an ID suffix (owners.go); membership changes
+// through the admin API (admin.go).
 type Router struct {
-	cfg     Config
-	rs      *ReplicaSet
-	met     *Metrics
-	tracer  *obs.Tracer
-	logger  *olog.Logger
-	journal *events.Journal
-	history *tsdb.Store
-	sloEng  *slo.Engine
-	httpSrv *http.Server
-	start   time.Time
+	*tier.Tier
+	cfg   Config
+	rs    *ReplicaSet
+	met   *Metrics
+	start time.Time
 
 	// replication is the owner-set size K: a keyed job submission fans out
 	// to the K distinct ring successors of its routing key, and a
@@ -88,23 +87,27 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Replication <= 0 {
 		cfg.Replication = 1
 	}
-	met := NewMetrics()
-	journal := events.NewJournal("shard", cfg.EventCapacity)
+	t := tier.New(tier.Config{
+		Name: "shard", SpanPrefix: "router:", Addr: cfg.Addr, Logger: cfg.Logger,
+		TraceCapacity:   cfg.TraceCapacity,
+		HistoryInterval: cfg.HistoryInterval, HistoryCapacity: cfg.HistoryCapacity,
+		EventCapacity: cfg.EventCapacity, SLOs: cfg.SLOs, SLOMetrics: slo.ShardMetrics,
+	})
+	met := newMetrics(t.MetricsRegistry())
+	t.CountRequests(met.RequestSeries)
 	rs, err := NewReplicaSet(SetConfig{
 		URLs: cfg.URLs, VNodes: cfg.VNodes,
 		ProbeEvery: cfg.ProbeEvery, FailAfter: cfg.FailAfter,
-		HTTPClient: cfg.HTTPClient, Journal: journal,
+		HTTPClient: cfg.HTTPClient, Journal: t.Journal(),
 	}, met)
 	if err != nil {
 		return nil, err
 	}
 	rt := &Router{
+		Tier:        t,
 		cfg:         cfg,
 		rs:          rs,
 		met:         met,
-		tracer:      obs.NewTracer("shard", cfg.TraceCapacity),
-		logger:      cfg.Logger,
-		journal:     journal,
 		start:       time.Now(),
 		replication: cfg.Replication,
 		owners:      newOwnerCache(maxJobOwnerEntries),
@@ -114,21 +117,10 @@ func NewRouter(cfg Config) (*Router, error) {
 	// replica (and unbounded growth from ejected members was how the old
 	// map leaked).
 	rs.OnEject(func(id string) { rt.owners.ForgetReplica(id) })
-	met.Registry().GaugeFunc("sickle_shard_owner_set_size",
+	t.MetricsRegistry().GaugeFunc("sickle_shard_owner_set_size",
 		"Members in each key's owner set: the replication factor, bounded by ring size.",
-		func() float64 {
-			n := rt.rs.RingMembers()
-			if rt.replication < n {
-				n = rt.replication
-			}
-			return float64(n)
-		})
-	rt.tracer.RegisterDropped(met.Registry())
-	journal.Register(met.Registry())
-	rt.history = tsdb.NewStore("shard", met.Registry(), cfg.HistoryInterval, cfg.HistoryCapacity)
-	rt.sloEng = slo.NewEngine("shard", rt.history, slo.ShardMetrics, cfg.SLOs,
-		met.Registry(), journal)
-	rt.httpSrv = &http.Server{Addr: cfg.Addr, Handler: rt.Handler()}
+		func() float64 { return float64(min(rt.replication, rt.rs.RingMembers())) })
+	rt.routes()
 	return rt, nil
 }
 
@@ -138,132 +130,44 @@ func (rt *Router) ReplicaSet() *ReplicaSet { return rt.rs }
 // Metrics exposes the collector (tests).
 func (rt *Router) Metrics() *Metrics { return rt.met }
 
-// Tracer exposes the span ring behind /debug/traces (tests and embedders).
-func (rt *Router) Tracer() *obs.Tracer { return rt.tracer }
-
-// Journal exposes the event journal behind /debug/events.
-func (rt *Router) Journal() *events.Journal { return rt.journal }
-
-// History exposes the metrics-history store behind /debug/history.
-func (rt *Router) History() *tsdb.Store { return rt.history }
-
-// SLO exposes the burn-rate engine behind /debug/slo.
-func (rt *Router) SLO() *slo.Engine { return rt.sloEng }
-
 // Start launches the background health prober and the history sampler.
 func (rt *Router) Start() {
 	rt.rs.Start()
-	rt.history.Start()
+	rt.History().Start()
 }
 
-// ListenAndServe blocks serving on cfg.Addr until Shutdown.
-func (rt *Router) ListenAndServe() error {
-	l, err := net.Listen("tcp", rt.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return rt.Serve(l)
-}
-
-// Serve blocks serving on l until Shutdown.
-func (rt *Router) Serve(l net.Listener) error {
-	err := rt.httpSrv.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// Shutdown stops accepting, waits for in-flight handlers (each bounded by
-// its own request context), and halts the prober. Backends are left
-// running — they are not the router's to stop.
+// Shutdown stops accepting, waits for in-flight handlers, and halts the
+// prober. Backends are left running — they are not the router's to stop.
 func (rt *Router) Shutdown(ctx context.Context) error {
-	err := rt.httpSrv.Shutdown(ctx)
+	err := rt.Tier.Shutdown(ctx)
 	rt.rs.Stop()
-	rt.history.Stop()
 	return err
 }
 
-// Handler returns the route mux (also usable under httptest). The surface
-// mirrors internal/serve's v2 routes byte for byte, including the typed
-// 405/404 fallbacks, so pkg/client works unchanged against the router.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", rt.instrument("/healthz", rt.handleHealthz))
-	mux.HandleFunc("/metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /debug/traces", rt.tracer.HandleTraceList)
-	mux.HandleFunc("GET /debug/traces/{id}", rt.handleDebugTrace)
-	mux.HandleFunc("GET /debug/history", rt.handleDebugHistory)
-	mux.HandleFunc("GET /debug/events", rt.handleDebugEvents)
-	rt.sloEng.Mount(mux)
-	mux.HandleFunc("GET /api/version", rt.instrument("/api/version", rt.handleVersion))
-
-	mux.HandleFunc("POST /v2/infer", rt.instrument("/v2/infer", rt.handleInfer))
-	mux.HandleFunc("POST /v2/subsample", rt.instrument("/v2/subsample", rt.handleSubsample))
-	mux.HandleFunc("GET /v2/models", rt.instrument("/v2/models", rt.handleListModels))
-	mux.HandleFunc("POST /v2/models", rt.instrument("/v2/models", rt.handleRegisterModel))
-	mux.HandleFunc("POST /v2/jobs", rt.instrument("/v2/jobs", rt.handleSubmitJob))
-	mux.HandleFunc("GET /v2/jobs", rt.instrument("/v2/jobs", rt.handleListJobs))
-	mux.HandleFunc("GET /v2/jobs/{id}", rt.instrument("/v2/jobs/{id}", rt.handleGetJob))
-	mux.HandleFunc("DELETE /v2/jobs/{id}", rt.instrument("/v2/jobs/{id}", rt.handleCancelJob))
-	mux.HandleFunc("GET /v2/jobs/{id}/result", rt.instrument("/v2/jobs/{id}/result", rt.handleJobResult))
-	mux.HandleFunc("GET /v2/keys/{key}", rt.instrument("/v2/keys/{key}", rt.handleGetJobByKey))
-
-	mux.HandleFunc("GET /admin/replicas", rt.instrument("/admin/replicas", rt.handleAdminListReplicas))
-	mux.HandleFunc("POST /admin/replicas", rt.instrument("/admin/replicas", rt.handleAdminJoinReplica))
-	mux.HandleFunc("DELETE /admin/replicas/{id}", rt.instrument("/admin/replicas/{id}", rt.handleAdminDrainReplica))
-
-	methodNotAllowed := func(allow string) func(http.ResponseWriter, *http.Request) error {
-		return func(w http.ResponseWriter, r *http.Request) error {
-			w.Header().Set("Allow", allow)
-			return writeAPIError(w, api.Errorf(api.CodeMethodNotAllowed, "%s only", allow))
-		}
-	}
-	mux.HandleFunc("/v2/infer", rt.instrument("/v2/infer", methodNotAllowed("POST")))
-	mux.HandleFunc("/v2/subsample", rt.instrument("/v2/subsample", methodNotAllowed("POST")))
-	mux.HandleFunc("/v2/models", rt.instrument("/v2/models", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v2/jobs", rt.instrument("/v2/jobs", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v2/keys/{key}", rt.instrument("/v2/keys/{key}", methodNotAllowed("GET")))
-	mux.HandleFunc("/v2/jobs/{id}", rt.instrument("/v2/jobs/{id}", methodNotAllowed("GET, DELETE")))
-	mux.HandleFunc("/v2/jobs/{id}/result", rt.instrument("/v2/jobs/{id}/result", methodNotAllowed("GET")))
-	mux.HandleFunc("/v2/", rt.instrument("/v2/", func(w http.ResponseWriter, r *http.Request) error {
-		return writeAPIError(w, api.Errorf(api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
-	}))
-	mux.HandleFunc("/api/version", rt.instrument("/api/version", methodNotAllowed("GET")))
-	mux.HandleFunc("/admin/replicas", rt.instrument("/admin/replicas", methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/admin/replicas/{id}", rt.instrument("/admin/replicas/{id}", methodNotAllowed("DELETE")))
-	return mux
-}
-
-// instrument wraps a handler with latency/error accounting, a router span
-// (joining the caller's trace when an X-Sickle-Trace header is present,
-// minting one otherwise), and a trace-ID-stamped request log.
-func (rt *Router) instrument(route string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
-		if tc, ok := api.ParseTraceHeader(r.Header.Get(api.TraceHeader)); ok {
-			ctx = api.WithTrace(ctx, tc)
-		}
-		ctx, span := rt.tracer.StartSpan(ctx, "router:"+route)
-		span.SetAttr("method", r.Method)
-		t0 := time.Now()
-		err := h(w, r.WithContext(ctx))
-		d := time.Since(t0)
-		rt.met.ObserveRequestEx(route, d, err != nil, span.TraceID())
-		if err != nil {
-			span.SetAttr("error", string(api.AsError(err).Code))
-		}
-		span.End()
-		if rt.logger.Enabled(olog.LevelDebug) || err != nil {
-			kv := []any{"route", route, "method", r.Method,
-				"trace", span.TraceID(), "seconds", d.Seconds()}
-			if err != nil {
-				rt.logger.Warn("request failed", append(kv, "error", err.Error())...)
-			} else {
-				rt.logger.Debug("request", kv...)
-			}
-		}
-	}
+// routes fills the chassis route table: internal/serve's v2 surface route
+// for route, the membership admin API, and the fleet-wide merges that
+// replace the recorder's single-tier /debug views.
+func (rt *Router) routes() {
+	rt.Handle("/healthz", rt.handleHealthz)
+	rt.Handle("GET /api/version", rt.handleVersion)
+	rt.Handle("POST /v2/infer", rt.handleInfer)
+	rt.Handle("POST /v2/subsample", rt.handleSubsample)
+	rt.Handle("GET /v2/models", rt.handleListModels)
+	rt.Handle("POST /v2/models", rt.handleRegisterModel)
+	rt.Handle("GET /v2/jobs", rt.handleListJobs)
+	rt.Handle("POST /v2/jobs", rt.handleSubmitJob)
+	rt.Handle("GET /v2/jobs/{id}", rt.handleGetJob)
+	rt.Handle("DELETE /v2/jobs/{id}", rt.handleCancelJob)
+	rt.Handle("GET /v2/jobs/{id}/result", rt.handleJobResult)
+	rt.Handle("GET /v2/keys/{key}", rt.handleGetJobByKey)
+	rt.Handle("GET /admin/replicas", rt.handleAdminListReplicas)
+	rt.Handle("POST /admin/replicas", rt.handleAdminJoinReplica)
+	rt.Handle("DELETE /admin/replicas/{id}", rt.handleAdminDrainReplica)
+	rt.Finish(map[string]http.HandlerFunc{
+		"GET /debug/traces/{id}": rt.handleDebugTrace,
+		"GET /debug/history":     rt.handleDebugHistory,
+		"GET /debug/events":      rt.handleDebugEvents,
+	})
 }
 
 // ---- routing core ----
@@ -290,16 +194,16 @@ func (rt *Router) route(ctx context.Context, key string, retryUnavailable bool, 
 	if len(cands) == 0 {
 		return nil, api.Errorf(api.CodeUnavailable, "shard: no replicas configured")
 	}
-	ctx, routeSpan := rt.tracer.StartSpan(ctx, "route:"+key)
+	ctx, routeSpan := rt.Tracer().StartSpan(ctx, "route:"+key)
 	defer routeSpan.End()
 	var lastErr error
 	for i, r := range cands {
 		if i > 0 {
-			rt.met.ObserveFailover()
-			rt.journal.Emit(events.TypeFailover, "request failed over to a non-primary ring node",
+			rt.met.failovers.Inc()
+			rt.Journal().Emit(events.TypeFailover, "request failed over to a non-primary ring node",
 				routeSpan.TraceID(), "key", key, "replica", r.ID, "attempt", strconv.Itoa(i))
 		}
-		attemptCtx, attempt := rt.tracer.StartSpan(ctx, "client:"+r.ID)
+		attemptCtx, attempt := rt.Tracer().StartSpan(ctx, "client:"+r.ID)
 		attempt.SetAttr("url", r.URL)
 		if i > 0 {
 			attempt.SetAttr("failover", strconv.Itoa(i))
@@ -337,101 +241,35 @@ func (rt *Router) route(ctx context.Context, key string, retryUnavailable bool, 
 	return nil, lastErr
 }
 
-// scatter runs fn against every live replica concurrently (falling back to
-// all replicas when everything is ejected) and reports how many calls
-// succeeded. fn must be safe for concurrent use across replicas.
-func (rt *Router) scatter(fn func(*Replica) error) int {
-	replicas := rt.rs.Live()
-	if len(replicas) == 0 {
-		replicas = rt.rs.Replicas()
+// routed is the keyed request/response handler: decode the body, walk the
+// key's ring candidates with call (failing over on unavailable — infer and
+// subsample are reads, and a duplicate registration is a harmless hot-swap
+// to identical weights that the infer failover order visits anyway), and
+// relay the answer.
+func routed[Req, Resp any](rt *Router, w http.ResponseWriter, r *http.Request, key func(*Req) string,
+	call func(*client.Client, context.Context, *Req) (*Resp, error)) error {
+	var req Req
+	if err := tier.DecodeBody(r, &req); err != nil {
+		return tier.WriteError(w, err)
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	ok := 0
-	for _, r := range replicas {
-		wg.Add(1)
-		go func(r *Replica) {
-			defer wg.Done()
-			err := fn(r)
-			if err != nil {
-				if api.AsError(err).Code == api.CodeUnavailable {
-					rt.rs.NoteFailure(r, err)
-				}
-				return
-			}
-			rt.rs.NoteOK(r)
-			mu.Lock()
-			ok++
-			mu.Unlock()
-		}(r)
-	}
-	wg.Wait()
-	return ok
+	var resp *Resp
+	_, err := rt.route(r.Context(), key(&req), true, func(ctx context.Context, rep *Replica) (err error) {
+		resp, err = call(rep.C, ctx, &req)
+		return err
+	})
+	return tier.Reply(w, resp, err)
 }
 
-// ---- keyed handlers (consistent hash + failover) ----
-
 func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) error {
-	var req api.InferRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	var resp *api.InferResponse
-	_, err := rt.route(r.Context(), req.Model, true, func(ctx context.Context, rep *Replica) error {
-		out, err := rep.C.Infer(ctx, &req)
-		if err != nil {
-			return err
-		}
-		resp = out
-		return nil
-	})
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, resp)
+	return routed(rt, w, r, func(q *api.InferRequest) string { return q.Model }, (*client.Client).Infer)
 }
 
 func (rt *Router) handleSubsample(w http.ResponseWriter, r *http.Request) error {
-	var req api.SubsampleRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	var resp *api.SubsampleResponse
-	_, err := rt.route(r.Context(), subsampleKey(&req), true, func(ctx context.Context, rep *Replica) error {
-		out, err := rep.C.Subsample(ctx, &req)
-		if err != nil {
-			return err
-		}
-		resp = out
-		return nil
-	})
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, resp)
+	return routed(rt, w, r, subsampleKey, (*client.Client).Subsample)
 }
 
 func (rt *Router) handleRegisterModel(w http.ResponseWriter, r *http.Request) error {
-	var req api.RegisterModelRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	// Registration is retried on unavailable: a duplicate registration is a
-	// harmless hot-swap to identical weights, and the infer failover order
-	// visits the same successor the retry lands on.
-	var info *api.ModelInfo
-	_, err := rt.route(r.Context(), req.Name, true, func(ctx context.Context, rep *Replica) error {
-		out, err := rep.C.RegisterModel(ctx, &req)
-		if err != nil {
-			return err
-		}
-		info = out
-		return nil
-	})
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	return writeJSON(w, http.StatusOK, info)
+	return routed(rt, w, r, func(q *api.RegisterModelRequest) string { return q.Name }, (*client.Client).RegisterModel)
 }
 
 // subsampleKey picks the routing key that keeps a dataset's LRU entry hot
@@ -443,595 +281,111 @@ func subsampleKey(req *api.SubsampleRequest) string {
 	return req.Dataset
 }
 
-// ---- scatter-gather handlers ----
+// ---- gather (every fleet-wide read) ----
 
-func (rt *Router) handleListModels(w http.ResponseWriter, r *http.Request) error {
-	var mu sync.Mutex
-	merged := map[string]api.ModelInfo{}
-	ok := rt.scatter(func(rep *Replica) error {
-		models, err := rep.C.Models(r.Context())
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for _, m := range models {
-			if have, dup := merged[m.Name]; !dup || m.Version > have.Version {
-				merged[m.Name] = m
-			}
-		}
-		return nil
-	})
-	if ok == 0 {
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable, "shard: no replica answered GET /v2/models"))
-	}
-	out := make([]api.ModelInfo, 0, len(merged))
-	for _, name := range sortedKeys(merged) {
-		out = append(out, merged[name])
-	}
-	return writeJSON(w, http.StatusOK, out)
+// perReplica is one replica's answer to a gather.
+type perReplica[T any] struct {
+	rep *Replica
+	val T
 }
 
-func (rt *Router) handleVersion(w http.ResponseWriter, r *http.Request) error {
-	var mu sync.Mutex
-	var infos []*api.VersionInfo
-	ok := rt.scatter(func(rep *Replica) error {
-		info, err := rep.C.ServerVersions(r.Context())
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		infos = append(infos, info)
-		mu.Unlock()
-		return nil
-	})
-	if ok == 0 {
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable, "shard: no replica answered GET /api/version"))
+// gather calls every live replica concurrently (every member when all are
+// ejected — a last-resort attempt beats refusing outright) and returns the
+// answers that succeeded, in replica order, so merged views are
+// deterministic. A success resets the replica's failure streak; only a
+// typed unavailable counts against its health.
+func gather[T any](ctx context.Context, rs *ReplicaSet, call func(context.Context, *Replica) (T, error)) []perReplica[T] {
+	replicas := rs.Live()
+	if len(replicas) == 0 {
+		replicas = rs.Replicas()
 	}
-	// Intersect: a version is served only if every answering replica
-	// speaks it (order kept from the first reply, oldest first).
-	common := append([]string(nil), infos[0].Versions...)
-	for _, info := range infos[1:] {
-		kept := common[:0]
-		for _, v := range common {
-			for _, have := range info.Versions {
-				if v == have {
-					kept = append(kept, v)
-					break
-				}
-			}
-		}
-		common = kept
-	}
-	out := api.VersionInfo{Versions: common}
-	if len(common) > 0 {
-		out.Latest = common[len(common)-1]
-	}
-	return writeJSON(w, http.StatusOK, out)
-}
-
-// ---- job handlers (sticky job-ID -> replica) ----
-
-// Job IDs leaving the router carry the accepting replica as a suffix
-// ("job-3@r1"): raw downstream IDs are only unique per replica, and the
-// suffix makes the sticky mapping stateless — it survives a router
-// restart with no shared store.
-const jobIDSep = "@"
-
-func splitJobID(id string) (raw, replicaID string) {
-	if i := strings.LastIndex(id, jobIDSep); i >= 0 {
-		return id[:i], id[i+1:]
-	}
-	return id, ""
-}
-
-// maxJobOwnerEntries bounds the sticky-cache fallback; the suffix is the
-// authoritative mapping, so an evicted entry only affects clients that
-// strip it (their read degrades to job_not_found, never to a wrong job).
-const maxJobOwnerEntries = 8192
-
-func (rt *Router) rememberJob(raw, replicaID, key string) {
-	rt.owners.Remember(raw, replicaID, key)
-}
-
-// jobReplica resolves a client-facing job ID to (raw downstream ID,
-// owning replica): the "@rN" suffix when present, else the sticky cache.
-func (rt *Router) jobReplica(id string) (string, *Replica, error) {
-	raw, rid := splitJobID(id)
-	if rid == "" {
-		rid, _ = rt.owners.Resolve(raw)
-	}
-	if rid == "" {
-		return "", nil, api.Errorf(api.CodeJobNotFound, "shard: no job %q", id)
-	}
-	rep, ok := rt.rs.Get(rid)
-	if !ok {
-		return "", nil, api.Errorf(api.CodeJobNotFound, "shard: job %q names unknown replica %q", id, rid)
-	}
-	return raw, rep, nil
-}
-
-// submitKey routes a job to the replica whose caches its payload will
-// touch: the subsample/train dataset when present, else the job type.
-func submitKey(req *api.SubmitJobRequest) string {
-	switch {
-	case req.Subsample != nil:
-		return subsampleKey(req.Subsample)
-	case req.Train != nil:
-		return req.Train.Dataset
-	}
-	return string(req.Type)
-}
-
-// consultOwners checks every member of routeKey's owner set for a job
-// already holding idemKey (serially, in ring order — the nearest healthy
-// owner answers first). An unreachable owner counts against its health
-// and the walk moves on; an owner without the key is simply a miss.
-func (rt *Router) consultOwners(ctx context.Context, routeKey, idemKey string) (*api.Job, *Replica, bool) {
-	for _, rep := range rt.rs.Sequence(routeKey, rt.replication) {
-		job, err := rep.C.JobByKey(ctx, idemKey)
-		if err == nil {
-			rt.rs.NoteOK(rep)
-			return job, rep, true
-		}
-		if api.AsError(err).Code == api.CodeUnavailable {
-			rt.met.ObserveFailed(rep.ID)
-			rt.rs.NoteFailure(rep, err)
-		}
-	}
-	return nil, nil, false
-}
-
-// replicate copies a keyed submission onto the remaining members of its
-// owner set, concurrently and best-effort: runners are deterministic and
-// results content-addressed, so a copy is just pre-positioned redundancy —
-// a fan-out failure loses nothing (the admitted primary copy exists) and
-// only costs the key its failover cover. Returns once every copy has been
-// admitted or failed, so a caller observing the submit response can rely
-// on the owner set being populated.
-func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.SubmitJobRequest, admitted *Replica) {
-	if rt.replication <= 1 {
-		return
-	}
+	vals := make([]T, len(replicas))
+	errs := make([]error, len(replicas))
 	var wg sync.WaitGroup
-	for _, rep := range rt.rs.Sequence(routeKey, rt.replication) {
-		if rep == admitted {
-			continue
-		}
+	for i, r := range replicas {
 		wg.Add(1)
-		go func(rep *Replica) {
+		go func() {
 			defer wg.Done()
-			out, err := rep.C.SubmitJob(ctx, req)
-			if err != nil {
-				rt.met.ObserveOwnerReplicationFailure()
-				if api.AsError(err).Code == api.CodeUnavailable {
-					rt.rs.NoteFailure(rep, err)
-				}
-				return
-			}
-			rt.rs.NoteOK(rep)
-			rt.met.ObserveOwnerReplication(rep.ID)
-			rt.rememberJob(out.ID, rep.ID, req.IdempotencyKey)
-		}(rep)
+			vals[i], errs[i] = call(ctx, r)
+		}()
 	}
 	wg.Wait()
-}
-
-func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
-	var req api.SubmitJobRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	key := submitKey(&req)
-	// A keyed submission consults the full owner set before creating
-	// anything: after a failover the key's original job may live on any
-	// owner — including one the current ring no longer ranks first — and
-	// answering from it is what keeps a resubmission from becoming a
-	// fleet-level duplicate.
-	if req.IdempotencyKey != "" {
-		if job, rep, ok := rt.consultOwners(r.Context(), key, req.IdempotencyKey); ok {
-			rt.met.ObserveOwnerDedupHit()
-			tc, _ := api.TraceFrom(r.Context())
-			rt.journal.Emit(events.TypeDedupHit, "keyed resubmission answered from the owner set",
-				tc.TraceID, "kind", "owner_set", "replica", rep.ID, "job", job.ID)
-			rt.rememberJob(job.ID, rep.ID, req.IdempotencyKey)
-			rt.met.ObserveRouted(rep.ID)
-			job.ID = job.ID + jobIDSep + rep.ID
-			return writeJSON(w, http.StatusOK, job)
-		}
-	}
-	// Unkeyed submissions never fail over on unavailable: the backend may
-	// have admitted the job before the connection died, and a retry
-	// elsewhere would run it twice. An idempotency key removes that
-	// hazard — the backend deduplicates by key, so an unavailable answer
-	// is safe to retry on the next ring candidate (and the client SDK's
-	// own retry, landing back on the same primary after a restart,
-	// observes the original job). Overloaded/draining refusals (nothing
-	// admitted) always move on; once the prober ejects a dead primary,
-	// new submissions hash straight to its successor.
-	var job *api.Job
-	rep, err := rt.route(r.Context(), key, req.IdempotencyKey != "",
-		func(ctx context.Context, rep *Replica) error {
-			out, err := rep.C.SubmitJob(ctx, &req)
-			if err != nil {
-				return err
-			}
-			job = out
-			return nil
-		})
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	rt.rememberJob(job.ID, rep.ID, req.IdempotencyKey)
-	if req.IdempotencyKey != "" {
-		rt.replicate(r.Context(), key, &req, rep)
-	}
-	job.ID = job.ID + jobIDSep + rep.ID
-	return writeJSON(w, http.StatusAccepted, job)
-}
-
-func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
-	var mu sync.Mutex
-	var all []api.Job
-	ok := rt.scatter(func(rep *Replica) error {
-		jobs, err := rep.C.Jobs(r.Context())
-		if err != nil {
-			return err
-		}
-		for i := range jobs {
-			rt.rememberJob(jobs[i].ID, rep.ID, jobs[i].IdempotencyKey)
-			jobs[i].ID = jobs[i].ID + jobIDSep + rep.ID
-		}
-		mu.Lock()
-		all = append(all, jobs...)
-		mu.Unlock()
-		return nil
-	})
-	if ok == 0 {
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable, "shard: no replica answered GET /v2/jobs"))
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if !all[a].CreatedAt.Equal(all[b].CreatedAt) {
-			return all[a].CreatedAt.Before(all[b].CreatedAt)
-		}
-		return all[a].ID < all[b].ID
-	})
-	// Replicated copies of one keyed submission are one logical job: keep
-	// the oldest copy per key so the fleet listing counts work, not fan-out.
-	seenKey := map[string]bool{}
-	kept := all[:0]
-	for _, j := range all {
-		if k := j.IdempotencyKey; k != "" {
-			if seenKey[k] {
-				continue
-			}
-			seenKey[k] = true
-		}
-		kept = append(kept, j)
-	}
-	return writeJSON(w, http.StatusOK, kept)
-}
-
-// findReplicated re-finds a keyed job's copy on another owner after the
-// replica holding it became unreachable: the sticky cache yields the
-// idempotency key the job was submitted under (only while its entry still
-// names the dead replica — a stale entry must not redirect the read), and
-// a by-key scan of the live members locates a surviving copy.
-func (rt *Router) findReplicated(ctx context.Context, raw, deadID string) (*api.Job, *Replica, bool) {
-	key := rt.owners.Key(raw, deadID)
-	if key == "" {
-		return nil, nil, false
-	}
-	for _, rep := range rt.rs.Live() {
-		if rep.ID == deadID {
-			continue
-		}
-		job, err := rep.C.JobByKey(ctx, key)
-		if err != nil {
-			continue
-		}
-		rt.rs.NoteOK(rep)
-		return job, rep, true
-	}
-	return nil, nil, false
-}
-
-// forwardJob forwards one sticky job call to the owning replica and
-// rewrites the returned snapshot's ID back to the client-facing form.
-// There is no general failover — the job state lives only there — but
-// when the replica is unreachable and the job was keyed-and-replicated,
-// the call is retried once against a surviving owner-set copy.
-func (rt *Router) forwardJob(ctx context.Context, w http.ResponseWriter, id string,
-	call func(ctx context.Context, rep *Replica, raw string) (*api.Job, error)) error {
-	raw, rep, err := rt.jobReplica(id)
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	job, err := call(ctx, rep, raw)
-	if err != nil {
-		if api.AsError(err).Code == api.CodeUnavailable {
-			rt.rs.NoteFailure(rep, err)
-			if copyJob, copyRep, ok := rt.findReplicated(ctx, raw, rep.ID); ok {
-				if job2, err2 := call(ctx, copyRep, copyJob.ID); err2 == nil {
-					rt.met.ObserveRouted(copyRep.ID)
-					job2.ID = job2.ID + jobIDSep + copyRep.ID
-					return writeJSON(w, http.StatusOK, job2)
-				}
-			}
-		}
-		return writeAPIError(w, err)
-	}
-	rt.rs.NoteOK(rep)
-	rt.met.ObserveRouted(rep.ID)
-	job.ID = job.ID + jobIDSep + rep.ID
-	return writeJSON(w, http.StatusOK, job)
-}
-
-func (rt *Router) handleGetJob(w http.ResponseWriter, r *http.Request) error {
-	return rt.forwardJob(r.Context(), w, r.PathValue("id"),
-		func(ctx context.Context, rep *Replica, raw string) (*api.Job, error) {
-			return rep.C.Job(ctx, raw)
-		})
-}
-
-func (rt *Router) handleCancelJob(w http.ResponseWriter, r *http.Request) error {
-	return rt.forwardJob(r.Context(), w, r.PathValue("id"),
-		func(ctx context.Context, rep *Replica, raw string) (*api.Job, error) {
-			return rep.C.CancelJob(ctx, raw)
-		})
-}
-
-func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error {
-	raw, rep, err := rt.jobReplica(r.PathValue("id"))
-	if err != nil {
-		return writeAPIError(w, err)
-	}
-	res, err := rep.C.JobResult(r.Context(), raw)
-	if err != nil {
-		if api.AsError(err).Code == api.CodeUnavailable {
-			rt.rs.NoteFailure(rep, err)
-			if copyJob, copyRep, ok := rt.findReplicated(r.Context(), raw, rep.ID); ok {
-				if res2, err2 := copyRep.C.JobResult(r.Context(), copyJob.ID); err2 == nil {
-					rt.met.ObserveRouted(copyRep.ID)
-					return writeJSON(w, http.StatusOK, res2)
-				}
-			}
-		}
-		return writeAPIError(w, err)
-	}
-	rt.rs.NoteOK(rep)
-	rt.met.ObserveRouted(rep.ID)
-	return writeJSON(w, http.StatusOK, res)
-}
-
-// handleGetJobByKey mirrors the replica-side by-key lookup at fleet scope:
-// scan the live members for the key's job (ring-independent — the key may
-// have been owned by a membership that no longer exists).
-func (rt *Router) handleGetJobByKey(w http.ResponseWriter, r *http.Request) error {
-	key, err := url.PathUnescape(r.PathValue("key"))
-	if err != nil {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
-	}
-	for _, rep := range rt.rs.Live() {
-		job, jerr := rep.C.JobByKey(r.Context(), key)
-		if jerr != nil {
-			if api.AsError(jerr).Code == api.CodeUnavailable {
-				rt.rs.NoteFailure(rep, jerr)
-			}
-			continue
-		}
-		rt.rs.NoteOK(rep)
-		rt.met.ObserveRouted(rep.ID)
-		rt.rememberJob(job.ID, rep.ID, key)
-		job.ID = job.ID + jobIDSep + rep.ID
-		return writeJSON(w, http.StatusOK, job)
-	}
-	return writeAPIError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
-}
-
-// ---- membership admin API ----
-
-// rebalanceProbes is how many synthetic keys sample the keyspace when
-// estimating how much primary ownership a membership change moved.
-const rebalanceProbes = 256
-
-// sampleOwners records the primary owner of each probe key under the
-// current ring; diffing two samples across a membership change estimates
-// the moved keyspace share (which consistent hashing keeps near 1/N).
-func (rt *Router) sampleOwners() []string {
-	out := make([]string, rebalanceProbes)
-	for i := range out {
-		if rep, ok := rt.rs.Owner("rebalance-probe-" + strconv.Itoa(i)); ok {
-			out[i] = rep.ID
+	out := make([]perReplica[T], 0, len(replicas))
+	for i, r := range replicas {
+		switch {
+		case errs[i] == nil:
+			rs.NoteOK(r)
+			out = append(out, perReplica[T]{r, vals[i]})
+		case api.AsError(errs[i]).Code == api.CodeUnavailable:
+			rs.NoteFailure(r, errs[i])
 		}
 	}
 	return out
 }
 
-// noteRebalance diffs probe-key ownership against a pre-change sample,
-// records the moved share, and journals the rebalance.
-func (rt *Router) noteRebalance(before []string, kind, traceID string) {
-	after := rt.sampleOwners()
-	moved := 0
-	for i := range before {
-		if before[i] != after[i] {
-			moved++
-		}
-	}
-	share := float64(moved) / float64(len(before))
-	rt.met.ObserveRebalance(share)
-	rt.journal.Emit(events.TypeRebalance, "keyspace ownership rebalanced", traceID,
-		"kind", kind, "moved_share", strconv.FormatFloat(share, 'f', 3, 64))
+// errNoAnswer is the typed failure of a gather nobody answered.
+func errNoAnswer(what string) error {
+	return api.Errorf(api.CodeUnavailable, "shard: no replica answered %s", what)
 }
 
-func (rt *Router) handleAdminListReplicas(w http.ResponseWriter, _ *http.Request) error {
-	out := api.AdminReplicas{Replication: rt.replication, Replicas: []api.AdminReplica{}}
-	for _, s := range rt.rs.Snapshot() {
-		out.Replicas = append(out.Replicas, api.AdminReplica{
-			ID: s.ID, URL: s.URL, Up: s.Up, Draining: s.Draining,
+// catalog gathers the fleet's model listings (skipping one replica, if
+// given) into the newest version of each model, and reports how many
+// replicas answered.
+func (rt *Router) catalog(ctx context.Context, skip *Replica) (map[string]api.ModelInfo, int) {
+	lists := gather(ctx, rt.rs, func(ctx context.Context, rep *Replica) ([]api.ModelInfo, error) {
+		if rep == skip {
+			return nil, nil
+		}
+		return rep.C.Models(ctx)
+	})
+	newest := map[string]api.ModelInfo{}
+	for _, l := range lists {
+		for _, m := range l.val {
+			if have, dup := newest[m.Name]; !dup || m.Version > have.Version {
+				newest[m.Name] = m
+			}
+		}
+	}
+	return newest, len(lists)
+}
+
+func (rt *Router) handleListModels(w http.ResponseWriter, r *http.Request) error {
+	newest, answered := rt.catalog(r.Context(), nil)
+	if answered == 0 {
+		return tier.WriteError(w, errNoAnswer("GET /v2/models"))
+	}
+	out := make([]api.ModelInfo, 0, len(newest))
+	for _, name := range slices.Sorted(maps.Keys(newest)) {
+		out = append(out, newest[name])
+	}
+	return tier.WriteJSON(w, http.StatusOK, out)
+}
+
+func (rt *Router) handleVersion(w http.ResponseWriter, r *http.Request) error {
+	infos := gather(r.Context(), rt.rs, func(ctx context.Context, rep *Replica) (*api.VersionInfo, error) {
+		return rep.C.ServerVersions(ctx)
+	})
+	if len(infos) == 0 {
+		return tier.WriteError(w, errNoAnswer("GET /api/version"))
+	}
+	// Intersect: a version is served only if every answering replica
+	// speaks it (order kept from the first replica's answer, oldest first).
+	common := slices.Clone(infos[0].val.Versions)
+	for _, info := range infos[1:] {
+		common = slices.DeleteFunc(common, func(v string) bool {
+			return !slices.Contains(info.val.Versions, v)
 		})
 	}
-	return writeJSON(w, http.StatusOK, out)
+	out := api.VersionInfo{Versions: common}
+	if len(common) > 0 {
+		out.Latest = common[len(common)-1]
+	}
+	return tier.WriteJSON(w, http.StatusOK, out)
 }
-
-// handleAdminJoinReplica brings a running backend into the ring: create it
-// as a pending (off-ring) member, health-check it, warm-prefetch the
-// fleet's model catalog onto it, and only then admit it — a newcomer never
-// takes keyed traffic with a cold cache.
-func (rt *Router) handleAdminJoinReplica(w http.ResponseWriter, r *http.Request) error {
-	var req api.JoinReplicaRequest
-	if err := decodeBody(r, &req); err != nil {
-		return writeAPIError(w, err)
-	}
-	if strings.TrimSpace(req.URL) == "" {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "shard: join needs a backend url"))
-	}
-	before := rt.sampleOwners()
-	rep, err := rt.rs.AddReplica(req.URL)
-	if err != nil {
-		return writeAPIError(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
-	}
-	if _, err := rep.C.Health(r.Context()); err != nil {
-		rt.rs.RemoveReplica(rep.ID)
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable,
-			"shard: replica at %s failed its admission health check: %v", rep.URL, err))
-	}
-	prefetched := rt.prefetchModels(r.Context(), rep)
-	if !rt.rs.Admit(rep) {
-		return writeAPIError(w, api.Errorf(api.CodeUnavailable,
-			"shard: replica %s was removed before admission", rep.ID))
-	}
-	tc, _ := api.TraceFrom(r.Context())
-	rt.journal.Emit(events.TypeReplicaJoin, "replica joined the ring", tc.TraceID,
-		"replica", rep.ID, "url", rep.URL, "prefetched", strconv.Itoa(len(prefetched)))
-	rt.noteRebalance(before, "join", tc.TraceID)
-	if prefetched == nil {
-		prefetched = []string{}
-	}
-	return writeJSON(w, http.StatusOK, api.JoinReplicaResponse{
-		Replica:          api.AdminReplica{ID: rep.ID, URL: rep.URL, Up: true},
-		PrefetchedModels: prefetched,
-	})
-}
-
-// prefetchModels warm-caches the fleet's model catalog onto a pending
-// replica: scatter the current members for their newest version of each
-// model, then register every checkpoint-backed one on the newcomer.
-// Best-effort — a model whose checkpoint the newcomer cannot load is
-// skipped, not fatal (it will 404 there and fail over like today).
-func (rt *Router) prefetchModels(ctx context.Context, rep *Replica) []string {
-	var mu sync.Mutex
-	catalog := map[string]api.ModelInfo{}
-	rt.scatter(func(peer *Replica) error {
-		if peer == rep {
-			return nil
-		}
-		models, err := peer.C.Models(ctx)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for _, m := range models {
-			if have, dup := catalog[m.Name]; !dup || m.Version > have.Version {
-				catalog[m.Name] = m
-			}
-		}
-		return nil
-	})
-	var prefetched []string
-	for _, name := range sortedKeys(catalog) {
-		m := catalog[name]
-		if m.Checkpoint == "" {
-			continue // nothing on disk to reload it from
-		}
-		_, err := rep.C.RegisterModel(ctx, &api.RegisterModelRequest{
-			Name: m.Name, Spec: m.Spec, Checkpoint: m.Checkpoint,
-			InputShape: m.InputShape, Replicas: m.Replicas,
-		})
-		if err == nil {
-			prefetched = append(prefetched, m.Name)
-		}
-	}
-	return prefetched
-}
-
-// handleAdminDrainReplica is the rolling-drain orchestration: the replica
-// leaves both rings immediately (no new keyed traffic), its sticky jobs
-// bleed to terminal states (bounded by the request context; skipped with
-// ?force=true), and only then is it removed from the membership — into
-// the retired set, so job IDs minted while it was a member keep resolving.
-func (rt *Router) handleAdminDrainReplica(w http.ResponseWriter, r *http.Request) error {
-	id := r.PathValue("id")
-	force := r.URL.Query().Get("force") == "true"
-	before := rt.sampleOwners()
-	rep, ok := rt.rs.SetDraining(id)
-	if !ok {
-		return writeAPIError(w, api.Errorf(api.CodeNotFound, "shard: no replica %q", id))
-	}
-	tc, _ := api.TraceFrom(r.Context())
-	rt.journal.Emit(events.TypeReplicaDrain, "replica draining before removal", tc.TraceID,
-		"replica", rep.ID, "url", rep.URL, "force", strconv.FormatBool(force))
-	drained := 0
-	if !force {
-		n, err := rt.bleedJobs(r.Context(), rep)
-		if err != nil {
-			// Left draining, off-ring: the operator can retry, wait longer,
-			// or force the removal.
-			return writeAPIError(w, err)
-		}
-		drained = n
-	}
-	rt.rs.RemoveReplica(rep.ID)
-	rt.owners.ForgetReplica(rep.ID)
-	rt.journal.Emit(events.TypeReplicaLeave, "replica removed from the membership", tc.TraceID,
-		"replica", rep.ID, "url", rep.URL, "drained_jobs", strconv.Itoa(drained))
-	rt.noteRebalance(before, "leave", tc.TraceID)
-	return writeJSON(w, http.StatusOK, api.DrainReplicaResponse{
-		Replica:     api.AdminReplica{ID: rep.ID, URL: rep.URL, Up: rep.Up()},
-		DrainedJobs: drained,
-	})
-}
-
-// bleedJobs polls a draining replica until none of its jobs are live,
-// returning how many were still running when the drain began. A poll
-// failure is not fatal — the replica may be briefly busy — only the
-// context deadline ends the wait early.
-func (rt *Router) bleedJobs(ctx context.Context, rep *Replica) (int, error) {
-	first := 0
-	counted := false
-	t := time.NewTicker(50 * time.Millisecond)
-	defer t.Stop()
-	for {
-		jobs, err := rep.C.Jobs(ctx)
-		if err == nil {
-			n := 0
-			for _, j := range jobs {
-				if !j.State.Terminal() {
-					n++
-				}
-			}
-			if !counted {
-				first, counted = n, true
-			}
-			if n == 0 {
-				return first, nil
-			}
-		}
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return first, api.AsError(ctx.Err())
-		}
-	}
-}
-
-// ---- plain endpoints ----
 
 // handleHealthz aggregates the prober's latest view: the router itself
 // always answers 200 (it is alive); Status says whether any backend is.
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
-	snap := rt.rs.Snapshot()
 	h := api.Health{
 		Status:        "down",
 		UptimeSeconds: time.Since(rt.start).Seconds(),
@@ -1039,7 +393,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 		Replication:   rt.replication,
 	}
 	modelSet := map[string]struct{}{}
-	for _, s := range snap {
+	for _, s := range rt.rs.Snapshot() {
 		rh := api.ReplicaHealth{ID: s.ID, URL: s.URL, Up: s.Up, Draining: s.Draining,
 			Status: s.Health.Status, ConsecutiveFailures: s.ConsecFails}
 		if s.LastErr != nil {
@@ -1061,184 +415,100 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 			h.Jobs[state] += n
 		}
 	}
-	for _, m := range sortedKeys(modelSet) {
-		h.Models = append(h.Models, m)
-	}
+	h.Models = append(h.Models, slices.Sorted(maps.Keys(modelSet))...)
 	// The router's own SLOs can degrade an otherwise-ok fleet view; a
 	// fully down fleet stays "down" (worse than degraded).
-	if h.Status == "ok" && rt.sloEng.Status() == "degraded" {
+	if h.Status == "ok" && rt.SLO().Status() == "degraded" {
 		h.Status = "degraded"
 	}
-	return writeJSON(w, http.StatusOK, h)
+	return tier.WriteJSON(w, http.StatusOK, h)
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	w.Write([]byte(rt.met.Render()))
+// ---- fleet-wide /debug views ----
+
+// gatherDebug fetches one raw /debug payload from every live replica and
+// decodes it as P. The merge is best-effort and bounded by a short
+// timeout: a replica that does not know the trace, answers an error or
+// sends JSON that does not parse is left out rather than failing the
+// view — only transport-level unavailability counts against its health.
+func gatherDebug[P any](rt *Router, r *http.Request,
+	fetch func(*client.Client, context.Context, string) ([]byte, error), arg string) []perReplica[*P] {
+	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
+	defer cancel()
+	answers := gather(ctx, rt.rs, func(ctx context.Context, rep *Replica) (*P, error) {
+		raw, err := fetch(rep.C, ctx, arg)
+		if err != nil {
+			if api.AsError(err).Code == api.CodeUnavailable {
+				return nil, err
+			}
+			return nil, nil
+		}
+		p := new(P)
+		if json.Unmarshal(raw, p) != nil {
+			return nil, nil
+		}
+		return p, nil
+	})
+	return slices.DeleteFunc(answers, func(a perReplica[*P]) bool { return a.val == nil })
 }
 
 // handleDebugTrace merges the router's own spans for one trace with the
 // spans every live replica recorded for it, yielding the end-to-end view
 // (router, client attempts, replica server/queue/execute) in one payload.
-// Replicas that do not know the trace (or are down) are skipped; the merge
-// is best-effort and bounded by a short timeout.
 func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	spans := rt.tracer.Spans(id)
-
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	defer cancel()
-	var mu sync.Mutex
-	rt.scatter(func(rep *Replica) error {
-		raw, err := rep.C.DebugTraceJSON(ctx, id)
-		if err != nil {
-			// A replica without the trace is not a failed replica: only
-			// transport-level unavailability should count against health.
-			if api.AsError(err).Code == api.CodeUnavailable {
-				return err
-			}
-			return nil
-		}
-		var payload obs.TracePayload
-		if json.Unmarshal(raw, &payload) != nil {
-			return nil
-		}
-		mu.Lock()
-		spans = append(spans, payload.Spans...)
-		mu.Unlock()
-		return nil
-	})
+	spans := rt.Tracer().Spans(id)
+	for _, p := range gatherDebug[obs.TracePayload](rt, r, (*client.Client).DebugTraceJSON, id) {
+		spans = append(spans, p.val.Spans...)
+	}
 	sort.SliceStable(spans, func(a, b int) bool { return spans[a].Start.Before(spans[b].Start) })
 	if len(spans) == 0 {
-		writeAPIError(w, api.Errorf(api.CodeNotFound, "shard: no trace %q", id))
+		tier.WriteError(w, api.Errorf(api.CodeNotFound, "shard: no trace %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, obs.TracePayload{TraceID: id, Spans: spans})
+	tier.WriteJSON(w, http.StatusOK, obs.TracePayload{TraceID: id, Spans: spans})
 }
 
-// handleDebugHistory scatter-gathers every live replica's /debug/history
-// into one fleet-wide payload: the router's own series first, then each
-// replica's series tagged with its replica ID. The incoming query string
-// (series globs, since) is forwarded verbatim to the replicas.
+// handleDebugHistory merges every live replica's /debug/history into one
+// fleet-wide payload: the router's own series first, then each replica's
+// series tagged with its replica ID. The incoming query string (series
+// globs, since) is forwarded verbatim to the replicas.
 func (rt *Router) handleDebugHistory(w http.ResponseWriter, r *http.Request) {
-	var patterns []string
-	if q := r.URL.Query().Get("series"); q != "" {
-		for _, p := range strings.Split(q, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				patterns = append(patterns, p)
-			}
-		}
+	patterns, since, ok := tsdb.ParseQuery(w, r)
+	if !ok {
+		return
 	}
-	since, _ := events.ParseSince(r.URL.Query().Get("since"), time.Now())
-	out := tsdb.Payload{Tier: "shard",
-		IntervalSeconds: rt.history.Interval().Seconds(),
-		Series:          rt.history.Query(patterns, since)}
-	if out.Series == nil {
-		out.Series = []tsdb.Series{}
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	defer cancel()
-	query := r.URL.RawQuery
-	var mu sync.Mutex
-	rt.scatter(func(rep *Replica) error {
-		raw, err := rep.C.DebugHistoryJSON(ctx, query)
-		if err != nil {
-			if api.AsError(err).Code == api.CodeUnavailable {
-				return err
-			}
-			return nil
-		}
-		var payload tsdb.Payload
-		if json.Unmarshal(raw, &payload) != nil {
-			return nil
-		}
-		mu.Lock()
-		for _, s := range payload.Series {
-			s.Replica = rep.ID
+	out := rt.History().Payload(patterns, since)
+	for _, p := range gatherDebug[tsdb.Payload](rt, r, (*client.Client).DebugHistoryJSON, r.URL.RawQuery) {
+		for _, s := range p.val.Series {
+			s.Replica = p.rep.ID
 			out.Series = append(out.Series, s)
 		}
-		mu.Unlock()
-		return nil
-	})
-	writeJSON(w, http.StatusOK, out)
+	}
+	tier.WriteJSON(w, http.StatusOK, out)
 }
 
-// handleDebugEvents scatter-gathers every live replica's event journal
-// and merges it with the router's own into one time-ordered payload; each
-// replica event gains a "replica" attr naming its origin. The query
-// string (limit, type, since) is forwarded verbatim.
+// handleDebugEvents merges every live replica's event journal with the
+// router's own into one time-ordered payload; each replica event gains a
+// "replica" attr naming its origin. The query string (limit, type, since)
+// is forwarded verbatim.
 func (rt *Router) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	limit := 256
-	if s := r.URL.Query().Get("limit"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			limit = n
-		}
-	}
-	typ := events.Type(r.URL.Query().Get("type"))
-	since, _ := events.ParseSince(r.URL.Query().Get("since"), time.Now())
-	own := rt.journal.Events(limit, typ, since)
-	dropped := rt.journal.Dropped()
-
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	defer cancel()
-	query := r.URL.RawQuery
-	var mu sync.Mutex
-	lists := [][]events.Event{own}
-	rt.scatter(func(rep *Replica) error {
-		raw, err := rep.C.DebugEventsJSON(ctx, query)
-		if err != nil {
-			if api.AsError(err).Code == api.CodeUnavailable {
-				return err
+	q := events.ParseQuery(r.URL.Query())
+	out := rt.Journal().Payload(q)
+	lists := [][]events.Event{out.Events}
+	for _, p := range gatherDebug[events.Payload](rt, r, (*client.Client).DebugEventsJSON, r.URL.RawQuery) {
+		for i := range p.val.Events {
+			if p.val.Events[i].Attrs == nil {
+				p.val.Events[i].Attrs = map[string]string{}
 			}
-			return nil
+			p.val.Events[i].Attrs["replica"] = p.rep.ID
 		}
-		var payload events.Payload
-		if json.Unmarshal(raw, &payload) != nil {
-			return nil
-		}
-		for i := range payload.Events {
-			if payload.Events[i].Attrs == nil {
-				payload.Events[i].Attrs = map[string]string{}
-			}
-			payload.Events[i].Attrs["replica"] = rep.ID
-		}
-		mu.Lock()
-		lists = append(lists, payload.Events)
-		dropped += payload.Dropped
-		mu.Unlock()
-		return nil
-	})
-	merged := events.Merge(lists...)
-	if limit > 0 && len(merged) > limit {
-		merged = merged[len(merged)-limit:]
+		lists = append(lists, p.val.Events)
+		out.Dropped += p.val.Dropped
 	}
-	if merged == nil {
-		merged = []events.Event{}
+	out.Events = events.Merge(lists...)
+	if len(out.Events) > q.Limit {
+		out.Events = out.Events[len(out.Events)-q.Limit:]
 	}
-	writeJSON(w, http.StatusOK, events.Payload{Tier: "shard", Dropped: dropped, Events: merged})
-}
-
-// ---- shared helpers (mirrors internal/serve's envelope discipline) ----
-
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return api.Errorf(api.CodeInvalidArgument, "bad JSON: %v", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	return json.NewEncoder(w).Encode(v)
-}
-
-func writeAPIError(w http.ResponseWriter, err error) error {
-	ae := api.AsError(err)
-	if ae.RetryAfterSeconds > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(ae.RetryAfterSeconds))
-	}
-	writeJSON(w, ae.Code.HTTPStatus(), api.ErrorEnvelope{Error: ae})
-	return ae
+	tier.WriteJSON(w, http.StatusOK, out)
 }

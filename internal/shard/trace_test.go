@@ -160,6 +160,19 @@ func TestRouterTraceListAndMetricsLint(t *testing.T) {
 		t.Fatalf("trace list = %+v", list)
 	}
 
+	// A malformed since is rejected by the fleet-wide history view exactly
+	// as a single replica's rejects it, not silently ignored.
+	for _, base := range []string{srv.URL, p.URL} {
+		bad, err := http.Get(base + "/debug/history?since=bogus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad.Body.Close()
+		if bad.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s/debug/history?since=bogus = HTTP %d, want 400", base, bad.StatusCode)
+		}
+	}
+
 	text, err := c.MetricsText(context.Background())
 	if err != nil {
 		t.Fatal(err)

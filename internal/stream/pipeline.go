@@ -158,10 +158,10 @@ type message struct {
 	merge bool
 }
 
-// instruments bundles the optional sickle_stream_* metric handles. All
+// stageMetrics bundles the optional sickle_stream_* metric handles. All
 // series handles are nil-safe no-ops when Config.Metrics is unset, so the
 // instrumented paths never branch.
-type instruments struct {
+type stageMetrics struct {
 	snapshots *obs.Counter
 	points    *obs.Counter
 	merges    *obs.Counter
@@ -173,8 +173,8 @@ type instruments struct {
 	reservoir *obs.GaugeVec // per-rank reservoir occupancy
 }
 
-func newInstruments(reg *obs.Registry) *instruments {
-	ins := &instruments{}
+func newStageMetrics(reg *obs.Registry) *stageMetrics {
+	ins := &stageMetrics{}
 	if reg == nil {
 		return ins
 	}
@@ -205,7 +205,7 @@ func newInstruments(reg *obs.Registry) *instruments {
 // counted: the reported peak is the true residency, not residency minus one.
 type windowTracker struct {
 	sem       chan struct{}
-	ins       *instruments
+	ins       *stageMetrics
 	journal   *events.Journal
 	traceID   string
 	mu        sync.Mutex
@@ -216,7 +216,7 @@ type windowTracker struct {
 	stallSecs float64
 }
 
-func newWindowTracker(window int, ins *instruments, journal *events.Journal, traceID string) *windowTracker {
+func newWindowTracker(window int, ins *stageMetrics, journal *events.Journal, traceID string) *windowTracker {
 	return &windowTracker{sem: make(chan struct{}, window), ins: ins,
 		journal: journal, traceID: traceID}
 }
@@ -296,7 +296,7 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 	if len(meta.InputVars) == 0 {
 		return nil, errors.New("stream: source declares no input variables")
 	}
-	ins := newInstruments(cfg.Metrics)
+	ins := newStageMetrics(cfg.Metrics)
 	tracer := cfg.Tracer
 	// One trace per run. The IDs are minted unconditionally (cheap) and the
 	// Record calls no-op on a nil tracer.

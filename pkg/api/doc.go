@@ -4,17 +4,10 @@
 //
 // # Versions
 //
-// Two API versions share these types:
-//
-//   - /v2 is the current surface. Errors use the typed envelope
-//     {"error":{"code":"...","message":"..."}} with machine-readable codes
-//     (see ErrorCode), and long-running work runs as cancellable jobs under
-//     /v2/jobs.
-//   - /v1 is a frozen compatibility shim over the same request/response
-//     types. Its success payloads are byte-identical to the original
-//     handlers and its errors keep the legacy {"error":"message"} shape.
-//     v1 is deprecated: it receives no new routes and will be removed one
-//     minor release after a v3 surface ships.
+// /v2 is the one surface served. Errors use the typed envelope
+// {"error":{"code":"...","message":"..."}} with machine-readable codes
+// (see ErrorCode), and long-running work runs as cancellable jobs under
+// /v2/jobs.
 //
 // GET /api/version reports the versions a server speaks; pkg/client's
 // Negotiate uses it to pick the newest version both sides understand.

@@ -7,7 +7,7 @@ type InferItem struct {
 	Data  []float64 `json:"data"`
 }
 
-// InferRequest is the JSON body of POST /v1/infer and /v2/infer.
+// InferRequest is the JSON body of POST /v2/infer.
 type InferRequest struct {
 	Model string      `json:"model"`
 	Items []InferItem `json:"items"`
@@ -23,7 +23,7 @@ type InferResponse struct {
 	BatchSizes []int       `json:"batchSizes"`
 }
 
-// SubsampleRequest is the body of POST /v1/subsample and /v2/subsample,
+// SubsampleRequest is the body of POST /v2/subsample,
 // and the payload of a subsample job: either a named registry dataset
 // (synthesized on first use, then cached) or a .skl shard path, plus the
 // two-phase pipeline parameters.
@@ -66,7 +66,7 @@ type ModelSpec struct {
 }
 
 // ModelInfo describes one registered model version, as listed by
-// GET /v1/models and /v2/models.
+// GET /v2/models.
 type ModelInfo struct {
 	Name       string    `json:"name"`
 	Version    int       `json:"version"`
@@ -76,7 +76,7 @@ type ModelInfo struct {
 	Replicas   int       `json:"replicas"`
 }
 
-// RegisterModelRequest is the body of POST /v1/models and /v2/models: load
+// RegisterModelRequest is the body of POST /v2/models: load
 // (or hot-swap) a checkpoint under a name.
 type RegisterModelRequest struct {
 	Name       string    `json:"name"`

@@ -1,17 +1,14 @@
 package api
 
-// API version path prefixes.
-const (
-	V1 = "v1" // frozen compatibility shim (legacy error envelope)
-	V2 = "v2" // current surface: typed errors + jobs
-)
+// V2 is the API version path prefix: typed errors + jobs.
+const V2 = "v2"
 
 // Latest is the newest version this contract describes.
 const Latest = V2
 
 // SupportedVersions lists the versions a current server speaks, oldest
 // first.
-func SupportedVersions() []string { return []string{V1, V2} }
+func SupportedVersions() []string { return []string{V2} }
 
 // VersionInfo is the GET /api/version body — the negotiation handshake.
 // A client picks the newest entry of Versions it understands and prefixes

@@ -183,24 +183,7 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 // shard router uses this to merge replica-side spans into its own view of
 // a trace; operators can use it as a programmatic /debug/traces client.
 func (c *Client) DebugTraceJSON(ctx context.Context, traceID string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/debug/traces/"+traceID, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, api.Errorf(api.CodeUnavailable, "GET /debug/traces/%s: %v", traceID, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return nil, api.Errorf(api.CodeUnavailable, "GET /debug/traces/%s: reading response: %v", traceID, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, api.Errorf(api.CodeFromStatus(resp.StatusCode),
-			"GET /debug/traces/%s: HTTP %d", traceID, resp.StatusCode)
-	}
-	return raw, nil
+	return c.debugJSON(ctx, "/debug/traces/"+traceID)
 }
 
 // doVersioned prefixes the path with the negotiated API version.
