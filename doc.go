@@ -58,11 +58,13 @@
 //
 // All of these share the tensor package's kernel engine: a persistent
 // worker pool (tensor.Pool) with a deterministic ParallelFor, a
-// cache-blocked transpose-free matmul family, and a size-classed tensor
-// workspace (Get/Put). Every pooled kernel is bit-identical to its serial
-// reference, asserted by parity tests. Throughput, allocations and latency
-// are measured end to end and per layer by the bench/ ledger
-// (BENCHMARK.json, bench/README.md; README "Performance").
+// cache-blocked transpose-free matmul family, and a step-scoped tensor
+// workspace (tensor.Workspace: every model owns one, and what a pass hands
+// out is valid until that model's next Forward). Every pooled kernel is
+// bit-identical to its serial reference, asserted by parity tests.
+// Throughput, allocations and latency are measured end to end and per
+// layer by the bench/ ledger (BENCHMARK.json, bench/README.md; README
+// "Performance").
 //
 // The contracts above are machine-enforced: cmd/sicklevet is a six-analyzer
 // static-analysis suite (closecheck, ctxfirst, apierr, metricname, ologonly,

@@ -14,7 +14,6 @@ type LayerNorm struct {
 	Gain  *Param // [D]
 	Bias  *Param // [D]
 	Eps   float64
-	x     *tensor.Tensor
 	xhat  *tensor.Tensor
 	invSD []float64 // per row
 }
@@ -31,46 +30,53 @@ func (l *LayerNorm) Params() []*Param { return []*Param{l.Gain, l.Bias} }
 
 // Forward normalizes each row of x [N, D]. Rows are independent, so they
 // fan out across the kernel pool.
-func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (l *LayerNorm) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
 	n, d := x.Dim(0), x.Dim(1)
-	l.x = x
-	l.xhat = tensor.New(n, d)
-	l.invSD = make([]float64, n)
-	out := tensor.New(n, d)
-	tensor.DefaultPool().ParallelFor(n, 16, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			row := x.Data[i*d : (i+1)*d]
-			mean := 0.0
-			for _, v := range row {
-				mean += v
-			}
-			mean /= float64(d)
-			varr := 0.0
-			for _, v := range row {
-				dv := v - mean
-				varr += dv * dv
-			}
-			varr /= float64(d)
-			inv := 1 / math.Sqrt(varr+l.Eps)
-			l.invSD[i] = inv
-			for j, v := range row {
-				xh := (v - mean) * inv
-				l.xhat.Data[i*d+j] = xh
-				out.Data[i*d+j] = xh*l.Gain.W.Data[j] + l.Bias.W.Data[j]
-			}
-		}
-	})
+	l.xhat = ws.New(n, d)
+	l.invSD = ws.New(n).Data
+	out := ws.New(n, d)
+	p := tensor.DefaultPool()
+	if p.Inline(n, 16) {
+		l.forwardRows(x, out, 0, n)
+	} else {
+		p.ParallelFor(n, 16, func(i0, i1 int) { l.forwardRows(x, out, i0, i1) })
+	}
 	return out
 }
 
+func (l *LayerNorm) forwardRows(x, out *tensor.Tensor, i0, i1 int) {
+	d := x.Dim(1)
+	for i := i0; i < i1; i++ {
+		row := x.Data[i*d : (i+1)*d]
+		mean := 0.0
+		for _, v := range row {
+			mean += v
+		}
+		mean /= float64(d)
+		varr := 0.0
+		for _, v := range row {
+			dv := v - mean
+			varr += dv * dv
+		}
+		varr /= float64(d)
+		inv := 1 / math.Sqrt(varr+l.Eps)
+		l.invSD[i] = inv
+		for j, v := range row {
+			xh := (v - mean) * inv
+			l.xhat.Data[i*d+j] = xh
+			out.Data[i*d+j] = xh*l.Gain.W.Data[j] + l.Bias.W.Data[j]
+		}
+	}
+}
+
 // Backward propagates dL/dy [N, D] to dL/dx.
-func (l *LayerNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
+func (l *LayerNorm) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
 	n, d := dy.Dim(0), dy.Dim(1)
-	dx := tensor.New(n, d)
+	dx := ws.New(n, d)
+	dxhat := ws.New(d).Data // one row of scratch, rewritten for every row
 	fd := float64(d)
 	for i := 0; i < n; i++ {
 		var sumDxhat, sumDxhatXhat float64
-		dxhat := make([]float64, d)
 		for j := 0; j < d; j++ {
 			dyv := dy.Data[i*d+j]
 			l.Gain.Grad.Data[j] += dyv * l.xhat.Data[i*d+j]
@@ -97,9 +103,9 @@ type MultiHeadAttention struct {
 	WO    *Linear
 	batch int
 	seq   int
-	// caches, per (batch, head): attention weights [T,T] and projected
-	// q, k, v rows.
-	attn    [][]*tensor.Tensor
+	// caches: attention weights [B·H, T, T], one matrix per (batch, head),
+	// and the projected q, k, v rows.
+	attn    *tensor.Tensor
 	q, k, v *tensor.Tensor // [B*T, D]
 }
 
@@ -126,131 +132,143 @@ func (m *MultiHeadAttention) Params() []*Param {
 }
 
 // Forward computes self-attention for x [B, T, D], returning [B, T, D].
-func (m *MultiHeadAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (m *MultiHeadAttention) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
 	b, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
 	m.batch, m.seq = b, t
-	flat := x.Reshape(b*t, d)
-	m.q = m.WQ.Forward(flat)
-	m.k = m.WK.Forward(flat)
-	m.v = m.WV.Forward(flat)
+	flat := ws.View(x, b*t, d)
+	m.q = m.WQ.Forward(ws, flat)
+	m.k = m.WK.Forward(ws, flat)
+	m.v = m.WV.Forward(ws, flat)
 
-	hd := d / m.H
-	scale := 1 / math.Sqrt(float64(hd))
-	ctx := tensor.New(b*t, d)
-	m.attn = make([][]*tensor.Tensor, b)
-	for bi := 0; bi < b; bi++ {
-		m.attn[bi] = make([]*tensor.Tensor, m.H)
-	}
+	ctx := ws.New(b*t, d)
+	m.attn = ws.New(b*m.H, t, t)
 	// (batch, head) pairs are independent: each writes its own attn matrix
 	// and a disjoint column block of ctx, so the fan-out is bit-identical
 	// to the serial loop.
-	tensor.DefaultPool().ParallelFor(b*m.H, 1, func(u0, u1 int) {
-		for u := u0; u < u1; u++ {
-			bi, h := u/m.H, u%m.H
-			off := h * hd
-			// scores[t1][t2] = q(bi,t1,h)·k(bi,t2,h)·scale
-			a := tensor.New(t, t)
-			for t1 := 0; t1 < t; t1++ {
-				qrow := m.q.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
-				maxs := math.Inf(-1)
-				for t2 := 0; t2 < t; t2++ {
-					krow := m.k.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
-					s := 0.0
-					for j := 0; j < hd; j++ {
-						s += qrow[j] * krow[j]
-					}
-					s *= scale
-					a.Data[t1*t+t2] = s
-					if s > maxs {
-						maxs = s
-					}
+	p := tensor.DefaultPool()
+	if p.Inline(b*m.H, 1) {
+		m.forwardUnits(ctx, 0, b*m.H)
+	} else {
+		p.ParallelFor(b*m.H, 1, func(u0, u1 int) { m.forwardUnits(ctx, u0, u1) })
+	}
+	return ws.View(m.WO.Forward(ws, ctx), b, t, d)
+}
+
+func (m *MultiHeadAttention) forwardUnits(ctx *tensor.Tensor, u0, u1 int) {
+	t, d := m.seq, m.D
+	hd := d / m.H
+	scale := 1 / math.Sqrt(float64(hd))
+	for u := u0; u < u1; u++ {
+		bi, h := u/m.H, u%m.H
+		off := h * hd
+		// scores[t1][t2] = q(bi,t1,h)·k(bi,t2,h)·scale
+		a := m.attn.Data[u*t*t : (u+1)*t*t]
+		for t1 := 0; t1 < t; t1++ {
+			qrow := m.q.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
+			maxs := math.Inf(-1)
+			for t2 := 0; t2 < t; t2++ {
+				krow := m.k.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
+				s := 0.0
+				for j := 0; j < hd; j++ {
+					s += qrow[j] * krow[j]
 				}
-				// softmax row
-				sum := 0.0
-				for t2 := 0; t2 < t; t2++ {
-					e := math.Exp(a.Data[t1*t+t2] - maxs)
-					a.Data[t1*t+t2] = e
-					sum += e
-				}
-				for t2 := 0; t2 < t; t2++ {
-					a.Data[t1*t+t2] /= sum
-				}
-				// context = Σ attn·v
-				crow := ctx.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
-				for t2 := 0; t2 < t; t2++ {
-					w := a.Data[t1*t+t2]
-					vrow := m.v.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
-					for j := 0; j < hd; j++ {
-						crow[j] += w * vrow[j]
-					}
+				s *= scale
+				a[t1*t+t2] = s
+				if s > maxs {
+					maxs = s
 				}
 			}
-			m.attn[bi][h] = a
+			// softmax row
+			sum := 0.0
+			for t2 := 0; t2 < t; t2++ {
+				e := math.Exp(a[t1*t+t2] - maxs)
+				a[t1*t+t2] = e
+				sum += e
+			}
+			for t2 := 0; t2 < t; t2++ {
+				a[t1*t+t2] /= sum
+			}
+			// context = Σ attn·v
+			crow := ctx.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
+			for t2 := 0; t2 < t; t2++ {
+				w := a[t1*t+t2]
+				vrow := m.v.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
+				for j := 0; j < hd; j++ {
+					crow[j] += w * vrow[j]
+				}
+			}
 		}
-	})
-	out := m.WO.Forward(ctx)
-	return out.Reshape(b, t, d)
+	}
 }
 
 // Backward propagates dL/dy [B, T, D] through attention, accumulating all
 // projection gradients, and returns dL/dx [B, T, D].
-func (m *MultiHeadAttention) Backward(dy *tensor.Tensor) *tensor.Tensor {
+func (m *MultiHeadAttention) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
 	b, t, d := m.batch, m.seq, m.D
-	hd := d / m.H
-	scale := 1 / math.Sqrt(float64(hd))
 
-	dctx := m.WO.Backward(dy.Reshape(b*t, d))
+	dctx := m.WO.Backward(ws, ws.View(dy, b*t, d))
 
-	dq := tensor.New(b*t, d)
-	dk := tensor.New(b*t, d)
-	dv := tensor.New(b*t, d)
+	dq := ws.New(b*t, d)
+	dk := ws.New(b*t, d)
+	dv := ws.New(b*t, d)
+	dattn := ws.New(b*m.H, t) // one row of scratch per (batch, head)
 
 	// Like Forward, (batch, head) pairs touch disjoint column blocks of
 	// dq/dk/dv, so they fan out across the pool bit-identically.
-	tensor.DefaultPool().ParallelFor(b*m.H, 1, func(u0, u1 int) {
-		dattn := make([]float64, t) // scratch, local to this chunk
-		for u := u0; u < u1; u++ {
-			bi, h := u/m.H, u%m.H
-			off := h * hd
-			a := m.attn[bi][h]
-			for t1 := 0; t1 < t; t1++ {
-				dcrow := dctx.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
-				// dattn[t2] = dctx·v(t2); dv(t2) += attn[t1][t2]·dctx
-				for t2 := 0; t2 < t; t2++ {
-					vrow := m.v.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
-					dvrow := dv.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
-					w := a.Data[t1*t+t2]
-					s := 0.0
-					for j := 0; j < hd; j++ {
-						s += dcrow[j] * vrow[j]
-						dvrow[j] += w * dcrow[j]
-					}
-					dattn[t2] = s
+	p := tensor.DefaultPool()
+	if p.Inline(b*m.H, 1) {
+		m.backwardUnits(dctx, dq, dk, dv, dattn, 0, b*m.H)
+	} else {
+		p.ParallelFor(b*m.H, 1, func(u0, u1 int) { m.backwardUnits(dctx, dq, dk, dv, dattn, u0, u1) })
+	}
+
+	dx := m.WQ.Backward(ws, dq)
+	dx.AddScaled(1, m.WK.Backward(ws, dk))
+	dx.AddScaled(1, m.WV.Backward(ws, dv))
+	return ws.View(dx, b, t, d)
+}
+
+func (m *MultiHeadAttention) backwardUnits(dctx, dq, dk, dv, scratch *tensor.Tensor, u0, u1 int) {
+	t, d := m.seq, m.D
+	hd := d / m.H
+	scale := 1 / math.Sqrt(float64(hd))
+	for u := u0; u < u1; u++ {
+		bi, h := u/m.H, u%m.H
+		off := h * hd
+		a := m.attn.Data[u*t*t : (u+1)*t*t]
+		dattn := scratch.Data[u*t : (u+1)*t]
+		for t1 := 0; t1 < t; t1++ {
+			dcrow := dctx.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
+			// dattn[t2] = dctx·v(t2); dv(t2) += attn[t1][t2]·dctx
+			for t2 := 0; t2 < t; t2++ {
+				vrow := m.v.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
+				dvrow := dv.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
+				w := a[t1*t+t2]
+				s := 0.0
+				for j := 0; j < hd; j++ {
+					s += dcrow[j] * vrow[j]
+					dvrow[j] += w * dcrow[j]
 				}
-				// Softmax backward: ds = attn ∘ (dattn - Σ attn∘dattn).
-				dot := 0.0
-				for t2 := 0; t2 < t; t2++ {
-					dot += a.Data[t1*t+t2] * dattn[t2]
-				}
-				for t2 := 0; t2 < t; t2++ {
-					ds := a.Data[t1*t+t2] * (dattn[t2] - dot) * scale
-					qrow := m.q.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
-					krow := m.k.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
-					dqrow := dq.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
-					dkrow := dk.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
-					for j := 0; j < hd; j++ {
-						dqrow[j] += ds * krow[j]
-						dkrow[j] += ds * qrow[j]
-					}
+				dattn[t2] = s
+			}
+			// Softmax backward: ds = attn ∘ (dattn - Σ attn∘dattn).
+			dot := 0.0
+			for t2 := 0; t2 < t; t2++ {
+				dot += a[t1*t+t2] * dattn[t2]
+			}
+			for t2 := 0; t2 < t; t2++ {
+				ds := a[t1*t+t2] * (dattn[t2] - dot) * scale
+				qrow := m.q.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
+				krow := m.k.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
+				dqrow := dq.Data[(bi*t+t1)*d+off : (bi*t+t1)*d+off+hd]
+				dkrow := dk.Data[(bi*t+t2)*d+off : (bi*t+t2)*d+off+hd]
+				for j := 0; j < hd; j++ {
+					dqrow[j] += ds * krow[j]
+					dkrow[j] += ds * qrow[j]
 				}
 			}
 		}
-	})
-
-	dx := m.WQ.Backward(dq)
-	dx.AddScaled(1, m.WK.Backward(dk))
-	dx.AddScaled(1, m.WV.Backward(dv))
-	return dx.Reshape(b, t, d)
+	}
 }
 
 // TransformerBlock is a pre-norm encoder block: x + MHA(LN(x)), then
@@ -295,33 +313,35 @@ func (b *TransformerBlock) Params() []*Param {
 }
 
 // Forward runs the block on x [B, T, D].
-func (b *TransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (b *TransformerBlock) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
 	bb, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
 	b.batch, b.seq = bb, t
-	flat := x.Reshape(bb*t, d)
-	h1 := b.LN1.Forward(flat)
-	a := b.Attn.Forward(h1.Reshape(bb, t, d)).Reshape(bb*t, d)
-	r1 := tensor.Add(flat, a)
+	flat := ws.View(x, bb*t, d)
+	h1 := b.LN1.Forward(ws, flat)
+	a := ws.View(b.Attn.Forward(ws, ws.View(h1, bb, t, d)), bb*t, d)
+	r1 := ws.New(bb*t, d)
+	tensor.AddInto(r1, flat, a)
 
-	h2 := b.LN2.Forward(r1)
-	f := b.FF2.Forward(b.Act.Forward(b.FF1.Forward(h2)))
-	r2 := tensor.Add(r1, f)
-	return r2.Reshape(bb, t, d)
+	h2 := b.LN2.Forward(ws, r1)
+	f := b.FF2.Forward(ws, b.Act.Forward(ws, b.FF1.Forward(ws, h2)))
+	r2 := ws.New(bb, t, d)
+	tensor.AddInto(r2, r1, f)
+	return r2
 }
 
 // Backward propagates through both residual branches.
-func (b *TransformerBlock) Backward(dy *tensor.Tensor) *tensor.Tensor {
+func (b *TransformerBlock) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
 	bb, t, d := b.batch, b.seq, b.D
-	dr2 := dy.Reshape(bb*t, d)
+	dr2 := ws.View(dy, bb*t, d)
 
 	// FFN branch.
-	df := b.FF1.Backward(b.Act.Backward(b.FF2.Backward(dr2)))
-	dr1 := b.LN2.Backward(df)
+	df := b.FF1.Backward(ws, b.Act.Backward(ws, b.FF2.Backward(ws, dr2)))
+	dr1 := b.LN2.Backward(ws, df)
 	dr1.AddScaled(1, dr2) // residual
 
 	// Attention branch.
-	da := b.Attn.Backward(dr1.Reshape(bb, t, d)).Reshape(bb*t, d)
-	dx := b.LN1.Backward(da)
+	da := ws.View(b.Attn.Backward(ws, ws.View(dr1, bb, t, d)), bb*t, d)
+	dx := b.LN1.Backward(ws, da)
 	dx.AddScaled(1, dr1) // residual
-	return dx.Reshape(bb, t, d)
+	return ws.View(dx, bb, t, d)
 }

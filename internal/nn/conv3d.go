@@ -35,25 +35,117 @@ func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 func (c *Conv3D) OutDim(n int) int { return (n+2*c.Pad-c.K)/c.Stride + 1 }
 
 // Forward computes y [B, Co, D', H', W'].
-func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (c *Conv3D) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
 	c.x = x
-	b, ci, dd, hh, ww := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-	if ci != c.Ci {
+	b, dd, hh, ww := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
+	if x.Dim(1) != c.Ci {
 		panic("nn: Conv3D channel mismatch")
 	}
-	od, oh, ow := c.OutDim(dd), c.OutDim(hh), c.OutDim(ww)
-	y := tensor.New(b, c.Co, od, oh, ow)
+	y := ws.New(b, c.Co, c.OutDim(dd), c.OutDim(hh), c.OutDim(ww))
+	// Each (bi, co) unit writes its own output volume — disjoint.
+	p := tensor.DefaultPool()
+	if p.Inline(b*c.Co, 1) {
+		c.forwardUnits(x, y, 0, b*c.Co)
+	} else {
+		p.ParallelFor(b*c.Co, 1, func(u0, u1 int) { c.forwardUnits(x, y, u0, u1) })
+	}
+	return y
+}
+
+func (c *Conv3D) forwardUnits(x, y *tensor.Tensor, u0, u1 int) {
+	ci, dd, hh, ww := x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
+	od, oh, ow := y.Dim(2), y.Dim(3), y.Dim(4)
 	k, s, p := c.K, c.Stride, c.Pad
 	xd, wd, yd, bd := x.Data, c.W.W.Data, y.Data, c.B.W.Data
-	// Each (bi, co) unit writes its own output volume — disjoint.
-	tensor.DefaultPool().ParallelFor(b*c.Co, 1, func(u0, u1 int) {
-		for u := u0; u < u1; u++ {
-			bi, co := u/c.Co, u%c.Co
-			bias := bd[co]
+	for u := u0; u < u1; u++ {
+		bi, co := u/c.Co, u%c.Co
+		bias := bd[co]
+		for zd := 0; zd < od; zd++ {
+			for zh := 0; zh < oh; zh++ {
+				for zw := 0; zw < ow; zw++ {
+					sum := bias
+					for cin := 0; cin < ci; cin++ {
+						xBase := (bi*ci + cin) * dd
+						wBase := ((co*ci + cin) * k) * k * k
+						for kd := 0; kd < k; kd++ {
+							id := zd*s + kd - p
+							if id < 0 || id >= dd {
+								continue
+							}
+							for kh := 0; kh < k; kh++ {
+								ih := zh*s + kh - p
+								if ih < 0 || ih >= hh {
+									continue
+								}
+								xRow := ((xBase+id)*hh + ih) * ww
+								wRow := wBase + (kd*k+kh)*k
+								for kw := 0; kw < k; kw++ {
+									iw := zw*s + kw - p
+									if iw < 0 || iw >= ww {
+										continue
+									}
+									sum += xd[xRow+iw] * wd[wRow+kw]
+								}
+							}
+						}
+					}
+					yd[(((bi*c.Co+co)*od+zd)*oh+zh)*ow+zw] = sum
+				}
+			}
+		}
+	}
+}
+
+// Backward propagates dL/dy and accumulates kernel/bias grads. Batch items
+// accumulate into per-item partial gradients (rows of two workspace
+// tensors, taken before the loop fans out) that are combined in batch
+// order — deterministic regardless of worker count.
+func (c *Conv3D) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
+	x := c.x
+	b := x.Dim(0)
+	dx := ws.New(x.Shape...)
+	wParts := ws.New(b, c.W.W.Len())
+	bParts := ws.New(b, c.Co)
+	p := tensor.DefaultPool()
+	if p.Inline(b, 1) {
+		c.backwardItems(dy, dx, wParts, bParts, 0, b)
+	} else {
+		p.ParallelFor(b, 1, func(b0, b1 int) { c.backwardItems(dy, dx, wParts, bParts, b0, b1) })
+	}
+	addParts(c.W.Grad, wParts)
+	addParts(c.B.Grad, bParts)
+	return dx
+}
+
+// addParts adds the rows of parts [B, len(grad)] to grad in row order.
+func addParts(grad, parts *tensor.Tensor) {
+	n := grad.Len()
+	for bi := 0; bi < parts.Dim(0); bi++ {
+		for i, v := range parts.Data[bi*n : (bi+1)*n] {
+			grad.Data[i] += v
+		}
+	}
+}
+
+func (c *Conv3D) backwardItems(dy, dx, wParts, bParts *tensor.Tensor, b0, b1 int) {
+	x := c.x
+	ci, dd, hh, ww := x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
+	od, oh, ow := dy.Dim(2), dy.Dim(3), dy.Dim(4)
+	k, s, p := c.K, c.Stride, c.Pad
+	xd, wd, dyd, dxd := x.Data, c.W.W.Data, dy.Data, dx.Data
+	wl := c.W.W.Len()
+	for bi := b0; bi < b1; bi++ {
+		wg := wParts.Data[bi*wl : (bi+1)*wl]
+		bg := bParts.Data[bi*c.Co : (bi+1)*c.Co]
+		for co := 0; co < c.Co; co++ {
 			for zd := 0; zd < od; zd++ {
 				for zh := 0; zh < oh; zh++ {
 					for zw := 0; zw < ow; zw++ {
-						sum := bias
+						g := dyd[(((bi*c.Co+co)*od+zd)*oh+zh)*ow+zw]
+						if g == 0 {
+							continue
+						}
+						bg[co] += g
 						for cin := 0; cin < ci; cin++ {
 							xBase := (bi*ci + cin) * dd
 							wBase := ((co*ci + cin) * k) * k * k
@@ -74,69 +166,8 @@ func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 										if iw < 0 || iw >= ww {
 											continue
 										}
-										sum += xd[xRow+iw] * wd[wRow+kw]
-									}
-								}
-							}
-						}
-						yd[(((bi*c.Co+co)*od+zd)*oh+zh)*ow+zw] = sum
-					}
-				}
-			}
-		}
-	})
-	return y
-}
-
-// Backward propagates dL/dy and accumulates kernel/bias grads. Batch items
-// accumulate into per-item partial gradients (workspace tensors) that are
-// combined in batch order — deterministic regardless of worker count.
-func (c *Conv3D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	x := c.x
-	b, ci, dd, hh, ww := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-	od, oh, ow := dy.Dim(2), dy.Dim(3), dy.Dim(4)
-	dx := tensor.New(b, ci, dd, hh, ww)
-	k, s, p := c.K, c.Stride, c.Pad
-	xd, wd, dyd, dxd := x.Data, c.W.W.Data, dy.Data, dx.Data
-	wGrads := make([]*tensor.Tensor, b)
-	bGrads := make([]*tensor.Tensor, b)
-	tensor.DefaultPool().ParallelFor(b, 1, func(b0, b1 int) {
-		for bi := b0; bi < b1; bi++ {
-			wg := tensor.Get(c.W.W.Shape...)
-			bg := tensor.Get(c.Co)
-			wGrads[bi], bGrads[bi] = wg, bg
-			for co := 0; co < c.Co; co++ {
-				for zd := 0; zd < od; zd++ {
-					for zh := 0; zh < oh; zh++ {
-						for zw := 0; zw < ow; zw++ {
-							g := dyd[(((bi*c.Co+co)*od+zd)*oh+zh)*ow+zw]
-							if g == 0 {
-								continue
-							}
-							bg.Data[co] += g
-							for cin := 0; cin < ci; cin++ {
-								xBase := (bi*ci + cin) * dd
-								wBase := ((co*ci + cin) * k) * k * k
-								for kd := 0; kd < k; kd++ {
-									id := zd*s + kd - p
-									if id < 0 || id >= dd {
-										continue
-									}
-									for kh := 0; kh < k; kh++ {
-										ih := zh*s + kh - p
-										if ih < 0 || ih >= hh {
-											continue
-										}
-										xRow := ((xBase+id)*hh + ih) * ww
-										wRow := wBase + (kd*k+kh)*k
-										for kw := 0; kw < k; kw++ {
-											iw := zw*s + kw - p
-											if iw < 0 || iw >= ww {
-												continue
-											}
-											wg.Data[wRow+kw] += g * xd[xRow+iw]
-											dxd[xRow+iw] += g * wd[wRow+kw]
-										}
+										wg[wRow+kw] += g * xd[xRow+iw]
+										dxd[xRow+iw] += g * wd[wRow+kw]
 									}
 								}
 							}
@@ -145,14 +176,7 @@ func (c *Conv3D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
-	})
-	for bi := 0; bi < b; bi++ {
-		c.W.Grad.AddScaled(1, wGrads[bi])
-		c.B.Grad.AddScaled(1, bGrads[bi])
-		tensor.Put(wGrads[bi])
-		tensor.Put(bGrads[bi])
 	}
-	return dx
 }
 
 // ConvTranspose3D is the transposed (fractionally strided) 3-D convolution
@@ -181,41 +205,50 @@ func (c *ConvTranspose3D) Params() []*Param { return []*Param{c.W, c.B} }
 func (c *ConvTranspose3D) OutDim(n int) int { return (n-1)*c.Stride + c.K }
 
 // Forward computes the transposed convolution.
-func (c *ConvTranspose3D) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (c *ConvTranspose3D) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
 	c.x = x
-	b, ci, dd, hh, ww := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-	od, oh, ow := c.OutDim(dd), c.OutDim(hh), c.OutDim(ww)
-	y := tensor.New(b, c.Co, od, oh, ow)
-	k, s := c.K, c.Stride
-	xd, wd, yd, bd := x.Data, c.W.W.Data, y.Data, c.B.W.Data
+	b, dd, hh, ww := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
+	y := ws.New(b, c.Co, c.OutDim(dd), c.OutDim(hh), c.OutDim(ww))
 	// Output volumes are per-batch-item disjoint; scatter-adds from
 	// different input cells of the same item stay on one worker.
-	tensor.DefaultPool().ParallelFor(b, 1, func(b0, b1 int) {
-		for bi := b0; bi < b1; bi++ {
-			for co := 0; co < c.Co; co++ {
-				base := ((bi*c.Co + co) * od) * oh * ow
-				bias := bd[co]
-				for i := 0; i < od*oh*ow; i++ {
-					yd[base+i] = bias
-				}
+	p := tensor.DefaultPool()
+	if p.Inline(b, 1) {
+		c.forwardItems(x, y, 0, b)
+	} else {
+		p.ParallelFor(b, 1, func(b0, b1 int) { c.forwardItems(x, y, b0, b1) })
+	}
+	return y
+}
+
+func (c *ConvTranspose3D) forwardItems(x, y *tensor.Tensor, b0, b1 int) {
+	ci, dd, hh, ww := x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
+	od, oh, ow := y.Dim(2), y.Dim(3), y.Dim(4)
+	k, s := c.K, c.Stride
+	xd, wd, yd, bd := x.Data, c.W.W.Data, y.Data, c.B.W.Data
+	for bi := b0; bi < b1; bi++ {
+		for co := 0; co < c.Co; co++ {
+			base := ((bi*c.Co + co) * od) * oh * ow
+			bias := bd[co]
+			for i := 0; i < od*oh*ow; i++ {
+				yd[base+i] = bias
 			}
-			for cin := 0; cin < ci; cin++ {
-				for zd := 0; zd < dd; zd++ {
-					for zh := 0; zh < hh; zh++ {
-						for zw := 0; zw < ww; zw++ {
-							xv := xd[(((bi*ci+cin)*dd+zd)*hh+zh)*ww+zw]
-							if xv == 0 {
-								continue
-							}
-							for co := 0; co < c.Co; co++ {
-								wBase := ((cin*c.Co + co) * k) * k * k
-								for kd := 0; kd < k; kd++ {
-									for kh := 0; kh < k; kh++ {
-										yRow := (((bi*c.Co+co)*od+zd*s+kd)*oh+zh*s+kh)*ow + zw*s
-										wRow := wBase + (kd*k+kh)*k
-										for kw := 0; kw < k; kw++ {
-											yd[yRow+kw] += xv * wd[wRow+kw]
-										}
+		}
+		for cin := 0; cin < ci; cin++ {
+			for zd := 0; zd < dd; zd++ {
+				for zh := 0; zh < hh; zh++ {
+					for zw := 0; zw < ww; zw++ {
+						xv := xd[(((bi*ci+cin)*dd+zd)*hh+zh)*ww+zw]
+						if xv == 0 {
+							continue
+						}
+						for co := 0; co < c.Co; co++ {
+							wBase := ((cin*c.Co + co) * k) * k * k
+							for kd := 0; kd < k; kd++ {
+								for kh := 0; kh < k; kh++ {
+									yRow := (((bi*c.Co+co)*od+zd*s+kd)*oh+zh*s+kh)*ow + zw*s
+									wRow := wBase + (kd*k+kh)*k
+									for kw := 0; kw < k; kw++ {
+										yd[yRow+kw] += xv * wd[wRow+kw]
 									}
 								}
 							}
@@ -224,65 +257,69 @@ func (c *ConvTranspose3D) Forward(x *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
-	})
-	return y
+	}
 }
 
 // Backward propagates dL/dy and accumulates grads, with per-batch-item
 // weight-gradient partials combined in batch order (bit-identical serial or
 // parallel).
-func (c *ConvTranspose3D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+func (c *ConvTranspose3D) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
 	x := c.x
-	b, ci, dd, hh, ww := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
+	b := x.Dim(0)
+	dx := ws.New(x.Shape...)
+	wParts := ws.New(b, c.W.W.Len())
+	bParts := ws.New(b, c.Co)
+	p := tensor.DefaultPool()
+	if p.Inline(b, 1) {
+		c.backwardItems(dy, dx, wParts, bParts, 0, b)
+	} else {
+		p.ParallelFor(b, 1, func(b0, b1 int) { c.backwardItems(dy, dx, wParts, bParts, b0, b1) })
+	}
+	addParts(c.W.Grad, wParts)
+	addParts(c.B.Grad, bParts)
+	return dx
+}
+
+func (c *ConvTranspose3D) backwardItems(dy, dx, wParts, bParts *tensor.Tensor, b0, b1 int) {
+	x := c.x
+	ci, dd, hh, ww := x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
 	od, oh, ow := dy.Dim(2), dy.Dim(3), dy.Dim(4)
-	dx := tensor.New(b, ci, dd, hh, ww)
 	k, s := c.K, c.Stride
 	xd, wd, dyd, dxd := x.Data, c.W.W.Data, dy.Data, dx.Data
-	wGrads := make([]*tensor.Tensor, b)
-	bGrads := make([]*tensor.Tensor, b)
-	tensor.DefaultPool().ParallelFor(b, 1, func(b0, b1 int) {
-		for bi := b0; bi < b1; bi++ {
-			wg := tensor.Get(c.W.W.Shape...)
-			bg := tensor.Get(c.Co)
-			wGrads[bi], bGrads[bi] = wg, bg
-			for co := 0; co < c.Co; co++ {
-				base := ((bi*c.Co + co) * od) * oh * ow
-				for i := 0; i < od*oh*ow; i++ {
-					bg.Data[co] += dyd[base+i]
-				}
+	wl := c.W.W.Len()
+	for bi := b0; bi < b1; bi++ {
+		wg := wParts.Data[bi*wl : (bi+1)*wl]
+		bg := bParts.Data[bi*c.Co : (bi+1)*c.Co]
+		for co := 0; co < c.Co; co++ {
+			base := ((bi*c.Co + co) * od) * oh * ow
+			for i := 0; i < od*oh*ow; i++ {
+				bg[co] += dyd[base+i]
 			}
-			for cin := 0; cin < ci; cin++ {
-				for zd := 0; zd < dd; zd++ {
-					for zh := 0; zh < hh; zh++ {
-						for zw := 0; zw < ww; zw++ {
-							xv := xd[(((bi*ci+cin)*dd+zd)*hh+zh)*ww+zw]
-							var acc float64
-							for co := 0; co < c.Co; co++ {
-								wBase := ((cin*c.Co + co) * k) * k * k
-								for kd := 0; kd < k; kd++ {
-									for kh := 0; kh < k; kh++ {
-										yRow := (((bi*c.Co+co)*od+zd*s+kd)*oh+zh*s+kh)*ow + zw*s
-										wRow := wBase + (kd*k+kh)*k
-										for kw := 0; kw < k; kw++ {
-											g := dyd[yRow+kw]
-											acc += g * wd[wRow+kw]
-											wg.Data[wRow+kw] += g * xv
-										}
+		}
+		for cin := 0; cin < ci; cin++ {
+			for zd := 0; zd < dd; zd++ {
+				for zh := 0; zh < hh; zh++ {
+					for zw := 0; zw < ww; zw++ {
+						xv := xd[(((bi*ci+cin)*dd+zd)*hh+zh)*ww+zw]
+						var acc float64
+						for co := 0; co < c.Co; co++ {
+							wBase := ((cin*c.Co + co) * k) * k * k
+							for kd := 0; kd < k; kd++ {
+								for kh := 0; kh < k; kh++ {
+									yRow := (((bi*c.Co+co)*od+zd*s+kd)*oh+zh*s+kh)*ow + zw*s
+									wRow := wBase + (kd*k+kh)*k
+									for kw := 0; kw < k; kw++ {
+										g := dyd[yRow+kw]
+										acc += g * wd[wRow+kw]
+										wg[wRow+kw] += g * xv
 									}
 								}
 							}
-							dxd[(((bi*ci+cin)*dd+zd)*hh+zh)*ww+zw] = acc
 						}
+						dxd[(((bi*ci+cin)*dd+zd)*hh+zh)*ww+zw] = acc
 					}
 				}
 			}
 		}
-	})
-	for bi := 0; bi < b; bi++ {
-		c.W.Grad.AddScaled(1, wGrads[bi])
-		c.B.Grad.AddScaled(1, bGrads[bi])
-		tensor.Put(wGrads[bi])
-		tensor.Put(bGrads[bi])
 	}
-	return dx
 }

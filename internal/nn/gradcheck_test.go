@@ -8,6 +8,10 @@ import (
 	"repro/internal/tensor"
 )
 
+// ws is the workspace every layer test draws from. Nothing here resets it,
+// so each tensor a layer hands out stays valid for the rest of the test.
+var ws = new(tensor.Workspace)
+
 // numGrad computes the finite-difference gradient of loss() with respect
 // to every entry of w.
 func numGrad(w *tensor.Tensor, loss func() float64) []float64 {
@@ -57,12 +61,12 @@ func TestLinearGradients(t *testing.T) {
 	x := tensor.Randn(rng, 1, 5, 4)
 	tgt := tensor.Randn(rng, 1, 5, 3)
 	forward := func() float64 {
-		loss, _ := MSELoss(l.Forward(x), tgt)
+		loss, _ := MSELoss(l.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(l.Forward(x), tgt)
-		l.Backward(g)
+		_, g := MSELoss(l.Forward(ws, x), tgt)
+		l.Backward(ws, g)
 	}
 	checkModuleGrads(t, l, forward, backward)
 }
@@ -72,10 +76,10 @@ func TestLinearInputGradient(t *testing.T) {
 	l := NewLinear(rng, 4, 3)
 	x := tensor.Randn(rng, 1, 5, 4)
 	tgt := tensor.Randn(rng, 1, 5, 3)
-	_, g := MSELoss(l.Forward(x), tgt)
-	dx := l.Backward(g)
+	_, g := MSELoss(l.Forward(ws, x), tgt)
+	dx := l.Backward(ws, g)
 	num := numGrad(x, func() float64 {
-		loss, _ := MSELoss(l.Forward(x), tgt)
+		loss, _ := MSELoss(l.Forward(ws, x), tgt)
 		return loss
 	})
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -95,10 +99,10 @@ func TestActivationGradients(t *testing.T) {
 			}
 		}
 		tgt := tensor.Randn(rng, 1, 6, 4)
-		_, g := MSELoss(a.Forward(x), tgt)
-		dx := a.Backward(g)
+		_, g := MSELoss(a.Forward(ws, x), tgt)
+		dx := a.Backward(ws, g)
 		num := numGrad(x, func() float64 {
-			loss, _ := MSELoss(a.Forward(x), tgt)
+			loss, _ := MSELoss(a.Forward(ws, x), tgt)
 			return loss
 		})
 		if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -114,12 +118,12 @@ func TestLSTMGradients(t *testing.T) {
 	x = x.Reshape(2, 4, 3)
 	tgt := tensor.Randn(rng, 1, 2, 4, 5).Reshape(2, 4, 5)
 	forward := func() float64 {
-		loss, _ := MSELoss(l.Forward(x), tgt)
+		loss, _ := MSELoss(l.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(l.Forward(x), tgt)
-		l.Backward(g)
+		_, g := MSELoss(l.Forward(ws, x), tgt)
+		l.Backward(ws, g)
 	}
 	checkModuleGrads(t, l, forward, backward)
 }
@@ -129,10 +133,10 @@ func TestLSTMInputGradient(t *testing.T) {
 	l := NewLSTM(rng, 3, 4)
 	x := tensor.Randn(rng, 1, 2, 3, 3).Reshape(2, 3, 3)
 	tgt := tensor.Randn(rng, 1, 2, 3, 4).Reshape(2, 3, 4)
-	_, g := MSELoss(l.Forward(x), tgt)
-	dx := l.Backward(g)
+	_, g := MSELoss(l.Forward(ws, x), tgt)
+	dx := l.Backward(ws, g)
 	num := numGrad(x, func() float64 {
-		loss, _ := MSELoss(l.Forward(x), tgt)
+		loss, _ := MSELoss(l.Forward(ws, x), tgt)
 		return loss
 	})
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -151,18 +155,18 @@ func TestLayerNormGradients(t *testing.T) {
 	x := tensor.Randn(rng, 1, 4, 5)
 	tgt := tensor.Randn(rng, 1, 4, 5)
 	forward := func() float64 {
-		loss, _ := MSELoss(l.Forward(x), tgt)
+		loss, _ := MSELoss(l.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(l.Forward(x), tgt)
-		l.Backward(g)
+		_, g := MSELoss(l.Forward(ws, x), tgt)
+		l.Backward(ws, g)
 	}
 	checkModuleGrads(t, l, forward, backward)
 	// Input gradient too.
 	ZeroGrads(l)
-	_, g := MSELoss(l.Forward(x), tgt)
-	dx := l.Backward(g)
+	_, g := MSELoss(l.Forward(ws, x), tgt)
+	dx := l.Backward(ws, g)
 	num := numGrad(x, forward)
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
 		t.Fatalf("LayerNorm dx mismatch: %v", e)
@@ -175,17 +179,17 @@ func TestAttentionGradients(t *testing.T) {
 	x := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
 	tgt := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
 	forward := func() float64 {
-		loss, _ := MSELoss(m.Forward(x), tgt)
+		loss, _ := MSELoss(m.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(m.Forward(x), tgt)
-		m.Backward(g)
+		_, g := MSELoss(m.Forward(ws, x), tgt)
+		m.Backward(ws, g)
 	}
 	checkModuleGrads(t, m, forward, backward)
 	ZeroGrads(m)
-	_, g := MSELoss(m.Forward(x), tgt)
-	dx := m.Backward(g)
+	_, g := MSELoss(m.Forward(ws, x), tgt)
+	dx := m.Backward(ws, g)
 	num := numGrad(x, forward)
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
 		t.Fatalf("attention dx mismatch: %v", e)
@@ -200,12 +204,12 @@ func TestTransformerBlockGradients(t *testing.T) {
 	x := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
 	tgt := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
 	forward := func() float64 {
-		loss, _ := MSELoss(b.Forward(x), tgt)
+		loss, _ := MSELoss(b.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(b.Forward(x), tgt)
-		b.Backward(g)
+		_, g := MSELoss(b.Forward(ws, x), tgt)
+		b.Backward(ws, g)
 	}
 	checkModuleGrads(t, b, forward, backward)
 }
@@ -214,20 +218,20 @@ func TestConv3DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := NewConv3D(rng, 2, 3, 2, 1, 0)
 	x := tensor.Randn(rng, 1, 1, 2, 3, 3, 3).Reshape(1, 2, 3, 3, 3)
-	out := c.Forward(x)
+	out := c.Forward(ws, x)
 	tgt := tensor.Randn(rng, 1, out.Shape...)
 	forward := func() float64 {
-		loss, _ := MSELoss(c.Forward(x), tgt)
+		loss, _ := MSELoss(c.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(c.Forward(x), tgt)
-		c.Backward(g)
+		_, g := MSELoss(c.Forward(ws, x), tgt)
+		c.Backward(ws, g)
 	}
 	checkModuleGrads(t, c, forward, backward)
 	ZeroGrads(c)
-	_, g := MSELoss(c.Forward(x), tgt)
-	dx := c.Backward(g)
+	_, g := MSELoss(c.Forward(ws, x), tgt)
+	dx := c.Backward(ws, g)
 	num := numGrad(x, forward)
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
 		t.Fatalf("conv3d dx mismatch: %v", e)
@@ -238,19 +242,19 @@ func TestConv3DStridePad(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	c := NewConv3D(rng, 1, 2, 3, 2, 1)
 	x := tensor.Randn(rng, 1, 1, 1, 5, 5, 5).Reshape(1, 1, 5, 5, 5)
-	out := c.Forward(x)
+	out := c.Forward(ws, x)
 	// (5 + 2 - 3)/2 + 1 = 3
 	if out.Dim(2) != 3 || out.Dim(3) != 3 || out.Dim(4) != 3 {
 		t.Fatalf("strided conv output %v, want spatial 3³", out.Shape)
 	}
 	tgt := tensor.Randn(rng, 1, out.Shape...)
 	forward := func() float64 {
-		loss, _ := MSELoss(c.Forward(x), tgt)
+		loss, _ := MSELoss(c.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(c.Forward(x), tgt)
-		c.Backward(g)
+		_, g := MSELoss(c.Forward(ws, x), tgt)
+		c.Backward(ws, g)
 	}
 	checkModuleGrads(t, c, forward, backward)
 }
@@ -259,24 +263,24 @@ func TestConvTranspose3DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := NewConvTranspose3D(rng, 2, 2, 2, 2)
 	x := tensor.Randn(rng, 1, 1, 2, 2, 2, 2).Reshape(1, 2, 2, 2, 2)
-	out := c.Forward(x)
+	out := c.Forward(ws, x)
 	// (2-1)*2+2 = 4
 	if out.Dim(2) != 4 {
 		t.Fatalf("convtranspose output %v, want spatial 4³", out.Shape)
 	}
 	tgt := tensor.Randn(rng, 1, out.Shape...)
 	forward := func() float64 {
-		loss, _ := MSELoss(c.Forward(x), tgt)
+		loss, _ := MSELoss(c.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(c.Forward(x), tgt)
-		c.Backward(g)
+		_, g := MSELoss(c.Forward(ws, x), tgt)
+		c.Backward(ws, g)
 	}
 	checkModuleGrads(t, c, forward, backward)
 	ZeroGrads(c)
-	_, g := MSELoss(c.Forward(x), tgt)
-	dx := c.Backward(g)
+	_, g := MSELoss(c.Forward(ws, x), tgt)
+	dx := c.Backward(ws, g)
 	num := numGrad(x, forward)
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
 		t.Fatalf("convtranspose dx mismatch: %v", e)
@@ -305,10 +309,10 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	var loss float64
 	for it := 0; it < 500; it++ {
 		ZeroGrads(l)
-		pred := l.Forward(x)
+		pred := l.Forward(ws, x)
 		var g *tensor.Tensor
 		loss, g = MSELoss(pred, y)
-		l.Backward(g)
+		l.Backward(ws, g)
 		opt.Step(l)
 	}
 	if loss > 1e-6 {

@@ -29,22 +29,25 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
 // Forward computes y[B,Out] from x[B,In], caching x for backward. The
-// weight is consumed in its stored [Out, In] orientation via MatMulTransB —
-// no transposed copy is materialized per call.
-func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
+// weight is consumed in its stored [Out, In] orientation — no transposed
+// copy is materialized per call — and y lives on ws.
+func (l *Linear) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
-	y := tensor.MatMulTransB(x, l.W.W)
+	y := ws.New(x.Dim(0), l.Out)
+	tensor.MatMulTransBAccum(y, x, l.W.W)
 	tensor.AddRowVecInto(y, y, l.B.W)
 	return y
 }
 
 // Backward takes dL/dy [B,Out], accumulates parameter grads, and returns
-// dL/dx [B,In].
-func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
+// dL/dx [B,In] on ws.
+func (l *Linear) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
 	// dW += dyᵀ·x directly into the grad accumulator; db += Σ_B dy; dx = dy·W.
 	tensor.MatMulTransAAccum(l.W.Grad, dy, l.x)
 	tensor.SumRowsInto(l.B.Grad, dy)
-	return tensor.MatMul(dy, l.W.W)
+	dx := ws.New(dy.Dim(0), l.In)
+	tensor.MatMulAccum(dx, dy, l.W.W)
+	return dx
 }
 
 // Activation is an element-wise nonlinearity with cached forward output or
@@ -68,21 +71,21 @@ func NewActivation(kind string) *Activation {
 // Params implements Module.
 func (a *Activation) Params() []*Param { return nil }
 
-// Forward applies the nonlinearity.
-func (a *Activation) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y := x.Clone()
+// Forward applies the nonlinearity, writing a new tensor on ws.
+func (a *Activation) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
+	y := ws.New(x.Shape...)
 	switch a.Kind {
 	case "tanh":
-		y.Apply(tanh)
+		tensor.ApplyInto(y, x, tanh)
 		a.out = y
 	case "sigmoid":
-		y.Apply(sigmoid)
+		tensor.ApplyInto(y, x, sigmoid)
 		a.out = y
 	case "relu":
 		a.in = x
-		for i, v := range y.Data {
-			if v < 0 {
-				y.Data[i] = 0
+		for i, v := range x.Data {
+			if !(v < 0) { // y is zeroed; NaN passes through as it always did
+				y.Data[i] = v
 			}
 		}
 	}
@@ -90,23 +93,23 @@ func (a *Activation) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward maps dL/dy to dL/dx.
-func (a *Activation) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := dy.Clone()
+func (a *Activation) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
+	dx := ws.New(dy.Shape...)
 	switch a.Kind {
 	case "tanh":
-		for i := range dx.Data {
+		for i, g := range dy.Data {
 			o := a.out.Data[i]
-			dx.Data[i] *= 1 - o*o
+			dx.Data[i] = g * (1 - o*o)
 		}
 	case "sigmoid":
-		for i := range dx.Data {
+		for i, g := range dy.Data {
 			o := a.out.Data[i]
-			dx.Data[i] *= o * (1 - o)
+			dx.Data[i] = g * (o * (1 - o))
 		}
 	case "relu":
-		for i := range dx.Data {
-			if a.in.Data[i] < 0 {
-				dx.Data[i] = 0
+		for i, g := range dy.Data {
+			if !(a.in.Data[i] < 0) {
+				dx.Data[i] = g
 			}
 		}
 	}

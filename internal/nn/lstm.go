@@ -55,10 +55,10 @@ func (l *LSTM) Params() []*Param {
 	return out
 }
 
-// timeSlice extracts x_t [B, In] from x [B, T, In].
-func timeSlice(x *tensor.Tensor, t int) *tensor.Tensor {
+// timeSlice extracts x_t [B, In] from x [B, T, In] onto ws.
+func timeSlice(ws *tensor.Workspace, x *tensor.Tensor, t int) *tensor.Tensor {
 	b, tt, c := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := tensor.New(b, c)
+	out := ws.New(b, c)
 	for i := 0; i < b; i++ {
 		copy(out.Data[i*c:(i+1)*c], x.Data[(i*tt+t)*c:(i*tt+t)*c+c])
 	}
@@ -73,28 +73,37 @@ func setTimeSlice(dst, v *tensor.Tensor, t int) {
 	}
 }
 
+// perStep returns s resized to one entry per timestep, reusing its array.
+func perStep(s []*tensor.Tensor, seq int) []*tensor.Tensor {
+	if cap(s) < seq {
+		return make([]*tensor.Tensor, seq)
+	}
+	return s[:seq]
+}
+
 // Forward runs the sequence and returns h [B, T, Hidden].
-func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (l *LSTM) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
 	b, seq := x.Dim(0), x.Dim(1)
 	l.x = x
 	l.batch, l.seq = b, seq
-	l.cells = make([]*tensor.Tensor, seq)
-	l.hiddens = make([]*tensor.Tensor, seq)
-	l.tanhCells = make([]*tensor.Tensor, seq)
+	l.cells = perStep(l.cells, seq)
+	l.hiddens = perStep(l.hiddens, seq)
+	l.tanhCells = perStep(l.tanhCells, seq)
 	for g := 0; g < 4; g++ {
-		l.gates[g] = make([]*tensor.Tensor, seq)
+		l.gates[g] = perStep(l.gates[g], seq)
 	}
 
-	h := tensor.New(b, l.Hidden)
-	c := tensor.New(b, l.Hidden)
-	out := tensor.New(b, seq, l.Hidden)
+	h := ws.New(b, l.Hidden)
+	c := ws.New(b, l.Hidden)
+	out := ws.New(b, seq, l.Hidden)
 	for t := 0; t < seq; t++ {
-		xt := timeSlice(x, t)
+		xt := timeSlice(ws, x, t)
 		var pre [4]*tensor.Tensor
 		for g := 0; g < 4; g++ {
-			// x·Wᵀ and h·Uᵀ in the weights' stored orientation; the hidden
-			// product accumulates straight into p — no transposes, no temp.
-			p := tensor.MatMulTransB(xt, l.Wx[g].W)
+			// x·Wᵀ and h·Uᵀ in the weights' stored orientation; both
+			// products accumulate straight into p — no transposes, no temp.
+			p := ws.New(b, l.Hidden)
+			tensor.MatMulTransBAccum(p, xt, l.Wx[g].W)
 			tensor.MatMulTransBAccum(p, h, l.Wh[g].W)
 			tensor.AddRowVecInto(p, p, l.B[g].W)
 			pre[g] = p
@@ -104,13 +113,14 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 		pre[2].Apply(tanh)    // g
 		pre[3].Apply(sigmoid) // o
 
-		cNew := tensor.New(b, l.Hidden)
+		cNew := ws.New(b, l.Hidden)
 		for i := range cNew.Data {
 			cNew.Data[i] = pre[1].Data[i]*c.Data[i] + pre[0].Data[i]*pre[2].Data[i]
 		}
-		tc := cNew.Clone()
-		tc.Apply(tanh)
-		hNew := tensor.Mul(pre[3], tc)
+		tc := ws.New(b, l.Hidden)
+		tensor.ApplyInto(tc, cNew, tanh)
+		hNew := ws.New(b, l.Hidden)
+		tensor.MulInto(hNew, pre[3], tc)
 
 		for g := 0; g < 4; g++ {
 			l.gates[g][t] = pre[g]
@@ -126,36 +136,35 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward takes dL/dh for the full sequence [B, T, Hidden], accumulates
 // parameter gradients, and returns dL/dx [B, T, In].
-func (l *LSTM) Backward(dout *tensor.Tensor) *tensor.Tensor {
+func (l *LSTM) Backward(ws *tensor.Workspace, dout *tensor.Tensor) *tensor.Tensor {
 	b, seq := l.batch, l.seq
-	dx := tensor.New(b, seq, l.In)
-	dhNext := tensor.New(b, l.Hidden)
-	dcNext := tensor.New(b, l.Hidden)
+	dx := ws.New(b, seq, l.In)
+	dhNext := ws.New(b, l.Hidden)
+	dcNext := ws.New(b, l.Hidden)
+	zero := ws.New(b, l.Hidden) // c and h before the first timestep
 
 	for t := seq - 1; t >= 0; t-- {
-		dh := timeSlice(dout, t)
+		dh := timeSlice(ws, dout, t)
 		tensor.AddInto(dh, dh, dhNext)
 
 		i, f, g, o := l.gates[0][t], l.gates[1][t], l.gates[2][t], l.gates[3][t]
 		tc := l.tanhCells[t]
 
 		// dc = dh ∘ o ∘ (1 - tanh²(c)) + dcNext
-		dc := tensor.New(b, l.Hidden)
+		dc := ws.New(b, l.Hidden)
 		for k := range dc.Data {
 			dc.Data[k] = dh.Data[k]*o.Data[k]*(1-tc.Data[k]*tc.Data[k]) + dcNext.Data[k]
 		}
 
-		var cPrev *tensor.Tensor
+		cPrev, hPrev := zero, zero
 		if t > 0 {
-			cPrev = l.cells[t-1]
-		} else {
-			cPrev = tensor.New(b, l.Hidden)
+			cPrev, hPrev = l.cells[t-1], l.hiddens[t-1]
 		}
 
 		// Gate pre-activation gradients.
 		dPre := [4]*tensor.Tensor{
-			tensor.New(b, l.Hidden), tensor.New(b, l.Hidden),
-			tensor.New(b, l.Hidden), tensor.New(b, l.Hidden),
+			ws.New(b, l.Hidden), ws.New(b, l.Hidden),
+			ws.New(b, l.Hidden), ws.New(b, l.Hidden),
 		}
 		for k := range dc.Data {
 			di := dc.Data[k] * g.Data[k]
@@ -168,16 +177,9 @@ func (l *LSTM) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			dPre[3].Data[k] = do * o.Data[k] * (1 - o.Data[k])
 		}
 
-		xt := timeSlice(l.x, t)
-		var hPrev *tensor.Tensor
-		if t > 0 {
-			hPrev = l.hiddens[t-1]
-		} else {
-			hPrev = tensor.New(b, l.Hidden)
-		}
-
-		dxt := tensor.New(b, l.In)
-		dhPrev := tensor.New(b, l.Hidden)
+		xt := timeSlice(ws, l.x, t)
+		dxt := ws.New(b, l.In)
+		dhPrev := ws.New(b, l.Hidden)
 		for gi := 0; gi < 4; gi++ {
 			// Parameter grads accumulate in place (no transpose temps).
 			tensor.MatMulTransAAccum(l.Wx[gi].Grad, dPre[gi], xt)
@@ -190,7 +192,8 @@ func (l *LSTM) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		setTimeSlice(dx, dxt, t)
 
 		dhNext = dhPrev
-		dcNext = tensor.Mul(dc, f)
+		dcNext = ws.New(b, l.Hidden)
+		tensor.MulInto(dcNext, dc, f)
 	}
 	return dx
 }

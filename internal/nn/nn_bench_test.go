@@ -7,9 +7,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Forward/backward micro-benchmarks with allocation tracking. The matmul
-// family keeps layer math out of the allocator; remaining allocs are the
-// layer outputs themselves (which escape by design).
+// Forward/backward micro-benchmarks with allocation tracking. Every
+// iteration resets the workspace the way a model's Forward does, so the
+// steady state reports the closures of multi-chunk kernels and nothing
+// else.
 
 func BenchmarkLinearForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -18,7 +19,8 @@ func BenchmarkLinearForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Forward(x)
+		ws.Reset()
+		l.Forward(ws, x)
 	}
 }
 
@@ -27,11 +29,12 @@ func BenchmarkLinearBackward(b *testing.B) {
 	l := NewLinear(rng, 128, 128)
 	x := tensor.Randn(rng, 1, 64, 128)
 	dy := tensor.Randn(rng, 1, 64, 128)
-	l.Forward(x)
+	l.Forward(ws, x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Backward(dy)
+		ws.Reset()
+		l.Backward(ws, dy)
 	}
 }
 
@@ -43,8 +46,9 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Forward(x)
-		l.Backward(dy)
+		ws.Reset()
+		l.Forward(ws, x)
+		l.Backward(ws, dy)
 	}
 }
 
@@ -56,8 +60,9 @@ func BenchmarkAttentionForwardBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(x)
-		m.Backward(dy)
+		ws.Reset()
+		m.Forward(ws, x)
+		m.Backward(ws, dy)
 	}
 }
 
@@ -65,12 +70,13 @@ func BenchmarkConv3DForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewConv3D(rng, 4, 8, 2, 2, 0)
 	x := tensor.Randn(rng, 1, 4, 4, 16, 16, 16)
-	c.Forward(x)
+	c.Forward(ws, x)
 	dy := tensor.Randn(rng, 1, 4, 8, 8, 8, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Forward(x)
-		c.Backward(dy)
+		ws.Reset()
+		c.Forward(ws, x)
+		c.Backward(ws, dy)
 	}
 }

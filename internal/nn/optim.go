@@ -14,9 +14,8 @@ func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 }
 
 // MSELossInto writes dL/dpred into grad (which must match pred's length)
-// and returns the loss. It exists so hot loops can route the gradient
-// buffer through the tensor workspace (Get/Put) instead of allocating one
-// per step.
+// and returns the loss. It exists so hot loops can take the gradient
+// buffer from their step workspace instead of allocating one per step.
 func MSELossInto(grad, pred, target *tensor.Tensor) float64 {
 	if pred.Len() != target.Len() || grad.Len() != pred.Len() {
 		panic("nn: MSE length mismatch")
@@ -32,6 +31,8 @@ func MSELossInto(grad, pred, target *tensor.Tensor) float64 {
 }
 
 // Adam is the Adam optimizer (Kingma & Ba 2015) with optional weight decay.
+// One Adam drives one module: its moments are kept per parameter, in the
+// order of the Params() list the first Step saw.
 type Adam struct {
 	LR          float64
 	Beta1       float64
@@ -39,49 +40,68 @@ type Adam struct {
 	Eps         float64
 	WeightDecay float64
 	step        int
-	m, v        map[*Param][]float64
+	m, v        [][]float64
 }
 
 // NewAdam builds Adam with the paper's defaults (lr 0.001).
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: map[*Param][]float64{}, v: map[*Param][]float64{}}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one update to all parameters of m using their accumulated
+// Step applies one update to all parameters of mod using their accumulated
 // gradients.
 func (a *Adam) Step(mod Module) {
+	params := mod.Params()
+	if a.m == nil {
+		a.m, a.v = momentsFor(params), momentsFor(params)
+	}
+	if len(params) != len(a.m) {
+		panic("nn: Adam stepped on a module other than the one it started with")
+	}
 	a.step++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	for _, p := range mod.Params() {
-		mom, ok := a.m[p]
-		if !ok {
-			mom = make([]float64, p.W.Len())
-			a.m[p] = mom
-		}
-		vel, ok := a.v[p]
-		if !ok {
-			vel = make([]float64, p.W.Len())
-			a.v[p] = vel
-		}
+	pool := tensor.DefaultPool()
+	for k, p := range params {
 		// The per-element update is independent, so it fans out across the
 		// kernel pool (bit-identical to the serial loop).
-		w, grad := p.W.Data, p.Grad.Data
-		tensor.DefaultPool().ParallelFor(len(w), 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				g := grad[i]
-				if a.WeightDecay > 0 {
-					g += a.WeightDecay * w[i]
-				}
-				mom[i] = a.Beta1*mom[i] + (1-a.Beta1)*g
-				vel[i] = a.Beta2*vel[i] + (1-a.Beta2)*g*g
-				mh := mom[i] / bc1
-				vh := vel[i] / bc2
-				w[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-			}
-		})
+		w, grad, mom, vel := p.W.Data, p.Grad.Data, a.m[k], a.v[k]
+		if pool.Inline(len(w), 4096) {
+			a.update(w, grad, mom, vel, bc1, bc2, 0, len(w))
+			continue
+		}
+		pool.ParallelFor(len(w), 4096, func(lo, hi int) { a.update(w, grad, mom, vel, bc1, bc2, lo, hi) })
 	}
+}
+
+func (a *Adam) update(w, grad, mom, vel []float64, bc1, bc2 float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		g := grad[i]
+		if a.WeightDecay > 0 {
+			g += a.WeightDecay * w[i]
+		}
+		mom[i] = a.Beta1*mom[i] + (1-a.Beta1)*g
+		vel[i] = a.Beta2*vel[i] + (1-a.Beta2)*g*g
+		mh := mom[i] / bc1
+		vh := vel[i] / bc2
+		w[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+	}
+}
+
+// momentsFor returns one zeroed moment vector per parameter, all cut from a
+// single allocation.
+func momentsFor(params []*Param) [][]float64 {
+	total := 0
+	for _, p := range params {
+		total += p.W.Len()
+	}
+	flat := make([]float64, total)
+	out := make([][]float64, len(params))
+	for k, p := range params {
+		n := p.W.Len()
+		out[k], flat = flat[:n:n], flat[n:]
+	}
+	return out
 }
 
 // PlateauScheduler implements reduce-LR-on-plateau with the paper's

@@ -25,7 +25,10 @@ func NewParam(name string, w *tensor.Tensor) *Param {
 	return &Param{Name: name, W: w, Grad: tensor.New(w.Shape...)}
 }
 
-// Module is anything owning parameters.
+// Module is anything owning parameters. Params returns the same
+// parameters in the same order on every call (checkpoints and the
+// optimizer's state are positional); callers must not modify the returned
+// slice, which a module may build once and hand out again.
 type Module interface {
 	Params() []*Param
 }

@@ -106,14 +106,14 @@ func TestQuantizedModelStillWorks(t *testing.T) {
 	y := tensor.FromSlice([]float64{-4, -1, 2, 5}, 4, 1)
 	for it := 0; it < 300; it++ {
 		ZeroGrads(l)
-		pred := l.Forward(x)
+		pred := l.Forward(ws, x)
 		_, g := MSELoss(pred, y)
-		l.Backward(g)
+		l.Backward(ws, g)
 		opt.Step(l)
 	}
-	lossBefore, _ := MSELoss(l.Forward(x), y)
+	lossBefore, _ := MSELoss(l.Forward(ws, x), y)
 	QuantizeFP16(l)
-	lossAfter, _ := MSELoss(l.Forward(x), y)
+	lossAfter, _ := MSELoss(l.Forward(ws, x), y)
 	if lossAfter > lossBefore+1e-3 {
 		t.Fatalf("fp16 destroyed the model: %v -> %v", lossBefore, lossAfter)
 	}

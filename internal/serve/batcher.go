@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/tensor"
+	"repro/internal/train"
 	"repro/pkg/api"
 )
 
@@ -293,7 +294,6 @@ func (b *Batcher) runBatch(model string, batch []*inferRequest) {
 	}
 	batch = uniform
 
-	in := stackInputs(batch)
 	// recordExec stamps each traced request's execute span: replica
 	// acquisition + the shared forward pass, with the realized batch size.
 	execStart := time.Now()
@@ -323,36 +323,45 @@ func (b *Batcher) runBatch(model string, batch []*inferRequest) {
 	}
 	rep, err := entry.Acquire(acquireCtx)
 	if err != nil {
-		tensor.Put(in)
 		recordExec(api.AsError(err).Message)
 		fail(api.AsError(err))
 		return
 	}
-	out, err := forward(rep, in)
+	// Both the stacked input and the prediction live on the replica's own
+	// workspaces (steady-state batching allocates neither), so the replica
+	// is released only after the rows have been copied out: released any
+	// earlier, the next batch to acquire it would overwrite out mid-copy.
+	rows, err := inferRows(model, rep, batch)
 	entry.Release(rep)
-	// The stacked input is dead once the forward pass returns (replicas
-	// re-cache on the next forward), so recycle it into the workspace:
-	// steady-state batching allocates no input buffers.
-	tensor.Put(in)
 	if err != nil {
 		recordExec(err.Error())
 		fail(err)
 		return
 	}
-	if out.Dim(0) != len(batch) {
-		recordExec("batch dimension mismatch")
-		fail(api.Errorf(api.CodeInternal,
-			"serve: model %q returned batch %d for input batch %d", model, out.Dim(0), len(batch)))
-		return
-	}
 	recordExec("")
-	rowShape := append([]int(nil), out.Shape[1:]...)
-	stride := out.Len() / out.Dim(0)
 	for i, r := range batch {
-		row := tensor.New(rowShape...)
-		copy(row.Data, out.Data[i*stride:(i+1)*stride])
-		r.resp <- inferResult{output: row, version: entry.Version, batchSize: len(batch)}
+		r.resp <- inferResult{output: rows[i], version: entry.Version, batchSize: len(batch)}
 	}
+}
+
+// inferRows runs one forward pass over the stacked batch on rep and
+// returns a private copy of each request's output row.
+func inferRows(model string, rep train.Model, batch []*inferRequest) ([]*tensor.Tensor, error) {
+	out, err := forward(rep, stackInputs(rep, batch))
+	if err != nil {
+		return nil, err
+	}
+	if out.Dim(0) != len(batch) {
+		return nil, api.Errorf(api.CodeInternal,
+			"serve: model %q returned batch %d for input batch %d", model, out.Dim(0), len(batch))
+	}
+	rows := make([]*tensor.Tensor, len(batch))
+	stride := out.Len() / out.Dim(0)
+	for i := range rows {
+		rows[i] = tensor.New(out.Shape[1:]...)
+		copy(rows[i].Data, out.Data[i*stride:(i+1)*stride])
+	}
+	return rows, nil
 }
 
 // forward runs the model's forward pass, converting panics (shape
@@ -369,11 +378,12 @@ func forward(m interface {
 	return m.Forward(in), nil
 }
 
-// stackInputs assembles [B, ...] from per-example tensors of equal shape,
-// drawing the batch buffer from the tensor workspace.
-func stackInputs(batch []*inferRequest) *tensor.Tensor {
-	shape := append([]int{len(batch)}, batch[0].input.Shape...)
-	out := tensor.Get(shape...)
+// stackInputs assembles [B, ...] from per-example tensors of equal shape
+// on the replica's batch tape.
+func stackInputs(rep train.Model, batch []*inferRequest) *tensor.Tensor {
+	ws := train.BatchTape(rep)
+	ws.Reset()
+	out := ws.NewBatch(len(batch), batch[0].input)
 	stride := batch[0].input.Len()
 	for i, r := range batch {
 		copy(out.Data[i*stride:(i+1)*stride], r.input.Data)

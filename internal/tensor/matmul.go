@@ -111,34 +111,40 @@ func checkDst2D(dst *Tensor, m, n int, op string) {
 // parallel over output rows. Accumulation order over l is ascending for
 // every output cell — bit-identical to matmulAccumRef.
 func matmulAccum(dst, a, b []float64, m, k, n int, p *Pool) {
-	p.ParallelFor(m, rowGrain, func(i0, i1 int) {
-		for jb := 0; jb < n; jb += blockJ {
-			j1 := jb + blockJ
-			if j1 > n {
-				j1 = n
+	if p.Inline(m, rowGrain) {
+		matmulAccumRows(dst, a, b, k, n, 0, m)
+		return
+	}
+	p.ParallelFor(m, rowGrain, func(i0, i1 int) { matmulAccumRows(dst, a, b, k, n, i0, i1) })
+}
+
+func matmulAccumRows(dst, a, b []float64, k, n, i0, i1 int) {
+	for jb := 0; jb < n; jb += blockJ {
+		j1 := jb + blockJ
+		if j1 > n {
+			j1 = n
+		}
+		for lb := 0; lb < k; lb += blockK {
+			l1 := lb + blockK
+			if l1 > k {
+				l1 = k
 			}
-			for lb := 0; lb < k; lb += blockK {
-				l1 := lb + blockK
-				if l1 > k {
-					l1 = k
-				}
-				for i := i0; i < i1; i++ {
-					ar := a[i*k : (i+1)*k]
-					dr := dst[i*n+jb : i*n+j1]
-					for l := lb; l < l1; l++ {
-						av := ar[l]
-						if av == 0 {
-							continue
-						}
-						br := b[l*n+jb : l*n+j1]
-						for j, bv := range br {
-							dr[j] += av * bv
-						}
+			for i := i0; i < i1; i++ {
+				ar := a[i*k : (i+1)*k]
+				dr := dst[i*n+jb : i*n+j1]
+				for l := lb; l < l1; l++ {
+					av := ar[l]
+					if av == 0 {
+						continue
+					}
+					br := b[l*n+jb : l*n+j1]
+					for j, bv := range br {
+						dr[j] += av * bv
 					}
 				}
 			}
 		}
-	})
+	}
 }
 
 // matmulAccumRef is the serial reference: plain ikj, no tiling, no pool.
@@ -163,20 +169,26 @@ func matmulAccumRef(dst, a, b []float64, m, k, n int) {
 // matmulTransBAccum computes dst += a @ bᵀ (b stored n×k). Both operands
 // stream contiguously, so no tiling is needed; rows are parallel.
 func matmulTransBAccum(dst, a, b []float64, m, k, n int, p *Pool) {
-	p.ParallelFor(m, rowGrain, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			ar := a[i*k : (i+1)*k]
-			dr := dst[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				br := b[j*k : (j+1)*k]
-				s := 0.0
-				for l, av := range ar {
-					s += av * br[l]
-				}
-				dr[j] += s
+	if p.Inline(m, rowGrain) {
+		matmulTransBAccumRows(dst, a, b, k, n, 0, m)
+		return
+	}
+	p.ParallelFor(m, rowGrain, func(i0, i1 int) { matmulTransBAccumRows(dst, a, b, k, n, i0, i1) })
+}
+
+func matmulTransBAccumRows(dst, a, b []float64, k, n, i0, i1 int) {
+	for i := i0; i < i1; i++ {
+		ar := a[i*k : (i+1)*k]
+		dr := dst[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			br := b[j*k : (j+1)*k]
+			s := 0.0
+			for l, av := range ar {
+				s += av * br[l]
 			}
+			dr[j] += s
 		}
-	})
+	}
 }
 
 // matmulTransBAccumRef is the serial reference for matmulTransBAccum.
@@ -199,21 +211,27 @@ func matmulTransBAccumRef(dst, a, b []float64, m, k, n int) {
 // parallel over dst rows (columns of a). For each dst cell the terms
 // accumulate over the shared dimension m in ascending order.
 func matmulTransAAccum(dst, a, b []float64, m, k, n int, p *Pool) {
-	p.ParallelFor(k, rowGrain, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			dr := dst[i*n : (i+1)*n]
-			for l := 0; l < m; l++ {
-				av := a[l*k+i]
-				if av == 0 {
-					continue
-				}
-				br := b[l*n : (l+1)*n]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
+	if p.Inline(k, rowGrain) {
+		matmulTransAAccumRows(dst, a, b, m, k, n, 0, k)
+		return
+	}
+	p.ParallelFor(k, rowGrain, func(i0, i1 int) { matmulTransAAccumRows(dst, a, b, m, k, n, i0, i1) })
+}
+
+func matmulTransAAccumRows(dst, a, b []float64, m, k, n, i0, i1 int) {
+	for i := i0; i < i1; i++ {
+		dr := dst[i*n : (i+1)*n]
+		for l := 0; l < m; l++ {
+			av := a[l*k+i]
+			if av == 0 {
+				continue
+			}
+			br := b[l*n : (l+1)*n]
+			for j, bv := range br {
+				dr[j] += av * bv
 			}
 		}
-	})
+	}
 }
 
 // matmulTransAAccumRef is the serial reference for matmulTransAAccum.
@@ -278,16 +296,23 @@ func AddRowVecInto(dst, a, v *Tensor) {
 		panic(fmt.Sprintf("tensor: AddRowVec shapes %v, %v, %v incompatible", dst.Shape, a.Shape, v.Shape))
 	}
 	m, n := a.Dim(0), a.Dim(1)
-	vd := v.Data
-	DefaultPool().ParallelFor(m, 4*rowGrain, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			ar := a.Data[i*n : (i+1)*n]
-			dr := dst.Data[i*n : (i+1)*n]
-			for j := range dr {
-				dr[j] = ar[j] + vd[j]
-			}
+	ad, vd, dd := a.Data, v.Data, dst.Data
+	p := DefaultPool()
+	if p.Inline(m, 4*rowGrain) {
+		addRowVecRows(dd, ad, vd, n, 0, m)
+		return
+	}
+	p.ParallelFor(m, 4*rowGrain, func(i0, i1 int) { addRowVecRows(dd, ad, vd, n, i0, i1) })
+}
+
+func addRowVecRows(dd, ad, vd []float64, n, i0, i1 int) {
+	for i := i0; i < i1; i++ {
+		ar := ad[i*n : (i+1)*n]
+		dr := dd[i*n : (i+1)*n]
+		for j := range dr {
+			dr[j] = ar[j] + vd[j]
 		}
-	})
+	}
 }
 
 // SumRowsInto accumulates the column sums of 2-D a into 1-D dst:
@@ -308,6 +333,10 @@ func SumRowsInto(dst, a *Tensor) {
 
 // zeroParallel clears data, fanning large buffers across the pool.
 func zeroParallel(data []float64, p *Pool) {
+	if p.Inline(len(data), ewiseGrain) {
+		clear(data)
+		return
+	}
 	p.ParallelFor(len(data), ewiseGrain, func(lo, hi int) {
 		clear(data[lo:hi])
 	})

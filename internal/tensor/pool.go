@@ -9,7 +9,8 @@ import (
 // Pool is a persistent worker pool for data-parallel kernels. It exists so
 // that hot loops (matmul, element-wise ops, solver steps) do not pay a
 // goroutine spawn + scheduler wakeup per call: the workers are started once
-// and fed closures through a bounded queue.
+// and fed recycled job structs through a bounded queue, so a ParallelFor
+// call allocates nothing of its own.
 //
 // Determinism contract: ParallelFor decomposes [0, n) into fixed chunks of
 // `grain` iterations. The decomposition depends only on (n, grain) — never
@@ -20,7 +21,7 @@ import (
 // that contract, and the parity tests assert it.
 type Pool struct {
 	workers int
-	tasks   chan func()
+	tasks   chan *job
 
 	// Utilization counters read by the observability layer: how many
 	// workers are executing a task right now, and how many tasks the
@@ -38,18 +39,62 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers, tasks: make(chan func(), 4*workers)}
+	// 4 slots per worker: room for a few nested or concurrent calls to
+	// queue their helpers; a full queue only costs a call its helpers.
+	p := &Pool{workers: workers, tasks: make(chan *job, 4*workers)}
 	for i := 0; i < workers; i++ {
 		go func() {
-			for task := range p.tasks {
+			for j := range p.tasks {
 				p.busy.Add(1)
-				task()
+				j.run()
+				j.release()
 				p.busy.Add(-1)
 				p.tasksDone.Add(1)
 			}
 		}()
 	}
 	return p
+}
+
+// job is one multi-chunk ParallelFor call: the caller and every helper it
+// queued claim chunks from next until none are left. Jobs are recycled
+// through jobs, and refs decides when: the caller holds one reference and
+// each queued helper one, so a helper that only starts after the caller
+// has returned still finds its own job (with no chunk left to claim), and
+// the struct is reissued only once the last of them has let go.
+type job struct {
+	fn               func(lo, hi int)
+	n, grain, chunks int
+	next             atomic.Int64   // next unclaimed chunk
+	pending          sync.WaitGroup // chunks not yet finished
+	refs             atomic.Int32
+}
+
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// run executes chunks until all are claimed. Completion is tracked per
+// CHUNK, not per helper: a queued helper that only starts after all chunks
+// are claimed finds nothing to do and exits, and nobody waits on it. This
+// is what makes nested ParallelFor deadlock-free — a goroutine blocked in
+// pending.Wait is only ever waiting on chunks that some live goroutine is
+// actively executing.
+func (j *job) run() {
+	for {
+		c := int(j.next.Add(1)) - 1
+		if c >= j.chunks {
+			return
+		}
+		lo := c * j.grain
+		j.fn(lo, min(lo+j.grain, j.n))
+		j.pending.Done()
+	}
+}
+
+func (j *job) release() {
+	if j.refs.Add(-1) == 0 {
+		j.fn = nil // do not pin the caller's closure while the job sits in the pool
+		jobs.Put(j)
+	}
 }
 
 // Workers returns the pool's worker count.
@@ -120,6 +165,13 @@ func SetWorkers(n int) {
 	defaultPool.Store(NewPool(n))
 }
 
+// Inline reports whether ParallelFor(n, grain, fn) would simply call
+// fn(0, n) on the caller: no pool, or a single chunk. A closure handed to
+// ParallelFor escapes, so it costs an allocation even on that path;
+// kernels on hot paths ask Inline first and call their range function
+// directly, constructing the closure only when there is work to share.
+func (p *Pool) Inline(n, grain int) bool { return p == nil || n <= max(grain, 1) }
+
 // ParallelFor runs fn over [0, n) split into chunks of grain iterations.
 // fn(lo, hi) must be safe to run concurrently with other chunks (disjoint
 // writes). A nil pool, a single chunk, or a saturated task queue degrade to
@@ -132,51 +184,33 @@ func (p *Pool) ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
+	if p.Inline(n, grain) {
+		fn(0, n)
+		return
+	}
 	if grain <= 0 {
 		grain = 1
 	}
 	chunks := (n + grain - 1) / grain
-	if p == nil || chunks == 1 {
-		fn(0, n)
-		return
-	}
-	// Completion is tracked per CHUNK, not per helper task: a queued helper
-	// that only starts after all chunks are claimed finds nothing to do and
-	// exits, and nobody waits on it. This is what makes nested ParallelFor
-	// deadlock-free — a worker blocked in the final wait is only ever
-	// waiting on chunks that some live goroutine is actively executing.
-	var next, done atomic.Int64
-	allDone := make(chan struct{})
-	run := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-			if int(done.Add(1)) == chunks {
-				close(allDone)
-			}
-		}
-	}
-	helpers := p.workers
-	if helpers > chunks-1 {
-		helpers = chunks - 1
-	}
-	for i := 0; i < helpers; i++ {
+	j := jobs.Get().(*job)
+	j.fn, j.n, j.grain, j.chunks = fn, n, grain, chunks
+	j.next.Store(0)
+	j.pending.Add(chunks)
+	helpers := min(p.workers, chunks-1)
+	j.refs.Store(int32(1 + helpers)) // the caller's, and one per helper
+queue:
+	for sent := 0; sent < helpers; sent++ {
 		select {
-		case p.tasks <- run:
+		case p.tasks <- j:
 		default:
-			// Queue saturated (deep nesting or heavy load): skip the
-			// remaining helpers; the caller works through every chunk.
-			i = helpers
+			// Queue saturated (deep nesting or heavy load): give back the
+			// references of the helpers that were not queued; the caller
+			// works through every chunk.
+			j.refs.Add(int32(sent - helpers))
+			break queue
 		}
 	}
-	run()
-	<-allDone
+	j.run()
+	j.pending.Wait()
+	j.release()
 }

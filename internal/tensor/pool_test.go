@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -93,43 +94,88 @@ func TestPoolConcurrentKernels(t *testing.T) {
 	}
 }
 
-func TestGetPutRoundTrip(t *testing.T) {
-	a := Get(13, 7)
-	if a.Dim(0) != 13 || a.Dim(1) != 7 || a.Len() != 91 {
-		t.Fatalf("Get shape %v", a.Shape)
+// TestParallelForJobRecycling is the -race stress of the recycled job
+// structs. Many goroutines issue nested multi-chunk calls against a
+// two-worker pool, so the queue is saturated most of the time, helpers are
+// routinely dequeued only after their caller has returned, and every job
+// is reissued over and over. Each call sums its own index range into its
+// own accumulator: a helper that touched a reissued job would run another
+// call's closure (a wrong sum here, or a write the race detector sees), and
+// a job recycled while a chunk was still pending would release its caller
+// early (a short sum).
+func TestParallelForJobRecycling(t *testing.T) {
+	p := NewPool(2)
+	const callers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				n := 17 + (g*rounds+r)%40
+				var outer atomic.Int64
+				p.ParallelFor(n, 3, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						var inner atomic.Int64
+						p.ParallelFor(i+2, 1, func(ilo, ihi int) {
+							for k := ilo; k < ihi; k++ {
+								inner.Add(int64(k))
+							}
+						})
+						if want := int64(i+2) * int64(i+1) / 2; inner.Load() != want {
+							t.Errorf("inner sum over [0,%d) = %d, want %d", i+2, inner.Load(), want)
+						}
+						outer.Add(int64(i))
+					}
+				})
+				if want := int64(n) * int64(n-1) / 2; outer.Load() != want {
+					t.Errorf("outer sum over [0,%d) = %d, want %d", n, outer.Load(), want)
+				}
+			}
+		}()
 	}
-	for _, v := range a.Data {
-		if v != 0 {
-			t.Fatal("Get must return a zeroed tensor")
-		}
-	}
-	a.Fill(3)
-	Put(a)
-	if a.Data != nil {
-		t.Fatal("Put must nil out Data to catch use-after-put")
-	}
-	// The recycled buffer must come back zeroed.
-	b := Get(91)
-	for _, v := range b.Data {
-		if v != 0 {
-			t.Fatal("recycled Get must return a zeroed tensor")
-		}
-	}
-	Put(b)
-	Put(nil) // no-op
+	wg.Wait()
 }
 
-func TestGetPutSteadyStateAllocs(t *testing.T) {
-	// Warm the free list, then check the loop body is alloc-free apart from
-	// the Tensor header + shape slice.
-	Put(Get(32, 32))
-	allocs := testing.AllocsPerRun(100, func() {
-		w := Get(32, 32)
-		Put(w)
-	})
-	// Tensor struct + shape slice ≈ 2 allocations; the 1024-float backing
-	// array (the expensive part) must be recycled.
-	if allocs > 3 {
-		t.Fatalf("Get/Put steady state allocates %.1f objects per run", allocs)
+// TestParallelForLateHelper pins the reference count directly, on a pool
+// whose queue nobody drains: every helper is still queued when its caller
+// returns. Such a job must stay out of the free list (the next call gets
+// another struct), and when the helper finally runs it must find no chunk
+// to claim and give the job back.
+func TestParallelForLateHelper(t *testing.T) {
+	p := &Pool{workers: 1, tasks: make(chan *job, 3)}
+	var iterations atomic.Int64
+	call := func() { p.ParallelFor(4, 1, func(lo, hi int) { iterations.Add(int64(hi - lo)) }) }
+	for i := 0; i < cap(p.tasks); i++ {
+		call()
+	}
+	call() // queue full: this one runs without a helper and recycles its job itself
+	if got := iterations.Load(); got != 4*int64(cap(p.tasks)+1) {
+		t.Fatalf("callers covered %d iterations", got)
+	}
+	seen := map[*job]bool{}
+	for len(p.tasks) > 0 {
+		j := <-p.tasks
+		if seen[j] {
+			t.Fatal("a job was reissued while one of its helpers was still queued")
+		}
+		seen[j] = true
+		if refs := j.refs.Load(); refs != 1 {
+			t.Fatalf("queued helper's job holds %d references, want 1", refs)
+		}
+		if j.fn == nil {
+			t.Fatal("job was recycled under its queued helper")
+		}
+		j.run()
+		j.release()
+		if j.fn != nil {
+			t.Fatal("last reference gone but the job was not recycled")
+		}
+	}
+	if len(seen) != cap(p.tasks) {
+		t.Fatalf("%d helpers were queued, want %d", len(seen), cap(p.tasks))
+	}
+	if got := iterations.Load(); got != 4*int64(cap(p.tasks)+1) {
+		t.Fatalf("late helpers ran chunks: %d iterations in total", got)
 	}
 }

@@ -17,9 +17,11 @@
 //     transpose-free MatMulTransB / MatMulTransAAccum orientations that nn
 //     layers use so no Transpose is materialized per forward/backward, and
 //     Accum variants for gradient accumulation without temporaries.
-//   - Get/Put is a size-classed workspace (free list) that makes per-
-//     iteration temporaries in the trainer and serve batcher steady-state
-//     allocation-free.
+//   - Workspace is a step-scoped tape of tensors: the i-th request after
+//     a Reset reuses the i-th slot's storage and header, so a train step
+//     or a forward pass that asks for the same temporaries every time
+//     allocates nothing once the tape is filled. What it hands out is
+//     valid until the next Reset — see the lifetime rule on Workspace.
 //
 // Reductions (Sum, Dot, Norm2) use fixed-grain chunked accumulation with
 // partials combined in chunk order — deterministic on any machine and
@@ -184,16 +186,27 @@ func assertSameLen(a, b *Tensor, op string) {
 // so chunked reductions give the same bits on every machine.
 const ewiseGrain = 4096
 
+// The element-wise kernels below share one shape: a range function that
+// does the work on [lo, hi), called directly when the pool would run it
+// inline anyway (see Pool.Inline) and through ParallelFor otherwise.
+
 // AddInto computes dst = a + b element-wise.
 func AddInto(dst, a, b *Tensor) {
 	assertSameLen(a, b, "add")
 	assertSameLen(dst, a, "add")
 	ad, bd, dd := a.Data, b.Data, dst.Data
-	DefaultPool().ParallelFor(len(dd), ewiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dd[i] = ad[i] + bd[i]
-		}
-	})
+	p := DefaultPool()
+	if p.Inline(len(dd), ewiseGrain) {
+		addRange(dd, ad, bd, 0, len(dd))
+		return
+	}
+	p.ParallelFor(len(dd), ewiseGrain, func(lo, hi int) { addRange(dd, ad, bd, lo, hi) })
+}
+
+func addRange(dd, ad, bd []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dd[i] = ad[i] + bd[i]
+	}
 }
 
 // Add returns a + b element-wise.
@@ -208,11 +221,18 @@ func SubInto(dst, a, b *Tensor) {
 	assertSameLen(a, b, "sub")
 	assertSameLen(dst, a, "sub")
 	ad, bd, dd := a.Data, b.Data, dst.Data
-	DefaultPool().ParallelFor(len(dd), ewiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dd[i] = ad[i] - bd[i]
-		}
-	})
+	p := DefaultPool()
+	if p.Inline(len(dd), ewiseGrain) {
+		subRange(dd, ad, bd, 0, len(dd))
+		return
+	}
+	p.ParallelFor(len(dd), ewiseGrain, func(lo, hi int) { subRange(dd, ad, bd, lo, hi) })
+}
+
+func subRange(dd, ad, bd []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dd[i] = ad[i] - bd[i]
+	}
 }
 
 // Sub returns a - b element-wise.
@@ -227,11 +247,18 @@ func MulInto(dst, a, b *Tensor) {
 	assertSameLen(a, b, "mul")
 	assertSameLen(dst, a, "mul")
 	ad, bd, dd := a.Data, b.Data, dst.Data
-	DefaultPool().ParallelFor(len(dd), ewiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dd[i] = ad[i] * bd[i]
-		}
-	})
+	p := DefaultPool()
+	if p.Inline(len(dd), ewiseGrain) {
+		mulRange(dd, ad, bd, 0, len(dd))
+		return
+	}
+	p.ParallelFor(len(dd), ewiseGrain, func(lo, hi int) { mulRange(dd, ad, bd, lo, hi) })
+}
+
+func mulRange(dd, ad, bd []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dd[i] = ad[i] * bd[i]
+	}
 }
 
 // Mul returns the Hadamard product a*b.
@@ -244,33 +271,61 @@ func Mul(a, b *Tensor) *Tensor {
 // Scale multiplies every element by s in place.
 func (t *Tensor) Scale(s float64) {
 	d := t.Data
-	DefaultPool().ParallelFor(len(d), ewiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] *= s
-		}
-	})
+	p := DefaultPool()
+	if p.Inline(len(d), ewiseGrain) {
+		scaleRange(d, s, 0, len(d))
+		return
+	}
+	p.ParallelFor(len(d), ewiseGrain, func(lo, hi int) { scaleRange(d, s, lo, hi) })
+}
+
+func scaleRange(d []float64, s float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		d[i] *= s
+	}
 }
 
 // AddScaled computes t += s*u in place (axpy).
 func (t *Tensor) AddScaled(s float64, u *Tensor) {
 	assertSameLen(t, u, "axpy")
 	d, ud := t.Data, u.Data
-	DefaultPool().ParallelFor(len(d), ewiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] += s * ud[i]
-		}
-	})
+	p := DefaultPool()
+	if p.Inline(len(d), ewiseGrain) {
+		axpyRange(d, s, ud, 0, len(d))
+		return
+	}
+	p.ParallelFor(len(d), ewiseGrain, func(lo, hi int) { axpyRange(d, s, ud, lo, hi) })
+}
+
+func axpyRange(d []float64, s float64, ud []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		d[i] += s * ud[i]
+	}
 }
 
 // Apply replaces each element x with f(x). f must be pure: it may run
 // concurrently across chunks.
 func (t *Tensor) Apply(f func(float64) float64) {
-	d := t.Data
-	DefaultPool().ParallelFor(len(d), ewiseGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = f(d[i])
-		}
-	})
+	ApplyInto(t, t, f)
+}
+
+// ApplyInto computes dst[i] = f(src[i]); dst may be src. f must be pure: it
+// may run concurrently across chunks.
+func ApplyInto(dst, src *Tensor, f func(float64) float64) {
+	assertSameLen(dst, src, "apply")
+	dd, sd := dst.Data, src.Data
+	p := DefaultPool()
+	if p.Inline(len(dd), ewiseGrain) {
+		applyRange(dd, sd, f, 0, len(dd))
+		return
+	}
+	p.ParallelFor(len(dd), ewiseGrain, func(lo, hi int) { applyRange(dd, sd, f, lo, hi) })
+}
+
+func applyRange(dd, sd []float64, f func(float64) float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dd[i] = f(sd[i])
+	}
 }
 
 // chunkedSum reduces f over [0, n) with fixed ewiseGrain chunks: each

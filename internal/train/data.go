@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/sampling"
@@ -17,21 +18,27 @@ type Example struct {
 	Target *tensor.Tensor
 }
 
-// stack assembles a batch tensor from per-example tensors. The batch
-// tensor comes from the tensor workspace: callers that finish with it
-// inside one step should tensor.Put it back, which makes the training
-// inner loop's stacking allocation-free at steady state.
-func stack(xs []*tensor.Tensor) *tensor.Tensor {
-	shape := append([]int{len(xs)}, xs[0].Shape...)
-	out := tensor.Get(shape...)
-	stride := xs[0].Len()
-	for i, x := range xs {
-		if x.Len() != stride {
-			panic("train: ragged examples in batch")
-		}
-		copy(out.Data[i*stride:(i+1)*stride], x.Data)
+// stackBatch assembles the batch's input and target tensors [B, ...] on
+// m's batch tape, which it resets: the pair stays valid through the
+// Forward and Backward that follow, until the next stackBatch on m.
+func stackBatch(m Model, batch []Example) (in, tgt *tensor.Tensor) {
+	ws := BatchTape(m)
+	ws.Reset()
+	in = ws.NewBatch(len(batch), batch[0].Input)
+	tgt = ws.NewBatch(len(batch), batch[0].Target)
+	for i, ex := range batch {
+		copyRow(in, i, ex.Input)
+		copyRow(tgt, i, ex.Target)
 	}
-	return out
+	return in, tgt
+}
+
+func copyRow(dst *tensor.Tensor, i int, x *tensor.Tensor) {
+	stride := dst.Len() / dst.Dim(0)
+	if x.Len() != stride {
+		panic("train: ragged examples in batch")
+	}
+	copy(dst.Data[i*stride:(i+1)*stride], x.Data)
 }
 
 // SplitTrainTest shuffles and splits examples (paper: 90:10).
@@ -52,6 +59,27 @@ func SplitTrainTest(ex []Example, testFrac float64, seed int64) (trainSet, testS
 	return
 }
 
+// seriesByCube groups samples into one time series per cube, in ascending
+// cube-ID order (and input order within a cube). The order is part of the
+// result: it fixes the example order, hence the train/test split and every
+// loss downstream, so it must not be a map's.
+func seriesByCube(cubes []sampling.CubeSample) [][]sampling.CubeSample {
+	byCube := map[int][]sampling.CubeSample{}
+	for _, cs := range cubes {
+		byCube[cs.Cube.ID] = append(byCube[cs.Cube.ID], cs)
+	}
+	ids := make([]int, 0, len(byCube))
+	for id := range byCube {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	out := make([][]sampling.CubeSample, len(ids))
+	for i, id := range ids {
+		out[i] = byCube[id]
+	}
+	return out
+}
+
 // BuildSampleFull converts subsampled cubes into sample-full examples for
 // the MLP-Transformer: input = the cube's sampled points over a window of
 // snapshots [T, N, C]; target = the dense cube of output variables at the
@@ -61,12 +89,8 @@ func BuildSampleFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) (
 	if window <= 0 {
 		window = 1
 	}
-	byCube := map[int][]sampling.CubeSample{}
-	for _, cs := range cubes {
-		byCube[cs.Cube.ID] = append(byCube[cs.Cube.ID], cs)
-	}
 	var out []Example
-	for _, series := range byCube {
+	for _, series := range seriesByCube(cubes) {
 		for start := 0; start+window <= len(series); start++ {
 			win := series[start : start+window]
 			n := len(win[0].Features)
@@ -114,12 +138,8 @@ func BuildFullFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) ([]
 	if window <= 0 {
 		window = 1
 	}
-	byCube := map[int][]sampling.CubeSample{}
-	for _, cs := range cubes {
-		byCube[cs.Cube.ID] = append(byCube[cs.Cube.ID], cs)
-	}
 	var out []Example
-	for _, series := range byCube {
+	for _, series := range seriesByCube(cubes) {
 		for start := 0; start+window <= len(series); start++ {
 			win := series[start : start+window]
 			g := win[0].Cube.Sx

@@ -15,6 +15,7 @@ import (
 // "Adaptive multiscale" here means both spatial resolutions contribute to
 // one latent token per timestep.
 type MATEYModel struct {
+	scratch
 	InVars, ModelDim, OutVars, G int
 	coarse                       *nn.Conv3D // stride 4
 	fine                         *nn.Conv3D // stride 2
@@ -34,7 +35,7 @@ func NewMATEYModel(rng *rand.Rand, inVars, modelDim, heads, outVars, g int) *MAT
 	cg, fg := g/4, g/2
 	cDim := 4 * cg * cg * cg
 	fDim := 2 * fg * fg * fg
-	return &MATEYModel{
+	m := &MATEYModel{
 		InVars: inVars, ModelDim: modelDim, OutVars: outVars, G: g,
 		coarse: coarse, fine: fine,
 		actC: nn.NewActivation("relu"), actF: nn.NewActivation("relu"),
@@ -43,54 +44,49 @@ func NewMATEYModel(rng *rand.Rand, inVars, modelDim, heads, outVars, g int) *MAT
 		dec:   newCubeDecoder(rng, modelDim, outVars, g),
 		cg:    cg, fg: fg, cDim: cDim, fDim: fDim,
 	}
+	m.params = paramsOf(m.coarse, m.fine, m.fuse, m.block, m.dec)
+	return m
 }
 
 // Name implements Model.
 func (m *MATEYModel) Name() string { return "MATEY" }
 
-// Params implements nn.Module.
-func (m *MATEYModel) Params() []*nn.Param {
-	out := append([]*nn.Param{}, m.coarse.Params()...)
-	out = append(out, m.fine.Params()...)
-	out = append(out, m.fuse.Params()...)
-	out = append(out, m.block.Params()...)
-	out = append(out, m.dec.params()...)
-	return out
-}
-
 // Forward maps x [B, T, C, G, G, G] to [B, T, C', G, G, G].
 func (m *MATEYModel) Forward(x *tensor.Tensor) *tensor.Tensor {
+	ws := &m.ws
+	ws.Reset()
 	b, t := x.Dim(0), x.Dim(1)
 	m.b, m.t = b, t
 	g := m.G
-	flat := x.Reshape(b*t, m.InVars, g, g, g)
-	hc := m.actC.Forward(m.coarse.Forward(flat)).Reshape(b*t, m.cDim)
-	hf := m.actF.Forward(m.fine.Forward(flat)).Reshape(b*t, m.fDim)
+	flat := ws.View(x, b*t, m.InVars, g, g, g)
+	hc := m.actC.Forward(ws, m.coarse.Forward(ws, flat)) // read below as [B*T, cDim]
+	hf := m.actF.Forward(ws, m.fine.Forward(ws, flat))   // read below as [B*T, fDim]
 	// Concatenate branch latents.
-	cat := tensor.New(b*t, m.cDim+m.fDim)
+	cat := ws.New(b*t, m.cDim+m.fDim)
 	for r := 0; r < b*t; r++ {
 		copy(cat.Data[r*(m.cDim+m.fDim):], hc.Data[r*m.cDim:(r+1)*m.cDim])
 		copy(cat.Data[r*(m.cDim+m.fDim)+m.cDim:], hf.Data[r*m.fDim:(r+1)*m.fDim])
 	}
-	z := m.fuse.Forward(cat)
-	z = m.block.Forward(z.Reshape(b, t, m.ModelDim)).Reshape(b*t, m.ModelDim)
-	return m.dec.forward(z).Reshape(b, t, m.OutVars, g, g, g)
+	z := m.fuse.Forward(ws, cat)
+	z = ws.View(m.block.Forward(ws, ws.View(z, b, t, m.ModelDim)), b*t, m.ModelDim)
+	return ws.View(m.dec.forward(ws, z), b, t, m.OutVars, g, g, g)
 }
 
 // Backward implements Model.
 func (m *MATEYModel) Backward(dy *tensor.Tensor) {
+	ws := &m.ws
 	b, t, g := m.b, m.t, m.G
-	dz := m.dec.backward(dy.Reshape(b*t, m.OutVars, g, g, g))
-	dz = m.block.Backward(dz.Reshape(b, t, m.ModelDim)).Reshape(b*t, m.ModelDim)
-	dcat := m.fuse.Backward(dz)
-	dhc := tensor.New(b*t, m.cDim)
-	dhf := tensor.New(b*t, m.fDim)
+	dz := m.dec.backward(ws, ws.View(dy, b*t, m.OutVars, g, g, g))
+	dz = ws.View(m.block.Backward(ws, ws.View(dz, b, t, m.ModelDim)), b*t, m.ModelDim)
+	dcat := m.fuse.Backward(ws, dz)
+	dhc := ws.New(b*t, 4, m.cg, m.cg, m.cg)
+	dhf := ws.New(b*t, 2, m.fg, m.fg, m.fg)
 	for r := 0; r < b*t; r++ {
 		copy(dhc.Data[r*m.cDim:(r+1)*m.cDim], dcat.Data[r*(m.cDim+m.fDim):])
 		copy(dhf.Data[r*m.fDim:(r+1)*m.fDim], dcat.Data[r*(m.cDim+m.fDim)+m.cDim:])
 	}
-	dxc := m.coarse.Backward(m.actC.Backward(dhc.Reshape(b*t, 4, m.cg, m.cg, m.cg)))
-	dxf := m.fine.Backward(m.actF.Backward(dhf.Reshape(b*t, 2, m.fg, m.fg, m.fg)))
+	dxc := m.coarse.Backward(ws, m.actC.Backward(ws, dhc))
+	dxf := m.fine.Backward(ws, m.actF.Backward(ws, dhf))
 	// Input gradient is the sum of both branches (unused upstream, but the
 	// addition keeps the pass complete for composition).
 	dxc.AddScaled(1, dxf)

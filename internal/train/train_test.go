@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cfd3d"
@@ -212,6 +213,72 @@ func TestBuildFullFull(t *testing.T) {
 	in := ex[0].Input
 	if in.Dim(0) != 1 || in.Dim(1) != len(d.InputVars) || in.Dim(2) != 8 {
 		t.Fatalf("input shape %v", in.Shape)
+	}
+}
+
+// TestBuildExamplesDeterministic: the example builders group samples per
+// cube in a map; the example order — and with it the 90:10 split and every
+// loss — must come from the sorted cube IDs, not from the map. Twenty
+// builds of the same samples give the same sequence, in ascending cube
+// order, and train to the same FinalLoss bit for bit.
+func TestBuildExamplesDeterministic(t *testing.T) {
+	d := cfd3d.EvolveDataset("SST-P1F4-mini", 3, 1, cfd3d.Config{N: 16, Seed: 11})
+	for _, tc := range []struct {
+		method string
+		build  func(*grid.Dataset, []sampling.CubeSample, int) ([]Example, error)
+	}{{"maxent", BuildSampleFull}, {"full", BuildFullFull}} {
+		cubes, err := sampling.SubsampleDataset(context.Background(), d, sampling.PipelineConfig{
+			Hypercubes: "random", Method: tc.method, NumHypercubes: 6, NumSamples: 20,
+			CubeSx: 8, CubeSy: 8, CubeSz: 8, NumClusters: 4, Seed: 12,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Example // one build per cube, in ascending cube order
+		for id := 0; id < 8; id++ {
+			var one []sampling.CubeSample
+			for _, cs := range cubes {
+				if cs.Cube.ID == id {
+					one = append(one, cs)
+				}
+			}
+			if ex, err := tc.build(d, one, 1); err == nil {
+				want = append(want, ex...)
+			}
+		}
+		factory := func(rng *rand.Rand) Model {
+			return NewMLPTransformer(rng, len(d.InputVars), 8, 2, len(d.OutputVars), 8)
+		}
+		if tc.method == "full" {
+			factory = func(rng *rand.Rand) Model {
+				return NewCNNTransformer(rng, len(d.InputVars), 8, 2, len(d.OutputVars), 8)
+			}
+		}
+		var firstLoss float64
+		for run := 0; run < 20; run++ {
+			ex, err := tc.build(d, cubes, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, hist, err := Train(context.Background(), factory, ex, Config{Epochs: 1, Batch: 4, Seed: 13})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ex) != len(want) || len(ex) < 12 {
+				t.Fatalf("%s run %d: %d examples, the cubes one by one give %d", tc.method, run, len(ex), len(want))
+			}
+			for i := range ex {
+				if !slices.Equal(ex[i].Input.Data, want[i].Input.Data) || !slices.Equal(ex[i].Target.Data, want[i].Target.Data) {
+					t.Fatalf("%s run %d: example %d is not the one ascending cube order puts there", tc.method, run, i)
+				}
+			}
+			if run == 0 {
+				firstLoss = hist.FinalLoss
+			}
+			if math.Float64bits(hist.FinalLoss) != math.Float64bits(firstLoss) {
+				t.Fatalf("%s run %d: FinalLoss %v, first run %v", tc.method, run, hist.FinalLoss, firstLoss)
+			}
+		}
 	}
 }
 

@@ -194,6 +194,7 @@ func Train(ctx context.Context, factory ModelFactory, examples []Example, cfg Co
 		hist.TraceID = tc.TraceID
 	}
 
+	batch := make([]Example, 0, cfg.Batch)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -210,7 +211,7 @@ func Train(ctx context.Context, factory ModelFactory, examples []Example, cfg Co
 			if b1 > len(perm) {
 				b1 = len(perm)
 			}
-			batch := make([]Example, 0, b1-b0)
+			batch = batch[:0]
 			for _, p := range perm[b0:b1] {
 				batch = append(batch, trainSet[p])
 			}
@@ -234,14 +235,16 @@ func Train(ctx context.Context, factory ModelFactory, examples []Example, cfg Co
 		ins.epoch.Set(float64(epoch + 1))
 		ins.loss.Set(epochLoss)
 		ins.testLoss.Set(testLoss)
-		tracer.Record(obs.Span{
-			TraceID: tc.TraceID, SpanID: api.NewSpanID(), ParentID: rootSpanID,
-			Name: "train:epoch", Start: epochStart, Seconds: elapsed,
-			Attrs: map[string]string{
-				"epoch":   strconv.Itoa(epoch),
-				"batches": strconv.Itoa(nBatches),
-			},
-		})
+		if tracer != nil { // the span's IDs and attrs cost allocations even when nobody records them
+			tracer.Record(obs.Span{
+				TraceID: tc.TraceID, SpanID: api.NewSpanID(), ParentID: rootSpanID,
+				Name: "train:epoch", Start: epochStart, Seconds: elapsed,
+				Attrs: map[string]string{
+					"epoch":   strconv.Itoa(epoch),
+					"batches": strconv.Itoa(nBatches),
+				},
+			})
+		}
 		if cfg.Verbose {
 			// Stderr, not stdout: verbose progress is diagnostics, and a
 			// library must not claim the process's stdout.
@@ -259,22 +262,18 @@ func Train(ctx context.Context, factory ModelFactory, examples []Example, cfg Co
 
 // trainBatch runs one synchronous step. Ranks shard the batch; each
 // computes local gradients; Allreduce averages them; every rank applies the
-// identical update.
+// identical update. Every tensor of the step — the stacked batch, the loss
+// gradient, the flat allreduce buffer — lives on the rank's own model.
 func trainBatch(models []Model, opts []*nn.Adam, batch []Example, cfg Config) float64 {
 	ranks := len(models)
 	if ranks == 1 {
 		m := models[0]
 		nn.ZeroGrads(m)
-		in, tgt := stackBatch(batch)
+		in, tgt := stackBatch(m, batch)
 		pred := m.Forward(in)
-		g := tensor.Get(pred.Shape...)
+		g := m.work().ws.New(pred.Shape...)
 		loss := nn.MSELossInto(g, pred, tgt)
 		m.Backward(g)
-		// Recycle the step's batch and gradient buffers: backward is done,
-		// so nothing reads them again before the next stack overwrites.
-		tensor.Put(g)
-		tensor.Put(in)
-		tensor.Put(tgt)
 		if cfg.ClipNorm > 0 {
 			nn.ClipGradNorm(m, cfg.ClipNorm)
 		}
@@ -283,41 +282,40 @@ func trainBatch(models []Model, opts []*nn.Adam, batch []Example, cfg Config) fl
 	}
 
 	losses := make([]float64, ranks)
-	shardSizes := make([]float64, ranks)
 	minimpi.Run(ranks, cfg.CostModel, func(c *minimpi.Comm) {
 		r := c.Rank()
 		m := models[r]
+		ws := &m.work().ws
 		nn.ZeroGrads(m)
 		lo, hi := c.PartitionRange(len(batch))
 		var localLoss float64
-		n := hi - lo
-		shardSizes[r] = float64(n)
-		if n > 0 {
-			in, tgt := stackBatch(batch[lo:hi])
+		if n := hi - lo; n == 0 {
+			ws.Reset() // an empty shard runs no Forward to do it
+		} else {
+			in, tgt := stackBatch(m, batch[lo:hi])
 			pred := m.Forward(in)
-			g := tensor.Get(pred.Shape...)
+			g := ws.New(pred.Shape...)
 			loss := nn.MSELossInto(g, pred, tgt)
 			// Scale so the allreduced average equals the full-batch
 			// gradient: local grads are means over the shard.
 			localLoss = loss * float64(n)
 			m.Backward(g)
-			tensor.Put(g)
-			tensor.Put(in)
-			tensor.Put(tgt)
 			for _, p := range m.Params() {
 				p.Grad.Scale(float64(n))
 			}
 		}
 		// Flatten all gradients into one buffer for a single Allreduce,
-		// as DDP's gradient bucketing does.
-		var flat []float64
+		// as DDP's gradient bucketing does; the loss rides in the last
+		// cell.
+		flat := ws.New(nn.ParamCount(m) + 1).Data
+		off := 0
 		for _, p := range m.Params() {
-			flat = append(flat, p.Grad.Data...)
+			off += copy(flat[off:], p.Grad.Data)
 		}
-		flat = append(flat, localLoss)
+		flat[off] = localLoss
 		c.Allreduce(flat, minimpi.Sum)
 		inv := 1 / float64(len(batch))
-		off := 0
+		off = 0
 		for _, p := range m.Params() {
 			for i := range p.Grad.Data {
 				p.Grad.Data[i] = flat[off+i] * inv
@@ -333,29 +331,14 @@ func trainBatch(models []Model, opts []*nn.Adam, batch []Example, cfg Config) fl
 	return losses[0]
 }
 
-func stackBatch(batch []Example) (in, tgt *tensor.Tensor) {
-	ins := make([]*tensor.Tensor, len(batch))
-	tgts := make([]*tensor.Tensor, len(batch))
-	for i, ex := range batch {
-		ins[i] = ex.Input
-		tgts[i] = ex.Target
-	}
-	return stack(ins), stack(tgts)
-}
-
 // Evaluate returns the MSE of the model over a set (batch of all examples).
 func Evaluate(m Model, set []Example) float64 {
 	if len(set) == 0 {
 		return 0
 	}
-	in, tgt := stackBatch(set)
+	in, tgt := stackBatch(m, set)
 	pred := m.Forward(in)
-	g := tensor.Get(pred.Shape...)
-	loss := nn.MSELossInto(g, pred, tgt)
-	tensor.Put(g)
-	tensor.Put(in)
-	tensor.Put(tgt)
-	return loss
+	return nn.MSELossInto(m.work().ws.New(pred.Shape...), pred, tgt)
 }
 
 func cloneExamples(set []Example) []Example {

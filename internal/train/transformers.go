@@ -50,8 +50,9 @@ func newCubeDecoder(rng *rand.Rand, d, outCh, outG int) *cubeDecoder {
 	return dec
 }
 
-func (d *cubeDecoder) params() []*nn.Param {
-	out := append([]*nn.Param{}, d.lin.Params()...)
+// Params implements nn.Module.
+func (d *cubeDecoder) Params() []*nn.Param {
+	out := d.lin.Params()
 	for _, u := range d.ups {
 		out = append(out, u.Params()...)
 	}
@@ -59,29 +60,28 @@ func (d *cubeDecoder) params() []*nn.Param {
 }
 
 // forward maps z [BT, D] to [BT, C', G, G, G].
-func (d *cubeDecoder) forward(z *tensor.Tensor) *tensor.Tensor {
+func (d *cubeDecoder) forward(ws *tensor.Workspace, z *tensor.Tensor) *tensor.Tensor {
 	d.bt = z.Dim(0)
-	h := d.lin.Forward(z).Reshape(d.bt, d.seedCh, 2, 2, 2)
-	var cur *tensor.Tensor = h
+	cur := ws.View(d.lin.Forward(ws, z), d.bt, d.seedCh, 2, 2, 2)
 	for l, u := range d.ups {
-		cur = u.Forward(cur)
+		cur = u.Forward(ws, cur)
 		if d.acts[l] != nil {
-			cur = d.acts[l].Forward(cur)
+			cur = d.acts[l].Forward(ws, cur)
 		}
 	}
 	return cur
 }
 
 // backward consumes dL/dout and returns dL/dz.
-func (d *cubeDecoder) backward(dy *tensor.Tensor) *tensor.Tensor {
+func (d *cubeDecoder) backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
 	cur := dy
 	for l := len(d.ups) - 1; l >= 0; l-- {
 		if d.acts[l] != nil {
-			cur = d.acts[l].Backward(cur)
+			cur = d.acts[l].Backward(ws, cur)
 		}
-		cur = d.ups[l].Backward(cur)
+		cur = d.ups[l].Backward(ws, cur)
 	}
-	return d.lin.Backward(cur.Reshape(d.bt, d.seedCh*8))
+	return d.lin.Backward(ws, ws.View(cur, d.bt, d.seedCh*8))
 }
 
 // MLPTransformer is the sample-full architecture of Table 2: unstructured
@@ -89,6 +89,7 @@ func (d *cubeDecoder) backward(dy *tensor.Tensor) *tensor.Tensor {
 // mean-pooled per timestep, passed through a transformer encoder over time,
 // and decoded to dense cubes [B, T, C', G, G, G].
 type MLPTransformer struct {
+	scratch
 	InVars, NPoints, ModelDim, OutVars, OutG int
 	enc1, enc2                               *nn.Linear
 	encAct                                   *nn.Activation
@@ -99,7 +100,7 @@ type MLPTransformer struct {
 
 // NewMLPTransformer builds the MLP-encoder/transformer/CNN-decoder stack.
 func NewMLPTransformer(rng *rand.Rand, inVars, modelDim, heads, outVars, outG int) *MLPTransformer {
-	return &MLPTransformer{
+	m := &MLPTransformer{
 		InVars: inVars, ModelDim: modelDim, OutVars: outVars, OutG: outG,
 		enc1:   nn.NewLinear(rng, inVars, modelDim),
 		encAct: nn.NewActivation("relu"),
@@ -107,29 +108,24 @@ func NewMLPTransformer(rng *rand.Rand, inVars, modelDim, heads, outVars, outG in
 		block:  nn.NewTransformerBlock(rng, modelDim, heads, 2*modelDim),
 		dec:    newCubeDecoder(rng, modelDim, outVars, outG),
 	}
+	m.params = paramsOf(m.enc1, m.enc2, m.block, m.dec)
+	return m
 }
 
 // Name implements Model.
 func (m *MLPTransformer) Name() string { return "MLP_Transformer" }
 
-// Params implements nn.Module.
-func (m *MLPTransformer) Params() []*nn.Param {
-	out := append([]*nn.Param{}, m.enc1.Params()...)
-	out = append(out, m.enc2.Params()...)
-	out = append(out, m.block.Params()...)
-	out = append(out, m.dec.params()...)
-	return out
-}
-
 // Forward maps x [B, T, N, C] to [B, T, C', G, G, G].
 // (Point-major layout: N points each with C features.)
 func (m *MLPTransformer) Forward(x *tensor.Tensor) *tensor.Tensor {
+	ws := &m.ws
+	ws.Reset()
 	b, t, n, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	m.b, m.t, m.NPoints = b, t, n
-	flatPts := x.Reshape(b*t*n, c)
-	emb := m.enc2.Forward(m.encAct.Forward(m.enc1.Forward(flatPts))) // [B*T*N, D]
+	flatPts := ws.View(x, b*t*n, c)
+	emb := m.enc2.Forward(ws, m.encAct.Forward(ws, m.enc1.Forward(ws, flatPts))) // [B*T*N, D]
 	// Mean-pool over points.
-	pooled := tensor.New(b*t, m.ModelDim)
+	pooled := ws.New(b, t, m.ModelDim)
 	inv := 1 / float64(n)
 	for row := 0; row < b*t; row++ {
 		dst := pooled.Data[row*m.ModelDim : (row+1)*m.ModelDim]
@@ -140,18 +136,19 @@ func (m *MLPTransformer) Forward(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	z := m.block.Forward(pooled.Reshape(b, t, m.ModelDim)).Reshape(b*t, m.ModelDim)
-	cube := m.dec.forward(z) // [B*T, C', G, G, G]
-	return cube.Reshape(b, t, m.OutVars, m.OutG, m.OutG, m.OutG)
+	z := ws.View(m.block.Forward(ws, pooled), b*t, m.ModelDim)
+	cube := m.dec.forward(ws, z) // [B*T, C', G, G, G]
+	return ws.View(cube, b, t, m.OutVars, m.OutG, m.OutG, m.OutG)
 }
 
 // Backward implements Model.
 func (m *MLPTransformer) Backward(dy *tensor.Tensor) {
+	ws := &m.ws
 	b, t, n := m.b, m.t, m.NPoints
-	dz := m.dec.backward(dy.Reshape(b*t, m.OutVars, m.OutG, m.OutG, m.OutG))
-	dpooled := m.block.Backward(dz.Reshape(b, t, m.ModelDim)).Reshape(b*t, m.ModelDim)
+	dz := m.dec.backward(ws, ws.View(dy, b*t, m.OutVars, m.OutG, m.OutG, m.OutG))
+	dpooled := m.block.Backward(ws, ws.View(dz, b, t, m.ModelDim)) // read below as [B*T, D]
 	// Un-pool: each point receives dpooled/n.
-	demb := tensor.New(b*t*n, m.ModelDim)
+	demb := ws.New(b*t*n, m.ModelDim)
 	inv := 1 / float64(n)
 	for row := 0; row < b*t; row++ {
 		src := dpooled.Data[row*m.ModelDim : (row+1)*m.ModelDim]
@@ -162,13 +159,14 @@ func (m *MLPTransformer) Backward(dy *tensor.Tensor) {
 			}
 		}
 	}
-	m.enc1.Backward(m.encAct.Backward(m.enc2.Backward(demb)))
+	m.enc1.Backward(ws, m.encAct.Backward(ws, m.enc2.Backward(ws, demb)))
 }
 
 // CNNTransformer is the full-full architecture of Table 2: dense hypercubes
 // [B, T, C, G, G, G] are encoded with strided Conv3D layers, passed through
 // a transformer encoder over time, and decoded back to cubes.
 type CNNTransformer struct {
+	scratch
 	InVars, ModelDim, OutVars, G int
 	conv1, conv2                 *nn.Conv3D
 	act1, act2                   *nn.Activation
@@ -185,7 +183,7 @@ func NewCNNTransformer(rng *rand.Rand, inVars, modelDim, heads, outVars, g int) 
 	c2 := nn.NewConv3D(rng, 4, 8, 2, 2, 0)      // G/2 -> G/4
 	encG := g / 4
 	flat := 8 * encG * encG * encG
-	return &CNNTransformer{
+	m := &CNNTransformer{
 		InVars: inVars, ModelDim: modelDim, OutVars: outVars, G: g,
 		conv1: c1, act1: nn.NewActivation("relu"),
 		conv2: c2, act2: nn.NewActivation("relu"),
@@ -194,41 +192,36 @@ func NewCNNTransformer(rng *rand.Rand, inVars, modelDim, heads, outVars, g int) 
 		dec:      newCubeDecoder(rng, modelDim, outVars, g),
 		flatDim:  flat, encG: encG,
 	}
+	m.params = paramsOf(m.conv1, m.conv2, m.toLatent, m.block, m.dec)
+	return m
 }
 
 // Name implements Model.
 func (m *CNNTransformer) Name() string { return "CNN_Transformer" }
 
-// Params implements nn.Module.
-func (m *CNNTransformer) Params() []*nn.Param {
-	out := append([]*nn.Param{}, m.conv1.Params()...)
-	out = append(out, m.conv2.Params()...)
-	out = append(out, m.toLatent.Params()...)
-	out = append(out, m.block.Params()...)
-	out = append(out, m.dec.params()...)
-	return out
-}
-
 // Forward maps x [B, T, C, G, G, G] to [B, T, C', G, G, G].
 func (m *CNNTransformer) Forward(x *tensor.Tensor) *tensor.Tensor {
+	ws := &m.ws
+	ws.Reset()
 	b, t := x.Dim(0), x.Dim(1)
 	m.b, m.t = b, t
 	g := m.G
-	h := x.Reshape(b*t, m.InVars, g, g, g)
-	h = m.act1.Forward(m.conv1.Forward(h))
-	h = m.act2.Forward(m.conv2.Forward(h))
-	z := m.toLatent.Forward(h.Reshape(b*t, m.flatDim))
-	z = m.block.Forward(z.Reshape(b, t, m.ModelDim)).Reshape(b*t, m.ModelDim)
-	cube := m.dec.forward(z)
-	return cube.Reshape(b, t, m.OutVars, g, g, g)
+	h := ws.View(x, b*t, m.InVars, g, g, g)
+	h = m.act1.Forward(ws, m.conv1.Forward(ws, h))
+	h = m.act2.Forward(ws, m.conv2.Forward(ws, h))
+	z := m.toLatent.Forward(ws, ws.View(h, b*t, m.flatDim))
+	z = ws.View(m.block.Forward(ws, ws.View(z, b, t, m.ModelDim)), b*t, m.ModelDim)
+	cube := m.dec.forward(ws, z)
+	return ws.View(cube, b, t, m.OutVars, g, g, g)
 }
 
 // Backward implements Model.
 func (m *CNNTransformer) Backward(dy *tensor.Tensor) {
+	ws := &m.ws
 	b, t, g := m.b, m.t, m.G
-	dz := m.dec.backward(dy.Reshape(b*t, m.OutVars, g, g, g))
-	dz = m.block.Backward(dz.Reshape(b, t, m.ModelDim)).Reshape(b*t, m.ModelDim)
-	dh := m.toLatent.Backward(dz).Reshape(b*t, 8, m.encG, m.encG, m.encG)
-	dh = m.conv2.Backward(m.act2.Backward(dh))
-	m.conv1.Backward(m.act1.Backward(dh))
+	dz := m.dec.backward(ws, ws.View(dy, b*t, m.OutVars, g, g, g))
+	dz = ws.View(m.block.Backward(ws, ws.View(dz, b, t, m.ModelDim)), b*t, m.ModelDim)
+	dh := ws.View(m.toLatent.Backward(ws, dz), b*t, 8, m.encG, m.encG, m.encG)
+	dh = m.conv2.Backward(ws, m.act2.Backward(ws, dh))
+	m.conv1.Backward(ws, m.act1.Backward(ws, dh))
 }
