@@ -27,7 +27,7 @@ func (l LHS) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 	if n >= total {
 		return allIndices(total)
 	}
-	pts := normalizedCopy(d.Features)
+	pts := d.work().normalized(d.Features)
 	dim := len(pts[0])
 
 	// Latin hypercube design: each dimension is an independent permutation

@@ -42,6 +42,18 @@ func (c *PipelineConfig) defaults() {
 	if c.NumHypercubes <= 0 {
 		c.NumHypercubes = 12
 	}
+	c.FillCubeEdges()
+	if c.NumSamples <= 0 {
+		c.NumSamples = c.CubeSx * c.CubeSy * c.CubeSz / 10
+	}
+}
+
+// FillCubeEdges applies the cube-geometry defaults: a missing CubeSx is 32
+// and a missing CubeSy or CubeSz follows CubeSx. The offline pipeline and
+// stream.Run both call it (the stream before clamping to its reference
+// snapshot), so a config that names only CubeSx means cubes, not slabs, on
+// either path.
+func (c *PipelineConfig) FillCubeEdges() {
 	if c.CubeSx <= 0 {
 		c.CubeSx = 32
 	}
@@ -51,14 +63,13 @@ func (c *PipelineConfig) defaults() {
 	if c.CubeSz <= 0 {
 		c.CubeSz = c.CubeSx
 	}
-	if c.NumSamples <= 0 {
-		c.NumSamples = c.CubeSx * c.CubeSy * c.CubeSz / 10
-	}
 }
 
 // CubeSample is the output of the two-phase pipeline for one cube of one
 // snapshot: the cube identity plus the selected point indices (cube-local)
-// and their feature/target values.
+// and their feature/target values. A CubeSample owns its memory: Features
+// and Targets are each one slab cut into rows (see SlabRows), and nothing in
+// it aliases a sampler's scratch or another sample.
 type CubeSample struct {
 	Snapshot int
 	Cube     grid.Hypercube
@@ -68,6 +79,19 @@ type CubeSample struct {
 	Features [][]float64
 	// Targets[r] holds the output variables of selected point r.
 	Targets [][]float64
+}
+
+// SlabRows allocates one n×d slab and returns its n rows, each capped to
+// its own d values so an append to a row can never write into its
+// neighbour. It is how every CubeSample's Features and Targets are laid
+// out: two allocations per matrix however many rows it has.
+func SlabRows(n, d int) [][]float64 {
+	slab := make([]float64, n*d)
+	rows := make([][]float64, n)
+	for r := range rows {
+		rows[r] = slab[r*d : (r+1)*d : (r+1)*d]
+	}
+	return rows
 }
 
 // NewHypercubeSelector builds a phase-1 selector by name.
@@ -150,39 +174,142 @@ func SubsampleSnapshotWithCubes(ctx context.Context, d *grid.Dataset, snap int, 
 }
 
 // SubsampleFieldWithCubes runs phase 2 on a single in-memory snapshot
-// without requiring a materialized Dataset — the entry point for in-situ
-// streaming consumers that receive snapshots one at a time. snap seeds the
-// per-snapshot rng exactly as the offline pipeline does (Seed + snap·7919),
-// so a streamed selection reproduces the offline result bit-for-bit.
+// without requiring a materialized Dataset: it builds a CubeSampler and runs
+// it over kept, so the scratch is shared by the cubes of this call. Callers
+// with many snapshots (stream.Run's rank workers, SubsampleDataset) hold a
+// CubeSampler themselves and share it across snapshots too.
+func SubsampleFieldWithCubes(ctx context.Context, f *grid.Field, snap int, kept []grid.Hypercube,
+	inVars, outVars []string, clusterVar string, cfg PipelineConfig) ([]CubeSample, error) {
+
+	s, err := NewCubeSampler(cfg, inVars, outVars, clusterVar)
+	if err != nil {
+		return nil, err
+	}
+	return s.SampleField(ctx, f, snap, kept)
+}
+
+// CubeSampler is phase 2 for one (config, variables) pair: point selection
+// inside each kept cube of a snapshot. It owns the per-cube scratch (gather
+// buffers, the sampler's working arrays) and the per-snapshot rng, both
+// reused for every cube and snapshot it is run over, so a steady-state cube
+// allocates only the CubeSample it returns. Not safe for concurrent use;
+// give each worker its own.
+type CubeSampler struct {
+	cfg             PipelineConfig
+	psel            PointSampler
+	inVars, outVars []string
+	clusterVar      string
+	rng             *rand.Rand
+	// The current snapshot's variable columns, resolved once per field.
+	inCols, outCols [][]float64
+	kcvCol          []float64
+	sc              cubeScratch
+}
+
+// NewCubeSampler builds the phase-2 handle for cfg (defaults applied) over
+// the given input, output and cluster variables.
+func NewCubeSampler(cfg PipelineConfig, inVars, outVars []string, clusterVar string) (*CubeSampler, error) {
+	cfg.defaults()
+	psel, err := NewPointSampler(cfg.Method, cfg.NumClusters, cfg.Meter)
+	if err != nil {
+		return nil, err
+	}
+	return &CubeSampler{
+		cfg: cfg, psel: psel,
+		inVars: inVars, outVars: outVars, clusterVar: clusterVar,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		inCols: make([][]float64, len(inVars)), outCols: make([][]float64, len(outVars)),
+	}, nil
+}
+
+// SampleField runs phase 2 on snapshot f over the fixed cube set kept. The
+// rng is re-seeded per snapshot (Seed + snap·7919), so results depend
+// neither on how snapshots are distributed across samplers nor on what a
+// sampler processed before — a streamed selection reproduces the offline
+// result bit for bit.
 //
 // The context is checked between cubes: a cancellation lands before the
 // next cube starts and returns ctx.Err(), so a canceled job stops within
 // one cube batch of the signal. cfg.Progress (if set) fires after every
 // completed cube.
-func SubsampleFieldWithCubes(ctx context.Context, f *grid.Field, snap int, kept []grid.Hypercube,
-	inVars, outVars []string, clusterVar string, cfg PipelineConfig) ([]CubeSample, error) {
-
-	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(snap)*7919))
-	psel, err := NewPointSampler(cfg.Method, cfg.NumClusters, cfg.Meter)
-	if err != nil {
-		return nil, err
+func (s *CubeSampler) SampleField(ctx context.Context, f *grid.Field, snap int, kept []grid.Hypercube) ([]CubeSample, error) {
+	s.rng.Seed(s.cfg.Seed + int64(snap)*7919)
+	for c, name := range s.inVars {
+		s.inCols[c] = f.Var(name)
+	}
+	for c, name := range s.outVars {
+		s.outCols[c] = f.Var(name)
+	}
+	s.kcvCol = nil
+	if s.clusterVar != "" {
+		s.kcvCol = f.Var(s.clusterVar)
 	}
 	out := make([]CubeSample, 0, len(kept))
 	for i, cube := range kept {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cs, err := samplePointsInCube(f, snap, cube, psel, cfg, rng, inVars, outVars, clusterVar)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cs)
-		if cfg.Progress != nil {
-			cfg.Progress(i+1, len(kept))
+		out = append(out, s.sampleCube(f, snap, cube))
+		if s.cfg.Progress != nil {
+			s.cfg.Progress(i+1, len(kept))
 		}
 	}
 	return out, nil
+}
+
+// sampleCube gathers the cube's features and cluster variable into the
+// scratch (x-fastest, the order Hypercube.VarValues uses), lets the point
+// sampler choose, and copies the chosen rows into a CubeSample that owns
+// them.
+func (s *CubeSampler) sampleCube(f *grid.Field, snap int, cube grid.Hypercube) CubeSample {
+	sc := &s.sc
+	total, d := cube.NPoints(), len(s.inCols)
+	sc.raw = grow(sc.raw, total*d)
+	sc.rows = grow(sc.rows, total)
+	if s.kcvCol != nil {
+		sc.kcv = grow(sc.kcv, total)
+	}
+	r := 0
+	for k := cube.K0; k < cube.K0+cube.Sz; k++ {
+		for j := cube.J0; j < cube.J0+cube.Sy; j++ {
+			base := (k*f.Ny+j)*f.Nx + cube.I0
+			for c, col := range s.inCols {
+				for i, v := range col[base : base+cube.Sx] {
+					sc.raw[(r+i)*d+c] = v
+				}
+			}
+			if s.kcvCol != nil {
+				copy(sc.kcv[r:], s.kcvCol[base:base+cube.Sx])
+			}
+			r += cube.Sx
+		}
+	}
+	for r := range sc.rows {
+		sc.rows[r] = sc.raw[r*d : (r+1)*d : (r+1)*d]
+	}
+	data := &Data{Features: sc.rows, scratch: sc}
+	if s.kcvCol != nil {
+		data.ClusterVar = sc.kcv
+	}
+
+	n := s.cfg.NumSamples
+	if _, isFull := s.psel.(Full); isFull {
+		n = total
+	}
+	local := s.psel.SelectPoints(data, n, s.rng)
+
+	cs := CubeSample{Snapshot: snap, Cube: cube, LocalIdx: local,
+		Features: SlabRows(len(local), d), Targets: SlabRows(len(local), len(s.outCols))}
+	for r, li := range local {
+		copy(cs.Features[r], sc.rows[li])
+		// Decode the cube-local index back to its flat field index.
+		i, j, k := li%cube.Sx, li/cube.Sx%cube.Sy, li/(cube.Sx*cube.Sy)
+		flat := ((cube.K0+k)*f.Ny+cube.J0+j)*f.Nx + cube.I0 + i
+		for c, col := range s.outCols {
+			cs.Targets[r][c] = col[flat]
+		}
+	}
+	return cs
 }
 
 // SubsampleSnapshot runs the full two-phase pipeline (Fig. 3) on one
@@ -198,42 +325,6 @@ func SubsampleSnapshot(ctx context.Context, d *grid.Dataset, snap int, cfg Pipel
 	return SubsampleSnapshotWithCubes(ctx, d, snap, kept, cfg)
 }
 
-func samplePointsInCube(f *grid.Field, snap int, cube grid.Hypercube,
-	psel PointSampler, cfg PipelineConfig, rng *rand.Rand,
-	inVars, outVars []string, clusterVar string) (CubeSample, error) {
-
-	flat := cube.Indices(f)
-	features := make([][]float64, len(flat))
-	backing := make([]float64, len(flat)*len(inVars))
-	for r, idx := range flat {
-		row := backing[r*len(inVars) : (r+1)*len(inVars)]
-		f.Point(idx, inVars, row)
-		features[r] = row
-	}
-	var kcv []float64
-	if clusterVar != "" {
-		kcv = cube.VarValues(f, clusterVar)
-	}
-	data := &Data{Features: features, ClusterVar: kcv}
-
-	n := cfg.NumSamples
-	if _, isFull := psel.(Full); isFull {
-		n = len(flat)
-	}
-	local := psel.SelectPoints(data, n, rng)
-
-	cs := CubeSample{Snapshot: snap, Cube: cube, LocalIdx: local}
-	cs.Features = make([][]float64, len(local))
-	cs.Targets = make([][]float64, len(local))
-	for r, li := range local {
-		cs.Features[r] = features[li]
-		tgt := make([]float64, len(outVars))
-		f.Point(flat[li], outVars, tgt)
-		cs.Targets[r] = tgt
-	}
-	return cs, nil
-}
-
 // SubsampleDataset runs the pipeline over every snapshot serially: one
 // phase-1 selection on snapshot 0, then phase-2 per snapshot over the fixed
 // cube set. The context is checked between phases and between snapshots
@@ -243,12 +334,16 @@ func SubsampleDataset(ctx context.Context, d *grid.Dataset, cfg PipelineConfig) 
 	if err != nil {
 		return nil, err
 	}
+	s, err := NewCubeSampler(cfg, d.InputVars, d.OutputVars, d.ClusterVar)
+	if err != nil {
+		return nil, err
+	}
 	var out []CubeSample
-	for t := range d.Snapshots {
+	for t, f := range d.Snapshots {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cs, err := SubsampleSnapshotWithCubes(ctx, d, t, kept, cfg)
+		cs, err := s.SampleField(ctx, f, t, kept)
 		if err != nil {
 			return nil, err
 		}
@@ -271,12 +366,16 @@ func SubsampleParallel(ctx context.Context, d *grid.Dataset, cfg PipelineConfig,
 		// deadlock if any rank skips them.
 		var local []CubeSample
 		kept, err := SelectCubesForDataset(ctx, d, 0, cfg)
+		var s *CubeSampler
+		if err == nil {
+			s, err = NewCubeSampler(cfg, d.InputVars, d.OutputVars, d.ClusterVar)
+		}
 		if err != nil {
 			errs[c.Rank()] = err
 		} else {
 			lo, hi := c.PartitionRange(len(d.Snapshots))
 			for t := lo; t < hi; t++ {
-				cs, err := SubsampleSnapshotWithCubes(ctx, d, t, kept, cfg)
+				cs, err := s.SampleField(ctx, d.Snapshots[t], t, kept)
 				if err != nil {
 					errs[c.Rank()] = err
 					break

@@ -8,6 +8,17 @@
 // "K-means cluster variable" of Table 1) and return indices into it, so the
 // same machinery runs on raw snapshots, extracted hypercubes, or arbitrary
 // point clouds.
+//
+// Who owns what in phase 2: a CubeSampler owns one scratch (the gathered
+// cube, the normalized copy, histogram cells, weights and draw keys), grown
+// to the largest cube seen and reused for every cube and snapshot it runs
+// over; a sampler reached with a bare &Data{...} builds a throw-away one. A
+// CubeSample owns its memory — LocalIdx plus one slab each for Features and
+// Targets, rows capped to their own values — and never aliases the scratch,
+// so it may be kept, mutated or appended to freely. The weighted draw keeps
+// the n largest Efraimidis-Spirakis keys, ties going to the lower index; it
+// selects them (quickselect) instead of sorting all keys, which returns the
+// same set because the order is total.
 package sampling
 
 import (
@@ -15,10 +26,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/energy"
-	"repro/internal/tensor"
 )
 
 // Data is the point-cloud view a sampler operates on.
@@ -29,6 +38,18 @@ type Data struct {
 	// ClusterVar is the scalar per point driving K-means-based methods
 	// (Table 1's KCV column). When nil, the first feature column is used.
 	ClusterVar []float64
+	// scratch is set by a CubeSampler so the sampler borrows its buffers
+	// instead of allocating per cube; a bare &Data{...} leaves it nil.
+	scratch *cubeScratch
+}
+
+// work returns the scratch a sampler should use for this view: the
+// CubeSampler's when there is one, a throw-away otherwise.
+func (d *Data) work() *cubeScratch {
+	if d.scratch != nil {
+		return d.scratch
+	}
+	return new(cubeScratch)
 }
 
 // N returns the number of points.
@@ -115,90 +136,81 @@ func dims(d *Data) int {
 	return len(d.Features[0])
 }
 
-// normalizedCopy returns a [0,1]-scaled copy of the features (samplers must
-// not mutate caller data).
-func normalizedCopy(pts [][]float64) [][]float64 {
-	if len(pts) == 0 {
-		return nil
-	}
-	d := len(pts[0])
-	backing := make([]float64, len(pts)*d)
-	out := make([][]float64, len(pts))
-	for i, p := range pts {
-		row := backing[i*d : (i+1)*d]
-		copy(row, p)
-		out[i] = row
-	}
-	normalizeInPlace(out)
-	return out
+// weightedKey is one item's Efraimidis-Spirakis key in the weighted draw.
+type weightedKey struct {
+	k   float64
+	idx int
 }
 
-func normalizeInPlace(pts [][]float64) {
-	if len(pts) == 0 {
-		return
-	}
-	d := len(pts[0])
-	for j := 0; j < d; j++ {
-		// Min/max are order-independent, so the scan fans out over the
-		// kernel pool; the rescale writes each point exactly once.
-		lo, hi := pts[0][j], pts[0][j]
-		var mu sync.Mutex
-		tensor.DefaultPool().ParallelFor(len(pts), 4096, func(p0, p1 int) {
-			clo, chi := pts[p0][j], pts[p0][j]
-			for _, p := range pts[p0:p1] {
-				if p[j] < clo {
-					clo = p[j]
-				}
-				if p[j] > chi {
-					chi = p[j]
-				}
+// before is the draw's total order: larger key first, lower index first
+// among equal keys. The tie rule is what makes the selected set a function
+// of (w, rng) alone, independent of how the selection partitions.
+func (a weightedKey) before(b weightedKey) bool {
+	return a.k > b.k || (a.k == b.k && a.idx < b.idx)
+}
+
+// selectTop reorders keys so that keys[:n] hold the n first items under
+// before, in no particular order — Hoare's quickselect, O(len) expected,
+// where a full sort would order all the items the draw then discards.
+// Requires 0 < n <= len(keys).
+func selectTop(keys []weightedKey, n int) {
+	k := n - 1
+	lo, hi := 0, len(keys)-1
+	for lo < hi {
+		pivot := keys[k]
+		i, j := lo, hi
+		for i <= j {
+			for keys[i].before(pivot) {
+				i++
 			}
-			mu.Lock()
-			if clo < lo {
-				lo = clo
+			for pivot.before(keys[j]) {
+				j--
 			}
-			if chi > hi {
-				hi = chi
+			if i <= j {
+				keys[i], keys[j] = keys[j], keys[i]
+				i++
+				j--
 			}
-			mu.Unlock()
-		})
-		r := hi - lo
-		tensor.DefaultPool().ParallelFor(len(pts), 4096, func(p0, p1 int) {
-			for _, p := range pts[p0:p1] {
-				if r > 0 {
-					p[j] = (p[j] - lo) / r
-				} else {
-					p[j] = 0
-				}
-			}
-		})
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
 	}
 }
 
 // weightedSampleWithoutReplacement draws n distinct indices with
 // probability proportional to w, using the Efraimidis-Spirakis exponential
-// keys method. Zero/negative weights are treated as tiny but nonzero so
-// every item remains reachable when the budget exceeds the positive mass.
+// keys method: the n largest keys form the sample (ties go to the lower
+// index). Zero/negative weights are treated as tiny but nonzero so every
+// item remains reachable when the budget exceeds the positive mass. The
+// result is sorted ascending.
 func weightedSampleWithoutReplacement(w []float64, n int, rng *rand.Rand) []int {
-	type key struct {
-		k   float64
-		idx int
-	}
+	return new(cubeScratch).weightedSample(w, n, rng)
+}
+
+// weightedSample is weightedSampleWithoutReplacement with the keys held in
+// the scratch; only the returned indices are allocated.
+func (sc *cubeScratch) weightedSample(w []float64, n int, rng *rand.Rand) []int {
 	if n >= len(w) {
 		return allIndices(len(w))
 	}
-	keys := make([]key, len(w))
+	sc.keys = grow(sc.keys, len(w))
 	for i, wi := range w {
 		if wi <= 0 || math.IsNaN(wi) {
 			wi = 1e-300
 		}
-		// Key = -Exp(1)/w; the n largest keys form a weighted sample.
-		keys[i] = key{k: -rng.ExpFloat64() / wi, idx: i}
+		// Key = -Exp(1)/w, one draw per item in index order.
+		sc.keys[i] = weightedKey{k: -rng.ExpFloat64() / wi, idx: i}
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].k > keys[b].k })
+	if n > 0 {
+		selectTop(sc.keys, n)
+	}
 	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = keys[i].idx
+	for i := range out {
+		out[i] = sc.keys[i].idx
 	}
 	sort.Ints(out)
 	return out

@@ -1,0 +1,83 @@
+package sampling
+
+import "repro/internal/stats"
+
+// cubeScratch is the working memory of phase 2 over one cube: the gathered
+// feature rows and cluster variable, and whatever the sampler needs on top
+// (normalized copy, histogram cells, weights, draw keys). Every buffer
+// grows to the largest cube seen and is reused for the next one; nothing in
+// here is ever handed to a caller — a CubeSample copies what it keeps.
+type cubeScratch struct {
+	raw      []float64   // n×d gathered features, row-major
+	rows     [][]float64 // row headers over raw: the Data.Features view
+	kcv      []float64   // gathered cluster variable
+	norm     []float64   // [0,1]-scaled copy of the features (uips, lhs)
+	normRows [][]float64
+	lo, hi   []float64 // per-dimension min and max of the features
+	cells    []int     // per-point histogram cell (uips)
+	w        []float64 // per-point weights (uips)
+	keys     []weightedKey
+	hist     *stats.NDHistogram // uips density estimate, Reset per cube
+}
+
+// grow returns buf resized to n elements, reallocating only when its
+// capacity is too small. Contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// normalized returns a [0,1]-scaled copy of pts held in the scratch
+// (samplers must not mutate caller data). The copy is valid until the next
+// call.
+func (sc *cubeScratch) normalized(pts [][]float64) [][]float64 {
+	if len(pts) == 0 {
+		return nil
+	}
+	d := len(pts[0])
+	sc.norm = grow(sc.norm, len(pts)*d)
+	sc.normRows = grow(sc.normRows, len(pts))
+	sc.lo = append(sc.lo[:0], pts[0]...)
+	sc.hi = append(sc.hi[:0], pts[0]...)
+	lo, hi := sc.lo, sc.hi
+	for i, p := range pts {
+		row := sc.norm[i*d : (i+1)*d : (i+1)*d]
+		copy(row, p)
+		sc.normRows[i] = row
+		for j, v := range row {
+			if v < lo[j] {
+				lo[j] = v
+			}
+			if v > hi[j] {
+				hi[j] = v
+			}
+		}
+	}
+	for _, row := range sc.normRows {
+		for j, v := range row {
+			if r := hi[j] - lo[j]; r > 0 {
+				row[j] = (v - lo[j]) / r
+			} else {
+				row[j] = 0
+			}
+		}
+	}
+	return sc.normRows
+}
+
+// unitHistogram returns the scratch's empty histogram over the normalized
+// phase space [0, 1+1e-9)^dim, rebuilt only when the geometry changes.
+func (sc *cubeScratch) unitHistogram(dim, bins int) *stats.NDHistogram {
+	if h := sc.hist; h != nil && h.Dims == dim && h.Bins == bins {
+		h.Reset()
+		return h
+	}
+	lo, hi := make([]float64, dim), make([]float64, dim)
+	for j := range hi {
+		hi[j] = 1 + 1e-9
+	}
+	sc.hist = stats.NewNDHistogram(lo, hi, bins)
+	return sc.hist
+}

@@ -2,11 +2,8 @@ package sampling
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/energy"
-	"repro/internal/stats"
-	"repro/internal/tensor"
 )
 
 // UIPS implements uniform-in-phase-space selection (Hassanaly et al. 2023)
@@ -45,30 +42,27 @@ func (u UIPS) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 	if clip <= 0 {
 		clip = 1e4
 	}
-	pts := normalizedCopy(d.Features)
-	lo := make([]float64, len(pts[0]))
-	hi := make([]float64, len(pts[0]))
-	for j := range hi {
-		hi[j] = 1 + 1e-9
+	sc := d.work()
+	pts := sc.normalized(d.Features)
+	h := sc.unitHistogram(len(pts[0]), bins)
+	// One cell lookup per point serves both the count and, once the
+	// histogram is complete, the point's inverse-PDF weight.
+	sc.cells = grow(sc.cells, total)
+	for i, p := range pts {
+		sc.cells[i] = h.CellIndex(p)
+		h.AddCell(sc.cells[i], 1)
 	}
-	h := stats.NewNDHistogram(lo, hi, bins)
-	for _, p := range pts {
-		h.Add(p)
-	}
-	// Inverse-PDF weights, clipped relative to the mean weight. The
-	// histogram is frozen after the build pass, so per-point lookups fan
-	// out over the kernel pool; the mean is summed in point order so the
-	// selection stays deterministic.
-	w := make([]float64, total)
-	tensor.DefaultPool().ParallelFor(total, 2048, func(p0, p1 int) {
-		for i := p0; i < p1; i++ {
-			prob := h.Probability(pts[i])
-			if prob <= 0 {
-				prob = 1e-12
-			}
-			w[i] = 1 / prob
+	sc.w = grow(sc.w, total)
+	w := sc.w
+	for i, cell := range sc.cells {
+		prob := float64(h.Counts[cell]) / float64(h.N)
+		if prob <= 0 {
+			prob = 1e-12
 		}
-	})
+		w[i] = 1 / prob
+	}
+	// Weights are clipped relative to the mean weight, summed in point
+	// order.
 	sum := 0.0
 	for _, wi := range w {
 		sum += wi
@@ -79,8 +73,7 @@ func (u UIPS) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 			w[i] = clip * mean
 		}
 	}
-	out := weightedSampleWithoutReplacement(w, n, rng)
-	sort.Ints(out)
+	out := sc.weightedSample(w, n, rng)
 	chargeSampling(u.Meter, total, dims(d), 4)
 	return out
 }

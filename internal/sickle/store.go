@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 
 	"repro/internal/grid"
@@ -21,6 +23,11 @@ import (
 //	          localIdx u32×n, features f64×n×nFeat, targets f64×n×nTgt
 
 var storeMagic = [4]byte{'S', 'K', 'L', '1'}
+
+const (
+	fileHeaderLen   = 4 + 4  // magic, nCubes
+	recordHeaderLen = 11 * 4 // snapshot, the seven cube fields, nPoints, nFeat, nTgt
+)
 
 // SaveCubeSamples writes cube samples to path. The file handle's Close
 // error is propagated: on full disks the kernel may only report the lost
@@ -48,6 +55,7 @@ type ShardAppender struct {
 	f      *os.File
 	w      *bufio.Writer
 	n      int
+	buf    []byte // one encoded record, reused across Appends
 	closed bool
 	// failed records a mid-record write failure. A partial record may
 	// already have auto-flushed to disk, and a file whose header counts
@@ -64,11 +72,9 @@ func OpenShardAppender(path string) (*ShardAppender, error) {
 		return nil, err
 	}
 	a := &ShardAppender{path: path, f: f, w: bufio.NewWriter(f)}
-	if _, err := a.w.Write(storeMagic[:]); err != nil {
-		_ = f.Close() // the magic write error dominates
-		return nil, err
-	}
-	if err := binary.Write(a.w, binary.LittleEndian, uint32(0)); err != nil {
+	var hdr [fileHeaderLen]byte // the count stays zero until Close
+	copy(hdr[:], storeMagic[:])
+	if _, err := a.w.Write(hdr[:]); err != nil {
 		_ = f.Close() // the header write error dominates
 		return nil, err
 	}
@@ -87,7 +93,8 @@ func (a *ShardAppender) Append(cubes ...sampling.CubeSample) error {
 		return a.failed
 	}
 	for i := range cubes {
-		if err := writeCubeSample(a.w, &cubes[i]); err != nil {
+		a.buf = appendCubeSample(a.buf[:0], &cubes[i])
+		if _, err := a.w.Write(a.buf); err != nil {
 			a.failed = err
 			return err
 		}
@@ -131,117 +138,153 @@ func (a *ShardAppender) Close() (err error) {
 	return a.f.Sync()
 }
 
-// writeCubeSample serializes one cube record in the SKL1 layout.
-func writeCubeSample(w io.Writer, cs *sampling.CubeSample) error {
+// appendCubeSample appends one cube record in the SKL1 layout to buf.
+func appendCubeSample(buf []byte, cs *sampling.CubeSample) []byte {
 	le := binary.LittleEndian
-	u32 := func(v int) error { return binary.Write(w, le, uint32(v)) }
-	hdr := []int{cs.Snapshot, cs.Cube.I0, cs.Cube.J0, cs.Cube.K0,
-		cs.Cube.Sx, cs.Cube.Sy, cs.Cube.Sz, cs.Cube.ID}
-	for _, v := range hdr {
-		if err := u32(v); err != nil {
-			return err
-		}
-	}
 	n := len(cs.LocalIdx)
 	nf, nt := 0, 0
 	if n > 0 {
 		nf = len(cs.Features[0])
 		nt = len(cs.Targets[0])
 	}
-	for _, v := range []int{n, nf, nt} {
-		if err := u32(v); err != nil {
-			return err
-		}
+	for _, v := range [...]int{cs.Snapshot, cs.Cube.I0, cs.Cube.J0, cs.Cube.K0,
+		cs.Cube.Sx, cs.Cube.Sy, cs.Cube.Sz, cs.Cube.ID, n, nf, nt} {
+		buf = le.AppendUint32(buf, uint32(v))
 	}
 	for _, li := range cs.LocalIdx {
-		if err := u32(li); err != nil {
-			return err
+		buf = le.AppendUint32(buf, uint32(li))
+	}
+	for _, rows := range [...][][]float64{cs.Features, cs.Targets} {
+		for _, row := range rows {
+			for _, x := range row {
+				buf = le.AppendUint64(buf, math.Float64bits(x))
+			}
 		}
 	}
-	for _, row := range cs.Features {
-		if err := binary.Write(w, le, row); err != nil {
-			return err
-		}
-	}
-	for _, row := range cs.Targets {
-		if err := binary.Write(w, le, row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return buf
 }
 
-// LoadCubeSamples reads cube samples from path.
+// LoadCubeSamples reads cube samples from path. The counts in the file are
+// untrusted: every declared section is checked against the bytes the file
+// actually has left before anything is allocated for it, so a few corrupt
+// header bytes cannot ask for gigabytes.
 func LoadCubeSamples(path string) ([]sampling.CubeSample, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != storeMagic {
-		return nil, fmt.Errorf("sickle: %s is not a SKL1 subsample file", path)
-	}
-	le := binary.LittleEndian
-	u32 := func() (int, error) {
-		var v uint32
-		err := binary.Read(r, le, &v)
-		return int(v), err
-	}
-	nCubes, err := u32()
+	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
+	r := bufio.NewReader(f)
+	le := binary.LittleEndian
+	remaining := st.Size() // bytes of the file not yet consumed
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("sickle: corrupt shard %s: "+format, append([]any{path}, args...)...)
+	}
+	var buf []byte // one header or section at a time, reused across records
+	read := func(size int64) error {
+		if int64(cap(buf)) < size {
+			buf = make([]byte, size)
+		}
+		buf = buf[:size]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return fmt.Errorf("sickle: %s: %w", path, err)
+		}
+		remaining -= size
+		return nil
+	}
+	if err := read(int64(len(storeMagic))); err != nil {
+		return nil, err
+	}
+	if [4]byte(buf) != storeMagic {
+		return nil, fmt.Errorf("sickle: %s is not a SKL1 subsample file", path)
+	}
+	if err := read(4); err != nil {
+		return nil, err
+	}
+	nCubes := int64(le.Uint32(buf))
+	if nCubes*recordHeaderLen > remaining {
+		return nil, corrupt("header declares %d cubes, %d bytes follow", nCubes, remaining)
+	}
 	out := make([]sampling.CubeSample, 0, nCubes)
-	for c := 0; c < nCubes; c++ {
-		vals := make([]int, 11)
-		for i := range vals {
-			if vals[i], err = u32(); err != nil {
-				return nil, err
+	// floats reads one n×per f64 section into rows.
+	floats := func(rows [][]float64, size int64) error {
+		if err := read(size); err != nil {
+			return err
+		}
+		off := 0
+		for _, row := range rows {
+			for v := range row {
+				row[v] = math.Float64frombits(le.Uint64(buf[off:]))
+				off += 8
 			}
+		}
+		return nil
+	}
+	for c := int64(0); c < nCubes; c++ {
+		if remaining < recordHeaderLen {
+			return nil, corrupt("cube record %d of %d starts %d bytes before the end", c, nCubes, remaining)
+		}
+		if err := read(recordHeaderLen); err != nil {
+			return nil, err
+		}
+		var vals [recordHeaderLen / 4]int
+		for i := range vals {
+			vals[i] = int(le.Uint32(buf[4*i:]))
+		}
+		n, nf, nt := vals[8], vals[9], vals[10]
+		idxLen, ok1 := sectionLen(n, 1, 4, remaining)
+		featLen, ok2 := sectionLen(n, nf, 8, remaining-idxLen)
+		tgtLen, ok3 := sectionLen(n, nt, 8, remaining-idxLen-featLen)
+		if !ok1 || !ok2 || !ok3 {
+			return nil, corrupt("cube record %d declares %d points × (%d features + %d targets), %d bytes follow",
+				c, n, nf, nt, remaining)
 		}
 		cs := sampling.CubeSample{
 			Snapshot: vals[0],
 			Cube: grid.Hypercube{I0: vals[1], J0: vals[2], K0: vals[3],
 				Sx: vals[4], Sy: vals[5], Sz: vals[6], ID: vals[7]},
+			LocalIdx: make([]int, n),
+			Features: sampling.SlabRows(n, nf),
+			Targets:  sampling.SlabRows(n, nt),
 		}
-		n, nf, nt := vals[8], vals[9], vals[10]
-		cs.LocalIdx = make([]int, n)
+		if err := read(idxLen); err != nil {
+			return nil, err
+		}
 		for i := range cs.LocalIdx {
-			if cs.LocalIdx[i], err = u32(); err != nil {
-				return nil, err
-			}
+			cs.LocalIdx[i] = int(le.Uint32(buf[4*i:]))
 		}
-		cs.Features = make([][]float64, n)
-		for i := range cs.Features {
-			cs.Features[i] = make([]float64, nf)
-			if err := binary.Read(r, le, cs.Features[i]); err != nil {
-				return nil, err
-			}
+		if err := floats(cs.Features, featLen); err != nil {
+			return nil, err
 		}
-		cs.Targets = make([][]float64, n)
-		for i := range cs.Targets {
-			cs.Targets[i] = make([]float64, nt)
-			if err := binary.Read(r, le, cs.Targets[i]); err != nil {
-				return nil, err
-			}
+		if err := floats(cs.Targets, tgtLen); err != nil {
+			return nil, err
 		}
 		out = append(out, cs)
 	}
 	// A well-formed shard ends exactly after the declared records; trailing
 	// bytes mean a corrupt or partially-written file and must fail loudly
 	// rather than load as a smaller, valid-looking dataset.
-	if _, err := r.ReadByte(); err != io.EOF {
-		if err == nil {
-			return nil, fmt.Errorf("sickle: %s has trailing bytes after %d cubes", path, nCubes)
-		}
-		return nil, err
+	if remaining != 0 {
+		return nil, fmt.Errorf("sickle: %s has trailing bytes after %d cubes", path, nCubes)
 	}
 	return out, nil
+}
+
+// sectionLen returns the byte length of a record section of n rows × per
+// values × size bytes, and whether it is representable and fits in the
+// remaining bytes of the file.
+func sectionLen(n, per, size int, remaining int64) (int64, bool) {
+	// n and per come from u32s and size is 4 or 8, so per·size cannot
+	// overflow; the product with n can, and Mul64's high word says so.
+	hi, lo := bits.Mul64(uint64(n), uint64(per)*uint64(size))
+	if hi != 0 || remaining < 0 || lo > uint64(remaining) {
+		return 0, false
+	}
+	return int64(lo), true
 }
 
 // StorageReduction returns the size ratio full-dataset : subsample-file,

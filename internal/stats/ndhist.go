@@ -93,9 +93,23 @@ func (h *NDHistogram) CellIndex(p []float64) int {
 }
 
 // Add records one point.
-func (h *NDHistogram) Add(p []float64) {
-	h.Counts[h.CellIndex(p)]++
-	h.N++
+func (h *NDHistogram) Add(p []float64) { h.AddCell(h.CellIndex(p), 1) }
+
+// AddCell records w observations in a cell whose index the caller already
+// holds (from CellIndex, or from a dense merge buffer), sparing the second
+// lookup a caller that also needs the cell id would otherwise pay.
+func (h *NDHistogram) AddCell(cell, w int) {
+	h.Counts[cell] += w
+	h.N += w
+}
+
+// Reset empties the histogram in place. Geometry is kept, and so are the
+// count map's buckets: refilling the same cells allocates nothing, which is
+// what lets a per-cube or per-merge histogram live in a scratch instead of
+// being rebuilt.
+func (h *NDHistogram) Reset() {
+	clear(h.Counts)
+	h.N = 0
 }
 
 // AddWeighted records w collapsed observations at p in one update — the
@@ -109,8 +123,7 @@ func (h *NDHistogram) AddWeighted(p []float64, w int) {
 	if w == 0 {
 		return
 	}
-	h.Counts[h.CellIndex(p)] += w
-	h.N += w
+	h.AddCell(h.CellIndex(p), w)
 }
 
 // Merge folds other's counts into h. The two histograms must share the same

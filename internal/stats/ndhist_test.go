@@ -85,3 +85,47 @@ func TestNDHistogramTotalCells(t *testing.T) {
 		t.Fatalf("TotalCells = %d, want 125", got)
 	}
 }
+
+// TestNDHistogramResetAllocs: Reset returns the histogram to its just-built state
+// (same geometry, no counts), and refilling the cells it held before
+// allocates nothing — the map keeps its buckets.
+func TestNDHistogramResetAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	pts := make([][]float64, 2000)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	h := NewNDHistogram([]float64{0, 0, 0}, []float64{1, 1, 1}, 6)
+	fill := func() {
+		for _, p := range pts {
+			h.AddCell(h.CellIndex(p), 1)
+		}
+	}
+	fill()
+	want := NewNDHistogram([]float64{0, 0, 0}, []float64{1, 1, 1}, 6)
+	for _, p := range pts {
+		want.Add(p)
+	}
+	h.Reset()
+	if h.N != 0 || h.OccupiedCells() != 0 || h.Probability(pts[0]) != 0 {
+		t.Fatalf("after Reset: N=%d, %d occupied cells", h.N, h.OccupiedCells())
+	}
+	fill()
+	if h.N != want.N || len(h.Counts) != len(want.Counts) {
+		t.Fatalf("refill: N=%d/%d cells, want %d/%d", h.N, len(h.Counts), want.N, len(want.Counts))
+	}
+	for cell, c := range want.Counts {
+		if h.Counts[cell] != c {
+			t.Fatalf("refill: cell %d holds %d, want %d", cell, h.Counts[cell], c)
+		}
+	}
+	if err := h.Merge(want); err != nil {
+		t.Fatalf("geometry changed across Reset: %v", err)
+	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under -race
+	}
+	if got := testing.AllocsPerRun(20, func() { h.Reset(); fill() }); got != 0 {
+		t.Fatalf("Reset + refill of the same cells allocates %v objects, want 0", got)
+	}
+}

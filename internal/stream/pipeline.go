@@ -29,6 +29,17 @@
 // offline sampling.SubsampleDataset result (asserted in tests); with a
 // budget it becomes a streaming UIPS-style selector whose inverse-density
 // weights come from the merged sketch.
+//
+// Who owns what on the per-snapshot path: each rank worker holds one
+// sampling.CubeSampler for the whole run, whose scratch is reused for every
+// cube of every snapshot the rank sees; the CubeSamples it returns own their
+// slabs, so the in-memory mode retains them as they are and the shard
+// appender encodes them through its own reused record buffer; a
+// cubeReservoir owns one budget×(inputs+outputs) slab allocated with it, an
+// offer copies the candidate's values into a slot (the evicted item's, once
+// full) and allocates nothing, and the end-of-stream flush copies the
+// survivors out into CubeSamples of their own. The per-rank sketch delta and
+// the dense merge buffer are reset in place, never rebuilt.
 package stream
 
 import (
@@ -36,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -74,7 +86,9 @@ type Config struct {
 	// ReservoirBudget, when > 0, caps the samples kept per hypercube
 	// across the whole stream via weighted reservoir sampling with
 	// inverse-density weights from the merged sketch. 0 keeps every
-	// per-snapshot selection (offline-parity mode).
+	// per-snapshot selection (offline-parity mode). Each rank reserves the
+	// budget up front: ReservoirBudget × (inputs + outputs) floats per
+	// kept cube.
 	ReservoirBudget int
 	// ShardPrefix, when non-empty, streams results to per-rank
 	// "<prefix>-rankNNN.skl" shards instead of holding them in memory.
@@ -322,16 +336,18 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 	}
 	tracker.addBytes(f0.SizeBytes())
 
-	// Clamp cube geometry to the reference snapshot, mirroring the offline
-	// CLI's behaviour, so live sources with modest grids just work.
+	// The offline defaults first (a missing CubeSy/CubeSz follows CubeSx),
+	// then clamp the geometry to the reference snapshot, mirroring the
+	// offline CLI's behaviour, so live sources with modest grids just work.
 	pcfg := cfg.Pipeline
-	if pcfg.CubeSx <= 0 || pcfg.CubeSx > f0.Nx {
+	pcfg.FillCubeEdges()
+	if pcfg.CubeSx > f0.Nx {
 		pcfg.CubeSx = min(32, f0.Nx)
 	}
-	if pcfg.CubeSy <= 0 || pcfg.CubeSy > f0.Ny {
+	if pcfg.CubeSy > f0.Ny {
 		pcfg.CubeSy = min(32, f0.Ny)
 	}
-	if pcfg.CubeSz <= 0 || pcfg.CubeSz > f0.Nz {
+	if pcfg.CubeSz > f0.Nz {
 		pcfg.CubeSz = min(32, f0.Nz)
 	}
 
@@ -438,13 +454,28 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 		rank := c.Rank()
 		delta := stats.NewNDHistogram(lo, hi, bins)
 		global := stats.NewNDHistogram(lo, hi, bins)
+		mergeBuf := make([]float64, delta.TotalCells())
+		// One phase-2 handle and one key rng per worker, for the whole run:
+		// their scratch is reused across this rank's snapshots.
+		sampler, serr := sampling.NewCubeSampler(pcfg, meta.InputVars, meta.OutputVars, meta.ClusterVar)
+		if serr != nil {
+			errs[rank] = serr
+		}
+		keyRNG := rand.New(rand.NewSource(0))
+		var (
+			held     int // items across this rank's reservoirs
+			resGauge *obs.Gauge
+		)
+		if cfg.ReservoirBudget > 0 && ins.reservoir != nil {
+			resGauge = ins.reservoir.With(strconv.Itoa(rank))
+		}
 		var app *sickle.ShardAppender
 		if cfg.ShardPrefix != "" && cfg.ReservoirBudget == 0 {
 			// In reservoir mode the survivors are only known after the
 			// cross-rank reservoir reduction; shards are written then.
 			var aerr error
 			app, aerr = sickle.OpenShardAppender(shardPaths[rank])
-			if aerr != nil {
+			if aerr != nil && errs[rank] == nil {
 				errs[rank] = aerr
 			}
 		}
@@ -455,9 +486,7 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 				// Merges are collective: every rank must join even after a
 				// local failure, or the others would deadlock in Allreduce.
 				mergeStart := time.Now()
-				if merr := mergeSketches(c, &delta, global); merr != nil && errs[rank] == nil {
-					errs[rank] = merr
-				}
+				mergeSketches(c, delta, global, mergeBuf)
 				// One span per round, not per rank: rank 0 speaks for the
 				// collective, whose members finish together anyway.
 				if rank == 0 {
@@ -487,8 +516,7 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 						},
 					})
 				}()
-				out, serr := sampling.SubsampleFieldWithCubes(ctx, msg.f, msg.snap, kept,
-					meta.InputVars, meta.OutputVars, meta.ClusterVar, pcfg)
+				out, serr := sampler.SampleField(ctx, msg.f, msg.snap, kept)
 				if serr != nil {
 					errs[rank] = serr
 					return
@@ -503,15 +531,10 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 				}
 				switch {
 				case cfg.ReservoirBudget > 0:
-					offerToReservoirs(reservoirs, out, msg.snap, cfg.ReservoirBudget,
-						pcfg.Seed, global, delta)
-					if ins.reservoir != nil {
-						held := 0
-						for _, r := range reservoirs {
-							held += len(r.items)
-						}
-						ins.reservoir.With(strconv.Itoa(rank)).Set(float64(held))
-					}
+					keyRNG.Seed(keySeed(pcfg.Seed, msg.snap))
+					held += offerToReservoirs(reservoirs, out, cfg.ReservoirBudget,
+						keyRNG, global, delta)
+					resGauge.Set(float64(held))
 				case app != nil:
 					if aerr := app.Append(out...); aerr != nil {
 						errs[rank] = aerr
@@ -521,12 +544,8 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 						pointsPerRank[rank] += len(out[i].LocalIdx)
 					}
 				default:
-					// Compact before retaining: Features rows alias the
-					// per-cube backing slab (cube volume × vars floats), and
-					// keeping them as-is would pin every slab for the
-					// stream's lifetime — the overhead the window exists to
-					// prevent. Targets are already per-point allocations.
-					compactFeatures(out)
+					// Safe to retain as they are: a CubeSample owns slabs
+					// sized to its selected points, not to the cube.
 					results[rank] = append(results[rank], out...)
 					for i := range out {
 						pointsPerRank[rank] += len(out[i].LocalIdx)
@@ -547,13 +566,7 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 		// mode, selected points otherwise) on rank 0, charging the cost
 		// model for the same wrap-up communication the offline driver
 		// performs.
-		count := float64(pointsPerRank[rank])
-		if cfg.ReservoirBudget > 0 {
-			for _, r := range reservoirs {
-				count += float64(len(r.items))
-			}
-		}
-		c.Gather(0, []float64{count})
+		c.Gather(0, []float64{float64(pointsPerRank[rank] + held)})
 		if rank == 0 {
 			mergedSketch = global
 		}
@@ -630,25 +643,6 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// compactFeatures rewrites each cube sample's Features rows into a fresh
-// backing array sized to the selected points, releasing the per-cube slab
-// they were subsliced from.
-func compactFeatures(cubes []sampling.CubeSample) {
-	for i := range cubes {
-		cs := &cubes[i]
-		if len(cs.Features) == 0 {
-			continue
-		}
-		d := len(cs.Features[0])
-		backing := make([]float64, len(cs.Features)*d)
-		for r, row := range cs.Features {
-			dst := backing[r*d : (r+1)*d]
-			copy(dst, row)
-			cs.Features[r] = dst
-		}
-	}
-}
-
 // mergeRankReservoirs reduces the per-rank reservoirs to one global
 // budgeted reservoir per cube by re-offering every locally-kept item.
 func mergeRankReservoirs(perRank []map[int]*cubeReservoir, budget int) map[int]*cubeReservoir {
@@ -657,11 +651,11 @@ func mergeRankReservoirs(perRank []map[int]*cubeReservoir, budget int) map[int]*
 		for id, r := range rankRes {
 			g, ok := merged[id]
 			if !ok {
-				g = newCubeReservoir(r.cube, budget)
+				g = newCubeReservoir(r.cube, budget, r.d, r.t)
 				merged[id] = g
 			}
 			for _, it := range r.items {
-				g.offer(it)
+				g.offer(it.key, it.snap, it.localIdx, r.features(it.slot), r.targets(it.slot))
 			}
 		}
 	}
@@ -691,63 +685,53 @@ func writeShards(paths []string, cubes []sampling.CubeSample) error {
 
 // mergeSketches is the collective sketch merge: each rank contributes its
 // unmerged delta as a dense vector, the Allreduce sums them, every rank
-// folds the sum into its global sketch, and the delta resets. The dense
-// buffer is bounded by effectiveBins.
-func mergeSketches(c *minimpi.Comm, delta **stats.NDHistogram, global *stats.NDHistogram) error {
-	d := *delta
-	buf := make([]float64, d.TotalCells())
-	for cell, cnt := range d.Counts {
+// folds the sum into its global sketch, and the delta resets in place. buf
+// is the rank's dense buffer (delta.TotalCells() long, bounded by
+// effectiveBins), reused for every merge of the run.
+func mergeSketches(c *minimpi.Comm, delta, global *stats.NDHistogram, buf []float64) {
+	clear(buf)
+	for cell, cnt := range delta.Counts {
 		buf[cell] = float64(cnt)
 	}
 	c.Allreduce(buf, minimpi.Sum)
-	summed := stats.NewNDHistogram(d.Lo, d.Hi, d.Bins)
 	for cell, v := range buf {
 		if v > 0 {
-			n := int(v + 0.5)
-			summed.Counts[cell] = n
-			summed.N += n
+			global.AddCell(cell, int(v+0.5))
 		}
 	}
-	if err := global.Merge(summed); err != nil {
-		return err
-	}
-	*delta = stats.NewNDHistogram(d.Lo, d.Hi, d.Bins)
-	return nil
+	delta.Reset()
 }
 
 // offerToReservoirs feeds one snapshot's phase-2 selection into the per-cube
-// budgeted reservoirs. The Exp(1) key draws come from a per-snapshot rng
-// (seeded like the offline per-snapshot seeding) and so are independent of
-// rank layout, but the inverse-density weights read the rank's own sketch
-// state, which does depend on which snapshots the rank has seen and how
-// many merges have landed — reservoir selections are therefore reproducible
-// for a fixed (seed, ranks, merge cadence) but only approximately invariant
-// across rank counts. Only parity mode (ReservoirBudget == 0) is bit-exact.
+// budgeted reservoirs and returns how many items they gained. A reservoir
+// copies what it keeps into its own slots, so out stays the caller's. The
+// Exp(1) key draws come from rng, which the caller seeds per snapshot
+// (keySeed, mirroring the offline per-snapshot seeding), and so are
+// independent of rank layout, but the inverse-density weights read the
+// rank's own sketch state, which does depend on which snapshots the rank
+// has seen and how many merges have landed — reservoir selections are
+// therefore reproducible for a fixed (seed, ranks, merge cadence) but only
+// approximately invariant across rank counts. Only parity mode
+// (ReservoirBudget == 0) is bit-exact.
 func offerToReservoirs(reservoirs map[int]*cubeReservoir, out []sampling.CubeSample,
-	snap, budget int, seed int64, global, delta *stats.NDHistogram) {
+	budget int, rng *rand.Rand, global, delta *stats.NDHistogram) (grew int) {
 
-	rng := newKeyRNG(seed, snap)
 	for i := range out {
 		cs := &out[i]
+		if len(cs.LocalIdx) == 0 {
+			continue
+		}
 		r, ok := reservoirs[cs.Cube.ID]
 		if !ok {
-			r = newCubeReservoir(cs.Cube, budget)
+			r = newCubeReservoir(cs.Cube, budget, len(cs.Features[0]), len(cs.Targets[0]))
 			reservoirs[cs.Cube.ID] = r
 		}
-		for p := range cs.LocalIdx {
+		before := len(r.items)
+		for p, li := range cs.LocalIdx {
 			w := invDensityWeight(global, delta, cs.Features[p])
-			// Copy the feature row: cs.Features rows are subslices of one
-			// per-cube backing slab, and holding a reference from the
-			// reservoir would pin the whole slab (cube volume × vars) for
-			// the stream's lifetime, silently breaking the memory budget.
-			// Targets are already per-point allocations.
-			r.offer(resItem{
-				key:      -rng.ExpFloat64() / w,
-				snap:     snap,
-				localIdx: cs.LocalIdx[p],
-				features: append([]float64(nil), cs.Features[p]...),
-				targets:  cs.Targets[p],
-			})
+			r.offer(-rng.ExpFloat64()/w, cs.Snapshot, li, cs.Features[p], cs.Targets[p])
 		}
+		grew += len(r.items) - before
 	}
+	return grew
 }

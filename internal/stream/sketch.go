@@ -1,9 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/grid"
@@ -12,12 +12,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// newKeyRNG seeds the reservoir-key rng per snapshot (mirroring the offline
-// per-snapshot seeding), so the kept set does not depend on which rank
-// happened to process which snapshot.
-func newKeyRNG(seed int64, snap int) *rand.Rand {
-	return rand.New(rand.NewSource(seed + int64(snap)*104729 + 1))
-}
+// keySeed is the reservoir-key rng seed of one snapshot (mirroring the
+// offline per-snapshot seeding), so the kept set does not depend on which
+// rank happened to process which snapshot.
+func keySeed(seed int64, snap int) int64 { return seed + int64(snap)*104729 + 1 }
 
 // featureBounds returns the per-input-variable (lo, hi) box of the reference
 // snapshot, padded like stats.NDHistogramFromPoints so the max value stays
@@ -114,43 +112,62 @@ func invDensityWeight(global, delta *stats.NDHistogram, p []float64) float64 {
 	return float64(n) / float64(c)
 }
 
-// resItem is one candidate point held by a budgeted reservoir.
+// resItem is one candidate point held by a budgeted reservoir; its values
+// live in the reservoir's slab at slot.
 type resItem struct {
 	key      float64 // Efraimidis-Spirakis key (-Exp(1)/w); larger wins
 	snap     int
 	localIdx int
-	features []float64
-	targets  []float64
+	slot     int
 }
 
 // cubeReservoir maintains at most budget points per hypercube across the
 // whole stream, using weighted reservoir sampling (A-Res with the same
 // -Exp(1)/w keys as sampling.weightedSampleWithoutReplacement): the kept set
 // is the budget-many largest keys seen so far, maintained as a min-heap so
-// each offer is O(log budget).
+// each offer is O(log budget). The reservoir owns its items' values: one
+// budget×(d+t) slab allocated with it, a slot per item, so an offer copies
+// into a slot and never allocates.
 type cubeReservoir struct {
 	cube   grid.Hypercube
 	budget int
+	d, t   int       // features and targets per point
 	items  []resItem // min-heap on key
+	slab   []float64 // slot s holds features then targets at s·(d+t)
 }
 
-func newCubeReservoir(cube grid.Hypercube, budget int) *cubeReservoir {
-	return &cubeReservoir{cube: cube, budget: budget}
+func newCubeReservoir(cube grid.Hypercube, budget, d, t int) *cubeReservoir {
+	return &cubeReservoir{cube: cube, budget: budget, d: d, t: t,
+		items: make([]resItem, 0, budget), slab: make([]float64, budget*(d+t))}
+}
+
+func (r *cubeReservoir) features(slot int) []float64 {
+	return r.slab[slot*(r.d+r.t):][:r.d]
+}
+
+func (r *cubeReservoir) targets(slot int) []float64 {
+	return r.slab[slot*(r.d+r.t)+r.d:][:r.t]
 }
 
 // offer considers one candidate; it is kept iff its key beats the current
-// minimum (or the reservoir is not yet full).
-func (r *cubeReservoir) offer(it resItem) {
-	if len(r.items) < r.budget {
+// minimum (or the reservoir is not yet full), taking the evicted item's
+// slot. features and targets are copied, never retained.
+func (r *cubeReservoir) offer(key float64, snap, localIdx int, features, targets []float64) {
+	it := resItem{key: key, snap: snap, localIdx: localIdx}
+	switch {
+	case len(r.items) < r.budget:
+		it.slot = len(r.items)
 		r.items = append(r.items, it)
 		r.siftUp(len(r.items) - 1)
+	case r.budget == 0 || key <= r.items[0].key:
 		return
+	default:
+		it.slot = r.items[0].slot
+		r.items[0] = it
+		r.siftDown(0)
 	}
-	if r.budget == 0 || it.key <= r.items[0].key {
-		return
-	}
-	r.items[0] = it
-	r.siftDown(0)
+	copy(r.features(it.slot), features)
+	copy(r.targets(it.slot), targets)
 }
 
 func (r *cubeReservoir) siftUp(i int) {
@@ -185,45 +202,36 @@ func (r *cubeReservoir) siftDown(i int) {
 
 // flushReservoirs converts the surviving reservoir contents back into
 // CubeSamples grouped per (snapshot, cube), ordered like the offline
-// pipeline output (snapshot-major, then cube ID, then local index).
+// pipeline output (snapshot-major, then cube ID, then local index). Each
+// sample gets slabs of its own, copied out of the reservoir's slots. It
+// consumes the reservoirs: their heaps are re-sorted in place.
 func flushReservoirs(reservoirs map[int]*cubeReservoir) []sampling.CubeSample {
-	type group struct {
-		snap  int
-		cube  grid.Hypercube
-		items []resItem
-	}
-	groups := map[[2]int]*group{}
+	var out []sampling.CubeSample
 	for _, r := range reservoirs {
-		for _, it := range r.items {
-			key := [2]int{it.snap, r.cube.ID}
-			g, ok := groups[key]
-			if !ok {
-				g = &group{snap: it.snap, cube: r.cube}
-				groups[key] = g
+		slices.SortFunc(r.items, func(a, b resItem) int {
+			return cmp.Or(cmp.Compare(a.snap, b.snap), cmp.Compare(a.localIdx, b.localIdx))
+		})
+		for lo := 0; lo < len(r.items); {
+			hi := lo + 1
+			for hi < len(r.items) && r.items[hi].snap == r.items[lo].snap {
+				hi++
 			}
-			g.items = append(g.items, it)
+			group := r.items[lo:hi]
+			cs := sampling.CubeSample{Snapshot: group[0].snap, Cube: r.cube,
+				LocalIdx: make([]int, len(group)),
+				Features: sampling.SlabRows(len(group), r.d),
+				Targets:  sampling.SlabRows(len(group), r.t)}
+			for p, it := range group {
+				cs.LocalIdx[p] = it.localIdx
+				copy(cs.Features[p], r.features(it.slot))
+				copy(cs.Targets[p], r.targets(it.slot))
+			}
+			out = append(out, cs)
+			lo = hi
 		}
 	}
-	ordered := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(a, b int) bool {
-		if ordered[a].snap != ordered[b].snap {
-			return ordered[a].snap < ordered[b].snap
-		}
-		return ordered[a].cube.ID < ordered[b].cube.ID
+	slices.SortFunc(out, func(a, b sampling.CubeSample) int {
+		return cmp.Or(cmp.Compare(a.Snapshot, b.Snapshot), cmp.Compare(a.Cube.ID, b.Cube.ID))
 	})
-	out := make([]sampling.CubeSample, 0, len(ordered))
-	for _, g := range ordered {
-		sort.Slice(g.items, func(a, b int) bool { return g.items[a].localIdx < g.items[b].localIdx })
-		cs := sampling.CubeSample{Snapshot: g.snap, Cube: g.cube}
-		for _, it := range g.items {
-			cs.LocalIdx = append(cs.LocalIdx, it.localIdx)
-			cs.Features = append(cs.Features, it.features)
-			cs.Targets = append(cs.Targets, it.targets)
-		}
-		out = append(out, cs)
-	}
 	return out
 }
