@@ -31,7 +31,8 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (table1, fig3..fig9, all)")
-	scaleStr := flag.String("scale", "small", "dataset scale: small or large")
+	scale := sickle.Small
+	flag.TextVar(&scale, "scale", scale, "dataset scale: small|large")
 	outdir := flag.String("outdir", "plots", "directory for figure artifacts")
 	serveURL := flag.String("serve", "", "load-generator mode: base URL of a running sickle-serve (or sickle-shard)")
 	model := flag.String("model", "", "model to load-test (default: first registered)")
@@ -55,10 +56,6 @@ func main() {
 		return
 	}
 
-	scale := sickle.Small
-	if *scaleStr == "large" {
-		scale = sickle.Large
-	}
 	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {
 			return

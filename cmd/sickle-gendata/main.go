@@ -18,16 +18,13 @@ import (
 
 func main() {
 	dataset := flag.String("dataset", "OF2D", "dataset name")
-	scaleStr := flag.String("scale", "small", "small or large")
+	scale := sickle.Small
+	flag.TextVar(&scale, "scale", scale, "dataset scale: small|large")
 	pgm := flag.String("pgm", "", "write a PGM slice of -var to this path")
 	varName := flag.String("var", "", "variable to render (defaults to the cluster variable)")
 	ascii := flag.Bool("ascii", false, "print an ASCII rendering")
 	flag.Parse()
 
-	scale := sickle.Small
-	if *scaleStr == "large" {
-		scale = sickle.Large
-	}
 	d, err := sickle.BuildDataset(*dataset, scale)
 	if err != nil {
 		log.Fatal(err)

@@ -27,22 +27,21 @@ import (
 	"repro/internal/config"
 	"repro/internal/energy"
 	"repro/internal/grid"
-	"repro/internal/obs"
-	"repro/internal/obs/events"
 	olog "repro/internal/obs/log"
-	"repro/internal/obs/tsdb"
 	"repro/internal/sampling"
 	"repro/internal/sickle"
 	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/synth"
+	"repro/internal/tier"
 )
 
 func main() {
 	caseFile := flag.String("case", "", "YAML case file (optional; flags override)")
 	source := flag.String("source", "replay", "snapshot source: replay|cfd2d|cfd3d|synth")
 	dataset := flag.String("dataset", "SST-P1F4", "dataset name for -source replay")
-	scaleStr := flag.String("scale", "small", "dataset scale for -source replay")
+	scale := sickle.Small
+	flag.TextVar(&scale, "scale", scale, "dataset scale for -source replay: small|large")
 	snapshots := flag.Int("snapshots", 8, "snapshots to stream from a live source")
 	stepsPer := flag.Int("steps-per", 2, "solver steps between snapshots (live sources)")
 	gridN := flag.Int("grid", 32, "grid edge for live 3-D sources (power of two)")
@@ -75,13 +74,7 @@ func main() {
 		if err != nil {
 			fatal("load case file", "err", err)
 		}
-		pcfg.Hypercubes = c.Hypercubes
-		pcfg.Method = c.Method
-		pcfg.NumHypercubes = c.NumHypercubes
-		pcfg.NumSamples = c.NumSamples
-		pcfg.NumClusters = c.NumClusters
-		pcfg.CubeSx, pcfg.CubeSy, pcfg.CubeSz = c.NxSL, c.NySL, c.NzSL
-		pcfg.Seed = c.Seed
+		pcfg = c.Pipeline()
 		scfg.Ranks = c.Stream.Ranks
 		scfg.Window = c.Stream.Window
 		scfg.MergeEvery = c.Stream.MergeEvery
@@ -117,10 +110,6 @@ func main() {
 	)
 	switch *source {
 	case "replay":
-		scale := sickle.Small
-		if *scaleStr == "large" {
-			scale = sickle.Large
-		}
 		d, err := sickle.BuildDataset(*dataset, scale)
 		if err != nil {
 			fatal("build dataset", "err", err)
@@ -150,23 +139,14 @@ func main() {
 
 	// Observability: the run always records stage metrics and spans; the
 	// -debug-addr sidecar additionally serves them (plus pprof) live.
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-	tracer := obs.NewTracer("stream", 0)
-	tracer.RegisterDropped(reg)
-	journal := events.NewJournal("stream", 0)
-	journal.Register(reg)
-	history := tsdb.NewStore("stream", reg, 0, 0)
-	scfg.Metrics = reg
-	scfg.Tracer = tracer
-	scfg.Journal = journal
+	rec := tier.New(tier.Config{Name: "stream", Logger: lg})
+	scfg.Metrics = rec.MetricsRegistry()
+	scfg.Tracer = rec.Tracer()
+	scfg.Journal = rec.Journal()
 	if *debugAddr != "" {
-		history.Start()
-		defer history.Stop()
-		obs.ServeDebug(*debugAddr, reg, tracer, func(err error) {
-			lg.Error("debug listener", "err", err)
-		}, history, journal)
-		lg.Info("debug endpoints up", "addr", *debugAddr)
+		rec.History().Start()
+		defer rec.History().Stop()
+		rec.ServeDebug(*debugAddr)
 	}
 
 	res, err := stream.Run(context.Background(), src, scfg)

@@ -1,6 +1,7 @@
 // sickle-subsample is the T1 stage of the paper's workflow (the artifact's
 // `srun -n 32 python subsample.py case.yaml`): it builds or selects a
-// dataset, runs the two-phase sampling pipeline across minimpi ranks, and
+// dataset, runs the two-phase sampling pipeline across minimpi ranks (the
+// streaming pipeline replaying the dataset in offline-parity mode), and
 // writes the feature-rich subsample to a compact binary file, reporting
 // energy and storage reduction.
 //
@@ -20,6 +21,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/sampling"
 	"repro/internal/sickle"
+	"repro/internal/stream"
 )
 
 func main() {
@@ -29,7 +31,8 @@ func main() {
 	out := flag.String("o", "subsample.skl", "output subsample file")
 	hsel := flag.String("hypercubes", "", "phase-1 selector: random|maxent")
 	method := flag.String("method", "", "phase-2 sampler: full|random|uniform|lhs|stratified|uips|maxent")
-	scaleStr := flag.String("scale", "small", "dataset scale")
+	scale := sickle.Small
+	flag.TextVar(&scale, "scale", scale, "dataset scale: small|large")
 	flag.Parse()
 
 	pcfg := sampling.PipelineConfig{Hypercubes: "maxent", Method: "maxent", NumClusters: 5, Seed: 1}
@@ -38,13 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pcfg.Hypercubes = c.Hypercubes
-		pcfg.Method = c.Method
-		pcfg.NumHypercubes = c.NumHypercubes
-		pcfg.NumSamples = c.NumSamples
-		pcfg.NumClusters = c.NumClusters
-		pcfg.CubeSx, pcfg.CubeSy, pcfg.CubeSz = c.NxSL, c.NySL, c.NzSL
-		pcfg.Seed = c.Seed
+		pcfg = c.Pipeline()
 	}
 	if *hsel != "" {
 		pcfg.Hypercubes = *hsel
@@ -52,41 +49,28 @@ func main() {
 	if *method != "" {
 		pcfg.Method = *method
 	}
-
-	scale := sickle.Small
-	if *scaleStr == "large" {
-		scale = sickle.Large
+	if pcfg.NumHypercubes == 0 {
+		pcfg.NumHypercubes = 4
 	}
+	meter := energy.NewMeter()
+	pcfg.Meter = meter
+
 	d, err := sickle.BuildDataset(*dataset, scale)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Clamp cube size to the dataset.
-	f := d.Snapshots[0]
-	if pcfg.CubeSx == 0 || pcfg.CubeSx > f.Nx {
-		pcfg.CubeSx = min(32, f.Nx)
-	}
-	if pcfg.CubeSy == 0 || pcfg.CubeSy > f.Ny {
-		pcfg.CubeSy = min(32, f.Ny)
-	}
-	if pcfg.CubeSz == 0 || pcfg.CubeSz > f.Nz {
-		pcfg.CubeSz = min(32, f.Nz)
-	}
-	if pcfg.NumHypercubes == 0 {
-		pcfg.NumHypercubes = 4
-	}
-	if pcfg.NumSamples == 0 {
-		pcfg.NumSamples = pcfg.CubeSx * pcfg.CubeSy * pcfg.CubeSz / 10
-	}
-
-	meter := energy.NewMeter()
-	pcfg.Meter = meter
+	// The ranked T1 driver is the streaming pipeline replaying the dataset:
+	// with no reservoir budget it returns the offline selection bit for bit,
+	// cube geometry fitted to the first snapshot.
 	t0 := time.Now()
-	cubes, world, err := sampling.SubsampleParallel(context.Background(), d, pcfg, *ranks, sickle.DefaultCostModel())
+	res, err := stream.Run(context.Background(), stream.NewReplaySource(d), stream.Config{
+		Pipeline: pcfg, Ranks: *ranks, Cost: sickle.DefaultCostModel(),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(t0)
+	cubes, fitted := res.Cubes, res.Pipeline
 
 	if err := sickle.SaveCubeSamples(*out, cubes); err != nil {
 		log.Fatal(err)
@@ -102,17 +86,10 @@ func main() {
 	}
 	fmt.Printf("dataset: %s (%s, %d snapshots)\n", d.Label, d.GridString(), d.NTime())
 	fmt.Printf("pipeline: H%s-X%s, %d cubes of %d³, %d samples/cube\n",
-		pcfg.Hypercubes, pcfg.Method, pcfg.NumHypercubes, pcfg.CubeSx, pcfg.NumSamples)
+		fitted.Hypercubes, fitted.Method, fitted.NumHypercubes, fitted.CubeSx, len(cubes[0].LocalIdx))
 	fmt.Printf("selected %d cube-samples, %d points total\n", len(cubes), total)
 	fmt.Printf("Elapsed Time: %v (sim comm: %.3g s at %d ranks)\n",
-		elapsed, world.MaxSimCommSeconds(), *ranks)
+		elapsed, res.World.MaxSimCommSeconds(), *ranks)
 	fmt.Println(meter.String())
 	fmt.Printf("wrote %s (storage reduction %.0fx vs full dataset)\n", *out, ratio)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

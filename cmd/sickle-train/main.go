@@ -16,6 +16,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -23,11 +24,10 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	olog "repro/internal/obs/log"
-	"repro/internal/obs/tsdb"
 	"repro/internal/sampling"
 	"repro/internal/sickle"
+	"repro/internal/tier"
 	"repro/internal/train"
 	"repro/internal/tune"
 )
@@ -42,7 +42,8 @@ func main() {
 	window := flag.Int("window", 1, "input time window")
 	ranks := flag.Int("n", 1, "data-parallel ranks")
 	seed := flag.Int64("seed", 1, "seed")
-	scaleStr := flag.String("scale", "small", "dataset scale")
+	scale := sickle.Small
+	flag.TextVar(&scale, "scale", scale, "dataset scale: small|large")
 	doTune := flag.Bool("tune", false, "run hyperparameter search first (the paper's --tune / DeepHyper analogue)")
 	ckptOut := flag.String("ckpt-out", "", "save the trained model checkpoint here (servable by sickle-serve)")
 	newLogger := olog.Flags(flag.CommandLine)
@@ -57,90 +58,60 @@ func main() {
 
 	// The run always records epoch/batch metrics and spans; -debug-addr
 	// additionally serves them (plus pprof) live during long fits.
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-	tracer := obs.NewTracer("train", 0)
-	tracer.RegisterDropped(reg)
+	rec := tier.New(tier.Config{Name: "train", Logger: lg})
 	if *debugAddr != "" {
-		history := tsdb.NewStore("train", reg, 0, 0)
-		history.Start()
-		defer history.Stop()
-		obs.ServeDebug(*debugAddr, reg, tracer, func(err error) {
-			lg.Error("debug listener", "err", err)
-		}, history)
-		lg.Info("debug endpoints up", "addr", *debugAddr)
+		rec.History().Start()
+		defer rec.History().Stop()
+		rec.ServeDebug(*debugAddr)
 	}
 
-	scale := sickle.Small
-	if *scaleStr == "large" {
-		scale = sickle.Large
-	}
 	d, err := sickle.BuildDataset(*dataset, scale)
 	if err != nil {
 		fatal("build dataset", err)
 	}
 
+	// The stages of sickle.Loop, inline because -tune sits between the
+	// example layout and the fit.
+	spec := train.ArchSpec{Arch: strings.ToLower(*arch), Hidden: 16, Heads: 2}
 	var cubes []sampling.CubeSample
 	meterSample := energy.NewMeter()
 	if *in != "" {
 		cubes, err = sickle.LoadCubeSamples(*in)
 	} else {
-		f := d.Snapshots[0]
-		m := *method
-		if strings.EqualFold(*arch, "CNN_Transformer") {
-			m = "full"
-		}
 		pcfg := sampling.PipelineConfig{
-			Hypercubes: "maxent", Method: m,
+			Hypercubes: "maxent", Method: *method, NumHypercubes: 2, CubeSx: 16,
 			NumClusters: 5, Seed: *seed, Meter: meterSample,
 		}
-		if f.Is2D() {
+		if spec.Arch == "cnn_transformer" {
+			pcfg.Method = "full"
+		}
+		if f := d.Snapshots[0]; f.Is2D() {
 			// 2-D cases sample the whole plane (the OF2D workflow).
 			pcfg.CubeSx, pcfg.CubeSy, pcfg.CubeSz = f.Nx, f.Ny, 1
 			pcfg.NumHypercubes = 1
-			pcfg.NumSamples = f.NPoints() / 10
-		} else {
-			edge := 16
-			if f.Nz < edge {
-				edge = f.Nz
-			}
-			pcfg.CubeSx, pcfg.CubeSy, pcfg.CubeSz = edge, edge, edge
-			pcfg.NumHypercubes = 2
-			pcfg.NumSamples = edge * edge * edge / 10
 		}
+		pcfg.FitTo(d.Snapshots[0])
 		cubes, err = sampling.SubsampleDataset(context.Background(), d, pcfg)
 	}
 	if err != nil {
 		fatal("subsample", err)
 	}
-
-	meterTrain := energy.NewMeter()
-	inV, outV := len(d.InputVars), len(d.OutputVars)
-	var ex []train.Example
-	edge := cubes[0].Cube.Sx
+	if len(cubes) == 0 {
+		fatal("subsample", errors.New("no cube samples to train on"))
+	}
 
 	// The spec is both the model factory and, with -ckpt-out, the recipe a
 	// serving process needs to rebuild checkpoint-compatible replicas.
-	spec := train.ArchSpec{Arch: strings.ToLower(*arch), InDim: inV, Hidden: 16, Heads: 2, OutDim: outV, Edge: edge}
-	switch spec.Arch {
-	case "lstm":
-		ex, err = train.BuildSampleSingle(d, cubes, *window)
-		if err != nil {
-			fatal("build examples", err)
-		}
-		spec.InDim, spec.OutDim, spec.Edge = ex[0].Input.Dim(1), 1, 0
-	case "mlp_transformer":
-		ex, err = train.BuildSampleFull(d, cubes, *window)
-	case "cnn_transformer", "matey":
-		ex, err = train.BuildFullFull(d, cubes, *window)
-	}
-	if err != nil {
-		fatal("build examples", err)
-	}
+	spec = spec.SizedFor(d, cubes[0].Cube.Sx)
 	if err := spec.Validate(); err != nil {
 		fatal("validate arch spec", err)
 	}
+	ex, err := spec.Examples(d, cubes, *window)
+	if err != nil {
+		fatal("build examples", err)
+	}
 	factory := spec.Factory()
+	meterTrain := energy.NewMeter()
 
 	lr := 0.001
 	if *doTune {
@@ -171,7 +142,7 @@ func main() {
 		Epochs: *epochs, Batch: *batch, Seed: *seed, Ranks: *ranks,
 		Normalize: true, Meter: meterTrain, Verbose: true,
 		CostModel: sickle.DefaultCostModel(),
-		Metrics:   reg, Tracer: tracer,
+		Metrics:   rec.MetricsRegistry(), Tracer: rec.Tracer(),
 	})
 	if err != nil {
 		fatal("train", err)

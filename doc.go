@@ -6,7 +6,9 @@
 // baseline samplers), synth+cfd2d+cfd3d (synthetic DNS dataset analogues),
 // nn+train (the neural-network stack and Table 2 architectures), minimpi
 // (goroutine message passing), energy (counter-based energy model), sickle
-// (the experiment harness regenerating every paper table/figure), serve
+// (sickle.Loop, the T1→T2→T3 entry point — subsample, train, evaluate
+// against the Eq. 3 energies — and the experiment harness regenerating every
+// paper table/figure through it), serve
 // (the online subsystem: micro-batched surrogate inference and LRU-cached
 // subsampling behind an HTTP API, served by cmd/sickle-serve and
 // load-tested by cmd/sickle-bench -serve), shard (the scaling tier: a

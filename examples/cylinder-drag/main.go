@@ -10,10 +10,10 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 
 	"repro/internal/cfd2d"
 	"repro/internal/sampling"
+	"repro/internal/sickle"
 	"repro/internal/stats"
 	"repro/internal/train"
 )
@@ -29,29 +29,21 @@ func main() {
 	for _, method := range []string{"random", "maxent"} {
 		var losses []float64
 		for rep := 0; rep < 3; rep++ {
-			cubes, err := sampling.SubsampleDataset(context.Background(), d, sampling.PipelineConfig{
-				Hypercubes: "random", Method: method,
-				NumHypercubes: 1 << 20, NumSamples: 400,
-				CubeSx: 160, CubeSy: 64, CubeSz: 1,
-				NumClusters: 10, Seed: int64(100 + rep),
-			})
+			res, err := sickle.Loop{
+				Pipeline: sampling.PipelineConfig{
+					Hypercubes: "random", Method: method,
+					NumHypercubes: 1 << 20, NumSamples: 400,
+					CubeSx: 160, CubeSy: 64, CubeSz: 1,
+					NumClusters: 10, Seed: int64(100 + rep),
+				},
+				Arch:   train.ArchSpec{Arch: "lstm"},
+				Window: 3,
+				Train:  train.Config{Epochs: 120, Batch: 8, Seed: int64(rep), Normalize: true},
+			}.Run(context.Background(), d)
 			if err != nil {
 				log.Fatal(err)
 			}
-			ex, err := train.BuildSampleSingle(d, cubes, 3)
-			if err != nil {
-				log.Fatal(err)
-			}
-			factory := func(rng *rand.Rand) train.Model {
-				return train.NewLSTMModel(rng, ex[0].Input.Dim(1), 16, 1)
-			}
-			_, hist, err := train.Train(context.Background(), factory, ex, train.Config{
-				Epochs: 120, Batch: 8, Seed: int64(rep), Normalize: true,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			losses = append(losses, hist.FinalLoss)
+			losses = append(losses, res.Report.EvalLoss)
 		}
 		m := stats.ComputeMoments(losses)
 		fmt.Printf("%-8s test loss = %.5f ± %.5f over 3 replicates\n",

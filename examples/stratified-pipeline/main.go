@@ -8,13 +8,13 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 
 	"repro/internal/cfd3d"
 	"repro/internal/energy"
 	"repro/internal/sampling"
 	"repro/internal/sickle"
+	"repro/internal/stream"
 	"repro/internal/train"
 )
 
@@ -25,53 +25,43 @@ func main() {
 	fmt.Printf("dataset: %s, %d snapshots, %.1f MB\n",
 		d.GridString(), d.NTime(), float64(d.SizeBytes())/1e6)
 
-	// T1: two-phase MaxEnt subsampling across 4 minimpi ranks.
-	meterSample := energy.NewMeter()
-	cfg := sampling.PipelineConfig{
-		Hypercubes: "maxent", Method: "maxent",
-		NumHypercubes: 3, NumSamples: 16 * 16 * 16 / 10,
-		CubeSx: 16, CubeSy: 16, CubeSz: 16,
-		NumClusters: 5, Seed: 9, Meter: meterSample,
+	// T1: two-phase MaxEnt subsampling across 4 minimpi ranks — the streaming
+	// pipeline replaying the trajectory, which with no reservoir budget
+	// returns the offline selection bit for bit.
+	loop := sickle.Loop{
+		Pipeline: sampling.PipelineConfig{
+			Hypercubes: "maxent", Method: "maxent",
+			NumHypercubes: 3, CubeSx: 16,
+			NumClusters: 5, Seed: 9, Meter: energy.NewMeter(),
+		},
+		Arch:  train.ArchSpec{Arch: "mlp_transformer"},
+		Train: train.Config{Epochs: 10, Batch: 4, Seed: 10, Normalize: true},
 	}
-	cubes, world, err := sampling.SubsampleParallel(context.Background(), d, cfg, 4, sickle.DefaultCostModel())
+	t1, err := stream.Run(context.Background(), stream.NewReplaySource(d), stream.Config{
+		Pipeline: loop.Pipeline, Ranks: 4, Cost: sickle.DefaultCostModel(),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("T1: %d cube-samples (sim comm %.3g s); %s\n",
-		len(cubes), world.MaxSimCommSeconds(), meterSample)
+		len(t1.Cubes), t1.World.MaxSimCommSeconds(), loop.Pipeline.Meter)
 
 	// Persist the subsample; report the storage reduction.
 	path := "sst_subsample.skl"
-	if err := sickle.SaveCubeSamples(path, cubes); err != nil {
+	if err := sickle.SaveCubeSamples(path, t1.Cubes); err != nil {
 		log.Fatal(err)
 	}
 	defer os.Remove(path)
 	ratio, _ := sickle.StorageReduction(d, path)
 	fmt.Printf("stored %s: %.0fx smaller than the raw trajectory\n", path, ratio)
 
-	// T2: train the sample-full MLP-Transformer surrogate.
-	meterTrain := energy.NewMeter()
-	ex, err := train.BuildSampleFull(d, cubes, 1)
+	// T2 + T3: train the sample-full MLP-Transformer surrogate on the
+	// selection, evaluate and report, Fig. 8 style.
+	res, err := loop.Fit(context.Background(), d, t1.Cubes)
 	if err != nil {
 		log.Fatal(err)
 	}
-	factory := func(rng *rand.Rand) train.Model {
-		return train.NewMLPTransformer(rng, len(d.InputVars), 16, 2, len(d.OutputVars), 16)
-	}
-	_, hist, err := train.Train(context.Background(), factory, ex, train.Config{
-		Epochs: 10, Batch: 4, Seed: 10, Normalize: true, Meter: meterTrain,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// T3: evaluate and report, Fig. 8 style.
-	rep := energy.Report{
-		Label:        "SST-P1F4/Hmaxent-Xmaxent",
-		SampleJoules: meterSample.Joules(),
-		TrainJoules:  meterTrain.Joules(),
-		EvalLoss:     hist.FinalLoss,
-	}
-	fmt.Printf("T2: trained %d-parameter MLP-Transformer for %d epochs\n", hist.Params, hist.Epochs)
-	fmt.Println("T3:", sickle.EnergyReportString(rep))
+	res.Report.Label = "SST-P1F4/Hmaxent-Xmaxent"
+	fmt.Printf("T2: trained %d-parameter MLP-Transformer for %d epochs\n", res.History.Params, res.History.Epochs)
+	fmt.Println("T3:", sickle.EnergyReportString(res.Report))
 }

@@ -3,6 +3,8 @@ package config
 import (
 	"fmt"
 	"os"
+
+	"repro/internal/sampling"
 )
 
 // Case is the typed view of a SICKLE case file, mirroring the paper's YAML
@@ -105,6 +107,16 @@ type StreamCase struct {
 	SketchBins  int
 	Reservoir   int
 	ShardPrefix string
+}
+
+// Pipeline is the case's subsample section as the sampling configuration.
+func (c *Case) Pipeline() sampling.PipelineConfig {
+	return sampling.PipelineConfig{
+		Hypercubes: c.Hypercubes, Method: c.Method,
+		NumHypercubes: c.NumHypercubes, NumSamples: c.NumSamples, NumClusters: c.NumClusters,
+		CubeSx: c.NxSL, CubeSy: c.NySL, CubeSz: c.NzSL,
+		Seed: c.Seed,
+	}
 }
 
 // LoadCase reads and parses a case file from disk.

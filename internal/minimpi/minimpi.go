@@ -23,7 +23,8 @@ type CostModel struct {
 	Bandwidth float64 // bytes per second (0 = infinite)
 }
 
-func (m CostModel) cost(bytes int, ranks int) float64 {
+// Cost is the simulated time of one collective moving bytes among ranks.
+func (m CostModel) Cost(bytes int, ranks int) float64 {
 	if ranks <= 1 {
 		return 0
 	}
@@ -108,7 +109,7 @@ func (w *World) MaxSimCommSeconds() float64 {
 }
 
 func (c *Comm) charge(bytes int) {
-	c.w.simComm[c.rank] += c.w.cost.cost(bytes, c.w.size)
+	c.w.simComm[c.rank] += c.w.cost.Cost(bytes, c.w.size)
 }
 
 // Barrier blocks until every rank has entered it.

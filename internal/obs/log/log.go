@@ -180,9 +180,6 @@ func Flags(fs *flag.FlagSet) func() *Logger {
 	}
 }
 
-// Default returns a text logger to stderr at info level.
-func Default() *Logger { return New(os.Stderr, LevelInfo, false) }
-
 // With returns a child logger whose records carry the given key-value
 // pairs ahead of per-call pairs (e.g. With("tier", "shard")).
 func (l *Logger) With(kv ...any) *Logger {

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/energy"
 	"repro/internal/grid"
-	"repro/internal/minimpi"
 )
 
 // PipelineConfig mirrors the artifact's subsample.py case parameters: which
@@ -49,10 +47,8 @@ func (c *PipelineConfig) defaults() {
 }
 
 // FillCubeEdges applies the cube-geometry defaults: a missing CubeSx is 32
-// and a missing CubeSy or CubeSz follows CubeSx. The offline pipeline and
-// stream.Run both call it (the stream before clamping to its reference
-// snapshot), so a config that names only CubeSx means cubes, not slabs, on
-// either path.
+// and a missing CubeSy or CubeSz follows CubeSx, so a config that names only
+// CubeSx means cubes, not slabs.
 func (c *PipelineConfig) FillCubeEdges() {
 	if c.CubeSx <= 0 {
 		c.CubeSx = 32
@@ -63,6 +59,18 @@ func (c *PipelineConfig) FillCubeEdges() {
 	if c.CubeSz <= 0 {
 		c.CubeSz = c.CubeSx
 	}
+}
+
+// FitTo is the one cube-geometry rule: the FillCubeEdges defaults, then every
+// edge shrinks to the grid axis it exceeds. Each path that takes cube edges
+// from a caller (the CLIs, stream.Run, serve, sickle.Loop) fits them to its
+// reference snapshot through here, so the same request selects the same cubes
+// on all of them.
+func (c *PipelineConfig) FitTo(f *grid.Field) {
+	c.FillCubeEdges()
+	c.CubeSx = min(c.CubeSx, f.Nx)
+	c.CubeSy = min(c.CubeSy, f.Ny)
+	c.CubeSz = min(c.CubeSz, f.Nz)
 }
 
 // CubeSample is the output of the two-phase pipeline for one cube of one
@@ -350,57 +358,4 @@ func SubsampleDataset(ctx context.Context, d *grid.Dataset, cfg PipelineConfig) 
 		out = append(out, cs...)
 	}
 	return out, nil
-}
-
-// SubsampleParallel distributes snapshots across minimpi ranks (the unit of
-// parallelism in the artifact's `srun -n 32 subsample.py`), gathers results
-// on rank 0, and returns them with the world handle for comm-cost queries.
-func SubsampleParallel(ctx context.Context, d *grid.Dataset, cfg PipelineConfig, ranks int, cost minimpi.CostModel) ([]CubeSample, *minimpi.World, error) {
-	results := make([][]CubeSample, ranks)
-	errs := make([]error, ranks)
-	w := minimpi.Run(ranks, cost, func(c *minimpi.Comm) {
-		// Phase 1 is deterministic under cfg.Seed, so every rank derives
-		// the identical cube set locally (as each MPI rank reads the
-		// shared snapshot metadata). A failing rank (including one that
-		// observes cancellation) still joins the Gather below — collectives
-		// deadlock if any rank skips them.
-		var local []CubeSample
-		kept, err := SelectCubesForDataset(ctx, d, 0, cfg)
-		var s *CubeSampler
-		if err == nil {
-			s, err = NewCubeSampler(cfg, d.InputVars, d.OutputVars, d.ClusterVar)
-		}
-		if err != nil {
-			errs[c.Rank()] = err
-		} else {
-			lo, hi := c.PartitionRange(len(d.Snapshots))
-			for t := lo; t < hi; t++ {
-				cs, err := s.SampleField(ctx, d.Snapshots[t], t, kept)
-				if err != nil {
-					errs[c.Rank()] = err
-					break
-				}
-				local = append(local, cs...)
-			}
-		}
-		results[c.Rank()] = local
-		// Gather a summary (sample counts) to rank 0, mirroring the MPI
-		// communication pattern (and charging the cost model for it).
-		counts := []float64{float64(len(local))}
-		c.Gather(0, counts)
-	})
-	var out []CubeSample
-	for r := 0; r < ranks; r++ {
-		if errs[r] != nil {
-			return nil, w, errs[r]
-		}
-		out = append(out, results[r]...)
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Snapshot != out[b].Snapshot {
-			return out[a].Snapshot < out[b].Snapshot
-		}
-		return out[a].Cube.ID < out[b].Cube.ID
-	})
-	return out, w, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/grid"
-	"repro/internal/minimpi"
 	"repro/internal/synth"
 )
 
@@ -106,6 +105,40 @@ func TestSubsampleCubeTooLarge(t *testing.T) {
 	}
 }
 
+// TestFitTo is the one cube-geometry rule: a missing edge follows CubeSx
+// (itself 32 by default), then every edge shrinks to the grid axis it
+// exceeds — to that axis, not to min(32, axis) — and a 2-D plane's Sz=1 is
+// left alone.
+func TestFitTo(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		sx, sy, sz int // requested
+		nx, ny, nz int // grid
+		wx, wy, wz int // fitted
+	}{
+		{"all missing, roomy grid", 0, 0, 0, 64, 64, 64, 32, 32, 32},
+		{"all missing, small grid", 0, 0, 0, 16, 24, 8, 16, 24, 8},
+		{"missing edges follow CubeSx", 16, 0, 0, 32, 32, 32, 16, 16, 16},
+		{"followers shrink per axis", 16, 0, 0, 32, 8, 32, 16, 8, 16},
+		{"named edges kept", 8, 4, 2, 32, 32, 32, 8, 4, 2},
+		{"oversized edge shrinks to the axis, not to 32", 100, 100, 100, 64, 48, 40, 64, 48, 40},
+		{"2-D plane", 180, 60, 1, 180, 60, 1, 180, 60, 1},
+		{"2-D plane, Sz missing", 16, 0, 0, 180, 60, 1, 16, 16, 1},
+	} {
+		c := PipelineConfig{CubeSx: tc.sx, CubeSy: tc.sy, CubeSz: tc.sz}
+		c.FitTo(grid.NewField(tc.nx, tc.ny, tc.nz))
+		if c.CubeSx != tc.wx || c.CubeSy != tc.wy || c.CubeSz != tc.wz {
+			t.Errorf("%s: %d×%d×%d on a %d×%d×%d grid fitted to %d×%d×%d, want %d×%d×%d", tc.name,
+				tc.sx, tc.sy, tc.sz, tc.nx, tc.ny, tc.nz, c.CubeSx, c.CubeSy, c.CubeSz, tc.wx, tc.wy, tc.wz)
+		}
+		again := c
+		again.FitTo(grid.NewField(tc.nx, tc.ny, tc.nz))
+		if again.CubeSx != c.CubeSx || again.CubeSy != c.CubeSy || again.CubeSz != c.CubeSz {
+			t.Errorf("%s: fitting twice changed the geometry", tc.name)
+		}
+	}
+}
+
 func TestHMaxEntPrefersInformativeCubes(t *testing.T) {
 	// Construct a field where one region has rich multi-modal KCV and the
 	// rest is constant: MaxEnt cube selection should pick the rich cubes
@@ -171,55 +204,6 @@ func TestSubsampleDatasetAllSnapshots(t *testing.T) {
 	}
 	if len(out) != 6 {
 		t.Fatalf("got %d cube samples, want 6 (3 snaps × 2 cubes)", len(out))
-	}
-}
-
-func TestSubsampleParallelMatchesSerial(t *testing.T) {
-	d := smallSST(t, 4)
-	cfg := PipelineConfig{
-		Hypercubes: "maxent", Method: "maxent",
-		NumHypercubes: 2, NumSamples: 30,
-		CubeSx: 16, CubeSy: 16, CubeSz: 16, NumClusters: 4, Seed: 7,
-	}
-	serial, err := SubsampleDataset(context.Background(), d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ranks := range []int{1, 2, 4} {
-		par, _, err := SubsampleParallel(context.Background(), d, cfg, ranks, minimpi.CostModel{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("ranks=%d: %d cube samples, want %d", ranks, len(par), len(serial))
-		}
-		// Seeding is per-snapshot, so results must be rank-count invariant.
-		for i := range par {
-			if par[i].Snapshot != serial[i].Snapshot || par[i].Cube.ID != serial[i].Cube.ID {
-				t.Fatalf("ranks=%d: cube ordering differs at %d", ranks, i)
-			}
-			for r := range par[i].LocalIdx {
-				if par[i].LocalIdx[r] != serial[i].LocalIdx[r] {
-					t.Fatalf("ranks=%d: sample indices differ in cube %d", ranks, par[i].Cube.ID)
-				}
-			}
-		}
-	}
-}
-
-func TestSubsampleParallelChargesComm(t *testing.T) {
-	d := smallSST(t, 4)
-	cfg := PipelineConfig{
-		Hypercubes: "random", Method: "random",
-		NumHypercubes: 1, NumSamples: 10,
-		CubeSx: 16, CubeSy: 16, CubeSz: 16, Seed: 8,
-	}
-	_, w, err := SubsampleParallel(context.Background(), d, cfg, 4, minimpi.CostModel{Latency: 1e-5, Bandwidth: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.MaxSimCommSeconds() <= 0 {
-		t.Fatal("parallel run charged no communication time")
 	}
 }
 

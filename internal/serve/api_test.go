@@ -94,8 +94,12 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTrainJobEndToEnd submits an async train job that registers its
-// trained surrogate, then serves inference from it.
+// TestTrainJobEndToEnd submits async train jobs for every Table 2
+// architecture: each gets the example layout it consumes, registers its
+// trained surrogate and then serves inference from it. An LSTM over a
+// dataset with no global target to regress, or a spec whose dimensions are
+// not the data's, is the caller's mistake and fails typed, never as a runner
+// panic.
 func TestTrainJobEndToEnd(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -103,52 +107,102 @@ func TestTrainJobEndToEnd(t *testing.T) {
 	c := client.New(ts.URL)
 	ctx := context.Background()
 
-	job, err := c.SubmitTrainJob(ctx, &api.TrainJobSpec{
-		Dataset:   "GESTS-2048",
-		Subsample: &api.SubsampleRequest{Cube: 8, NumHypercubes: 2, NumSamples: 32, Seed: 1},
-		Spec:      api.ModelSpec{Arch: "mlp_transformer", InDim: 4, Hidden: 8, Heads: 2, OutDim: 1, Edge: 8},
-		Register:  "trained",
-		Epochs:    2, Batch: 8, Seed: 1,
-	})
-	if err != nil {
-		t.Fatalf("SubmitTrainJob: %v", err)
-	}
-	done, err := c.WaitJob(ctx, job.ID, 10*time.Millisecond)
-	if err != nil {
-		t.Fatalf("WaitJob: %v", err)
-	}
-	if done.State != api.JobSucceeded {
-		t.Fatalf("train job finished %s (%v)", done.State, done.Error)
-	}
-	res, err := c.JobResult(ctx, job.ID)
-	if err != nil || res.Train == nil {
-		t.Fatalf("JobResult = %+v, %v", res, err)
-	}
-	if res.Train.Registered != "trained" || res.Train.Epochs != 2 || res.Train.Params <= 0 {
-		t.Fatalf("train result = %+v", res.Train)
-	}
+	cube := api.ModelSpec{InDim: 4, Hidden: 8, Heads: 2, OutDim: 1, Edge: 8}
+	withArch := func(spec api.ModelSpec, arch string) api.ModelSpec { spec.Arch = arch; return spec }
+	for _, tc := range []struct {
+		dataset string
+		spec    api.ModelSpec
+		wantErr string // substring of the invalid_argument message; "" = succeeds
+		slow    bool
+	}{
+		{dataset: "GESTS-2048", spec: withArch(cube, "mlp_transformer")},
+		{dataset: "GESTS-2048", spec: withArch(cube, "cnn_transformer")},
+		{dataset: "GESTS-2048", spec: withArch(cube, "matey")},
+		{dataset: "GESTS-2048", spec: api.ModelSpec{Arch: "lstm", InDim: 8, Hidden: 8, OutDim: 1}, wantErr: "has no global targets"},
+		{dataset: "GESTS-2048", spec: api.ModelSpec{Arch: "matey", InDim: 3, Hidden: 8, Heads: 2, OutDim: 1, Edge: 8}, wantErr: "does not fit the data"},
+		{dataset: "OF2D", spec: api.ModelSpec{Arch: "lstm", InDim: 4, Hidden: 8, OutDim: 1}, slow: true},
+	} {
+		name := tc.spec.Arch + "-" + tc.dataset
+		if tc.slow && testing.Short() {
+			continue // synthesizing the OF2D trajectory takes seconds
+		}
+		job, err := c.SubmitTrainJob(ctx, &api.TrainJobSpec{
+			Dataset:   tc.dataset,
+			Subsample: &api.SubsampleRequest{Cube: 8, NumHypercubes: 2, NumSamples: 32, Seed: 1},
+			Spec:      tc.spec,
+			Register:  name,
+			Epochs:    2, Batch: 8, Seed: 1,
+		})
+		if err != nil {
+			t.Fatalf("%s: SubmitTrainJob: %v", name, err)
+		}
+		done, err := c.WaitJob(ctx, job.ID, 10*time.Millisecond)
+		if err != nil {
+			t.Fatalf("%s: WaitJob: %v", name, err)
+		}
+		if tc.wantErr != "" {
+			if done.State != api.JobFailed || done.Error == nil || done.Error.Code != api.CodeInvalidArgument ||
+				!strings.Contains(done.Error.Message, tc.wantErr) {
+				t.Fatalf("%s: job finished %s (%v), want failed with invalid_argument %q", name, done.State, done.Error, tc.wantErr)
+			}
+			continue
+		}
+		if done.State != api.JobSucceeded {
+			t.Fatalf("%s: train job finished %s (%v)", name, done.State, done.Error)
+		}
+		res, err := c.JobResult(ctx, job.ID)
+		if err != nil || res.Train == nil {
+			t.Fatalf("%s: JobResult = %+v, %v", name, res, err)
+		}
+		if res.Train.Registered != name || res.Train.Epochs != 2 || res.Train.Params <= 0 {
+			t.Fatalf("%s: train result = %+v", name, res.Train)
+		}
 
-	models, err := c.Models(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var info *api.ModelInfo
-	for i := range models {
-		if models[i].Name == "trained" {
-			info = &models[i]
+		models, err := c.Models(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info *api.ModelInfo
+		for i := range models {
+			if models[i].Name == name {
+				info = &models[i]
+			}
+		}
+		if info == nil {
+			t.Fatalf("%s: trained model not registered; have %+v", name, models)
+		}
+		n := 1
+		for _, d := range info.InputShape {
+			n *= d
+		}
+		out, err := c.Infer(ctx, &api.InferRequest{Model: name,
+			Items: []api.InferItem{{Shape: info.InputShape, Data: make([]float64, n)}}})
+		if err != nil || len(out.Outputs) != 1 {
+			t.Fatalf("%s: infer on trained model: %+v, %v", name, out, err)
 		}
 	}
-	if info == nil {
-		t.Fatalf("trained model not registered; have %+v", models)
+}
+
+// TestUnknownScaleIsInvalidArgument: a scale that is neither small nor
+// large is refused, not served as small.
+func TestUnknownScaleIsInvalidArgument(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+
+	_, err := c.Subsample(context.Background(), &api.SubsampleRequest{Dataset: "GESTS-2048", Scale: "Lrage", Cube: 8})
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeInvalidArgument || !strings.Contains(ae.Message, "unknown scale") {
+		t.Fatalf("scale typo answered %v, want invalid_argument naming the scale", err)
 	}
-	n := 1
-	for _, d := range info.InputShape {
-		n *= d
+	for _, scale := range []string{"", "small", "SMALL"} {
+		if _, err := c.Subsample(context.Background(), &api.SubsampleRequest{Dataset: "GESTS-2048", Scale: scale, Cube: 8, NumSamples: 8}); err != nil {
+			t.Fatalf("scale %q: %v", scale, err)
+		}
 	}
-	out, err := c.Infer(ctx, &api.InferRequest{Model: "trained",
-		Items: []api.InferItem{{Shape: info.InputShape, Data: make([]float64, n)}}})
-	if err != nil || len(out.Outputs) != 1 {
-		t.Fatalf("infer on trained model: %+v, %v", out, err)
+	if n := s.Cache().Len(); n != 1 {
+		t.Fatalf("the three spellings of small cached %d datasets, want 1", n)
 	}
 }
 

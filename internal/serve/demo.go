@@ -32,36 +32,28 @@ func TrainDemo(ctx context.Context) (*DemoModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	cubes, err := sampling.SubsampleDataset(ctx, d, sampling.PipelineConfig{
-		Hypercubes: "random", Method: "random",
-		NumHypercubes: 6, NumSamples: 64,
-		CubeSx: 8, Seed: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ex, err := train.BuildSampleFull(d, cubes, 1)
-	if err != nil {
-		return nil, err
-	}
-	spec := train.ArchSpec{Arch: "mlp_transformer", InDim: len(d.InputVars),
-		Hidden: 16, Heads: 2, OutDim: len(d.OutputVars), Edge: 8}
-	model, hist, err := train.Train(ctx, spec.Factory(), ex, train.Config{
-		Epochs: 5, Batch: 4, Seed: 1,
-	})
+	res, err := sickle.Loop{
+		Pipeline: sampling.PipelineConfig{
+			Hypercubes: "random", Method: "random",
+			NumHypercubes: 6, NumSamples: 64,
+			CubeSx: 8, Seed: 1,
+		},
+		Arch:  train.ArchSpec{Arch: "mlp_transformer", Hidden: 16, Heads: 2},
+		Train: train.Config{Epochs: 5, Batch: 4, Seed: 1},
+	}.Run(ctx, d)
 	if err != nil {
 		return nil, err
 	}
 	path := filepath.Join(os.TempDir(), fmt.Sprintf("sickle-demo-%d.sknn", os.Getpid()))
-	if err := nn.SaveCheckpoint(path, model); err != nil {
+	if err := nn.SaveCheckpoint(path, res.Model); err != nil {
 		return nil, err
 	}
 	return &DemoModel{
-		Spec:       spec,
+		Spec:       res.Spec,
 		Checkpoint: path,
-		InputShape: ex[0].Input.Shape,
-		Params:     hist.Params,
-		FinalLoss:  hist.FinalLoss,
+		InputShape: res.Examples[0].Input.Shape,
+		Params:     res.History.Params,
+		FinalLoss:  res.History.FinalLoss,
 	}, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/durable"
@@ -18,14 +17,16 @@ import (
 	"repro/pkg/api"
 )
 
-// asCallerError maps untyped resolution failures (unknown dataset name,
-// missing .skl shard) to not_found: they are the caller's reference that
-// didn't resolve, not a server fault. Cancellation and already-typed
-// errors pass through untouched.
-func asCallerError(err error) *api.Error {
+// asCallerError types an untyped failure as the caller's mistake:
+// not_found for a reference that did not resolve (unknown dataset name,
+// missing .skl shard), invalid_argument for a pipeline failure past
+// resolution (unknown sampler or selector names, cubes larger than the
+// grid, an architecture the dataset cannot feed). Neither is a server
+// fault. Cancellation and already-typed errors pass through untouched.
+func asCallerError(err error, code api.ErrorCode) *api.Error {
 	ae := api.AsError(err)
 	if ae.Code == api.CodeInternal {
-		return api.Errorf(api.CodeNotFound, "%s", ae.Message)
+		return api.Errorf(code, "%s", ae.Message)
 	}
 	return ae
 }
@@ -39,14 +40,12 @@ func shardKey(path string) string          { return "shard:" + path }
 // context bounds how long a caller waits on another request's in-flight
 // synthesis of the same dataset.
 func (s *Server) resolveDataset(ctx context.Context, name, scaleStr string) (*grid.Dataset, bool, error) {
-	scale := sickle.Small
-	if strings.EqualFold(scaleStr, "large") {
-		scale = sickle.Large
-		scaleStr = "large"
-	} else {
-		scaleStr = "small"
+	var scale sickle.Scale
+	if err := scale.UnmarshalText([]byte(scaleStr)); err != nil {
+		return nil, false, api.Errorf(api.CodeInvalidArgument, "%s", err.Error())
 	}
-	v, hit, err := s.cache.GetOrLoad(ctx, datasetKey(name, scaleStr), func() (any, error) {
+	canonical, _ := scale.MarshalText() // never fails
+	v, hit, err := s.cache.GetOrLoad(ctx, datasetKey(name, string(canonical)), func() (any, error) {
 		return sickle.BuildDatasetUncached(name, scale)
 	})
 	if err != nil {
@@ -67,23 +66,21 @@ func (s *Server) resolveShard(ctx context.Context, path string) ([]sampling.Cube
 }
 
 // pipelineConfig translates the wire request into sampling parameters,
-// clamping the cube edge to the snapshot's grid.
+// the cube edge (default 16) fitted to the snapshot's grid.
 func pipelineConfig(req *api.SubsampleRequest, f *grid.Field) sampling.PipelineConfig {
 	pcfg := sampling.PipelineConfig{
 		Hypercubes:    req.Hypercubes,
 		Method:        req.Method,
 		NumHypercubes: req.NumHypercubes,
 		NumSamples:    req.NumSamples,
+		CubeSx:        req.Cube,
 		NumClusters:   req.NumClusters,
 		Seed:          req.Seed,
 	}
-	edge := req.Cube
-	if edge <= 0 {
-		edge = 16
+	if pcfg.CubeSx <= 0 {
+		pcfg.CubeSx = 16
 	}
-	pcfg.CubeSx = clamp(edge, f.Nx)
-	pcfg.CubeSy = clamp(edge, f.Ny)
-	pcfg.CubeSz = clamp(edge, f.Nz)
+	pcfg.FitTo(f)
 	return pcfg
 }
 
@@ -98,7 +95,7 @@ func (s *Server) doSubsample(ctx context.Context, req *api.SubsampleRequest, pro
 	if req.Shard != "" {
 		cubes, hit, err := s.resolveShard(ctx, req.Shard)
 		if err != nil {
-			return nil, asCallerError(err)
+			return nil, asCallerError(err, api.CodeNotFound)
 		}
 		points := 0
 		for _, cs := range cubes {
@@ -114,7 +111,7 @@ func (s *Server) doSubsample(ctx context.Context, req *api.SubsampleRequest, pro
 	}
 	d, hit, err := s.resolveDataset(ctx, req.Dataset, req.Scale)
 	if err != nil {
-		return nil, asCallerError(err)
+		return nil, asCallerError(err, api.CodeNotFound)
 	}
 	if req.Snapshot < 0 || req.Snapshot >= len(d.Snapshots) {
 		return nil, api.Errorf(api.CodeInvalidArgument,
@@ -132,13 +129,7 @@ func (s *Server) doSubsample(ctx context.Context, req *api.SubsampleRequest, pro
 	}
 	cubes, err := sampling.SubsampleSnapshot(ctx, d, req.Snapshot, pcfg)
 	if err != nil {
-		ae := api.AsError(err)
-		if ae.Code == api.CodeInternal {
-			// Pipeline failures here are bad request parameters (unknown
-			// sampler/selector names, cubes larger than the grid).
-			ae = api.Errorf(api.CodeInvalidArgument, "%s", ae.Message)
-		}
-		return nil, ae
+		return nil, asCallerError(err, api.CodeInvalidArgument)
 	}
 	points := 0
 	for _, cs := range cubes {
@@ -216,7 +207,7 @@ func (s *Server) trainJobRunner(spec api.TrainJobSpec) JobRunner {
 		progress("resolve", 0, 0)
 		d, _, err := s.resolveDataset(ctx, spec.Dataset, spec.Scale)
 		if err != nil {
-			return nil, asCallerError(err)
+			return nil, asCallerError(err, api.CodeNotFound)
 		}
 
 		sub := api.SubsampleRequest{}
@@ -225,41 +216,25 @@ func (s *Server) trainJobRunner(spec api.TrainJobSpec) JobRunner {
 		}
 		pcfg := pipelineConfig(&sub, d.Snapshots[0])
 		pcfg.Progress = func(done, total int) { progress("subsample", done, total) }
-		cubes, err := sampling.SubsampleDataset(ctx, d, pcfg)
-		if err != nil {
-			return nil, api.AsError(err)
-		}
-
-		window := spec.Window
-		if window <= 0 {
-			window = 1
-		}
-		examples, err := train.BuildSampleFull(d, cubes, window)
-		if err != nil {
-			return nil, api.Errorf(api.CodeInvalidArgument, "%s", err.Error())
-		}
-		epochs := spec.Epochs
-		if epochs <= 0 {
-			epochs = 5
-		}
-		batch := spec.Batch
-		if batch <= 0 {
-			batch = 8
-		}
-		progress("train", 0, epochs)
-		model, hist, err := train.Train(ctx, arch.Factory(), examples, train.Config{
-			Epochs: epochs, Batch: batch, LR: spec.LR, Seed: spec.Seed,
+		tcfg := train.Config{
+			Epochs: spec.Epochs, Batch: spec.Batch, LR: spec.LR, Seed: spec.Seed,
 			Progress: func(done, total int) { progress("train", done, total) },
-		})
-		if err != nil {
-			return nil, api.AsError(err)
 		}
-
+		if tcfg.Epochs <= 0 {
+			tcfg.Epochs = 5
+		}
+		if tcfg.Batch <= 0 {
+			tcfg.Batch = 8
+		}
+		res, err := sickle.Loop{Pipeline: pcfg, Arch: arch, Window: spec.Window, Train: tcfg}.Run(ctx, d)
+		if err != nil {
+			return nil, asCallerError(err, api.CodeInvalidArgument)
+		}
 		result := &api.TrainJobResult{
-			Examples:  len(examples),
-			Params:    hist.Params,
-			Epochs:    hist.Epochs,
-			FinalLoss: hist.FinalLoss,
+			Examples:  len(res.Examples),
+			Params:    res.History.Params,
+			Epochs:    res.History.Epochs,
+			FinalLoss: res.History.FinalLoss,
 		}
 		if spec.Register != "" {
 			progress("register", 0, 0)
@@ -273,14 +248,14 @@ func (s *Server) trainJobRunner(spec api.TrainJobSpec) JobRunner {
 			}
 			path := ckpt.Name()
 			_ = ckpt.Close() // created only to reserve the name; SaveCheckpoint rewrites it
-			if err := nn.SaveCheckpoint(path, model); err != nil {
+			if err := nn.SaveCheckpoint(path, res.Model); err != nil {
 				return nil, api.Errorf(api.CodeInternal, "%s", err.Error())
 			}
 			replicas := spec.Replicas
 			if replicas <= 0 {
 				replicas = s.cfg.Replicas
 			}
-			e, err := s.reg.Register(spec.Register, arch, path, examples[0].Input.Shape, replicas)
+			e, err := s.reg.Register(spec.Register, res.Spec, path, res.Examples[0].Input.Shape, replicas)
 			if err != nil {
 				return nil, api.Errorf(api.CodeInvalidArgument, "%s", err.Error())
 			}
@@ -289,13 +264,6 @@ func (s *Server) trainJobRunner(spec api.TrainJobSpec) JobRunner {
 		}
 		return &api.JobResult{Train: result}, nil
 	}
-}
-
-func clamp(v, hi int) int {
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }

@@ -304,8 +304,7 @@ func Fig7(ctx context.Context, scale Scale, maxRanks int, cost minimpi.CostModel
 		// partition the tiled domain).
 		f := d.Snapshots[0]
 		cubes := grid.Tile(f, cd.cubeEdge, cd.cubeEdge, cd.cubeEdge)
-		cfg.NumHypercubes = len(cubes)
-		cfg.NumSamples = cd.cubeEdge * cd.cubeEdge * cd.cubeEdge / 10
+		cfg.NumHypercubes = len(cubes) // NumSamples stays at the 10% default
 		units := len(cubes) * d.NTime()
 
 		t0 := time.Now()
@@ -319,7 +318,7 @@ func Fig7(ctx context.Context, scale Scale, maxRanks int, cost minimpi.CostModel
 		for ranks := 1; ranks <= maxRanks; ranks *= 2 {
 			maxUnits := (units + ranks - 1) / ranks
 			tComp := t1 * float64(maxUnits) / float64(units)
-			tComm := commCost(cost, collectiveBytes, ranks) * float64(d.NTime())
+			tComm := cost.Cost(collectiveBytes, ranks) * float64(d.NTime())
 			tn := tComp + tComm
 			sp := t1 / tn
 			out = append(out, Fig7Row{
@@ -329,22 +328,6 @@ func Fig7(ctx context.Context, scale Scale, maxRanks int, cost minimpi.CostModel
 		}
 	}
 	return out, nil
-}
-
-// commCost mirrors minimpi.CostModel.cost (log₂-tree collectives).
-func commCost(m minimpi.CostModel, bytes, ranks int) float64 {
-	if ranks <= 1 {
-		return 0
-	}
-	hops := 0
-	for p := 1; p < ranks; p *= 2 {
-		hops++
-	}
-	c := m.Latency
-	if m.Bandwidth > 0 {
-		c += float64(bytes) / m.Bandwidth
-	}
-	return c * float64(hops)
 }
 
 // DefaultCostModel is the interconnect model used for Fig. 7: 20 µs

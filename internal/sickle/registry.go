@@ -1,11 +1,13 @@
 // Package sickle is the top-level framework tying SICKLE-Go together: a
 // dataset registry covering the paper's Table 1 cases (scaled-down
-// synthetic analogues), the T1→T2→T3 experiment pipeline (sample → train →
-// evaluate, Fig. 2), and one experiment driver per paper table/figure.
+// synthetic analogues), Loop — the T1→T2→T3 entry point (sample → train →
+// evaluate, Fig. 2), the one place the paper's workflow is written out —
+// and one experiment driver per paper table/figure.
 package sickle
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/cfd2d"
@@ -24,6 +26,28 @@ const (
 	Small Scale = iota
 	Large
 )
+
+// MarshalText names the scale the way -scale and the API spell it.
+func (s Scale) MarshalText() ([]byte, error) {
+	if s == Large {
+		return []byte("large"), nil
+	}
+	return []byte("small"), nil
+}
+
+// UnmarshalText parses "small" (or "") and "large" in any case; anything
+// else is an error, so a typo never silently selects the small datasets.
+func (s *Scale) UnmarshalText(text []byte) error {
+	switch strings.ToLower(string(text)) {
+	case "", "small":
+		*s = Small
+	case "large":
+		*s = Large
+	default:
+		return fmt.Errorf("sickle: unknown scale %q (want small|large)", text)
+	}
+	return nil
+}
 
 // DatasetNames lists the Table 1 cases in paper order.
 func DatasetNames() []string {
@@ -114,11 +138,4 @@ func buildDataset(name string, scale Scale) (*grid.Dataset, error) {
 		}), nil
 	}
 	return nil, fmt.Errorf("sickle: unknown dataset %q (have %v)", name, DatasetNames())
-}
-
-// ClearCache drops memoized datasets (for memory-sensitive callers).
-func ClearCache() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	cache = map[string]*grid.Dataset{}
 }

@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/energy"
-	"repro/internal/grid"
 	"repro/internal/sampling"
 	"repro/internal/stats"
-	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -61,31 +58,22 @@ func Fig6(ctx context.Context, scale Scale, cfg Fig6Config) ([]Fig6Row, error) {
 			var losses []float64
 			for rep := 0; rep < cfg.Replicates; rep++ {
 				seed := int64(1000*rep + ns)
-				pcfg := sampling.PipelineConfig{
-					Hypercubes: "random", Method: method,
-					NumHypercubes: 1 << 30, // keep every cube: 2-D snapshot-wide sampling
-					NumSamples:    ns,
-					CubeSx:        d.Snapshots[0].Nx, CubeSy: d.Snapshots[0].Ny, CubeSz: 1,
-					NumClusters: 10, Seed: seed,
-				}
-				cubes, err := sampling.SubsampleDataset(ctx, d, pcfg)
+				res, err := Loop{
+					Pipeline: sampling.PipelineConfig{
+						Hypercubes: "random", Method: method,
+						NumHypercubes: 1 << 30, // keep every cube: 2-D snapshot-wide sampling
+						NumSamples:    ns,
+						CubeSx:        d.Snapshots[0].Nx, CubeSy: d.Snapshots[0].Ny, CubeSz: 1,
+						NumClusters: 10, Seed: seed,
+					},
+					Arch:   train.ArchSpec{Arch: "lstm"},
+					Window: cfg.Window,
+					Train:  train.Config{Epochs: cfg.Epochs, Batch: 8, Seed: seed, Normalize: true},
+				}.Run(ctx, d)
 				if err != nil {
 					return nil, err
 				}
-				ex, err := train.BuildSampleSingle(d, cubes, cfg.Window)
-				if err != nil {
-					return nil, err
-				}
-				factory := func(rng *rand.Rand) train.Model {
-					return train.NewLSTMModel(rng, ex[0].Input.Dim(1), 16, 1)
-				}
-				_, hist, err := train.Train(ctx, factory, ex, train.Config{
-					Epochs: cfg.Epochs, Batch: 8, Seed: seed, Normalize: true,
-				})
-				if err != nil {
-					return nil, err
-				}
-				losses = append(losses, hist.FinalLoss)
+				losses = append(losses, res.Report.EvalLoss)
 			}
 			m := stats.ComputeMoments(losses)
 			out = append(out, Fig6Row{
@@ -148,57 +136,27 @@ func Fig8(ctx context.Context, scale Scale, cfg Fig8Config) ([]Fig8Case, error) 
 		if err != nil {
 			return nil, err
 		}
-		edge := cfg.CubeEdge
-		if d.Snapshots[0].Nz < edge {
-			edge = d.Snapshots[0].Nz
-		}
 		for _, cs := range cases {
-			meterSample := energy.NewMeter()
-			meterTrain := energy.NewMeter()
-			pcfg := sampling.PipelineConfig{
-				Hypercubes: cs.hsel, Method: cs.method,
-				NumHypercubes: cfg.NumCubes,
-				NumSamples:    edge * edge * edge / 10, // the paper's 10% rate
-				CubeSx:        edge, CubeSy: edge, CubeSz: edge,
-				NumClusters: 5, Seed: 4, Meter: meterSample,
-			}
-			cubes, err := sampling.SubsampleDataset(ctx, d, pcfg)
-			if err != nil {
-				return nil, err
-			}
-			var ex []train.Example
-			var factory train.ModelFactory
-			inV, outV := len(d.InputVars), len(d.OutputVars)
+			// Dense cubes -> CNN-Transformer (per the paper's notes).
+			arch := "mlp_transformer"
 			if cs.method == "full" {
-				// Dense cubes -> CNN-Transformer (per the paper's notes).
-				ex, err = train.BuildFullFull(d, cubes, 1)
-				factory = func(rng *rand.Rand) train.Model {
-					return train.NewCNNTransformer(rng, inV, 16, 2, outV, edge)
-				}
-			} else {
-				ex, err = train.BuildSampleFull(d, cubes, 1)
-				factory = func(rng *rand.Rand) train.Model {
-					return train.NewMLPTransformer(rng, inV, 16, 2, outV, edge)
-				}
+				arch = "cnn_transformer"
 			}
-			if err != nil {
-				return nil, err
-			}
-			_, hist, err := train.Train(ctx, factory, ex, train.Config{
-				Epochs: cfg.Epochs, Batch: 4, Seed: 5, Normalize: true, Meter: meterTrain,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Fig8Case{
-				Dataset: dsName, Case: cs.name,
-				Report: energy.Report{
-					Label:        fmt.Sprintf("%s/%s", dsName, cs.name),
-					SampleJoules: meterSample.Joules(),
-					TrainJoules:  meterTrain.Joules(),
-					EvalLoss:     hist.FinalLoss,
+			// NumSamples stays at the pipeline's default, the paper's 10% rate.
+			res, err := Loop{
+				Pipeline: sampling.PipelineConfig{
+					Hypercubes: cs.hsel, Method: cs.method,
+					NumHypercubes: cfg.NumCubes, CubeSx: cfg.CubeEdge,
+					NumClusters: 5, Seed: 4,
 				},
-			})
+				Arch:  train.ArchSpec{Arch: arch},
+				Train: train.Config{Epochs: cfg.Epochs, Batch: 4, Seed: 5, Normalize: true},
+			}.Run(ctx, d)
+			if err != nil {
+				return nil, err
+			}
+			res.Report.Label = fmt.Sprintf("%s/%s", dsName, cs.name)
+			out = append(out, Fig8Case{Dataset: dsName, Case: cs.name, Report: res.Report})
 		}
 	}
 	return out, nil
@@ -231,87 +189,31 @@ func (c *Fig9Config) defaults() {
 }
 
 // Fig9 trains the MATEY-like multiscale model on SST-P1F4 with uniform,
-// random, and MaxEnt sampling at 10%: sampled points are scattered into
-// zero-masked dense cubes (SICKLE as a data-sparsification preprocessor for
-// a dense foundation model).
+// random, and MaxEnt sampling at 10%: the full-full layout scatters the
+// sampled points into zero-masked dense cubes (SICKLE as a
+// data-sparsification preprocessor for a dense foundation model).
 func Fig9(ctx context.Context, scale Scale, cfg Fig9Config) ([]Fig9Row, error) {
 	cfg.defaults()
 	d, err := BuildDataset("SST-P1F4", scale)
 	if err != nil {
 		return nil, err
 	}
-	edge := cfg.CubeEdge
-	if d.Snapshots[0].Nz < edge {
-		edge = d.Snapshots[0].Nz
-	}
 	var out []Fig9Row
 	for _, method := range []string{"uniform", "random", "maxent"} {
-		meterSample := energy.NewMeter()
-		meterTrain := energy.NewMeter()
-		pcfg := sampling.PipelineConfig{
-			Hypercubes: "random", Method: method,
-			NumHypercubes: cfg.NumCubes,
-			NumSamples:    edge * edge * edge / 10,
-			CubeSx:        edge, CubeSy: edge, CubeSz: edge,
-			NumClusters: 5, Seed: 6, Meter: meterSample,
-		}
-		cubes, err := sampling.SubsampleDataset(ctx, d, pcfg)
-		if err != nil {
-			return nil, err
-		}
-		ex, err := buildMaskedFullFull(d, cubes, edge)
-		if err != nil {
-			return nil, err
-		}
-		inV, outV := len(d.InputVars), len(d.OutputVars)
-		factory := func(rng *rand.Rand) train.Model {
-			return train.NewMATEYModel(rng, inV, 16, 2, outV, edge)
-		}
-		_, hist, err := train.Train(ctx, factory, ex, train.Config{
-			Epochs: cfg.Epochs, Batch: 4, Seed: 7, Normalize: true, Meter: meterTrain,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Fig9Row{
-			Method: method,
-			Report: energy.Report{
-				Label:        "MATEY/" + method,
-				SampleJoules: meterSample.Joules(),
-				TrainJoules:  meterTrain.Joules(),
-				EvalLoss:     hist.FinalLoss,
+		res, err := Loop{
+			Pipeline: sampling.PipelineConfig{
+				Hypercubes: "random", Method: method,
+				NumHypercubes: cfg.NumCubes, CubeSx: cfg.CubeEdge,
+				NumClusters: 5, Seed: 6,
 			},
-		})
-	}
-	return out, nil
-}
-
-// buildMaskedFullFull scatters each cube's sampled points into a dense,
-// zero-masked input cube (unsampled points = 0), with the dense output
-// cube as target — how a dense foundation model consumes sparse samples.
-func buildMaskedFullFull(d *grid.Dataset, cubes []sampling.CubeSample, edge int) ([]train.Example, error) {
-	cIn := len(d.InputVars)
-	var out []train.Example
-	for _, cs := range cubes {
-		f := d.Snapshots[cs.Snapshot]
-		flat := cs.Cube.Indices(f)
-		in := tensor.New(1, cIn, edge, edge, edge)
-		for r, li := range cs.LocalIdx {
-			for v := 0; v < cIn; v++ {
-				in.Data[v*edge*edge*edge+li] = cs.Features[r][v]
-			}
+			Arch:  train.ArchSpec{Arch: "matey"},
+			Train: train.Config{Epochs: cfg.Epochs, Batch: 4, Seed: 7, Normalize: true},
+		}.Run(ctx, d)
+		if err != nil {
+			return nil, err
 		}
-		tgt := tensor.New(1, len(d.OutputVars), edge, edge, edge)
-		for v, name := range d.OutputVars {
-			src := f.Var(name)
-			for p, fi := range flat {
-				tgt.Data[v*edge*edge*edge+p] = src[fi]
-			}
-		}
-		out = append(out, train.Example{Input: in, Target: tgt})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("sickle: no masked examples built")
+		res.Report.Label = "MATEY/" + method
+		out = append(out, Fig9Row{Method: method, Report: res.Report})
 	}
 	return out, nil
 }

@@ -336,20 +336,11 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 	}
 	tracker.addBytes(f0.SizeBytes())
 
-	// The offline defaults first (a missing CubeSy/CubeSz follows CubeSx),
-	// then clamp the geometry to the reference snapshot, mirroring the
-	// offline CLI's behaviour, so live sources with modest grids just work.
+	// The one geometry rule, against the reference snapshot, so live sources
+	// with modest grids just work and a replayed dataset selects the cubes
+	// the offline CLI selects.
 	pcfg := cfg.Pipeline
-	pcfg.FillCubeEdges()
-	if pcfg.CubeSx > f0.Nx {
-		pcfg.CubeSx = min(32, f0.Nx)
-	}
-	if pcfg.CubeSy > f0.Ny {
-		pcfg.CubeSy = min(32, f0.Ny)
-	}
-	if pcfg.CubeSz > f0.Nz {
-		pcfg.CubeSz = min(32, f0.Nz)
-	}
+	pcfg.FitTo(f0)
 
 	// Phase 1 once, on the reference snapshot — the fixed sensor regions
 	// every streamed snapshot is sampled through.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cfd2d"
 	"repro/internal/cfd3d"
 	"repro/internal/grid"
+	"repro/internal/minimpi"
 	"repro/internal/sampling"
 	"repro/internal/sickle"
 	"repro/internal/stats"
@@ -350,9 +351,15 @@ func TestStreamRankLayoutInvariance(t *testing.T) {
 	for _, ranks := range []int{1, 3} {
 		res, err := Run(t.Context(), NewReplaySource(d), Config{
 			Pipeline: pcfg, Ranks: ranks, Window: 3, MergeEvery: 2,
+			Cost: minimpi.CostModel{Latency: 1e-5, Bandwidth: 1e9},
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The collectives of a multi-rank run are charged to the cost
+		// model; a single rank communicates with nobody.
+		if comm := res.World.MaxSimCommSeconds(); (comm > 0) != (ranks > 1) {
+			t.Fatalf("ranks=%d: %v s of simulated communication charged", ranks, comm)
 		}
 		if ref == nil {
 			ref = res.Cubes

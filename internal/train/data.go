@@ -111,18 +111,7 @@ func BuildSampleFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) (
 					copy(in.Data[(t*n+p)*c:(t*n+p)*c+c], feat)
 				}
 			}
-			lastCS := win[window-1]
-			g := lastCS.Cube.Sx
-			f := d.Snapshots[lastCS.Snapshot]
-			tgt := tensor.New(1, len(d.OutputVars), g, g, g)
-			flat := lastCS.Cube.Indices(f)
-			for v, name := range d.OutputVars {
-				src := f.Var(name)
-				for p, fi := range flat {
-					tgt.Data[v*g*g*g+p] = src[fi]
-				}
-			}
-			out = append(out, Example{Input: in, Target: tgt})
+			out = append(out, Example{Input: in, Target: denseTarget(d, win[window-1])})
 		}
 	}
 	if len(out) == 0 {
@@ -131,9 +120,29 @@ func BuildSampleFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) (
 	return out, nil
 }
 
-// BuildFullFull converts full-cube samples into full-full examples for the
-// CNN-Transformer: input = dense input-variable cube window [T, C, G, G, G];
-// target = dense output cube at the final snapshot [1, C', G, G, G].
+// denseTarget is the dense cube of output variables at cs's snapshot
+// [1, C', G, G, G], the target of both cube layouts.
+func denseTarget(d *grid.Dataset, cs sampling.CubeSample) *tensor.Tensor {
+	g := cs.Cube.Sx
+	f := d.Snapshots[cs.Snapshot]
+	tgt := tensor.New(1, len(d.OutputVars), g, g, g)
+	flat := cs.Cube.Indices(f)
+	for v, name := range d.OutputVars {
+		src := f.Var(name)
+		for p, fi := range flat {
+			tgt.Data[v*g*g*g+p] = src[fi]
+		}
+	}
+	return tgt
+}
+
+// BuildFullFull converts cube samples into full-full examples for the
+// CNN-Transformer and MATEY: input = the window's sampled points scattered
+// into a zero cube per step [T, C, G, G, G]; target = dense output cube at
+// the final snapshot [1, C', G, G, G]. Under method "full" every point is
+// sampled, so the input is the dense input-variable cube; under a sparse
+// sampler it is that cube with the unsampled points masked to zero, which is
+// how a dense foundation model consumes a SICKLE selection (Fig. 9).
 func BuildFullFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) ([]Example, error) {
 	if window <= 0 {
 		window = 1
@@ -146,26 +155,13 @@ func BuildFullFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) ([]
 			cIn := len(d.InputVars)
 			in := tensor.New(window, cIn, g, g, g)
 			for t, w := range win {
-				f := d.Snapshots[w.Snapshot]
-				flat := w.Cube.Indices(f)
-				for v, name := range d.InputVars {
-					src := f.Var(name)
-					for p, fi := range flat {
-						in.Data[(t*cIn+v)*g*g*g+p] = src[fi]
+				for r, li := range w.LocalIdx {
+					for v, x := range w.Features[r] {
+						in.Data[(t*cIn+v)*g*g*g+li] = x
 					}
 				}
 			}
-			lastCS := win[window-1]
-			f := d.Snapshots[lastCS.Snapshot]
-			flat := lastCS.Cube.Indices(f)
-			tgt := tensor.New(1, len(d.OutputVars), g, g, g)
-			for v, name := range d.OutputVars {
-				src := f.Var(name)
-				for p, fi := range flat {
-					tgt.Data[v*g*g*g+p] = src[fi]
-				}
-			}
-			out = append(out, Example{Input: in, Target: tgt})
+			out = append(out, Example{Input: in, Target: denseTarget(d, win[window-1])})
 		}
 	}
 	if len(out) == 0 {

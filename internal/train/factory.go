@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+
+	"repro/internal/grid"
+	"repro/internal/sampling"
 )
 
 // ArchSpec names one of the Table 2 architectures together with the
@@ -45,6 +48,42 @@ func (s ArchSpec) Validate() error {
 		return fmt.Errorf("train: unknown arch %q (want lstm|mlp_transformer|cnn_transformer|matey)", s.Arch)
 	}
 	return nil
+}
+
+// SizedFor fills the dimensions the spec leaves zero from the data it will
+// train on: the LSTM reads BuildSampleSingle's per-variable mean and std
+// (InDim = 2·inputs) and predicts the one global target; the cube
+// architectures take the dataset's variable counts and the cube edge.
+func (s ArchSpec) SizedFor(d *grid.Dataset, edge int) ArchSpec {
+	in, out := len(d.InputVars), len(d.OutputVars)
+	if strings.EqualFold(s.Arch, "lstm") {
+		in, out, edge = 2*in, 1, 0
+	}
+	if s.InDim <= 0 {
+		s.InDim = in
+	}
+	if s.OutDim <= 0 {
+		s.OutDim = out
+	}
+	if s.Edge <= 0 {
+		s.Edge = edge
+	}
+	return s
+}
+
+// Examples lays cube samples out the way the architecture consumes them
+// (Table 2): lstm → BuildSampleSingle, mlp_transformer → BuildSampleFull,
+// cnn_transformer and matey → BuildFullFull.
+func (s ArchSpec) Examples(d *grid.Dataset, cubes []sampling.CubeSample, window int) ([]Example, error) {
+	switch strings.ToLower(s.Arch) {
+	case "lstm":
+		return BuildSampleSingle(d, cubes, window)
+	case "mlp_transformer":
+		return BuildSampleFull(d, cubes, window)
+	case "cnn_transformer", "matey":
+		return BuildFullFull(d, cubes, window)
+	}
+	return nil, fmt.Errorf("train: unknown arch %q", s.Arch)
 }
 
 // Build constructs a freshly initialized model from the spec.
