@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/tensor"
+	"repro/internal/train"
 	"repro/pkg/api"
 	"repro/pkg/client"
 )
@@ -342,6 +344,87 @@ func TestBackpressureOverloaded(t *testing.T) {
 	raw, err := c.MetricsText(ctx)
 	if err != nil || !strings.Contains(raw, "sickle_rejected_requests_total") {
 		t.Fatalf("metrics missing rejected counter (err %v)", err)
+	}
+}
+
+// TestMultiItemInferFailures pins how a multi-item call reports a failing
+// item now that the handler enqueues and collects its items itself: the
+// item is named, the code and the retry hint are its own — an item refused
+// at admission after earlier ones were admitted, and an item cancelled
+// while it waits in the queue.
+func TestMultiItemInferFailures(t *testing.T) {
+	s, ref := newTestServer(t, Config{
+		MaxBatch: 1, Window: time.Millisecond, Workers: 1, QueueCap: 1})
+	entry, _ := s.reg.Lookup("m")
+	jam := func() (release func()) {
+		t.Helper()
+		var held [2]train.Model
+		for i := range held {
+			var err error
+			if held[i], err = entry.Acquire(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return func() {
+			for _, m := range held {
+				entry.Release(m)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	req := &api.InferRequest{Model: "m"}
+	for i := 0; i < 8; i++ { // the jammed pipeline holds four: worker, jobs buffer, dispatcher, queue
+		req.Items = append(req.Items, randomItem(rng))
+	}
+
+	release := jam()
+	go func() {
+		for s.Metrics().RejectedTotal() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		release()
+	}()
+	_, err := s.doInfer(context.Background(), req)
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeOverloaded || ae.RetryAfterSeconds <= 0 {
+		t.Fatalf("8 items into a jammed 4-slot pipeline: %v, want overloaded with a retry hint", err)
+	}
+	var refused int
+	if _, scanErr := fmt.Sscanf(ae.Message, "item %d:", &refused); scanErr != nil || refused < 1 || refused > 4 {
+		t.Fatalf("message %q does not name the refused item (1 to 4)", ae.Message)
+	}
+
+	// Four items either all fit the jammed pipeline, the last one staying
+	// in the queue, or one of them is refused.
+	release = jam()
+	ctx, cancel := context.WithCancel(context.Background())
+	rejected := s.Metrics().RejectedTotal()
+	go func() {
+		for s.batcher.QueueDepth() == 0 && s.Metrics().RejectedTotal() == rejected {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	req.Items = req.Items[:4]
+	_, err = s.doInfer(ctx, req)
+	if !errors.As(err, &ae) || ae.Code != api.CodeCanceled || !strings.HasPrefix(ae.Message, "item 0:") {
+		t.Fatalf("cancelled while queued: %v, want canceled naming item 0", err)
+	}
+	release()
+
+	// The cancelled items are dropped unstarted; the pipeline serves on
+	// (one item a call, once the queue's one slot is free again).
+	for s.batcher.QueueDepth() > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	for i, item := range req.Items {
+		out, err := s.doInfer(context.Background(), &api.InferRequest{Model: "m", Items: []api.InferItem{item}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkOutput(out.Outputs[0], expect(ref, item)); err != nil {
+			t.Fatalf("item %d after the failures: %v", i, err)
+		}
 	}
 }
 

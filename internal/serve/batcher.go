@@ -129,12 +129,25 @@ func (b *Batcher) SetTracer(t *obs.Tracer) { b.tracer = t }
 // is draining (api.CodeShuttingDown), or ctx is done (api.CodeCanceled /
 // api.CodeDeadlineExceeded). All failures are typed *api.Error values.
 func (b *Batcher) Infer(ctx context.Context, model string, input *tensor.Tensor) (*tensor.Tensor, int, int, error) {
+	req, err := b.admit(ctx, model, input)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	res := req.wait()
+	return res.output, res.version, res.batchSize, res.err
+}
+
+// admit is the first half of Infer: it enqueues one example without
+// blocking and returns the request to wait on, so one goroutine can have
+// several examples queued (a multi-item call shares micro-batches with
+// itself and with concurrent callers) and collect them in order.
+func (b *Batcher) admit(ctx context.Context, model string, input *tensor.Tensor) (*inferRequest, error) {
 	if ctx == nil {
 		//sicklevet:ignore ctxfirst nil-ctx compatibility guard for direct library callers
 		ctx = context.Background()
 	}
 	if _, ok := b.reg.Lookup(model); !ok {
-		return nil, 0, 0, api.Errorf(api.CodeModelNotFound, "unknown model %q", model)
+		return nil, api.Errorf(api.CodeModelNotFound, "unknown model %q", model)
 	}
 	req := &inferRequest{ctx: ctx, input: input, resp: make(chan inferResult, 1), enqueued: time.Now()}
 	req.tc, _ = api.TraceFrom(ctx)
@@ -146,7 +159,7 @@ func (b *Batcher) Infer(ctx context.Context, model string, input *tensor.Tensor)
 	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
-		return nil, 0, 0, errShuttingDown()
+		return nil, errShuttingDown()
 	}
 	admitted := false
 	select {
@@ -157,17 +170,23 @@ func (b *Batcher) Infer(ctx context.Context, model string, input *tensor.Tensor)
 	b.mu.Unlock()
 	if !admitted {
 		b.met.ObserveRejected()
-		return nil, 0, 0, api.Errorf(api.CodeOverloaded,
+		return nil, api.Errorf(api.CodeOverloaded,
 			"serve: model %q queue full (%d waiting)", model, b.queueCap).WithRetryAfter(1)
 	}
-	// The response channel is buffered, so abandoning the wait on ctx.Done
-	// never blocks the dispatcher; an admitted-then-canceled request is
-	// detected and skipped when its batch runs.
+	return req, nil
+}
+
+// wait is the second half of Infer: it blocks until the admitted request's
+// batch has run or its context is done. The response channel is buffered,
+// so abandoning the wait never blocks the dispatcher; an
+// admitted-then-canceled request is detected and skipped when its batch
+// runs.
+func (r *inferRequest) wait() inferResult {
 	select {
-	case res := <-req.resp:
-		return res.output, res.version, res.batchSize, res.err
-	case <-ctx.Done():
-		return nil, 0, 0, api.AsError(ctx.Err())
+	case res := <-r.resp:
+		return res
+	case <-r.ctx.Done():
+		return inferResult{err: api.AsError(r.ctx.Err())}
 	}
 }
 
@@ -299,13 +318,14 @@ func (b *Batcher) runBatch(model string, batch []*inferRequest) {
 	execStart := time.Now()
 	recordExec := func(errMsg string) {
 		secs := time.Since(execStart).Seconds()
+		// One map for the whole batch: recorded spans are never written to.
+		attrs := map[string]string{"batch_size": strconv.Itoa(len(batch))}
+		if errMsg != "" {
+			attrs["error"] = errMsg
+		}
 		for _, r := range batch {
 			if r.tc.TraceID == "" {
 				continue
-			}
-			attrs := map[string]string{"batch_size": strconv.Itoa(len(batch))}
-			if errMsg != "" {
-				attrs["error"] = errMsg
 			}
 			b.tracer.Record(obs.Span{
 				TraceID: r.tc.TraceID, SpanID: api.NewSpanID(), ParentID: r.tc.SpanID,

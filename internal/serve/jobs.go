@@ -376,7 +376,6 @@ func (jm *JobManager) finish(j *jobEntry, res *api.JobResult, err error) {
 			jm.reportWALErr(werr)
 		}
 	}
-	close(j.done)
 	if j.tc.TraceID != "" {
 		jm.tracer.Record(obs.Span{
 			TraceID: j.tc.TraceID, SpanID: api.NewSpanID(), ParentID: j.tc.SpanID,
@@ -388,6 +387,8 @@ func (jm *JobManager) finish(j *jobEntry, res *api.JobResult, err error) {
 			},
 		})
 	}
+	// Last: whoever waits on done may read the trace straight away.
+	close(j.done)
 }
 
 // purgeLocked drops terminal jobs older than the retention TTL and, if

@@ -383,36 +383,44 @@ func (s *Server) doInfer(ctx context.Context, req *api.InferRequest) (*api.Infer
 		inputs[i] = tensor.FromSlice(it.Data, it.Shape...)
 	}
 	// Enqueue every item separately so items from concurrent clients can
-	// share micro-batches, then gather in order.
-	type itemOut struct {
-		out     *tensor.Tensor
-		version int
-		batch   int
-		err     error
-	}
-	outs := make([]itemOut, len(inputs))
-	done := make(chan int, len(inputs))
-	for i := range inputs {
-		go func(i int) {
-			o, v, bsz, err := s.batcher.Infer(ctx, req.Model, inputs[i])
-			outs[i] = itemOut{o, v, bsz, err}
-			done <- i
-		}(i)
-	}
-	for range inputs {
-		<-done
-	}
-	resp := &api.InferResponse{Model: req.Model}
-	for i, o := range outs {
-		if o.err != nil {
-			ae := api.AsError(o.err)
-			return nil, api.Errorf(ae.Code, "item %d: %s", i, ae.Message).WithRetryAfter(ae.RetryAfterSeconds)
+	// share micro-batches, then gather in order. An item refused at
+	// admission ends the enqueueing — nothing after it could change the
+	// answer, which is the lowest-numbered item's failure.
+	pending := make([]*inferRequest, 0, len(inputs))
+	var refused error
+	for _, in := range inputs {
+		p, err := s.batcher.admit(ctx, req.Model, in)
+		if err != nil {
+			refused = err
+			break
 		}
-		resp.Version = o.version
-		resp.Outputs = append(resp.Outputs, api.InferItem{Shape: o.out.Shape, Data: o.out.Data})
-		resp.BatchSizes = append(resp.BatchSizes, o.batch)
+		pending = append(pending, p)
+	}
+	resp := &api.InferResponse{
+		Model:      req.Model,
+		Outputs:    make([]api.InferItem, 0, len(inputs)),
+		BatchSizes: make([]int, 0, len(inputs)),
+	}
+	for i, p := range pending {
+		res := p.wait()
+		if res.err != nil {
+			return nil, itemError(i, res.err)
+		}
+		resp.Version = res.version
+		resp.Outputs = append(resp.Outputs, api.InferItem{Shape: res.output.Shape, Data: res.output.Data})
+		resp.BatchSizes = append(resp.BatchSizes, res.batchSize)
+	}
+	if refused != nil {
+		return nil, itemError(len(pending), refused)
 	}
 	return resp, nil
+}
+
+// itemError names the failing item of a multi-item call, keeping the
+// failure's code and retry hint.
+func itemError(i int, err error) error {
+	ae := api.AsError(err)
+	return api.Errorf(ae.Code, "item %d: %s", i, ae.Message).WithRetryAfter(ae.RetryAfterSeconds)
 }
 
 func (s *Server) doRegisterModel(req *api.RegisterModelRequest) (api.ModelInfo, error) {

@@ -241,35 +241,50 @@ func (rt *Router) route(ctx context.Context, key string, retryUnavailable bool, 
 	return nil, lastErr
 }
 
-// routed is the keyed request/response handler: decode the body, walk the
-// key's ring candidates with call (failing over on unavailable — infer and
-// subsample are reads, and a duplicate registration is a harmless hot-swap
-// to identical weights that the infer failover order visits anyway), and
-// relay the answer.
-func routed[Req, Resp any](rt *Router, w http.ResponseWriter, r *http.Request, key func(*Req) string,
-	call func(*client.Client, context.Context, *Req) (*Resp, error)) error {
-	var req Req
-	if err := tier.DecodeBody(r, &req); err != nil {
+// routed is the keyed pass-through handler. It reads the body once and
+// parses no more of it than into, which the caller sizes to the routing
+// key; walks the key's ring candidates forwarding the same bytes to each
+// (failing over on unavailable — infer and subsample are reads, and a
+// duplicate registration is a harmless hot-swap to identical weights that
+// the infer failover order visits anyway); and relays the answer's bytes
+// verbatim. Forward has the answer whole before the first byte goes to the
+// client, so a replica that dies mid-answer is still failed over from.
+func (rt *Router) routed(w http.ResponseWriter, r *http.Request, into any, key func() string) error {
+	ex := client.NewExchange()
+	defer ex.Release()
+	if err := tier.ReadBody(r, &ex.Request, into); err != nil {
 		return tier.WriteError(w, err)
 	}
-	var resp *Resp
-	_, err := rt.route(r.Context(), key(&req), true, func(ctx context.Context, rep *Replica) (err error) {
-		resp, err = call(rep.C, ctx, &req)
-		return err
+	_, err := rt.route(r.Context(), key(), true, func(ctx context.Context, rep *Replica) error {
+		return rep.C.Forward(ctx, r.Method, r.URL.Path, ex)
 	})
-	return tier.Reply(w, resp, err)
+	if err != nil {
+		return tier.WriteError(w, err)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(ex.Answer.Len()))
+	w.WriteHeader(ex.Status)
+	_, err = w.Write(ex.Answer.Bytes())
+	return err
 }
 
 func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) error {
-	return routed(rt, w, r, func(q *api.InferRequest) string { return q.Model }, (*client.Client).Infer)
+	var q struct { // all of an api.InferRequest the router parses
+		Model string `json:"model"`
+	}
+	return rt.routed(w, r, &q, func() string { return q.Model })
 }
 
 func (rt *Router) handleSubsample(w http.ResponseWriter, r *http.Request) error {
-	return routed(rt, w, r, subsampleKey, (*client.Client).Subsample)
+	var q api.SubsampleRequest
+	return rt.routed(w, r, &q, func() string { return subsampleKey(&q) })
 }
 
 func (rt *Router) handleRegisterModel(w http.ResponseWriter, r *http.Request) error {
-	return routed(rt, w, r, func(q *api.RegisterModelRequest) string { return q.Name }, (*client.Client).RegisterModel)
+	var q struct { // all of an api.RegisterModelRequest the router parses
+		Name string `json:"name"`
+	}
+	return rt.routed(w, r, &q, func() string { return q.Name })
 }
 
 // subsampleKey picks the routing key that keeps a dataset's LRU entry hot

@@ -10,12 +10,14 @@
 package tier
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -260,10 +262,37 @@ func (t *Tier) Close() {
 
 // ---- envelope helpers ----
 
-// DecodeBody decodes a JSON request body; a malformed one is a typed
-// invalid_argument.
+// bodies recycles the buffers DecodeBody reads request bodies into; one
+// stays out of the pool once it has grown past maxPooledBody.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// DecodeBody decodes a JSON request body by way of a pooled buffer (v
+// keeps none of it: encoding/json copies what it stores).
 func DecodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	buf := bodies.Get().(*bytes.Buffer)
+	err := ReadBody(r, buf, v)
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodies.Put(buf)
+	}
+	return err
+}
+
+// ReadBody reads a JSON request body whole into buf, which the caller
+// owns, and unmarshals v from it; a body that is not exactly one JSON
+// value is a typed invalid_argument.
+func ReadBody(r *http.Request, buf *bytes.Buffer, v any) error {
+	if r.ContentLength > 0 {
+		// MinRead more, or the read that finds EOF regrows the buffer.
+		buf.Grow(int(min(r.ContentLength, maxPooledBody)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
+	if err != nil {
 		return api.Errorf(api.CodeInvalidArgument, "bad JSON: %v", err)
 	}
 	return nil

@@ -62,14 +62,17 @@ func NewTraceID() string { return randomHex(8) }
 // NewSpanID mints an 8-hex-char random span ID.
 func NewSpanID() string { return randomHex(4) }
 
+// randomHex mints 2n hex characters (n ≤ 16, an idempotency key's size)
+// on the stack: the returned string is the only allocation.
 func randomHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
+	var raw [16]byte
+	var text [32]byte
+	if _, err := rand.Read(raw[:n]); err != nil {
 		// crypto/rand failing is effectively fatal elsewhere; degrade to a
 		// fixed ID rather than panicking in an instrumentation path.
 		return strings.Repeat("0", 2*n)
 	}
-	return hex.EncodeToString(b)
+	return string(text[:hex.Encode(text[:], raw[:n])])
 }
 
 type traceCtxKey struct{}

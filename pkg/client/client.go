@@ -16,7 +16,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -209,15 +208,16 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any, 
 	if _, ok := api.TraceFrom(ctx); !ok {
 		ctx = api.WithTrace(ctx, api.TraceContext{TraceID: api.NewTraceID()})
 	}
-	var body []byte
+	ex := NewExchange()
+	defer ex.Release()
 	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if err := json.NewEncoder(&ex.Request).Encode(in); err != nil {
 			return err
 		}
+		ex.Request.Truncate(ex.Request.Len() - 1) // the Encoder's newline: the wire bytes are json.Marshal's
 	}
 	for attempt := 0; ; attempt++ {
-		err := c.once(ctx, method, path, body, out)
+		err := c.once(ctx, method, path, ex, out)
 		if err == nil || attempt >= c.maxRetries {
 			return err
 		}
@@ -240,56 +240,25 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any, 
 	}
 }
 
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
+// once is one typed attempt: Forward, then out decoded from the answer's
+// bytes (never from the response stream — see Forward on keep-alive).
+func (c *Client) once(ctx context.Context, method, path string, ex *Exchange, out any) error {
+	if err := c.Forward(ctx, method, path, ex); err != nil || out == nil {
 		return err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if tc, ok := api.TraceFrom(ctx); ok {
-		req.Header.Set(api.TraceHeader, tc.HeaderValue())
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		// Ctx cancellation/deadline surface as their own codes; any other
-		// transport failure (connection refused, reset, DNS) is typed
-		// unavailable so routing layers can tell "backend unreachable" apart
-		// from an application error and fail over.
-		ae := api.AsError(err)
-		if ae.Code == api.CodeInternal {
-			ae = api.Errorf(api.CodeUnavailable, "%s %s: %v", method, c.base+path, err)
-		}
-		return ae
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return decodeError(resp)
-	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	// A success status whose body cannot be read or parsed means the
-	// connection died (or the payload was truncated) after the headers: type
-	// it unavailable too, so routing layers fail over instead of treating it
-	// as a final application answer.
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	// A success body that does not parse was truncated where the framing
+	// could not show it: unavailable, like a short read.
+	if err := json.Unmarshal(ex.Answer.Bytes(), out); err != nil {
 		return api.Errorf(api.CodeUnavailable, "%s %s: reading response: %v", method, c.base+path, err)
 	}
 	return nil
 }
 
-// decodeError recovers a typed *api.Error from a failure response: the v2
+// decodeError recovers a typed *api.Error from a failure answer: the v2
 // envelope when present, the legacy v1 {"error":"msg"} shape, or a bare
-// status otherwise.
-func decodeError(resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+// status otherwise. It keeps nothing of raw.
+func decodeError(status int, raw []byte) error {
+	raw = raw[:min(len(raw), 64<<10)]
 	var env api.ErrorEnvelope
 	if json.Unmarshal(raw, &env) == nil && env.Error != nil && env.Error.Code != "" {
 		return env.Error
@@ -302,8 +271,8 @@ func decodeError(resp *http.Response) error {
 		msg = legacy.Error
 	}
 	return &api.Error{
-		Code:    api.CodeFromStatus(resp.StatusCode),
-		Message: fmt.Sprintf("HTTP %d: %s", resp.StatusCode, msg),
+		Code:    api.CodeFromStatus(status),
+		Message: fmt.Sprintf("HTTP %d: %s", status, msg),
 	}
 }
 

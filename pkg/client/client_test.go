@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,5 +117,107 @@ func TestNegotiateUnsupported(t *testing.T) {
 	var ae *api.Error
 	if !errors.As(err, &ae) || ae.Code != api.CodeUnsupportedVersion {
 		t.Fatalf("err = %v, want unsupported_version", err)
+	}
+}
+
+// countConns makes ts count the connections it accepts. Call before Start.
+func countConns(ts *httptest.Server) *atomic.Int64 {
+	var opened atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	return &opened
+}
+
+// TestClientReusesConnection: an answer is read to EOF before its body is
+// closed, so net/http keeps the connection. Decoding straight off the
+// stream stopped at the value's last byte, and for a chunked answer large
+// enough to be read past the connection's 4 KiB buffer (≈ 40 KB here, an
+// Infer answer's size) that is short of the terminating chunk: the
+// transport discarded the connection and every Infer dialled anew.
+func TestClientReusesConnection(t *testing.T) {
+	answer := api.InferResponse{Model: "m", Version: 1,
+		Outputs: []api.InferItem{{Shape: []int{2048}, Data: make([]float64, 2048)}}, BatchSizes: []int{1}}
+	for i := range answer.Outputs[0].Data {
+		answer.Outputs[0].Data[i] = float64(i) / 3
+	}
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(answer)
+	}))
+	opened := countConns(ts)
+	ts.Start()
+	defer ts.Close()
+
+	c := New(ts.URL)
+	for i := 0; i < 50; i++ {
+		out, err := c.Infer(context.Background(), &api.InferRequest{Model: "m"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*out, answer) {
+			t.Fatalf("call %d: answer changed on the way", i)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("50 sequential Infer calls opened %d connections, want 1", n)
+	}
+}
+
+// TestForwardTypesFailures: the raw round trip types what it could not
+// read like the typed calls do — a 200 cut short is unavailable, and a
+// failure status is the envelope it carries.
+func TestForwardTypesFailures(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/short":
+			w.Header().Set("Content-Length", "100")
+			w.Write([]byte(`{"model":`))
+		case "/busy":
+			w.WriteHeader(http.StatusTooManyRequests)
+			json.NewEncoder(w).Encode(api.ErrorEnvelope{Error: api.Errorf(api.CodeOverloaded, "busy").WithRetryAfter(7)})
+		default:
+			io.Copy(w, r.Body)
+		}
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	ex := NewExchange()
+	defer ex.Release()
+	ex.Request.WriteString(`{"echo":true}`)
+
+	if err := c.Forward(context.Background(), http.MethodPost, "/echo", ex); err != nil || ex.Status != 200 || ex.Answer.String() != `{"echo":true}` {
+		t.Fatalf("echo = %d %q, %v", ex.Status, ex.Answer.String(), err)
+	}
+	err := c.Forward(context.Background(), http.MethodPost, "/short", ex)
+	if ae := api.AsError(err); err == nil || ae.Code != api.CodeUnavailable {
+		t.Fatalf("truncated 200 = %v, want unavailable", err)
+	}
+	err = c.Forward(context.Background(), http.MethodPost, "/busy", ex)
+	if ae := api.AsError(err); err == nil || ae.Code != api.CodeOverloaded || ae.RetryAfterSeconds != 7 {
+		t.Fatalf("429 envelope = %v, want overloaded with its retry hint", err)
+	}
+	if ex.Request.String() != `{"echo":true}` {
+		t.Fatalf("request bytes changed across attempts: %q", ex.Request.String())
+	}
+}
+
+// TestExchangeNotRecycledWhileLent: a transport that has not closed the
+// request body yet may still be reading it, so Release must leave such an
+// exchange to the collector instead of handing its buffer to the next call.
+func TestExchangeNotRecycledWhileLent(t *testing.T) {
+	ex := new(Exchange) // not from the pool: the test must know where it goes
+	ex.Request.WriteString("payload")
+	body := ex.body()
+	ex.Release()
+	if ex.Request.String() != "payload" {
+		t.Fatal("Release recycled a request buffer a transport still holds")
+	}
+	body.Close()
+	body.Close() // a transport may close twice
+	ex.Release()
+	if ex.Request.Len() != 0 || ex.lent.Load() != 0 {
+		t.Fatalf("after the body closed: %d request bytes, %d lent, want a reset exchange", ex.Request.Len(), ex.lent.Load())
 	}
 }
