@@ -74,5 +74,9 @@
 // internal/analysis, runnable standalone or via go vet -vettool, and run by
 // CI as a blocking zero-diagnostics gate. Deliberate exceptions annotate
 // with //sicklevet:ignore <analyzer> <reason> (README "Development: static
-// analysis").
+// analysis"). The exported surface is held to what the program calls by
+// internal/analysis's TestExportedSurface: a function or method exported
+// from internal/ that only _test.go files reach is deleted, unexported
+// beside its test, or listed with its reason in that test's allowlist
+// (README "Development: exported surface").
 package repro

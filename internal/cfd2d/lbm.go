@@ -265,11 +265,6 @@ func (s *Solver) DragCoefficient() float64 {
 	return 2 * s.Fx / (1.0 * s.Cfg.U0 * s.Cfg.U0 * s.Cfg.D)
 }
 
-// LiftCoefficient returns Cl = 2Fy/(ρ U0² D) for the latest step.
-func (s *Solver) LiftCoefficient() float64 {
-	return 2 * s.Fy / (1.0 * s.Cfg.U0 * s.Cfg.U0 * s.Cfg.D)
-}
-
 // Snapshot exports u, v, p (lattice pressure c_s²ρ) and vorticity as a
 // grid.Field. Solid cells carry zero velocity.
 func (s *Solver) Snapshot() *grid.Field {

@@ -7,6 +7,11 @@ import (
 	"repro/internal/tensor"
 )
 
+// liftCoefficient returns Cl = 2Fy/(ρ U0² D) for the latest step.
+func (s *Solver) liftCoefficient() float64 {
+	return 2 * s.Fy / (1.0 * s.Cfg.U0 * s.Cfg.U0 * s.Cfg.D)
+}
+
 func TestEquilibriumConservesMoments(t *testing.T) {
 	rho, ux, uy := 1.1, 0.07, -0.03
 	var srho, sux, suy float64
@@ -93,7 +98,7 @@ func TestVortexSheddingOscillatesLift(t *testing.T) {
 	minCl, maxCl := math.Inf(1), math.Inf(-1)
 	for i := 0; i < 3000; i++ {
 		s.Step()
-		cl := s.LiftCoefficient()
+		cl := s.liftCoefficient()
 		if cl < minCl {
 			minCl = cl
 		}

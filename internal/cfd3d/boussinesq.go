@@ -238,30 +238,6 @@ func (s *Solver) projectP(p *tensor.Pool) {
 	gw.RealPart(s.W)
 }
 
-// KineticEnergy returns the volume-averaged kinetic energy ½⟨|u|²⟩.
-func (s *Solver) KineticEnergy() float64 {
-	e := 0.0
-	for i := range s.U {
-		e += s.U[i]*s.U[i] + s.V[i]*s.V[i] + s.W[i]*s.W[i]
-	}
-	return 0.5 * e / float64(len(s.U))
-}
-
-// MaxDivergence returns the max |∇·u| (spectral), a solver health check.
-func (s *Solver) MaxDivergence() float64 {
-	n := s.N
-	dudx := spectral.Derivative(s.U, n, n, n, 0)
-	dvdy := spectral.Derivative(s.V, n, n, n, 1)
-	dwdz := spectral.Derivative(s.W, n, n, n, 2)
-	m := 0.0
-	for i := range dudx {
-		if d := math.Abs(dudx[i] + dvdy[i] + dwdz[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Snapshot exports the current state as a grid.Field with the SST variable
 // set: u, v, w, r plus derived p, dissipation, pv.
 func (s *Solver) Snapshot() *grid.Field {

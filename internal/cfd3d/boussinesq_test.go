@@ -5,15 +5,40 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/spectral"
 	"repro/internal/tensor"
 )
 
+// kineticEnergy returns the volume-averaged kinetic energy ½⟨|u|²⟩.
+func (s *Solver) kineticEnergy() float64 {
+	e := 0.0
+	for i := range s.U {
+		e += s.U[i]*s.U[i] + s.V[i]*s.V[i] + s.W[i]*s.W[i]
+	}
+	return 0.5 * e / float64(len(s.U))
+}
+
+// maxDivergence returns the max |∇·u| (spectral), a solver health check.
+func (s *Solver) maxDivergence() float64 {
+	n := s.N
+	dudx := spectral.Derivative(s.U, n, n, n, 0)
+	dvdy := spectral.Derivative(s.V, n, n, n, 1)
+	dwdz := spectral.Derivative(s.W, n, n, n, 2)
+	m := 0.0
+	for i := range dudx {
+		if d := math.Abs(dudx[i] + dvdy[i] + dwdz[i]); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 func TestTaylorGreenInitProjected(t *testing.T) {
 	s := NewTaylorGreen(Config{N: 16, Seed: 1})
-	if d := s.MaxDivergence(); d > 1e-8 {
+	if d := s.maxDivergence(); d > 1e-8 {
 		t.Fatalf("initial divergence %v too large", d)
 	}
-	ke := s.KineticEnergy()
+	ke := s.kineticEnergy()
 	// TG KE = ½⟨u²+v²⟩ = ½(1/8 + 1/8) = 1/8 plus tiny noise.
 	if math.Abs(ke-0.125) > 0.01 {
 		t.Fatalf("initial KE = %v, want ~0.125", ke)
@@ -25,7 +50,7 @@ func TestStepKeepsDivergenceFree(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Step()
 	}
-	if d := s.MaxDivergence(); d > 1e-6 {
+	if d := s.maxDivergence(); d > 1e-6 {
 		t.Fatalf("divergence after 5 steps = %v", d)
 	}
 	if s.Steps != 5 || s.Time <= 0 {
@@ -36,11 +61,11 @@ func TestStepKeepsDivergenceFree(t *testing.T) {
 func TestViscousDecay(t *testing.T) {
 	// With large viscosity and no buoyancy input, KE must decay.
 	s := NewTaylorGreen(Config{N: 16, Seed: 3, Nu: 0.05, Noise: 1e-6})
-	ke0 := s.KineticEnergy()
+	ke0 := s.kineticEnergy()
 	for i := 0; i < 20; i++ {
 		s.Step()
 	}
-	ke1 := s.KineticEnergy()
+	ke1 := s.kineticEnergy()
 	if !(ke1 < ke0) {
 		t.Fatalf("KE should decay: %v -> %v", ke0, ke1)
 	}

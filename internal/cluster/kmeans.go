@@ -17,24 +17,24 @@ type Result struct {
 	Centroids [][]float64 // k × d
 	Labels    []int       // per input point
 	Inertia   float64     // sum of squared distances to assigned centroid
-	Iters     int
 }
 
 // Config controls the clustering run.
 type Config struct {
 	K         int
-	MaxIters  int     // default 100
-	Tol       float64 // centroid-shift convergence tolerance, default 1e-6
-	BatchSize int     // >0 enables mini-batch updates
+	MaxIters  int // default 100
+	BatchSize int // >0 enables mini-batch updates
 	Seed      int64
 }
+
+// tol is the centroid-shift convergence tolerance: an iteration that moves
+// the centroids by less than tol (summed squared shift under tol²) is the
+// last.
+const tol float64 = 1e-6
 
 func (c *Config) defaults(n int) {
 	if c.MaxIters <= 0 {
 		c.MaxIters = 100
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-6
 	}
 	if c.K > n {
 		c.K = n
@@ -157,7 +157,7 @@ func KMeans(pts [][]float64, cfg Config) (*Result, error) {
 	for _, dd := range d2 {
 		inertia += dd
 	}
-	return &Result{Centroids: cents, Labels: labels, Inertia: inertia, Iters: cfg.MaxIters}, nil
+	return &Result{Centroids: cents, Labels: labels, Inertia: inertia}, nil
 }
 
 func lloyd(pts [][]float64, cents [][]float64, cfg Config) {
@@ -198,7 +198,7 @@ func lloyd(pts [][]float64, cents [][]float64, cfg Config) {
 				cents[j][x] = nv
 			}
 		}
-		if shift < cfg.Tol*cfg.Tol {
+		if shift < tol*tol {
 			return
 		}
 	}
@@ -222,7 +222,7 @@ func miniBatch(pts [][]float64, cents [][]float64, cfg Config, rng *rand.Rand) {
 				shift += dd * dd
 			}
 		}
-		if shift < cfg.Tol*cfg.Tol {
+		if shift < tol*tol {
 			return
 		}
 	}
@@ -234,15 +234,6 @@ func Assign(pts [][]float64, cents [][]float64) []int {
 	labels := make([]int, len(pts))
 	assignAll(pts, cents, labels, nil)
 	return labels
-}
-
-// ClusterSizes counts points per cluster given labels and k.
-func ClusterSizes(labels []int, k int) []int {
-	sizes := make([]int, k)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	return sizes
 }
 
 // Scalar1D is a convenience for clustering a single scalar variable (the

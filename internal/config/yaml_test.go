@@ -158,8 +158,7 @@ func TestMissingColonRejected(t *testing.T) {
 
 func TestGetDefaults(t *testing.T) {
 	m := Map{}
-	if m.GetInt("x", 7) != 7 || m.GetString("y", "d") != "d" ||
-		m.GetFloat("z", 1.5) != 1.5 || m.GetBool("w", true) != true {
+	if m.GetInt("x", 7) != 7 || m.GetString("y", "d") != "d" || m.GetBool("w", true) != true {
 		t.Fatal("defaults not honored")
 	}
 	if len(m.GetMap("missing")) != 0 {

@@ -67,12 +67,6 @@ func (m *Meter) Add(o *Meter) {
 	m.bytes.Add(o.bytes.Load())
 }
 
-// Reset zeroes the counters.
-func (m *Meter) Reset() {
-	m.flops.Store(0)
-	m.bytes.Store(0)
-}
-
 // String formats the meter like the artifact's "Total Energy Consumed" log
 // line.
 func (m *Meter) String() string {

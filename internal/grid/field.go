@@ -7,10 +7,7 @@
 // Storage is x-fastest row-major: index = (k*Ny + j)*Nx + i.
 package grid
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Field is one simulation snapshot: a set of named scalar variables on a
 // uniform Nx×Ny×Nz grid (Nz = 1 for 2-D data).
@@ -95,14 +92,6 @@ func (f *Field) VarNames() []string {
 // assuming float64 storage. Used for Table 1 size reporting.
 func (f *Field) SizeBytes() int64 {
 	return int64(len(f.Vars)) * int64(f.NPoints()) * 8
-}
-
-// Point assembles the feature vector of the given variables at flat index
-// idx into dst (which must have len(vars)).
-func (f *Field) Point(idx int, vars []string, dst []float64) {
-	for v, name := range vars {
-		dst[v] = f.Vars[name][idx]
-	}
 }
 
 // Points returns an n×d matrix of the given variables at the given flat
@@ -232,14 +221,4 @@ func (f *Field) ComputePotentialVorticity() []float64 {
 		}
 	}
 	return pv
-}
-
-// RMS returns the root-mean-square of a variable.
-func (f *Field) RMS(name string) float64 {
-	v := f.Var(name)
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s / float64(len(v)))
 }

@@ -26,13 +26,8 @@ func TestAddVarAndPoint(t *testing.T) {
 	f := NewField(2, 2, 1)
 	f.AddVar("u", []float64{1, 2, 3, 4})
 	f.AddVar("v", []float64{10, 20, 30, 40})
-	dst := make([]float64, 2)
-	f.Point(3, []string{"u", "v"}, dst)
-	if dst[0] != 4 || dst[1] != 40 {
-		t.Fatalf("Point = %v", dst)
-	}
-	pts := f.Points([]string{"v", "u"}, []int{0, 2})
-	if pts[0][0] != 10 || pts[1][1] != 3 {
+	pts := f.Points([]string{"v", "u"}, []int{0, 2, 3})
+	if pts[0][0] != 10 || pts[1][1] != 3 || pts[2][0] != 40 || pts[2][1] != 4 {
 		t.Fatalf("Points = %v", pts)
 	}
 }
@@ -186,21 +181,21 @@ func TestExtractPreservesValues(t *testing.T) {
 		u[i] = float64(i)
 	}
 	h := Hypercube{I0: 2, J0: 3, K0: 4, Sx: 3, Sy: 2, Sz: 2}
-	sub := h.Extract(f, []string{"u"})
-	if sub.NPoints() != 12 {
-		t.Fatalf("extract has %d points", sub.NPoints())
-	}
-	// Corner check: sub(0,0,0) == f(2,3,4).
-	if sub.Var("u")[0] != u[f.Idx(2, 3, 4)] {
-		t.Fatal("extract corner mismatch")
-	}
-	if sub.Var("u")[sub.Idx(2, 1, 1)] != u[f.Idx(4, 4, 5)] {
-		t.Fatal("extract interior mismatch")
-	}
 	vv := h.VarValues(f, "u")
-	for i, x := range sub.Var("u") {
-		if vv[i] != x {
-			t.Fatal("VarValues disagrees with Extract")
+	if len(vv) != 12 {
+		t.Fatalf("cube has %d values", len(vv))
+	}
+	// Corner check: cube(0,0,0) == f(2,3,4).
+	if vv[0] != u[f.Idx(2, 3, 4)] {
+		t.Fatal("cube corner mismatch")
+	}
+	// Cube-local (2,1,1), x-fastest, == f(4,4,5).
+	if vv[(1*h.Sy+1)*h.Sx+2] != u[f.Idx(4, 4, 5)] {
+		t.Fatal("cube interior mismatch")
+	}
+	for p, flat := range h.Indices(f) {
+		if vv[p] != u[flat] {
+			t.Fatal("VarValues disagrees with Indices")
 		}
 	}
 }

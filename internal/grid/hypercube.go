@@ -52,27 +52,7 @@ func (h Hypercube) Indices(f *Field) []int {
 	return out
 }
 
-// Extract copies cube h of field f into a standalone Field containing the
-// named variables (all variables when vars is nil).
-func (h Hypercube) Extract(f *Field, vars []string) *Field {
-	if vars == nil {
-		vars = f.VarNames()
-	}
-	sub := NewField(h.Sx, h.Sy, h.Sz)
-	sub.Dx, sub.Dy, sub.Dz = f.Dx, f.Dy, f.Dz
-	sub.Time = f.Time
-	idx := h.Indices(f)
-	for _, name := range vars {
-		src := f.Var(name)
-		dst := sub.AddVar(name, nil)
-		for p, flat := range idx {
-			dst[p] = src[flat]
-		}
-	}
-	return sub
-}
-
-// VarValues gathers one variable over the cube without building a Field.
+// VarValues gathers one variable over the cube, in x-fastest order.
 func (h Hypercube) VarValues(f *Field, name string) []float64 {
 	src := f.Var(name)
 	out := make([]float64, 0, h.NPoints())

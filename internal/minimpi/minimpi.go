@@ -92,10 +92,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.w.size }
 
-// SimCommSeconds returns the simulated communication time accumulated by
-// this rank so far.
-func (c *Comm) SimCommSeconds() float64 { return c.w.simComm[c.rank] }
-
 // MaxSimCommSeconds returns the max simulated comm time across ranks
 // (call after Run returns, on the World).
 func (w *World) MaxSimCommSeconds() float64 {
@@ -233,13 +229,6 @@ func PartitionRange(n, rank, size int) (lo, hi int) {
 		hi++
 	}
 	return
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // cyclicBarrier is a reusable N-party barrier.

@@ -8,6 +8,13 @@ import (
 	"repro/internal/tensor"
 )
 
+// mseLoss is the allocating form of MSELossInto: the loss and a fresh
+// dL/dpred.
+func mseLoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
+	grad := tensor.New(pred.Shape...)
+	return MSELossInto(grad, pred, target), grad
+}
+
 // ws is the workspace every layer test draws from. Nothing here resets it,
 // so each tensor a layer hands out stays valid for the rest of the test.
 var ws = new(tensor.Workspace)
@@ -61,11 +68,11 @@ func TestLinearGradients(t *testing.T) {
 	x := tensor.Randn(rng, 1, 5, 4)
 	tgt := tensor.Randn(rng, 1, 5, 3)
 	forward := func() float64 {
-		loss, _ := MSELoss(l.Forward(ws, x), tgt)
+		loss, _ := mseLoss(l.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(l.Forward(ws, x), tgt)
+		_, g := mseLoss(l.Forward(ws, x), tgt)
 		l.Backward(ws, g)
 	}
 	checkModuleGrads(t, l, forward, backward)
@@ -76,10 +83,10 @@ func TestLinearInputGradient(t *testing.T) {
 	l := NewLinear(rng, 4, 3)
 	x := tensor.Randn(rng, 1, 5, 4)
 	tgt := tensor.Randn(rng, 1, 5, 3)
-	_, g := MSELoss(l.Forward(ws, x), tgt)
+	_, g := mseLoss(l.Forward(ws, x), tgt)
 	dx := l.Backward(ws, g)
 	num := numGrad(x, func() float64 {
-		loss, _ := MSELoss(l.Forward(ws, x), tgt)
+		loss, _ := mseLoss(l.Forward(ws, x), tgt)
 		return loss
 	})
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -99,10 +106,10 @@ func TestActivationGradients(t *testing.T) {
 			}
 		}
 		tgt := tensor.Randn(rng, 1, 6, 4)
-		_, g := MSELoss(a.Forward(ws, x), tgt)
+		_, g := mseLoss(a.Forward(ws, x), tgt)
 		dx := a.Backward(ws, g)
 		num := numGrad(x, func() float64 {
-			loss, _ := MSELoss(a.Forward(ws, x), tgt)
+			loss, _ := mseLoss(a.Forward(ws, x), tgt)
 			return loss
 		})
 		if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -118,11 +125,11 @@ func TestLSTMGradients(t *testing.T) {
 	x = x.Reshape(2, 4, 3)
 	tgt := tensor.Randn(rng, 1, 2, 4, 5).Reshape(2, 4, 5)
 	forward := func() float64 {
-		loss, _ := MSELoss(l.Forward(ws, x), tgt)
+		loss, _ := mseLoss(l.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(l.Forward(ws, x), tgt)
+		_, g := mseLoss(l.Forward(ws, x), tgt)
 		l.Backward(ws, g)
 	}
 	checkModuleGrads(t, l, forward, backward)
@@ -133,10 +140,10 @@ func TestLSTMInputGradient(t *testing.T) {
 	l := NewLSTM(rng, 3, 4)
 	x := tensor.Randn(rng, 1, 2, 3, 3).Reshape(2, 3, 3)
 	tgt := tensor.Randn(rng, 1, 2, 3, 4).Reshape(2, 3, 4)
-	_, g := MSELoss(l.Forward(ws, x), tgt)
+	_, g := mseLoss(l.Forward(ws, x), tgt)
 	dx := l.Backward(ws, g)
 	num := numGrad(x, func() float64 {
-		loss, _ := MSELoss(l.Forward(ws, x), tgt)
+		loss, _ := mseLoss(l.Forward(ws, x), tgt)
 		return loss
 	})
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -155,17 +162,17 @@ func TestLayerNormGradients(t *testing.T) {
 	x := tensor.Randn(rng, 1, 4, 5)
 	tgt := tensor.Randn(rng, 1, 4, 5)
 	forward := func() float64 {
-		loss, _ := MSELoss(l.Forward(ws, x), tgt)
+		loss, _ := mseLoss(l.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(l.Forward(ws, x), tgt)
+		_, g := mseLoss(l.Forward(ws, x), tgt)
 		l.Backward(ws, g)
 	}
 	checkModuleGrads(t, l, forward, backward)
 	// Input gradient too.
 	ZeroGrads(l)
-	_, g := MSELoss(l.Forward(ws, x), tgt)
+	_, g := mseLoss(l.Forward(ws, x), tgt)
 	dx := l.Backward(ws, g)
 	num := numGrad(x, forward)
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -179,16 +186,16 @@ func TestAttentionGradients(t *testing.T) {
 	x := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
 	tgt := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
 	forward := func() float64 {
-		loss, _ := MSELoss(m.Forward(ws, x), tgt)
+		loss, _ := mseLoss(m.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(m.Forward(ws, x), tgt)
+		_, g := mseLoss(m.Forward(ws, x), tgt)
 		m.Backward(ws, g)
 	}
 	checkModuleGrads(t, m, forward, backward)
 	ZeroGrads(m)
-	_, g := MSELoss(m.Forward(ws, x), tgt)
+	_, g := mseLoss(m.Forward(ws, x), tgt)
 	dx := m.Backward(ws, g)
 	num := numGrad(x, forward)
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -204,11 +211,11 @@ func TestTransformerBlockGradients(t *testing.T) {
 	x := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
 	tgt := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
 	forward := func() float64 {
-		loss, _ := MSELoss(b.Forward(ws, x), tgt)
+		loss, _ := mseLoss(b.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(b.Forward(ws, x), tgt)
+		_, g := mseLoss(b.Forward(ws, x), tgt)
 		b.Backward(ws, g)
 	}
 	checkModuleGrads(t, b, forward, backward)
@@ -221,16 +228,16 @@ func TestConv3DGradients(t *testing.T) {
 	out := c.Forward(ws, x)
 	tgt := tensor.Randn(rng, 1, out.Shape...)
 	forward := func() float64 {
-		loss, _ := MSELoss(c.Forward(ws, x), tgt)
+		loss, _ := mseLoss(c.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(c.Forward(ws, x), tgt)
+		_, g := mseLoss(c.Forward(ws, x), tgt)
 		c.Backward(ws, g)
 	}
 	checkModuleGrads(t, c, forward, backward)
 	ZeroGrads(c)
-	_, g := MSELoss(c.Forward(ws, x), tgt)
+	_, g := mseLoss(c.Forward(ws, x), tgt)
 	dx := c.Backward(ws, g)
 	num := numGrad(x, forward)
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -249,11 +256,11 @@ func TestConv3DStridePad(t *testing.T) {
 	}
 	tgt := tensor.Randn(rng, 1, out.Shape...)
 	forward := func() float64 {
-		loss, _ := MSELoss(c.Forward(ws, x), tgt)
+		loss, _ := mseLoss(c.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(c.Forward(ws, x), tgt)
+		_, g := mseLoss(c.Forward(ws, x), tgt)
 		c.Backward(ws, g)
 	}
 	checkModuleGrads(t, c, forward, backward)
@@ -270,16 +277,16 @@ func TestConvTranspose3DGradients(t *testing.T) {
 	}
 	tgt := tensor.Randn(rng, 1, out.Shape...)
 	forward := func() float64 {
-		loss, _ := MSELoss(c.Forward(ws, x), tgt)
+		loss, _ := mseLoss(c.Forward(ws, x), tgt)
 		return loss
 	}
 	backward := func() {
-		_, g := MSELoss(c.Forward(ws, x), tgt)
+		_, g := mseLoss(c.Forward(ws, x), tgt)
 		c.Backward(ws, g)
 	}
 	checkModuleGrads(t, c, forward, backward)
 	ZeroGrads(c)
-	_, g := MSELoss(c.Forward(ws, x), tgt)
+	_, g := mseLoss(c.Forward(ws, x), tgt)
 	dx := c.Backward(ws, g)
 	num := numGrad(x, forward)
 	if e := maxRelErr(dx.Data, num); e > 1e-4 {
@@ -290,7 +297,7 @@ func TestConvTranspose3DGradients(t *testing.T) {
 func TestMSELossValueAndGrad(t *testing.T) {
 	p := tensor.FromSlice([]float64{1, 2}, 2)
 	tt := tensor.FromSlice([]float64{0, 4}, 2)
-	loss, g := MSELoss(p, tt)
+	loss, g := mseLoss(p, tt)
 	if math.Abs(loss-2.5) > 1e-12 { // (1 + 4)/2
 		t.Fatalf("loss = %v", loss)
 	}
@@ -311,7 +318,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		ZeroGrads(l)
 		pred := l.Forward(ws, x)
 		var g *tensor.Tensor
-		loss, g = MSELoss(pred, y)
+		loss, g = mseLoss(pred, y)
 		l.Backward(ws, g)
 		opt.Step(l)
 	}

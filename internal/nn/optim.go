@@ -6,16 +6,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// MSELoss returns ½-free mean squared error L = mean((pred-target)²) and
-// dL/dpred.
-func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	grad := tensor.New(pred.Shape...)
-	return MSELossInto(grad, pred, target), grad
-}
-
-// MSELossInto writes dL/dpred into grad (which must match pred's length)
-// and returns the loss. It exists so hot loops can take the gradient
-// buffer from their step workspace instead of allocating one per step.
+// MSELossInto returns the ½-free mean squared error L = mean((pred-target)²)
+// and writes dL/dpred into grad (which must match pred's length), so hot
+// loops can take the gradient buffer from their step workspace instead of
+// allocating one per step.
 func MSELossInto(grad, pred, target *tensor.Tensor) float64 {
 	if pred.Len() != target.Len() || grad.Len() != pred.Len() {
 		panic("nn: MSE length mismatch")

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 )
 
@@ -120,74 +119,4 @@ func LoadCheckpoint(path string, m Module) error {
 		}
 	}
 	return nil
-}
-
-// QuantizeFP16 rounds every parameter through IEEE-754 half precision —
-// the simulation hook behind the paper's --precision fp16 option. It
-// returns the maximum absolute rounding error introduced.
-func QuantizeFP16(m Module) float64 {
-	worst := 0.0
-	for _, p := range m.Params() {
-		for i, v := range p.W.Data {
-			q := fp16Round(v)
-			if e := math.Abs(q - v); e > worst {
-				worst = e
-			}
-			p.W.Data[i] = q
-		}
-	}
-	return worst
-}
-
-// fp16Round converts a float64 to IEEE-754 binary16 and back (round to
-// nearest even), saturating to ±Inf outside the half range.
-func fp16Round(v float64) float64 {
-	f32 := float32(v)
-	bits := math.Float32bits(f32)
-	sign := bits >> 31
-	exp := int32((bits>>23)&0xff) - 127
-	man := bits & 0x7fffff
-	switch {
-	case exp == 128: // Inf/NaN pass through
-		return v
-	case exp > 15:
-		return math.Inf(int(1 - 2*int(sign)))
-	case exp < -24:
-		if sign == 1 {
-			return math.Copysign(0, -1)
-		}
-		return 0
-	case exp < -14:
-		// Subnormal half: shift mantissa (with implicit 1) into place.
-		shift := uint(-exp - 14 + 13)
-		full := man | 0x800000
-		half := full >> (shift + 10)
-		// Round to nearest (ties away, adequate for simulation purposes).
-		if full>>(shift+9)&1 == 1 {
-			half++
-		}
-		res := float64(half) / 1024 * math.Pow(2, -14)
-		if sign == 1 {
-			return -res
-		}
-		return res
-	}
-	// Normal half: keep 10 mantissa bits with round-to-nearest-even.
-	keep := man >> 13
-	rem := man & 0x1fff
-	if rem > 0x1000 || (rem == 0x1000 && keep&1 == 1) {
-		keep++
-		if keep == 0x400 {
-			keep = 0
-			exp++
-			if exp > 15 {
-				return math.Inf(int(1 - 2*int(sign)))
-			}
-		}
-	}
-	res := (1 + float64(keep)/1024) * math.Pow(2, float64(exp))
-	if sign == 1 {
-		return -res
-	}
-	return res
 }

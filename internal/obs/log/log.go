@@ -140,29 +140,6 @@ func New(w io.Writer, min Level, jsonOut bool) *Logger {
 	}
 }
 
-// SetRateLimit reconfigures warn/error flood control: at most burst
-// identical lines back to back, then one more per refill. burst <= 0
-// disables limiting. The limiter is shared with existing With children.
-func (l *Logger) SetRateLimit(burst int, refill time.Duration) {
-	if l == nil {
-		return
-	}
-	if burst <= 0 {
-		l.lim = nil
-		return
-	}
-	if refill <= 0 {
-		refill = defaultLimitRefill
-	}
-	if l.lim == nil {
-		l.lim = &limiter{sites: map[string]*site{}}
-	}
-	l.lim.mu.Lock()
-	l.lim.burst = float64(burst)
-	l.lim.refill = refill
-	l.lim.mu.Unlock()
-}
-
 // Flags registers -log-level and -log-json on fs and returns the
 // constructor to call once fs is parsed: it builds the stderr logger the
 // flags describe, warning through it when the level is unknown (info is

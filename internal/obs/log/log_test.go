@@ -8,6 +8,29 @@ import (
 	"time"
 )
 
+// setRateLimit reconfigures warn/error flood control: at most burst
+// identical lines back to back, then one more per refill. burst <= 0
+// disables limiting. The limiter is shared with existing With children.
+func (l *Logger) setRateLimit(burst int, refill time.Duration) {
+	if l == nil {
+		return
+	}
+	if burst <= 0 {
+		l.lim = nil
+		return
+	}
+	if refill <= 0 {
+		refill = defaultLimitRefill
+	}
+	if l.lim == nil {
+		l.lim = &limiter{sites: map[string]*site{}}
+	}
+	l.lim.mu.Lock()
+	l.lim.burst = float64(burst)
+	l.lim.refill = refill
+	l.lim.mu.Unlock()
+}
+
 type syncBuf struct {
 	mu sync.Mutex
 	b  strings.Builder
@@ -193,7 +216,7 @@ func TestSetRateLimit(t *testing.T) {
 	var buf syncBuf
 	l := New(&buf, LevelInfo, false)
 	withClock(l)
-	l.SetRateLimit(2, time.Minute)
+	l.setRateLimit(2, time.Minute)
 	for i := 0; i < 10; i++ {
 		l.Warn("x")
 	}
@@ -205,7 +228,7 @@ func TestSetRateLimit(t *testing.T) {
 	var buf2 syncBuf
 	l2 := New(&buf2, LevelInfo, false)
 	withClock(l2)
-	l2.SetRateLimit(0, 0)
+	l2.setRateLimit(0, 0)
 	for i := 0; i < 10; i++ {
 		l2.Warn("x")
 	}

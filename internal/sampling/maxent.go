@@ -25,10 +25,14 @@ import (
 // the budget than their population share.
 type MaxEnt struct {
 	NumClusters int // default 20 (the paper's SST config)
-	HistBins    int // bins for per-cluster distributions, default 100 (paper's Fig 5 setting)
-	BatchSize   int // minibatch size for k-means, default 256
 	Meter       *energy.Meter
 }
+
+const (
+	maxEntHistBins  = 100 // bins for per-cluster distributions (the paper's Fig. 5 setting)
+	maxEntBatchSize = 256 // minibatch size of every k-means run the MaxEnt samplers start
+	hMaxEntStride   = 8   // KCV subsampling stride of HMaxEnt's global clustering
+)
 
 // Name implements PointSampler.
 func (MaxEnt) Name() string { return "maxent" }
@@ -36,12 +40,6 @@ func (MaxEnt) Name() string { return "maxent" }
 func (m MaxEnt) defaults() MaxEnt {
 	if m.NumClusters <= 0 {
 		m.NumClusters = 20
-	}
-	if m.HistBins <= 0 {
-		m.HistBins = 100
-	}
-	if m.BatchSize <= 0 {
-		m.BatchSize = 256
 	}
 	return m
 }
@@ -61,7 +59,7 @@ func (m MaxEnt) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 	// from the within-cluster draws. This is the mechanism behind MaxEnt's
 	// reproducibility advantage over random sampling (paper §7, Fig. 6).
 	res, err := cluster.KMeans(cluster.Scalar1D(kcv), cluster.Config{
-		K: m.NumClusters, Seed: 12345, BatchSize: m.BatchSize, MaxIters: 60,
+		K: m.NumClusters, Seed: 12345, BatchSize: maxEntBatchSize, MaxIters: 60,
 	})
 	if err != nil {
 		// Degenerate data; fall back to uniform selection.
@@ -73,7 +71,7 @@ func (m MaxEnt) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 		members[l] = append(members[l], i)
 	}
 
-	strength := NodeStrengths(kcv, res.Labels, k, m.HistBins)
+	strength := NodeStrengths(kcv, res.Labels, k, maxEntHistBins)
 
 	// Entropy-weighted budget allocation across clusters, capped by
 	// cluster population; leftover budget cascades to the next-strongest
@@ -236,7 +234,6 @@ func (h HRandom) SelectCubes(f *grid.Field, cubes []grid.Hypercube, kcvVar strin
 // sampling without replacement.
 type HMaxEnt struct {
 	NumClusters int // default 5 (paper's SST-P1F100 config uses 5-20)
-	Stride      int // KCV subsampling stride for global clustering, default 8
 	Meter       *energy.Meter
 }
 
@@ -252,19 +249,15 @@ func (h HMaxEnt) SelectCubes(f *grid.Field, cubes []grid.Hypercube, kcvVar strin
 	if k <= 0 {
 		k = 5
 	}
-	stride := h.Stride
-	if stride <= 0 {
-		stride = 8
-	}
 	kcv := f.Var(kcvVar)
 
 	// Global clustering of the KCV on a strided subsample.
-	sub := make([]float64, 0, len(kcv)/stride+1)
-	for i := 0; i < len(kcv); i += stride {
+	sub := make([]float64, 0, len(kcv)/hMaxEntStride+1)
+	for i := 0; i < len(kcv); i += hMaxEntStride {
 		sub = append(sub, kcv[i])
 	}
 	res, err := cluster.KMeans(cluster.Scalar1D(sub), cluster.Config{
-		K: k, Seed: 12345, BatchSize: 256, MaxIters: 60,
+		K: k, Seed: 12345, BatchSize: maxEntBatchSize, MaxIters: 60,
 	})
 	if err != nil {
 		return HRandom{Meter: h.Meter}.SelectCubes(f, cubes, kcvVar, nSelect, rng)
@@ -302,6 +295,6 @@ func (h HMaxEnt) SelectCubes(f *grid.Field, cubes []grid.Hypercube, kcvVar strin
 	for _, i := range sel {
 		out = append(out, cubes[i])
 	}
-	chargeSampling(h.Meter, len(kcv)/stride+len(cubes)*k, 1, 8)
+	chargeSampling(h.Meter, len(kcv)/hMaxEntStride+len(cubes)*k, 1, 8)
 	return out
 }

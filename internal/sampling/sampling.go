@@ -2,7 +2,9 @@
 // subsampling strategies of paper §4 — random, Latin hypercube, stratified,
 // uniform-in-phase-space (UIPS), and the two-phase maximum-entropy (MaxEnt)
 // method — together with MaxEnt hypercube selection, temporal snapshot
-// selection, and a minimpi-parallel driver.
+// selection, and the serial two-phase driver (SubsampleDataset). The
+// rank-parallel driver is stream.Run, which runs the same phase 2 through
+// one CubeSampler per rank worker.
 //
 // All point samplers consume a Data view (feature matrix + the scalar
 // "K-means cluster variable" of Table 1) and return indices into it, so the

@@ -19,10 +19,12 @@ import (
 // strongly correlated features most cells are empty or singletons, so the
 // inverse-PDF weights saturate at the clip value.
 type UIPS struct {
-	Bins    int     // histogram bins per dimension, default 20
-	ClipMax float64 // max weight relative to the mean, default 1e4
-	Meter   *energy.Meter
+	Bins  int // histogram bins per dimension, default 20
+	Meter *energy.Meter
 }
+
+// uipsClipMax caps a point's inverse-PDF weight relative to the mean weight.
+const uipsClipMax = 1e4
 
 // Name implements PointSampler.
 func (UIPS) Name() string { return "uips" }
@@ -37,10 +39,6 @@ func (u UIPS) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 	bins := u.Bins
 	if bins <= 0 {
 		bins = 20
-	}
-	clip := u.ClipMax
-	if clip <= 0 {
-		clip = 1e4
 	}
 	sc := d.work()
 	pts := sc.normalized(d.Features)
@@ -69,8 +67,8 @@ func (u UIPS) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 	}
 	mean := sum / float64(total)
 	for i := range w {
-		if w[i] > clip*mean {
-			w[i] = clip * mean
+		if w[i] > uipsClipMax*mean {
+			w[i] = uipsClipMax * mean
 		}
 	}
 	out := sc.weightedSample(w, n, rng)

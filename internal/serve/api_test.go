@@ -20,6 +20,19 @@ import (
 	"repro/pkg/client"
 )
 
+// infer is admit followed by wait for one example.
+func (b *Batcher) infer(ctx context.Context, model string, input *tensor.Tensor) (*tensor.Tensor, int, int, error) {
+	req, err := b.admit(ctx, model, input)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	res := req.wait()
+	return res.output, res.version, res.batchSize, res.err
+}
+
+// rejectedTotal reads the cumulative backpressure rejections.
+func (m *Metrics) rejectedTotal() int64 { return int64(m.rejected.Value()) }
+
 // TestClientEndToEnd drives the full v2 surface through the pkg/client
 // SDK: version negotiation, model listing, inference (bit-checked against
 // the reference replica), synchronous subsample, and an async job
@@ -203,7 +216,7 @@ func TestUnknownScaleIsInvalidArgument(t *testing.T) {
 			t.Fatalf("scale %q: %v", scale, err)
 		}
 	}
-	if n := s.Cache().Len(); n != 1 {
+	if n := s.cache.Len(); n != 1 {
 		t.Fatalf("the three spellings of small cached %d datasets, want 1", n)
 	}
 }
@@ -338,7 +351,7 @@ func TestBackpressureOverloaded(t *testing.T) {
 	if okCount == 0 || overloaded == 0 {
 		t.Fatalf("ok=%d overloaded=%d; want both paths exercised", okCount, overloaded)
 	}
-	if got := s.Metrics().RejectedTotal(); got < int64(overloaded) {
+	if got := s.met.rejectedTotal(); got < int64(overloaded) {
 		t.Fatalf("rejected counter %d < observed 429s %d", got, overloaded)
 	}
 	raw, err := c.MetricsText(ctx)
@@ -379,7 +392,7 @@ func TestMultiItemInferFailures(t *testing.T) {
 
 	release := jam()
 	go func() {
-		for s.Metrics().RejectedTotal() == 0 {
+		for s.met.rejectedTotal() == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		release()
@@ -398,9 +411,9 @@ func TestMultiItemInferFailures(t *testing.T) {
 	// in the queue, or one of them is refused.
 	release = jam()
 	ctx, cancel := context.WithCancel(context.Background())
-	rejected := s.Metrics().RejectedTotal()
+	rejected := s.met.rejectedTotal()
 	go func() {
-		for s.batcher.QueueDepth() == 0 && s.Metrics().RejectedTotal() == rejected {
+		for s.batcher.QueueDepth() == 0 && s.met.rejectedTotal() == rejected {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
@@ -464,7 +477,7 @@ func TestBatcherDrainTyped(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			in := tensorFromItem(items[i])
-			out, _, _, err := s.batcher.Infer(context.Background(), "m", in)
+			out, _, _, err := s.batcher.infer(context.Background(), "m", in)
 			if err != nil {
 				results[i] = result{err: err}
 				return

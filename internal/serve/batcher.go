@@ -124,23 +124,14 @@ func NewBatcher(reg *Registry, met *Metrics, maxBatch int, window time.Duration,
 // before serving traffic (not synchronized with in-flight batches).
 func (b *Batcher) SetTracer(t *obs.Tracer) { b.tracer = t }
 
-// Infer enqueues one example for the named model and blocks until its
-// result is ready, the queue rejects it (api.CodeOverloaded), the batcher
-// is draining (api.CodeShuttingDown), or ctx is done (api.CodeCanceled /
-// api.CodeDeadlineExceeded). All failures are typed *api.Error values.
-func (b *Batcher) Infer(ctx context.Context, model string, input *tensor.Tensor) (*tensor.Tensor, int, int, error) {
-	req, err := b.admit(ctx, model, input)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	res := req.wait()
-	return res.output, res.version, res.batchSize, res.err
-}
-
-// admit is the first half of Infer: it enqueues one example without
-// blocking and returns the request to wait on, so one goroutine can have
-// several examples queued (a multi-item call shares micro-batches with
-// itself and with concurrent callers) and collect them in order.
+// admit enqueues one example for the named model without blocking and
+// returns the request to wait on, so one goroutine can have several
+// examples queued (a multi-item call shares micro-batches with itself and
+// with concurrent callers) and collect them in order. wait then blocks
+// until the result is ready, the queue rejected it (api.CodeOverloaded),
+// the batcher is draining (api.CodeShuttingDown), or ctx is done
+// (api.CodeCanceled / api.CodeDeadlineExceeded). All failures are typed
+// *api.Error values.
 func (b *Batcher) admit(ctx context.Context, model string, input *tensor.Tensor) (*inferRequest, error) {
 	if ctx == nil {
 		//sicklevet:ignore ctxfirst nil-ctx compatibility guard for direct library callers
@@ -176,11 +167,10 @@ func (b *Batcher) admit(ctx context.Context, model string, input *tensor.Tensor)
 	return req, nil
 }
 
-// wait is the second half of Infer: it blocks until the admitted request's
-// batch has run or its context is done. The response channel is buffered,
-// so abandoning the wait never blocks the dispatcher; an
-// admitted-then-canceled request is detected and skipped when its batch
-// runs.
+// wait blocks until the admitted request's batch has run or its context is
+// done. The response channel is buffered, so abandoning the wait never
+// blocks the dispatcher; an admitted-then-canceled request is detected and
+// skipped when its batch runs.
 func (r *inferRequest) wait() inferResult {
 	select {
 	case res := <-r.resp:

@@ -135,24 +135,6 @@ func (jm *JobManager) reportWALErr(err error) {
 	}
 }
 
-// Submit admits a job and returns its initial (pending) snapshot. A full
-// admission set rejects with api.CodeOverloaded; a closed manager with
-// api.CodeShuttingDown.
-func (jm *JobManager) Submit(typ api.JobType, run JobRunner) (api.Job, error) {
-	//sicklevet:ignore ctxfirst untraced compatibility entry point, the job's lifetime is the manager root
-	return jm.SubmitTraced(context.Background(), typ, run)
-}
-
-// SubmitTraced is Submit carrying the submitting request's trace: the
-// job's lifecycle span joins that trace (and the job context carries it,
-// so work the runner does downstream is parented correctly). The job's
-// cancellation lifetime is still the manager's root — a submitting HTTP
-// request ending must not cancel its job.
-func (jm *JobManager) SubmitTraced(ctx context.Context, typ api.JobType, run JobRunner) (api.Job, error) {
-	job, _, err := jm.SubmitWith(ctx, typ, run, SubmitOptions{})
-	return job, err
-}
-
 // SubmitOptions carries the durability-facing parts of a submission.
 type SubmitOptions struct {
 	// Key is the client's idempotency key; a resubmission with the same
@@ -163,14 +145,19 @@ type SubmitOptions struct {
 	Payload json.RawMessage
 }
 
-// SubmitWith is SubmitTraced with idempotency and durability: the
-// returned bool reports a dedup hit (the job is a prior submission with
-// the same key). When a WAL is attached the submit record is appended —
-// and fsync'd — before the job is admitted; an append failure (disk
-// gone, fsync refused) rejects the submission with a typed
-// api.CodeUnavailable error rather than accepting work that would
-// silently vanish in a crash.
-func (jm *JobManager) SubmitWith(ctx context.Context, typ api.JobType, run JobRunner, opts SubmitOptions) (api.Job, bool, error) {
+// Submit admits a job and returns its initial (pending) snapshot. A full
+// admission set rejects with api.CodeOverloaded; a closed manager with
+// api.CodeShuttingDown. The job's lifecycle span joins the trace ctx
+// carries (and the job context carries it, so work the runner does
+// downstream is parented correctly); its cancellation lifetime is the
+// manager's root — a submitting HTTP request ending must not cancel its
+// job. The returned bool reports a dedup hit (the job is a prior
+// submission with the same opts.Key). When a WAL is attached the submit
+// record is appended — and fsync'd — before the job is admitted; an append
+// failure (disk gone, fsync refused) rejects the submission with a typed
+// api.CodeUnavailable error rather than accepting work that would silently
+// vanish in a crash.
+func (jm *JobManager) Submit(ctx context.Context, typ api.JobType, run JobRunner, opts SubmitOptions) (api.Job, bool, error) {
 	tc, _ := api.TraceFrom(ctx)
 	jm.mu.Lock()
 	defer jm.mu.Unlock()

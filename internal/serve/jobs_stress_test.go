@@ -104,7 +104,7 @@ func TestJobManagerChurnRace(t *testing.T) {
 			defer subWG.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perSubmitter; i++ {
-				job, err := jm.Submit(api.JobSubsample, runner(rng.Intn(2) == 0))
+				job, err := submit(jm, runner(rng.Intn(2) == 0))
 				if err != nil {
 					var ae *api.Error
 					if !errors.As(err, &ae) || ae.Code != api.CodeOverloaded {
@@ -169,7 +169,7 @@ func TestJobCancelAfterTerminal(t *testing.T) {
 	defer jm.Close()
 
 	// Succeeded job: cancel must not disturb it.
-	done, err := jm.Submit(api.JobSubsample, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+	done, err := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 		return &api.JobResult{Subsample: &api.SubsampleResponse{Cubes: 3}}, nil
 	})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestJobCancelAfterTerminal(t *testing.T) {
 
 	// Canceled job: every later cancel/result answers the same way.
 	started := make(chan struct{})
-	parked, err := jm.Submit(api.JobSubsample, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+	parked, err := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -218,7 +218,7 @@ func TestJobCancelAfterTerminal(t *testing.T) {
 	}
 
 	// Failed job: the result endpoint replays the job's own typed error.
-	failed, err := jm.Submit(api.JobSubsample, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+	failed, err := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 		return nil, api.Errorf(api.CodeNotFound, "no such dataset")
 	})
 	if err != nil {

@@ -9,6 +9,12 @@ import (
 	"repro/pkg/api"
 )
 
+// submit admits an unkeyed subsample job outside any trace.
+func submit(jm *JobManager, run JobRunner) (api.Job, error) {
+	job, _, err := jm.Submit(context.Background(), api.JobSubsample, run, SubmitOptions{})
+	return job, err
+}
+
 func waitTerminal(t *testing.T, jm *JobManager, id string) api.Job {
 	t.Helper()
 	done, ok := jm.Done(id)
@@ -32,7 +38,7 @@ func TestJobLifecycleAndResult(t *testing.T) {
 	defer jm.Close()
 
 	ran := make(chan struct{})
-	job, err := jm.Submit(api.JobSubsample, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+	job, err := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 		progress("work", 1, 2)
 		close(ran)
 		return &api.JobResult{Subsample: &api.SubsampleResponse{Cubes: 7}}, nil
@@ -56,7 +62,7 @@ func TestJobResultNotReady(t *testing.T) {
 	defer jm.Close()
 
 	release := make(chan struct{})
-	job, _ := jm.Submit(api.JobSubsample, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+	job, _ := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 		<-release
 		return &api.JobResult{}, nil
 	})
@@ -77,14 +83,14 @@ func TestJobCancelWhilePending(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	blocker, _ := jm.Submit(api.JobSubsample, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+	blocker, _ := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 		close(started)
 		<-release
 		return &api.JobResult{}, nil
 	})
 	<-started
 	ran := false
-	pending, _ := jm.Submit(api.JobSubsample, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+	pending, _ := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 		ran = true
 		return &api.JobResult{}, nil
 	})
@@ -107,7 +113,7 @@ func TestJobTTLPurge(t *testing.T) {
 	now := time.Unix(1000, 0)
 	jm.now = func() time.Time { return now }
 
-	job, _ := jm.Submit(api.JobSubsample, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+	job, _ := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 		return &api.JobResult{}, nil
 	})
 	waitTerminal(t, jm, job.ID)
@@ -136,7 +142,7 @@ func TestJobAdmissionIgnoresTerminal(t *testing.T) {
 		return &api.JobResult{}, nil
 	}
 	for i := 0; i < 5; i++ { // well past maxJobs=2, sequentially
-		job, err := jm.Submit(api.JobSubsample, noop)
+		job, err := submit(jm, noop)
 		if err != nil {
 			t.Fatalf("submit %d rejected: %v", i, err)
 		}
@@ -153,7 +159,7 @@ func TestJobManagerCloseCancelsRunning(t *testing.T) {
 	jm := NewJobManager(1, 4, time.Minute)
 
 	started := make(chan struct{})
-	job, _ := jm.Submit(api.JobSubsample, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+	job, _ := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()

@@ -91,17 +91,6 @@ func (c *LRU) evictOldest() {
 	c.evictions++
 }
 
-// Keys returns the cached keys from most- to least-recently used.
-func (c *LRU) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruEntry).key)
-	}
-	return out
-}
-
 // Len returns the current entry count.
 func (c *LRU) Len() int {
 	c.mu.Lock()

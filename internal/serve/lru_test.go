@@ -8,6 +8,17 @@ import (
 	"testing"
 )
 
+// keys lists the cached keys from most- to least-recently used.
+func (c *LRU) keys() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]string, 0, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*lruEntry).key)
+	}
+	return out
+}
+
 func TestLRUEvictionOrder(t *testing.T) {
 	c := NewLRU(3)
 	load := func(v string) func() (any, error) {
@@ -24,7 +35,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 	// Inserting "d" must evict "b".
 	c.GetOrLoad(context.Background(), "d", load("d"))
-	keys := c.Keys()
+	keys := c.keys()
 	want := []string{"d", "a", "c"}
 	if fmt.Sprint(keys) != fmt.Sprint(want) {
 		t.Fatalf("MRU order = %v, want %v", keys, want)

@@ -47,22 +47,9 @@ func (m *Metrics) ObserveBatch(size int) {
 	m.batch.Observe(float64(size))
 }
 
-// MeanBatchSize returns the average size of dispatched batches (0 if none).
-func (m *Metrics) MeanBatchSize() float64 {
-	if n := m.batch.Count(); n > 0 {
-		return m.batch.Sum() / float64(n)
-	}
-	return 0
-}
-
 // ObserveRejected counts one request rejected for backpressure.
 func (m *Metrics) ObserveRejected() {
 	m.rejected.Inc()
-}
-
-// RejectedTotal returns the cumulative backpressure rejections.
-func (m *Metrics) RejectedTotal() int64 {
-	return int64(m.rejected.Value())
 }
 
 // SetQueueDepthFunc installs the live queue-depth probe.

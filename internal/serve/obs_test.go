@@ -122,10 +122,10 @@ func TestJobSpanJoinsSubmitterTrace(t *testing.T) {
 
 	tc := api.TraceContext{TraceID: api.NewTraceID(), SpanID: api.NewSpanID()}
 	ctx := api.WithTrace(context.Background(), tc)
-	job, err := jm.SubmitTraced(ctx, api.JobSubsample,
+	job, _, err := jm.Submit(ctx, api.JobSubsample,
 		func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
 			return &api.JobResult{}, nil
-		})
+		}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,14 @@ import (
 	"repro/pkg/api"
 )
 
+// meanBatchSize reads the average size of dispatched batches (0 if none).
+func (m *Metrics) meanBatchSize() float64 {
+	if n := m.batch.Count(); n > 0 {
+		return m.batch.Sum() / float64(n)
+	}
+	return 0
+}
+
 // testSpec is a tiny LSTM: input [T=3, C=4] → output [2].
 var testSpec = train.ArchSpec{Arch: "lstm", InDim: 4, Hidden: 8, OutDim: 2}
 
@@ -141,7 +149,7 @@ func TestBatchedInferenceMatchesSingle(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if mean := s.Metrics().MeanBatchSize(); mean <= 1 {
+	if mean := s.met.meanBatchSize(); mean <= 1 {
 		t.Errorf("mean batch size %.2f; micro-batching never engaged under %d concurrent clients", mean, n)
 	}
 }
@@ -335,7 +343,7 @@ func TestSubsampleCacheHit(t *testing.T) {
 		t.Fatalf("cached run selected %d/%d, fresh run %d/%d",
 			second.Cubes, second.Points, first.Cubes, first.Points)
 	}
-	hits, misses, _ := s.Cache().Stats()
+	hits, misses, _ := s.cache.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("cache stats %d hits / %d misses, want 1/1", hits, misses)
 	}

@@ -281,13 +281,8 @@ func (s *Server) runnerFor(req *api.SubmitJobRequest) (JobRunner, error) {
 // Registry exposes the model registry for pre-registering models.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Metrics exposes the collector (tests assert on mean batch size).
-func (s *Server) Metrics() *Metrics { return s.met }
-
-// Cache exposes the dataset/shard LRU.
-func (s *Server) Cache() *LRU { return s.cache }
-
-// Jobs exposes the job manager (tests and embedders).
+// Jobs exposes the job manager (the tier tests of this and the shard
+// package park and list jobs through it).
 func (s *Server) Jobs() *JobManager { return s.jobs }
 
 // Durable exposes the durability store (nil without Config.DataDir).
@@ -479,7 +474,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
 			opts.Payload = b
 		}
 	}
-	job, dup, err := s.jobs.SubmitWith(r.Context(), req.Type, runner, opts)
+	job, dup, err := s.jobs.Submit(r.Context(), req.Type, runner, opts)
 	if err != nil {
 		return tier.WriteError(w, err)
 	}

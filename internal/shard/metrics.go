@@ -83,23 +83,3 @@ func (m *Metrics) ObserveRouted(replica string) {
 func (m *Metrics) ObserveFailed(replica string) {
 	m.failed.With(replica).Inc()
 }
-
-// OwnerDedupHitsTotal returns the owner-set dedup counter (tests).
-func (m *Metrics) OwnerDedupHitsTotal() int64 {
-	return int64(m.ownerDedupHits.Value())
-}
-
-// RebalancesTotal returns the cumulative rebalance count (tests).
-func (m *Metrics) RebalancesTotal() int64 {
-	return int64(m.rebalances.Value())
-}
-
-// RoutedTotal returns the routed counter for one replica (tests).
-func (m *Metrics) RoutedTotal(replica string) int64 {
-	return int64(m.routed.With(replica).Value())
-}
-
-// FailoversTotal returns the cumulative failover count (tests).
-func (m *Metrics) FailoversTotal() int64 {
-	return int64(m.failovers.Value())
-}

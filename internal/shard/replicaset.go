@@ -37,15 +37,6 @@ func (r *Replica) Up() bool {
 	return r.up
 }
 
-// Draining reports whether the replica is bleeding sticky jobs before
-// leaving the membership. Draining replicas are off both rings (no new
-// keyed traffic) but still resolvable for job reads.
-func (r *Replica) Draining() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.draining
-}
-
 // Degraded reports whether the replica's last health answer declared it
 // degraded (SLO burn-rate rules firing). Degraded replicas stay on the
 // ring but are deprioritized in failover order — breaching an SLO means

@@ -107,25 +107,6 @@ func (r *Ring) rebuild() {
 // Len returns the number of nodes on the ring.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Nodes returns the node IDs, sorted.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Owner returns the node owning key, or false on an empty ring.
-func (r *Ring) Owner(key string) (string, bool) {
-	seq := r.Sequence(key, 1)
-	if len(seq) == 0 {
-		return "", false
-	}
-	return seq[0], true
-}
-
 // Sequence returns up to n distinct nodes in ring order starting at the
 // key's successor point — the owner first, then the failover candidates in
 // the order keys would migrate if the owner left the ring.

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// owner returns the node owning key, or false on an empty ring.
+func (r *Ring) owner(key string) (string, bool) {
+	seq := r.Sequence(key, 1)
+	if len(seq) == 0 {
+		return "", false
+	}
+	return seq[0], true
+}
+
 func synthKeys(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
@@ -17,7 +26,7 @@ func ownersOf(t *testing.T, r *Ring, keys []string) map[string]string {
 	t.Helper()
 	out := make(map[string]string, len(keys))
 	for _, k := range keys {
-		node, ok := r.Owner(k)
+		node, ok := r.owner(k)
 		if !ok {
 			t.Fatalf("key %q has no owner on a %d-node ring", k, r.Len())
 		}
@@ -38,7 +47,7 @@ func TestRingBalance(t *testing.T) {
 	keys := synthKeys(1000)
 	counts := map[string]int{}
 	for _, k := range keys {
-		node, _ := r.Owner(k)
+		node, _ := r.owner(k)
 		counts[node]++
 	}
 	if len(counts) != nodes {
@@ -174,8 +183,8 @@ func TestRingAddRemoveIdempotent(t *testing.T) {
 			fresh.Add(n)
 		}
 		for _, k := range synthKeys(200) {
-			churned, ok1 := r.Owner(k)
-			direct, ok2 := fresh.Owner(k)
+			churned, ok1 := r.owner(k)
+			direct, ok2 := fresh.owner(k)
 			if ok1 != ok2 || churned != direct {
 				t.Fatalf("step %d: key %q owned by %q after churn, %q on a fresh ring", step, k, churned, direct)
 			}
@@ -191,7 +200,7 @@ func TestRingSequence(t *testing.T) {
 		r.Add(fmt.Sprintf("r%d", i))
 	}
 	for _, k := range synthKeys(50) {
-		owner, _ := r.Owner(k)
+		owner, _ := r.owner(k)
 		seq := r.Sequence(k, 5)
 		if len(seq) != 3 {
 			t.Fatalf("Sequence(%q, 5) returned %d nodes on a 3-node ring", k, len(seq))

@@ -127,9 +127,6 @@ func NewRouter(cfg Config) (*Router, error) {
 // ReplicaSet exposes the replica set (tests, healthz embedders).
 func (rt *Router) ReplicaSet() *ReplicaSet { return rt.rs }
 
-// Metrics exposes the collector (tests).
-func (rt *Router) Metrics() *Metrics { return rt.met }
-
 // Start launches the background health prober and the history sampler.
 func (rt *Router) Start() {
 	rt.rs.Start()

@@ -20,6 +20,32 @@ import (
 	"repro/pkg/client"
 )
 
+// The counter reads the assertions in this package are written against;
+// nothing outside the tests asks the collector for a value back.
+
+// Metrics exposes the router's collector.
+func (rt *Router) Metrics() *Metrics { return rt.met }
+
+// OwnerDedupHitsTotal returns the owner-set dedup counter.
+func (m *Metrics) OwnerDedupHitsTotal() int64 {
+	return int64(m.ownerDedupHits.Value())
+}
+
+// RebalancesTotal returns the cumulative rebalance count.
+func (m *Metrics) RebalancesTotal() int64 {
+	return int64(m.rebalances.Value())
+}
+
+// RoutedTotal returns the routed counter for one replica.
+func (m *Metrics) RoutedTotal(replica string) int64 {
+	return int64(m.routed.With(replica).Value())
+}
+
+// FailoversTotal returns the cumulative failover count.
+func (m *Metrics) FailoversTotal() int64 {
+	return int64(m.failovers.Value())
+}
+
 // testSpec is the same tiny LSTM the serve tests use: input [T=3, C=4] →
 // output [2].
 var testSpec = train.ArchSpec{Arch: "lstm", InDim: 4, Hidden: 8, OutDim: 2}

@@ -3,7 +3,9 @@ package sickle
 import (
 	"context"
 	"math/rand"
+	"slices"
 
+	"repro/internal/cluster"
 	"repro/internal/grid"
 	"repro/internal/minimpi"
 	"repro/internal/sampling"
@@ -130,7 +132,7 @@ func TemporalSelectionSummary(scale Scale, threshold float64) (kept, total int, 
 func kcvView(d *grid.Dataset) ([]float64, *sampling.Data) {
 	f := d.Snapshots[d.NTime()-1]
 	full := append([]float64(nil), f.Var(d.ClusterVar)...)
-	return full, &sampling.Data{Features: oneColumn(full), ClusterVar: full}
+	return full, &sampling.Data{Features: cluster.Scalar1D(full), ClusterVar: full}
 }
 
 func tailOf(full []float64, idx []int) float64 {
@@ -142,7 +144,7 @@ func tailOf(full []float64, idx []int) float64 {
 }
 
 func klOf(full []float64, idx []int) float64 {
-	lo, hi := minMax(full)
+	lo, hi := slices.Min(full), slices.Max(full)
 	fh := stats.NewHistogram(lo, hi+1e-12, 100)
 	fh.AddAll(full)
 	sh := stats.NewHistogram(lo, hi+1e-12, 100)

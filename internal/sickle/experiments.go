@@ -3,10 +3,13 @@ package sickle
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/grid"
 	"repro/internal/minimpi"
@@ -89,11 +92,15 @@ func Fig3(scale Scale, rate float64) ([]Fig3Result, *grid.Field, error) {
 	wz := f.Var("wz")
 
 	// The wake: downstream of the cylinder with significant |vorticity|.
-	thr := stats.Quantile(absAll(wz), 0.9)
+	mag := make([]float64, len(wz))
+	for i, w := range wz {
+		mag[i] = math.Abs(w)
+	}
+	thr := stats.Quantile(mag, 0.9)
 	wakeCells := 0
 	for i, w := range wz {
 		ci, _, _ := f.Coords(i)
-		if ci > 30 && abs(w) > thr {
+		if ci > 30 && math.Abs(w) > thr {
 			wakeCells++
 		}
 	}
@@ -114,7 +121,7 @@ func Fig3(scale Scale, rate float64) ([]Fig3Result, *grid.Field, error) {
 		for r, i := range idx {
 			sampleWz[r] = wz[i]
 			ci, _, _ := f.Coords(i)
-			if ci > 30 && abs(wz[i]) > thr {
+			if ci > 30 && math.Abs(wz[i]) > thr {
 				inWake++
 			}
 		}
@@ -126,21 +133,6 @@ func Fig3(scale Scale, rate float64) ([]Fig3Result, *grid.Field, error) {
 		})
 	}
 	return out, f, nil
-}
-
-func absAll(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = abs(x)
-	}
-	return out
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Fig4Result reports UIPS phase-space coverage on one dataset.
@@ -219,8 +211,8 @@ func Fig5(scale Scale) ([]Fig5Row, error) {
 		f := d.Snapshots[d.NTime()-1]
 		kcv := f.Var(d.ClusterVar)
 		full := append([]float64(nil), kcv...)
-		data := &sampling.Data{Features: oneColumn(full), ClusterVar: full}
-		lo, hi := minMax(full)
+		data := &sampling.Data{Features: cluster.Scalar1D(full), ClusterVar: full}
+		lo, hi := slices.Min(full), slices.Max(full)
 		fullHist := stats.NewHistogram(lo, hi+1e-12, 100) // paper: 100 bins
 		fullHist.AddAll(full)
 		n := data.N() / 10
@@ -244,30 +236,6 @@ func Fig5(scale Scale) ([]Fig5Row, error) {
 		}
 	}
 	return out, nil
-}
-
-// oneColumn wraps a scalar series as an n×1 feature matrix.
-func oneColumn(xs []float64) [][]float64 {
-	out := make([][]float64, len(xs))
-	backing := make([]float64, len(xs))
-	copy(backing, xs)
-	for i := range xs {
-		out[i] = backing[i : i+1 : i+1]
-	}
-	return out
-}
-
-func minMax(xs []float64) (lo, hi float64) {
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return
 }
 
 // Fig7Row is one point of the scalability study.

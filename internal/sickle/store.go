@@ -81,9 +81,6 @@ func OpenShardAppender(path string) (*ShardAppender, error) {
 	return a, nil
 }
 
-// Count returns the number of cube samples appended so far.
-func (a *ShardAppender) Count() int { return a.n }
-
 // Append writes cube samples to the shard.
 func (a *ShardAppender) Append(cubes ...sampling.CubeSample) error {
 	if a.closed {

@@ -97,8 +97,8 @@ func TestShardAppenderRoundTrip(t *testing.T) {
 	if err := a.Append(cubes[3:]...); err != nil {
 		t.Fatal(err)
 	}
-	if a.Count() != len(cubes) {
-		t.Fatalf("Count = %d, want %d", a.Count(), len(cubes))
+	if a.n != len(cubes) {
+		t.Fatalf("appended %d, want %d", a.n, len(cubes))
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)

@@ -66,21 +66,6 @@ func fftInternal(x []complex128, inverse bool) {
 	}
 }
 
-// DFTNaive is the O(N²) reference transform used to validate FFT in tests.
-func DFTNaive(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
-			s += x[j] * complex(math.Cos(ang), math.Sin(ang))
-		}
-		out[k] = s
-	}
-	return out
-}
-
 // Grid3 is an Nx×Ny×Nz complex field stored x-fastest, matching grid.Field
 // layout, with spectral transforms along each axis.
 type Grid3 struct {

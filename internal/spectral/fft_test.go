@@ -10,6 +10,21 @@ import (
 	"repro/internal/tensor"
 )
 
+// dftNaive is the O(N²) reference transform FFT is validated against.
+func dftNaive(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var s complex128
+		for j := 0; j < n; j++ {
+			ang := -2 * math.Pi * float64(k) * float64(j) / float64(n)
+			s += x[j] * complex(math.Cos(ang), math.Sin(ang))
+		}
+		out[k] = s
+	}
+	return out
+}
+
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 16, 64} {
@@ -17,7 +32,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		want := DFTNaive(x)
+		want := dftNaive(x)
 		got := append([]complex128(nil), x...)
 		FFT(got)
 		for i := range got {
@@ -207,33 +222,6 @@ func TestPressureTaylorGreen(t *testing.T) {
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-8 {
 			t.Fatalf("pressure[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestEnergySpectrumSingleMode(t *testing.T) {
-	// u = sin(3x): all energy in shell k=3; E(3) = ¼ per Fourier pair... just
-	// verify the shell location and total.
-	nx, ny, nz := 32, 8, 8
-	u := make([]float64, nx*ny*nz)
-	v := make([]float64, nx*ny*nz)
-	w := make([]float64, nx*ny*nz)
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				x := 2 * math.Pi * float64(i) / float64(nx)
-				u[(k*ny+j)*nx+i] = math.Sin(3 * x)
-			}
-		}
-	}
-	e := EnergySpectrum(u, v, w, nx, ny, nz)
-	for shell, ev := range e {
-		if shell == 3 {
-			if math.Abs(ev-0.25) > 1e-9 {
-				t.Fatalf("E(3) = %v, want 0.25", ev)
-			}
-		} else if ev > 1e-12 {
-			t.Fatalf("E(%d) = %v, want 0", shell, ev)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package spectral
 
-import "math"
-
 // SolvePoisson solves ∇²p = f on a triply periodic [0,2π)³ domain using the
 // spectral method: p̂(k) = -f̂(k)/|k|². The k=0 mode (mean of p) is set to
 // zero. f is x-fastest real data; the solution is returned in the same
@@ -95,36 +93,4 @@ func Derivative(f []float64, nx, ny, nz, axis int) []float64 {
 	}
 	g.IFFT3()
 	return g.RealPart(nil)
-}
-
-// EnergySpectrum computes the shell-averaged kinetic-energy spectrum E(k)
-// of the velocity field (u, v, w) on a periodic cube. Returns E indexed by
-// integer wavenumber shell.
-func EnergySpectrum(u, v, w []float64, nx, ny, nz int) []float64 {
-	kmax := int(math.Sqrt(float64(nx*nx+ny*ny+nz*nz))/2) + 1
-	e := make([]float64, kmax)
-	norm := 1 / float64(nx*ny*nz)
-	for _, vel := range [][]float64{u, v, w} {
-		g := NewGrid3(nx, ny, nz)
-		g.FromReal(vel)
-		g.FFT3()
-		for k := 0; k < nz; k++ {
-			kz := WaveNumber(k, nz)
-			for j := 0; j < ny; j++ {
-				ky := WaveNumber(j, ny)
-				for i := 0; i < nx; i++ {
-					kx := WaveNumber(i, nx)
-					kmag := math.Sqrt(kx*kx + ky*ky + kz*kz)
-					shell := int(kmag + 0.5)
-					if shell >= kmax {
-						continue
-					}
-					c := g.Data[(k*ny+j)*nx+i]
-					amp := real(c)*real(c) + imag(c)*imag(c)
-					e[shell] += 0.5 * amp * norm * norm
-				}
-			}
-		}
-	}
-	return e
 }

@@ -112,41 +112,6 @@ func (h *NDHistogram) Reset() {
 	h.N = 0
 }
 
-// AddWeighted records w collapsed observations at p in one update — the
-// batch entry point for rank-parallel statistics, where one representative
-// point stands for a whole group that landed in the same cell. w must be
-// non-negative; w == 0 is a no-op.
-func (h *NDHistogram) AddWeighted(p []float64, w int) {
-	if w < 0 {
-		panic(fmt.Sprintf("stats: negative histogram weight %d", w))
-	}
-	if w == 0 {
-		return
-	}
-	h.AddCell(h.CellIndex(p), w)
-}
-
-// Merge folds other's counts into h. The two histograms must share the same
-// geometry (dimensionality, bin count, and bounds); rank-parallel pipelines
-// rely on this to combine per-rank sketches into a global one.
-func (h *NDHistogram) Merge(other *NDHistogram) error {
-	if other.Dims != h.Dims || other.Bins != h.Bins {
-		return fmt.Errorf("stats: merge shape mismatch: %dd/%d bins vs %dd/%d bins",
-			h.Dims, h.Bins, other.Dims, other.Bins)
-	}
-	for j := 0; j < h.Dims; j++ {
-		if h.Lo[j] != other.Lo[j] || h.Hi[j] != other.Hi[j] {
-			return fmt.Errorf("stats: merge bounds mismatch on dim %d: [%v,%v) vs [%v,%v)",
-				j, h.Lo[j], h.Hi[j], other.Lo[j], other.Hi[j])
-		}
-	}
-	for cell, c := range other.Counts {
-		h.Counts[cell] += c
-	}
-	h.N += other.N
-	return nil
-}
-
 // TotalCells returns the total number of cells (Bins^Dims), occupied or not.
 func (h *NDHistogram) TotalCells() int {
 	n := 1
@@ -154,14 +119,6 @@ func (h *NDHistogram) TotalCells() int {
 		n *= h.Bins
 	}
 	return n
-}
-
-// Probability returns the empirical probability mass of the cell containing p.
-func (h *NDHistogram) Probability(p []float64) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[h.CellIndex(p)]) / float64(h.N)
 }
 
 // OccupiedCells returns the number of cells with at least one sample.

@@ -137,26 +137,6 @@ func (h *Histogram) PDF() []float64 {
 	return p
 }
 
-// Density returns the probability density per bin (integrates to 1).
-func (h *Histogram) Density() []float64 {
-	p := h.PDF()
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i := range p {
-		p[i] /= w
-	}
-	return p
-}
-
-// BinCenters returns the center coordinate of each bin.
-func (h *Histogram) BinCenters() []float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	c := make([]float64, len(h.Counts))
-	for i := range c {
-		c[i] = h.Lo + (float64(i)+0.5)*w
-	}
-	return c
-}
-
 // Entropy returns the Shannon entropy (nats) of a discrete distribution p.
 // Zero-probability bins contribute nothing. p need not be normalized; it is
 // normalized internally.
@@ -241,34 +221,6 @@ func JensenShannon(p, q []float64) float64 {
 		m[i] = 0.5*(p[i]/sp) + 0.5*(q[i]/sq)
 	}
 	return 0.5*KLDivergence(p, m) + 0.5*KLDivergence(q, m)
-}
-
-// GaussianKDE evaluates a Gaussian kernel density estimate of xs at each
-// point in eval, using Silverman's rule of thumb when bandwidth <= 0.
-func GaussianKDE(xs, eval []float64, bandwidth float64) []float64 {
-	out := make([]float64, len(eval))
-	n := len(xs)
-	if n == 0 {
-		return out
-	}
-	if bandwidth <= 0 {
-		m := ComputeMoments(xs)
-		sigma := math.Sqrt(m.Variance)
-		if sigma == 0 {
-			sigma = 1
-		}
-		bandwidth = 1.06 * sigma * math.Pow(float64(n), -0.2)
-	}
-	norm := 1 / (float64(n) * bandwidth * math.Sqrt(2*math.Pi))
-	for i, e := range eval {
-		s := 0.0
-		for _, x := range xs {
-			u := (e - x) / bandwidth
-			s += math.Exp(-0.5 * u * u)
-		}
-		out[i] = s * norm
-	}
-	return out
 }
 
 // Quantile returns the q-th quantile (0<=q<=1) of xs using linear

@@ -51,6 +51,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -62,8 +63,6 @@ import (
 	"repro/internal/sickle"
 	"repro/internal/stats"
 	"repro/pkg/api"
-
-	"strconv"
 )
 
 // Config sizes the streaming pipeline.

@@ -8,6 +8,8 @@ import (
 
 // Kernel micro-benchmarks. ReportAllocs is on everywhere: the Into/Accum
 // kernels must be zero-alloc, and MatMul's only allocation is its output.
+// The Accum benchmarks accumulate into one dst: the arithmetic is the same
+// whatever dst holds.
 // Run `go test -bench 'MatMul|Ewise|Reduce' -benchmem ./internal/tensor/`.
 
 func benchMats(m, k, n int) (*Tensor, *Tensor, *Tensor) {
@@ -15,7 +17,7 @@ func benchMats(m, k, n int) (*Tensor, *Tensor, *Tensor) {
 	return Randn(rng, 1, m, k), Randn(rng, 1, k, n), New(m, n)
 }
 
-func BenchmarkMatMulInto(b *testing.B) {
+func BenchmarkMatMulAccum(b *testing.B) {
 	for _, size := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("n%d", size), func(b *testing.B) {
 			x, y, dst := benchMats(size, size, size)
@@ -23,14 +25,14 @@ func BenchmarkMatMulInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulInto(dst, x, y)
+				MatMulAccum(dst, x, y)
 			}
 			b.SetBytes(flops) // reported as "bytes/op" == flops/op
 		})
 	}
 }
 
-func BenchmarkMatMulIntoSerial(b *testing.B) {
+func BenchmarkMatMulAccumSerial(b *testing.B) {
 	SetParallel(false)
 	defer SetParallel(true)
 	for _, size := range []int{64, 128, 256} {
@@ -39,13 +41,13 @@ func BenchmarkMatMulIntoSerial(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulInto(dst, x, y)
+				MatMulAccum(dst, x, y)
 			}
 		})
 	}
 }
 
-func BenchmarkMatMulTransBInto(b *testing.B) {
+func BenchmarkMatMulTransBAccum(b *testing.B) {
 	for _, size := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("n%d", size), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -55,7 +57,7 @@ func BenchmarkMatMulTransBInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MatMulTransBInto(dst, x, w)
+				MatMulTransBAccum(dst, x, w)
 			}
 		})
 	}
@@ -63,7 +65,7 @@ func BenchmarkMatMulTransBInto(b *testing.B) {
 
 // BenchmarkTransposeThenMatMul measures the pattern the nn layers used
 // before this engine existed (materialize Wᵀ every call), for comparison
-// with BenchmarkMatMulTransBInto.
+// with BenchmarkMatMulTransBAccum.
 func BenchmarkTransposeThenMatMul(b *testing.B) {
 	size := 128
 	rng := rand.New(rand.NewSource(1))
@@ -72,7 +74,7 @@ func BenchmarkTransposeThenMatMul(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(x, Transpose(w))
+		MatMul(x, transposeRef(w))
 	}
 }
 

@@ -24,14 +24,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulInto computes dst = a @ b, reusing dst's storage.
-func MatMulInto(dst, a, b *Tensor) {
-	m, k, n := checkMatMul(a, b)
-	checkDst2D(dst, m, n, "MatMulInto")
-	zeroParallel(dst.Data, DefaultPool())
-	matmulAccum(dst.Data, a.Data, b.Data, m, k, n, DefaultPool())
-}
-
 // MatMulAccum computes dst += a @ b — the gradient-accumulation primitive
 // that replaces the alloc-then-AddScaled pattern in backward passes.
 func MatMulAccum(dst, a, b *Tensor) {
@@ -40,26 +32,10 @@ func MatMulAccum(dst, a, b *Tensor) {
 	matmulAccum(dst.Data, a.Data, b.Data, m, k, n, DefaultPool())
 }
 
-// MatMulTransB returns a @ bᵀ for a (m×k) and b (n×k) WITHOUT materializing
-// the transpose: it walks both operands row-major (contiguous dot products).
-// This is the natural orientation for nn layers whose weights are stored
-// [out, in]: y = x @ Wᵀ needs no Transpose allocation per forward.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMulTransB(a, b)
-	out := New(m, n)
-	matmulTransBAccum(out.Data, a.Data, b.Data, m, k, n, DefaultPool())
-	return out
-}
-
-// MatMulTransBInto computes dst = a @ bᵀ, reusing dst's storage.
-func MatMulTransBInto(dst, a, b *Tensor) {
-	m, k, n := checkMatMulTransB(a, b)
-	checkDst2D(dst, m, n, "MatMulTransBInto")
-	zeroParallel(dst.Data, DefaultPool())
-	matmulTransBAccum(dst.Data, a.Data, b.Data, m, k, n, DefaultPool())
-}
-
-// MatMulTransBAccum computes dst += a @ bᵀ.
+// MatMulTransBAccum computes dst += a @ bᵀ for a (m×k) and b (n×k) WITHOUT
+// materializing the transpose: it walks both operands row-major (contiguous
+// dot products). This is the natural orientation for nn layers whose
+// weights are stored [out, in]: y = x @ Wᵀ needs no transpose per forward.
 func MatMulTransBAccum(dst, a, b *Tensor) {
 	m, k, n := checkMatMulTransB(a, b)
 	checkDst2D(dst, m, n, "MatMulTransBAccum")
@@ -68,7 +44,7 @@ func MatMulTransBAccum(dst, a, b *Tensor) {
 
 // MatMulTransAAccum computes dst += aᵀ @ b for a (m×k) and b (m×n), giving
 // dst (k×n) — the dW += dyᵀ·x step of every linear backward, again without
-// materializing Transpose(dy).
+// materializing dyᵀ.
 func MatMulTransAAccum(dst, a, b *Tensor) {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA needs 2-D tensors, got %v and %v", a.Shape, b.Shape))
@@ -251,44 +227,6 @@ func matmulTransAAccumRef(dst, a, b []float64, m, k, n int) {
 	}
 }
 
-// Transpose returns the transpose of a 2-D tensor. Prefer the TransB/TransA
-// matmul variants over materializing a transpose in hot paths.
-func Transpose(a *Tensor) *Tensor {
-	if a.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose needs a 2-D tensor, got %v", a.Shape))
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			out.Data[j*m+i] = v
-		}
-	}
-	return out
-}
-
-// MatVec returns a @ x for a (m×k) and x (k), parallel over rows.
-func MatVec(a, x *Tensor) *Tensor {
-	if a.NDim() != 2 || x.NDim() != 1 || a.Dim(1) != x.Dim(0) {
-		panic(fmt.Sprintf("tensor: MatVec shapes %v, %v incompatible", a.Shape, x.Shape))
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	out := New(m)
-	xd := x.Data
-	DefaultPool().ParallelFor(m, 4*rowGrain, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			row := a.Data[i*k : (i+1)*k]
-			s := 0.0
-			for j, v := range row {
-				s += v * xd[j]
-			}
-			out.Data[i] = s
-		}
-	})
-	return out
-}
-
 // AddRowVecInto computes dst[i,j] = a[i,j] + v[j] for a 2-D a and 1-D v
 // (broadcast bias addition), parallel over rows.
 func AddRowVecInto(dst, a, v *Tensor) {
@@ -329,15 +267,4 @@ func SumRowsInto(dst, a *Tensor) {
 			dst.Data[j] += v
 		}
 	}
-}
-
-// zeroParallel clears data, fanning large buffers across the pool.
-func zeroParallel(data []float64, p *Pool) {
-	if p.Inline(len(data), ewiseGrain) {
-		clear(data)
-		return
-	}
-	p.ParallelFor(len(data), ewiseGrain, func(lo, hi int) {
-		clear(data[lo:hi])
-	})
 }

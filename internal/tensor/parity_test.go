@@ -70,11 +70,6 @@ func TestMatMulTransBBitIdenticalToRef(t *testing.T) {
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
 		a, bT := randMat(rng, m, k), randMat(rng, n, k)
-		got := MatMulTransB(a, bT)
-		want := make([]float64, m*n)
-		matmulTransBAccumRef(want, a.Data, bT.Data, m, k, n)
-		bitsEqual(t, "MatMulTransB", got.Data, want)
-
 		dst := randMat(rng, m, n)
 		ref := dst.Clone()
 		MatMulTransBAccum(dst, a, bT)
@@ -101,8 +96,9 @@ func TestMatMulTransABitIdenticalToRef(t *testing.T) {
 func TestMatMulTransBMatchesTransposedMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a, w := randMat(rng, 33, 21), randMat(rng, 47, 21)
-	got := MatMulTransB(a, w)
-	want := MatMul(a, Transpose(w))
+	got := New(33, 47)
+	MatMulTransBAccum(got, a, w)
+	want := MatMul(a, transposeRef(w))
 	bitsEqual(t, "TransB vs Transpose+MatMul", got.Data, want.Data)
 }
 
@@ -111,8 +107,62 @@ func TestMatMulTransAMatchesTransposedMatMul(t *testing.T) {
 	dy, x := randMat(rng, 29, 13), randMat(rng, 29, 37)
 	dst := New(13, 37)
 	MatMulTransAAccum(dst, dy, x)
-	want := MatMul(Transpose(dy), x)
+	want := MatMul(transposeRef(dy), x)
 	bitsEqual(t, "TransA vs Transpose+MatMul", dst.Data, want.Data)
+}
+
+// The chunked reduction below has no caller in the program since the layers
+// moved to the Into/Accum kernels (losses and norms are summed in place, in
+// element order); it is parked beside the parity tests that pin its
+// decomposition until a kernel reduces through it again or it is deleted
+// with them.
+
+// chunkedSum reduces f over [0, n) with fixed ewiseGrain chunks: each
+// chunk's partial is accumulated left-to-right, partials are combined in
+// chunk order. The decomposition depends only on n, so the result is
+// bit-identical with or without a pool (see chunkedSumRef).
+func chunkedSum(n int, p *Pool, f func(lo, hi int) float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	chunks := (n + ewiseGrain - 1) / ewiseGrain
+	if chunks == 1 {
+		return f(0, n)
+	}
+	partials := make([]float64, chunks)
+	p.ParallelFor(chunks, 1, func(c0, c1 int) {
+		for c := c0; c < c1; c++ {
+			lo := c * ewiseGrain
+			hi := lo + ewiseGrain
+			if hi > n {
+				hi = n
+			}
+			partials[c] = f(lo, hi)
+		}
+	})
+	s := 0.0
+	for _, v := range partials {
+		s += v
+	}
+	return s
+}
+
+// chunkedSumRef is the serial reference for chunkedSum: identical chunk
+// decomposition, no pool. Parity tests assert both agree bit for bit.
+func chunkedSumRef(n int, f func(lo, hi int) float64) float64 {
+	return chunkedSum(n, nil, f)
+}
+
+// Sum returns the sum of all elements (chunked deterministic reduction).
+func (t *Tensor) Sum() float64 {
+	d := t.Data
+	return chunkedSum(len(d), DefaultPool(), func(lo, hi int) float64 {
+		s := 0.0
+		for _, v := range d[lo:hi] {
+			s += v
+		}
+		return s
+	})
 }
 
 func TestElementwiseBitIdenticalSerialVsParallel(t *testing.T) {
@@ -124,7 +174,6 @@ func TestElementwiseBitIdenticalSerialVsParallel(t *testing.T) {
 	run := func() []float64 {
 		d := a.Clone()
 		AddInto(d, d, b)
-		SubInto(d, d, b)
 		MulInto(d, d, b)
 		d.Scale(1.0 / 3.0)
 		d.AddScaled(0.5, b)
@@ -142,19 +191,12 @@ func TestReductionsBitIdenticalSerialVsParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{0, 1, ewiseGrain - 1, ewiseGrain, 5*ewiseGrain + 3} {
 		a := Randn(rng, 1e6, n)
-		b := Randn(rng, 1e-6, n)
-		sumP, dotP, normP := a.Sum(), Dot(a, b), a.Norm2()
+		sumP := a.Sum()
 		SetParallel(false)
-		sumS, dotS, normS := a.Sum(), Dot(a, b), a.Norm2()
+		sumS := a.Sum()
 		SetParallel(true)
 		if math.Float64bits(sumP) != math.Float64bits(sumS) {
 			t.Fatalf("Sum(n=%d): %v vs %v", n, sumP, sumS)
-		}
-		if math.Float64bits(dotP) != math.Float64bits(dotS) {
-			t.Fatalf("Dot(n=%d): %v vs %v", n, dotP, dotS)
-		}
-		if math.Float64bits(normP) != math.Float64bits(normS) {
-			t.Fatalf("Norm2(n=%d): %v vs %v", n, normP, normS)
 		}
 		// And against the explicit chunked serial reference.
 		d := a.Data
@@ -174,12 +216,12 @@ func TestReductionsBitIdenticalSerialVsParallel(t *testing.T) {
 func TestMatVecBitIdenticalSerialVsParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := randMat(rng, 301, 53)
-	x := Randn(rng, 1, 53)
-	got := MatVec(a, x)
+	x := Randn(rng, 1, 53, 1) // a vector is the n = 1 right-hand side
+	got := MatMul(a, x)
 	SetParallel(false)
-	want := MatVec(a, x)
+	want := MatMul(a, x)
 	SetParallel(true)
-	bitsEqual(t, "MatVec", got.Data, want.Data)
+	bitsEqual(t, "MatMul with a column vector", got.Data, want.Data)
 }
 
 // TestMain forces a real multi-worker pool for the whole package test run,

@@ -97,14 +97,6 @@ func (j *job) release() {
 	}
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
 // Stats reports the pool's size and utilization: total workers, workers
 // currently executing a task, and tasks completed since the pool started.
 func (p *Pool) Stats() (workers, busy int, tasksDone uint64) {

@@ -45,8 +45,8 @@ func TestParallelForNilPoolRunsInline(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("nil pool ran %d ranges", calls)
 	}
-	if p.Workers() != 1 {
-		t.Fatalf("nil pool Workers() = %d", p.Workers())
+	if w, busy, done := p.Stats(); w != 0 || busy != 0 || done != 0 {
+		t.Fatalf("nil pool Stats() = %d, %d, %d", w, busy, done)
 	}
 }
 

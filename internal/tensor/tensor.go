@@ -1,5 +1,5 @@
 // Package tensor provides dense float64 tensors with shape metadata and the
-// numerical kernels (element-wise ops, matrix multiplication, reductions)
+// numerical kernels (element-wise ops, matrix multiplication, row sums)
 // that the neural-network, solver, and sampling layers of SICKLE-Go are
 // built on.
 //
@@ -13,24 +13,19 @@
 //     solver steps, spectral transforms, and clustering built on it) is
 //     bit-identical serial or parallel, asserted against unexported *Ref
 //     serial kernels in the parity tests.
-//   - The matmul family includes cache-blocked MatMul/MatMulInto, the
-//     transpose-free MatMulTransB / MatMulTransAAccum orientations that nn
-//     layers use so no Transpose is materialized per forward/backward, and
-//     Accum variants for gradient accumulation without temporaries.
+//   - The matmul family is the cache-blocked MatMul and the Accum
+//     variants (MatMulAccum, and the transpose-free MatMulTransBAccum /
+//     MatMulTransAAccum orientations) that nn layers accumulate into, so no
+//     transpose and no temporary is materialized per forward/backward.
 //   - Workspace is a step-scoped tape of tensors: the i-th request after
 //     a Reset reuses the i-th slot's storage and header, so a train step
 //     or a forward pass that asks for the same temporaries every time
 //     allocates nothing once the tape is filled. What it hands out is
 //     valid until the next Reset — see the lifetime rule on Workspace.
-//
-// Reductions (Sum, Dot, Norm2) use fixed-grain chunked accumulation with
-// partials combined in chunk order — deterministic on any machine and
-// identical with or without the pool.
 package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -128,30 +123,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{Shape: out, Data: t.Data}
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set assigns the element at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.Shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float64) {
 	for i := range t.Data {
@@ -209,39 +180,6 @@ func addRange(dd, ad, bd []float64, lo, hi int) {
 	}
 }
 
-// Add returns a + b element-wise.
-func Add(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
-	AddInto(out, a, b)
-	return out
-}
-
-// SubInto computes dst = a - b element-wise.
-func SubInto(dst, a, b *Tensor) {
-	assertSameLen(a, b, "sub")
-	assertSameLen(dst, a, "sub")
-	ad, bd, dd := a.Data, b.Data, dst.Data
-	p := DefaultPool()
-	if p.Inline(len(dd), ewiseGrain) {
-		subRange(dd, ad, bd, 0, len(dd))
-		return
-	}
-	p.ParallelFor(len(dd), ewiseGrain, func(lo, hi int) { subRange(dd, ad, bd, lo, hi) })
-}
-
-func subRange(dd, ad, bd []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dd[i] = ad[i] - bd[i]
-	}
-}
-
-// Sub returns a - b element-wise.
-func Sub(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
-	SubInto(out, a, b)
-	return out
-}
-
 // MulInto computes dst = a * b element-wise (Hadamard product).
 func MulInto(dst, a, b *Tensor) {
 	assertSameLen(a, b, "mul")
@@ -259,13 +197,6 @@ func mulRange(dd, ad, bd []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		dd[i] = ad[i] * bd[i]
 	}
-}
-
-// Mul returns the Hadamard product a*b.
-func Mul(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
-	MulInto(out, a, b)
-	return out
 }
 
 // Scale multiplies every element by s in place.
@@ -326,116 +257,4 @@ func applyRange(dd, sd []float64, f func(float64) float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		dd[i] = f(sd[i])
 	}
-}
-
-// chunkedSum reduces f over [0, n) with fixed ewiseGrain chunks: each
-// chunk's partial is accumulated left-to-right, partials are combined in
-// chunk order. The decomposition depends only on n, so the result is
-// bit-identical with or without a pool (see chunkedSumRef).
-func chunkedSum(n int, p *Pool, f func(lo, hi int) float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	chunks := (n + ewiseGrain - 1) / ewiseGrain
-	if chunks == 1 {
-		return f(0, n)
-	}
-	partials := make([]float64, chunks)
-	p.ParallelFor(chunks, 1, func(c0, c1 int) {
-		for c := c0; c < c1; c++ {
-			lo := c * ewiseGrain
-			hi := lo + ewiseGrain
-			if hi > n {
-				hi = n
-			}
-			partials[c] = f(lo, hi)
-		}
-	})
-	s := 0.0
-	for _, v := range partials {
-		s += v
-	}
-	return s
-}
-
-// chunkedSumRef is the serial reference for chunkedSum: identical chunk
-// decomposition, no pool. Parity tests assert both agree bit for bit.
-func chunkedSumRef(n int, f func(lo, hi int) float64) float64 {
-	return chunkedSum(n, nil, f)
-}
-
-// Sum returns the sum of all elements (chunked deterministic reduction).
-func (t *Tensor) Sum() float64 {
-	d := t.Data
-	return chunkedSum(len(d), DefaultPool(), func(lo, hi int) float64 {
-		s := 0.0
-		for _, v := range d[lo:hi] {
-			s += v
-		}
-		return s
-	})
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
-}
-
-// Max returns the maximum element; panics on empty tensors.
-func (t *Tensor) Max() float64 {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element; panics on empty tensors.
-func (t *Tensor) Min() float64 {
-	if len(t.Data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Norm2 returns the Euclidean norm of the flattened tensor (chunked
-// deterministic reduction).
-func (t *Tensor) Norm2() float64 {
-	d := t.Data
-	ss := chunkedSum(len(d), DefaultPool(), func(lo, hi int) float64 {
-		s := 0.0
-		for _, v := range d[lo:hi] {
-			s += v * v
-		}
-		return s
-	})
-	return math.Sqrt(ss)
-}
-
-// Dot returns the inner product of the flattened tensors (chunked
-// deterministic reduction).
-func Dot(a, b *Tensor) float64 {
-	assertSameLen(a, b, "dot")
-	ad, bd := a.Data, b.Data
-	return chunkedSum(len(ad), DefaultPool(), func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += ad[i] * bd[i]
-		}
-		return s
-	})
 }

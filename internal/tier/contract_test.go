@@ -95,14 +95,14 @@ func TestTierContract(t *testing.T) {
 	// overloaded for as long as the test runs.
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := replica.Server.Jobs().SubmitTraced(ctx, api.JobSubsample,
+	if _, _, err := replica.Server.Jobs().Submit(ctx, api.JobSubsample,
 		func(ctx context.Context, _ func(string, int, int)) (*api.JobResult, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
 			}
 			return &api.JobResult{}, nil
-		}); err != nil {
+		}, serve.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 

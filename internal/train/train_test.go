@@ -16,6 +16,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// mseLoss is the allocating form of nn.MSELossInto.
+func mseLoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
+	grad := tensor.New(pred.Shape...)
+	return nn.MSELossInto(grad, pred, target), grad
+}
+
 func TestLSTMModelShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewLSTMModel(rng, 4, 8, 1)
@@ -24,7 +30,7 @@ func TestLSTMModelShapes(t *testing.T) {
 	if y.Dim(0) != 3 || y.Dim(1) != 1 {
 		t.Fatalf("LSTM output shape %v, want [3 1]", y.Shape)
 	}
-	_, g := nn.MSELoss(y, tensor.Randn(rng, 1, 3, 1).Reshape(3, 1))
+	_, g := mseLoss(y, tensor.Randn(rng, 1, 3, 1).Reshape(3, 1))
 	m.Backward(g) // must not panic; grads accumulate
 	if nn.GradNorm(m) == 0 {
 		t.Fatal("no gradients accumulated")
@@ -47,7 +53,7 @@ func TestTable2Shapes(t *testing.T) {
 			t.Fatalf("MLP-Transformer shape %v, want %v", y.Shape, want)
 		}
 	}
-	_, gr := nn.MSELoss(y, tensor.Randn(rng, 1, want...))
+	_, gr := mseLoss(y, tensor.Randn(rng, 1, want...))
 	mt.Backward(gr)
 	if nn.GradNorm(mt) == 0 {
 		t.Fatal("MLP-Transformer: no grads")
@@ -63,7 +69,7 @@ func TestTable2Shapes(t *testing.T) {
 			t.Fatalf("CNN-Transformer shape %v, want %v", y2.Shape, want2)
 		}
 	}
-	_, gr2 := nn.MSELoss(y2, tensor.Randn(rng, 1, want2...))
+	_, gr2 := mseLoss(y2, tensor.Randn(rng, 1, want2...))
 	ct.Backward(gr2)
 	if nn.GradNorm(ct) == 0 {
 		t.Fatal("CNN-Transformer: no grads")
@@ -77,7 +83,7 @@ func TestTable2Shapes(t *testing.T) {
 			t.Fatalf("MATEY shape %v, want %v", y3.Shape, want2)
 		}
 	}
-	_, gr3 := nn.MSELoss(y3, tensor.Randn(rng, 1, want2...))
+	_, gr3 := mseLoss(y3, tensor.Randn(rng, 1, want2...))
 	ma.Backward(gr3)
 	if nn.GradNorm(ma) == 0 {
 		t.Fatal("MATEY: no grads")

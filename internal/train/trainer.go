@@ -22,7 +22,6 @@ type Config struct {
 	Batch     int     // default 16 (paper's setting)
 	LR        float64 // default 0.001 (paper's setting)
 	Patience  int     // default 20 (paper's LR-plateau patience)
-	TestFrac  float64 // default 0.1 (paper's 90:10 split)
 	Seed      int64
 	Ranks     int // data-parallel ranks, default 1
 	Meter     *energy.Meter
@@ -48,6 +47,9 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// testFrac is the held-out share of the examples: the paper's 90:10 split.
+const testFrac = 0.1
+
 func (c *Config) defaults() {
 	if c.Epochs <= 0 {
 		c.Epochs = 50
@@ -60,9 +62,6 @@ func (c *Config) defaults() {
 	}
 	if c.Patience <= 0 {
 		c.Patience = 20
-	}
-	if c.TestFrac <= 0 {
-		c.TestFrac = 0.1
 	}
 	if c.Ranks <= 0 {
 		c.Ranks = 1
@@ -146,7 +145,7 @@ func Train(ctx context.Context, factory ModelFactory, examples []Example, cfg Co
 	if len(examples) < 2 {
 		return nil, nil, fmt.Errorf("train: need at least 2 examples, got %d", len(examples))
 	}
-	trainSet, testSet := SplitTrainTest(examples, cfg.TestFrac, cfg.Seed)
+	trainSet, testSet := SplitTrainTest(examples, testFrac, cfg.Seed)
 	if cfg.Normalize {
 		// Normalize copies: callers may reuse the same examples across
 		// runs (replicates, hyperparameter search), so mutating their

@@ -104,35 +104,3 @@ func FieldToASCII(f *grid.Field, varName string, k, maxCols int) string {
 	}
 	return b.String()
 }
-
-// SamplesToASCII marks sampled locations with 'o' over a blank canvas,
-// showing the spatial pattern of a sampling method.
-func SamplesToASCII(f *grid.Field, k, maxCols int, indices []int) string {
-	step := 1
-	if f.Nx > maxCols {
-		step = (f.Nx + maxCols - 1) / maxCols
-	}
-	rows := (f.Ny + 2*step - 1) / (2 * step)
-	cols := (f.Nx + step - 1) / step
-	canvas := make([][]byte, rows)
-	for r := range canvas {
-		canvas[r] = []byte(strings.Repeat(".", cols))
-	}
-	for _, idx := range indices {
-		i, j, kk := f.Coords(idx)
-		if kk != k {
-			continue
-		}
-		r := (f.Ny - 1 - j) / (2 * step)
-		c := i / step
-		if r >= 0 && r < rows && c < cols {
-			canvas[r][c] = 'o'
-		}
-	}
-	var b strings.Builder
-	for _, row := range canvas {
-		b.Write(row)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

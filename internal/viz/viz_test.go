@@ -61,11 +61,3 @@ func TestFieldToASCII(t *testing.T) {
 		t.Fatalf("shades wrong: %q", lines[0])
 	}
 }
-
-func TestSamplesToASCII(t *testing.T) {
-	f := gradientField()
-	s := SamplesToASCII(f, 0, 80, []int{f.Idx(0, 7, 0)})
-	if !strings.Contains(s, "o") {
-		t.Fatal("no sample marker rendered")
-	}
-}
