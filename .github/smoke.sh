@@ -1,0 +1,196 @@
+#!/usr/bin/env bash
+# smoke.sh serve|shard|elastic [outdir] — what the in-process e2e suites
+# cannot show: the real binaries boot with their flags, answer over real TCP,
+# survive kill -9 through WAL replay, and join and drain between processes.
+# Behaviour is accepted by `go test ./...` and numbers by bench/; this needs
+# only go, curl and jq. Logs and /debug snapshots land in outdir (a temp dir
+# when not given); everything started here is killed on exit, and a failed
+# gate prints the tail of every server log.
+set -euo pipefail
+
+mode=${1:?usage: smoke.sh serve|shard|elastic [outdir]}
+case $mode in serve | shard | elastic) ;; *)
+	echo "smoke.sh: unknown mode $mode (serve|shard|elastic)" >&2
+	exit 2
+	;;
+esac
+root=$(cd "$(dirname "$0")/.." && pwd)
+tmp=$(mktemp -d)
+out=${2:-$tmp/out}
+mkdir -p "$out"
+pids=()
+
+cleanup() {
+	code=$?
+	[ ${#pids[@]} -eq 0 ] || kill "${pids[@]}" 2>/dev/null || true
+	wait 2>/dev/null || true
+	if [ "$code" -ne 0 ]; then
+		for log in "$out"/*.log; do
+			[ -e "$log" ] || continue
+			echo "---- $log" >&2
+			tail -n 40 "$log" >&2
+		done
+	fi
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+
+# gate <what> <command...>: run one acceptance check (its stdout dropped, its
+# stderr kept), name it either way.
+gate() {
+	local what=$1
+	shift
+	if "$@" >/dev/null; then echo "ok    $what"; else
+		echo "FAIL  $what" >&2
+		exit 1
+	fi
+}
+
+# boot <name> <base-url> <binary> <flags...>: start a server, log to
+# outdir/<name>.log, wait until /healthz says ok (a router says so only once a
+# probe has seen a live replica). Leaves its pid in $booted.
+boot() {
+	local name=$1 base=$2
+	shift 2
+	if curl -fsS "$base/healthz" >/dev/null 2>&1; then
+		echo "FAIL  something else already answers at $base" >&2
+		exit 1
+	fi
+	"$tmp/bin/$1" "${@:2}" >"$out/$name.log" 2>&1 &
+	booted=$!
+	pids+=("$booted")
+	for _ in $(seq 1 120); do
+		if curl -fsS "$base/healthz" 2>/dev/null | jq -e '.status == "ok"' >/dev/null; then return 0; fi
+		if ! kill -0 "$booted" 2>/dev/null; then
+			echo "FAIL  $name exited before it was healthy" >&2
+			exit 1
+		fi
+		sleep 1
+	done
+	echo "FAIL  $name not healthy after 120 s" >&2
+	exit 1
+}
+
+# infers <base>: one POST /v2/infer on the demo model, its body built from the
+# inputShape GET /v2/models reports, answers one output of non-zero length.
+infers() {
+	local body
+	body=$(curl -fsS "$1/v2/models" | jq -c 'first(.[] | select(.name == "demo")) | {model: .name, items:
+		[{shape: .inputShape, data: [range(.inputShape | reduce .[] as $d (1; . * $d)) | (. % 7) / 7]}]}')
+	curl -fsS "$1/v2/infer" -d "$body" | jq -e '(.outputs | length) == 1 and (.outputs[0].data | length) > 0'
+}
+
+# keyed_job <base> <key>: a keyed subsample job posted twice answers 202 then
+# 200 with one ID, reaches succeeded, and its result holds points. The ID is
+# left in $job_id.
+keyed_job() {
+	local req first second state=
+	req=$(jq -nc --arg key "$2" '{type: "subsample", idempotencyKey: $key, subsample:
+		{dataset: "GESTS-2048", cube: 8, numHypercubes: 2, numSamples: 32, seed: 1}}')
+	first=$(curl -sS -o "$tmp/first.json" -w '%{http_code}' "$1/v2/jobs" -d "$req")
+	second=$(curl -sS -o "$tmp/second.json" -w '%{http_code}' "$1/v2/jobs" -d "$req")
+	job_id=$(jq -r .id "$tmp/first.json")
+	if [ "$first $second" != "202 200" ] || [ "$job_id" != "$(jq -r .id "$tmp/second.json")" ]; then
+		echo "keyed job posted twice: HTTP $first then $second" >&2
+		cat "$tmp/first.json" "$tmp/second.json" >&2
+		return 1
+	fi
+	for _ in $(seq 1 300); do
+		state=$(curl -fsS "$1/v2/jobs/$job_id" | jq -r .state)
+		case $state in succeeded | failed | canceled) break ;; esac
+		sleep 0.1
+	done
+	[ "$state" = succeeded ] && answers "$1/v2/jobs/$job_id/result" '.subsample.points > 0'
+}
+
+# answers <url> <jq-filter>: the JSON the URL answers satisfies the filter.
+answers() { curl -fsS "$1" | jq -e "$2"; }
+
+# counted <base> <series-prefix>: the series' values sum to more than zero.
+counted() { curl -fsS "$1/metrics" | awk -v p="$2" 'index($1, p) == 1 { s += $2 } END { exit !(s > 0) }'; }
+
+# lints <base>: the live exposition passes the Prometheus text-format lint,
+# and the same gate fails on a 200 that carries no le= series (/healthz,
+# reached by turning the /metrics suffix into a query string).
+lints() {
+	"$tmp/bin/sickle-top" -target "$1" -lint &&
+		! "$tmp/bin/sickle-top" -target "$1/healthz?x=" -lint 2>"$tmp/lint.err" &&
+		grep -q 'no le-bucketed' "$tmp/lint.err"
+}
+
+exports() { curl -fsS "$1/metrics" | grep -q "^$2"; }
+traces_tier() { answers "$1/debug/traces" ".tier == \"$2\" and (.traces | length) > 0"; }
+has_event() { jq -e --arg t "$2" 'any(.events[]; .type == $t)' "$1"; }
+
+cd "$root"
+mkdir -p "$tmp/bin"
+go build -o "$tmp/bin/" ./cmd/sickle-serve ./cmd/sickle-shard ./cmd/sickle-top
+
+case $mode in
+serve)
+	base=http://127.0.0.1:18080
+	serve=(sickle-serve -addr 127.0.0.1:18080 -demo -data-dir "$out/sickle-data")
+	boot serve "$base" "${serve[@]}"
+	gate "/api/version offers v2" answers "$base/api/version" 'any(.versions[]; . == "v2")'
+	gate "POST /v2/infer on demo returns one output" infers "$base"
+	gate "keyed job: 202 then 200 with one ID, succeeded, points > 0" keyed_job "$base" smoke-a
+	gate "the same request under a fresh key" keyed_job "$base" smoke-b
+	gate "  ... was served from the content-addressed cache" counted "$base" sickle_dedup_hits_total
+	gate "  ... and the WAL took appends" counted "$base" sickle_wal_appends_total
+	gate "sickle-top -lint passes /metrics and fails a 200 without le= series" lints "$base"
+	gate "/debug/traces lists tier serve" traces_tier "$base" serve
+	# Crash recovery: no ceremony, same data dir, and the WAL replay must
+	# surface the jobs above as recovery events in the journal.
+	kill -9 "$booted"
+	wait "$booted" 2>/dev/null || true
+	boot serve-restart "$base" "${serve[@]}"
+	curl -fsS "$base/debug/events?type=recovery" >"$out/recovery-events.json"
+	gate "after kill -9 and a restart the journal holds recovery events" has_event "$out/recovery-events.json" recovery
+	gate "sickle_wal_recovered_jobs_total is exported" exports "$base" sickle_wal_recovered_jobs_total
+	;;
+shard)
+	base=http://127.0.0.1:18090
+	boot shard "$base" sickle-shard -addr 127.0.0.1:18090 -demo
+	gate "POST /v2/infer through the router" infers "$base"
+	gate "keyed job through the router: 202 then 200 with one ID, succeeded" keyed_job "$base" smoke-a
+	gate "  ... whose ID names the replica that admitted it ($job_id)" test "${job_id#*@r}" != "$job_id"
+	gate "the ring routed requests to a replica" counted "$base" sickle_shard_routed_requests_total
+	gate "sickle-top -lint passes /metrics and fails a 200 without le= series" lints "$base"
+	gate "/debug/traces lists tier shard" traces_tier "$base" shard
+	# Flight recorder: the console's one-shot snapshot comes back healthy with
+	# scatter-gathered per-replica history, and the /debug surfaces answer.
+	"$tmp/bin/sickle-top" -target "$base" -once >"$out/top-once.json"
+	gate "sickle-top -once: status ok" jq -e '.health.status == "ok"' "$out/top-once.json"
+	gate "sickle-top -once: gathered sickle_shard_requests_total" grep -q sickle_shard_requests_total "$out/top-once.json"
+	curl -fsS "$base/debug/history?since=5m" >"$out/debug-history.json"
+	curl -fsS "$base/debug/events?limit=256" >"$out/debug-events.json"
+	curl -fsS "$base/debug/slo" >"$out/debug-slo.json"
+	;;
+elastic)
+	# A 3-replica demo fleet at replication 2: every keyed submission lives on
+	# two owners, so draining one loses nothing. (The drain under live load is
+	# TestShardDrainUnderLoad; here it happens between real processes.)
+	base=http://127.0.0.1:18095 bare=http://127.0.0.1:18096
+	boot elastic-shard "$base" sickle-shard -addr 127.0.0.1:18095 -demo -replication 2
+	# Scale up: a bare backend (no models) joins through the admin API, and
+	# admission warm-prefetches the demo model onto it before it takes traffic.
+	boot elastic-serve "$bare" sickle-serve -addr 127.0.0.1:18096
+	curl -fsS "$base/admin/replicas" -d "{\"url\":\"$bare\"}" >"$out/elastic-join.json"
+	gate "join prefetched the demo model" jq -e 'any(.prefetchedModels[]; . == "demo")' "$out/elastic-join.json"
+	gate "the newcomer serves it" infers "$bare"
+	gate "membership lists r3" answers "$base/admin/replicas" 'any(.replicas[]; .id == "r3")'
+	gate "keyed job at K=2" keyed_job "$base" smoke-a
+	# Scale down: an original replica drains out.
+	curl -fsS -X DELETE "$base/admin/replicas/r1" >"$out/elastic-drain.json"
+	curl -fsS "$base/admin/replicas" >"$out/elastic-members.json"
+	gate "r1 left the membership" jq -e 'all(.replicas[]; .id != "r1")' "$out/elastic-members.json"
+	gate "the job admitted before the drain still reads succeeded" answers "$base/v2/jobs/$job_id" '.state == "succeeded"'
+	gate "infer still answers" infers "$base"
+	curl -fsS "$base/debug/events?limit=512" >"$out/elastic-events.json"
+	for typ in replica_join replica_drain replica_leave rebalance; do
+		gate "journal holds $typ" has_event "$out/elastic-events.json" "$typ"
+	done
+	gate "sickle_shard_rebalances_total moved" counted "$base" sickle_shard_rebalances_total
+	;;
+esac
+echo "smoke $mode: all gates passed"

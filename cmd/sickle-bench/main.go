@@ -7,14 +7,10 @@
 //	sickle-bench -exp table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|all
 //	             [-scale small|large] [-outdir plots]
 //
-// With -serve it becomes a load generator against a running sickle-serve
-// instance instead, verifying micro-batched inference against the
-// unbatched reference and exercising the dataset LRU:
-//
-//	sickle-bench -serve http://localhost:8080 [-model demo] [-clients 32] [-requests 256]
-//
-// Performance numbers (kernels, train step, solvers, streaming, the online
-// path) are not measured here: the bench/ ledger owns them (bench/README.md).
+// Nothing else lives here. Performance numbers (kernels, train step, solvers,
+// streaming, the online path) are the bench/ ledger's (bench/README.md); the
+// serving tiers' behaviour is accepted by the e2e suites under `go test ./...`
+// and their processes by .github/smoke.sh.
 package main
 
 import (
@@ -34,27 +30,7 @@ func main() {
 	scale := sickle.Small
 	flag.TextVar(&scale, "scale", scale, "dataset scale: small|large")
 	outdir := flag.String("outdir", "plots", "directory for figure artifacts")
-	serveURL := flag.String("serve", "", "load-generator mode: base URL of a running sickle-serve (or sickle-shard)")
-	model := flag.String("model", "", "model to load-test (default: first registered)")
-	clients := flag.Int("clients", 32, "concurrent clients in load-generator mode")
-	requests := flag.Int("requests", 256, "total requests in load-generator mode")
-	shardPhase := flag.Bool("shard", false, "with -serve pointed at sickle-shard: verify routing via the router's shard metrics")
-	serveOut := flag.String("serveout", "", "output path for the -serve durability-phase JSON report (\"\" = print only)")
-	lintURL := flag.String("lintmetrics", "", "exposition-lint mode: fetch this /metrics URL, lint it, exit non-zero on violations")
 	flag.Parse()
-
-	if *lintURL != "" {
-		if err := runMetricsLint(*lintURL); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *serveURL != "" {
-		if err := runLoadGen(*serveURL, *model, *clients, *requests, *shardPhase, *serveOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {

@@ -176,8 +176,8 @@ func parseShape(s string) ([]int, error) {
 }
 
 // registerDemoModel trains the shared toy surrogate (serve.TrainDemo) and
-// registers it as "demo", so a bare `sickle-serve -demo` is immediately
-// load-testable with `sickle-bench -serve`.
+// registers it as "demo", so a bare `sickle-serve -demo` answers /v2/infer
+// as soon as it is up.
 func registerDemoModel(s *serve.Server, replicas int, lg *olog.Logger) error {
 	dm, err := serve.TrainDemo(context.Background())
 	if err != nil {

@@ -1,11 +1,11 @@
 // sickle-shard scales SICKLE-Go serving horizontally: a consistent-hash
 // router that fronts N sickle-serve backends and speaks the same pkg/api
-// surface, so pkg/client (and sickle-bench -serve) work against it
-// unchanged. Infer/subsample requests route by model/dataset hash with
-// bounded failover when a backend is unreachable, overloaded, or
-// draining; model listings and the version handshake scatter-gather;
-// jobs stick to the backend that accepted them. A health prober ejects
-// dead backends and re-admits them when /healthz answers again.
+// surface, so pkg/client works against it unchanged. Infer/subsample
+// requests route by model/dataset hash with bounded failover when a backend
+// is unreachable, overloaded, or draining; model listings and the version
+// handshake scatter-gather; jobs stick to the backend that accepted them. A
+// health prober ejects dead backends and re-admits them when /healthz
+// answers again.
 //
 // With -replication K (default 1), a keyed job submission's owner set is
 // its K ring successors: the submission is copied to all K owners and a

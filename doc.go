@@ -11,11 +11,11 @@
 // paper table/figure through it), serve
 // (the online subsystem: micro-batched surrogate inference and LRU-cached
 // subsampling behind an HTTP API, served by cmd/sickle-serve and
-// load-tested by cmd/sickle-bench -serve), shard (the scaling tier: a
+// smoke-tested by .github/smoke.sh serve), shard (the scaling tier: a
 // consistent-hash router over N serve backends with health-probe
 // ejection/re-admission, bounded failover, scatter-gather listings and
 // sticky job routing, served by cmd/sickle-shard and smoke-tested by
-// cmd/sickle-bench -serve URL -shard), tier (the chassis both online
+// .github/smoke.sh shard and elastic), tier (the chassis both online
 // tiers embed: flight-recorder bundle, route table with typed 405/404
 // fallbacks, request middleware, envelope helpers, /metrics, the
 // -debug-addr sidecar and listen/serve/shutdown), and stream (the in-situ
@@ -30,7 +30,7 @@
 // X-Sickle-Trace header live in pkg/api, so one client request through
 // the router reads as one trace with routing, queue, and execute spans),
 // runtime/build/pool gauges, an exposition linter (also a CI gate via
-// cmd/sickle-bench -lintmetrics), and the structured leveled logger
+// cmd/sickle-top -lint), and the structured leveled logger
 // internal/obs/log shared by the binaries, with per-call-site rate
 // limiting on repeated warn/error floods (README "Observability").
 //

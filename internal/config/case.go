@@ -1,8 +1,13 @@
 package config
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/sampling"
 )
@@ -137,10 +142,7 @@ func ParseCase(src string) (*Case, error) {
 	shared := m.GetMap("shared")
 	sub := m.GetMap("subsample")
 	tr := m.GetMap("train")
-	sv := m.GetMap("serve")
-	st := m.GetMap("stream")
-	sh := m.GetMap("shard")
-	ob := m.GetMap("obs")
+	r := &strict{root: m}
 
 	c := &Case{
 		Dims:       shared.GetInt("dims", 3),
@@ -175,55 +177,102 @@ func ParseCase(src string) (*Case, error) {
 		// Unset serve keys stay zero: internal/serve.Config owns the
 		// defaults, so they live in exactly one place.
 		Serve: ServeCase{
-			Addr:         sv.GetString("addr", ""),
-			MaxBatch:     sv.GetInt("max_batch", 0),
-			WindowMS:     sv.GetInt("window_ms", 0),
-			Workers:      sv.GetInt("workers", 0),
-			QueueCap:     sv.GetInt("queue_cap", 0),
-			CacheEntries: sv.GetInt("cache_entries", 0),
-			Replicas:     sv.GetInt("replicas", 0),
-			JobWorkers:   sv.GetInt("job_workers", 0),
-			JobTTLMin:    sv.GetInt("job_ttl_min", 0),
-			DataDir:      sv.GetString("data_dir", ""),
-			DebugAddr:    sv.GetString("debug_addr", ""),
+			Addr:         r.str("serve.addr"),
+			MaxBatch:     r.int("serve.max_batch"),
+			WindowMS:     r.int("serve.window_ms"),
+			Workers:      r.int("serve.workers"),
+			QueueCap:     r.int("serve.queue_cap"),
+			CacheEntries: r.int("serve.cache_entries"),
+			Replicas:     r.int("serve.replicas"),
+			JobWorkers:   r.int("serve.job_workers"),
+			JobTTLMin:    r.int("serve.job_ttl_min"),
+			DataDir:      r.str("serve.data_dir"),
+			DebugAddr:    r.str("serve.debug_addr"),
 		},
 
 		// Unset shard keys stay zero: internal/shard.Config owns the
 		// defaults (same discipline as serve).
 		Shard: ShardCase{
-			Addr:        sh.GetString("addr", ""),
-			Replicas:    sh.GetStringList("replicas"),
-			ProbeMS:     sh.GetInt("probe_ms", 0),
-			FailAfter:   sh.GetInt("fail_after", 0),
-			MaxFailover: sh.GetInt("max_failover", 0),
-			Replication: sh.GetInt("replication", 0),
-			VNodes:      sh.GetInt("vnodes", 0),
-			DebugAddr:   sh.GetString("debug_addr", ""),
+			Addr:        r.str("shard.addr"),
+			Replicas:    r.list("shard.replicas"),
+			ProbeMS:     r.int("shard.probe_ms"),
+			FailAfter:   r.int("shard.fail_after"),
+			MaxFailover: r.int("shard.max_failover"),
+			Replication: r.int("shard.replication"),
+			VNodes:      r.int("shard.vnodes"),
+			DebugAddr:   r.str("shard.debug_addr"),
 		},
 
 		// Unset stream keys stay zero: internal/stream.Config owns the
 		// defaults (same discipline as serve).
 		Stream: StreamCase{
-			Ranks:       st.GetInt("ranks", 0),
-			Window:      st.GetInt("window", 0),
-			MergeEvery:  st.GetInt("merge_every", 0),
-			SketchBins:  st.GetInt("sketch_bins", 0),
-			Reservoir:   st.GetInt("reservoir", 0),
-			ShardPrefix: st.GetString("shard_prefix", ""),
+			Ranks:       r.int("stream.ranks"),
+			Window:      r.int("stream.window"),
+			MergeEvery:  r.int("stream.merge_every"),
+			SketchBins:  r.int("stream.sketch_bins"),
+			Reservoir:   r.int("stream.reservoir"),
+			ShardPrefix: r.str("stream.shard_prefix"),
 		},
 
 		// Unset obs keys stay zero: the obs subpackages own the defaults.
 		Obs: ObsCase{
-			HistoryIntervalMS: ob.GetInt("history_interval_ms", 0),
-			HistoryCapacity:   ob.GetInt("history_capacity", 0),
-			EventCapacity:     ob.GetInt("event_capacity", 0),
-			SLOs:              ob.GetStringList("slos"),
+			HistoryIntervalMS: r.int("obs.history_interval_ms"),
+			HistoryCapacity:   r.int("obs.history_capacity"),
+			EventCapacity:     r.int("obs.event_capacity"),
+			SLOs:              r.list("obs.slos"),
 		},
+	}
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	if len(c.InputVars) == 0 {
 		return nil, fmt.Errorf("config: case has no input_vars")
 	}
 	return c, nil
+}
+
+// strict reads the sections this repo defines itself (serve, shard, stream,
+// obs) by "section.key". The artifact's shared/subsample/train sections carry
+// keys this repo does not model and stay permissive; here a key nobody reads
+// is a typo and a value of the wrong type is a fleet running on a default it
+// never chose, so both are errors. Each read removes its key: what done finds
+// left over was never defined.
+type strict struct {
+	root Map
+	errs []error
+}
+
+// take removes path's value and returns it as a T: the zero T when it is
+// unset, null or (an error) anything else. A float with no fraction is an int.
+func take[T any](r *strict, path, want string) T {
+	sec, key, _ := strings.Cut(path, ".")
+	m := r.root.GetMap(sec)
+	v := m[key]
+	delete(m, key)
+	if f, isFloat := v.(float64); isFloat && f == math.Trunc(f) {
+		v = int64(f)
+	}
+	out, ok := v.(T)
+	if !ok && v != nil {
+		r.errs = append(r.errs, fmt.Errorf("config: %s: want %s, got %v", path, want, v))
+	}
+	return out
+}
+
+func (r *strict) int(path string) int       { return int(take[int64](r, path, "an integer")) }
+func (r *strict) str(path string) string    { return take[string](r, path, "a string") }
+func (r *strict) list(path string) []string { return stringList(take[[]any](r, path, "a list")) }
+
+func (r *strict) done() error {
+	for _, sec := range []string{"serve", "shard", "stream", "obs"} {
+		if _, isMap := r.root[sec].(Map); !isMap && r.root[sec] != nil {
+			r.errs = append(r.errs, fmt.Errorf("config: %s: want a mapping, got %v", sec, r.root[sec]))
+		}
+		for _, key := range slices.Sorted(maps.Keys(r.root.GetMap(sec))) {
+			r.errs = append(r.errs, fmt.Errorf("config: %s.%s: unknown key", sec, key))
+		}
+	}
+	return errors.Join(r.errs...)
 }
 
 // getVarList accepts both YAML forms the artifact uses: a list

@@ -227,17 +227,18 @@ func (m Map) GetBool(key string, def bool) bool {
 
 // GetStringList fetches a list of strings.
 func (m Map) GetStringList(key string) []string {
-	v, ok := m[key].([]any)
-	if !ok {
+	v, _ := m[key].([]any)
+	return stringList(v)
+}
+
+// stringList renders a parsed list's scalars as strings; no list, no slice.
+func stringList(v []any) []string {
+	if v == nil {
 		return nil
 	}
 	out := make([]string, 0, len(v))
 	for _, item := range v {
-		if s, ok := item.(string); ok {
-			out = append(out, s)
-		} else {
-			out = append(out, fmt.Sprint(item))
-		}
+		out = append(out, fmt.Sprint(item))
 	}
 	return out
 }

@@ -18,8 +18,8 @@ import (
 //   - histogram families expose _count, _sum, and a terminal +Inf bucket
 //     whose cumulative count equals _count
 //
-// Tests run it against the in-process handlers; the CI smoke step runs it
-// (via `sickle-bench -lintmetrics`) against a live server's /metrics.
+// Tests run it against the in-process handlers; the CI smoke steps run it
+// (via `sickle-top -lint`) against a live server's /metrics.
 func LintExposition(text string) []error {
 	var errs []error
 	fail := func(line int, format string, args ...any) {

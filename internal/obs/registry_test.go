@@ -59,7 +59,7 @@ func TestIntegerValuesRenderBare(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("demo_hits_total", "h").With().Add(1)
 	out := reg.Render()
-	// Exact-match consumers (tests, loadgen) rely on integers rendering
+	// Exact-match consumers (tests, smoke.sh's awk) rely on integers rendering
 	// without a decimal point.
 	if !strings.Contains(out, "demo_hits_total 1\n") {
 		t.Errorf("integer counter rendered oddly:\n%s", out)

@@ -46,7 +46,7 @@ type inferResult struct {
 // Row independence of the Table 2 architectures (matmuls, layer norms,
 // attention and convolutions never mix batch rows) makes batched outputs
 // bit-identical to single-request inference — the invariant the tests and
-// the load generator check.
+// the bench/ ledger's online-infer workload check.
 //
 // Admission control: a per-model queue at capacity rejects immediately with
 // the typed api.CodeOverloaded error (HTTP 429 + Retry-After) instead of

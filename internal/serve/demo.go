@@ -25,8 +25,8 @@ type DemoModel struct {
 
 // TrainDemo runs the paper's offline T1→T2 pipeline at toy scale —
 // subsample GESTS-2048, train an MLP-Transformer, checkpoint it — so a
-// bare `-demo` server is immediately load-testable with
-// `sickle-bench -serve`.
+// bare `-demo` server answers /v2/infer as soon as it is up (what
+// .github/smoke.sh relies on).
 func TrainDemo(ctx context.Context) (*DemoModel, error) {
 	d, err := sickle.BuildDataset("GESTS-2048", sickle.Small)
 	if err != nil {

@@ -71,7 +71,7 @@ func NewRegistry() *Registry {
 // checkpoint into each, and publishes them under name. With an empty
 // checkpoint path the freshly initialized weights are served (useful in
 // tests). inputShape documents the per-example tensor shape clients must
-// send; it is surfaced through /v2/models for load generators.
+// send; it is surfaced through /v2/models so a client can build a request.
 func (r *Registry) Register(name string, spec train.ArchSpec, checkpoint string, inputShape []int, replicas int) (*ModelEntry, error) {
 	if err := validateModelName(name); err != nil {
 		return nil, err

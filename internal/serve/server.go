@@ -17,8 +17,8 @@
 // The HTTP scaffolding — flight recorder, route table with typed 405/404
 // fallbacks, request middleware, listen/serve/shutdown — is the
 // internal/tier chassis shared with internal/shard. cmd/sickle-serve is
-// the binary; cmd/sickle-bench -serve is the matching load generator,
-// built on pkg/client.
+// the binary; the e2e tests here drive it in-process through pkg/client,
+// .github/smoke.sh serve drives the binary itself.
 package serve
 
 import (

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/obs/events"
 	"repro/internal/serve"
+	"repro/internal/train"
 	"repro/pkg/api"
 	"repro/pkg/client"
 )
@@ -349,6 +351,108 @@ func TestShardAdminJoinPrefetchAndDrain(t *testing.T) {
 	}
 	for _, typ := range []events.Type{events.TypeReplicaJoin, events.TypeReplicaDrain,
 		events.TypeReplicaLeave, events.TypeRebalance} {
+		if len(rt.Journal().Events(0, typ, time.Time{})) == 0 {
+			t.Fatalf("no %s event in the journal", typ)
+		}
+	}
+}
+
+// TestShardDrainUnderLoad is the zero-downtime gate of a scale-down: three
+// replicas at K=2 behind the router, SDK workers mixing bit-checked Infer
+// with keyed subsample jobs they submit and await, and one replica drained
+// through the admin API while they run. The clients see nothing but typed
+// overloaded, the drained member is gone, a job it admitted stays readable,
+// and the journal holds the drain, the leave and the rebalance.
+func TestShardDrainUnderLoad(t *testing.T) {
+	_, ckpt := newCheckpoint(t)
+	ctx := context.Background()
+
+	reps := make([]*serve.InProc, 3)
+	urls := make([]string, 3)
+	for i := range reps {
+		reps[i] = startReplica(t, "", ckpt)
+		urls[i] = reps[i].URL
+	}
+	rt := newTestRouterK(t, urls, 2)
+	rt.Start()
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	defer func() {
+		rt.Shutdown(ctx)
+		for _, p := range reps {
+			p.Close(ctx)
+		}
+	}()
+	c := client.New(ts.URL, client.WithRetry(5, 10*time.Millisecond))
+
+	// The replica to drain is the one the ring makes primary for the
+	// workers' jobs (subsample requests route by dataset). This job, which it
+	// admitted and finished before the drain, must keep resolving after the
+	// member has left.
+	sub := api.SubsampleRequest{Dataset: "GESTS-2048", Cube: 8, NumHypercubes: 2, NumSamples: 16, Seed: 1}
+	sticky, err := c.SubmitJob(ctx, &api.SubmitJobRequest{Type: api.JobSubsample, Subsample: &sub})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if done, err := c.WaitJob(ctx, sticky.ID, 5*time.Millisecond); err != nil || done.State != api.JobSucceeded {
+		t.Fatalf("job = %+v, %v", done, err)
+	}
+	_, drainID := splitJobID(sticky.ID)
+
+	infer := inferOp(c)
+	l := startLoad(t, 4, func(rng *rand.Rand, ref train.Model) error {
+		if rng.Intn(4) != 0 {
+			return infer(rng, ref)
+		}
+		sub := sub
+		sub.Seed = rng.Int63n(1 << 20)
+		job, err := c.SubmitJob(ctx, &api.SubmitJobRequest{Type: api.JobSubsample, Subsample: &sub,
+			IdempotencyKey: api.NewIdempotencyKey()})
+		if err != nil {
+			return fmt.Errorf("keyed submit: %w", err)
+		}
+		done, err := c.WaitJob(ctx, job.ID, 5*time.Millisecond)
+		if err != nil {
+			return fmt.Errorf("await %s: %w", job.ID, err)
+		}
+		if done.State != api.JobSucceeded {
+			return fmt.Errorf("job %s finished %s: %v", job.ID, done.State, done.Error)
+		}
+		res, err := c.JobResult(ctx, job.ID)
+		if err != nil {
+			return fmt.Errorf("result of %s: %w", job.ID, err)
+		}
+		if res.Subsample == nil || res.Subsample.Points == 0 {
+			return fmt.Errorf("job %s: empty result %+v", job.ID, res)
+		}
+		return nil
+	})
+
+	l.waitOK(t, "load warm-up", 40)
+	drained, err := c.AdminDrainReplica(ctx, drainID, false)
+	l.mark()
+	if err != nil || drained.Replica.ID != drainID {
+		t.Fatalf("drain %s under load = %+v, %v", drainID, drained, err)
+	}
+	l.waitOK(t, "post-drain successes", 40)
+	l.finish(t, "the drain")
+
+	mem, err := c.AdminReplicas(ctx)
+	if err != nil || len(mem.Replicas) != 2 {
+		t.Fatalf("membership after drain = %+v, %v; want 2 replicas", mem, err)
+	}
+	for _, r := range mem.Replicas {
+		if r.ID == drainID {
+			t.Fatalf("drained replica %s still in the membership", drainID)
+		}
+	}
+	if got, err := c.Job(ctx, sticky.ID); err != nil || got.State != api.JobSucceeded {
+		t.Fatalf("sticky read after retirement = %+v, %v", got, err)
+	}
+	if res, err := c.JobResult(ctx, sticky.ID); err != nil || res.Subsample == nil {
+		t.Fatalf("sticky result after retirement = %+v, %v", res, err)
+	}
+	for _, typ := range []events.Type{events.TypeReplicaDrain, events.TypeReplicaLeave, events.TypeRebalance} {
 		if len(rt.Journal().Events(0, typ, time.Time{})) == 0 {
 			t.Fatalf("no %s event in the journal", typ)
 		}

@@ -9,7 +9,7 @@
 // suffix baked into the job ID. A health prober ejects backends after
 // consecutive failures and re-admits them when /healthz answers again,
 // mutating the ring so the keyspace re-converges. cmd/sickle-shard is the
-// binary; cmd/sickle-bench -serve URL -shard is the matching load phase.
+// binary; .github/smoke.sh shard and elastic are its process smokes.
 package shard
 
 import (

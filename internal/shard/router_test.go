@@ -136,6 +136,105 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 	}
 }
 
+// load is the client side of the under-load acceptance tests: workers that
+// run one op after another until finish, counting successes before and
+// after mark and keeping every error that is not typed overloaded (which the
+// SDK's retry layer absorbs and a client is told to expect).
+type load struct {
+	mu      sync.Mutex
+	badErrs []error
+	ok      [2]int // successes before and after mark
+	phase   int
+	stop    chan struct{}
+	halt    sync.Once
+	wg      sync.WaitGroup
+}
+
+// startLoad runs op on each of n workers. Models cache forward-pass state in
+// struct fields, so each worker gets its own replica of the reference (same
+// seed → identical weights) to compute expectations on.
+func startLoad(t *testing.T, n int, op func(rng *rand.Rand, ref train.Model) error) *load {
+	l := &load{stop: make(chan struct{})}
+	t.Cleanup(l.halted) // a test that fails before finish still stops its workers
+	for w := 0; w < n; w++ {
+		ref, err := testSpec.Build(rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer l.wg.Done()
+			for {
+				select {
+				case <-l.stop:
+					return
+				default:
+				}
+				err := op(rng, ref)
+				l.mu.Lock()
+				if err == nil {
+					l.ok[l.phase]++
+				} else if api.AsError(err).Code != api.CodeOverloaded {
+					l.badErrs = append(l.badErrs, err)
+				}
+				l.mu.Unlock()
+			}
+		}(rand.New(rand.NewSource(int64(100 + w))))
+	}
+	return l
+}
+
+// inferOp is one routed Infer whose answer must be bit-identical to the
+// unbatched reference.
+func inferOp(c *client.Client) func(*rand.Rand, train.Model) error {
+	return func(rng *rand.Rand, ref train.Model) error {
+		it := randomItem(rng)
+		want := expect(ref, it)
+		resp, err := c.Infer(context.Background(), &api.InferRequest{Model: "m", Items: []api.InferItem{it}})
+		if err == nil && !sameData(resp.Outputs[0], want) {
+			err = errors.New("response differs from reference")
+		}
+		return err
+	}
+}
+
+// mark ends the "before" phase: successes from here on count as "after".
+func (l *load) mark() {
+	l.mu.Lock()
+	l.phase = 1
+	l.mu.Unlock()
+}
+
+// waitOK waits for n successes in the current phase.
+func (l *load) waitOK(t *testing.T, what string, n int) {
+	t.Helper()
+	waitFor(t, what, 10*time.Second, func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.ok[l.phase] >= n
+	})
+}
+
+// halted stops the workers and waits for them.
+func (l *load) halted() {
+	l.halt.Do(func() { close(l.stop) })
+	l.wg.Wait()
+}
+
+// finish stops the workers and fails on any client-visible error or an
+// empty phase.
+func (l *load) finish(t *testing.T, during string) {
+	t.Helper()
+	l.halted()
+	if len(l.badErrs) > 0 {
+		t.Fatalf("%d non-overloaded client-visible errors during %s, first: %v",
+			len(l.badErrs), during, l.badErrs[0])
+	}
+	if l.ok[0] == 0 || l.ok[1] == 0 {
+		t.Fatalf("load phases empty: %d before, %d after", l.ok[0], l.ok[1])
+	}
+}
+
 // TestShardFailoverEndToEnd is the acceptance test for the scaling tier:
 // three in-process replicas behind the router, the unchanged pkg/client
 // SDK on top, a replica killed mid-load. The client must see zero errors
@@ -195,67 +294,13 @@ func TestShardFailoverEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Background load: every response must be bit-identical; any error
-	// that is not typed overloaded is a client-visible failure.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var badErrs []error
-	okBefore, okAfter := 0, 0
-	killed := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			// Models cache forward-pass state in struct fields, so each
-			// worker computes expectations on its own replica of the
-			// reference (same seed → identical weights).
-			wref, err := testSpec.Build(rand.New(rand.NewSource(7)))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			wrng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				it := randomItem(wrng)
-				w := expect(wref, it)
-				resp, err := c.Infer(ctx, &api.InferRequest{Model: "m", Items: []api.InferItem{it}})
-				mu.Lock()
-				switch {
-				case err != nil:
-					var ae *api.Error
-					if !errors.As(err, &ae) || ae.Code != api.CodeOverloaded {
-						badErrs = append(badErrs, err)
-					}
-				case !sameData(resp.Outputs[0], w):
-					badErrs = append(badErrs, errors.New("response differs from reference"))
-				default:
-					select {
-					case <-killed:
-						okAfter++
-					default:
-						okBefore++
-					}
-				}
-				mu.Unlock()
-			}
-		}(int64(100 + w))
-	}
+	l := startLoad(t, 4, inferOp(c))
 
 	// Let the load warm up, then kill the owning replica abruptly.
-	waitFor(t, "load warm-up", 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return okBefore >= 20
-	})
+	l.waitOK(t, "load warm-up", 20)
 	deadAddr := replicas[ownerIdx].Addr()
 	replicas[ownerIdx].Kill()
-	close(killed)
+	l.mark()
 
 	// The prober must eject the dead replica...
 	waitFor(t, "ejection of the dead replica", 5*time.Second, func() bool {
@@ -263,11 +308,7 @@ func TestShardFailoverEndToEnd(t *testing.T) {
 		return !r.Up()
 	})
 	// ...while the load keeps succeeding through failover the whole time.
-	waitFor(t, "post-kill successes", 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return okAfter >= 20
-	})
+	l.waitOK(t, "post-kill successes", 20)
 
 	// Respawn at the same address with the same model and wait for
 	// re-admission.
@@ -288,17 +329,7 @@ func TestShardFailoverEndToEnd(t *testing.T) {
 		return rt.Metrics().RoutedTotal(owner.ID) > routedBefore
 	})
 
-	close(stop)
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(badErrs) > 0 {
-		t.Fatalf("%d non-overloaded client-visible errors during failover, first: %v",
-			len(badErrs), badErrs[0])
-	}
-	if okBefore == 0 || okAfter == 0 {
-		t.Fatalf("load phases empty: %d before kill, %d after", okBefore, okAfter)
-	}
+	l.finish(t, "failover")
 	if rt.Metrics().FailoversTotal() == 0 {
 		t.Fatal("failover counter never moved despite a killed owner")
 	}

@@ -311,17 +311,20 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 	}
 	ins := newStageMetrics(cfg.Metrics)
 	tracer := cfg.Tracer
-	// One trace per run. The IDs are minted unconditionally (cheap) and the
-	// Record calls no-op on a nil tracer.
-	tc := api.TraceContext{TraceID: api.NewTraceID()}
-	rootSpanID := api.NewSpanID()
-	runStart := time.Now()
-	defer func() {
-		tracer.Record(obs.Span{
-			TraceID: tc.TraceID, SpanID: rootSpanID, Name: "pipeline:run",
-			Start: runStart, Seconds: time.Since(runStart).Seconds(),
-		})
-	}()
+	// One trace per run. Without a tracer nothing of it is built: a span's
+	// IDs and attr map cost allocations whether or not anybody records them.
+	var tc api.TraceContext
+	var rootSpanID string
+	if tracer != nil {
+		tc.TraceID, rootSpanID = api.NewTraceID(), api.NewSpanID()
+		runStart := time.Now()
+		defer func() {
+			tracer.Record(obs.Span{
+				TraceID: tc.TraceID, SpanID: rootSpanID, Name: "pipeline:run",
+				Start: runStart, Seconds: time.Since(runStart).Seconds(),
+			})
+		}()
+	}
 
 	cs := &countingSource{src: src}
 	tracker := newWindowTracker(cfg.Window, ins, cfg.Journal, tc.TraceID)
@@ -348,12 +351,14 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracer.Record(obs.Span{
-		TraceID: tc.TraceID, SpanID: api.NewSpanID(), ParentID: rootSpanID,
-		Name: "phase1:select", Start: p1Start,
-		Seconds: time.Since(p1Start).Seconds(),
-		Attrs:   map[string]string{"cubes": strconv.Itoa(len(kept))},
-	})
+	if tracer != nil {
+		tracer.Record(obs.Span{
+			TraceID: tc.TraceID, SpanID: api.NewSpanID(), ParentID: rootSpanID,
+			Name: "phase1:select", Start: p1Start,
+			Seconds: time.Since(p1Start).Seconds(),
+			Attrs:   map[string]string{"cubes": strconv.Itoa(len(kept))},
+		})
+	}
 
 	lo, hi := featureBounds(f0, meta.InputVars)
 	bins, err := effectiveBins(cfg.SketchBins, len(meta.InputVars))
@@ -479,7 +484,7 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 				mergeSketches(c, delta, global, mergeBuf)
 				// One span per round, not per rank: rank 0 speaks for the
 				// collective, whose members finish together anyway.
-				if rank == 0 {
+				if rank == 0 && tracer != nil {
 					tracer.Record(obs.Span{
 						TraceID: tc.TraceID, SpanID: api.NewSpanID(), ParentID: rootSpanID,
 						Name: "merge:sketch", Start: mergeStart,
@@ -497,6 +502,9 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 				defer func() {
 					elapsed := time.Since(snapStart).Seconds()
 					ins.snapSec.Observe(elapsed)
+					if tracer == nil {
+						return
+					}
 					tracer.Record(obs.Span{
 						TraceID: tc.TraceID, SpanID: api.NewSpanID(), ParentID: rootSpanID,
 						Name: "phase2:snapshot", Start: snapStart, Seconds: elapsed,

@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/sickle"
+	"repro/internal/synth"
 )
 
 // requireSameSelection asserts two selections agree cube for cube, index for
@@ -197,5 +199,28 @@ func TestReservoirOfferAllocs(t *testing.T) {
 		if got := r.targets(it.slot)[0]; got != -float64(it.localIdx) {
 			t.Fatalf("item %d: target %v in its slot", it.localIdx, got)
 		}
+	}
+}
+
+// TestRunNilTracerAllocs: a run nobody traces builds no spans. 30 snapshots
+// on 2 ranks merging every 4 is 40 spans under one trace — 41 IDs and 31
+// attr maps a nil tracer used to mint and drop.
+func TestRunNilTracerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	d := synth.SSTDataset("SST-stream-allocs", 30, synth.StratifiedConfig{Nx: 16, Ny: 16, Nz: 16, Seed: 5})
+	cfg := Config{Pipeline: testPipelineConfig(), Ranks: 2, MergeEvery: 4, ReservoirBudget: 64}
+	run := func(tracer *obs.Tracer) float64 {
+		cfg.Tracer = tracer
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(context.Background(), NewReplaySource(d), cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	traced, untraced := run(obs.NewTracer("stream", 256)), run(nil)
+	if traced-untraced < 90 {
+		t.Fatalf("a nil-tracer run allocates %.0f objects, a traced one %.0f: want >= 90 fewer", untraced, traced)
 	}
 }

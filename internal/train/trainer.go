@@ -174,23 +174,26 @@ func Train(ctx context.Context, factory ModelFactory, examples []Example, cfg Co
 	ins := newTrainInstruments(cfg.Metrics)
 	tracer := cfg.Tracer
 	// Join the caller's trace (training jobs submitted over the API carry
-	// one) or mint a fresh one for standalone runs.
-	tc, traced := api.TraceFrom(ctx)
-	if !traced {
-		tc = api.TraceContext{TraceID: api.NewTraceID()}
-	}
-	rootSpanID := api.NewSpanID()
-	runStart := time.Now()
-	defer func() {
-		tracer.Record(obs.Span{
-			TraceID: tc.TraceID, SpanID: rootSpanID, ParentID: tc.SpanID,
-			Name: "train:run", Start: runStart,
-			Seconds: time.Since(runStart).Seconds(),
-			Attrs:   map[string]string{"params": strconv.Itoa(params)},
-		})
-	}()
+	// one) or mint a fresh one for standalone runs. Without a tracer nothing
+	// is minted: IDs and attr maps cost allocations even when nobody records.
+	var tc api.TraceContext
+	var rootSpanID string
 	if tracer != nil {
+		var traced bool
+		if tc, traced = api.TraceFrom(ctx); !traced {
+			tc = api.TraceContext{TraceID: api.NewTraceID()}
+		}
+		rootSpanID = api.NewSpanID()
 		hist.TraceID = tc.TraceID
+		runStart := time.Now()
+		defer func() {
+			tracer.Record(obs.Span{
+				TraceID: tc.TraceID, SpanID: rootSpanID, ParentID: tc.SpanID,
+				Name: "train:run", Start: runStart,
+				Seconds: time.Since(runStart).Seconds(),
+				Attrs:   map[string]string{"params": strconv.Itoa(params)},
+			})
+		}()
 	}
 
 	batch := make([]Example, 0, cfg.Batch)
@@ -234,7 +237,7 @@ func Train(ctx context.Context, factory ModelFactory, examples []Example, cfg Co
 		ins.epoch.Set(float64(epoch + 1))
 		ins.loss.Set(epochLoss)
 		ins.testLoss.Set(testLoss)
-		if tracer != nil { // the span's IDs and attrs cost allocations even when nobody records them
+		if tracer != nil {
 			tracer.Record(obs.Span{
 				TraceID: tc.TraceID, SpanID: api.NewSpanID(), ParentID: rootSpanID,
 				Name: "train:epoch", Start: epochStart, Seconds: elapsed,
