@@ -78,7 +78,6 @@ func main() {
 		scfg.Ranks = c.Stream.Ranks
 		scfg.Window = c.Stream.Window
 		scfg.MergeEvery = c.Stream.MergeEvery
-		scfg.SketchBins = c.Stream.SketchBins
 		scfg.ReservoirBudget = c.Stream.Reservoir
 		scfg.ShardPrefix = c.Stream.ShardPrefix
 	}

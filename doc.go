@@ -68,12 +68,12 @@
 // layer by the bench/ ledger (BENCHMARK.json, bench/README.md; README
 // "Performance").
 //
-// The contracts above are machine-enforced: cmd/sicklevet is a six-analyzer
-// static-analysis suite (closecheck, ctxfirst, apierr, metricname, ologonly,
-// detparallel) over a stdlib-only go/analysis-style framework in
-// internal/analysis, runnable standalone or via go vet -vettool, and run by
-// CI as a blocking zero-diagnostics gate. Deliberate exceptions annotate
-// with //sicklevet:ignore <analyzer> <reason> (README "Development: static
+// The contracts above are machine-enforced by a test: internal/analysis's
+// TestVet runs six stdlib-only analyzers (closecheck, ctxfirst, apierr,
+// metricname, ologonly, detparallel) over every package inside
+// `go test ./...` and fails on any finding. Deliberate exceptions annotate
+// with //sicklevet:ignore <analyzer> <reason>, and a directive that no
+// longer excuses anything is itself a finding (README "Development: static
 // analysis"). The exported surface is held to what the program calls by
 // internal/analysis's TestExportedSurface: a function or method exported
 // from internal/ that only _test.go files reach is deleted, unexported

@@ -1,95 +1,84 @@
-// Package analysis is a self-contained, stdlib-only reimplementation of
-// the golang.org/x/tools/go/analysis surface that sicklevet needs. The
-// repository deliberately carries zero third-party dependencies, so the
-// vettool cannot import the real x/tools module; this package keeps the
-// same shape (Analyzer, Pass, Diagnostic, SuggestedFix) so the analyzers
-// under internal/analysis/passes could be ported to the upstream API by
-// changing one import path.
-//
-// The framework is smaller than upstream in three deliberate ways: there
-// is no Facts mechanism (cross-package state lives in the analyzers that
-// need it and degrades gracefully under per-package `go vet` drivers),
-// passes always see a fully type-checked package, and diagnostics are
-// filtered through the project-wide `//sicklevet:ignore` escape hatch
-// (ignore.go) before they reach any printer.
+// Package analysis is the static gate: six analyzers (under passes/)
+// machine-check the stack's correctness contracts, and TestVet runs them
+// over the whole program inside `go test ./...`. It needs only the standard
+// library — the repository carries no third-party dependency — so it is a
+// small driver of its own, not golang.org/x/tools/go/analysis: an Analyzer
+// inspects one type-checked package through a Pass, and Run is the one
+// place passes are built and run, `//sicklevet:ignore` directives (ignore.go)
+// are applied and checked, and diagnostics are ordered. Packages come from
+// internal/analysis/load; cross-package state (metricname's one
+// registration site per series) lives in the analyzer that needs it.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// Analyzer describes one named check. Run inspects a single package via
-// its Pass and reports diagnostics; the driver decides which packages each
-// analyzer sees and applies ignore-directive filtering afterwards.
+// Analyzer describes one named check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //sicklevet:ignore directives. Lower-case, no spaces.
 	Name string
-	// Doc is the one-paragraph contract the analyzer enforces; the
-	// multichecker prints it for -help.
-	Doc string
-	// Run performs the check. The returned value is ignored by the
-	// drivers (kept for upstream API shape).
-	Run func(*Pass) (any, error)
+	// Run inspects one package and reports through the Pass.
+	Run func(*Pass) error
 }
 
 // Pass carries one type-checked package to an analyzer.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Files holds the package's non-test syntax trees. Test files
-	// participate in type checking when present (go vet test variants)
-	// but are never analyzed: the correctness contracts sicklevet
-	// enforces are production-code contracts.
+	Fset *token.FileSet
+	// Files holds the package's non-test syntax trees: the contracts the
+	// analyzers enforce are production-code contracts.
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Report delivers one diagnostic to the driver.
-	Report func(Diagnostic)
+
+	report func(token.Pos, string)
 }
 
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.report(pos, fmt.Sprintf(format, args...))
 }
 
-// PkgPath returns the package's import path with any go-vet test-variant
-// suffix ("pkg [pkg.test]") stripped, so path-scoped analyzers behave
-// identically under the standalone driver and `go vet -vettool`.
-func (p *Pass) PkgPath() string {
-	path := p.Pkg.Path()
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return path
-}
-
-// Diagnostic is one finding, optionally carrying mechanical fixes.
+// Diagnostic is one finding.
 type Diagnostic struct {
-	Pos     token.Pos
-	End     token.Pos // zero means unknown
+	Pos     token.Position
 	Message string
-	// SuggestedFixes are mechanical rewrites a tool (or analysistest's
-	// golden-file runner) may apply. Fixes must be safe to apply blindly.
-	SuggestedFixes []SuggestedFix
+	// Analyzer names the analyzer that reported it; "sicklevet" for a
+	// finding about a //sicklevet: directive itself.
+	Analyzer string
 }
 
-// SuggestedFix is one named set of text edits.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces [Pos, End) with NewText. End == token.NoPos means an
-// insertion at Pos.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
+// Run runs the analyzers over one type-checked package and returns what
+// no directive suppressed, plus a diagnostic for every directive that is
+// malformed, names an analyzer outside this run or suppressed nothing,
+// ordered by file, line and column.
+func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers ...*Analyzer) ([]Diagnostic, error) {
+	ignores := parseIgnores(fset, files)
+	out := ignores.malformed
+	for _, a := range analyzers {
+		pass := &Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
+		pass.report = func(pos token.Pos, msg string) {
+			if p := fset.Position(pos); !ignores.suppressed(a.Name, p) {
+				out = append(out, Diagnostic{Pos: p, Message: msg, Analyzer: a.Name})
+			}
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
+		}
+	}
+	out = append(out, ignores.stale(analyzers)...)
+	slices.SortStableFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Column, b.Pos.Column))
+	})
+	return out, nil
 }
 
 // --- shared type/AST helpers used by the passes ---

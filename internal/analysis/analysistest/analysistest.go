@@ -1,12 +1,11 @@
-// Package analysistest runs a sicklevet analyzer over golden test
-// packages, mirroring golang.org/x/tools/go/analysis/analysistest.
+// Package analysistest runs an analyzer over a testdata package and
+// checks what it reports against expectations written in the source.
 //
-// Test packages live under <analyzer>/testdata/src/<importpath>/ and the
-// directory path below src/ becomes the package's import path, so
-// path-scoped analyzers can be exercised by mirroring real layouts
-// (e.g. testdata/src/repro/internal/serve). Files may import standard
-// library packages and the real repro/... packages; imports are resolved
-// through `go list -export` at the module root.
+// Test packages live under <analyzer>/testdata/src/<pkgpath>/, and the
+// package's import path ends in <pkgpath>, so path-scoped analyzers can be
+// exercised by mirroring real layouts (e.g. testdata/src/repro/internal/serve).
+// Files may import standard library packages and the real repro/...
+// packages: the package is loaded like any other, through load.Load.
 //
 // Expected findings are declared in the source with trailing comments:
 //
@@ -15,24 +14,16 @@
 // Each backquoted or double-quoted Go string after `want` is a regular
 // expression; the line must produce exactly that many diagnostics, each
 // matching its expression (order-insensitively). Lines without a want
-// comment must produce none. //sicklevet:ignore directives are honored,
-// so suppression behavior is testable by annotating a violation and
-// omitting the want.
+// comment must produce none — so a //sicklevet:ignore directive is tested
+// by annotating a violation and omitting the want, and one that is
+// malformed, names another analyzer or suppresses nothing fails the test.
 package analysistest
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
-	"os"
-	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,129 +37,16 @@ import (
 // calling test's directory) and checks diagnostics against want comments.
 func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
 	t.Helper()
-	run(t, a, pkgpath, false)
-}
-
-// RunWithSuggestedFixes is Run plus golden-file checking: after the
-// diagnostics match, every suggested fix is applied and each fixed file
-// is compared against <file>.golden.
-func RunWithSuggestedFixes(t *testing.T, a *analysis.Analyzer, pkgpath string) {
-	t.Helper()
-	run(t, a, pkgpath, true)
-}
-
-func run(t *testing.T, a *analysis.Analyzer, pkgpath string, fixes bool) {
-	t.Helper()
-	dir := filepath.Join("testdata", "src", filepath.FromSlash(pkgpath))
-	entries, err := os.ReadDir(dir)
+	pkgs, err := load.Load(".", "./testdata/src/"+pkgpath)
 	if err != nil {
-		t.Fatalf("reading testdata package: %v", err)
+		t.Fatalf("loading testdata package: %v", err)
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	var filenames []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		name := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		files = append(files, f)
-		filenames = append(filenames, name)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no .go files under %s", dir)
-	}
-
-	pkg, info := typecheck(t, fset, files, pkgpath)
-	var found []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		Report:    func(d analysis.Diagnostic) { found = append(found, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
-	}
-	ignores := analysis.ParseIgnores(fset, files)
-	for _, m := range ignores.Malformed {
-		t.Errorf("%s: %s", fset.Position(m.Pos), m.Message)
-	}
-	kept := ignores.Filter(fset, a.Name, found)
-	checkWants(t, fset, files, kept)
-	if fixes {
-		checkFixes(t, fset, filenames, kept)
-	}
-}
-
-// typecheck resolves imports through `go list -export` at the module root
-// and type-checks the testdata package.
-func typecheck(t *testing.T, fset *token.FileSet, files []*ast.File, pkgpath string) (*types.Package, *types.Info) {
-	t.Helper()
-	var imports []string
-	seen := map[string]bool{}
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			if path != "unsafe" && !seen[path] {
-				seen[path] = true
-				imports = append(imports, path)
-			}
-		}
-	}
-	exportFor := map[string]string{}
-	if len(imports) > 0 {
-		root := moduleRoot(t)
-		pkgs, err := load.List(root, imports)
-		if err != nil {
-			t.Fatalf("resolving testdata imports: %v", err)
-		}
-		for _, p := range pkgs {
-			exportFor[p.ImportPath] = p.Export
-		}
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exportFor[path]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := load.NewInfo()
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "gc", lookup),
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-	}
-	pkg, err := conf.Check(pkgpath, fset, files, info)
-	if err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	return pkg, info
-}
-
-// moduleRoot walks up from the test's working directory to go.mod.
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
+	pkg := pkgs[0]
+	diags, err := analysis.Run(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above test directory")
-		}
-		dir = parent
-	}
+	checkWants(t, pkg.Fset, pkg.Files, diags)
 }
 
 // expectation is one want regex at a line.
@@ -203,8 +81,7 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 		}
 	}
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
 		matched := false
 		for _, exp := range wants[key] {
 			if !exp.matched && exp.rx.MatchString(d.Message) {
@@ -214,7 +91,7 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+			t.Errorf("%s: unexpected diagnostic: %s", d.Pos, d.Message)
 		}
 	}
 	var keys []string
@@ -254,56 +131,4 @@ func parseWantPatterns(t *testing.T, pos token.Position, s string) []string {
 		s = strings.TrimSpace(s[end+2:])
 	}
 	return pats
-}
-
-// checkFixes applies every suggested fix and diffs against .golden files.
-func checkFixes(t *testing.T, fset *token.FileSet, filenames []string, diags []analysis.Diagnostic) {
-	t.Helper()
-	type edit struct {
-		start, end int
-		text       []byte
-	}
-	editsByFile := map[string][]edit{}
-	for _, d := range diags {
-		for _, fix := range d.SuggestedFixes {
-			for _, te := range fix.TextEdits {
-				start := fset.Position(te.Pos)
-				end := start
-				if te.End.IsValid() {
-					end = fset.Position(te.End)
-				}
-				editsByFile[start.Filename] = append(editsByFile[start.Filename],
-					edit{start: start.Offset, end: end.Offset, text: te.NewText})
-			}
-		}
-	}
-	for _, name := range filenames {
-		golden := name + ".golden"
-		goldenContent, err := os.ReadFile(golden)
-		edits := editsByFile[name]
-		if os.IsNotExist(err) {
-			if len(edits) > 0 {
-				t.Errorf("%s: analyzer suggested fixes but %s does not exist", name, golden)
-			}
-			continue
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(edits, func(i, j int) bool { return edits[i].start > edits[j].start })
-		fixed := src
-		for _, e := range edits {
-			if e.start < 0 || e.end > len(fixed) || e.start > e.end {
-				t.Fatalf("%s: suggested fix edit out of range [%d,%d)", name, e.start, e.end)
-			}
-			fixed = append(fixed[:e.start:e.start], append(append([]byte{}, e.text...), fixed[e.end:]...)...)
-		}
-		if !bytes.Equal(fixed, goldenContent) {
-			t.Errorf("%s: fixed output differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
-				name, golden, fixed, goldenContent)
-		}
-	}
 }

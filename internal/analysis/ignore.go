@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -16,45 +18,50 @@ import (
 //	//sicklevet:file-ignore <analyzer>[,<analyzer>...] <reason>
 //
 // anywhere (conventionally next to the package clause), which suppresses
-// that analyzer for the whole file. The reason is mandatory: a
-// suppression that cannot say why it exists is itself a diagnostic.
-// The analyzer list may be the literal "all".
+// that analyzer for the whole file. The analyzer list may be the literal
+// "all". The reason is mandatory: a suppression that cannot say why it
+// exists is itself a diagnostic. So is one that cannot be doing its job —
+// a directive naming an analyzer outside the run (a typo suppresses
+// nothing, silently) or one that suppressed no finding (what it excused
+// was fixed) — which keeps the hatch from rotting.
 
 const (
 	linePrefix = "//sicklevet:ignore"
 	filePrefix = "//sicklevet:file-ignore"
+	// directiveChecker is the Analyzer name on diagnostics about the
+	// directives themselves.
+	directiveChecker = "sicklevet"
 )
 
 // ignoreDirective is one parsed suppression.
 type ignoreDirective struct {
-	analyzers map[string]bool // nil means "all"
-	line      int             // line the directive appears on
+	pos       token.Position
+	analyzers []string // nil means "all"
 	wholeFile bool
+	used      bool // suppressed at least one finding
 }
 
-// IgnoreSet holds every directive of one file set, ready to filter
-// diagnostics, plus diagnostics for malformed directives (missing
-// reason, empty analyzer list).
-type IgnoreSet struct {
-	byFile    map[string][]ignoreDirective
-	Malformed []Diagnostic
+// ignoreSet holds every directive of one package's files, plus a
+// diagnostic per malformed one (missing reason, empty analyzer list).
+type ignoreSet struct {
+	directives []*ignoreDirective
+	malformed  []Diagnostic
 }
 
-// ParseIgnores scans the comments of files for sicklevet directives.
-func ParseIgnores(fset *token.FileSet, files []*ast.File) *IgnoreSet {
-	s := &IgnoreSet{byFile: map[string][]ignoreDirective{}}
+// parseIgnores scans the comments of files for sicklevet directives.
+func parseIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
+	s := &ignoreSet{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				s.parse(fset, c)
+				s.parse(fset.Position(c.Pos()), c.Text)
 			}
 		}
 	}
 	return s
 }
 
-func (s *IgnoreSet) parse(fset *token.FileSet, c *ast.Comment) {
-	text := c.Text
+func (s *ignoreSet) parse(pos token.Position, text string) {
 	wholeFile := false
 	switch {
 	case strings.HasPrefix(text, filePrefix):
@@ -64,49 +71,58 @@ func (s *IgnoreSet) parse(fset *token.FileSet, c *ast.Comment) {
 	default:
 		return
 	}
-	pos := fset.Position(c.Pos())
 	fields := strings.Fields(text)
 	// fields[0] is the analyzer list, the rest is the reason.
 	if len(fields) < 2 {
-		s.Malformed = append(s.Malformed, Diagnostic{
-			Pos: c.Pos(),
+		s.malformed = append(s.malformed, Diagnostic{
+			Pos:      pos,
+			Analyzer: directiveChecker,
 			Message: "malformed sicklevet directive: want " +
 				"`//sicklevet:ignore <analyzer> <reason>` (the reason is mandatory)",
 		})
 		return
 	}
-	d := ignoreDirective{line: pos.Line, wholeFile: wholeFile}
+	d := &ignoreDirective{pos: pos, wholeFile: wholeFile}
 	if fields[0] != "all" {
-		d.analyzers = map[string]bool{}
-		for _, name := range strings.Split(fields[0], ",") {
-			d.analyzers[name] = true
-		}
+		d.analyzers = strings.Split(fields[0], ",")
 	}
-	s.byFile[pos.Filename] = append(s.byFile[pos.Filename], d)
+	s.directives = append(s.directives, d)
 }
 
-// Suppressed reports whether a diagnostic from the named analyzer at pos
-// is covered by a directive.
-func (s *IgnoreSet) Suppressed(fset *token.FileSet, analyzer string, pos token.Pos) bool {
-	p := fset.Position(pos)
-	for _, d := range s.byFile[p.Filename] {
-		if d.analyzers != nil && !d.analyzers[analyzer] {
+// suppressed reports whether a finding of the named analyzer at pos is
+// covered by a directive, and marks every directive that covers it used.
+func (s *ignoreSet) suppressed(analyzer string, pos token.Position) bool {
+	covered := false
+	for _, d := range s.directives {
+		if d.pos.Filename != pos.Filename || d.analyzers != nil && !slices.Contains(d.analyzers, analyzer) {
 			continue
 		}
-		if d.wholeFile || d.line == p.Line || d.line == p.Line-1 {
-			return true
+		if d.wholeFile || d.pos.Line == pos.Line || d.pos.Line == pos.Line-1 {
+			d.used, covered = true, true
 		}
 	}
-	return false
+	return covered
 }
 
-// Filter drops the suppressed diagnostics of one analyzer.
-func (s *IgnoreSet) Filter(fset *token.FileSet, analyzer string, diags []Diagnostic) []Diagnostic {
-	kept := diags[:0]
-	for _, d := range diags {
-		if !s.Suppressed(fset, analyzer, d.Pos) {
-			kept = append(kept, d)
+// stale returns a diagnostic for every directive naming an analyzer that
+// is not one of analyzers, or that suppressed nothing they reported. Call
+// it after every analyzer has run.
+func (s *ignoreSet) stale(analyzers []*Analyzer) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range s.directives {
+		unknown := slices.IndexFunc(d.analyzers, func(name string) bool {
+			return !slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == name })
+		})
+		var msg string
+		switch {
+		case unknown >= 0:
+			msg = fmt.Sprintf("sicklevet directive names %q, which is not an analyzer of this run", d.analyzers[unknown])
+		case !d.used:
+			msg = "sicklevet directive suppresses nothing: remove it"
+		default:
+			continue
 		}
+		out = append(out, Diagnostic{Pos: d.pos, Analyzer: directiveChecker, Message: msg})
 	}
-	return kept
+	return out
 }

@@ -4,31 +4,25 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
-func parseSrc(t *testing.T, src string) (*token.FileSet, *IgnoreSet) {
+func parseSrc(t *testing.T, src string) *ignoreSet {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "x.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fset, ParseIgnores(fset, []*ast.File{f})
+	return parseIgnores(fset, []*ast.File{f})
 }
 
-// posAt returns a Pos on the given 1-based line of x.go.
-func posAt(fset *token.FileSet, line int) token.Pos {
-	var pos token.Pos
-	fset.Iterate(func(f *token.File) bool {
-		pos = f.LineStart(line)
-		return false
-	})
-	return pos
-}
+// at is a position on the given 1-based line of x.go.
+func at(line int) token.Position { return token.Position{Filename: "x.go", Line: line, Column: 1} }
 
 func TestLineDirectiveScope(t *testing.T) {
-	fset, s := parseSrc(t, `package p
+	s := parseSrc(t, `package p
 
 func f() {
 	//sicklevet:ignore closecheck error path
@@ -36,25 +30,28 @@ func f() {
 	g()
 }
 `)
-	if !s.Suppressed(fset, "closecheck", posAt(fset, 4)) {
+	if !s.suppressed("closecheck", at(4)) {
 		t.Error("directive should cover its own line")
 	}
-	if !s.Suppressed(fset, "closecheck", posAt(fset, 5)) {
+	if !s.suppressed("closecheck", at(5)) {
 		t.Error("directive should cover the next line")
 	}
-	if s.Suppressed(fset, "closecheck", posAt(fset, 6)) {
+	if s.suppressed("closecheck", at(6)) {
 		t.Error("directive must not cover two lines down")
 	}
-	if s.Suppressed(fset, "ctxfirst", posAt(fset, 5)) {
+	if s.suppressed("ctxfirst", at(5)) {
 		t.Error("directive names closecheck only")
 	}
-	if len(s.Malformed) != 0 {
-		t.Errorf("unexpected malformed: %v", s.Malformed)
+	if s.suppressed("closecheck", token.Position{Filename: "y.go", Line: 5}) {
+		t.Error("directive must not cover another file")
+	}
+	if len(s.malformed) != 0 {
+		t.Errorf("unexpected malformed: %v", s.malformed)
 	}
 }
 
 func TestAnalyzerListAndAll(t *testing.T) {
-	fset, s := parseSrc(t, `package p
+	s := parseSrc(t, `package p
 
 //sicklevet:ignore closecheck,ctxfirst shared reason
 var x = 1
@@ -63,39 +60,78 @@ var x = 1
 var y = 2
 `)
 	for _, name := range []string{"closecheck", "ctxfirst"} {
-		if !s.Suppressed(fset, name, posAt(fset, 4)) {
+		if !s.suppressed(name, at(4)) {
 			t.Errorf("comma list should cover %s", name)
 		}
 	}
-	if s.Suppressed(fset, "ologonly", posAt(fset, 4)) {
+	if s.suppressed("ologonly", at(4)) {
 		t.Error("comma list must not cover unnamed analyzer")
 	}
-	if !s.Suppressed(fset, "ologonly", posAt(fset, 7)) {
+	if !s.suppressed("ologonly", at(7)) {
 		t.Error("all should cover every analyzer")
 	}
 }
 
 func TestFileIgnore(t *testing.T) {
-	fset, s := parseSrc(t, `//sicklevet:file-ignore ologonly CLI result output
+	s := parseSrc(t, `//sicklevet:file-ignore ologonly CLI result output
 package p
 
 var x = 1
 `)
-	if !s.Suppressed(fset, "ologonly", posAt(fset, 4)) {
+	if !s.suppressed("ologonly", at(4)) {
 		t.Error("file-ignore should cover the whole file")
 	}
-	if s.Suppressed(fset, "closecheck", posAt(fset, 4)) {
+	if s.suppressed("closecheck", at(4)) {
 		t.Error("file-ignore names ologonly only")
 	}
 }
 
 func TestMissingReasonIsMalformed(t *testing.T) {
-	_, s := parseSrc(t, `package p
+	s := parseSrc(t, `package p
 
 //sicklevet:ignore closecheck
 var x = 1
 `)
-	if len(s.Malformed) != 1 {
-		t.Fatalf("want 1 malformed directive, got %d", len(s.Malformed))
+	if len(s.malformed) != 1 {
+		t.Fatalf("want 1 malformed directive, got %d", len(s.malformed))
+	}
+}
+
+// TestStaleDirectives: the hatch cannot rot. A directive is a diagnostic at
+// its own line when it names an analyzer outside the run (the typo that
+// suppresses nothing) or when nothing it names reported under it (the
+// finding it excused was fixed); a live one is silent.
+func TestStaleDirectives(t *testing.T) {
+	run := []*Analyzer{{Name: "closecheck"}, {Name: "ctxfirst"}}
+	for _, tc := range []struct {
+		name, directive string
+		findings        []string // analyzers reporting on the line below the directive
+		want            []string // a substring of each diagnostic, in order
+	}{
+		{"live", "//sicklevet:ignore ctxfirst lifecycle root", []string{"ctxfirst"}, nil},
+		{"live, one of a list", "//sicklevet:ignore closecheck,ctxfirst shared reason", []string{"ctxfirst"}, nil},
+		{"live, all", "//sicklevet:ignore all kitchen sink", []string{"closecheck"}, nil},
+		{"live, whole file", "//sicklevet:file-ignore ctxfirst CLI", []string{"ctxfirst"}, nil},
+		{"typo", "//sicklevet:file-ignore ctxfrist a typo", []string{"ctxfirst"}, []string{`names "ctxfrist"`}},
+		{"typo beside a live name", "//sicklevet:ignore ctxfirst,closechek why", []string{"ctxfirst"}, []string{`names "closechek"`}},
+		{"analyzer outside the run", "//sicklevet:ignore ologonly result output", nil, []string{`names "ologonly"`}},
+		{"finding fixed", "//sicklevet:ignore ctxfirst lifecycle root", nil, []string{"suppresses nothing"}},
+		{"another analyzer's finding", "//sicklevet:ignore ctxfirst lifecycle root", []string{"closecheck"}, []string{"suppresses nothing"}},
+		{"all, nothing left", "//sicklevet:ignore all kitchen sink", nil, []string{"suppresses nothing"}},
+	} {
+		s := parseSrc(t, "package p\n\n"+tc.directive+"\nvar x = 1\n")
+		for _, a := range tc.findings {
+			s.suppressed(a, at(4))
+		}
+		got := s.stale(run)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d diagnostics %v, want %d", tc.name, len(got), got, len(tc.want))
+			continue
+		}
+		for i, d := range got {
+			if !strings.Contains(d.Message, tc.want[i]) || d.Pos.Line != 3 || d.Analyzer != directiveChecker {
+				t.Errorf("%s: got %+v, want %q at line 3 from %s", tc.name, d, tc.want[i], directiveChecker)
+			}
+		}
 	}
 }

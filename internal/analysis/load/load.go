@@ -1,14 +1,13 @@
 // Package load turns `go list` output into type-checked packages for the
-// sicklevet drivers, using only the standard library. It shells out to
-// the go command once per Load call:
+// static gate (TestVet, TestExportedSurface and the analyzers' testdata
+// harness), using only the standard library. It shells out to the go
+// command once per Load call:
 //
-//	go list -export -json -deps <patterns>
+//	go list -export -json -deps -- <patterns>
 //
 // which compiles (or reuses from the build cache) export data for every
-// dependency, then type-checks the target packages from source with the
-// stdlib gc importer reading that export data. This is the same division
-// of labor as x/tools go/packages in LoadAllSyntax-for-targets mode,
-// minus the dependency.
+// listed package, then type-checks the matched packages from source with
+// the stdlib gc importer reading that export data.
 package load
 
 import (
@@ -25,23 +24,17 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 )
 
 // Package is one type-checked target package.
 type Package struct {
 	ImportPath string
-	Dir        string
-	IsStandard bool
 	Fset       *token.FileSet
 	// Files are the parsed non-test GoFiles, in go list order.
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Err is the first parse or type error, if any; Files/Types may be
-	// partial when set.
-	Err error
 }
 
 // listPackage is the subset of `go list -json` output the loader reads.
@@ -50,20 +43,16 @@ type listPackage struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
 	DepOnly    bool
-	Incomplete bool
-	Error      *struct{ Err string }
 }
 
 // Load lists patterns in dir and type-checks every matched (non-DepOnly)
-// package. CGO is disabled so the file sets are pure Go.
+// package, in go list's order (dependencies first); the first parse or
+// type error fails the load. A pattern may name a directory `./...` skips,
+// such as a package under testdata/. CGO is disabled so the file sets are
+// pure Go.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"list", "-export", "-json", "-deps"}, patterns...)
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", append([]string{"list", "-export", "-json", "-deps", "--"}, patterns...)...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr bytes.Buffer
@@ -73,8 +62,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
 
-	byPath := map[string]*listPackage{}
-	var targets []*listPackage
+	exports := map[string]string{} // import path -> compiled export data
+	var targets []listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var lp listPackage
@@ -83,104 +72,41 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("decoding go list output: %v", err)
 		}
-		p := lp
-		byPath[p.ImportPath] = &p
-		if !p.DepOnly {
-			targets = append(targets, &p)
+		exports[lp.ImportPath] = lp.Export
+		if !lp.DepOnly {
+			targets = append(targets, lp)
 		}
 	}
 
 	fset := token.NewFileSet()
-	exports := func(path string) (io.ReadCloser, error) {
-		p, ok := byPath[path]
-		if !ok || p.Export == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(p.Export)
+	conf := types.Config{
+		Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			if exports[path] == "" {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(exports[path])
+		}),
+		Sizes: types.SizesFor("gc", runtime.GOARCH),
 	}
-	imp := importer.ForCompiler(fset, "gc", exports)
-
 	var pkgs []*Package
 	for _, t := range targets {
-		pkgs = append(pkgs, check(fset, imp, t))
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
-	return pkgs, nil
-}
-
-// check parses and type-checks one listed package.
-func check(fset *token.FileSet, imp types.Importer, lp *listPackage) *Package {
-	pkg := &Package{ImportPath: lp.ImportPath, Dir: lp.Dir, IsStandard: lp.Standard, Fset: fset}
-	if lp.Error != nil {
-		pkg.Err = fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
-		return pkg
-	}
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			if pkg.Err == nil {
-				pkg.Err = err
+		pkg := &Package{ImportPath: t.ImportPath, Fset: fset, Info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		for _, name := range t.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
 			}
-			continue
+			pkg.Files = append(pkg.Files, f)
 		}
-		pkg.Files = append(pkg.Files, f)
-	}
-	pkg.Info = NewInfo()
-	conf := types.Config{
-		Importer: imp,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-	}
-	tpkg, err := conf.Check(lp.ImportPath, fset, pkg.Files, pkg.Info)
-	pkg.Types = tpkg
-	if err != nil && pkg.Err == nil {
-		pkg.Err = err
-	}
-	return pkg
-}
-
-// ExportInfo names the compiled export data of one listed package.
-type ExportInfo struct {
-	ImportPath string
-	Export     string
-}
-
-// List resolves the given import paths (plus their transitive
-// dependencies — gc export data is read recursively) to export data
-// files, compiling as needed. Used by analysistest to type-check testdata
-// packages against the real module.
-func List(dir string, paths []string) ([]ExportInfo, error) {
-	args := append([]string{"list", "-export", "-json", "-deps", "--"}, paths...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(paths, " "), err, stderr.String())
-	}
-	var infos []ExportInfo
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var lp listPackage
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decoding go list output: %v", err)
+		if pkg.Types, err = conf.Check(t.ImportPath, fset, pkg.Files, pkg.Info); err != nil {
+			return nil, err
 		}
-		infos = append(infos, ExportInfo{ImportPath: lp.ImportPath, Export: lp.Export})
+		pkgs = append(pkgs, pkg)
 	}
-	return infos, nil
-}
-
-// NewInfo allocates the types.Info maps the analyzers rely on.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
+	return pkgs, nil
 }

@@ -10,9 +10,7 @@
 //  1. Inside HTTP handler functions — any function or closure whose
 //     parameters include http.ResponseWriter or *http.Request — errors
 //     must not be constructed with fmt.Errorf or errors.New; use
-//     api.Errorf with a registered code. fmt.Errorf calls that do not
-//     wrap (%w) carry a suggested fix rewriting them to
-//     api.Errorf(api.CodeInternal, ...).
+//     api.Errorf with a registered code.
 //
 //  2. Everywhere outside pkg/api itself, an api.ErrorCode may only be
 //     named via its registered constants: a string literal converted or
@@ -26,7 +24,6 @@ import (
 	"go/token"
 	"go/types"
 	"strconv"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -34,31 +31,30 @@ import (
 // Analyzer is the apierr pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "apierr",
-	Doc:  "errors crossing the pkg/api boundary must be typed *api.Error values with registered codes",
 	Run:  run,
 }
 
 const apiPathSuffix = "pkg/api"
 
-func run(pass *analysis.Pass) (any, error) {
-	inAPI := analysis.PathHasSuffix(pass.PkgPath(), apiPathSuffix)
+func run(pass *analysis.Pass) error {
+	inAPI := analysis.PathHasSuffix(pass.Pkg.Path(), apiPathSuffix)
 	// Literals already validated through the explicit-conversion case;
 	// ast.Inspect visits the parent CallExpr first, and the conversion
 	// records the converted type on the literal too, which would report
 	// the same literal twice.
 	converted := map[*ast.BasicLit]bool{}
 	for _, file := range pass.Files {
-		apiName, apiImported := apiImportName(file)
+		apiName := apiImportName(file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil && isHandlerSignature(pass, n.Type) {
-					checkHandlerBody(pass, n.Body, apiName, apiImported)
+					checkHandlerBody(pass, n.Body, apiName)
 					return false
 				}
 			case *ast.FuncLit:
 				if isHandlerSignature(pass, n.Type) {
-					checkHandlerBody(pass, n.Body, apiName, apiImported)
+					checkHandlerBody(pass, n.Body, apiName)
 					return false
 				}
 			case *ast.CallExpr:
@@ -79,7 +75,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // isHandlerSignature reports whether the function's parameters include
@@ -109,7 +105,7 @@ func isHandlerSignature(pass *analysis.Pass, ft *ast.FuncType) bool {
 // checkHandlerBody flags untyped error construction inside a handler.
 // Nested non-handler closures are still handler code — they run on the
 // request path — so the whole body is walked.
-func checkHandlerBody(pass *analysis.Pass, body *ast.BlockStmt, apiName string, apiImported bool) {
+func checkHandlerBody(pass *analysis.Pass, body *ast.BlockStmt, apiName string) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -118,41 +114,14 @@ func checkHandlerBody(pass *analysis.Pass, body *ast.BlockStmt, apiName string, 
 		fn := analysis.CalleeFunc(pass.TypesInfo, call)
 		switch {
 		case analysis.IsFuncNamed(fn, "fmt", "Errorf"):
-			d := analysis.Diagnostic{
-				Pos: call.Pos(),
-				Message: "fmt.Errorf in an HTTP handler reaches the wire untyped; " +
-					"use " + apiName + ".Errorf with a registered code",
-			}
-			if apiImported && !wraps(pass, call) {
-				d.SuggestedFixes = []analysis.SuggestedFix{{
-					Message: "rewrite to " + apiName + ".Errorf(" + apiName + ".CodeInternal, ...)",
-					TextEdits: []analysis.TextEdit{{
-						Pos:     call.Fun.Pos(),
-						End:     call.Lparen + 1,
-						NewText: []byte(apiName + ".Errorf(" + apiName + ".CodeInternal, "),
-					}},
-				}}
-			}
-			pass.Report(d)
+			pass.Reportf(call.Pos(),
+				"fmt.Errorf in an HTTP handler reaches the wire untyped; use %s.Errorf with a registered code", apiName)
 		case analysis.IsFuncNamed(fn, "errors", "New"):
 			pass.Reportf(call.Pos(),
 				"errors.New in an HTTP handler reaches the wire untyped; use %s.Errorf with a registered code", apiName)
 		}
 		return true
 	})
-}
-
-// wraps reports whether the fmt.Errorf format literal uses %w (the fix
-// must not change wrapping semantics).
-func wraps(pass *analysis.Pass, call *ast.CallExpr) bool {
-	if len(call.Args) == 0 {
-		return true // non-literal format: stay conservative
-	}
-	tv := pass.TypesInfo.Types[call.Args[0]]
-	if tv.Value == nil || tv.Value.Kind() != constant.String {
-		return true
-	}
-	return strings.Contains(constant.StringVal(tv.Value), "%w")
 }
 
 // checkCodeLiteral flags string literals implicitly typed as
@@ -211,16 +180,13 @@ func registeredCodes(apiPkg *types.Package) map[string]bool {
 }
 
 // apiImportName returns the file's local name for the repro/pkg/api
-// import ("api" unless renamed) and whether it is imported at all.
-func apiImportName(file *ast.File) (string, bool) {
+// import ("api" unless renamed), for the diagnostics to spell.
+func apiImportName(file *ast.File) string {
 	for _, imp := range file.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
-		if analysis.PathHasSuffix(path, apiPathSuffix) {
-			if imp.Name != nil {
-				return imp.Name.Name, true
-			}
-			return "api", true
+		if analysis.PathHasSuffix(path, apiPathSuffix) && imp.Name != nil {
+			return imp.Name.Name
 		}
 	}
-	return "api", false
+	return "api"
 }

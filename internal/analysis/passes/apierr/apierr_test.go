@@ -8,5 +8,5 @@ import (
 )
 
 func TestApierr(t *testing.T) {
-	analysistest.RunWithSuggestedFixes(t, apierr.Analyzer, "apierr/a")
+	analysistest.Run(t, apierr.Analyzer, "apierr/a")
 }

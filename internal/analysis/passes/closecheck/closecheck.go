@@ -24,8 +24,6 @@
 //	defer f.Close()                // when the same function also checks
 //	                               // f.Close() on the success path
 //	                               // (the standard double-close idiom)
-//
-// The statement form carries a suggested fix inserting `_ = `.
 package closecheck
 
 import (
@@ -40,11 +38,10 @@ import (
 // Analyzer is the closecheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "closecheck",
-	Doc:  "report discarded Close/Sync errors on writable files and writers",
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
@@ -62,7 +59,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // discard is one Close/Sync call whose result is dropped.
@@ -71,7 +68,6 @@ type discard struct {
 	method  string
 	recv    types.Object // rightmost identifier's object, if any
 	defered bool
-	stmt    ast.Stmt
 }
 
 // checkFunc analyzes one function body (nested function literals
@@ -111,16 +107,16 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		case *ast.ExprStmt:
 			if call, ok := s.X.(*ast.CallExpr); ok {
 				if method, recv := closeLike(pass, call); method != "" {
-					discards = append(discards, discard{call: call, method: method, recv: recv, stmt: s})
+					discards = append(discards, discard{call: call, method: method, recv: recv})
 				}
 			}
 		case *ast.DeferStmt:
 			if method, recv := closeLike(pass, s.Call); method != "" {
-				discards = append(discards, discard{call: s.Call, method: method, recv: recv, defered: true, stmt: s})
+				discards = append(discards, discard{call: s.Call, method: method, recv: recv, defered: true})
 			}
 		case *ast.GoStmt:
 			if method, recv := closeLike(pass, s.Call); method != "" {
-				discards = append(discards, discard{call: s.Call, method: method, recv: recv, stmt: s})
+				discards = append(discards, discard{call: s.Call, method: method, recv: recv})
 			}
 		default:
 			// Any other appearance of a close-like call (if init, return,
@@ -145,18 +141,8 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		if d.defered && d.recv != nil && checked[d.recv] == d.method {
 			continue
 		}
-		diag := analysis.Diagnostic{
-			Pos: d.call.Pos(),
-			Message: d.method + " error discarded on writable file/writer; check it, " +
-				"assign to _ to acknowledge, or annotate //sicklevet:ignore closecheck <reason>",
-		}
-		if _, isExpr := d.stmt.(*ast.ExprStmt); isExpr {
-			diag.SuggestedFixes = []analysis.SuggestedFix{{
-				Message:   "acknowledge the discard with `_ =`",
-				TextEdits: []analysis.TextEdit{{Pos: d.stmt.Pos(), NewText: []byte("_ = ")}},
-			}}
-		}
-		pass.Report(diag)
+		pass.Reportf(d.call.Pos(), "%s error discarded on writable file/writer; check it, "+
+			"assign to _ to acknowledge, or annotate //sicklevet:ignore closecheck <reason>", d.method)
 	}
 }
 

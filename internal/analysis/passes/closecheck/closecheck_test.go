@@ -8,5 +8,5 @@ import (
 )
 
 func TestClosecheck(t *testing.T) {
-	analysistest.RunWithSuggestedFixes(t, closecheck.Analyzer, "closecheck/a")
+	analysistest.Run(t, closecheck.Analyzer, "closecheck/a")
 }

@@ -17,7 +17,7 @@
 //
 //  3. http.NewRequest must be http.NewRequestWithContext.
 //
-// Test files are exempt (the driver never passes them).
+// Test files are exempt (the loader never parses them).
 package ctxfirst
 
 import (
@@ -30,11 +30,10 @@ import (
 // Analyzer is the ctxfirst pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxfirst",
-	Doc:  "enforce context-first cancellation: no root contexts in libraries, ctx as first parameter, context-bound HTTP requests",
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	isMain := pass.Pkg.Name() == "main"
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -53,7 +52,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr, isMain bool) {

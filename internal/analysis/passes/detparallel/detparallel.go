@@ -31,11 +31,10 @@ import (
 // Analyzer is the detparallel pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "detparallel",
-	Doc:  "ParallelFor bodies must be deterministic: no wall clock, no math/rand, no map iteration",
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -51,7 +50,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // isParallelFor matches (*tensor.Pool).ParallelFor method calls.

@@ -15,37 +15,28 @@
 //   - each name is registered at exactly one site. Series identity is
 //     the name; two registration sites for one name either collide at
 //     runtime (same registry) or silently fork the series' meaning
-//     (different registries). The check spans every package the driver
-//     loads in one process; under per-package `go vet` it degrades to
-//     per-package detection.
-//
-// Misnamed literal names carry a suggested fix with a sanitized name.
+//     (different registries). The check spans every package analyzed
+//     in one process.
 package metricname
 
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"regexp"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 )
 
-// New builds a fresh pass (the duplicate-registration table is per
-// instance; tests use New to isolate runs).
-func New() *analysis.Analyzer {
-	r := &runner{sites: map[string]string{}}
-	return &analysis.Analyzer{
-		Name: "metricname",
-		Doc:  "registered metric series must be sickle_* snake-case constants with unit suffixes, registered exactly once",
-		Run:  r.run,
-	}
+// Analyzer is the metricname pass.
+var Analyzer = &analysis.Analyzer{
+	Name: "metricname",
+	Run:  run,
 }
 
-// Analyzer is the shared instance used by cmd/sicklevet.
-var Analyzer = New()
+// sites is the duplicate-registration table: metric name -> its first
+// registration site, across every package the process analyzes.
+var sites = map[string]string{}
 
 var registerMethods = map[string]string{
 	"Counter":      "counter",
@@ -60,12 +51,7 @@ var nameRe = regexp.MustCompile(`^sickle(_[a-z0-9]+)+$`)
 
 var histogramUnits = []string{"_seconds", "_bytes", "_size", "_points", "_ratio"}
 
-type runner struct {
-	mu    sync.Mutex
-	sites map[string]string // metric name -> first registration site
-}
-
-func (r *runner) run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -84,14 +70,14 @@ func (r *runner) run(pass *analysis.Pass) (any, error) {
 			if !ok || !analysis.NamedTypePath(selection.Recv(), "internal/obs", "Registry") {
 				return true
 			}
-			r.checkName(pass, call, kind)
+			checkName(pass, call, kind)
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
-func (r *runner) checkName(pass *analysis.Pass, call *ast.CallExpr, kind string) {
+func checkName(pass *analysis.Pass, call *ast.CallExpr, kind string) {
 	arg := call.Args[0]
 	tv := pass.TypesInfo.Types[arg]
 	if tv.Value == nil || tv.Value.Kind() != constant.String {
@@ -101,19 +87,7 @@ func (r *runner) checkName(pass *analysis.Pass, call *ast.CallExpr, kind string)
 	name := constant.StringVal(tv.Value)
 
 	if !nameRe.MatchString(name) {
-		d := analysis.Diagnostic{
-			Pos:     arg.Pos(),
-			Message: "metric name " + quote(name) + " must match sickle(_[a-z0-9]+)+ (project prefix, lower snake case)",
-		}
-		if lit, ok := ast.Unparen(arg).(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			if fixed := sanitize(name); fixed != name && nameRe.MatchString(fixed) {
-				d.SuggestedFixes = []analysis.SuggestedFix{{
-					Message:   "rename to " + fixed,
-					TextEdits: []analysis.TextEdit{{Pos: lit.Pos(), End: lit.End(), NewText: []byte(`"` + fixed + `"`)}},
-				}}
-			}
-		}
-		pass.Report(d)
+		pass.Reportf(arg.Pos(), "metric name %s must match sickle(_[a-z0-9]+)+ (project prefix, lower snake case)", quote(name))
 		return
 	}
 
@@ -140,36 +114,13 @@ func (r *runner) checkName(pass *analysis.Pass, call *ast.CallExpr, kind string)
 	}
 
 	site := pass.Fset.Position(arg.Pos()).String()
-	r.mu.Lock()
-	first, dup := r.sites[name]
+	first, dup := sites[name]
 	if !dup {
-		r.sites[name] = site
+		sites[name] = site
 	}
-	r.mu.Unlock()
 	if dup && first != site {
 		pass.Reportf(arg.Pos(), "metric %s already registered at %s; each series has exactly one registration site", quote(name), first)
 	}
-}
-
-func sanitize(name string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	s := b.String()
-	for strings.Contains(s, "__") {
-		s = strings.ReplaceAll(s, "__", "_")
-	}
-	s = strings.Trim(s, "_")
-	if !strings.HasPrefix(s, "sickle_") && s != "sickle" {
-		s = "sickle_" + s
-	}
-	return s
 }
 
 // quote renders a name for a diagnostic message.

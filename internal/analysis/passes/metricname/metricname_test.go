@@ -7,8 +7,6 @@ import (
 	"repro/internal/analysis/passes/metricname"
 )
 
-// New() isolates the duplicate-site table from other runs in this
-// process (the shared Analyzer accumulates sites across packages).
 func TestMetricname(t *testing.T) {
-	analysistest.RunWithSuggestedFixes(t, metricname.New(), "metricname/a")
+	analysistest.Run(t, metricname.Analyzer, "metricname/a")
 }

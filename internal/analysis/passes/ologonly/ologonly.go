@@ -32,7 +32,6 @@ import (
 // Analyzer is the ologonly pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ologonly",
-	Doc:  "long-running binaries and their libraries must log through olog, not log.* or fmt.Print*",
 	Run:  run,
 }
 
@@ -48,8 +47,8 @@ var longRunning = []string{
 
 var printFuncs = map[string]bool{"Print": true, "Printf": true, "Println": true}
 
-func run(pass *analysis.Pass) (any, error) {
-	path := pass.PkgPath()
+func run(pass *analysis.Pass) error {
+	path := pass.Pkg.Path()
 	inLongRunning := false
 	for _, suffix := range longRunning {
 		if analysis.PathHasSuffix(path, suffix) {
@@ -88,5 +87,5 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }

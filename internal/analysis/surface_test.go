@@ -1,4 +1,4 @@
-package analysis
+package analysis_test
 
 import (
 	"go/ast"
@@ -53,7 +53,7 @@ func TestExportedSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := load.Load(root, "./...")
+	pkgs, err := program()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,7 @@ func TestExportedSurface(t *testing.T) {
 		used      = map[string]bool{} // symbols some non-test code names
 		ifaceCall = map[string]bool{} // method names called through an interface
 	)
-	for _, p := range append(pkgs, bench...) {
-		if p.Err != nil {
-			t.Fatalf("%s: %v", p.ImportPath, p.Err)
-		}
+	for _, p := range append(bench, pkgs...) {
 		governed := strings.HasPrefix(p.ImportPath, "repro/internal/")
 		for _, f := range p.Files {
 			for _, d := range f.Decls {

@@ -109,7 +109,6 @@ type StreamCase struct {
 	Ranks       int
 	Window      int
 	MergeEvery  int
-	SketchBins  int
 	Reservoir   int
 	ShardPrefix string
 }
@@ -209,7 +208,6 @@ func ParseCase(src string) (*Case, error) {
 			Ranks:       r.int("stream.ranks"),
 			Window:      r.int("stream.window"),
 			MergeEvery:  r.int("stream.merge_every"),
-			SketchBins:  r.int("stream.sketch_bins"),
 			Reservoir:   r.int("stream.reservoir"),
 			ShardPrefix: r.str("stream.shard_prefix"),
 		},

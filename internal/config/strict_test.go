@@ -100,7 +100,7 @@ var strictKeys = map[string][]string{
 		"job_workers", "job_ttl_min", "data_dir", "debug_addr"},
 	"shard": {"addr", "replicas", "probe_ms", "fail_after", "max_failover", "replication", "vnodes",
 		"debug_addr"},
-	"stream": {"ranks", "window", "merge_every", "sketch_bins", "reservoir", "shard_prefix"},
+	"stream": {"ranks", "window", "merge_every", "reservoir", "shard_prefix"},
 	"obs":    {"history_interval_ms", "history_capacity", "event_capacity", "slos"},
 }
 

@@ -224,7 +224,6 @@ stream:
   ranks: 4
   window: 3
   merge_every: 8
-  sketch_bins: 12
   reservoir: 500
   shard_prefix: "out/stream"
 `
@@ -234,7 +233,7 @@ stream:
 	}
 	st := c.Stream
 	if st.Ranks != 4 || st.Window != 3 || st.MergeEvery != 8 ||
-		st.SketchBins != 12 || st.Reservoir != 500 || st.ShardPrefix != "out/stream" {
+		st.Reservoir != 500 || st.ShardPrefix != "out/stream" {
 		t.Fatalf("stream section = %+v", st)
 	}
 }

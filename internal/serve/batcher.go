@@ -133,10 +133,6 @@ func (b *Batcher) SetTracer(t *obs.Tracer) { b.tracer = t }
 // (api.CodeCanceled / api.CodeDeadlineExceeded). All failures are typed
 // *api.Error values.
 func (b *Batcher) admit(ctx context.Context, model string, input *tensor.Tensor) (*inferRequest, error) {
-	if ctx == nil {
-		//sicklevet:ignore ctxfirst nil-ctx compatibility guard for direct library callers
-		ctx = context.Background()
-	}
 	if _, ok := b.reg.Lookup(model); !ok {
 		return nil, api.Errorf(api.CodeModelNotFound, "unknown model %q", model)
 	}

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/obs/events"
+	"repro/internal/tier"
 	"repro/pkg/api"
 	"repro/pkg/client"
 )
@@ -232,6 +235,65 @@ func TestRoutedErrorsStayTyped(t *testing.T) {
 			waitFor(t, tc.name+": the replica's span", 3*time.Second, reached)
 		} else if reached() {
 			t.Errorf("%s: forwarded to the replica", tc.name)
+		}
+	}
+}
+
+// spaces is an endless body of JSON whitespace, generated as it is read.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizeBodyRefused: a body over tier.MaxBody is the typed
+// invalid_argument naming the limit on both tiers — refused on its declared
+// length before a byte of it is read, cut off at the limit when chunked —
+// and the server goes on answering.
+func TestOversizeBodyRefused(t *testing.T) {
+	_, ckpt := newCheckpoint(t)
+	p := startReplica(t, "", ckpt)
+	defer p.Close(context.Background())
+	rt := newTestRouter(t, []string{p.URL})
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	refused := func(name string, resp *http.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var env api.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || env.Error == nil ||
+			env.Error.Code != api.CodeInvalidArgument || !strings.Contains(env.Error.Message, "64 MiB") {
+			t.Errorf("%s: status %d, envelope %+v, %v; want 400 invalid_argument naming the limit",
+				name, resp.StatusCode, env.Error, err)
+		}
+	}
+	hc := &http.Client{Timeout: time.Minute}
+	for _, tc := range []struct{ name, url string }{{"serve", p.URL}, {"router", front.URL}} {
+		// Declared: the headers alone, so nothing but them can have been read.
+		conn, err := net.Dial("tcp", strings.TrimPrefix(tc.url, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(time.Minute))
+		fmt.Fprintf(conn, "POST /v2/infer HTTP/1.1\r\nHost: sickle\r\nContent-Length: %d\r\n\r\n", tier.MaxBody+1)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		refused(tc.name+", declared length", resp, err)
+		conn.Close()
+
+		resp, err = hc.Post(tc.url+"/v2/infer", "application/json", io.LimitReader(spaces{}, tier.MaxBody+1))
+		refused(tc.name+", chunked", resp, err)
+
+		req := &api.InferRequest{Model: "m", Items: []api.InferItem{randomItem(rand.New(rand.NewSource(5)))}}
+		if _, err := client.New(tc.url).Infer(context.Background(), req); err != nil {
+			t.Errorf("%s: the request after the refusals: %v", tc.name, err)
 		}
 	}
 }

@@ -78,10 +78,6 @@ type Config struct {
 	// MergeEvery injects a collective sketch merge every N snapshots
 	// (0 = merge only at end of stream).
 	MergeEvery int
-	// SketchBins is the per-dimension bin count of the online feature
-	// sketch (default 8, shrunk automatically if bins^dims would exceed
-	// the dense-merge budget).
-	SketchBins int
 	// ReservoirBudget, when > 0, caps the samples kept per hypercube
 	// across the whole stream via weighted reservoir sampling with
 	// inverse-density weights from the merged sketch. 0 keeps every
@@ -113,9 +109,6 @@ func (c *Config) defaults() {
 	}
 	if c.Window <= 0 {
 		c.Window = 2
-	}
-	if c.SketchBins <= 0 {
-		c.SketchBins = 8
 	}
 }
 
@@ -361,7 +354,7 @@ func Run(ctx context.Context, src SnapshotSource, cfg Config) (*Result, error) {
 	}
 
 	lo, hi := featureBounds(f0, meta.InputVars)
-	bins, err := effectiveBins(cfg.SketchBins, len(meta.InputVars))
+	bins, err := effectiveBins(sketchBins, len(meta.InputVars))
 	if err != nil {
 		return nil, err
 	}

@@ -66,14 +66,15 @@ func featureBounds(f *grid.Field, inVars []string) (lo, hi []float64) {
 // memory story.
 const maxDenseCells = 1 << 20
 
+// sketchBins is the per-dimension bin count of the online feature sketch,
+// before effectiveBins shrinks it to the dense-merge budget.
+const sketchBins = 8
+
 // effectiveBins shrinks the per-dimension bin count until bins^dims fits the
 // dense-merge budget, so high-dimensional feature spaces cannot blow up the
 // collective. Sources whose dimensionality cannot fit even at 2 bins per
 // dimension are rejected outright rather than silently over-allocating.
 func effectiveBins(bins, dims int) (int, error) {
-	if bins < 2 {
-		bins = 2
-	}
 	fits := func(b int) bool {
 		cells := 1
 		for i := 0; i < dims; i++ {

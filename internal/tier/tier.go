@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -280,16 +281,37 @@ func DecodeBody(r *http.Request, v any) error {
 	return err
 }
 
+// MaxBody caps a request body on both tiers (the ledger's Infer body is
+// ≈ 130 KB): a larger one is refused, not buffered.
+const MaxBody = 64 << 20
+
 // ReadBody reads a JSON request body whole into buf, which the caller
-// owns, and unmarshals v from it; a body that is not exactly one JSON
-// value is a typed invalid_argument.
+// owns, and unmarshals v from it; a body over MaxBody, or one that is not
+// exactly one JSON value, is a typed invalid_argument.
 func ReadBody(r *http.Request, buf *bytes.Buffer, v any) error {
+	tooLarge := func() error {
+		return api.Errorf(api.CodeInvalidArgument, "request body exceeds the %d MiB limit", MaxBody>>20)
+	}
+	if r.ContentLength > MaxBody {
+		return tooLarge()
+	}
 	if r.ContentLength > 0 {
 		// MinRead more, or the read that finds EOF regrows the buffer.
 		buf.Grow(int(min(r.ContentLength, maxPooledBody)) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(r.Body)
-	if err == nil {
+	// buf.ReadFrom, counting: a chunked body declares no length to refuse.
+	var err error
+	for err == nil {
+		buf.Grow(bytes.MinRead)
+		b := buf.AvailableBuffer()
+		var n int
+		n, err = r.Body.Read(b[:cap(b)])
+		buf.Write(b[:n])
+		if buf.Len() > MaxBody {
+			return tooLarge()
+		}
+	}
+	if err == io.EOF {
 		err = json.Unmarshal(buf.Bytes(), v)
 	}
 	if err != nil {
