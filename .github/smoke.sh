@@ -128,9 +128,12 @@ go build -o "$tmp/bin/" ./cmd/sickle-serve ./cmd/sickle-shard ./cmd/sickle-top
 
 case $mode in
 serve)
-	base=http://127.0.0.1:18080
-	serve=(sickle-serve -addr 127.0.0.1:18080 -demo -data-dir "$out/sickle-data")
+	base=http://127.0.0.1:18080 side=http://127.0.0.1:16060
+	serve=(sickle-serve -addr 127.0.0.1:18080 -debug-addr 127.0.0.1:16060 -demo -data-dir "$out/sickle-data")
 	boot serve "$base" "${serve[@]}"
+	gate "the -debug-addr sidecar serves pprof" curl -fsS "$side/debug/pprof/cmdline"
+	gate "  ... /metrics" exports "$side" sickle_build_info
+	gate "  ... and the recorder's /debug/history" answers "$side/debug/history?since=5m" '.tier == "serve"'
 	gate "/api/version offers v2" answers "$base/api/version" 'any(.versions[]; . == "v2")'
 	gate "POST /v2/infer on demo returns one output" infers "$base"
 	gate "keyed job: 202 then 200 with one ID, succeeded, points > 0" keyed_job "$base" smoke-a

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/pprof"
 	"time"
 )
 
@@ -48,63 +47,10 @@ func writeDebugJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// Mount registers the /debug/traces endpoints on a mux (both serve and
-// shard expose them on their main listener).
-func (t *Tracer) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("GET /debug/traces", t.HandleTraceList)
-	mux.HandleFunc("GET /debug/traces/{id}", t.HandleTraceByID)
-}
-
 // HandleMetrics serves the text exposition (GET /metrics).
 func (r *Registry) HandleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write([]byte(r.Render()))
-}
-
-// Mounter is anything that can register its debug endpoints on a mux —
-// the tsdb history store, the event journal, and the SLO engine all
-// implement it, so binaries can hang extra surfaces off the -debug-addr
-// sidecar without obs importing its own subpackages.
-type Mounter interface {
-	Mount(mux *http.ServeMux)
-}
-
-// NewDebugMux builds the opt-in -debug-addr surface: net/http/pprof under
-// /debug/pprof/, the registry's /metrics, the tracer's /debug/traces
-// endpoints, and any extra Mounters (history, events, SLO). reg and t may
-// be nil (their endpoints are then omitted), as may extra entries.
-func NewDebugMux(reg *Registry, t *Tracer, extra ...Mounter) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if reg != nil {
-		mux.HandleFunc("GET /metrics", reg.HandleMetrics)
-	}
-	if t != nil {
-		t.Mount(mux)
-	}
-	for _, m := range extra {
-		if m != nil {
-			m.Mount(mux)
-		}
-	}
-	return mux
-}
-
-// ServeDebug listens on addr with NewDebugMux in a background goroutine and
-// returns the server so callers can Close it. Listen failures surface
-// through onErr (may be nil); http.ErrServerClosed is filtered out.
-func ServeDebug(addr string, reg *Registry, t *Tracer, onErr func(error), extra ...Mounter) *http.Server {
-	srv := &http.Server{Addr: addr, Handler: NewDebugMux(reg, t, extra...)}
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed && onErr != nil {
-			onErr(err)
-		}
-	}()
-	return srv
 }
 
 // ParseSince interprets the since query value of the /debug/history and

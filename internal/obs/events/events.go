@@ -12,7 +12,6 @@ package events
 import (
 	"encoding/json"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -158,22 +157,27 @@ type Payload struct {
 
 // Query is the parsed /debug/events query string: limit (default 256),
 // type (exact event type), since (RFC3339 or a Go duration like "5m"
-// meaning that long ago; a malformed value means no cutoff).
+// meaning that long ago).
 type Query struct {
 	Limit int
 	Type  Type
 	Since time.Time
 }
 
-// ParseQuery reads a /debug/events query string. The journal's own handler
-// and the shard router's fleet-wide merge share it.
-func ParseQuery(v url.Values) Query {
-	q := Query{Limit: 256, Type: Type(v.Get("type"))}
+// ParseQuery reads a /debug/events query string. A malformed since is
+// answered with a 400 here (ok false), as /debug/history answers it — for
+// the journal's own handler and for the shard router's fleet-wide merge.
+func ParseQuery(w http.ResponseWriter, r *http.Request) (q Query, ok bool) {
+	v := r.URL.Query()
+	q = Query{Limit: 256, Type: Type(v.Get("type"))}
 	if n, err := strconv.Atoi(v.Get("limit")); err == nil && n > 0 {
 		q.Limit = n
 	}
-	q.Since, _ = obs.ParseSince(v.Get("since"), time.Now())
-	return q
+	var err error
+	if q.Since, err = obs.ParseSince(v.Get("since"), time.Now()); err != nil {
+		http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
+	}
+	return q, err == nil
 }
 
 // Payload answers one query from this journal alone. Nil-safe.
@@ -190,13 +194,10 @@ func (j *Journal) Payload(q Query) Payload {
 
 // HandleEvents serves the journal tail (GET /debug/events).
 func (j *Journal) HandleEvents(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(j.Payload(ParseQuery(r.URL.Query())))
-}
-
-// Mount registers the /debug/events endpoint on a mux.
-func (j *Journal) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("GET /debug/events", j.HandleEvents)
+	if q, ok := ParseQuery(w, r); ok {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(j.Payload(q))
+	}
 }
 
 // Merge combines event lists (the router's own plus every replica's) into

@@ -53,17 +53,6 @@ func LintExposition(text string) []error {
 		}
 		if strings.HasPrefix(line, "#") {
 			fields := strings.SplitN(line, " ", 4)
-			// EXEMPLAR lines are not part of text format 0.0.4; this repo
-			// keeps exemplars out of /metrics (they live in the
-			// /debug/history JSON), but if a future exporter emits them we
-			// validate the metric name and otherwise ignore the line rather
-			// than failing the whole exposition.
-			if len(fields) >= 3 && fields[1] == "EXEMPLAR" {
-				if !validMetricName(fields[2]) {
-					fail(n, "invalid metric name %q in EXEMPLAR line", fields[2])
-				}
-				continue
-			}
 			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
 				fail(n, "malformed comment line %q", line)
 				continue

@@ -44,6 +44,10 @@ func TestLintViolations(t *testing.T) {
 			"no _count"},
 		{"inf mismatch", "# HELP h h\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 2\n",
 			"+Inf bucket 1 != _count 2"},
+		// Text format 0.0.4 knows only HELP and TYPE comments; exemplars
+		// live in the /debug/history JSON, never in /metrics.
+		{"exemplar line", "# HELP x_total x\n# TYPE x_total counter\n# EXEMPLAR x_total trace-a\nx_total 1\n",
+			"malformed comment line"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -60,13 +60,12 @@ func ParseLevel(s string) (Level, bool) {
 // everything, so components can hold one unconditionally. Methods are
 // safe for concurrent use.
 type Logger struct {
-	mu    *sync.Mutex
-	w     io.Writer
-	min   Level
-	json  bool
-	bound []any // With()-bound key-value pairs, prepended to every record
-	lim   *limiter
-	now   func() time.Time
+	mu   *sync.Mutex
+	w    io.Writer
+	min  Level
+	json bool
+	lim  *limiter
+	now  func() time.Time
 }
 
 // Warn/error flood control defaults: every distinct message gets a burst
@@ -77,9 +76,8 @@ const (
 	defaultLimitRefill = time.Second
 )
 
-// limiter is a per-call-site (keyed by level+message) token bucket shared
-// by a logger and all its With children, so a flapping replica repeating
-// one warn line cannot flood the journal.
+// limiter is a per-call-site (keyed by level+message) token bucket, so a
+// flapping replica repeating one warn line cannot flood the journal.
 type limiter struct {
 	mu     sync.Mutex
 	burst  float64
@@ -131,7 +129,7 @@ func (l *limiter) allow(key string, t time.Time) (ok bool, suppressed int) {
 // selects JSON objects instead of logfmt text. Repeated identical warn and
 // error messages are rate-limited per call site (token bucket, burst 5,
 // one token back per second) with a suppressed=N tail on the next line
-// written; SetRateLimit tunes or disables this.
+// written.
 func New(w io.Writer, min Level, jsonOut bool) *Logger {
 	return &Logger{
 		mu: &sync.Mutex{}, w: w, min: min, json: jsonOut, now: time.Now,
@@ -157,17 +155,6 @@ func Flags(fs *flag.FlagSet) func() *Logger {
 	}
 }
 
-// With returns a child logger whose records carry the given key-value
-// pairs ahead of per-call pairs (e.g. With("tier", "shard")).
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	child := *l
-	child.bound = append(append([]any{}, l.bound...), kv...)
-	return &child
-}
-
 // Enabled reports whether records at lvl would be written.
 func (l *Logger) Enabled(lvl Level) bool { return l != nil && lvl >= l.min }
 
@@ -188,7 +175,7 @@ func (l *Logger) log(lvl Level, msg string, kv []any) {
 		return
 	}
 	t := l.now()
-	if lvl >= LevelWarn && l.lim != nil {
+	if lvl >= LevelWarn {
 		ok, suppressed := l.lim.allow(lvl.String()+"\x00"+msg, t)
 		if !ok {
 			return
@@ -197,17 +184,16 @@ func (l *Logger) log(lvl Level, msg string, kv []any) {
 			kv = append(append([]any{}, kv...), "suppressed", suppressed)
 		}
 	}
-	pairs := append(append([]any{}, l.bound...), kv...)
 	ts := t.Format(time.RFC3339Nano)
 
 	var line []byte
 	if l.json {
 		obj := map[string]any{"ts": ts, "level": lvl.String(), "msg": msg}
-		for i := 0; i+1 < len(pairs); i += 2 {
-			obj[fmt.Sprint(pairs[i])] = pairs[i+1]
+		for i := 0; i+1 < len(kv); i += 2 {
+			obj[fmt.Sprint(kv[i])] = kv[i+1]
 		}
-		if len(pairs)%2 == 1 {
-			obj["_odd_key"] = fmt.Sprint(pairs[len(pairs)-1])
+		if len(kv)%2 == 1 {
+			obj["_odd_key"] = fmt.Sprint(kv[len(kv)-1])
 		}
 		line = appendJSON(obj)
 	} else {
@@ -217,15 +203,15 @@ func (l *Logger) log(lvl Level, msg string, kv []any) {
 		b.WriteString(lvl.String())
 		b.WriteByte(' ')
 		b.WriteString(msg)
-		for i := 0; i+1 < len(pairs); i += 2 {
+		for i := 0; i+1 < len(kv); i += 2 {
 			b.WriteByte(' ')
-			b.WriteString(fmt.Sprint(pairs[i]))
+			b.WriteString(fmt.Sprint(kv[i]))
 			b.WriteByte('=')
-			b.WriteString(quoteIfNeeded(fmt.Sprint(pairs[i+1])))
+			b.WriteString(quoteIfNeeded(fmt.Sprint(kv[i+1])))
 		}
-		if len(pairs)%2 == 1 {
+		if len(kv)%2 == 1 {
 			b.WriteString(" _odd_key=")
-			b.WriteString(quoteIfNeeded(fmt.Sprint(pairs[len(pairs)-1])))
+			b.WriteString(quoteIfNeeded(fmt.Sprint(kv[len(kv)-1])))
 		}
 		b.WriteByte('\n')
 		line = []byte(b.String())

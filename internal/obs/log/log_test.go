@@ -8,29 +8,6 @@ import (
 	"time"
 )
 
-// setRateLimit reconfigures warn/error flood control: at most burst
-// identical lines back to back, then one more per refill. burst <= 0
-// disables limiting. The limiter is shared with existing With children.
-func (l *Logger) setRateLimit(burst int, refill time.Duration) {
-	if l == nil {
-		return
-	}
-	if burst <= 0 {
-		l.lim = nil
-		return
-	}
-	if refill <= 0 {
-		refill = defaultLimitRefill
-	}
-	if l.lim == nil {
-		l.lim = &limiter{sites: map[string]*site{}}
-	}
-	l.lim.mu.Lock()
-	l.lim.burst = float64(burst)
-	l.lim.refill = refill
-	l.lim.mu.Unlock()
-}
-
 type syncBuf struct {
 	mu sync.Mutex
 	b  strings.Builder
@@ -83,8 +60,8 @@ func TestTextOutputAndFiltering(t *testing.T) {
 
 func TestJSONOutput(t *testing.T) {
 	var buf syncBuf
-	l := New(&buf, LevelDebug, true).With("tier", "serve")
-	l.Info("request", "route", "/healthz", "trace", "abc")
+	l := New(&buf, LevelDebug, true)
+	l.Info("request", "tier", "serve", "route", "/healthz", "trace", "abc")
 	var rec map[string]any
 	if err := json.Unmarshal([]byte(buf.String()), &rec); err != nil {
 		t.Fatalf("not JSON: %v (%q)", err, buf.String())
@@ -108,9 +85,6 @@ func TestNilLoggerNoops(t *testing.T) {
 	l.Info("x")
 	l.Warn("x")
 	l.Error("x")
-	if l.With("a", "b") != nil {
-		t.Error("nil With should stay nil")
-	}
 	if l.Enabled(LevelError) {
 		t.Error("nil logger should report disabled")
 	}
@@ -124,9 +98,8 @@ func TestConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			child := l.With("worker", w)
 			for i := 0; i < 100; i++ {
-				child.Info("tick", "i", i)
+				l.Info("tick", "worker", w, "i", i)
 			}
 		}(w)
 	}
@@ -209,47 +182,5 @@ func TestInfoIsNeverRateLimited(t *testing.T) {
 	}
 	if got := strings.Count(buf.String(), "tick"); got != 50 {
 		t.Errorf("info lines = %d, want all 50 (no limiting below warn)", got)
-	}
-}
-
-func TestSetRateLimit(t *testing.T) {
-	var buf syncBuf
-	l := New(&buf, LevelInfo, false)
-	withClock(l)
-	l.setRateLimit(2, time.Minute)
-	for i := 0; i < 10; i++ {
-		l.Warn("x")
-	}
-	if got := strings.Count(buf.String(), "warn x"); got != 2 {
-		t.Errorf("burst-2 lines = %d, want 2", got)
-	}
-
-	// burst <= 0 disables limiting entirely.
-	var buf2 syncBuf
-	l2 := New(&buf2, LevelInfo, false)
-	withClock(l2)
-	l2.setRateLimit(0, 0)
-	for i := 0; i < 10; i++ {
-		l2.Warn("x")
-	}
-	if got := strings.Count(buf2.String(), "warn x"); got != 10 {
-		t.Errorf("unlimited lines = %d, want 10", got)
-	}
-}
-
-func TestRateLimitSharedWithChildren(t *testing.T) {
-	var buf syncBuf
-	l := New(&buf, LevelInfo, false)
-	withClock(l)
-	child := l.With("tier", "shard")
-	for i := 0; i < 4; i++ {
-		l.Warn("boom")
-	}
-	for i := 0; i < 4; i++ {
-		child.Warn("boom")
-	}
-	// Parent and child share one bucket per message: 8 attempts, burst 5.
-	if got := strings.Count(buf.String(), "boom"); got != 5 {
-		t.Errorf("shared-bucket lines = %d, want 5", got)
 	}
 }

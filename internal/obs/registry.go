@@ -56,16 +56,13 @@ type family struct {
 	buckets []float64 // histograms only
 
 	mu       sync.Mutex
-	children map[string]child // key: joined label values
-	order    []string
+	children map[string]any // key: joined label values; *Counter, *Gauge or *Histogram
 
 	// live probes (registered via the -Func variants) are read at render
 	// time instead of being stored.
 	fn    func() float64
 	mapFn func() map[string]float64 // label value -> gauge value
 }
-
-type child interface{ value() float64 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -80,7 +77,7 @@ func (r *Registry) family(name, help string, k kind, buckets []float64, labels [
 	}
 	f := &family{
 		name: name, help: help, kind: k, labels: labels, buckets: buckets,
-		children: map[string]child{},
+		children: map[string]any{},
 	}
 	r.fams[name] = f
 	return f
@@ -150,8 +147,6 @@ func (c *Counter) Value() float64 {
 	return math.Float64frombits(c.bits.Load())
 }
 
-func (c *Counter) value() float64 { return c.Value() }
-
 // Gauge is a series that can go up and down. Nil-safe like Counter.
 type Gauge struct{ bits atomic.Uint64 }
 
@@ -179,8 +174,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-func (g *Gauge) value() float64 { return g.Value() }
-
 // Histogram is an le-bucketed distribution. Nil-safe like Counter.
 type Histogram struct {
 	buckets   []float64
@@ -191,15 +184,7 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.buckets, v)
-	h.counts[i].Add(1)
-	addFloat(&h.sumBits, v)
-	h.n.Add(1)
-}
+func (h *Histogram) Observe(v float64) { h.ObserveEx(v, "") }
 
 // ObserveEx records one sample and attaches an exemplar (a trace ID) to
 // the bucket it lands in, replacing any previous one. Exemplars never
@@ -212,7 +197,8 @@ func (h *Histogram) ObserveEx(v float64, exemplar string) {
 	i := sort.SearchFloat64s(h.buckets, v)
 	h.counts[i].Add(1)
 	if exemplar != "" {
-		h.exemplars[i].Store(&exemplar)
+		ex := exemplar // escapes here only: storing &exemplar would heap-move every call's argument
+		h.exemplars[i].Store(&ex)
 	}
 	addFloat(&h.sumBits, v)
 	h.n.Add(1)
@@ -234,8 +220,6 @@ func (h *Histogram) Count() uint64 {
 	return h.n.Load()
 }
 
-func (h *Histogram) value() float64 { return h.Sum() }
-
 // addFloat is a lock-free float64 accumulate over atomic bits.
 func addFloat(bits *atomic.Uint64, v float64) {
 	for {
@@ -255,7 +239,7 @@ type CounterVec struct{ fam *family }
 // With returns the counter for the given label values (len must match the
 // registered schema). Series are created on first use and cached.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.fam.child(values, func() child { return &Counter{} }).(*Counter)
+	return v.fam.child(values, func() any { return &Counter{} }).(*Counter)
 }
 
 // GaugeVec is a gauge family handle.
@@ -263,7 +247,7 @@ type GaugeVec struct{ fam *family }
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.fam.child(values, func() child { return &Gauge{} }).(*Gauge)
+	return v.fam.child(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // HistogramVec is a histogram family handle.
@@ -271,7 +255,7 @@ type HistogramVec struct{ fam *family }
 
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.fam.child(values, func() child {
+	return v.fam.child(values, func() any {
 		h := &Histogram{buckets: v.fam.buckets}
 		h.counts = make([]atomic.Uint64, len(h.buckets)+1)
 		h.exemplars = make([]atomic.Pointer[string], len(h.buckets)+1)
@@ -279,7 +263,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	}).(*Histogram)
 }
 
-func (f *family) child(values []string, mk func() child) child {
+func (f *family) child(values []string, mk func() any) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d",
 			f.name, len(f.labels), len(values)))
@@ -291,86 +275,135 @@ func (f *family) child(values []string, mk func() child) child {
 	if !ok {
 		c = mk()
 		f.children[key] = c
-		f.order = append(f.order, key)
 	}
 	return c
 }
 
-// ---- rendering ----
+// ---- snapshots and rendering ----
 
-// Render produces the full text exposition, families sorted by name and
-// series sorted by label values, so scrapes are deterministic.
-func (r *Registry) Render() string {
+// Sample is one series' instantaneous value as captured by Snapshot:
+// counters and gauges carry Value; histograms carry per-bucket counts
+// (+Inf last), the running Sum/Count, and any bucket exemplars (trace IDs,
+// "" where none was attached).
+type Sample struct {
+	Name        string
+	Kind        string // "counter" | "gauge" | "histogram"
+	LabelNames  []string
+	LabelValues []string
+
+	Value float64 // counter/gauge
+
+	Buckets      []float64 // histogram upper bounds, +Inf excluded
+	BucketCounts []uint64  // per-bucket (non-cumulative), +Inf last
+	Count        uint64
+	Sum          float64
+	Exemplars    []string // per bucket, aligned with BucketCounts
+}
+
+// Snapshot captures every series' current value, families sorted by name
+// and series by label tuple — the deterministic input the history sampler
+// (internal/obs/tsdb) consumes. Live -Func probes are evaluated.
+func (r *Registry) Snapshot() []Sample {
+	_, samples := r.snapshot()
+	return samples
+}
+
+// snapshot is the one walk over the registry: the families sorted by name
+// and, in the same order, every series they hold.
+func (r *Registry) snapshot() ([]*family, []Sample) {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
 		fams = append(fams, f)
 	}
 	r.mu.Unlock()
-	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
+	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+
+	type series struct {
+		key string
+		c   any
+	}
+	var out []Sample
+	for _, f := range fams {
+		s := Sample{Name: f.name, Kind: f.kind.String(), LabelNames: f.labels}
+		if f.fn != nil {
+			s.Value = f.fn()
+			out = append(out, s)
+			continue
+		}
+		if f.mapFn != nil {
+			m := f.mapFn()
+			for _, k := range slices.Sorted(maps.Keys(m)) {
+				s.LabelValues, s.Value = []string{k}, m[k]
+				out = append(out, s)
+			}
+			continue
+		}
+		f.mu.Lock()
+		all := make([]series, 0, len(f.children))
+		for k, c := range f.children {
+			all = append(all, series{k, c})
+		}
+		f.mu.Unlock()
+		slices.SortFunc(all, func(a, b series) int { return strings.Compare(a.key, b.key) })
+		for _, sc := range all {
+			if len(f.labels) > 0 {
+				s.LabelValues = strings.Split(sc.key, "\x00")
+			}
+			switch c := sc.c.(type) {
+			case *Counter:
+				s.Value = c.Value()
+			case *Gauge:
+				s.Value = c.Value()
+			case *Histogram:
+				s.Buckets = c.buckets
+				s.BucketCounts = make([]uint64, len(c.counts))
+				s.Exemplars = make([]string, len(c.counts))
+				for i := range c.counts {
+					s.BucketCounts[i] = c.counts[i].Load()
+					if ex := c.exemplars[i].Load(); ex != nil {
+						s.Exemplars[i] = *ex
+					}
+				}
+				s.Count, s.Sum = c.Count(), c.Sum()
+			}
+			out = append(out, s)
+		}
+	}
+	return fams, out
+}
+
+// Render produces the full text exposition of one snapshot: every family
+// sorted by name with its # HELP and # TYPE lines (whether or not it has
+// series yet), then its series sorted by label values, histograms as
+// cumulative le buckets — so scrapes are deterministic.
+func (r *Registry) Render() string {
+	fams, samples := r.snapshot()
 	var b strings.Builder
 	for _, f := range fams {
-		f.render(&b)
+		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
+		for ; len(samples) > 0 && samples[0].Name == f.name; samples = samples[1:] {
+			s := &samples[0]
+			labels := labelString(s.LabelNames, s.LabelValues, "", "")
+			if f.kind != kindHistogram {
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, labels, fmtVal(s.Value))
+				continue
+			}
+			cum := uint64(0)
+			for i, n := range s.BucketCounts {
+				le := "+Inf"
+				if i < len(s.Buckets) {
+					le = fmtVal(s.Buckets[i])
+				}
+				cum += n
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, labelString(s.LabelNames, s.LabelValues, "le", le), cum)
+			}
+			fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, labels, fmtVal(s.Sum))
+			fmt.Fprintf(&b, "%s_count%s %d\n", f.name, labels, s.Count)
+		}
 	}
 	return b.String()
-}
-
-func (f *family) render(b *strings.Builder) {
-	f.mu.Lock()
-	keys := append([]string(nil), f.order...)
-	children := make([]child, len(keys))
-	for i, k := range keys {
-		children[i] = f.children[k]
-	}
-	f.mu.Unlock()
-
-	fmt.Fprintf(b, "# HELP %s %s\n", f.name, f.help)
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
-
-	if f.fn != nil {
-		fmt.Fprintf(b, "%s %s\n", f.name, fmtVal(f.fn()))
-		return
-	}
-	if f.mapFn != nil {
-		m := f.mapFn()
-		for _, k := range slices.Sorted(maps.Keys(m)) {
-			fmt.Fprintf(b, "%s{%s=%s} %s\n", f.name, f.labels[0], quoteLabel(k), fmtVal(m[k]))
-		}
-		return
-	}
-
-	// Render series sorted by label tuple.
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	for _, i := range idx {
-		values := strings.Split(keys[i], "\x00")
-		if keys[i] == "" && len(f.labels) == 0 {
-			values = nil
-		}
-		switch c := children[i].(type) {
-		case *Histogram:
-			f.renderHistogram(b, values, c)
-		default:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(f.labels, values, "", ""), fmtVal(c.value()))
-		}
-	}
-}
-
-func (f *family) renderHistogram(b *strings.Builder, values []string, h *Histogram) {
-	cum := uint64(0)
-	for i, ub := range h.buckets {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-			labelString(f.labels, values, "le", fmtVal(ub)), cum)
-	}
-	cum += h.counts[len(h.buckets)].Load()
-	fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-		labelString(f.labels, values, "le", "+Inf"), cum)
-	fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labelString(f.labels, values, "", ""), fmtVal(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", f.name, labelString(f.labels, values, "", ""), h.Count())
 }
 
 // labelString renders {k="v",...} with an optional extra label appended
@@ -414,94 +447,4 @@ func quoteLabel(v string) string {
 // integers without a decimal point, everything else in %g form.
 func fmtVal(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// ---- snapshots (the tsdb sampler's view) ----
-
-// Sample is one series' instantaneous value as captured by Snapshot:
-// counters and gauges carry Value; histograms carry cumulative per-bucket
-// counts (+Inf last), the running Sum/Count, and any bucket exemplars
-// (trace IDs, "" where none was attached).
-type Sample struct {
-	Name        string
-	Kind        string // "counter" | "gauge" | "histogram"
-	LabelNames  []string
-	LabelValues []string
-
-	Value float64 // counter/gauge
-
-	Buckets      []float64 // histogram upper bounds, +Inf excluded
-	BucketCounts []uint64  // per-bucket (non-cumulative), +Inf last
-	Count        uint64
-	Sum          float64
-	Exemplars    []string // per bucket, aligned with BucketCounts
-}
-
-// Snapshot captures every series' current value, families sorted by name
-// and series by label tuple — the deterministic input the history sampler
-// (internal/obs/tsdb) consumes. Live -Func probes are evaluated.
-func (r *Registry) Snapshot() []Sample {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
-
-	var out []Sample
-	for _, f := range fams {
-		if f.fn != nil {
-			out = append(out, Sample{Name: f.name, Kind: f.kind.String(), Value: f.fn()})
-			continue
-		}
-		if f.mapFn != nil {
-			m := f.mapFn()
-			for _, k := range slices.Sorted(maps.Keys(m)) {
-				out = append(out, Sample{
-					Name: f.name, Kind: f.kind.String(),
-					LabelNames: f.labels, LabelValues: []string{k}, Value: m[k],
-				})
-			}
-			continue
-		}
-		f.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		children := make([]child, len(keys))
-		for i, k := range keys {
-			children[i] = f.children[k]
-		}
-		f.mu.Unlock()
-		idx := make([]int, len(keys))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-		for _, i := range idx {
-			values := strings.Split(keys[i], "\x00")
-			if keys[i] == "" && len(f.labels) == 0 {
-				values = nil
-			}
-			s := Sample{Name: f.name, Kind: f.kind.String(),
-				LabelNames: f.labels, LabelValues: values}
-			switch c := children[i].(type) {
-			case *Histogram:
-				s.Buckets = c.buckets
-				s.BucketCounts = make([]uint64, len(c.counts))
-				s.Exemplars = make([]string, len(c.counts))
-				for bi := range c.counts {
-					s.BucketCounts[bi] = c.counts[bi].Load()
-					if ex := c.exemplars[bi].Load(); ex != nil {
-						s.Exemplars[bi] = *ex
-					}
-				}
-				s.Count = c.Count()
-				s.Sum = c.Sum()
-			default:
-				s.Value = c.value()
-			}
-			out = append(out, s)
-		}
-	}
-	return out
 }

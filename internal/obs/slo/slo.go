@@ -11,7 +11,9 @@
 package slo
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -198,7 +200,6 @@ type Engine struct {
 	windows  Windows
 	breached map[string]bool
 	degraded bool
-	last     Report
 
 	burnG   *obs.GaugeVec
 	breachG *obs.GaugeVec
@@ -242,6 +243,12 @@ func (e *Engine) Status() string {
 	return e.Evaluate().Status
 }
 
+// HandleSLO serves the current evaluation (GET /debug/slo).
+func (e *Engine) HandleSLO(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(e.Evaluate())
+}
+
 // Evaluate runs every objective over the current history, refreshes the
 // gauges, journals breach/recover and degraded/recovered transitions, and
 // returns the report.
@@ -277,7 +284,6 @@ func (e *Engine) Evaluate() Report {
 			e.journal.Emit(events.TypeRecovered, "tier recovered: all SLO burn rates under threshold", "")
 		}
 	}
-	e.last = rep
 	return rep
 }
 

@@ -61,59 +61,33 @@ func Collect(ctx context.Context, c *client.Client, target string, window time.D
 		window = DefaultWindow
 	}
 	s := &Snapshot{Target: target, Time: time.Now(), Replicas: []ReplicaStats{}}
-	note := func(what string, err error) {
-		s.Errors = append(s.Errors, what+": "+err.Error())
+	var err error
+	if s.Health, err = c.Health(ctx); err != nil {
+		s.Errors = append(s.Errors, "healthz: "+err.Error())
 	}
-
-	if h, err := c.Health(ctx); err != nil {
-		note("healthz", err)
-	} else {
-		s.Health = h
-	}
-	if raw, err := c.DebugSLOJSON(ctx); err != nil {
-		note("slo", err)
-	} else {
-		var rep slo.Report
-		if err := json.Unmarshal(raw, &rep); err != nil {
-			note("slo", err)
-		} else {
-			s.SLO = &rep
-		}
-	}
-	if raw, err := c.DebugEventsJSON(ctx, "limit=64"); err != nil {
-		note("events", err)
-	} else {
-		var p events.Payload
-		if err := json.Unmarshal(raw, &p); err != nil {
-			note("events", err)
-		} else {
-			s.Events = &p
-		}
-	}
-	q := fmt.Sprintf("since=%s", window)
-	if raw, err := c.DebugHistoryJSON(ctx, q); err != nil {
-		note("history", err)
-	} else {
-		var p tsdb.Payload
-		if err := json.Unmarshal(raw, &p); err != nil {
-			note("history", err)
-		} else {
-			s.History = &p
-			s.Replicas = DeriveReplicaStats(&p, window)
-		}
+	s.SLO = fetch[slo.Report](s, "slo", func() ([]byte, error) { return c.DebugSLOJSON(ctx) })
+	s.Events = fetch[events.Payload](s, "events", func() ([]byte, error) { return c.DebugEventsJSON(ctx, "limit=64") })
+	s.History = fetch[tsdb.Payload](s, "history", func() ([]byte, error) {
+		return c.DebugHistoryJSON(ctx, fmt.Sprintf("since=%s", window))
+	})
+	if s.History != nil {
+		s.Replicas = DeriveReplicaStats(s.History, window)
 	}
 	return s
 }
 
-// request-path metric families, both tiers' vocabularies.
-func isRequests(name string) bool {
-	return name == "sickle_requests_total" || name == "sickle_shard_requests_total"
-}
-func isErrors(name string) bool {
-	return name == "sickle_request_errors_total" || name == "sickle_shard_request_errors_total"
-}
-func isLatency(name string) bool {
-	return name == "sickle_request_seconds" || name == "sickle_shard_request_seconds"
+// fetch decodes one debug endpoint's JSON answer, or notes under what in
+// s.Errors why it could not and returns nil.
+func fetch[T any](s *Snapshot, what string, get func() ([]byte, error)) *T {
+	raw, err := get()
+	if err == nil {
+		v := new(T)
+		if err = json.Unmarshal(raw, v); err == nil {
+			return v
+		}
+	}
+	s.Errors = append(s.Errors, what+": "+err.Error())
+	return nil
 }
 
 // DeriveReplicaStats reduces a history payload to per-replica QPS, error
@@ -160,9 +134,10 @@ func DeriveReplicaStats(p *tsdb.Payload, window time.Duration) []ReplicaStats {
 			a.tMax = t
 		}
 	}
+	serve, shard := slo.ServeMetrics, slo.ShardMetrics
 	for _, sr := range p.Series {
-		switch {
-		case isRequests(sr.Name):
+		switch sr.Name {
+		case serve.RequestsTotal, shard.RequestsTotal:
 			a := get(sr.Replica)
 			for _, pt := range sr.Points {
 				if pt.T < cutoff {
@@ -171,7 +146,7 @@ func DeriveReplicaStats(p *tsdb.Payload, window time.Duration) []ReplicaStats {
 				a.requests += pt.V
 				span(a, pt.T)
 			}
-		case isErrors(sr.Name):
+		case serve.ErrorsTotal, shard.ErrorsTotal:
 			a := get(sr.Replica)
 			for _, pt := range sr.Points {
 				if pt.T < cutoff {
@@ -179,7 +154,7 @@ func DeriveReplicaStats(p *tsdb.Payload, window time.Duration) []ReplicaStats {
 				}
 				a.errors += pt.V
 			}
-		case isLatency(sr.Name):
+		case serve.LatencyHist, shard.LatencyHist:
 			a := get(sr.Replica)
 			if a.buckets == nil {
 				a.buckets = sr.Buckets

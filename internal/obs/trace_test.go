@@ -98,10 +98,16 @@ func TestTraceHTTPHandlers(t *testing.T) {
 	tr := NewTracer("test", 16)
 	_, sp := tr.StartSpan(context.Background(), "op")
 	sp.End()
-	mux := NewDebugMux(NewRegistry(), tr)
+	byID := func(id string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("GET", "/debug/traces/"+id, nil)
+		req.SetPathValue("id", id)
+		rec := httptest.NewRecorder()
+		tr.HandleTraceByID(rec, req)
+		return rec
+	}
 
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	tr.HandleTraceList(rec, httptest.NewRequest("GET", "/debug/traces", nil))
 	var list TraceListPayload
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
 		t.Fatalf("list decode: %v", err)
@@ -110,8 +116,7 @@ func TestTraceHTTPHandlers(t *testing.T) {
 		t.Fatalf("list = %+v", list)
 	}
 
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces/"+sp.TraceID(), nil))
+	rec = byID(sp.TraceID())
 	var payload TracePayload
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 		t.Fatalf("trace decode: %v", err)
@@ -120,22 +125,8 @@ func TestTraceHTTPHandlers(t *testing.T) {
 		t.Fatalf("payload = %+v", payload)
 	}
 
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces/nosuch", nil))
-	if rec.Code != 404 {
+	if rec = byID("nosuch"); rec.Code != 404 {
 		t.Errorf("missing trace -> %d, want 404", rec.Code)
-	}
-
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Errorf("debug mux /metrics -> %d", rec.Code)
-	}
-
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
-	if rec.Code != 200 {
-		t.Errorf("pprof index -> %d", rec.Code)
 	}
 }
 

@@ -173,8 +173,3 @@ func (s *Store) HandleHistory(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.Payload(patterns, since))
 }
-
-// Mount registers the /debug/history endpoint on a mux.
-func (s *Store) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("GET /debug/history", s.HandleHistory)
-}

@@ -10,6 +10,7 @@
 package tsdb
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -261,26 +262,33 @@ func matchLabels(match, labels map[string]string) bool {
 
 // ---- aggregation (the SLO engine's substrate) ----
 
-// SumCounter sums counter deltas over the trailing window across every
-// series of the family matching the label constraints.
-func (s *Store) SumCounter(name string, match map[string]string, window time.Duration) float64 {
+// scan is the one windowed walk the aggregations share: under the read
+// lock it hands each series of the named family and kind whose labels
+// satisfy match, with its points inside the trailing window, to each.
+func (s *Store) scan(name, kind string, match map[string]string, window time.Duration, each func(sr *series, pts []point)) {
 	if s == nil {
-		return 0
+		return
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	cutoff := s.now().Add(-window)
-	total := 0.0
 	for _, sr := range s.series {
-		if sr.name != name || sr.kind != "counter" || !matchLabels(match, sr.labels) {
+		if sr.name != name || sr.kind != kind || !matchLabels(match, sr.labels) {
 			continue
 		}
-		for _, p := range sr.pts.Snapshot() {
-			if !p.t.Before(cutoff) {
-				total += p.v
-			}
-		}
+		each(sr, slices.DeleteFunc(sr.pts.Snapshot(), func(p point) bool { return p.t.Before(cutoff) }))
 	}
+}
+
+// SumCounter sums counter deltas over the trailing window across every
+// series of the family matching the label constraints.
+func (s *Store) SumCounter(name string, match map[string]string, window time.Duration) float64 {
+	total := 0.0
+	s.scan(name, "counter", match, window, func(_ *series, pts []point) {
+		for _, p := range pts {
+			total += p.v
+		}
+	})
 	return total
 }
 
@@ -289,24 +297,12 @@ func (s *Store) SumCounter(name string, match map[string]string, window time.Dur
 // series matched), summed per-bucket counts (+Inf last), and the summed
 // count and sum.
 func (s *Store) HistWindow(name string, match map[string]string, window time.Duration) (buckets []float64, counts []uint64, count uint64, sum float64) {
-	if s == nil {
-		return nil, nil, 0, 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cutoff := s.now().Add(-window)
-	for _, sr := range s.series {
-		if sr.name != name || sr.kind != "histogram" || !matchLabels(match, sr.labels) {
-			continue
-		}
+	s.scan(name, "histogram", match, window, func(sr *series, pts []point) {
 		if buckets == nil {
 			buckets = sr.buckets
 			counts = make([]uint64, len(sr.buckets)+1)
 		}
-		for _, p := range sr.pts.Snapshot() {
-			if p.t.Before(cutoff) {
-				continue
-			}
+		for _, p := range pts {
 			for i, d := range p.bucketDeltas {
 				if i < len(counts) {
 					counts[i] += d
@@ -315,32 +311,20 @@ func (s *Store) HistWindow(name string, match map[string]string, window time.Dur
 			count += p.countDelta
 			sum += p.sumDelta
 		}
-	}
+	})
 	return buckets, counts, count, sum
 }
 
 // GaugeAbove counts sampled points above the threshold (and the total
 // sampled points) over the trailing window across matching gauge series.
 func (s *Store) GaugeAbove(name string, match map[string]string, window time.Duration, threshold float64) (above, total int) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	cutoff := s.now().Add(-window)
-	for _, sr := range s.series {
-		if sr.name != name || sr.kind != "gauge" || !matchLabels(match, sr.labels) {
-			continue
-		}
-		for _, p := range sr.pts.Snapshot() {
-			if p.t.Before(cutoff) {
-				continue
-			}
-			total++
+	s.scan(name, "gauge", match, window, func(_ *series, pts []point) {
+		total += len(pts)
+		for _, p := range pts {
 			if p.v > threshold {
 				above++
 			}
 		}
-	}
+	})
 	return above, total
 }

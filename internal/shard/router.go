@@ -505,7 +505,10 @@ func (rt *Router) handleDebugHistory(w http.ResponseWriter, r *http.Request) {
 // "replica" attr naming its origin. The query string (limit, type, since)
 // is forwarded verbatim.
 func (rt *Router) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	q := events.ParseQuery(r.URL.Query())
+	q, ok := events.ParseQuery(w, r)
+	if !ok {
+		return
+	}
 	out := rt.Journal().Payload(q)
 	lists := [][]events.Event{out.Events}
 	for _, p := range gatherDebug[events.Payload](rt, r, (*client.Client).DebugEventsJSON, r.URL.RawQuery) {

@@ -4,9 +4,9 @@
 // routing lives here once: the recorder bundle (metrics registry with the
 // runtime gauges, span ring, event journal, metrics history, SLO engine,
 // logger), the route table with its typed 405/404 fallbacks, the request
-// middleware, the JSON envelope helpers, /metrics, the -debug-addr sidecar
-// and the listen/serve/shutdown code. A tier embeds *Tier and adds only
-// what is its own.
+// middleware, the JSON envelope helpers, the one debug route table both the
+// main listener and the -debug-addr sidecar mount, and the listen/serve/
+// shutdown code. A tier embeds *Tier and adds only what is its own.
 package tier
 
 import (
@@ -14,8 +14,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,10 +47,9 @@ type Config struct {
 	SLOMetrics      slo.MetricNames // the tier's request series, as the SLO engine names them
 }
 
-// RequestSeries are a tier's per-route request families. The tier registers
-// them itself — sicklevet's metricname pass wants each name as a constant
-// at its one registration site — and hands the handles over. Inflight is
-// optional (nil handles no-op).
+// RequestSeries are a tier's per-route request families, registered by the
+// tier itself (the metricname analyzer wants each name a constant at its one
+// registration site). Inflight is optional (nil handles no-op).
 type RequestSeries struct {
 	Requests *obs.CounterVec
 	Errors   *obs.CounterVec
@@ -99,8 +100,7 @@ func New(cfg Config) *Tier {
 	return t
 }
 
-// MetricsRegistry exposes the registry behind /metrics, for the tier's own
-// series.
+// MetricsRegistry exposes the registry behind /metrics (the tier's series).
 func (t *Tier) MetricsRegistry() *obs.Registry { return t.reg }
 
 // Tracer exposes the span ring behind /debug/traces.
@@ -126,10 +126,9 @@ func (t *Tier) CountRequests(s RequestSeries) { t.series = s }
 // pattern, "POST /v2/infer" or a method-less "/healthz"; the path doubles
 // as the route label on the request series and in the span name.
 func (t *Tier) Handle(pattern string, h HandlerFunc) {
-	method, path, qualified := strings.Cut(pattern, " ")
-	if !qualified {
-		path = pattern
-	} else {
+	path := pattern
+	if method, p, qualified := strings.Cut(pattern, " "); qualified {
+		path = p
 		if t.methods[path] == nil {
 			t.paths = append(t.paths, path)
 		}
@@ -144,10 +143,9 @@ func (t *Tier) Handle(pattern string, h HandlerFunc) {
 // path loses to the specific pattern for the methods it serves and answers
 // the rest with a typed 405 whose Allow lists exactly what was registered,
 // and the /v2/ prefix turns unknown paths into a typed 404 instead of the
-// mux's plain-text page. It also mounts /metrics and the recorder's debug
-// endpoints; debug replaces the named ones (the router serves fleet-wide
-// merges under the same patterns).
-func (t *Tier) Finish(debug map[string]http.HandlerFunc) {
+// mux's plain-text page. It also mounts the debug routes, fleet's handlers
+// in place of those it names (the router's fleet-wide merges).
+func (t *Tier) Finish(fleet map[string]http.HandlerFunc) {
 	for _, path := range t.paths {
 		allow := strings.Join(t.methods[path], ", ")
 		t.mux.HandleFunc(path, t.instrument(path, func(w http.ResponseWriter, _ *http.Request) error {
@@ -158,21 +156,25 @@ func (t *Tier) Finish(debug map[string]http.HandlerFunc) {
 	t.mux.HandleFunc("/v2/", t.instrument("/v2/", func(w http.ResponseWriter, r *http.Request) error {
 		return WriteError(w, api.Errorf(api.CodeNotFound, "no route %s %s", r.Method, r.URL.Path))
 	}))
-	t.mux.HandleFunc("/metrics", t.reg.HandleMetrics)
-	own := map[string]http.HandlerFunc{
+	t.mountDebug(t.mux, fleet)
+	t.httpSrv = &http.Server{Addr: t.cfg.Addr, Handler: t.mux}
+}
+
+// mountDebug registers the one debug route table, /metrics and the five
+// recorder views, on mux, fleet's handlers in place of those it names.
+func (t *Tier) mountDebug(mux *http.ServeMux, fleet map[string]http.HandlerFunc) {
+	routes := map[string]http.HandlerFunc{
+		"/metrics":               t.reg.HandleMetrics,
 		"GET /debug/traces":      t.tracer.HandleTraceList,
 		"GET /debug/traces/{id}": t.tracer.HandleTraceByID,
 		"GET /debug/history":     t.history.HandleHistory,
 		"GET /debug/events":      t.journal.HandleEvents,
 		"GET /debug/slo":         t.sloEng.HandleSLO,
 	}
-	for pattern, h := range own {
-		if fleet, ok := debug[pattern]; ok {
-			h = fleet
-		}
-		t.mux.HandleFunc(pattern, h)
+	maps.Copy(routes, fleet)
+	for pattern, h := range routes {
+		mux.HandleFunc(pattern, h)
 	}
-	t.httpSrv = &http.Server{Addr: t.cfg.Addr, Handler: t.mux}
 }
 
 // Handler returns the finished route mux (also usable under httptest).
@@ -216,16 +218,30 @@ func (t *Tier) instrument(route string, h HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// ServeDebug starts the opt-in -debug-addr sidecar (pprof, /metrics and
-// every recorder endpoint on a separate listener); "" leaves it off.
+// ServeDebug starts the opt-in -debug-addr sidecar; "" leaves it off.
 func (t *Tier) ServeDebug(addr string) {
 	if addr == "" {
 		return
 	}
-	obs.ServeDebug(addr, t.reg, t.tracer, func(err error) {
-		t.cfg.Logger.Error("debug listener", "err", err)
-	}, t.history, t.journal, t.sloEng)
+	go func() {
+		if err := http.ListenAndServe(addr, t.debugMux()); err != nil {
+			t.cfg.Logger.Error("debug listener", "err", err)
+		}
+	}()
 	t.cfg.Logger.Info("debug endpoints up", "addr", addr)
+}
+
+// debugMux is the sidecar's surface: pprof plus the debug routes over the
+// tier's own recorder (on the router too: local history, not the fleet's).
+func (t *Tier) debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	t.mountDebug(mux, nil)
+	return mux
 }
 
 // ListenAndServe blocks serving on Config.Addr until Shutdown.
