@@ -1,7 +1,10 @@
 // Package cluster implements k-means clustering (full Lloyd iterations with
 // k-means++ seeding, plus a MiniBatchKMeans variant) used by SICKLE's MaxEnt
 // sampler to discretise the cluster variable before entropy computation.
-// The paper uses scikit-learn's MiniBatchKMeans for the same role.
+// The paper uses scikit-learn's MiniBatchKMeans for the same role. One core
+// runs on n×d row-major points: KMeans copies its rows into one slab,
+// KMeans1D hands a scalar column over as it is; both give the same
+// centroids and labels bit for bit, ties going to the lower index.
 package cluster
 
 import (
@@ -50,152 +53,174 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
+// KMeans runs Lloyd's algorithm with k-means++ seeding on pts (n points,
+// each of equal dimension). When cfg.BatchSize > 0 it uses mini-batch
+// updates (Sculley 2010), which is what makes clustering tractable on
+// hypercube-sized point sets.
+func KMeans(pts [][]float64, cfg Config) (*Result, error) {
+	if len(pts) == 0 || len(pts[0]) == 0 {
+		return nil, fmt.Errorf("cluster: no points")
+	}
+	n, d := len(pts), len(pts[0])
+	xs := make([]float64, 0, n*d)
+	for i, p := range pts {
+		if len(p) != d {
+			return nil, fmt.Errorf("cluster: point %d has dim %d, want %d", i, len(p), d)
+		}
+		xs = append(xs, p...)
+	}
+	cents, err := fit(xs, d, cfg, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, err
+	}
+	// Final full assignment (parallel), inertia summed in point order.
+	res := &Result{Centroids: make([][]float64, len(cents)/d), Labels: make([]int, n)}
+	assign(xs, d, cents, res.Labels)
+	for i, j := range res.Labels {
+		res.Inertia += sqDist(xs[i*d:(i+1)*d], cents[j*d:(j+1)*d])
+	}
+	for j := range res.Centroids {
+		res.Centroids[j] = cents[j*d : (j+1)*d : (j+1)*d]
+	}
+	return res, nil
+}
+
+// KMeans1D clusters the scalars xs exactly as KMeans clusters the 1-D
+// points {xs[i]}, without wrapping or copying them, and returns the k
+// centroids. It re-seeds rng with cfg.Seed and draws from it, so a caller
+// that clusters over and over keeps one source. labels, when non-nil,
+// receives each point's nearest centroid (len(xs) entries).
+func KMeans1D(xs []float64, cfg Config, rng *rand.Rand, labels []int) ([]float64, error) {
+	cents, err := fit(xs, 1, cfg, rng)
+	if err == nil && labels != nil {
+		assign(xs, 1, cents, labels)
+	}
+	return cents, err
+}
+
+// fit is the k-means core every entry point runs over the n = len(xs)/d
+// points of xs: k-means++ seeding, then mini-batch updates when
+// cfg.BatchSize is below n and Lloyd iterations otherwise. It returns the
+// k×d centroids, row-major.
+func fit(xs []float64, d int, cfg Config, rng *rand.Rand) ([]float64, error) {
+	n := len(xs) / d
+	if n == 0 || cfg.K <= 0 {
+		return nil, fmt.Errorf("cluster: need points and a positive K, got %d points, K = %d", n, cfg.K)
+	}
+	cfg.defaults(n)
+	rng.Seed(cfg.Seed)
+	cents := seedPlusPlus(xs, d, cfg.K, rng)
+	if cfg.BatchSize > 0 && cfg.BatchSize < n {
+		miniBatch(xs, d, cents, cfg, rng)
+	} else {
+		lloyd(xs, d, cents, cfg)
+	}
+	return cents, nil
+}
+
 // seedPlusPlus chooses k initial centroids with the k-means++ strategy:
 // each new centroid is drawn with probability proportional to its squared
 // distance from the nearest already-chosen centroid.
-func seedPlusPlus(pts [][]float64, k int, rng *rand.Rand) [][]float64 {
-	n := len(pts)
-	cents := make([][]float64, 0, k)
-	first := pts[rng.Intn(n)]
-	cents = append(cents, append([]float64(nil), first...))
+func seedPlusPlus(xs []float64, d, k int, rng *rand.Rand) []float64 {
+	n := len(xs) / d
+	first := rng.Intn(n)
+	cents := append(make([]float64, 0, k*d), xs[first*d:(first+1)*d]...)
 	d2 := make([]float64, n)
-	for i, p := range pts {
-		d2[i] = sqDist(p, cents[0])
+	for i := range d2 {
+		d2[i] = sqDist(xs[i*d:(i+1)*d], cents)
 	}
-	for len(cents) < k {
+	for len(cents) < k*d {
 		total := 0.0
-		for _, d := range d2 {
-			total += d
+		for _, dd := range d2 {
+			total += dd
 		}
-		var chosen []float64
+		idx := n - 1
 		if total <= 0 {
-			chosen = pts[rng.Intn(n)]
+			idx = rng.Intn(n)
 		} else {
 			r := rng.Float64() * total
-			idx := n - 1
 			acc := 0.0
-			for i, d := range d2 {
-				acc += d
+			for i, dd := range d2 {
+				acc += dd
 				if acc >= r {
 					idx = i
 					break
 				}
 			}
-			chosen = pts[idx]
 		}
-		c := append([]float64(nil), chosen...)
-		cents = append(cents, c)
-		for i, p := range pts {
-			if d := sqDist(p, c); d < d2[i] {
-				d2[i] = d
+		c := xs[idx*d : (idx+1)*d]
+		cents = append(cents, c...)
+		for i := range d2 {
+			if dd := sqDist(xs[i*d:(i+1)*d], c); dd < d2[i] {
+				d2[i] = dd
 			}
 		}
 	}
 	return cents
 }
 
-func nearest(p []float64, cents [][]float64) (int, float64) {
+// Nearest returns the index of the centroid nearest to p, the lowest index
+// among equally near ones. cents holds the centroids row-major, len(p)
+// values each.
+func Nearest(p, cents []float64) int {
 	best, bestD := 0, math.MaxFloat64
-	for j, c := range cents {
-		if d := sqDist(p, c); d < bestD {
-			best, bestD = j, d
+	if len(p) == 1 { // the scalar cluster variable: no row slicing
+		for j, c := range cents {
+			if dd := (p[0] - c) * (p[0] - c); dd < bestD {
+				best, bestD = j, dd
+			}
+		}
+		return best
+	}
+	for j, d := 0, len(p); j < len(cents)/d; j++ {
+		if dd := sqDist(p, cents[j*d:(j+1)*d]); dd < bestD {
+			best, bestD = j, dd
 		}
 	}
-	return best, bestD
+	return best
 }
 
-// assignAll computes the nearest centroid (and its squared distance) for
-// every point across the kernel pool. Each point's result is independent,
-// so the fan-out is bit-identical to a serial loop; callers that accumulate
-// (centroid sums, inertia) do so serially in point order afterwards, which
-// keeps the whole algorithm deterministic.
-func assignAll(pts [][]float64, cents [][]float64, labels []int, d2 []float64) {
-	tensor.DefaultPool().ParallelFor(len(pts), 64, func(lo, hi int) {
+// assign labels every point with its nearest centroid across the kernel
+// pool. Each point's label is independent, so the fan-out is bit-identical
+// to a serial loop; callers that accumulate (centroid sums, inertia) do so
+// serially in point order afterwards, which keeps the whole algorithm
+// deterministic.
+func assign(xs []float64, d int, cents []float64, labels []int) {
+	tensor.DefaultPool().ParallelFor(len(labels), 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			j, dd := nearest(pts[i], cents)
-			labels[i] = j
-			if d2 != nil {
-				d2[i] = dd
-			}
+			labels[i] = Nearest(xs[i*d:(i+1)*d], cents)
 		}
 	})
 }
 
-// KMeans runs Lloyd's algorithm with k-means++ seeding on pts (n points,
-// each of equal dimension). When cfg.BatchSize > 0 it uses mini-batch
-// updates (Sculley 2010), which is what makes clustering tractable on
-// hypercube-sized point sets.
-func KMeans(pts [][]float64, cfg Config) (*Result, error) {
-	n := len(pts)
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: no points")
-	}
-	if cfg.K <= 0 {
-		return nil, fmt.Errorf("cluster: K must be positive, got %d", cfg.K)
-	}
-	d := len(pts[0])
-	for i, p := range pts {
-		if len(p) != d {
-			return nil, fmt.Errorf("cluster: point %d has dim %d, want %d", i, len(p), d)
-		}
-	}
-	cfg.defaults(n)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	cents := seedPlusPlus(pts, cfg.K, rng)
-
-	if cfg.BatchSize > 0 && cfg.BatchSize < n {
-		miniBatch(pts, cents, cfg, rng)
-	} else {
-		lloyd(pts, cents, cfg)
-	}
-
-	// Final full assignment (parallel), inertia summed in point order.
-	labels := make([]int, n)
-	d2 := make([]float64, n)
-	assignAll(pts, cents, labels, d2)
-	inertia := 0.0
-	for _, dd := range d2 {
-		inertia += dd
-	}
-	return &Result{Centroids: cents, Labels: labels, Inertia: inertia}, nil
-}
-
-func lloyd(pts [][]float64, cents [][]float64, cfg Config) {
-	n, k, d := len(pts), len(cents), len(pts[0])
-	sums := make([][]float64, k)
+func lloyd(xs []float64, d int, cents []float64, cfg Config) {
+	n, k := len(xs)/d, len(cents)/d
+	sums := make([]float64, k*d)
 	counts := make([]int, k)
-	for j := range sums {
-		sums[j] = make([]float64, d)
-	}
 	labels := make([]int, n)
 	for it := 0; it < cfg.MaxIters; it++ {
-		for j := range sums {
-			counts[j] = 0
-			for x := range sums[j] {
-				sums[j][x] = 0
-			}
-		}
+		clear(sums)
+		clear(counts)
 		// Assignment is the O(n·k·d) hot phase — parallel; the centroid
 		// sums accumulate serially in point order (deterministic).
-		assignAll(pts, cents, labels, nil)
-		for i := 0; i < n; i++ {
-			j := labels[i]
+		assign(xs, d, cents, labels)
+		for i, j := range labels {
 			counts[j]++
-			for x, v := range pts[i] {
-				sums[j][x] += v
+			for x, v := range xs[i*d : (i+1)*d] {
+				sums[j*d+x] += v
 			}
 		}
 		shift := 0.0
-		for j := range cents {
-			if counts[j] == 0 {
+		for j, c := range counts {
+			if c == 0 {
 				continue // keep empty centroid where it is
 			}
-			inv := 1 / float64(counts[j])
-			for x := range cents[j] {
-				nv := sums[j][x] * inv
-				dd := nv - cents[j][x]
+			inv := 1 / float64(c)
+			for x := j * d; x < (j+1)*d; x++ {
+				nv := sums[x] * inv
+				dd := nv - cents[x]
 				shift += dd * dd
-				cents[j][x] = nv
+				cents[x] = nv
 			}
 		}
 		if shift < tol*tol {
@@ -206,19 +231,20 @@ func lloyd(pts [][]float64, cents [][]float64, cfg Config) {
 
 // miniBatch performs per-sample centroid updates with a per-centroid
 // learning rate 1/count, following the MiniBatchKMeans algorithm.
-func miniBatch(pts [][]float64, cents [][]float64, cfg Config, rng *rand.Rand) {
-	n := len(pts)
-	counts := make([]int, len(cents))
+func miniBatch(xs []float64, d int, cents []float64, cfg Config, rng *rand.Rand) {
+	n := len(xs) / d
+	counts := make([]int, len(cents)/d)
 	for it := 0; it < cfg.MaxIters; it++ {
 		shift := 0.0
 		for b := 0; b < cfg.BatchSize; b++ {
-			p := pts[rng.Intn(n)]
-			j, _ := nearest(p, cents)
+			p := xs[d*rng.Intn(n):][:d]
+			j := Nearest(p, cents)
 			counts[j]++
 			eta := 1 / float64(counts[j])
-			for x := range cents[j] {
-				dd := eta * (p[x] - cents[j][x])
-				cents[j][x] += dd
+			c := cents[j*d : (j+1)*d]
+			for x := range c {
+				dd := eta * (p[x] - c[x])
+				c[x] += dd
 				shift += dd * dd
 			}
 		}
@@ -226,14 +252,6 @@ func miniBatch(pts [][]float64, cents [][]float64, cfg Config, rng *rand.Rand) {
 			return
 		}
 	}
-}
-
-// Assign returns the index of the nearest centroid for each point,
-// computed across the kernel pool.
-func Assign(pts [][]float64, cents [][]float64) []int {
-	labels := make([]int, len(pts))
-	assignAll(pts, cents, labels, nil)
-	return labels
 }
 
 // Scalar1D is a convenience for clustering a single scalar variable (the

@@ -116,7 +116,7 @@ func TestKMeansInvariantsQuick(t *testing.T) {
 				return false
 			}
 			// Label must be the argmin centroid.
-			j, d := nearest(p, res.Centroids)
+			j, d := nearestRef(p, res.Centroids)
 			if j != res.Labels[i] && math.Abs(d-sqDist(p, res.Centroids[res.Labels[i]])) > 1e-12 {
 				return false
 			}
@@ -130,17 +130,29 @@ func TestKMeansInvariantsQuick(t *testing.T) {
 }
 
 func TestAssignAndSizes(t *testing.T) {
-	cents := [][]float64{{0}, {10}}
-	pts := [][]float64{{1}, {9}, {11}, {-1}}
-	labels := Assign(pts, cents)
+	xs := []float64{1, 9, 11, -1}
 	want := []int{0, 1, 1, 0}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Fatalf("labels = %v", labels)
+	// Against fixed centroids: the labelling Nearest gives each point.
+	for i, x := range xs {
+		if j := Nearest([]float64{x}, []float64{0, 10}); j != want[i] {
+			t.Fatalf("point %v labelled %d, want %d", x, j, want[i])
 		}
 	}
+	// Through KMeans1D: the same partition, whichever order it finds the
+	// two centroids in.
+	labels := make([]int, len(xs))
+	cents, err := KMeans1D(xs, Config{K: 2, Seed: 1}, rand.New(rand.NewSource(0)), labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cents) != 2 || math.Abs(cents[labels[0]]) > 1e-12 || math.Abs(cents[labels[1]]-10) > 1e-12 {
+		t.Fatalf("centroids %v, labels %v", cents, labels)
+	}
 	sizes := make([]int, 2)
-	for _, l := range labels {
+	for i, l := range labels {
+		if l != labels[0] && want[i] == 0 || l == labels[0] && want[i] == 1 {
+			t.Fatalf("labels = %v, want the partition of %v", labels, want)
+		}
 		sizes[l]++
 	}
 	if sizes[0] != 2 || sizes[1] != 2 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/grid"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 // MaxEnt implements the paper's phase-2 point selection (Xmaxent, §4.1):
@@ -29,49 +30,45 @@ type MaxEnt struct {
 }
 
 const (
-	maxEntHistBins  = 100 // bins for per-cluster distributions (the paper's Fig. 5 setting)
-	maxEntBatchSize = 256 // minibatch size of every k-means run the MaxEnt samplers start
-	hMaxEntStride   = 8   // KCV subsampling stride of HMaxEnt's global clustering
+	maxEntHistBins = 100 // bins for per-cluster distributions (the paper's Fig. 5 setting)
+	hMaxEntStride  = 8   // KCV subsampling stride of HMaxEnt's global clustering
 )
+
+// maxEntKMeans is the MiniBatchKMeans both MaxEnt phases start with. Its
+// seed is fixed, so replicate-to-replicate variation comes only from the
+// draws that follow: the mechanism behind MaxEnt's reproducibility
+// advantage over random sampling (paper §7, Fig. 6).
+func maxEntKMeans(xs []float64, k int, rng *rand.Rand, labels []int) ([]float64, error) {
+	return cluster.KMeans1D(xs, cluster.Config{K: k, Seed: 12345, BatchSize: 256, MaxIters: 60}, rng, labels)
+}
 
 // Name implements PointSampler.
 func (MaxEnt) Name() string { return "maxent" }
 
-func (m MaxEnt) defaults() MaxEnt {
-	if m.NumClusters <= 0 {
-		m.NumClusters = 20
-	}
-	return m
-}
-
 // SelectPoints implements PointSampler.
 func (m MaxEnt) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 	validateRequest(d, n)
-	m = m.defaults()
+	k := m.NumClusters
+	if k <= 0 {
+		k = 20
+	}
 	total := d.N()
 	if n >= total {
 		return allIndices(total)
 	}
 	kcv := d.KCV()
-
-	// The clustering uses a fixed internal seed: it is a deterministic
-	// preprocessing step, so replicate-to-replicate variation comes only
-	// from the within-cluster draws. This is the mechanism behind MaxEnt's
-	// reproducibility advantage over random sampling (paper §7, Fig. 6).
-	res, err := cluster.KMeans(cluster.Scalar1D(kcv), cluster.Config{
-		K: m.NumClusters, Seed: 12345, BatchSize: maxEntBatchSize, MaxIters: 60,
-	})
+	sc := d.work()
+	if sc.clusterRng == nil {
+		sc.clusterRng = rand.New(rand.NewSource(0)) // re-seeded by every run
+	}
+	sc.labels = grow(sc.labels, total)
+	cents, err := maxEntKMeans(kcv, k, sc.clusterRng, sc.labels)
 	if err != nil {
 		// Degenerate data; fall back to uniform selection.
 		return Random{Meter: m.Meter}.SelectPoints(d, n, rng)
 	}
-	k := len(res.Centroids)
-	members := make([][]int, k)
-	for i, l := range res.Labels {
-		members[l] = append(members[l], i)
-	}
-
-	strength := NodeStrengths(kcv, res.Labels, k, maxEntHistBins)
+	members := sc.groupByCluster(sc.labels, len(cents))
+	strength := sc.nodeStrengths(kcv, members)
 
 	// Entropy-weighted budget allocation across clusters, capped by
 	// cluster population; leftover budget cascades to the next-strongest
@@ -83,7 +80,7 @@ func (m MaxEnt) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 		if take == 0 {
 			continue
 		}
-		for _, j := range rng.Perm(len(members[c]))[:take] {
+		for _, j := range sc.permutation(len(members[c]), rng)[:take] {
 			out = append(out, members[c][j])
 		}
 	}
@@ -92,12 +89,32 @@ func (m MaxEnt) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 	return out
 }
 
-// NodeStrengths computes the per-cluster node strengths of Eq. 2: each
+// groupByCluster returns the points of each of the k clusters, in
+// ascending index order: a counting sort of the labels into the scratch.
+func (sc *cubeScratch) groupByCluster(labels []int, k int) [][]int {
+	start := grow(sc.start, k+1)
+	clear(start)
+	for _, l := range labels {
+		start[l+1]++
+	}
+	idx, members := grow(sc.memberIdx, len(labels)), grow(sc.members, k)
+	for c := range members {
+		start[c+1] += start[c]
+		members[c] = idx[start[c]:start[c]:start[c+1]]
+	}
+	for i, l := range labels {
+		members[l] = append(members[l], i)
+	}
+	sc.start, sc.memberIdx, sc.members = start, idx, members
+	return members
+}
+
+// nodeStrengths computes the per-cluster node strengths of Eq. 2: each
 // cluster's distribution of the cluster variable is histogrammed on a
-// common support, the adjacency matrix holds pairwise KL divergences, and
-// the strength is the row sum. Exported because phase-1 hypercube selection
-// reuses it on cube-occupancy distributions.
-func NodeStrengths(kcv []float64, labels []int, k, bins int) []float64 {
+// common support, in one k×maxEntHistBins slab of the scratch, the
+// adjacency matrix holds pairwise KL divergences, and the strength is the
+// row sum.
+func (sc *cubeScratch) nodeStrengths(kcv []float64, members [][]int) []float64 {
 	lo, hi := kcv[0], kcv[0]
 	for _, x := range kcv[1:] {
 		if x < lo {
@@ -110,30 +127,44 @@ func NodeStrengths(kcv []float64, labels []int, k, bins int) []float64 {
 	if hi == lo {
 		hi = lo + 1
 	}
-	pdfs := make([][]float64, k)
-	hists := make([]*stats.Histogram, k)
-	for c := range hists {
-		hists[c] = stats.NewHistogram(lo, hi+1e-9, bins)
+	sc.pdfs = grow(sc.pdfs, len(members)*maxEntHistBins)
+	clear(sc.pdfs)
+	pdf := func(c int) []float64 { return sc.pdfs[c*maxEntHistBins : (c+1)*maxEntHistBins] }
+	for c, mem := range members {
+		row := pdf(c)
+		for _, i := range mem { // the bins of stats.NewHistogram(lo, hi+1e-9, maxEntHistBins)
+			b := int(float64(maxEntHistBins) * (kcv[i] - lo) / (hi + 1e-9 - lo))
+			row[min(max(b, 0), maxEntHistBins-1)]++
+		}
+		inv := 1 / float64(len(mem)) // an empty cluster's row is never read
+		for b := range row {
+			row[b] *= inv
+		}
 	}
-	for i, x := range kcv {
-		hists[labels[i]].Add(x)
-	}
-	for c := range hists {
-		pdfs[c] = hists[c].PDF()
-	}
-	strength := make([]float64, k)
-	for i := 0; i < k; i++ {
-		if hists[i].N == 0 {
+	strength := make([]float64, len(members))
+	for i, mi := range members {
+		if len(mi) == 0 {
 			continue
 		}
-		for j := 0; j < k; j++ {
-			if i == j || hists[j].N == 0 {
+		for j, mj := range members {
+			if i == j || len(mj) == 0 {
 				continue
 			}
-			strength[i] += stats.KLDivergence(pdfs[i], pdfs[j])
+			strength[i] += stats.KLDivergence(pdf(i), pdf(j))
 		}
 	}
 	return strength
+}
+
+// permutation is rng.Perm(n) held in the scratch: the same rng.Intn(i+1)
+// draws in the same order, so the same permutation.
+func (sc *cubeScratch) permutation(n int, rng *rand.Rand) []int {
+	sc.perm = grow(sc.perm, n)
+	for i := range sc.perm {
+		j := rng.Intn(i + 1)
+		sc.perm[i], sc.perm[j] = sc.perm[j], i
+	}
+	return sc.perm
 }
 
 // allocateBudget distributes n samples across clusters proportionally to
@@ -164,10 +195,7 @@ func allocateBudget(strength []float64, members [][]int, n int) []int {
 			if len(members[c]) == 0 {
 				continue
 			}
-			want := int(float64(n) * strength[c] / totalStrength)
-			if want > len(members[c]) {
-				want = len(members[c])
-			}
+			want := min(int(float64(n)*strength[c]/totalStrength), len(members[c]))
 			counts[c] = want
 			remaining -= want
 		}
@@ -256,41 +284,46 @@ func (h HMaxEnt) SelectCubes(f *grid.Field, cubes []grid.Hypercube, kcvVar strin
 	for i := 0; i < len(kcv); i += hMaxEntStride {
 		sub = append(sub, kcv[i])
 	}
-	res, err := cluster.KMeans(cluster.Scalar1D(sub), cluster.Config{
-		K: k, Seed: 12345, BatchSize: maxEntBatchSize, MaxIters: 60,
-	})
+	cents, err := maxEntKMeans(sub, k, rand.New(rand.NewSource(0)), nil)
 	if err != nil {
 		return HRandom{Meter: h.Meter}.SelectCubes(f, cubes, kcvVar, nSelect, rng)
 	}
-	k = len(res.Centroids)
+	k = len(cents)
 
-	// Per-cube occupancy distribution over the global clusters.
-	occ := make([][]float64, len(cubes))
-	for ci, cube := range cubes {
-		counts := make([]float64, k)
-		vals := cube.VarValues(f, kcvVar)
-		labels := cluster.Assign(cluster.Scalar1D(vals), res.Centroids)
-		for _, l := range labels {
-			counts[l]++
+	// Per-cube occupancy over the global clusters, counted straight from
+	// the field column in sampleCube's walk. Every cube fills only its own
+	// row of occ, so the fan-out is bit-identical to a serial loop.
+	occ := make([]float64, len(cubes)*k)
+	row := func(i int) []float64 { return occ[i*k : (i+1)*k] }
+	tensor.DefaultPool().ParallelFor(len(cubes), 1, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			c, counts := cubes[ci], row(ci)
+			for z := c.K0; z < c.K0+c.Sz; z++ {
+				for y := c.J0; y < c.J0+c.Sy; y++ {
+					base := (z*f.Ny+y)*f.Nx + c.I0
+					for i := base; i < base+c.Sx; i++ {
+						counts[cluster.Nearest(kcv[i:i+1], cents)]++
+					}
+				}
+			}
 		}
-		occ[ci] = counts
-	}
+	})
 
 	// Node strength: row sums of pairwise KL between occupancy PDFs,
 	// blended with each cube's own entropy so information-rich cubes with
 	// broad occupancy also score high even when many cubes are similar.
 	strength := make([]float64, len(cubes))
 	for i := range cubes {
-		strength[i] = stats.Entropy(occ[i])
+		strength[i] = stats.Entropy(row(i))
 		for j := range cubes {
 			if i == j {
 				continue
 			}
-			strength[i] += stats.KLDivergence(occ[i], occ[j]) / float64(len(cubes)-1)
+			strength[i] += stats.KLDivergence(row(i), row(j)) / float64(len(cubes)-1)
 		}
 	}
 
-	sel := weightedSampleWithoutReplacement(strength, nSelect, rng)
+	sel := new(cubeScratch).weightedSample(strength, nSelect, rng)
 	out := make([]grid.Hypercube, 0, nSelect)
 	for _, i := range sel {
 		out = append(out, cubes[i])

@@ -57,16 +57,17 @@ func (d *Data) work() *cubeScratch {
 // N returns the number of points.
 func (d *Data) N() int { return len(d.Features) }
 
-// KCV returns the cluster variable, falling back to feature column 0.
+// KCV returns the cluster variable, falling back to a scratch copy of column 0.
 func (d *Data) KCV() []float64 {
 	if d.ClusterVar != nil {
 		return d.ClusterVar
 	}
-	out := make([]float64, len(d.Features))
+	sc := d.work()
+	sc.kcv = grow(sc.kcv, len(d.Features))
 	for i, p := range d.Features {
-		out[i] = p[0]
+		sc.kcv[i] = p[0]
 	}
-	return out
+	return sc.kcv
 }
 
 // PointSampler selects n point indices from a Data view.
@@ -183,18 +184,12 @@ func selectTop(keys []weightedKey, n int) {
 	}
 }
 
-// weightedSampleWithoutReplacement draws n distinct indices with
-// probability proportional to w, using the Efraimidis-Spirakis exponential
-// keys method: the n largest keys form the sample (ties go to the lower
-// index). Zero/negative weights are treated as tiny but nonzero so every
-// item remains reachable when the budget exceeds the positive mass. The
-// result is sorted ascending.
-func weightedSampleWithoutReplacement(w []float64, n int, rng *rand.Rand) []int {
-	return new(cubeScratch).weightedSample(w, n, rng)
-}
-
-// weightedSample is weightedSampleWithoutReplacement with the keys held in
-// the scratch; only the returned indices are allocated.
+// weightedSample draws n distinct indices with probability proportional to
+// w, using the Efraimidis-Spirakis exponential keys method: the n largest
+// keys form the sample (ties go to the lower index). Zero/negative weights
+// are treated as tiny but nonzero so every item remains reachable when the
+// budget exceeds the positive mass. The result is sorted ascending; the
+// keys are held in the scratch, so only the returned indices are allocated.
 func (sc *cubeScratch) weightedSample(w []float64, n int, rng *rand.Rand) []int {
 	if n >= len(w) {
 		return allIndices(len(w))

@@ -231,6 +231,11 @@ func TestLHSStratification(t *testing.T) {
 	}
 }
 
+// weightedSampleWithoutReplacement is the draw on a throw-away scratch.
+func weightedSampleWithoutReplacement(w []float64, n int, rng *rand.Rand) []int {
+	return new(cubeScratch).weightedSample(w, n, rng)
+}
+
 func TestWeightedSampleWithoutReplacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	w := []float64{100, 1, 1, 1, 0, math.NaN()}

@@ -1,16 +1,20 @@
 package sampling
 
-import "repro/internal/stats"
+import (
+	"math/rand"
+
+	"repro/internal/stats"
+)
 
 // cubeScratch is the working memory of phase 2 over one cube: the gathered
 // feature rows and cluster variable, and whatever the sampler needs on top
-// (normalized copy, histogram cells, weights, draw keys). Every buffer
-// grows to the largest cube seen and is reused for the next one; nothing in
-// here is ever handed to a caller — a CubeSample copies what it keeps.
+// (normalized copy, cells, weights, draw keys, MaxEnt's clusters). Every
+// buffer grows to the largest cube seen and is reused for the next one;
+// nothing in here is ever handed to a caller — a CubeSample copies it.
 type cubeScratch struct {
 	raw      []float64   // n×d gathered features, row-major
 	rows     [][]float64 // row headers over raw: the Data.Features view
-	kcv      []float64   // gathered cluster variable
+	kcv      []float64   // gathered cluster variable, or Data.KCV's copy of feature 0
 	norm     []float64   // [0,1]-scaled copy of the features (uips, lhs)
 	normRows [][]float64
 	lo, hi   []float64 // per-dimension min and max of the features
@@ -18,6 +22,14 @@ type cubeScratch struct {
 	w        []float64 // per-point weights (uips)
 	keys     []weightedKey
 	hist     *stats.NDHistogram // uips density estimate, Reset per cube
+
+	labels     []int      // per-point k-means cluster (maxent)
+	start      []int      // first slot of each cluster in memberIdx
+	memberIdx  []int      // point indices grouped by cluster
+	members    [][]int    // per-cluster views over memberIdx
+	pdfs       []float64  // k×maxEntHistBins per-cluster histograms
+	perm       []int      // a cluster's draw permutation
+	clusterRng *rand.Rand // the k-means rng, re-seeded per cube
 }
 
 // grow returns buf resized to n elements, reallocating only when its

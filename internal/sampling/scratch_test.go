@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/synth"
 )
 
 // weightedSampleRef is the draw's specification: the same keys in the same
@@ -197,5 +199,70 @@ func TestCubeSamplerAllocs(t *testing.T) {
 	})
 	if got > 8 {
 		t.Fatalf("a warm uips cube allocates %v objects, want <= 8", got)
+	}
+}
+
+// TestMaxEntCubeAllocs: a warm Xmaxent cube of 16³ → 410 points at the
+// default k = 20 holds its labels, clusters, histograms, permutation and
+// k-means rng in the scratch, so it allocates only the k-means centroids
+// and seeding distances, the budget split and the CubeSample. (Per-cube
+// members, histograms, Perm slices and rng source cost 283 objects.)
+func TestMaxEntCubeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s, d, kept := scratchTestSampler(t, "maxent")
+	s.psel = MaxEnt{}
+	f := d.Snapshots[0]
+	s.SampleField(context.Background(), f, 0, kept[:1]) // binds f, sizes the scratch
+	i := 0
+	got := testing.AllocsPerRun(50, func() {
+		cs := s.sampleCube(f, 0, kept[i%len(kept)])
+		if len(cs.LocalIdx) != 410 {
+			t.Fatalf("selected %d points, want 410", len(cs.LocalIdx))
+		}
+		i++
+	})
+	if got > 24 {
+		t.Fatalf("a warm maxent cube allocates %v objects, want <= 24", got)
+	}
+}
+
+// TestHMaxEntAllocs: phase 1 over GESTS-8192 small clusters the strided
+// cluster variable once and counts each cube's occupancy straight from the
+// field, so it allocates the strided copy, the k-means working set and one
+// occupancy slab, whatever the number of cubes: 64 cubes of 16³ and 512 of
+// 8³ cost the same objects. (Re-labelling every cube as one-element slices
+// cost 409 objects and 14 MiB per call for the 64 cubes.)
+func TestHMaxEntAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	f := synth.GESTSDataset("GESTS-8192", synth.IsotropicConfig{N: 64, Seed: 19, KPeak: 6}).Snapshots[0]
+	var objs []float64
+	for _, edge := range []int{16, 8} {
+		cubes := grid.Tile(f, edge, edge, edge)
+		rng := rand.New(rand.NewSource(1))
+		run := func() {
+			if kept := (HMaxEnt{}).SelectCubes(f, cubes, "enstrophy", 8, rng); len(kept) != 8 {
+				t.Fatalf("kept %d cubes, want 8", len(kept))
+			}
+		}
+		run()
+		got := testing.AllocsPerRun(10, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		kib := float64(after.TotalAlloc-before.TotalAlloc) / 10 / 1024
+		if got > 40 || kib > 1024 {
+			t.Fatalf("%d cubes: %v objects and %.0f KiB per call, want <= 40 and <= 1024 KiB", len(cubes), got, kib)
+		}
+		objs = append(objs, got)
+	}
+	if objs[0] != objs[1] {
+		t.Fatalf("64 cubes allocate %v objects, 512 cubes %v: the count grows with the cubes", objs[0], objs[1])
 	}
 }

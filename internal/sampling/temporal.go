@@ -18,8 +18,9 @@ type TemporalConfig struct {
 
 // SelectSnapshots returns the indices of snapshots to keep. The first
 // snapshot is always kept; each subsequent snapshot is scored by the
-// Jensen-Shannon divergence between its PDF and the running PDF of the
-// kept set, and retained only if it exceeds the threshold.
+// Jensen-Shannon divergence between its PDF and the PDF of the nearest
+// kept snapshot (the smallest divergence over the kept set), and retained
+// only if that reaches the threshold.
 func SelectSnapshots(d *grid.Dataset, cfg TemporalConfig) []int {
 	if cfg.Bins <= 0 {
 		cfg.Bins = 100

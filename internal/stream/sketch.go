@@ -124,7 +124,7 @@ type resItem struct {
 
 // cubeReservoir maintains at most budget points per hypercube across the
 // whole stream, using weighted reservoir sampling (A-Res with the same
-// -Exp(1)/w keys as sampling.weightedSampleWithoutReplacement): the kept set
+// -Exp(1)/w keys as sampling's weighted draw, weightedSample): the kept set
 // is the budget-many largest keys seen so far, maintained as a min-heap so
 // each offer is O(log budget). The reservoir owns its items' values: one
 // budget×(d+t) slab allocated with it, a slot per item, so an offer copies
