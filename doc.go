@@ -7,8 +7,8 @@
 // nn+train (the neural-network stack and Table 2 architectures), minimpi
 // (goroutine message passing), energy (counter-based energy model), sickle
 // (sickle.Loop, the T1→T2→T3 entry point — subsample, train, evaluate
-// against the Eq. 3 energies — and the experiment harness regenerating every
-// paper table/figure through it), serve
+// against the Eq. 3 energies — and the paper's figure drivers, which
+// cmd/sickle-bench -exp runs as the one harness for its numbers), serve
 // (the online subsystem: micro-batched surrogate inference and LRU-cached
 // subsampling behind an HTTP API, served by cmd/sickle-serve and
 // smoke-tested by .github/smoke.sh serve), shard (the scaling tier: a

@@ -33,7 +33,6 @@ var surfaceAllow = map[string]string{
 	"repro/internal/obs/tsdb.Store.SetNowFunc": "slo's tests script the history store's clock; the fake-clock ROADMAP item replaces it",
 	"repro/internal/analysis/analysistest/":    "the harness the six analyzer packages' tests run their testdata through",
 	"repro/internal/minimpi/":                  "the MPI stand-in keeps MPI's Send/Recv/Bcast/Barrier; only its own contention tests drive them until the parked train-while-simulating item does",
-	"repro/internal/sickle/ablations.go":       "the four Ablate* sweeps and TemporalSelectionSummary belong to the ROADMAP's Eq. 3 frontier item: wired into its table or deleted there",
 }
 
 // TestExportedSurface is the surface rule: a function or method exported

@@ -278,6 +278,18 @@ func TestCostModelCharging(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sim comm = %v, want %v", got, want)
 	}
+	// A slower network never makes a collective cheaper, so Fig. 7's knee
+	// cannot move to more ranks as latency grows.
+	for _, ranks := range []int{2, 3, 8, 512} {
+		prev := 0.0
+		for _, lat := range []float64{0, 2e-6, 20e-6, 200e-6} {
+			c := CostModel{Latency: lat, Bandwidth: 10e9}.Cost(4096, ranks)
+			if c < prev {
+				t.Fatalf("%d ranks: cost %v at latency %v fell below %v", ranks, c, lat, prev)
+			}
+			prev = c
+		}
+	}
 }
 
 func TestCostModelSingleRankFree(t *testing.T) {

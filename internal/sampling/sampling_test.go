@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/stats"
 )
@@ -123,6 +124,20 @@ func TestUIPSFlattensPDF(t *testing.T) {
 	if tcUIPS <= 1.5*tcRand {
 		t.Fatalf("UIPS tail coverage %v should far exceed random %v", tcUIPS, tcRand)
 	}
+	// On a heavy-tailed (Laplace) scalar, four bins are too coarse a PDF
+	// estimate to flatten the tails that thirty reach.
+	lap := make([]float64, 20000)
+	for i := range lap {
+		lap[i] = rng.ExpFloat64() * float64(1-2*rng.Intn(2))
+	}
+	ld := &Data{Features: cluster.Scalar1D(lap), ClusterVar: lap}
+	tail := func(bins int) float64 {
+		idx := UIPS{Bins: bins}.SelectPoints(ld, 2000, rand.New(rand.NewSource(9)))
+		return stats.TailCoverage(lap, col(ld, idx, 0), 0.02)
+	}
+	if fine, coarse := tail(30), tail(4); fine <= coarse {
+		t.Fatalf("30-bin UIPS tail coverage %v should exceed 4-bin %v", fine, coarse)
+	}
 }
 
 // TestMaxEntCoversTails: MaxEnt must also over-represent the rare clusters.
@@ -138,6 +153,11 @@ func TestMaxEntCoversTails(t *testing.T) {
 	tcRand := stats.TailCoverage(full, col(d, randIdx, 0), 0.02)
 	if tcME <= 1.2*tcRand {
 		t.Fatalf("MaxEnt tail coverage %v should exceed random %v", tcME, tcRand)
+	}
+	// Two clusters cannot isolate the tails from the bulk.
+	k2Idx := MaxEnt{NumClusters: 2}.SelectPoints(d, 2000, rand.New(rand.NewSource(10)))
+	if tcK2 := stats.TailCoverage(full, col(d, k2Idx, 0), 0.02); tcME <= tcK2 {
+		t.Fatalf("k=12 MaxEnt tail coverage %v should exceed k=2's %v", tcME, tcK2)
 	}
 }
 

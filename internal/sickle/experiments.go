@@ -253,49 +253,63 @@ type Fig7Row struct {
 // minimpi communication cost model (log₂-tree collectives). SST-P1F100 has
 // many more cubes than SST-P1F4, so it scales much further before the knee.
 func Fig7(ctx context.Context, scale Scale, maxRanks int, cost minimpi.CostModel) ([]Fig7Row, error) {
-	var out []Fig7Row
-	type caseDef struct {
-		name     string
-		cubeEdge int
-	}
-	for _, cd := range []caseDef{{"SST-P1F4", 16}, {"SST-P1F100", 8}} {
+	cases, err := fig7Measure(ctx, scale)
+	return fig7Model(cases, maxRanks, cost), err
+}
+
+// fig7Case is one Fig. 7 dataset and its serial measurement: t1 seconds of
+// the two-phase pipeline over units work units in nt snapshots.
+type fig7Case struct {
+	name                string
+	cubeEdge, units, nt int
+	t1                  float64
+}
+
+// fig7Measure times the serial pipeline once; fig7Model extrapolates it.
+func fig7Measure(ctx context.Context, scale Scale) ([]fig7Case, error) {
+	cases := []fig7Case{{name: "SST-P1F4", cubeEdge: 16}, {name: "SST-P1F100", cubeEdge: 8}}
+	for i := range cases {
+		cd := &cases[i]
 		d, err := BuildDataset(cd.name, scale)
 		if err != nil {
 			return nil, err
 		}
+		// Total work units = cubes per snapshot × snapshots (ranks
+		// partition the tiled domain).
+		cubes := grid.Tile(d.Snapshots[0], cd.cubeEdge, cd.cubeEdge, cd.cubeEdge)
+		cd.units, cd.nt = len(cubes)*d.NTime(), d.NTime()
 		cfg := sampling.PipelineConfig{
 			Hypercubes: "maxent", Method: "maxent",
 			CubeSx: cd.cubeEdge, CubeSy: cd.cubeEdge, CubeSz: cd.cubeEdge,
 			NumClusters: 5, Seed: 3,
+			NumHypercubes: len(cubes), // NumSamples stays at the 10% default
 		}
-		// Total work units = cubes per snapshot × snapshots (ranks
-		// partition the tiled domain).
-		f := d.Snapshots[0]
-		cubes := grid.Tile(f, cd.cubeEdge, cd.cubeEdge, cd.cubeEdge)
-		cfg.NumHypercubes = len(cubes) // NumSamples stays at the 10% default
-		units := len(cubes) * d.NTime()
-
 		t0 := time.Now()
 		if _, err := sampling.SubsampleDataset(ctx, d, cfg); err != nil {
 			return nil, err
 		}
-		t1 := time.Since(t0).Seconds()
+		cd.t1 = time.Since(t0).Seconds()
+	}
+	return cases, nil
+}
 
+func fig7Model(cases []fig7Case, maxRanks int, cost minimpi.CostModel) []Fig7Row {
+	var out []Fig7Row
+	for _, cd := range cases {
 		// Bytes exchanged per collective: the gathered per-rank summary.
 		const collectiveBytes = 4096
 		for ranks := 1; ranks <= maxRanks; ranks *= 2 {
-			maxUnits := (units + ranks - 1) / ranks
-			tComp := t1 * float64(maxUnits) / float64(units)
-			tComm := cost.Cost(collectiveBytes, ranks) * float64(d.NTime())
-			tn := tComp + tComm
-			sp := t1 / tn
+			maxUnits := (cd.units + ranks - 1) / ranks
+			tComp := cd.t1 * float64(maxUnits) / float64(cd.units)
+			tComm := cost.Cost(collectiveBytes, ranks) * float64(cd.nt)
+			sp := cd.t1 / (tComp + tComm)
 			out = append(out, Fig7Row{
 				Dataset: cd.name, Ranks: ranks,
 				Speedup: sp, Efficiency: sp / float64(ranks),
 			})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // DefaultCostModel is the interconnect model used for Fig. 7: 20 µs

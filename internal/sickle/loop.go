@@ -14,8 +14,8 @@ import (
 // Loop is the paper's workflow (Fig. 2) as one value: T1 two-phase
 // subsample → T2 train a Table 2 surrogate → T3 test loss against the Eq. 3
 // energy of both stages. The figure drivers, serve's training jobs and demo
-// model, and the examples all run this; what differs between them is only
-// the four configurations it carries.
+// model, and examples/stratified-pipeline run this; what differs between
+// them is only the four configurations it carries.
 type Loop struct {
 	Pipeline sampling.PipelineConfig
 	// Arch names the surrogate. Dimensions left zero are sized from the

@@ -2,7 +2,7 @@
 // dataset registry covering the paper's Table 1 cases (scaled-down
 // synthetic analogues), Loop — the T1→T2→T3 entry point (sample → train →
 // evaluate, Fig. 2), the one place the paper's workflow is written out —
-// and one experiment driver per paper table/figure.
+// and the experiment drivers that cmd/sickle-bench -exp prints.
 package sickle
 
 import (

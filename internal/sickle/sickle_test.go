@@ -1,8 +1,35 @@
 package sickle
 
 import (
+	"context"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/energy"
+	"repro/internal/grid"
+	"repro/internal/minimpi"
+	"repro/internal/sampling"
+	"repro/internal/stats"
+)
+
+// Each paper config the tests check trains, or is timed, once: the tests of
+// its claims and TestGoldenFigures' bit pins read the same rows.
+var (
+	fig6Small = sync.OnceValues(func() ([]Fig6Row, error) {
+		return Fig6(context.Background(), Small, Fig6Config{SampleSizes: []int{200}, Replicates: 2, Epochs: 15})
+	})
+	fig8Small = sync.OnceValues(func() ([]Fig8Case, error) {
+		return Fig8(context.Background(), Small, Fig8Config{Datasets: []string{"SST-P1F4"}, Epochs: 3, CubeEdge: 8})
+	})
+	fig9Small = sync.OnceValues(func() ([]Fig9Row, error) {
+		return Fig9(context.Background(), Small, Fig9Config{Epochs: 2, CubeEdge: 8})
+	})
+	fig7Small = sync.OnceValues(func() ([]fig7Case, error) {
+		return fig7Measure(context.Background(), Small)
+	})
 )
 
 func TestBuildAllDatasets(t *testing.T) {
@@ -124,10 +151,11 @@ func TestFig5TailCoverage(t *testing.T) {
 }
 
 func TestFig7ScalabilityShape(t *testing.T) {
-	rows, err := Fig7(t.Context(), Small, 512, DefaultCostModel())
+	cases, err := fig7Small()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := fig7Model(cases, 512, DefaultCostModel())
 	// Both datasets: speedup at 2 ranks must be >1; efficiency decays with
 	// rank count; the large dataset scales further than the small one.
 	kneeSmallDS := KneeRanks(rows, "SST-P1F4", 0.5)
@@ -149,7 +177,7 @@ func TestFig6SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment")
 	}
-	rows, err := Fig6(t.Context(), Small, Fig6Config{SampleSizes: []int{200}, Replicates: 2, Epochs: 15})
+	rows, err := fig6Small()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +195,7 @@ func TestFig8SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment")
 	}
-	rows, err := Fig8(t.Context(), Small, Fig8Config{Datasets: []string{"SST-P1F4"}, Epochs: 3, CubeEdge: 8})
+	rows, err := fig8Small()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +204,8 @@ func TestFig8SmallRun(t *testing.T) {
 	}
 	var fullE, maxentE float64
 	for _, r := range rows {
-		if r.Report.TotalJoules() <= 0 {
-			t.Fatalf("%s: no energy charged", r.Case)
+		if r.Report.EvalLoss <= 0 || r.Report.TotalJoules() <= 0 {
+			t.Fatalf("%s: loss %v, %v J charged", r.Case, r.Report.EvalLoss, r.Report.TotalJoules())
 		}
 		switch r.Case {
 		case "Hrandom-Xfull":
@@ -197,7 +225,7 @@ func TestFig9SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment")
 	}
-	rows, err := Fig9(t.Context(), Small, Fig9Config{Epochs: 2, CubeEdge: 8})
+	rows, err := fig9Small()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +247,79 @@ func TestFig9SmallRun(t *testing.T) {
 }
 
 func TestEnergyReportString(t *testing.T) {
-	rows, err := Fig9(t.Context(), Small, Fig9Config{Epochs: 1, CubeEdge: 8})
-	if err != nil {
-		t.Skip("fig9 unavailable")
+	s := EnergyReportString(energy.Report{Label: "MATEY/random", SampleJoules: 1500, TrainJoules: 2500, EvalLoss: 0.25})
+	want := "MATEY/random           loss=0.2500  sample=1.5 kJ  train=2.5 kJ  total=4 kJ"
+	if s != want {
+		t.Fatalf("report string\n%q, want\n%q", s, want)
 	}
-	s := EnergyReportString(rows[0].Report)
-	if !strings.Contains(s, "kJ") {
-		t.Fatalf("report string %q", s)
+}
+
+// kcvTailCover selects a tenth of SST-P1F4's last KCV snapshot with s and
+// returns the selection's tail coverage.
+func kcvTailCover(t *testing.T, s sampling.PointSampler, seed int64) float64 {
+	t.Helper()
+	d, err := BuildDataset("SST-P1F4", Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := append([]float64(nil), d.Snapshots[d.NTime()-1].Var(d.ClusterVar)...)
+	data := &sampling.Data{Features: cluster.Scalar1D(full), ClusterVar: full}
+	idx := s.SelectPoints(data, len(full)/10, rand.New(rand.NewSource(seed)))
+	vals := make([]float64, len(idx))
+	for r, i := range idx {
+		vals[r] = full[i]
+	}
+	return stats.TailCoverage(full, vals, 0.02)
+}
+
+func TestAblateClusterCount(t *testing.T) {
+	k2 := kcvTailCover(t, sampling.MaxEnt{NumClusters: 2}, 1)
+	k10 := kcvTailCover(t, sampling.MaxEnt{NumClusters: 10}, 1)
+	if k2 <= 0 {
+		t.Fatalf("k=2: empty tails")
+	}
+	// Enough clusters must beat the degenerate 2-cluster case on tails.
+	if k10 <= k2 {
+		t.Fatalf("k=10 tail coverage %v should exceed k=2's %v", k10, k2)
+	}
+}
+
+func TestAblateUIPSBins(t *testing.T) {
+	// More bins flatten the 1-D PDF harder: tail coverage grows.
+	coarse := kcvTailCover(t, sampling.UIPS{Bins: 4}, 2)
+	if fine := kcvTailCover(t, sampling.UIPS{Bins: 100}, 2); fine <= coarse {
+		t.Fatalf("100-bin tails %v should exceed 4-bin %v", fine, coarse)
+	}
+}
+
+func TestAblateCubeSize(t *testing.T) {
+	d, err := BuildDataset("SST-P1F4", Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := d.Snapshots[0]
+	// Work units decrease monotonically with cube edge.
+	prev := len(grid.Tile(f, 4, 4, 4))
+	for e := 8; e <= f.Nz; e *= 2 {
+		n := len(grid.Tile(f, e, e, e))
+		if n >= prev {
+			t.Fatalf("%d cubes at edge %d, %d at edge %d: count must shrink with edge", n, e, prev, e/2)
+		}
+		prev = n
+	}
+}
+
+func TestAblateCommLatency(t *testing.T) {
+	cases, err := fig7Small()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Higher latency cannot increase the knee rank; both networks model the
+	// same serial measurement.
+	knee := func(lat float64) int {
+		return KneeRanks(fig7Model(cases, 512, minimpi.CostModel{Latency: lat, Bandwidth: 10e9}), "SST-P1F100", 0.5)
+	}
+	if fast, slow := knee(2e-6), knee(200e-6); slow > fast {
+		t.Fatalf("knee grew with latency: %v -> %v", fast, slow)
 	}
 }

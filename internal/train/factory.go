@@ -71,16 +71,29 @@ func (s ArchSpec) SizedFor(d *grid.Dataset, edge int) ArchSpec {
 	return s
 }
 
-// Examples lays cube samples out the way the architecture consumes them
-// (Table 2): lstm → BuildSampleSingle, mlp_transformer → BuildSampleFull,
-// cnn_transformer and matey → BuildFullFull.
-func (s ArchSpec) Examples(d *grid.Dataset, cubes []sampling.CubeSample, window int) ([]Example, error) {
+// Layout names the example layout the architecture consumes (Table 2):
+// lstm → sample-single, mlp_transformer → sample-full, cnn_transformer and
+// matey → full-full; "" for an unknown arch.
+func (s ArchSpec) Layout() string {
 	switch strings.ToLower(s.Arch) {
 	case "lstm":
-		return BuildSampleSingle(d, cubes, window)
+		return "sample-single"
 	case "mlp_transformer":
-		return BuildSampleFull(d, cubes, window)
+		return "sample-full"
 	case "cnn_transformer", "matey":
+		return "full-full"
+	}
+	return ""
+}
+
+// Examples lays cube samples out in the architecture's Layout.
+func (s ArchSpec) Examples(d *grid.Dataset, cubes []sampling.CubeSample, window int) ([]Example, error) {
+	switch s.Layout() {
+	case "sample-single":
+		return BuildSampleSingle(d, cubes, window)
+	case "sample-full":
+		return BuildSampleFull(d, cubes, window)
+	case "full-full":
 		return BuildFullFull(d, cubes, window)
 	}
 	return nil, fmt.Errorf("train: unknown arch %q", s.Arch)

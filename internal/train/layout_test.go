@@ -145,14 +145,14 @@ func TestArchSpecOwnsLayoutAndSizing(t *testing.T) {
 	d.GlobalTargets = []float64{1, 2, 3, 4}
 	nIn, nOut := len(d.InputVars), len(d.OutputVars)
 	for _, tc := range []struct {
-		arch      string
-		want      ArchSpec
-		inputDims []int
+		arch, layout string
+		want         ArchSpec
+		inputDims    []int
 	}{
-		{"lstm", ArchSpec{InDim: 2 * nIn, OutDim: 1}, []int{1, 2 * nIn}},
-		{"mlp_transformer", ArchSpec{InDim: nIn, OutDim: nOut, Edge: 8}, []int{1, 40, nIn}},
-		{"CNN_Transformer", ArchSpec{InDim: nIn, OutDim: nOut, Edge: 8}, []int{1, nIn, 8, 8, 8}},
-		{"matey", ArchSpec{InDim: nIn, OutDim: nOut, Edge: 8}, []int{1, nIn, 8, 8, 8}},
+		{"lstm", "sample-single", ArchSpec{InDim: 2 * nIn, OutDim: 1}, []int{1, 2 * nIn}},
+		{"mlp_transformer", "sample-full", ArchSpec{InDim: nIn, OutDim: nOut, Edge: 8}, []int{1, 40, nIn}},
+		{"CNN_Transformer", "full-full", ArchSpec{InDim: nIn, OutDim: nOut, Edge: 8}, []int{1, nIn, 8, 8, 8}},
+		{"matey", "full-full", ArchSpec{InDim: nIn, OutDim: nOut, Edge: 8}, []int{1, nIn, 8, 8, 8}},
 	} {
 		spec := ArchSpec{Arch: tc.arch}.SizedFor(d, 8)
 		tc.want.Arch = tc.arch
@@ -161,6 +161,9 @@ func TestArchSpecOwnsLayoutAndSizing(t *testing.T) {
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatal(err)
+		}
+		if got := spec.Layout(); got != tc.layout {
+			t.Fatalf("%s consumes layout %q, want %q", tc.arch, got, tc.layout)
 		}
 		ex, err := spec.Examples(d, cubes, 1)
 		if err != nil {
