@@ -7,7 +7,6 @@
 //	sickle-serve -addr :8080 -demo
 //	sickle-serve -name drag -arch lstm -ckpt model.sknn -in-dim 8 -out-dim 1 \
 //	             -input-shape 5,8
-//	sickle-serve -case case.yaml -demo
 //
 // Routes (v2, the current surface — typed pkg/api error envelope):
 //
@@ -27,7 +26,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -38,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/config"
 	olog "repro/internal/obs/log"
 	"repro/internal/serve"
 	"repro/internal/tier"
@@ -46,16 +43,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "", "listen address (default :8080 or the case file's serve.addr)")
-	caseFile := flag.String("case", "", "YAML case file with an optional serve: section")
-	maxBatch := flag.Int("max-batch", 0, "micro-batch cap (default 16)")
-	windowMS := flag.Int("window-ms", 0, "batch collection window in ms (default 2)")
-	workers := flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
-	queueCap := flag.Int("queue-cap", 0, "per-model queue bound before 429s (default 1024)")
-	cacheEntries := flag.Int("cache-entries", 0, "dataset/shard LRU capacity (default 8)")
-	replicas := flag.Int("replicas", 0, "model replicas per registered model (default 2)")
-	jobWorkers := flag.Int("job-workers", 0, "concurrent async jobs (default 2)")
-	jobTTLMin := flag.Int("job-ttl-min", 0, "terminal-job retention in minutes (default 15)")
+	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data-dir", "", "durability directory: WAL + results + dedup cache; jobs survive restarts (\"\" = in-memory)")
 
 	name := flag.String("name", "", "register a model under this name at startup")
@@ -78,45 +66,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Unset case keys are zero, so without -case the zero Case below is
-	// exactly "every default".
-	c := &config.Case{}
-	if *caseFile != "" {
-		var err error
-		if c, err = config.LoadCase(*caseFile); err != nil {
-			fatal("load case file", err)
-		}
-	}
-	rec, err := shared.Recorder(c.Obs, c.Serve.DebugAddr)
-	if err != nil {
-		fatal("parse SLO specs", err)
-	}
-	// A flag that was given (non-zero) wins over the case file's key.
-	cfg := serve.Config{
-		Addr:         cmp.Or(*addr, c.Serve.Addr),
-		MaxBatch:     cmp.Or(*maxBatch, c.Serve.MaxBatch),
-		Window:       time.Duration(cmp.Or(*windowMS, c.Serve.WindowMS)) * time.Millisecond,
-		Workers:      cmp.Or(*workers, c.Serve.Workers),
-		QueueCap:     cmp.Or(*queueCap, c.Serve.QueueCap),
-		CacheEntries: cmp.Or(*cacheEntries, c.Serve.CacheEntries),
-		Replicas:     cmp.Or(*replicas, c.Serve.Replicas),
-		JobWorkers:   cmp.Or(*jobWorkers, c.Serve.JobWorkers),
-		JobTTL:       time.Duration(cmp.Or(*jobTTLMin, c.Serve.JobTTLMin)) * time.Minute,
-		DataDir:      cmp.Or(*dataDir, c.Serve.DataDir),
-		Logger:       lg,
-
-		HistoryInterval: rec.HistoryInterval,
-		HistoryCapacity: rec.HistoryCapacity,
-		EventCapacity:   rec.EventCapacity,
-		SLOs:            rec.SLOs,
-	}
-
-	s, err := serve.NewServer(cfg)
+	s, err := serve.NewServer(serve.Config{Addr: *addr, DataDir: *dataDir, Logger: lg, SLOs: shared.SLOs})
 	if err != nil {
 		fatal("start server", err)
 	}
 
-	s.ServeDebug(rec.DebugAddr)
+	s.ServeDebug(shared.DebugAddr)
 
 	if *name != "" {
 		spec := train.ArchSpec{Arch: *arch, InDim: *inDim, Hidden: *hidden,
@@ -125,13 +80,13 @@ func main() {
 		if err != nil {
 			fatal("parse -input-shape", err)
 		}
-		if _, err := s.Registry().Register(*name, spec, *ckpt, shape, cfg.Replicas); err != nil {
+		if _, err := s.Registry().Register(*name, spec, *ckpt, shape, serve.DefaultReplicas); err != nil {
 			fatal("register model", err)
 		}
 		lg.Info("registered model", "name", *name, "arch", spec.Arch, "ckpt", *ckpt)
 	}
 	if *demo {
-		if err := registerDemoModel(s, cfg.Replicas, lg); err != nil {
+		if err := registerDemoModel(s, lg); err != nil {
 			fatal("register demo model", err)
 		}
 	}
@@ -152,7 +107,7 @@ func main() {
 		close(done)
 	}()
 
-	lg.Info("sickle-serve listening", "addr", cfg.Addr)
+	lg.Info("sickle-serve listening", "addr", *addr)
 	if err := s.ListenAndServe(); err != nil {
 		fatal("listen", err)
 	}
@@ -178,12 +133,12 @@ func parseShape(s string) ([]int, error) {
 // registerDemoModel trains the shared toy surrogate (serve.TrainDemo) and
 // registers it as "demo", so a bare `sickle-serve -demo` answers /v2/infer
 // as soon as it is up.
-func registerDemoModel(s *serve.Server, replicas int, lg *olog.Logger) error {
+func registerDemoModel(s *serve.Server, lg *olog.Logger) error {
 	dm, err := serve.TrainDemo(context.Background())
 	if err != nil {
 		return err
 	}
-	if err := dm.Register(s, "demo", replicas); err != nil {
+	if err := dm.Register(s, "demo", serve.DefaultReplicas); err != nil {
 		return err
 	}
 	lg.Info("demo model registered", "params", dm.Params,

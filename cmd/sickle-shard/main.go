@@ -19,7 +19,6 @@
 // Usage:
 //
 //	sickle-shard -addr :8090 -backends http://h1:8080,http://h2:8080
-//	sickle-shard -case case.yaml          # shard: section
 //	sickle-shard -addr :8090 -demo        # 3 in-process replicas, shared demo model
 //
 // Routes: the full /v2 surface plus GET /api/version, GET /healthz
@@ -33,7 +32,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -44,23 +42,19 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/tier"
 )
 
+// demoReplicas is how many in-process replicas -demo spawns.
+const demoReplicas = 3
+
 func main() {
-	addr := flag.String("addr", "", "listen address (default :8090 or the case file's shard.addr)")
+	addr := flag.String("addr", ":8090", "listen address")
 	backends := flag.String("backends", "", "comma-separated backend base URLs")
-	caseFile := flag.String("case", "", "YAML case file with an optional shard: section")
-	probeMS := flag.Int("probe-ms", 0, "health-probe period in ms (default 1000)")
-	failAfter := flag.Int("fail-after", 0, "consecutive failures before ejecting a replica (default 2)")
-	maxFailover := flag.Int("max-failover", 0, "extra ring nodes tried after the primary (default 2)")
-	replication := flag.Int("replication", 0, "owner-set size K for keyed job submissions (default 1)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (default 160)")
-	demo := flag.Bool("demo", false, "spawn in-process replicas sharing a freshly trained demo model")
-	demoReplicas := flag.Int("demo-replicas", 3, "in-process replicas to spawn with -demo")
+	replication := flag.Int("replication", 1, "owner-set size K for keyed job submissions")
+	demo := flag.Bool("demo", false, "spawn 3 in-process replicas sharing a freshly trained demo model")
 	demoDataDir := flag.String("demo-data-dir", "", "per-replica durability dirs <dir>/r<i> for -demo replicas (\"\" = in-memory)")
 	shared := tier.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -71,35 +65,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Unset case keys are zero, so without -case the zero Case below is
-	// exactly "every default".
-	c := &config.Case{}
-	if *caseFile != "" {
-		var err error
-		if c, err = config.LoadCase(*caseFile); err != nil {
-			fatal("load case file", "err", err)
-		}
-	}
-	rec, err := shared.Recorder(c.Obs, c.Shard.DebugAddr)
-	if err != nil {
-		fatal("parse SLO specs", "err", err)
-	}
-	// A flag that was given (non-zero) wins over the case file's key.
-	cfg := shard.Config{
-		Addr:        cmp.Or(*addr, c.Shard.Addr),
-		URLs:        c.Shard.Replicas,
-		VNodes:      cmp.Or(*vnodes, c.Shard.VNodes),
-		ProbeEvery:  time.Duration(cmp.Or(*probeMS, c.Shard.ProbeMS)) * time.Millisecond,
-		FailAfter:   cmp.Or(*failAfter, c.Shard.FailAfter),
-		MaxFailover: cmp.Or(*maxFailover, c.Shard.MaxFailover),
-		Replication: cmp.Or(*replication, c.Shard.Replication),
-		Logger:      lg,
-
-		HistoryInterval: rec.HistoryInterval,
-		HistoryCapacity: rec.HistoryCapacity,
-		EventCapacity:   rec.EventCapacity,
-		SLOs:            rec.SLOs,
-	}
+	cfg := shard.Config{Addr: *addr, Replication: *replication, Logger: lg, SLOs: shared.SLOs}
 	if *backends != "" {
 		cfg.URLs = strings.Split(*backends, ",")
 	}
@@ -107,18 +73,15 @@ func main() {
 	var inprocs []*serve.InProc
 	if *demo {
 		if len(cfg.URLs) > 0 {
-			fatal("use either -demo or -backends/-case replicas, not both")
+			fatal("use either -demo or -backends, not both")
 		}
-		if *demoReplicas < 1 {
-			fatal("-demo-replicas must be >= 1")
-		}
-		lg.Info("training demo model", "replicas", *demoReplicas)
+		lg.Info("training demo model", "replicas", demoReplicas)
 		dm, err := serve.TrainDemo(context.Background())
 		if err != nil {
 			fatal("train demo model", "err", err)
 		}
 		lg.Info("demo model trained", "params", dm.Params, "test_loss", dm.FinalLoss)
-		for i := 0; i < *demoReplicas; i++ {
+		for i := range demoReplicas {
 			rcfg := serve.Config{}
 			if *demoDataDir != "" {
 				rcfg.DataDir = filepath.Join(*demoDataDir, fmt.Sprintf("r%d", i))
@@ -127,7 +90,7 @@ func main() {
 			if err != nil {
 				fatal("start in-process replica", "err", err)
 			}
-			if err := dm.Register(p.Server, "demo", 2); err != nil {
+			if err := dm.Register(p.Server, "demo", serve.DefaultReplicas); err != nil {
 				fatal("register demo on replica", "err", err)
 			}
 			inprocs = append(inprocs, p)
@@ -136,7 +99,7 @@ func main() {
 		}
 	}
 	if len(cfg.URLs) == 0 {
-		fatal("no backends: pass -backends, a -case shard: section, or -demo")
+		fatal("no backends: pass -backends or -demo")
 	}
 
 	rt, err := shard.NewRouter(cfg)
@@ -144,7 +107,7 @@ func main() {
 		fatal("build router", "err", err)
 	}
 	rt.Start()
-	rt.ServeDebug(rec.DebugAddr)
+	rt.ServeDebug(shared.DebugAddr)
 	if owner, ok := rt.ReplicaSet().Owner("demo"); ok && *demo {
 		lg.Info("consistent-hash owner of demo", "replica", owner.ID, "url", owner.URL)
 	}

@@ -37,7 +37,7 @@ import (
 )
 
 func main() {
-	caseFile := flag.String("case", "", "YAML case file (optional; flags override)")
+	caseFile := flag.String("case", "", "YAML case file whose subsample section sets the pipeline (-hypercubes and -method override it)")
 	source := flag.String("source", "replay", "snapshot source: replay|cfd2d|cfd3d|synth")
 	dataset := flag.String("dataset", "SST-P1F4", "dataset name for -source replay")
 	scale := sickle.Small
@@ -62,24 +62,9 @@ func main() {
 		lg.Error(msg, kv...)
 		os.Exit(1)
 	}
-	// Explicitly-set flags override the case file even at their zero value
-	// (-budget 0 must force parity mode, -o "" in-memory mode, etc.).
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	pcfg := sampling.PipelineConfig{Hypercubes: "maxent", Method: "maxent", NumClusters: 5, Seed: 1}
-	scfg := stream.Config{}
-	if *caseFile != "" {
-		c, err := config.LoadCase(*caseFile)
-		if err != nil {
-			fatal("load case file", "err", err)
-		}
-		pcfg = c.Pipeline()
-		scfg.Ranks = c.Stream.Ranks
-		scfg.Window = c.Stream.Window
-		scfg.MergeEvery = c.Stream.MergeEvery
-		scfg.ReservoirBudget = c.Stream.Reservoir
-		scfg.ShardPrefix = c.Stream.ShardPrefix
+	pcfg, err := config.LoadPipeline(*caseFile)
+	if err != nil {
+		fatal("load case file", "err", err)
 	}
 	if *hsel != "" {
 		pcfg.Hypercubes = *hsel
@@ -87,21 +72,8 @@ func main() {
 	if *method != "" {
 		pcfg.Method = *method
 	}
-	if set["n"] {
-		scfg.Ranks = *ranks
-	}
-	if set["window"] {
-		scfg.Window = *window
-	}
-	if set["merge-every"] {
-		scfg.MergeEvery = *mergeEvery
-	}
-	if set["budget"] {
-		scfg.ReservoirBudget = *budget
-	}
-	if set["o"] {
-		scfg.ShardPrefix = *out
-	}
+	scfg := stream.Config{Ranks: *ranks, Window: *window, MergeEvery: *mergeEvery,
+		ReservoirBudget: *budget, ShardPrefix: *out}
 
 	var (
 		src       stream.SnapshotSource

@@ -19,13 +19,12 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/energy"
-	"repro/internal/sampling"
 	"repro/internal/sickle"
 	"repro/internal/stream"
 )
 
 func main() {
-	caseFile := flag.String("case", "", "YAML case file (optional; flags override)")
+	caseFile := flag.String("case", "", "YAML case file whose subsample section sets the pipeline (-hypercubes and -method override it)")
 	dataset := flag.String("dataset", "SST-P1F4", "dataset name (see sickle.DatasetNames)")
 	ranks := flag.Int("n", 1, "minimpi ranks")
 	out := flag.String("o", "subsample.skl", "output subsample file")
@@ -35,22 +34,15 @@ func main() {
 	flag.TextVar(&scale, "scale", scale, "dataset scale: small|large")
 	flag.Parse()
 
-	pcfg := sampling.PipelineConfig{Hypercubes: "maxent", Method: "maxent", NumClusters: 5, Seed: 1}
-	if *caseFile != "" {
-		c, err := config.LoadCase(*caseFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pcfg = c.Pipeline()
+	pcfg, err := config.LoadPipeline(*caseFile)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *hsel != "" {
 		pcfg.Hypercubes = *hsel
 	}
 	if *method != "" {
 		pcfg.Method = *method
-	}
-	if pcfg.NumHypercubes == 0 {
-		pcfg.NumHypercubes = 4
 	}
 	meter := energy.NewMeter()
 	pcfg.Meter = meter
@@ -85,8 +77,8 @@ func main() {
 		total += len(cs.LocalIdx)
 	}
 	fmt.Printf("dataset: %s (%s, %d snapshots)\n", d.Label, d.GridString(), d.NTime())
-	fmt.Printf("pipeline: H%s-X%s, %d cubes of %d³, %d samples/cube\n",
-		fitted.Hypercubes, fitted.Method, fitted.NumHypercubes, fitted.CubeSx, len(cubes[0].LocalIdx))
+	fmt.Printf("pipeline: H%s-X%s, %d cubes of %d³ kept, %d samples/cube\n",
+		fitted.Hypercubes, fitted.Method, len(res.Kept), fitted.CubeSx, total/max(len(cubes), 1))
 	fmt.Printf("selected %d cube-samples, %d points total\n", len(cubes), total)
 	fmt.Printf("Elapsed Time: %v (sim comm: %.3g s at %d ranks)\n",
 		elapsed, res.World.MaxSimCommSeconds(), *ranks)

@@ -1,7 +1,7 @@
-// Package config provides a minimal YAML-subset parser (nested maps by
-// indentation, scalars, inline [a, b] lists and "- item" lists, comments)
-// plus the typed case-file schema that drives SICKLE-Go's pipeline — the
-// same interface the paper's artifact exposes through PyYAML case files.
+// Package config reads the paper's PyYAML case files: a minimal YAML-subset
+// parser (nested maps by indentation, scalars, inline [a, b] lists and
+// "- item" lists, comments) and LoadPipeline, which turns a case file into
+// the sampling pipeline its subsample section describes.
 package config
 
 import (
@@ -215,32 +215,6 @@ func (m Map) GetInt(key string, def int) int {
 		return int(v)
 	}
 	return def
-}
-
-// GetBool fetches a boolean value.
-func (m Map) GetBool(key string, def bool) bool {
-	if v, ok := m[key].(bool); ok {
-		return v
-	}
-	return def
-}
-
-// GetStringList fetches a list of strings.
-func (m Map) GetStringList(key string) []string {
-	v, _ := m[key].([]any)
-	return stringList(v)
-}
-
-// stringList renders a parsed list's scalars as strings; no list, no slice.
-func stringList(v []any) []string {
-	if v == nil {
-		return nil
-	}
-	out := make([]string, 0, len(v))
-	for _, item := range v {
-		out = append(out, fmt.Sprint(item))
-	}
-	return out
 }
 
 // GetMap fetches a nested mapping.

@@ -1,7 +1,12 @@
 package config
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/sampling"
 )
 
 const sampleCase = `
@@ -50,13 +55,13 @@ func TestParseYAMLBasics(t *testing.T) {
 	if shared.GetString("dtype", "") != "sst-binary" {
 		t.Fatalf("dtype = %v", shared["dtype"])
 	}
-	if got := shared.GetStringList("input_vars"); len(got) != 4 || got[3] != "r" {
-		t.Fatalf("input_vars = %v", got)
+	if got, _ := shared["input_vars"].([]any); len(got) != 4 || got[3] != "r" {
+		t.Fatalf("input_vars = %v", shared["input_vars"])
 	}
 	if shared.GetString("fileprefix", "") != "SST-P1-H{hypercubes}" {
 		t.Fatalf("fileprefix = %v", shared["fileprefix"])
 	}
-	if m.GetMap("train").GetBool("sequence", false) != true {
+	if m.GetMap("train")["sequence"] != true {
 		t.Fatal("sequence = false")
 	}
 }
@@ -158,7 +163,7 @@ func TestMissingColonRejected(t *testing.T) {
 
 func TestGetDefaults(t *testing.T) {
 	m := Map{}
-	if m.GetInt("x", 7) != 7 || m.GetString("y", "d") != "d" || m.GetBool("w", true) != true {
+	if m.GetInt("x", 7) != 7 || m.GetString("y", "d") != "d" {
 		t.Fatal("defaults not honored")
 	}
 	if len(m.GetMap("missing")) != 0 {
@@ -167,135 +172,30 @@ func TestGetDefaults(t *testing.T) {
 }
 
 func TestParseCaseFull(t *testing.T) {
-	c, err := ParseCase(sampleCase)
+	path := filepath.Join(t.TempDir(), "case.yaml")
+	if err := os.WriteFile(path, []byte(sampleCase+"  seed: 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadPipeline(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Dims != 3 || c.Nx != 514 || c.NumSamples != 3277 {
-		t.Fatalf("case = %+v", c)
+	want := sampling.PipelineConfig{Hypercubes: "maxent", Method: "maxent", NumHypercubes: 32,
+		NumSamples: 3277, NumClusters: 20, CubeSx: 32, CubeSy: 32, CubeSz: 32, Seed: 7}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pipeline = %+v, want %+v", got, want)
 	}
-	if len(c.InputVars) != 4 || c.InputVars[0] != "u" {
-		t.Fatalf("input vars %v", c.InputVars)
-	}
-	// Scalar output_vars form.
-	if len(c.OutputVars) != 1 || c.OutputVars[0] != "p" {
-		t.Fatalf("output vars %v", c.OutputVars)
-	}
-	if c.Hypercubes != "maxent" || c.Method != "maxent" {
-		t.Fatal("subsample section lost")
-	}
-	if c.Epochs != 1000 || c.Batch != 16 || !c.Sequence {
-		t.Fatal("train section lost")
+	// An empty subsample section takes the artifact's defaults.
+	got, err = parseCase(withInputs)
+	want = sampling.PipelineConfig{Hypercubes: "random", Method: "random", NumHypercubes: 12,
+		NumSamples: 3277, NumClusters: 20, CubeSx: 32, CubeSy: 32, CubeSz: 32}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("defaults = %+v, %v; want %+v", got, err, want)
 	}
 }
 
 func TestParseCaseRequiresInputVars(t *testing.T) {
-	if _, err := ParseCase("shared:\n  dims: 2\n"); err == nil {
+	if _, err := parseCase("shared:\n  dims: 2\n"); err == nil {
 		t.Fatal("expected error for missing input_vars")
-	}
-}
-
-func TestParseCaseServeSection(t *testing.T) {
-	src := `shared:
-  input_vars: [u, v]
-serve:
-  addr: ":9090"
-  max_batch: 32
-  window_ms: 5
-  workers: 4
-  cache_entries: 3
-  replicas: 1
-`
-	c, err := ParseCase(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := c.Serve
-	if sv.Addr != ":9090" || sv.MaxBatch != 32 || sv.WindowMS != 5 ||
-		sv.Workers != 4 || sv.CacheEntries != 3 || sv.Replicas != 1 {
-		t.Fatalf("serve section = %+v", sv)
-	}
-}
-
-func TestParseCaseStreamSection(t *testing.T) {
-	src := `shared:
-  input_vars: [u, v]
-stream:
-  ranks: 4
-  window: 3
-  merge_every: 8
-  reservoir: 500
-  shard_prefix: "out/stream"
-`
-	c, err := ParseCase(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stream
-	if st.Ranks != 4 || st.Window != 3 || st.MergeEvery != 8 ||
-		st.Reservoir != 500 || st.ShardPrefix != "out/stream" {
-		t.Fatalf("stream section = %+v", st)
-	}
-}
-
-func TestParseCaseShardSection(t *testing.T) {
-	src := `shared:
-  input_vars: [u, v]
-shard:
-  addr: ":9091"
-  replicas: [http://h1:8080, http://h2:8080]
-  probe_ms: 500
-  fail_after: 3
-  max_failover: 1
-  vnodes: 64
-`
-	c, err := ParseCase(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := c.Shard
-	if sh.Addr != ":9091" || sh.ProbeMS != 500 || sh.FailAfter != 3 ||
-		sh.MaxFailover != 1 || sh.VNodes != 64 {
-		t.Fatalf("shard section = %+v", sh)
-	}
-	if len(sh.Replicas) != 2 || sh.Replicas[0] != "http://h1:8080" || sh.Replicas[1] != "http://h2:8080" {
-		t.Fatalf("shard replicas = %v", sh.Replicas)
-	}
-}
-
-func TestParseCaseShardUnsetStaysZero(t *testing.T) {
-	// Unset shard keys must parse to zero values so internal/shard.Config
-	// remains the single owner of the routing defaults.
-	c, err := ParseCase("shared:\n  input_vars: [u]\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Shard.Addr != "" || c.Shard.Replicas != nil || c.Shard.ProbeMS != 0 ||
-		c.Shard.FailAfter != 0 || c.Shard.MaxFailover != 0 || c.Shard.VNodes != 0 {
-		t.Fatalf("shard section should be zero when unset, got %+v", c.Shard)
-	}
-}
-
-func TestParseCaseStreamUnsetStaysZero(t *testing.T) {
-	// Unset stream keys must parse to zero values so internal/stream.Config
-	// remains the single owner of the streaming defaults.
-	c, err := ParseCase("shared:\n  input_vars: [u]\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Stream != (StreamCase{}) {
-		t.Fatalf("stream section should be zero when unset, got %+v", c.Stream)
-	}
-}
-
-func TestParseCaseServeUnsetStaysZero(t *testing.T) {
-	// Unset serve keys must parse to zero values so internal/serve.Config
-	// remains the single owner of the serving defaults.
-	c, err := ParseCase("shared:\n  input_vars: [u]\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Serve != (ServeCase{}) {
-		t.Fatalf("serve section should be zero when unset, got %+v", c.Serve)
 	}
 }

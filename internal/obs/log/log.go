@@ -39,21 +39,21 @@ func (l Level) String() string {
 	}
 }
 
-// ParseLevel maps a -log-level flag value to a Level; unknown values
-// default to info with ok=false.
-func ParseLevel(s string) (Level, bool) {
+// parseLevel maps a -log-level value in any case to a Level ("" is info,
+// "warning" is warn); anything else is an error, so flag parsing rejects a
+// typo.
+func parseLevel(s string) (Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
-		return LevelDebug, true
+		return LevelDebug, nil
 	case "info", "":
-		return LevelInfo, true
+		return LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, true
+		return LevelWarn, nil
 	case "error":
-		return LevelError, true
-	default:
-		return LevelInfo, false
+		return LevelError, nil
 	}
+	return LevelInfo, fmt.Errorf("unknown level %q (want debug|info|warn|error)", s)
 }
 
 // Logger writes leveled key-value records. A nil *Logger discards
@@ -140,19 +140,15 @@ func New(w io.Writer, min Level, jsonOut bool) *Logger {
 
 // Flags registers -log-level and -log-json on fs and returns the
 // constructor to call once fs is parsed: it builds the stderr logger the
-// flags describe, warning through it when the level is unknown (info is
-// used instead).
+// flags describe. An unknown level fails the parse.
 func Flags(fs *flag.FlagSet) func() *Logger {
-	level := fs.String("log-level", "info", "minimum log level: debug|info|warn|error")
+	level := LevelInfo
+	fs.Func("log-level", "minimum log level: debug|info|warn|error (default info)", func(s string) (err error) {
+		level, err = parseLevel(s)
+		return err
+	})
 	jsonOut := fs.Bool("log-json", false, "emit logs as JSON lines")
-	return func() *Logger {
-		lvl, ok := ParseLevel(*level)
-		lg := New(os.Stderr, lvl, *jsonOut)
-		if !ok {
-			lg.Warn("unknown -log-level, using info", "given", *level)
-		}
-		return lg
-	}
+	return func() *Logger { return New(os.Stderr, level, *jsonOut) }
 }
 
 // Enabled reports whether records at lvl would be written.

@@ -2,6 +2,8 @@ package olog
 
 import (
 	"encoding/json"
+	"flag"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -30,13 +32,19 @@ func TestParseLevel(t *testing.T) {
 		"debug": LevelDebug, "info": LevelInfo, "WARN": LevelWarn,
 		"warning": LevelWarn, "Error": LevelError, "": LevelInfo,
 	} {
-		got, ok := ParseLevel(s)
-		if !ok || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", s, got, ok)
+		if got, err := parseLevel(s); err != nil || got != want {
+			t.Errorf("parseLevel(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, ok := ParseLevel("loud"); ok {
-		t.Error("ParseLevel accepted garbage")
+	if _, err := parseLevel("loud"); err == nil {
+		t.Error("parseLevel accepted garbage")
+	}
+	// Through the flags a typo is a parse error, not a silent info.
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Flags(fs)
+	if err := fs.Parse([]string{"-log-level", "bogus"}); err == nil {
+		t.Error("-log-level bogus parsed")
 	}
 }
 

@@ -13,6 +13,7 @@ package slo
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -35,7 +36,7 @@ const (
 )
 
 // Objective is one declared target. Specs are compact colon-joined
-// scalars so they survive the config parser's scalar-only block lists:
+// scalars, comma-separated in -slo:
 //
 //	latency:<route>:<threshold duration>:<target percent>
 //	availability:<route>:<target percent>
@@ -60,7 +61,7 @@ func ParseObjective(spec string) (Objective, error) {
 		return bad("want kind:...:target")
 	}
 	target, err := strconv.ParseFloat(parts[len(parts)-1], 64)
-	if err != nil || target <= 0 || target >= 100 {
+	if err != nil || !(target > 0 && target < 100) { // NaN fails every comparison
 		return bad("target must be a percent in (0, 100)")
 	}
 	switch Kind(parts[0]) {
@@ -83,7 +84,7 @@ func ParseObjective(spec string) (Objective, error) {
 			return bad("want queue_depth:<depth>:<target>")
 		}
 		depth, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || depth < 0 {
+		if err != nil || !(depth >= 0) || math.IsInf(depth, 1) {
 			return bad("bad depth")
 		}
 		return Objective{Kind: KindQueueDepth, Depth: depth, Target: target}, nil
@@ -92,7 +93,7 @@ func ParseObjective(spec string) (Objective, error) {
 	}
 }
 
-// ParseObjectives decodes a config list, failing on the first bad spec.
+// ParseObjectives decodes a list of specs, failing on the first bad one.
 func ParseObjectives(specs []string) ([]Objective, error) {
 	var out []Objective
 	for _, s := range specs {

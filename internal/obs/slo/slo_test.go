@@ -33,6 +33,11 @@ func TestParseObjective(t *testing.T) {
 		{spec: "availability:/x:1:2:99", bad: true}, // extra field
 		{spec: "queue_depth:-1:99", bad: true},      // negative depth
 		{spec: "teapots:/x:99", bad: true},          // unknown kind
+		{spec: "availability:/x:NaN", bad: true},    // NaN target: could never breach
+		{spec: "latency:/x:250ms:nan", bad: true},   // NaN target
+		{spec: "availability:*:Inf", bad: true},     // infinite target
+		{spec: "queue_depth:NaN:99", bad: true},     // NaN depth
+		{spec: "queue_depth:+Inf:99", bad: true},    // infinite depth
 		{spec: "", bad: true},
 	}
 	for _, c := range cases {
@@ -51,6 +56,30 @@ func TestParseObjective(t *testing.T) {
 			t.Errorf("ParseObjective(%q) = %+v, want %+v", c.spec, got, c.want)
 		}
 	}
+}
+
+// FuzzParseObjective: the spec parser never panics, and an objective it
+// accepts can burn: a finite target in (0, 100), a finite depth >= 0 and,
+// for latency, a positive threshold.
+func FuzzParseObjective(f *testing.F) {
+	for _, s := range []string{"latency:/v2/infer:250ms:99.9", "availability:*:95", "queue_depth:64:99"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		o, err := ParseObjective(spec)
+		if err != nil {
+			return
+		}
+		if !(o.Target > 0 && o.Target < 100) {
+			t.Fatalf("%q: accepted target %v", spec, o.Target)
+		}
+		if !(o.Depth >= 0) || math.IsInf(o.Depth, 0) {
+			t.Fatalf("%q: accepted depth %v", spec, o.Depth)
+		}
+		if o.Kind == KindLatency && o.Threshold <= 0 {
+			t.Fatalf("%q: accepted threshold %v", spec, o.Threshold)
+		}
+	})
 }
 
 // sloHarness is a registry + scripted-clock store + engine triple the

@@ -68,7 +68,8 @@ type jobEntry struct {
 	key    string // idempotency key, for byKey cleanup on purge
 }
 
-// Job-manager defaults (overridable through Config).
+// Job-manager defaults; a Server runs with the first two, and
+// Config.MaxJobs overrides the third.
 const (
 	defaultJobWorkers = 2
 	defaultJobTTL     = 15 * time.Minute

@@ -40,7 +40,12 @@ import (
 	"repro/pkg/api"
 )
 
+// DefaultReplicas is the model-replica count of a registration that names
+// none.
+const DefaultReplicas = 2
+
 // Config sizes the service. Zero values select the documented defaults.
+// Two async jobs run at once and terminal jobs are kept for 15 minutes.
 type Config struct {
 	Addr         string        // listen address (default :8080)
 	MaxBatch     int           // micro-batch cap (default 16)
@@ -48,10 +53,7 @@ type Config struct {
 	Workers      int           // worker pool size (default GOMAXPROCS)
 	QueueCap     int           // per-model queue bound before 429s (default 1024)
 	CacheEntries int           // LRU capacity for datasets/shards (default 8)
-	Replicas     int           // model replicas per registered model (default 2)
-	JobWorkers   int           // concurrent jobs (default 2)
 	MaxJobs      int           // live-job admission bound (default 64)
-	JobTTL       time.Duration // terminal-job retention (default 15m)
 
 	// DataDir, when set, makes jobs durable: submissions are fsync'd to
 	// a write-ahead log under this directory before they are
@@ -69,8 +71,6 @@ type Config struct {
 
 	// Flight recorder: metrics history, event journal, SLO engine.
 	HistoryInterval time.Duration   // tsdb sampling period (default 1s)
-	HistoryCapacity int             // points kept per series (default 600)
-	EventCapacity   int             // event-journal ring size (default 1024)
 	SLOs            []slo.Objective // declared objectives (empty = always ok)
 }
 
@@ -80,9 +80,6 @@ func (c *Config) defaults() {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 8
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
 	}
 }
 
@@ -115,8 +112,7 @@ func NewServer(cfg Config) (*Server, error) {
 	t := tier.New(tier.Config{
 		Name: "serve", SpanPrefix: "server:", Addr: cfg.Addr, Logger: cfg.Logger,
 		TraceCapacity:   cfg.TraceCapacity,
-		HistoryInterval: cfg.HistoryInterval, HistoryCapacity: cfg.HistoryCapacity,
-		EventCapacity: cfg.EventCapacity, SLOs: cfg.SLOs, SLOMetrics: slo.ServeMetrics,
+		HistoryInterval: cfg.HistoryInterval, SLOs: cfg.SLOs, SLOMetrics: slo.ServeMetrics,
 	})
 	met := newMetrics(t.MetricsRegistry())
 	t.CountRequests(met.RequestSeries)
@@ -127,7 +123,7 @@ func NewServer(cfg Config) (*Server, error) {
 		reg:     reg,
 		batcher: NewBatcher(reg, met, cfg.MaxBatch, cfg.Window, cfg.Workers, cfg.QueueCap),
 		cache:   NewLRU(cfg.CacheEntries),
-		jobs:    NewJobManager(cfg.JobWorkers, cfg.MaxJobs, cfg.JobTTL),
+		jobs:    NewJobManager(defaultJobWorkers, cfg.MaxJobs, defaultJobTTL),
 		met:     met,
 		start:   time.Now(),
 	}
@@ -166,10 +162,6 @@ func NewServer(cfg Config) (*Server, error) {
 // dropped. Retained jobs are re-appended to the fresh WAL, which Seal
 // then atomically compacts over the old one.
 func (s *Server) recoverJobs(records []durable.JobRecord) {
-	ttl := s.cfg.JobTTL
-	if ttl <= 0 {
-		ttl = defaultJobTTL
-	}
 	wal := s.durable.WAL
 	type restore struct {
 		job    api.Job
@@ -184,7 +176,7 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 			CreatedAt: rec.Created, StartedAt: rec.Started, FinishedAt: rec.Finished,
 			IdempotencyKey: rec.Key,
 		}
-		if rec.State.Terminal() && time.Since(rec.Finished) > ttl {
+		if rec.State.Terminal() && time.Since(rec.Finished) > defaultJobTTL {
 			s.durable.Results.Delete(rec.ID)
 			wal.CountRecovered("dropped")
 			continue
@@ -421,7 +413,7 @@ func itemError(i int, err error) error {
 func (s *Server) doRegisterModel(req *api.RegisterModelRequest) (api.ModelInfo, error) {
 	replicas := req.Replicas
 	if replicas <= 0 {
-		replicas = s.cfg.Replicas
+		replicas = DefaultReplicas
 	}
 	e, err := s.reg.Register(req.Name, specToArch(req.Spec), req.Checkpoint, req.InputShape, replicas)
 	if err != nil {

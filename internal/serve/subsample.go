@@ -253,7 +253,7 @@ func (s *Server) trainJobRunner(spec api.TrainJobSpec) JobRunner {
 			}
 			replicas := spec.Replicas
 			if replicas <= 0 {
-				replicas = s.cfg.Replicas
+				replicas = DefaultReplicas
 			}
 			e, err := s.reg.Register(spec.Register, res.Spec, path, res.Examples[0].Input.Shape, replicas)
 			if err != nil {

@@ -63,10 +63,8 @@ type ReplicaStatus struct {
 // defaults.
 type SetConfig struct {
 	URLs       []string      // backend base URLs (required; more can join later)
-	VNodes     int           // virtual nodes per replica (default DefaultVNodes)
 	ProbeEvery time.Duration // health-probe period (default 1s)
 	FailAfter  int           // consecutive failures before ejection (default 2)
-	HTTPClient *http.Client  // optional transport override (tests)
 
 	// Journal receives ejection/re-admission events; nil discards them.
 	Journal *events.Journal
@@ -91,7 +89,6 @@ type ReplicaSet struct {
 	probeEvery   time.Duration
 	probeTimeout time.Duration
 	failAfter    int
-	httpClient   *http.Client // optional shared transport for late joiners (tests)
 	met          *Metrics
 	journal      *events.Journal
 
@@ -126,12 +123,11 @@ func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 	rs := &ReplicaSet{
 		byID:         map[string]*Replica{},
 		former:       map[string]*Replica{},
-		ring:         NewRing(cfg.VNodes),
-		fullRing:     NewRing(cfg.VNodes),
+		ring:         NewRing(),
+		fullRing:     NewRing(),
 		probeEvery:   cfg.ProbeEvery,
 		probeTimeout: probeTimeout,
 		failAfter:    cfg.FailAfter,
-		httpClient:   cfg.HTTPClient,
 		met:          met,
 		journal:      cfg.Journal,
 		stop:         make(chan struct{}),
@@ -154,20 +150,17 @@ func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 }
 
 // newReplica builds the replica value and its transport. Each replica gets
-// its own transport (unless the caller injects one): sharing
-// http.DefaultTransport's global keep-alive pool would let a stale pooled
-// connection to a died-and-respawned backend — or another process that
-// reused its port — poison calls, and per-backend pools keep one slow
-// replica from starving the others' idle-connection budget.
+// its own transport: sharing http.DefaultTransport's global keep-alive pool
+// would let a stale pooled connection to a died-and-respawned backend — or
+// another process that reused its port — poison calls, and per-backend
+// pools keep one slow replica from starving the others' idle-connection
+// budget.
 func (rs *ReplicaSet) newReplica(id, url string) *Replica {
-	hc := rs.httpClient
-	if hc == nil {
-		hc = &http.Client{Transport: &http.Transport{
-			Proxy:               http.ProxyFromEnvironment,
-			MaxIdleConnsPerHost: 32,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
+	hc := &http.Client{Transport: &http.Transport{
+		Proxy:               http.ProxyFromEnvironment,
+		MaxIdleConnsPerHost: 32,
+		IdleConnTimeout:     90 * time.Second,
+	}}
 	return &Replica{
 		ID:  id,
 		URL: url,

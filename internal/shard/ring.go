@@ -18,17 +18,16 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per ring node — enough that a
-// handful of nodes split 1k keys within a modest balance bound (asserted
-// by TestRingBalance).
-const DefaultVNodes = 160
+// vnodes is the virtual-node count per ring node — enough that a handful of
+// nodes split 1k keys within a modest balance bound (asserted by
+// TestRingBalance).
+const vnodes = 160
 
 // Ring is a consistent-hash ring over node IDs. Each node contributes
 // vnodes points; a key belongs to the node owning the first point at or
 // after the key's hash. Ring is not safe for concurrent use — the
 // ReplicaSet guards it.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by (hash, node)
 	nodes  map[string]struct{}
 }
@@ -38,13 +37,9 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds an empty ring with the given virtual-node count per node
-// (DefaultVNodes when <= 0).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes, nodes: map[string]struct{}{}}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{nodes: map[string]struct{}{}}
 }
 
 // ringHash is FNV-1a followed by the MurmurHash3 64-bit finalizer. Bare
@@ -92,7 +87,7 @@ func (r *Ring) Remove(node string) {
 func (r *Ring) rebuild() {
 	r.points = r.points[:0]
 	for node := range r.nodes {
-		for i := 0; i < r.vnodes; i++ {
+		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, ringPoint{ringHash(node + "#" + strconv.Itoa(i)), node})
 		}
 	}

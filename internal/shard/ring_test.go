@@ -39,7 +39,7 @@ func ownersOf(t *testing.T, r *Ring, keys []string) map[string]string {
 // over 5 nodes must land within a bounded factor of the even share on
 // every node.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0) // DefaultVNodes
+	r := NewRing()
 	const nodes = 5
 	for i := 0; i < nodes; i++ {
 		r.Add(fmt.Sprintf("r%d", i))
@@ -67,7 +67,7 @@ func TestRingBalance(t *testing.T) {
 // the new node (never shuffle keys between surviving nodes), and the moved
 // fraction must stay near the ideal 1/(n+1).
 func TestRingMinimalMovementOnJoin(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	const nodes = 5
 	for i := 0; i < nodes; i++ {
 		r.Add(fmt.Sprintf("r%d", i))
@@ -100,7 +100,7 @@ func TestRingMinimalMovementOnJoin(t *testing.T) {
 // node's keys; every other assignment is untouched — the property that
 // keeps surviving replicas' LRUs hot through a failure.
 func TestRingMinimalMovementOnLeave(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	const nodes = 5
 	for i := 0; i < nodes; i++ {
 		r.Add(fmt.Sprintf("r%d", i))
@@ -141,12 +141,12 @@ func TestRingMinimalMovementOnLeave(t *testing.T) {
 // duplicated vnode points, no stale leftovers) and assign keys exactly
 // as a fresh ring with the same membership would.
 func TestRingAddRemoveIdempotent(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 
 	r.Add("a")
 	r.Add("a") // repeated join: must not duplicate vnode points
-	if r.Len() != 1 || len(r.points) != DefaultVNodes {
-		t.Fatalf("after double Add: %d nodes, %d points; want 1, %d", r.Len(), len(r.points), DefaultVNodes)
+	if r.Len() != 1 || len(r.points) != vnodes {
+		t.Fatalf("after double Add: %d nodes, %d points; want 1, %d", r.Len(), len(r.points), vnodes)
 	}
 	r.Remove("a")
 	r.Remove("a") // repeated leave: no panic, no underflow
@@ -175,10 +175,10 @@ func TestRingAddRemoveIdempotent(t *testing.T) {
 			r.Remove(op.node)
 			delete(live, op.node)
 		}
-		if got, want := len(r.points), r.vnodes*len(live); got != want {
+		if got, want := len(r.points), vnodes*len(live); got != want {
 			t.Fatalf("step %d: %d points for %d nodes; want %d", step, got, len(live), want)
 		}
-		fresh := NewRing(0)
+		fresh := NewRing()
 		for n := range live {
 			fresh.Add(n)
 		}
@@ -195,7 +195,7 @@ func TestRingAddRemoveIdempotent(t *testing.T) {
 // TestRingSequence: the failover order starts at the owner, contains no
 // duplicates, and is capped by the node count.
 func TestRingSequence(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 3; i++ {
 		r.Add(fmt.Sprintf("r%d", i))
 	}
@@ -219,7 +219,7 @@ func TestRingSequence(t *testing.T) {
 	if got := r.Sequence("x", 0); got != nil {
 		t.Fatalf("Sequence(n=0) = %v, want nil", got)
 	}
-	empty := NewRing(0)
+	empty := NewRing()
 	if got := empty.Sequence("x", 2); got != nil {
 		t.Fatalf("empty ring Sequence = %v, want nil", got)
 	}

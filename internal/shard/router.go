@@ -21,16 +21,16 @@ import (
 	"repro/pkg/client"
 )
 
+// maxFailover is how many ring nodes a keyed request tries after its owner.
+const maxFailover = 2
+
 // Config sizes the router. Zero values select the documented defaults.
 type Config struct {
 	Addr        string        // listen address (default :8090)
 	URLs        []string      // backend base URLs (required)
-	VNodes      int           // virtual nodes per replica (default DefaultVNodes)
 	ProbeEvery  time.Duration // health-probe period (default 1s)
 	FailAfter   int           // consecutive failures before ejection (default 2)
-	MaxFailover int           // extra ring nodes tried after the primary (default 2)
 	Replication int           // owner-set size K for keyed job submissions (default 1)
-	HTTPClient  *http.Client  // optional downstream transport override (tests)
 
 	// Logger receives request and lifecycle logs; nil discards them.
 	Logger *olog.Logger
@@ -40,8 +40,6 @@ type Config struct {
 
 	// Flight recorder: metrics history, event journal, SLO engine.
 	HistoryInterval time.Duration   // tsdb sampling period (default 1s)
-	HistoryCapacity int             // points kept per series (default 600)
-	EventCapacity   int             // event-journal ring size (default 1024)
 	SLOs            []slo.Objective // declared objectives (empty = always ok)
 }
 
@@ -81,24 +79,18 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = ":8090"
 	}
-	if cfg.MaxFailover <= 0 {
-		cfg.MaxFailover = 2
-	}
 	if cfg.Replication <= 0 {
 		cfg.Replication = 1
 	}
 	t := tier.New(tier.Config{
 		Name: "shard", SpanPrefix: "router:", Addr: cfg.Addr, Logger: cfg.Logger,
 		TraceCapacity:   cfg.TraceCapacity,
-		HistoryInterval: cfg.HistoryInterval, HistoryCapacity: cfg.HistoryCapacity,
-		EventCapacity: cfg.EventCapacity, SLOs: cfg.SLOs, SLOMetrics: slo.ShardMetrics,
+		HistoryInterval: cfg.HistoryInterval, SLOs: cfg.SLOs, SLOMetrics: slo.ShardMetrics,
 	})
 	met := newMetrics(t.MetricsRegistry())
 	t.CountRequests(met.RequestSeries)
 	rs, err := NewReplicaSet(SetConfig{
-		URLs: cfg.URLs, VNodes: cfg.VNodes,
-		ProbeEvery: cfg.ProbeEvery, FailAfter: cfg.FailAfter,
-		HTTPClient: cfg.HTTPClient, Journal: t.Journal(),
+		URLs: cfg.URLs, ProbeEvery: cfg.ProbeEvery, FailAfter: cfg.FailAfter, Journal: t.Journal(),
 	}, met)
 	if err != nil {
 		return nil, err
@@ -170,7 +162,7 @@ func (rt *Router) routes() {
 // ---- routing core ----
 
 // route tries fn against each consistent-hash candidate for key in ring
-// order: the owner first, then up to MaxFailover successors. A replica
+// order: the owner first, then up to maxFailover successors. A replica
 // that is overloaded or draining triggers failover to the next candidate;
 // one that is unreachable (typed unavailable — also dinging its health)
 // fails over only when retryUnavailable is set, because an unreachable
@@ -187,7 +179,7 @@ func (rt *Router) routes() {
 // context so the downstream call (and the X-Sickle-Trace header pkg/client
 // attaches) is parented to its own attempt.
 func (rt *Router) route(ctx context.Context, key string, retryUnavailable bool, fn func(context.Context, *Replica) error) (*Replica, error) {
-	cands := rt.rs.Sequence(key, 1+rt.cfg.MaxFailover)
+	cands := rt.rs.Sequence(key, 1+maxFailover)
 	if len(cands) == 0 {
 		return nil, api.Errorf(api.CodeUnavailable, "shard: no replicas configured")
 	}

@@ -113,10 +113,9 @@ func sameData(got api.InferItem, want []float64) bool {
 func newTestRouter(t *testing.T, urls []string) *Router {
 	t.Helper()
 	rt, err := NewRouter(Config{
-		URLs:        urls,
-		ProbeEvery:  25 * time.Millisecond,
-		FailAfter:   2,
-		MaxFailover: 2,
+		URLs:       urls,
+		ProbeEvery: 25 * time.Millisecond,
+		FailAfter:  2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,6 @@ type Config struct {
 
 	TraceCapacity   int
 	HistoryInterval time.Duration
-	HistoryCapacity int
-	EventCapacity   int
 	SLOs            []slo.Objective
 	SLOMetrics      slo.MetricNames // the tier's request series, as the SLO engine names them
 }
@@ -89,8 +87,8 @@ func New(cfg Config) *Tier {
 		cfg:     cfg,
 		reg:     reg,
 		tracer:  obs.NewTracer(cfg.Name, cfg.TraceCapacity),
-		journal: events.NewJournal(cfg.Name, cfg.EventCapacity),
-		history: tsdb.NewStore(cfg.Name, reg, cfg.HistoryInterval, cfg.HistoryCapacity),
+		journal: events.NewJournal(cfg.Name, events.DefaultCapacity),
+		history: tsdb.NewStore(cfg.Name, reg, cfg.HistoryInterval, tsdb.DefaultCapacity),
 		mux:     http.NewServeMux(),
 		methods: map[string][]string{},
 	}
