@@ -118,7 +118,8 @@ lints() {
 		grep -q 'no le-bucketed' "$tmp/lint.err"
 }
 
-exports() { curl -fsS "$1/metrics" | grep -q "^$2"; }
+# (grep reads to EOF: an early -q exit fails curl's write under pipefail.)
+exports() { curl -fsS "$1/metrics" | grep "^$2" >/dev/null; }
 traces_tier() { answers "$1/debug/traces" ".tier == \"$2\" and (.traces | length) > 0"; }
 has_event() { jq -e --arg t "$2" 'any(.events[]; .type == $t)' "$1"; }
 
@@ -138,6 +139,7 @@ serve)
 	gate "POST /v2/infer on demo returns one output" infers "$base"
 	gate "keyed job: 202 then 200 with one ID, succeeded, points > 0" keyed_job "$base" smoke-a
 	gate "the same request under a fresh key" keyed_job "$base" smoke-b
+	smoke_b=$job_id
 	gate "  ... was served from the content-addressed cache" counted "$base" sickle_dedup_hits_total
 	gate "  ... and the WAL took appends" counted "$base" sickle_wal_appends_total
 	gate "sickle-top -lint passes /metrics and fails a 200 without le= series" lints "$base"
@@ -150,6 +152,11 @@ serve)
 	curl -fsS "$base/debug/events?type=recovery" >"$out/recovery-events.json"
 	gate "after kill -9 and a restart the journal holds recovery events" has_event "$out/recovery-events.json" recovery
 	gate "sickle_wal_recovered_jobs_total is exported" exports "$base" sickle_wal_recovered_jobs_total
+	# A succeeded job's result rides in its terminal WAL record: restored,
+	# not re-run, and no results/ directory beside the log.
+	gate "  ... the smoke-b job's result survived the restart" answers "$base/v2/jobs/$smoke_b/result" '.subsample.points > 0'
+	gate "  ... restored from its terminal record" counted "$base" 'sickle_wal_recovered_jobs_total{action="restored"}'
+	gate "  ... and the data dir has no results/ directory" test ! -e "$out/sickle-data/results"
 	;;
 shard)
 	base=http://127.0.0.1:18090

@@ -26,9 +26,9 @@ var ErrNotFound = errors.New("durable: blob not found")
 var ErrCorrupt = errors.New("durable: blob corrupt")
 
 // BlobStore is a flat directory of CRC-framed blobs written atomically
-// (temp file + fsync + rename). It backs both the per-job result store
-// and the content-addressed subsample cache. Handles are nil-safe on
-// the metrics side: an unregistered store simply counts nothing.
+// (temp file + fsync + rename). It backs the content-addressed subsample
+// cache. Handles are nil-safe on the metrics side: an unregistered store
+// simply counts nothing.
 type BlobStore struct {
 	dir string
 
@@ -47,7 +47,7 @@ func newBlobStore(dir string) (*BlobStore, error) {
 }
 
 // path maps a key to its file, defensively replacing anything that is
-// not path-safe (keys here are job IDs and SHA-256 hex, which are).
+// not path-safe (keys here are SHA-256 hex, which is).
 func (s *BlobStore) path(key string) string {
 	safe := strings.Map(func(r rune) rune {
 		switch {
@@ -130,8 +130,7 @@ func (s *BlobStore) Delete(key string) { os.Remove(s.path(key)) }
 
 // register mounts the dedup cache's counters. The names are spelled out
 // as constants (not built from a prefix) so sicklevet and grep can see
-// every registered series; the cache is the only BlobStore that exports
-// metrics.
+// every registered series.
 func (s *BlobStore) register(reg *obs.Registry) {
 	s.hits = reg.Counter("sickle_dedup_hits_total",
 		"Reads of the content-addressed result cache served from disk.").With()

@@ -9,13 +9,12 @@ import (
 
 // Store bundles a replica's durability state under one data directory:
 //
-//	<dir>/wal.log   write-ahead job log (wal.compact during recovery)
-//	<dir>/results/  per-job result blobs, keyed by job ID
+//	<dir>/wal.log   write-ahead job log (wal.compact during recovery); a
+//	                succeeded job's result rides in its terminal record
 //	<dir>/cas/      content-addressed subsample cache, keyed by ContentKey
 type Store struct {
-	WAL     *Log
-	Results *BlobStore
-	Cache   *BlobStore
+	WAL   *Log
+	Cache *BlobStore
 }
 
 // Open creates dir if needed, replays the previous WAL, and returns the
@@ -32,17 +31,12 @@ func Open(dir string) (*Store, []JobRecord, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	results, err := newBlobStore(filepath.Join(dir, "results"))
-	if err != nil {
-		_ = wal.Close() // the store-open error dominates
-		return nil, nil, err
-	}
 	cache, err := newBlobStore(filepath.Join(dir, "cas"))
 	if err != nil {
 		_ = wal.Close() // the store-open error dominates
 		return nil, nil, err
 	}
-	return &Store{WAL: wal, Results: results, Cache: cache}, recs, nil
+	return &Store{WAL: wal, Cache: cache}, recs, nil
 }
 
 // Seal finishes recovery: see Log.Seal.
@@ -64,8 +58,7 @@ func (s *Store) Close() error {
 	return s.WAL.Close()
 }
 
-// Register mounts sickle_wal_* and sickle_dedup_* metrics. The result
-// store stays uncounted — its reads happen once, at recovery.
+// Register mounts sickle_wal_* and sickle_dedup_* metrics.
 func (s *Store) Register(reg *obs.Registry) {
 	s.WAL.register(reg)
 	s.Cache.register(reg)

@@ -1,12 +1,10 @@
 // Package durable persists job state across process crashes. It gives a
-// serve replica three on-disk structures under one data directory:
+// serve replica two on-disk structures under one data directory:
 //
 //   - a write-ahead job log (wal.log): CRC-framed JSON records, fsync'd
 //     per append, replayed on startup so pending/running jobs can be
-//     re-enqueued and terminal jobs restored with their results;
-//   - a result store (results/): one CRC-framed blob per terminal job,
-//     written before the terminal WAL record so recovery never promises
-//     a result it cannot produce;
+//     re-enqueued and terminal jobs restored with their results, which
+//     ride in the terminal record itself;
 //   - a content-addressed cache (cas/): blobs keyed by a SHA-256 over
 //     the canonicalized request, memoizing identical subsample jobs
 //     into a disk read.
@@ -70,9 +68,8 @@ const (
 	KindSubmit Kind = "submit"
 	// KindStart records the pending→running transition.
 	KindStart Kind = "start"
-	// KindTerminal records the final state (and error, if any). The
-	// job's result blob, when it has one, is persisted before this
-	// record is appended.
+	// KindTerminal records the final state: the error of a failed or
+	// canceled job, the serialized result of a succeeded one.
 	KindTerminal Kind = "terminal"
 )
 
@@ -80,7 +77,8 @@ const (
 func stage(k Kind) string { return string(k) }
 
 // Record is one WAL entry. Submit carries Type/Key/Payload, terminal
-// carries State/Error; Time is the event time (created/started/finished).
+// carries State/Error/Result; Time is the event time
+// (created/started/finished).
 type Record struct {
 	Kind    Kind            `json:"kind"`
 	ID      string          `json:"id"`
@@ -89,6 +87,7 @@ type Record struct {
 	Payload json.RawMessage `json:"payload,omitempty"`
 	State   string          `json:"state,omitempty"`
 	Error   *api.Error      `json:"error,omitempty"`
+	Result  json.RawMessage `json:"result,omitempty"`
 	Time    time.Time       `json:"time"`
 }
 
@@ -103,6 +102,7 @@ type JobRecord struct {
 	Payload  json.RawMessage
 	State    api.JobState
 	Err      *api.Error
+	Result   json.RawMessage
 	Created  time.Time
 	Started  time.Time
 	Finished time.Time
@@ -385,6 +385,7 @@ func reduce(recs []Record) []JobRecord {
 			if j := byID[r.ID]; j != nil {
 				j.State = api.JobState(r.State)
 				j.Err = r.Error
+				j.Result = r.Result
 				j.Finished = r.Time
 			}
 		}

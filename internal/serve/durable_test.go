@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -194,6 +196,49 @@ func TestCrashPointRecoveryStages(t *testing.T) {
 				t.Fatalf("crash %s: metrics missing %s:\n%s", tc.point, want, metrics)
 			}
 		})
+	}
+}
+
+// TestRecoverSucceededWithoutResultReruns: a succeeded terminal record
+// without a result — what a log whose results lived beside it looks like,
+// or one whose result did not encode — promises nothing recovery can
+// serve, so a restart re-runs the job from its submission to a result.
+func TestRecoverSucceededWithoutResultReruns(t *testing.T) {
+	dir := t.TempDir()
+	payload, err := json.Marshal(api.SubmitJobRequest{Type: api.JobSubsample, Subsample: &testSub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UTC().Format(time.RFC3339Nano)
+	// The log by hand: header, then length | crc32 | JSON per record.
+	wal := []byte("SWAL\x01\x00\x00\x00")
+	for _, rec := range []string{
+		`{"kind":"submit","id":"job-1","type":"subsample","payload":` + string(payload) + `,"time":"` + now + `"}`,
+		`{"kind":"start","id":"job-1","time":"` + now + `"}`,
+		`{"kind":"terminal","id":"job-1","state":"succeeded","time":"` + now + `"}`,
+	} {
+		wal = binary.LittleEndian.AppendUint32(wal, uint32(len(rec)))
+		wal = binary.LittleEndian.AppendUint32(wal, crc32.ChecksumIEEE([]byte(rec)))
+		wal = append(wal, rec...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p := startDurable(t, dir)
+	ctx := context.Background()
+	defer p.Close(ctx)
+	c := client.New(p.URL)
+	done, err := c.WaitJob(ctx, "job-1", 5*time.Millisecond)
+	if err != nil || done.State != api.JobSucceeded {
+		t.Fatalf("re-run job = %+v, %v", done, err)
+	}
+	if res, err := c.JobResult(ctx, "job-1"); err != nil || res.Subsample == nil || res.Subsample.Points == 0 {
+		t.Fatalf("re-run result = %+v, %v", res, err)
+	}
+	_, metrics := httpGet(t, p.URL+"/metrics")
+	if !strings.Contains(string(metrics), `sickle_wal_recovered_jobs_total{action="reenqueued"} 1`) {
+		t.Fatalf("re-run not counted as reenqueued:\n%s", metrics)
 	}
 }
 

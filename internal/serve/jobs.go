@@ -31,13 +31,12 @@ type JobManager struct {
 	byKey map[string]string // idempotency key -> job ID, for dedup on retry
 	seq   int
 
-	// wal/results persist job state across restarts; nil runs in-memory
-	// (the pre-durability behavior). walErr observes non-fatal append
-	// failures on lifecycle records — the submit record is the one that
-	// fails the submission itself.
-	wal     *durable.Log
-	results *durable.BlobStore
-	walErr  func(err error)
+	// wal persists job state, results included, across restarts; nil
+	// runs in-memory (the pre-durability behavior). walErr observes
+	// non-fatal append failures on lifecycle records — the submit record
+	// is the one that fails the submission itself.
+	wal    *durable.Log
+	walErr func(err error)
 
 	sem     chan struct{}
 	ttl     time.Duration
@@ -115,17 +114,15 @@ func (jm *JobManager) SetPanicHook(h func(id string, typ api.JobType, traceID, m
 	jm.panicHook = h
 }
 
-// SetDurable attaches the write-ahead log and result store. onErr (may
-// be nil) observes append failures on start/terminal records — those
-// jobs still finish in memory; the WAL latches failed so the *next*
-// submission is refused with a typed unavailable error. Call before
-// serving traffic.
+// SetDurable attaches the write-ahead log. onErr (may be nil) observes
+// append failures on start/terminal records — those jobs still finish in
+// memory; the WAL latches failed so the *next* submission is refused
+// with a typed unavailable error. Call before serving traffic.
 func (jm *JobManager) SetDurable(st *durable.Store, onErr func(error)) {
 	if st == nil {
 		return
 	}
 	jm.wal = st.WAL
-	jm.results = st.Results
 	jm.walErr = onErr
 }
 
@@ -344,23 +341,23 @@ func (jm *JobManager) finish(j *jobEntry, res *api.JobResult, err error) {
 		j.status.State = api.JobFailed
 		j.status.Error = api.AsError(err)
 	}
-	// Persist the outcome — result blob first, then the terminal record,
-	// so a terminal WAL entry never promises a result that isn't on disk.
+	// Persist the outcome as one terminal record carrying the result. A
+	// result that does not marshal (a NaN loss) is left out, so recovery
+	// re-runs the job; handed to Append it would latch the log failed.
 	// Jobs interrupted by shutdown keep their non-terminal WAL state on
 	// purpose: a drained replica's in-flight jobs resume on restart.
 	if jm.wal != nil && !(jm.closed && j.status.State == api.JobCanceled) {
-		if j.status.State == api.JobSucceeded && j.result != nil {
-			if b, merr := json.Marshal(j.result); merr == nil {
-				if perr := jm.results.Put(j.status.ID, b); perr != nil {
-					jm.reportWALErr(perr)
-				}
-			}
-		}
-		if werr := jm.wal.Append(durable.Record{
+		rec := durable.Record{
 			Kind: durable.KindTerminal, ID: j.status.ID,
 			State: string(j.status.State), Error: j.status.Error,
 			Time: j.status.FinishedAt,
-		}); werr != nil {
+		}
+		if j.status.State == api.JobSucceeded && j.result != nil {
+			if b, merr := json.Marshal(j.result); merr == nil {
+				rec.Result = b
+			}
+		}
+		if werr := jm.wal.Append(rec); werr != nil {
 			jm.reportWALErr(werr)
 		}
 	}
@@ -406,17 +403,13 @@ func (jm *JobManager) purgeLocked() {
 	}
 }
 
-// dropLocked removes one expired job and everything keyed to it: its
-// idempotency-key reservation and its on-disk result blob. The WAL needs
-// no delete record — expired jobs are simply not re-appended at the next
-// compaction. Callers hold jm.mu.
+// dropLocked removes one expired job and its idempotency-key
+// reservation. The WAL needs no delete record — expired jobs are simply
+// not re-appended at the next compaction. Callers hold jm.mu.
 func (jm *JobManager) dropLocked(id string, j *jobEntry) {
 	delete(jm.jobs, id)
 	if j.key != "" && jm.byKey[j.key] == id {
 		delete(jm.byKey, j.key)
-	}
-	if jm.results != nil {
-		jm.results.Delete(id)
 	}
 }
 

@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/pkg/api"
 )
 
@@ -150,6 +152,48 @@ func TestJobAdmissionIgnoresTerminal(t *testing.T) {
 	}
 	if got := len(jm.List()); got != 5 {
 		t.Fatalf("retained %d terminal jobs, want 5", got)
+	}
+}
+
+// TestJobNaNResultKeepsWALOpen: a result encoding/json refuses (a training
+// run that diverged to a NaN loss) still finishes its job succeeded, and
+// stays out of the terminal record instead of latching the log failed —
+// the next submission is still accepted.
+func TestJobNaNResultKeepsWALOpen(t *testing.T) {
+	st, _, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	jm := NewJobManager(1, 4, time.Minute)
+	defer jm.Close()
+	var walErrs []error
+	jm.SetDurable(st, func(err error) { walErrs = append(walErrs, err) })
+
+	job, err := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+		return &api.JobResult{Train: &api.TrainJobResult{FinalLoss: math.NaN()}}, nil
+	})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if final := waitTerminal(t, jm, job.ID); final.State != api.JobSucceeded {
+		t.Fatalf("NaN-result job finished %s (%v), want succeeded", final.State, final.Error)
+	}
+	if res, err := jm.Result(job.ID); err != nil || !math.IsNaN(res.Train.FinalLoss) {
+		t.Fatalf("result = %+v, %v; want the NaN loss in memory", res, err)
+	}
+	next, err := submit(jm, func(ctx context.Context, progress func(string, int, int)) (*api.JobResult, error) {
+		return &api.JobResult{}, nil
+	})
+	if err != nil {
+		t.Fatalf("submission after a NaN result refused: %v", err)
+	}
+	waitTerminal(t, jm, next.ID)
+	if len(walErrs) != 0 {
+		t.Fatalf("WAL append errors: %v", walErrs)
 	}
 }
 

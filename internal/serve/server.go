@@ -154,13 +154,13 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // recoverJobs replays the folded WAL records into the job manager:
-// terminal jobs within the retention TTL come back queryable (succeeded
-// ones with their result blob — a succeeded record whose result is
-// missing or corrupt is re-run instead, since the WAL promised a result
-// it cannot produce), interrupted pending/running jobs are re-enqueued
-// from their persisted submission payload, and expired jobs are
-// dropped. Retained jobs are re-appended to the fresh WAL, which Seal
-// then atomically compacts over the old one.
+// terminal jobs within the retention TTL come back queryable exactly as
+// their terminal record was written (a succeeded record whose result is
+// missing or does not decode is re-run instead, since the WAL promised a
+// result it cannot produce), interrupted pending/running jobs are
+// re-enqueued from their persisted submission payload, and expired jobs
+// are dropped. Retained jobs are re-appended to the fresh WAL, which
+// Seal then atomically compacts over the old one.
 func (s *Server) recoverJobs(records []durable.JobRecord) {
 	wal := s.durable.WAL
 	type restore struct {
@@ -177,7 +177,6 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 			IdempotencyKey: rec.Key,
 		}
 		if rec.State.Terminal() && time.Since(rec.Finished) > defaultJobTTL {
-			s.durable.Results.Delete(rec.ID)
 			wal.CountRecovered("dropped")
 			continue
 		}
@@ -187,33 +186,22 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 				Key: rec.Key, Payload: rec.Payload, Time: rec.Created,
 			})
 		}
-		reappendTerminal := func(j api.Job) {
+		reappendTerminal := func(j api.Job, result json.RawMessage) {
 			wal.Append(durable.Record{
 				Kind: durable.KindTerminal, ID: j.ID, State: string(j.State),
-				Error: j.Error, Time: j.FinishedAt,
+				Error: j.Error, Result: result, Time: j.FinishedAt,
 			})
 		}
-		if rec.State.Terminal() {
-			var result *api.JobResult
-			lost := false
-			if rec.State == api.JobSucceeded {
-				if b, err := s.durable.Results.Get(rec.ID); err == nil {
-					result = &api.JobResult{}
-					if json.Unmarshal(b, result) != nil {
-						result, lost = nil, true
-					}
-				} else {
-					lost = true
-					s.durable.Results.Delete(rec.ID)
-				}
-			}
-			if !lost {
-				reappendSubmit()
-				reappendTerminal(job)
-				restores = append(restores, restore{job: job, result: result, action: "restored"})
-				continue
-			}
-			// Fall through: recompute the lost result below.
+		var result *api.JobResult
+		if rec.State == api.JobSucceeded && (json.Unmarshal(rec.Result, &result) != nil || result == nil) {
+			// Succeeded without a usable result: run it again.
+			job.State, job.FinishedAt = api.JobPending, time.Time{}
+		}
+		if job.State.Terminal() {
+			reappendSubmit()
+			reappendTerminal(job, rec.Result)
+			restores = append(restores, restore{job: job, result: result, action: "restored"})
+			continue
 		}
 		var req api.SubmitJobRequest
 		runner := JobRunner(nil)
@@ -228,7 +216,7 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 				"serve: job %s interrupted by restart; submission payload unrecoverable", rec.ID)
 			job.FinishedAt = time.Now()
 			reappendSubmit()
-			reappendTerminal(job)
+			reappendTerminal(job, nil)
 			restores = append(restores, restore{job: job, action: "interrupted"})
 			continue
 		}

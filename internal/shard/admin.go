@@ -150,7 +150,6 @@ func (rt *Router) handleAdminDrainReplica(w http.ResponseWriter, r *http.Request
 		drained = n
 	}
 	rt.rs.RemoveReplica(rep.ID)
-	rt.owners.ForgetReplica(rep.ID)
 	rt.Journal().Emit(events.TypeReplicaLeave, "replica removed from the membership", tc.TraceID,
 		"replica", rep.ID, "url", rep.URL, "drained_jobs", strconv.Itoa(drained))
 	rt.noteRebalance(before, "leave", tc.TraceID)

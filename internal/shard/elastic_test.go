@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -170,7 +171,8 @@ func TestShardReplicatedKeyedSubmitNoDuplicateOnFailover(t *testing.T) {
 
 // TestShardReplicatedReadFailsOverToCopy covers the read path of the owner
 // set: a keyed job's status stays readable under its original client-facing
-// ID while the replica that admitted it is dead but not yet ejected.
+// ID after the replica that admitted it dies, both before the failed reads
+// eject it and after.
 //
 // Each owner executes its copy independently, so the copy can still be
 // running after the primary reported succeeded; a read that fails over in
@@ -225,17 +227,62 @@ func TestShardReplicatedReadFailsOverToCopy(t *testing.T) {
 			reps[i] = nil
 		}
 	}
-	// Same client-facing ID, primary dead and still on the ring: the
-	// router re-finds the copy by key on the surviving owner.
-	got, err := c.Job(ctx, job.ID)
-	if err != nil {
-		t.Fatalf("sticky read with dead primary = %v, want copy fallback", err)
+	// Same client-facing ID, primary dead: the router re-finds the copy by
+	// key on the surviving owner — on the first read, while the primary is
+	// still on the ring, and on every read after the failures eject it.
+	for read := 1; read <= 3; read++ {
+		got, err := c.Job(ctx, job.ID)
+		if err != nil {
+			t.Fatalf("read %d with dead primary = %v, want copy fallback", read, err)
+		}
+		if got.State != api.JobSucceeded {
+			t.Fatalf("read %d: copy state = %v, want succeeded", read, got.State)
+		}
+		if _, rid := splitJobID(got.ID); rid != owners[1].ID {
+			t.Fatalf("read %d served by %q, want the surviving owner %s", read, got.ID, owners[1].ID)
+		}
 	}
-	if got.State != api.JobSucceeded {
-		t.Fatalf("copy state = %v, want succeeded", got.State)
+	if owners[0].Up() {
+		t.Fatalf("dead primary %s still up after three failed reads", owners[0].ID)
 	}
-	if _, rid := splitJobID(got.ID); rid != owners[1].ID {
-		t.Fatalf("read served by %q, want the surviving owner %s", got.ID, owners[1].ID)
+}
+
+// TestShardUnaddressableJobIDs: the "@rN" suffix is a job's only address,
+// so an ID without a usable one answers the typed job_not_found — even a
+// bare raw ID the router has listed from two replicas: raw IDs are unique
+// only per replica, so it names neither job.
+func TestShardUnaddressableJobIDs(t *testing.T) {
+	_, ckpt := newCheckpoint(t)
+	ctx := context.Background()
+
+	a := startReplica(t, "", ckpt)
+	b := startReplica(t, "", ckpt)
+	defer a.Close(ctx)
+	defer b.Close(ctx)
+	rt := newTestRouter(t, []string{a.URL, b.URL})
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL, client.WithRetry(0, 0))
+
+	// Both backends hold a raw job-1, and the router lists both.
+	sub := api.SubsampleRequest{Dataset: "GESTS-2048", Cube: 8, NumHypercubes: 2, NumSamples: 16, Seed: 1}
+	for _, u := range []string{a.URL, b.URL} {
+		if job, err := client.New(u).SubmitSubsampleJob(ctx, &sub); err != nil || job.ID != "job-1" {
+			t.Fatalf("direct submit to %s = %+v, %v; want job-1", u, job, err)
+		}
+	}
+	if jobs, err := c.Jobs(ctx); err != nil || len(jobs) != 2 {
+		t.Fatalf("router lists %+v, %v; want both job-1s", jobs, err)
+	}
+
+	for _, id := range []string{"job-1", "job-1@", "@r0", "job-1@r9"} {
+		t.Run(id, func(t *testing.T) {
+			got, err := c.Job(ctx, id)
+			var ae *api.Error
+			if !errors.As(err, &ae) || ae.Code != api.CodeJobNotFound {
+				t.Fatalf("Job(%q) = %+v, %v; want job_not_found", id, got, err)
+			}
+		})
 	}
 }
 

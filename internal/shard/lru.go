@@ -5,35 +5,27 @@ import (
 	"sync"
 )
 
-// ownerEntry is one remembered routing decision: raw job ID → the replica
-// holding it, plus the idempotency key it was submitted under (empty for
-// unkeyed jobs). The key is what lets the router re-find a replicated
-// keyed job on the surviving owners after its primary dies.
+// ownerEntry is one remembered keyed job: its client-facing ID
+// (job-3@r1) and the idempotency key it was submitted under.
 type ownerEntry struct {
-	raw     string
-	replica string
-	key     string
+	id  string
+	key string
 }
 
-// ownerCache is the bounded sticky-routing memory behind job-ID fallback.
-// Job IDs normally carry their replica suffix (job-3@r1), so this cache is
-// only consulted for bare IDs and for the replicated-copy key lookup — a
-// miss degrades to the legacy scatter, never to an error. It is a plain
-// LRU: Remember promotes, the least-recently-used entry falls off at cap,
-// and ForgetReplica drops every entry pointing at an ejected or removed
-// replica so the map cannot pin dead routing state (the unbounded map it
-// replaces kept entries for ejected replicas forever).
+// ownerCache is the bounded memory behind the copy fallback: when the
+// replica a job ID names is unreachable, the key remembered under that ID
+// is what re-finds a replicated copy on another owner. The ID suffix is a
+// job's only address, so the cache holds keyed jobs alone, and a miss
+// only means the read gets the dead replica's own answer. It is a plain
+// LRU: Remember promotes, the least-recently-used entry falls off at cap.
 type ownerCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*list.Element // raw ID → element whose Value is *ownerEntry
+	entries map[string]*list.Element // client-facing ID → element whose Value is *ownerEntry
 	order   *list.List               // front = most recently used
 }
 
 func newOwnerCache(capacity int) *ownerCache {
-	if capacity <= 0 {
-		capacity = maxJobOwnerEntries
-	}
 	return &ownerCache{
 		cap:     capacity,
 		entries: make(map[string]*list.Element),
@@ -41,80 +33,34 @@ func newOwnerCache(capacity int) *ownerCache {
 	}
 }
 
-// Remember records (or refreshes) raw → replica. A raw ID resubmitted
-// under a different replica overwrites the old entry — the cache answers
-// "where did I last see this ID", not "every place it ever lived" — with
-// one exception: when both entries carry the same idempotency key they are
-// replicated copies of one logical job, and the first-remembered replica
-// (the one the client-facing ID suffix points at) is kept, so a copy seen
-// later in a fan-out or fleet listing cannot clobber the mapping the
-// dead-primary fallback depends on.
-func (oc *ownerCache) Remember(raw, replica, key string) {
+// Remember records (or refreshes) id → key; an unkeyed job is not
+// remembered.
+func (oc *ownerCache) Remember(id, key string) {
+	if key == "" {
+		return
+	}
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	if el, ok := oc.entries[raw]; ok {
-		e := el.Value.(*ownerEntry)
-		if e.key == "" || e.key != key {
-			e.replica, e.key = replica, key
-		}
+	if el, ok := oc.entries[id]; ok {
+		el.Value.(*ownerEntry).key = key
 		oc.order.MoveToFront(el)
 		return
 	}
-	oc.entries[raw] = oc.order.PushFront(&ownerEntry{raw: raw, replica: replica, key: key})
-	for oc.order.Len() > oc.cap {
+	oc.entries[id] = oc.order.PushFront(&ownerEntry{id: id, key: key})
+	if oc.order.Len() > oc.cap {
 		back := oc.order.Back()
-		delete(oc.entries, back.Value.(*ownerEntry).raw)
+		delete(oc.entries, back.Value.(*ownerEntry).id)
 		oc.order.Remove(back)
 	}
 }
 
-// Resolve answers which replica last held raw, promoting the entry.
-func (oc *ownerCache) Resolve(raw string) (string, bool) {
+// Key returns the idempotency key the job id names was submitted under,
+// or "" for a job the cache does not hold.
+func (oc *ownerCache) Key(id string) string {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	el, ok := oc.entries[raw]
-	if !ok {
-		return "", false
-	}
-	oc.order.MoveToFront(el)
-	return el.Value.(*ownerEntry).replica, true
-}
-
-// Key returns the idempotency key raw was submitted under, but only if the
-// cache still maps it to replica — a stale or overwritten entry must not
-// redirect a read at some other replica's job.
-func (oc *ownerCache) Key(raw, replica string) string {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	if el, ok := oc.entries[raw]; ok {
-		if e := el.Value.(*ownerEntry); e.replica == replica {
-			return e.key
-		}
+	if el, ok := oc.entries[id]; ok {
+		return el.Value.(*ownerEntry).key
 	}
 	return ""
-}
-
-// ForgetReplica evicts every entry pointing at replica (ejection, drain,
-// removal) and reports how many it dropped.
-func (oc *ownerCache) ForgetReplica(replica string) int {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	var dropped int
-	for el := oc.order.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*ownerEntry); e.replica == replica {
-			delete(oc.entries, e.raw)
-			oc.order.Remove(el)
-			dropped++
-		}
-		el = next
-	}
-	return dropped
-}
-
-// Len reports the current entry count.
-func (oc *ownerCache) Len() int {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	return oc.order.Len()
 }

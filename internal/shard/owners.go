@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,9 +20,9 @@ import (
 // re-found after its primary dies.
 
 // Job IDs leaving the router carry the accepting replica as a suffix
-// ("job-3@r1"): raw downstream IDs are only unique per replica, and the
-// suffix makes the sticky mapping stateless — it survives a router
-// restart with no shared store.
+// ("job-3@r1"): raw downstream IDs are only unique per replica (each
+// counts from job-1), so the suffix is a job's only address — stateless,
+// it survives a router restart with no shared store.
 const jobIDSep = "@"
 
 func splitJobID(id string) (raw, replicaID string) {
@@ -32,27 +33,24 @@ func splitJobID(id string) (raw, replicaID string) {
 }
 
 // stampJob rewrites a downstream job snapshot's ID to the client-facing
-// form naming the replica that holds it.
-func stampJob(job *api.Job, replicaID string) { job.ID += jobIDSep + replicaID }
+// form naming the replica that holds it, and remembers a keyed job's key
+// under that ID for the copy fallback.
+func (rt *Router) stampJob(job *api.Job, rep *Replica) {
+	job.ID += jobIDSep + rep.ID
+	rt.owners.Remember(job.ID, job.IdempotencyKey)
+}
 
-// maxJobOwnerEntries bounds the sticky-cache fallback; the suffix is the
-// authoritative mapping, so an evicted entry only affects clients that
-// strip it (their read degrades to job_not_found, never to a wrong job).
+// maxJobOwnerEntries bounds the copy-fallback memory; an evicted entry
+// only costs that job its failover to a copy.
 const maxJobOwnerEntries = 8192
 
 // jobReplica resolves a client-facing job ID to (raw downstream ID,
-// owning replica): the "@rN" suffix when present, else the sticky cache.
+// owning replica) by its "@rN" suffix; an ID without one names no job.
 func (rt *Router) jobReplica(id string) (string, *Replica, error) {
 	raw, rid := splitJobID(id)
-	if rid == "" {
-		rid, _ = rt.owners.Resolve(raw)
-	}
-	if rid == "" {
-		return "", nil, api.Errorf(api.CodeJobNotFound, "shard: no job %q", id)
-	}
 	rep, ok := rt.rs.Get(rid)
-	if !ok {
-		return "", nil, api.Errorf(api.CodeJobNotFound, "shard: job %q names unknown replica %q", id, rid)
+	if raw == "" || !ok {
+		return "", nil, api.Errorf(api.CodeJobNotFound, "shard: no job %q", id)
 	}
 	return raw, rep, nil
 }
@@ -69,12 +67,13 @@ func submitKey(req *api.SubmitJobRequest) string {
 	return string(req.Type)
 }
 
-// consultOwners checks every member of routeKey's owner set for a job
-// already holding idemKey (serially, in ring order — the nearest healthy
-// owner answers first). An unreachable owner counts against its health
-// and the walk moves on; an owner without the key is simply a miss.
-func (rt *Router) consultOwners(ctx context.Context, routeKey, idemKey string) (*api.Job, *Replica, bool) {
-	for _, rep := range rt.rs.Sequence(routeKey, rt.replication) {
+// findByKey asks each candidate in turn for the job holding idemKey and
+// returns the first that has it, with route's accounting: a success
+// resets the replica's failure streak, a typed unavailable counts
+// against its health, and any other answer (job_not_found above all)
+// moves on to the next candidate.
+func (rt *Router) findByKey(ctx context.Context, cands []*Replica, idemKey string) (*api.Job, *Replica, bool) {
+	for _, rep := range cands {
 		job, err := rep.C.JobByKey(ctx, idemKey)
 		if err == nil {
 			rt.rs.NoteOK(rep)
@@ -107,8 +106,7 @@ func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.Submi
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := rep.C.SubmitJob(ctx, req)
-			if err != nil {
+			if _, err := rep.C.SubmitJob(ctx, req); err != nil {
 				rt.met.ownerReplFailures.Inc()
 				if api.AsError(err).Code == api.CodeUnavailable {
 					rt.rs.NoteFailure(rep, err)
@@ -117,34 +115,9 @@ func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.Submi
 			}
 			rt.rs.NoteOK(rep)
 			rt.met.ownerReplications.With(rep.ID).Inc()
-			rt.owners.Remember(out.ID, rep.ID, req.IdempotencyKey)
 		}()
 	}
 	wg.Wait()
-}
-
-// findReplicated re-finds a keyed job's copy on another owner after the
-// replica holding it became unreachable: the sticky cache yields the
-// idempotency key the job was submitted under (only while its entry still
-// names the dead replica — a stale entry must not redirect the read), and
-// a by-key scan of the live members locates a surviving copy.
-func (rt *Router) findReplicated(ctx context.Context, raw, deadID string) (*api.Job, *Replica, bool) {
-	key := rt.owners.Key(raw, deadID)
-	if key == "" {
-		return nil, nil, false
-	}
-	for _, rep := range rt.rs.Live() {
-		if rep.ID == deadID {
-			continue
-		}
-		job, err := rep.C.JobByKey(ctx, key)
-		if err != nil {
-			continue
-		}
-		rt.rs.NoteOK(rep)
-		return job, rep, true
-	}
-	return nil, nil, false
 }
 
 func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
@@ -159,14 +132,14 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	// answering from it is what keeps a resubmission from becoming a
 	// fleet-level duplicate.
 	if req.IdempotencyKey != "" {
-		if job, rep, ok := rt.consultOwners(r.Context(), key, req.IdempotencyKey); ok {
+		owners := rt.rs.Sequence(key, rt.replication)
+		if job, rep, ok := rt.findByKey(r.Context(), owners, req.IdempotencyKey); ok {
 			rt.met.ownerDedupHits.Inc()
 			tc, _ := api.TraceFrom(r.Context())
 			rt.Journal().Emit(events.TypeDedupHit, "keyed resubmission answered from the owner set",
 				tc.TraceID, "kind", "owner_set", "replica", rep.ID, "job", job.ID)
-			rt.owners.Remember(job.ID, rep.ID, req.IdempotencyKey)
 			rt.met.ObserveRouted(rep.ID)
-			stampJob(job, rep.ID)
+			rt.stampJob(job, rep)
 			return tier.WriteJSON(w, http.StatusOK, job)
 		}
 	}
@@ -188,11 +161,10 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return tier.WriteError(w, err)
 	}
-	rt.owners.Remember(job.ID, rep.ID, req.IdempotencyKey)
 	if req.IdempotencyKey != "" {
 		rt.replicate(r.Context(), key, &req, rep)
 	}
-	stampJob(job, rep.ID)
+	rt.stampJob(job, rep)
 	return tier.WriteJSON(w, http.StatusAccepted, job)
 }
 
@@ -206,8 +178,7 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 	var all []api.Job
 	for _, l := range lists {
 		for _, j := range l.val {
-			rt.owners.Remember(j.ID, l.rep.ID, j.IdempotencyKey)
-			stampJob(&j, l.rep.ID)
+			rt.stampJob(&j, l.rep)
 			all = append(all, j)
 		}
 	}
@@ -237,11 +208,13 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 // names and stamps the answer (nil stamp: the payload carries no job ID).
 // There is no general failover — the job state lives only there — but
 // when the replica is unreachable and the job was keyed-and-replicated,
-// the call is retried once against a surviving owner-set copy.
+// the call is retried once against a copy a by-key walk of the other
+// live members finds.
 func forwardSticky[T any](rt *Router, w http.ResponseWriter, r *http.Request,
-	call func(*client.Client, context.Context, string) (*T, error), stamp func(*T, string)) error {
+	call func(*client.Client, context.Context, string) (*T, error), stamp func(*T, *Replica)) error {
 	ctx := r.Context()
-	raw, rep, err := rt.jobReplica(r.PathValue("id"))
+	id := r.PathValue("id")
+	raw, rep, err := rt.jobReplica(id)
 	if err != nil {
 		return tier.WriteError(w, err)
 	}
@@ -251,9 +224,12 @@ func forwardSticky[T any](rt *Router, w http.ResponseWriter, r *http.Request,
 		rt.rs.NoteOK(rep)
 	case api.AsError(err).Code == api.CodeUnavailable:
 		rt.rs.NoteFailure(rep, err)
-		if copyJob, copyRep, ok := rt.findReplicated(ctx, raw, rep.ID); ok {
-			if copyOut, copyErr := call(copyRep.C, ctx, copyJob.ID); copyErr == nil {
-				out, rep, err = copyOut, copyRep, nil
+		if key := rt.owners.Key(id); key != "" {
+			others := slices.DeleteFunc(rt.rs.Live(), func(o *Replica) bool { return o == rep })
+			if copyJob, copyRep, ok := rt.findByKey(ctx, others, key); ok {
+				if copyOut, copyErr := call(copyRep.C, ctx, copyJob.ID); copyErr == nil {
+					out, rep, err = copyOut, copyRep, nil
+				}
 			}
 		}
 	}
@@ -262,17 +238,17 @@ func forwardSticky[T any](rt *Router, w http.ResponseWriter, r *http.Request,
 	}
 	rt.met.ObserveRouted(rep.ID)
 	if stamp != nil {
-		stamp(out, rep.ID)
+		stamp(out, rep)
 	}
 	return tier.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) handleGetJob(w http.ResponseWriter, r *http.Request) error {
-	return forwardSticky(rt, w, r, (*client.Client).Job, stampJob)
+	return forwardSticky(rt, w, r, (*client.Client).Job, rt.stampJob)
 }
 
 func (rt *Router) handleCancelJob(w http.ResponseWriter, r *http.Request) error {
-	return forwardSticky(rt, w, r, (*client.Client).CancelJob, stampJob)
+	return forwardSticky(rt, w, r, (*client.Client).CancelJob, rt.stampJob)
 }
 
 func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error {
@@ -287,19 +263,11 @@ func (rt *Router) handleGetJobByKey(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return tier.WriteError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
-	for _, rep := range rt.rs.Live() {
-		job, jerr := rep.C.JobByKey(r.Context(), key)
-		if jerr != nil {
-			if api.AsError(jerr).Code == api.CodeUnavailable {
-				rt.rs.NoteFailure(rep, jerr)
-			}
-			continue
-		}
-		rt.rs.NoteOK(rep)
-		rt.met.ObserveRouted(rep.ID)
-		rt.owners.Remember(job.ID, rep.ID, key)
-		stampJob(job, rep.ID)
-		return tier.WriteJSON(w, http.StatusOK, job)
+	job, rep, ok := rt.findByKey(r.Context(), rt.rs.Live(), key)
+	if !ok {
+		return tier.WriteError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
 	}
-	return tier.WriteError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
+	rt.met.ObserveRouted(rep.ID)
+	rt.stampJob(job, rep)
+	return tier.WriteJSON(w, http.StatusOK, job)
 }

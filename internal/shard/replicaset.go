@@ -92,11 +92,6 @@ type ReplicaSet struct {
 	met          *Metrics
 	journal      *events.Journal
 
-	// onEject runs (outside locks) whenever a replica leaves the ring for
-	// health reasons; the router hooks it to evict the replica's entries
-	// from the sticky-routing cache.
-	onEject func(id string)
-
 	stopOnce sync.Once
 	stop     chan struct{}
 	wg       sync.WaitGroup
@@ -167,9 +162,6 @@ func (rs *ReplicaSet) newReplica(id, url string) *Replica {
 		C:   client.New(url, client.WithRetry(0, 0), client.WithHTTPClient(hc)),
 	}
 }
-
-// OnEject installs the ejection hook (must be set before Start).
-func (rs *ReplicaSet) OnEject(fn func(id string)) { rs.onEject = fn }
 
 // Start launches the background health prober (probe immediately, then
 // every ProbeEvery).
@@ -279,9 +271,6 @@ func (rs *ReplicaSet) NoteFailure(r *Replica, err error) {
 	if eject {
 		rs.met.ejections.Inc()
 		rs.met.SetUp(r.ID, false)
-		if rs.onEject != nil {
-			rs.onEject(r.ID)
-		}
 		msg := ""
 		if err != nil {
 			msg = err.Error()

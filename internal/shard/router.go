@@ -64,12 +64,9 @@ type Router struct {
 	// job instead of spawning a duplicate.
 	replication int
 
-	// owners remembers raw downstream job ID → (replica, idempotency key):
-	// the fallback for clients that stripped the "@rN" suffix (the suffix
-	// itself is the authoritative stateless mapping, since raw IDs are only
-	// unique per replica), and the map that lets sticky reads re-find a
-	// keyed job's replicated copy when its replica dies. Bounded LRU;
-	// entries for ejected or removed replicas are evicted eagerly.
+	// owners remembers a keyed job's client-facing ID → idempotency key,
+	// which lets a sticky read re-find the job's replicated copy when the
+	// replica its ID names dies. Bounded LRU.
 	owners *ownerCache
 }
 
@@ -104,11 +101,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		replication: cfg.Replication,
 		owners:      newOwnerCache(maxJobOwnerEntries),
 	}
-	// A replica leaving the ring for health reasons takes its sticky-cache
-	// entries with it: the cache must never pin routing state at a dead
-	// replica (and unbounded growth from ejected members was how the old
-	// map leaked).
-	rs.OnEject(func(id string) { rt.owners.ForgetReplica(id) })
 	t.MetricsRegistry().GaugeFunc("sickle_shard_owner_set_size",
 		"Members in each key's owner set: the replication factor, bounded by ring size.",
 		func() float64 { return float64(min(rt.replication, rt.rs.RingMembers())) })
