@@ -84,7 +84,7 @@ infers() {
 # 200 with one ID, reaches succeeded, and its result holds points. The ID is
 # left in $job_id.
 keyed_job() {
-	local req first second state=
+	local req first second
 	req=$(jq -nc --arg key "$2" '{type: "subsample", idempotencyKey: $key, subsample:
 		{dataset: "GESTS-2048", cube: 8, numHypercubes: 2, numSamples: 32, seed: 1}}')
 	first=$(curl -sS -o "$tmp/first.json" -w '%{http_code}' "$1/v2/jobs" -d "$req")
@@ -95,12 +95,19 @@ keyed_job() {
 		cat "$tmp/first.json" "$tmp/second.json" >&2
 		return 1
 	fi
+	succeeds "$1" "$job_id"
+}
+
+# succeeds <base> <job-id>: the job reaches succeeded and its result holds
+# points.
+succeeds() {
+	local state=
 	for _ in $(seq 1 300); do
-		state=$(curl -fsS "$1/v2/jobs/$job_id" | jq -r .state)
+		state=$(curl -fsS "$1/v2/jobs/$2" | jq -r .state)
 		case $state in succeeded | failed | canceled) break ;; esac
 		sleep 0.1
 	done
-	[ "$state" = succeeded ] && answers "$1/v2/jobs/$job_id/result" '.subsample.points > 0'
+	[ "$state" = succeeded ] && answers "$1/v2/jobs/$2/result" '.subsample.points > 0'
 }
 
 # answers <url> <jq-filter>: the JSON the URL answers satisfies the filter.
@@ -157,6 +164,21 @@ serve)
 	gate "  ... the smoke-b job's result survived the restart" answers "$base/v2/jobs/$smoke_b/result" '.subsample.points > 0'
 	gate "  ... restored from its terminal record" counted "$base" 'sickle_wal_recovered_jobs_total{action="restored"}'
 	gate "  ... and the data dir has no results/ directory" test ! -e "$out/sickle-data/results"
+	# Crash drill on a fresh data dir: SICKLE_CRASH_POINT freezes the WAL
+	# before the terminal record, so the job succeeds in memory only; after
+	# kill -9 and a restart without the variable, replay re-runs it.
+	kill -9 "$booted"
+	wait "$booted" 2>/dev/null || true
+	drill=(sickle-serve -addr 127.0.0.1:18080 -demo -data-dir "$out/crash-data")
+	SICKLE_CRASH_POINT=before:terminal boot serve-crash "$base" "${drill[@]}"
+	gate "crash drill: the replica logs that its WAL crash point is armed" grep -q 'wal crash point armed' "$out/serve-crash.log"
+	gate "  ... a keyed job succeeds with the WAL frozen before:terminal" keyed_job "$base" smoke-crash
+	drill_job=$job_id
+	kill -9 "$booted"
+	wait "$booted" 2>/dev/null || true
+	boot serve-recover "$base" "${drill[@]}"
+	gate "  ... after kill -9 and a restart without it, the job is re-enqueued" counted "$base" 'sickle_wal_recovered_jobs_total{action="reenqueued"}'
+	gate "  ... and succeeds again with points" succeeds "$base" "$drill_job"
 	;;
 shard)
 	base=http://127.0.0.1:18090

@@ -17,12 +17,14 @@
 // and latch the log failed — a replica that cannot persist a submission
 // must refuse it rather than silently degrade to at-most-once.
 //
-// For fault injection, a crash point "freezes" the log at a chosen
-// stage: the trip and every later append are dropped, exactly the
-// on-disk state a process killed at that instant would leave behind.
-// Tests freeze in-process and then InProc.Kill the replica; the
-// SICKLE_CRASH_POINT environment variable instead exits the process
-// outright so shell-level smoke tests can crash a real binary.
+// For fault injection, the SICKLE_CRASH_POINT environment variable, read
+// when the log opens, names a stage at which the log freezes: that append
+// and every later one are dropped, exactly the on-disk state a process
+// killed at that instant would leave behind. A serve replica that opens
+// its data dir with the variable set logs a warning saying so. The
+// process runs on; a test then kills the replica (serve.InProc.Kill), a
+// shell drill kill -9s the binary, and either restarts it without the
+// variable.
 package durable
 
 import (
@@ -53,10 +55,9 @@ const (
 	maxFrame = 16 << 20
 )
 
-// CrashPointEnv names the environment variable that arms a process-level
-// crash point: when the WAL reaches the named stage the process exits
-// with status 3, simulating a crash for shell-driven recovery tests.
-// Values look like "before:terminal" or "after:submit".
+// CrashPointEnv names the environment variable that arms a crash point:
+// when the WAL reaches the named stage it freezes (see Freeze). Values
+// look like "before:terminal" or "after:submit".
 const CrashPointEnv = "SICKLE_CRASH_POINT"
 
 // Kind discriminates WAL record types.
@@ -116,13 +117,11 @@ type Log struct {
 	f      *os.File
 	dir    string
 	sealed bool // post-recovery: appends fsync individually
-	frozen bool // crash point tripped or Freeze called: appends dropped
+	frozen bool // crash point reached or Freeze called: appends dropped
 	closed bool
 	failed error // sticky typed append failure
 
-	crashPoint string
-	onTrip     func()
-	tripped    bool
+	crashPoint string // from CrashPointEnv at open; "" disarmed
 
 	appends   *obs.Counter
 	appendErr *obs.Counter
@@ -150,26 +149,7 @@ func openLog(dir string) (*Log, []JobRecord, error) {
 		_ = f.Close() // the header write error dominates
 		return nil, nil, err
 	}
-	l := &Log{f: f, dir: dir}
-	if p := os.Getenv(CrashPointEnv); p != "" {
-		l.crashPoint = p
-		l.onTrip = func() { os.Exit(3) }
-	}
-	return l, reduce(recs), nil
-}
-
-// SetCrashPoint arms a fault-injection point ("before:submit",
-// "after:terminal", ...). When the log reaches it, the log freezes —
-// that append and every later one are silently dropped, leaving exactly
-// the bytes a crash at that instant would have left — and onTrip (if
-// non-nil) runs once, under the log's lock, so it must not call back
-// into the log. Tests pair this with serve.InProc.Kill.
-func (l *Log) SetCrashPoint(point string, onTrip func()) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.crashPoint = point
-	l.onTrip = onTrip
-	l.tripped = false
+	return &Log{f: f, dir: dir, crashPoint: os.Getenv(CrashPointEnv)}, reduce(recs), nil
 }
 
 // Freeze drops all future appends, simulating process death for abrupt
@@ -248,15 +228,10 @@ func (l *Log) Append(rec Record) error {
 	return nil
 }
 
-// hit trips the crash point if it matches; called with mu held.
+// hit freezes the log at its crash point; called with mu held.
 func (l *Log) hit(point string) {
-	if l.tripped || l.crashPoint == "" || l.crashPoint != point {
-		return
-	}
-	l.tripped = true
-	l.frozen = true
-	if l.onTrip != nil {
-		l.onTrip()
+	if l.crashPoint == point {
+		l.frozen = true
 	}
 }
 

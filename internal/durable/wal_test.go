@@ -174,9 +174,8 @@ func TestWALAppendAfterCloseTypedUnavailable(t *testing.T) {
 
 func TestWALCrashPointFreezesLog(t *testing.T) {
 	dir := t.TempDir()
+	t.Setenv(CrashPointEnv, "before:terminal")
 	st, _ := openSealed(t, dir)
-	tripped := false
-	st.WAL.SetCrashPoint("before:terminal", func() { tripped = true })
 
 	st.WAL.Append(Record{Kind: KindSubmit, ID: "job-1", Type: "subsample", Time: time.Now()})
 	st.WAL.Append(Record{Kind: KindStart, ID: "job-1", Time: time.Now()})
@@ -184,12 +183,13 @@ func TestWALCrashPointFreezesLog(t *testing.T) {
 	if err := st.WAL.Append(Record{Kind: KindTerminal, ID: "job-1", State: "succeeded", Time: time.Now()}); err != nil {
 		t.Fatalf("frozen append errored: %v", err)
 	}
-	if !tripped {
+	if !st.WAL.frozen {
 		t.Fatal("crash point did not trip")
 	}
 	// Everything after the trip is silently lost, like a dead process.
 	st.WAL.Append(Record{Kind: KindSubmit, ID: "job-2", Type: "subsample", Time: time.Now()})
 	st.Close()
+	t.Setenv(CrashPointEnv, "")
 
 	st2, recs := openSealed(t, dir)
 	defer st2.Close()

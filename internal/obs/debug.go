@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"time"
 )
@@ -55,12 +56,16 @@ func (r *Registry) HandleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // ParseSince interprets the since query value of the /debug/history and
 // /debug/events endpoints: "" means no cutoff, a Go duration ("5m") means
-// that long before now, anything else must be RFC3339.
+// that long before now, anything else must be RFC3339. A negative duration
+// is an error: its cutoff would lie in the future and match nothing.
 func ParseSince(s string, now time.Time) (time.Time, error) {
 	if s == "" {
 		return time.Time{}, nil
 	}
 	if d, err := time.ParseDuration(s); err == nil {
+		if d < 0 {
+			return time.Time{}, fmt.Errorf("negative duration %q", s)
+		}
 		return now.Add(-d), nil
 	}
 	return time.Parse(time.RFC3339, s)

@@ -59,4 +59,36 @@ func TestParseSince(t *testing.T) {
 	if _, err := ParseSince("bogus", now); err == nil {
 		t.Error("bogus since should error")
 	}
+	if got, err := ParseSince("-5m", now); err == nil {
+		t.Errorf(`ParseSince("-5m") = %v; want an error, not a cutoff in the future`, got)
+	}
+}
+
+// FuzzParseSince: the since parser never panics; "" is no cutoff; an
+// accepted duration is never negative and gives exactly now minus it; an
+// accepted RFC3339 value gives the instant it names.
+func FuzzParseSince(f *testing.F) {
+	now := time.Unix(1_700_000_000, 0)
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseSince(s, now)
+		if err != nil {
+			return
+		}
+		if s == "" {
+			if !got.IsZero() {
+				t.Fatalf(`ParseSince("") = %v, want the zero time`, got)
+			}
+			return
+		}
+		if d, derr := time.ParseDuration(s); derr == nil {
+			if d < 0 || !got.Equal(now.Add(-d)) {
+				t.Fatalf("ParseSince(%q) = %v, want now - %v with a duration >= 0", s, got, d)
+			}
+			return
+		}
+		want, perr := time.Parse(time.RFC3339, s)
+		if perr != nil || !got.Equal(want) {
+			t.Fatalf("ParseSince(%q) = %v, want the RFC3339 instant %v (%v)", s, got, want, perr)
+		}
+	})
 }

@@ -7,7 +7,8 @@
 // catches slow bleeds. A breach flips the tier's health to "degraded" —
 // which the shard prober deprioritizes but does not eject — and lands in
 // the event journal. GET /debug/slo serves the full report; the
-// sickle_slo_* gauges surface the same numbers on /metrics.
+// sickle_slo_* gauges surface the same numbers on /metrics. An evaluation
+// is handed its time, and every window ends there.
 package slo
 
 import (
@@ -146,8 +147,7 @@ var (
 
 // Windows parameterizes the multi-window burn-rate rules. The fast rule
 // fires when both the Fast and Mid windows burn at ≥ FastBurn; the slow
-// rule when both the Slow and Mid windows burn at ≥ SlowBurn. Tests
-// shrink the windows to drive deterministic breaches.
+// rule when both the Slow and Mid windows burn at ≥ SlowBurn.
 type Windows struct {
 	Fast     time.Duration
 	Mid      time.Duration
@@ -196,9 +196,9 @@ type Engine struct {
 	names      MetricNames
 	objectives []Objective
 	journal    *events.Journal
+	windows    Windows // DefaultWindows; the package's tests shrink them
 
 	mu       sync.Mutex
-	windows  Windows
 	breached map[string]bool
 	degraded bool
 
@@ -226,45 +226,34 @@ func NewEngine(tier string, store *tsdb.Store, names MetricNames, objectives []O
 	return e
 }
 
-// SetWindows overrides the burn-rate windows (tests shrink them).
-func (e *Engine) SetWindows(w Windows) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.windows = w
-	e.mu.Unlock()
-}
-
 // Status evaluates and reports the tier's health: "ok" or "degraded".
 func (e *Engine) Status() string {
 	if e == nil {
 		return "ok"
 	}
-	return e.Evaluate().Status
+	return e.evaluate(time.Now()).Status
 }
 
 // HandleSLO serves the current evaluation (GET /debug/slo).
 func (e *Engine) HandleSLO(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(e.Evaluate())
+	json.NewEncoder(w).Encode(e.evaluate(time.Now()))
 }
 
-// Evaluate runs every objective over the current history, refreshes the
+// evaluate runs every objective over the history up to at, refreshes the
 // gauges, journals breach/recover and degraded/recovered transitions, and
 // returns the report.
-func (e *Engine) Evaluate() Report {
+func (e *Engine) evaluate(at time.Time) Report {
 	if e == nil {
 		return Report{Status: "ok"}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	w := e.windows
 	rep := Report{Tier: e.tier, Status: "ok", Objectives: []ObjectiveReport{}}
 	anyBreach := false
 	for _, o := range e.objectives {
-		or := e.evaluateObjective(o, w)
+		or := e.evaluateObjective(o, at)
 		if or.Breached {
 			anyBreach = true
 		}
@@ -315,10 +304,11 @@ func (e *Engine) noteTransition(or ObjectiveReport) {
 	}
 }
 
-func (e *Engine) evaluateObjective(o Objective, w Windows) ObjectiveReport {
+func (e *Engine) evaluateObjective(o Objective, at time.Time) ObjectiveReport {
+	w := e.windows
 	budget := 1 - o.Target/100
 	eval := func(label string, window time.Duration) WindowBurn {
-		frac, n := e.errorFraction(o, window)
+		frac, n := e.errorFraction(o, at.Add(-window))
 		return WindowBurn{
 			Window: label, Seconds: window.Seconds(),
 			ErrorFraction: frac, BurnRate: frac / budget, Samples: n,
@@ -344,22 +334,22 @@ func (e *Engine) evaluateObjective(o Objective, w Windows) ObjectiveReport {
 }
 
 // errorFraction computes an objective's bad fraction (and sample count)
-// over one trailing window. No traffic means no errors.
-func (e *Engine) errorFraction(o Objective, window time.Duration) (frac, samples float64) {
+// since one window's cutoff. No traffic means no errors.
+func (e *Engine) errorFraction(o Objective, since time.Time) (frac, samples float64) {
 	routeMatch := map[string]string{}
 	if o.Route != "" && o.Route != "*" {
 		routeMatch[e.names.RouteLabel] = o.Route
 	}
 	switch o.Kind {
 	case KindAvailability:
-		total := e.store.SumCounter(e.names.RequestsTotal, routeMatch, window)
+		total := e.store.SumCounter(e.names.RequestsTotal, routeMatch, since)
 		if total <= 0 {
 			return 0, 0
 		}
-		bad := e.store.SumCounter(e.names.ErrorsTotal, routeMatch, window)
+		bad := e.store.SumCounter(e.names.ErrorsTotal, routeMatch, since)
 		return bad / total, total
 	case KindLatency:
-		buckets, counts, count, _ := e.store.HistWindow(e.names.LatencyHist, routeMatch, window)
+		buckets, counts, count, _ := e.store.HistWindow(e.names.LatencyHist, routeMatch, since)
 		if count == 0 {
 			return 0, 0
 		}
@@ -375,7 +365,7 @@ func (e *Engine) errorFraction(o Objective, window time.Duration) (frac, samples
 		}
 		return float64(count-good) / float64(count), float64(count)
 	default: // KindQueueDepth
-		above, total := e.store.GaugeAbove(e.names.QueueGauge, nil, window, o.Depth)
+		above, total := e.store.GaugeAbove(e.names.QueueGauge, nil, since, o.Depth)
 		if total == 0 {
 			return 0, 0
 		}

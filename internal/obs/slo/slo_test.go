@@ -3,7 +3,6 @@ package slo
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -82,37 +81,28 @@ func FuzzParseObjective(f *testing.F) {
 	})
 }
 
-// sloHarness is a registry + scripted-clock store + engine triple the
-// burn-rate tests drive sample by sample.
+// sloHarness is a registry + store + engine triple the burn-rate tests
+// drive sample by sample on a scripted time t.
 type sloHarness struct {
 	reg     *obs.Registry
 	store   *tsdb.Store
 	eng     *Engine
 	journal *events.Journal
-
-	mu sync.Mutex
-	t  time.Time
+	t       time.Time
 }
 
 func newHarness(t *testing.T, objectives ...Objective) *sloHarness {
 	t.Helper()
 	h := &sloHarness{reg: obs.NewRegistry(), t: time.Unix(1_700_000_000, 0)}
 	h.store = tsdb.NewStore("test", h.reg, time.Second, 1024)
-	h.store.SetNowFunc(func() time.Time {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return h.t
-	})
 	h.journal = events.NewJournal("test", 64)
 	h.eng = NewEngine("test", h.store, ServeMetrics, objectives, h.reg, h.journal)
 	return h
 }
 
-func (h *sloHarness) advance(d time.Duration) {
-	h.mu.Lock()
-	h.t = h.t.Add(d)
-	h.mu.Unlock()
-}
+func (h *sloHarness) advance(d time.Duration) { h.t = h.t.Add(d) }
+func (h *sloHarness) sample()                 { h.store.Sample(h.t) }
+func (h *sloHarness) evaluate() Report        { return h.eng.evaluate(h.t) }
 
 func approx(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
 
@@ -134,17 +124,17 @@ func approx(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
 // mid ≥ 5) -> breached, budget exhausted.
 func TestAvailabilityBurnRatesHandComputed(t *testing.T) {
 	h := newHarness(t, Objective{Kind: KindAvailability, Route: "/v2/infer", Target: 99})
-	h.eng.SetWindows(Windows{
+	h.eng.windows = Windows{
 		Fast: 10 * time.Second, Mid: 60 * time.Second, Slow: 300 * time.Second,
 		FastBurn: 10, SlowBurn: 5,
-	})
+	}
 	req := h.reg.Counter(ServeMetrics.RequestsTotal, "h", "route").With("/v2/infer")
 	errs := h.reg.Counter(ServeMetrics.ErrorsTotal, "h", "route").With("/v2/infer")
 
 	emit := func(requests, errors int) {
 		req.Add(float64(requests))
 		errs.Add(float64(errors))
-		h.store.SampleNow()
+		h.sample()
 	}
 	h.advance(5 * time.Second)
 	emit(100, 50)
@@ -154,7 +144,7 @@ func TestAvailabilityBurnRatesHandComputed(t *testing.T) {
 	emit(100, 1)
 	h.advance(5 * time.Second) // now = t=300s
 
-	rep := h.eng.Evaluate()
+	rep := h.evaluate()
 	if len(rep.Objectives) != 1 {
 		t.Fatalf("got %d objective reports, want 1", len(rep.Objectives))
 	}
@@ -185,11 +175,11 @@ func TestAvailabilityBurnRatesHandComputed(t *testing.T) {
 
 	// The fast rule must NOT have fired alone: recheck with thresholds
 	// that only the fast pair could satisfy.
-	h.eng.SetWindows(Windows{
+	h.eng.windows = Windows{
 		Fast: 10 * time.Second, Mid: 60 * time.Second, Slow: 300 * time.Second,
 		FastBurn: 10, SlowBurn: 1000,
-	})
-	if or := h.eng.Evaluate().Objectives[0]; or.Breached {
+	}
+	if or := h.evaluate().Objectives[0]; or.Breached {
 		t.Error("fast rule should not fire: fast burn 1 < 10")
 	}
 }
@@ -198,18 +188,18 @@ func TestAvailabilityBurnRatesHandComputed(t *testing.T) {
 // out, asserting the journaled transition events and healthz status.
 func TestBreachRecoverTransitions(t *testing.T) {
 	h := newHarness(t, Objective{Kind: KindAvailability, Route: "*", Target: 99})
-	h.eng.SetWindows(Windows{
+	h.eng.windows = Windows{
 		Fast: 10 * time.Second, Mid: 10 * time.Second, Slow: 10 * time.Second,
 		FastBurn: 10, SlowBurn: 10,
-	})
+	}
 	req := h.reg.Counter(ServeMetrics.RequestsTotal, "h", "route").With("/x")
 	errs := h.reg.Counter(ServeMetrics.ErrorsTotal, "h", "route").With("/x")
 
 	// Epoch 1: total failure -> burn 100.
 	req.Add(10)
 	errs.Add(10)
-	h.store.SampleNow()
-	if got := h.eng.Status(); got != "degraded" {
+	h.sample()
+	if got := h.evaluate().Status; got != "degraded" {
 		t.Fatalf("status after failures = %q, want degraded", got)
 	}
 	if evs := h.journal.Events(0, events.TypeSLOBreach, time.Time{}); len(evs) != 1 {
@@ -221,7 +211,7 @@ func TestBreachRecoverTransitions(t *testing.T) {
 		t.Fatalf("degraded events = %d, want 1", len(evs))
 	}
 	// Re-evaluating in the same state must not re-journal the edge.
-	h.eng.Evaluate()
+	h.evaluate()
 	if evs := h.journal.Events(0, events.TypeSLOBreach, time.Time{}); len(evs) != 1 {
 		t.Fatalf("breach events after re-eval = %d, want still 1", len(evs))
 	}
@@ -229,8 +219,8 @@ func TestBreachRecoverTransitions(t *testing.T) {
 	// Epoch 2: move past the window with clean traffic -> recovery.
 	h.advance(30 * time.Second)
 	req.Add(100)
-	h.store.SampleNow()
-	if got := h.eng.Status(); got != "ok" {
+	h.sample()
+	if got := h.evaluate().Status; got != "ok" {
 		t.Fatalf("status after recovery = %q, want ok", got)
 	}
 	if evs := h.journal.Events(0, events.TypeSLORecover, time.Time{}); len(evs) != 1 {
@@ -245,19 +235,19 @@ func TestBreachRecoverTransitions(t *testing.T) {
 // upper bound is at or under the threshold.
 func TestLatencyObjectiveGoodBuckets(t *testing.T) {
 	h := newHarness(t, Objective{Kind: KindLatency, Route: "/v2/infer", Threshold: 100 * time.Millisecond, Target: 99})
-	h.eng.SetWindows(Windows{
+	h.eng.windows = Windows{
 		Fast: time.Minute, Mid: time.Minute, Slow: time.Minute,
 		FastBurn: 5, SlowBurn: 5,
-	})
+	}
 	hist := h.reg.Histogram(ServeMetrics.LatencyHist, "h", []float64{0.1, 0.5}, "route").With("/v2/infer")
 	// 9 fast, 1 slow -> bad fraction 0.1, burn 10 -> breach at threshold 5.
 	for i := 0; i < 9; i++ {
 		hist.Observe(0.05)
 	}
 	hist.Observe(0.3)
-	h.store.SampleNow()
+	h.sample()
 
-	rep := h.eng.Evaluate()
+	rep := h.evaluate()
 	or := rep.Objectives[0]
 	if !approx(or.Windows[0].ErrorFraction, 0.1) {
 		t.Errorf("error fraction = %v, want 0.1", or.Windows[0].ErrorFraction)
@@ -269,18 +259,18 @@ func TestLatencyObjectiveGoodBuckets(t *testing.T) {
 
 func TestQueueDepthObjective(t *testing.T) {
 	h := newHarness(t, Objective{Kind: KindQueueDepth, Depth: 64, Target: 50})
-	h.eng.SetWindows(Windows{
+	h.eng.windows = Windows{
 		Fast: time.Minute, Mid: time.Minute, Slow: time.Minute,
 		FastBurn: 1.5, SlowBurn: 1.5,
-	})
+	}
 	g := h.reg.Gauge(ServeMetrics.QueueGauge, "h").With()
 	// 3 of 4 samples above depth 64 -> frac 0.75, budget 0.5 -> burn 1.5.
 	for _, v := range []float64{10, 100, 100, 100} {
 		g.Set(v)
-		h.store.SampleNow()
+		h.sample()
 		h.advance(time.Second)
 	}
-	or := h.eng.Evaluate().Objectives[0]
+	or := h.evaluate().Objectives[0]
 	if !approx(or.Windows[0].BurnRate, 1.5) {
 		t.Errorf("queue burn = %v, want 1.5", or.Windows[0].BurnRate)
 	}
@@ -297,7 +287,7 @@ func TestNoTrafficIsHealthy(t *testing.T) {
 		Objective{Kind: KindLatency, Route: "*", Threshold: time.Millisecond, Target: 99.9},
 		Objective{Kind: KindQueueDepth, Depth: 1, Target: 99.9},
 	)
-	rep := h.eng.Evaluate()
+	rep := h.evaluate()
 	if rep.Status != "ok" {
 		t.Fatalf("status with no traffic = %q, want ok", rep.Status)
 	}
@@ -318,25 +308,24 @@ func TestNilEngineIsOK(t *testing.T) {
 	if e.Status() != "ok" {
 		t.Error("nil engine must report ok")
 	}
-	e.SetWindows(DefaultWindows)
-	if rep := e.Evaluate(); rep.Status != "ok" {
-		t.Error("nil engine Evaluate must report ok")
+	if rep := e.evaluate(time.Now()); rep.Status != "ok" {
+		t.Error("nil engine evaluate must report ok")
 	}
 }
 
 // TestSLOGauges: the engine mirrors its verdicts onto sickle_slo_*.
 func TestSLOGauges(t *testing.T) {
 	h := newHarness(t, Objective{Kind: KindAvailability, Route: "*", Target: 99})
-	h.eng.SetWindows(Windows{
+	h.eng.windows = Windows{
 		Fast: time.Minute, Mid: time.Minute, Slow: time.Minute,
 		FastBurn: 10, SlowBurn: 10,
-	})
+	}
 	req := h.reg.Counter(ServeMetrics.RequestsTotal, "h", "route").With("/x")
 	errs := h.reg.Counter(ServeMetrics.ErrorsTotal, "h", "route").With("/x")
 	req.Add(10)
 	errs.Add(10)
-	h.store.SampleNow()
-	h.eng.Evaluate()
+	h.sample()
+	h.evaluate()
 
 	text := h.reg.Render()
 	for _, want := range []string{

@@ -130,6 +130,26 @@ func replicaQPS(s *Snapshot, replica string) (float64, bool) {
 	return 0, false
 }
 
+// recentRouted sums the router's own last five routed-request deltas for a
+// replica; found is false while the router history lacks that series.
+func recentRouted(s *Snapshot, replica string) (sum float64, found bool) {
+	if s.History == nil {
+		return 0, false
+	}
+	for _, sr := range s.History.Series {
+		if sr.Replica != "" || sr.Name != "sickle_shard_routed_requests_total" ||
+			sr.Labels["replica"] != replica {
+			continue
+		}
+		found = true
+		n := len(sr.Points)
+		for _, p := range sr.Points[n-min(n, 5):] {
+			sum += p.V
+		}
+	}
+	return sum, found
+}
+
 // TestFlightRecorderKillAndReadmit is the core acceptance path: kill a
 // replica under load, watch the journal record the ejection and the
 // per-replica history record the QPS dip, respawn it, watch the
@@ -177,8 +197,13 @@ func TestFlightRecorderKillAndReadmit(t *testing.T) {
 
 	// Phase 1: both replicas serving. The scattered history must show
 	// per-replica traffic for both.
-	time.Sleep(400 * time.Millisecond)
-	snap := collect(t, ts.URL)
+	var snap *Snapshot
+	waitFor(t, "traffic on both replicas", 10*time.Second, func() bool {
+		snap = collect(t, ts.URL)
+		q0, _ := replicaQPS(snap, "r0")
+		q1, _ := replicaQPS(snap, "r1")
+		return snap.Health != nil && snap.Health.Status == "ok" && q0 > 0 && q1 > 0
+	})
 	if snap.Health == nil || snap.Health.Status != "ok" {
 		t.Fatalf("health = %+v, want ok", snap.Health)
 	}
@@ -200,8 +225,14 @@ func TestFlightRecorderKillAndReadmit(t *testing.T) {
 		r, _ := rs.Get("r1")
 		return !r.Up()
 	})
-	time.Sleep(300 * time.Millisecond) // let post-ejection history accrue
-	snap = collect(t, ts.URL)
+	// Post-ejection history accrues until r1's recent routed deltas are zero.
+	waitFor(t, "post-ejection history", 10*time.Second, func() bool {
+		snap = collect(t, ts.URL)
+		_, r1Live := replicaQPS(snap, "r1")
+		q0, _ := replicaQPS(snap, "r0")
+		r1Recent, found := recentRouted(snap, "r1")
+		return hasEvent(snap, events.TypeEjection, "r1") && !r1Live && q0 > 0 && found && r1Recent == 0
+	})
 	if !hasEvent(snap, events.TypeEjection, "r1") {
 		t.Fatalf("phase 2: no ejection event for r1 in %+v", snap.Events)
 	}
@@ -216,19 +247,7 @@ func TestFlightRecorderKillAndReadmit(t *testing.T) {
 	if snap.History == nil {
 		t.Fatal("phase 2: no router history")
 	}
-	var r1Recent float64
-	found := false
-	for _, sr := range snap.History.Series {
-		if sr.Replica != "" || sr.Name != "sickle_shard_routed_requests_total" ||
-			sr.Labels["replica"] != "r1" {
-			continue
-		}
-		found = true
-		n := len(sr.Points)
-		for _, p := range sr.Points[n-min(n, 5):] {
-			r1Recent += p.V
-		}
-	}
+	r1Recent, found := recentRouted(snap, "r1")
 	if !found {
 		t.Fatal("phase 2: router history lacks routed counter for r1")
 	}
@@ -264,7 +283,10 @@ func TestFlightRecorderSLOBreachDegradesWithoutEjection(t *testing.T) {
 	ckpt := e2eCheckpoint(t)
 	ctx := context.Background()
 
-	objectives, err := slo.ParseObjectives([]string{"availability:*:99"})
+	// Only /v2/infer feeds the objective, so the router's /healthz probes
+	// do not dilute the error burst below: its error fraction is 1.0, a
+	// burn rate of 100, which breaches at the default windows.
+	objectives, err := slo.ParseObjectives([]string{"availability:/v2/infer:99"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,12 +294,6 @@ func TestFlightRecorderSLOBreachDegradesWithoutEjection(t *testing.T) {
 		startReplica(t, "", ckpt, objectives),
 		startReplica(t, "", ckpt, nil),
 	}
-	// Tiny equal windows with a low threshold: a short error burst
-	// breaches immediately and deterministically.
-	replicas[0].Server.SLO().SetWindows(slo.Windows{
-		Fast: 10 * time.Second, Mid: 10 * time.Second, Slow: 10 * time.Second,
-		FastBurn: 2, SlowBurn: 2,
-	})
 
 	rt, err := shard.NewRouter(shard.Config{
 		URLs:            []string{replicas[0].URL, replicas[1].URL},

@@ -7,6 +7,10 @@
 // is the substrate the SLO burn-rate engine (internal/obs/slo) evaluates
 // over, and GET /debug/history serves it as JSON; the shard router
 // scatter-gathers every replica's history into one fleet-wide view.
+//
+// The store reads no clock of its own: Sample stamps a pass with the time
+// it is given (the sampler's tick), and each aggregation takes its cutoff
+// as an argument, the way Query takes since.
 package tsdb
 
 import (
@@ -40,8 +44,6 @@ type Store struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	now func() time.Time // injectable clock (tests)
 }
 
 // series is one metric stream: its ring of sampled points plus the raw
@@ -89,19 +91,7 @@ func NewStore(tier string, reg *obs.Registry, interval time.Duration, capacity i
 		reg: reg, tier: tier, interval: interval, capacity: capacity,
 		series: map[string]*series{},
 		stop:   make(chan struct{}),
-		now:    time.Now,
 	}
-}
-
-// SetNowFunc injects the store's clock. Tests script sample timestamps
-// and window cutoffs with it; production code never calls this.
-func (s *Store) SetNowFunc(f func() time.Time) {
-	if s == nil || f == nil {
-		return
-	}
-	s.mu.Lock()
-	s.now = f
-	s.mu.Unlock()
 }
 
 // Interval returns the sampling period.
@@ -112,8 +102,8 @@ func (s *Store) Interval() time.Duration {
 	return s.interval
 }
 
-// Start launches the background sampler (one pass immediately, then every
-// interval). Safe on nil.
+// Start launches the background sampler (one pass immediately, then one
+// per interval, stamped with the tick's time). Safe on nil.
 func (s *Store) Start() {
 	if s == nil {
 		return
@@ -121,13 +111,13 @@ func (s *Store) Start() {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.SampleNow()
+		s.Sample(time.Now())
 		t := time.NewTicker(s.interval)
 		defer t.Stop()
 		for {
 			select {
-			case <-t.C:
-				s.SampleNow()
+			case at := <-t.C:
+				s.Sample(at)
 			case <-s.stop:
 				return
 			}
@@ -144,18 +134,17 @@ func (s *Store) Stop() {
 	s.wg.Wait()
 }
 
-// SampleNow runs one sampling pass over the registry. Exported so tests
-// (and -once tooling) can drive deterministic histories.
-func (s *Store) SampleNow() {
+// Sample runs one sampling pass over the registry, stamping its points
+// with at.
+func (s *Store) Sample(at time.Time) {
 	if s == nil {
 		return
 	}
 	snap := s.reg.Snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.now()
 	for i := range snap {
-		s.ingestLocked(&snap[i], t)
+		s.ingestLocked(&snap[i], at)
 	}
 }
 
@@ -264,27 +253,26 @@ func matchLabels(match, labels map[string]string) bool {
 
 // scan is the one windowed walk the aggregations share: under the read
 // lock it hands each series of the named family and kind whose labels
-// satisfy match, with its points inside the trailing window, to each.
-func (s *Store) scan(name, kind string, match map[string]string, window time.Duration, each func(sr *series, pts []point)) {
+// satisfy match, with its points at or after since, to each.
+func (s *Store) scan(name, kind string, match map[string]string, since time.Time, each func(sr *series, pts []point)) {
 	if s == nil {
 		return
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cutoff := s.now().Add(-window)
 	for _, sr := range s.series {
 		if sr.name != name || sr.kind != kind || !matchLabels(match, sr.labels) {
 			continue
 		}
-		each(sr, slices.DeleteFunc(sr.pts.Snapshot(), func(p point) bool { return p.t.Before(cutoff) }))
+		each(sr, slices.DeleteFunc(sr.pts.Snapshot(), func(p point) bool { return p.t.Before(since) }))
 	}
 }
 
-// SumCounter sums counter deltas over the trailing window across every
-// series of the family matching the label constraints.
-func (s *Store) SumCounter(name string, match map[string]string, window time.Duration) float64 {
+// SumCounter sums counter deltas since the cutoff across every series of
+// the family matching the label constraints.
+func (s *Store) SumCounter(name string, match map[string]string, since time.Time) float64 {
 	total := 0.0
-	s.scan(name, "counter", match, window, func(_ *series, pts []point) {
+	s.scan(name, "counter", match, since, func(_ *series, pts []point) {
 		for _, p := range pts {
 			total += p.v
 		}
@@ -292,12 +280,12 @@ func (s *Store) SumCounter(name string, match map[string]string, window time.Dur
 	return total
 }
 
-// HistWindow sums histogram bucket deltas over the trailing window across
+// HistWindow sums histogram bucket deltas since the cutoff across
 // matching series. Returns the bucket bounds (+Inf excluded; nil when no
 // series matched), summed per-bucket counts (+Inf last), and the summed
 // count and sum.
-func (s *Store) HistWindow(name string, match map[string]string, window time.Duration) (buckets []float64, counts []uint64, count uint64, sum float64) {
-	s.scan(name, "histogram", match, window, func(sr *series, pts []point) {
+func (s *Store) HistWindow(name string, match map[string]string, since time.Time) (buckets []float64, counts []uint64, count uint64, sum float64) {
+	s.scan(name, "histogram", match, since, func(sr *series, pts []point) {
 		if buckets == nil {
 			buckets = sr.buckets
 			counts = make([]uint64, len(sr.buckets)+1)
@@ -316,9 +304,9 @@ func (s *Store) HistWindow(name string, match map[string]string, window time.Dur
 }
 
 // GaugeAbove counts sampled points above the threshold (and the total
-// sampled points) over the trailing window across matching gauge series.
-func (s *Store) GaugeAbove(name string, match map[string]string, window time.Duration, threshold float64) (above, total int) {
-	s.scan(name, "gauge", match, window, func(_ *series, pts []point) {
+// sampled points) since the cutoff across matching gauge series.
+func (s *Store) GaugeAbove(name string, match map[string]string, since time.Time, threshold float64) (above, total int) {
+	s.scan(name, "gauge", match, since, func(_ *series, pts []point) {
 		total += len(pts)
 		for _, p := range pts {
 			if p.v > threshold {

@@ -11,33 +11,9 @@ import (
 	"repro/internal/obs"
 )
 
-// clock is a scripted time source: tests advance it explicitly so sample
-// timestamps and window cutoffs are deterministic.
-type clock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newClock() *clock { return &clock{t: time.Unix(1_700_000_000, 0)} }
-
-func (c *clock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *clock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func newTestStore(reg *obs.Registry, capacity int) (*Store, *clock) {
-	s := NewStore("test", reg, time.Second, capacity)
-	ck := newClock()
-	s.SetNowFunc(ck.Now)
-	return s, ck
-}
+// t0 is where the tests' scripted time starts: they stamp each Sample and
+// place each cutoff themselves, so timestamps and windows are exact.
+var t0 = time.Unix(1_700_000_000, 0)
 
 // findSeries pulls one named series out of a Query result.
 func findSeries(t *testing.T, out []Series, name string) Series {
@@ -62,12 +38,11 @@ func TestCounterDeltasAndResetAbsorption(t *testing.T) {
 	})
 	set := func(v float64) { mu.Lock(); cur = v; mu.Unlock() }
 
-	s, ck := newTestStore(reg, 16)
+	s := NewStore("test", reg, time.Second, 16)
 	// Scripted cumulative values: 10, 25, 25, then a restart back to 3.
-	for _, v := range []float64{10, 25, 25, 3} {
+	for i, v := range []float64{10, 25, 25, 3} {
 		set(v)
-		s.SampleNow()
-		ck.Advance(time.Second)
+		s.Sample(t0.Add(time.Duration(i) * time.Second))
 	}
 
 	sr := findSeries(t, s.Query(nil, time.Time{}), "test_jobs_total")
@@ -91,11 +66,10 @@ func TestRingWraparoundKeepsNewestOldestFirst(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("test_depth", "h").With()
 
-	s, ck := newTestStore(reg, 4)
+	s := NewStore("test", reg, time.Second, 4)
 	for i := 1; i <= 10; i++ {
 		g.Set(float64(i))
-		s.SampleNow()
-		ck.Advance(time.Second)
+		s.Sample(t0.Add(time.Duration(i) * time.Second))
 	}
 
 	sr := findSeries(t, s.Query(nil, time.Time{}), "test_depth")
@@ -117,14 +91,13 @@ func TestHistogramBucketDeltasAndExemplars(t *testing.T) {
 	h := reg.Histogram("test_seconds", "h", []float64{0.1, 0.5}, "route")
 	obsv := h.With("/infer")
 
-	s, ck := newTestStore(reg, 16)
+	s := NewStore("test", reg, time.Second, 16)
 	obsv.ObserveEx(0.05, "trace-a")
 	obsv.ObserveEx(0.3, "trace-b")
-	s.SampleNow()
-	ck.Advance(time.Second)
+	s.Sample(t0)
 	obsv.ObserveEx(0.05, "trace-c")
 	obsv.ObserveEx(2.0, "trace-d")
-	s.SampleNow()
+	s.Sample(t0.Add(time.Second))
 
 	sr := findSeries(t, s.Query([]string{"test_seconds"}, time.Time{}), "test_seconds")
 	if sr.Kind != "histogram" || len(sr.Buckets) != 2 {
@@ -157,13 +130,12 @@ func TestQueryGlobAndSince(t *testing.T) {
 	reg.Gauge("app_depth", "h").With().Set(1)
 	reg.Gauge("other_depth", "h").With().Set(2)
 
-	s, ck := newTestStore(reg, 16)
+	s := NewStore("test", reg, time.Second, 16)
 	a.Inc()
-	s.SampleNow()
-	ck.Advance(10 * time.Second)
-	cut := ck.Now()
+	s.Sample(t0)
+	cut := t0.Add(10 * time.Second)
 	a.Inc()
-	s.SampleNow()
+	s.Sample(cut)
 
 	if got := s.Query([]string{"app_*"}, time.Time{}); len(got) != 2 {
 		t.Fatalf("glob app_* matched %d series, want 2", len(got))
@@ -182,35 +154,34 @@ func TestAggregatorsOverWindows(t *testing.T) {
 	req := reg.Counter("req_total", "h", "route")
 	depth := reg.Gauge("depth", "h").With()
 
-	s, ck := newTestStore(reg, 64)
+	s := NewStore("test", reg, time.Second, 64)
 	// t=0: 10 on /a, 1 on /b, depth 5.
 	for i := 0; i < 10; i++ {
 		req.With("/a").Inc()
 	}
 	req.With("/b").Inc()
 	depth.Set(5)
-	s.SampleNow()
+	s.Sample(t0)
 	// t=30s: 4 more on /a, depth 90.
-	ck.Advance(30 * time.Second)
 	for i := 0; i < 4; i++ {
 		req.With("/a").Inc()
 	}
 	depth.Set(90)
-	s.SampleNow()
-	ck.Advance(time.Second)
+	s.Sample(t0.Add(30 * time.Second))
+	now := t0.Add(31 * time.Second)
 
 	// Narrow window sees only the second sample; wide window both.
-	if got := s.SumCounter("req_total", map[string]string{"route": "/a"}, 5*time.Second); got != 4 {
+	if got := s.SumCounter("req_total", map[string]string{"route": "/a"}, now.Add(-5*time.Second)); got != 4 {
 		t.Errorf("SumCounter narrow = %g, want 4", got)
 	}
-	if got := s.SumCounter("req_total", map[string]string{"route": "/a"}, time.Hour); got != 14 {
+	if got := s.SumCounter("req_total", map[string]string{"route": "/a"}, now.Add(-time.Hour)); got != 14 {
 		t.Errorf("SumCounter wide = %g, want 14", got)
 	}
 	// No label constraint sums across routes.
-	if got := s.SumCounter("req_total", nil, time.Hour); got != 15 {
+	if got := s.SumCounter("req_total", nil, now.Add(-time.Hour)); got != 15 {
 		t.Errorf("SumCounter all routes = %g, want 15", got)
 	}
-	if above, total := s.GaugeAbove("depth", nil, time.Hour, 64); above != 1 || total != 2 {
+	if above, total := s.GaugeAbove("depth", nil, now.Add(-time.Hour), 64); above != 1 || total != 2 {
 		t.Errorf("GaugeAbove = %d/%d, want 1/2", above, total)
 	}
 }
@@ -218,8 +189,8 @@ func TestAggregatorsOverWindows(t *testing.T) {
 func TestHandleHistoryJSON(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("x_total", "h").With().Inc()
-	s, _ := newTestStore(reg, 8)
-	s.SampleNow()
+	s := NewStore("test", reg, time.Second, 8)
+	s.Sample(t0)
 
 	rec := httptest.NewRecorder()
 	s.HandleHistory(rec, httptest.NewRequest("GET", "/debug/history?series=x_total&since=5m", nil))
@@ -241,30 +212,25 @@ func TestHandleHistoryJSON(t *testing.T) {
 	}
 }
 
-// TestConcurrentSampleAndQuery races writers, the sampler, and readers;
-// run under -race this is the store's memory-safety proof.
+// TestConcurrentSampleAndQuery races writers, the sampler, and readers,
+// each a fixed number of operations; run under -race this is the store's
+// memory-safety proof.
 func TestConcurrentSampleAndQuery(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("stress_total", "h", "worker")
 	h := reg.Histogram("stress_seconds", "h", nil, "worker")
+	c.With("w0").Inc() // the sampler's first pass has a series to record
 
 	s := NewStore("stress", reg, time.Millisecond, 32)
 	s.Start()
-	defer s.Stop()
 
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			id := fmt.Sprintf("w%d", w)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < 5000; i++ {
 				c.With(id).Inc()
 				h.With(id).ObserveEx(float64(i%10)/100, "t-"+id)
 			}
@@ -274,21 +240,16 @@ func TestConcurrentSampleAndQuery(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < 200; i++ {
+				since := time.Now().Add(-time.Second)
 				s.Query([]string{"stress_*"}, time.Time{})
-				s.SumCounter("stress_total", nil, time.Second)
-				s.HistWindow("stress_seconds", nil, time.Second)
+				s.SumCounter("stress_total", nil, since)
+				s.HistWindow("stress_seconds", nil, since)
 			}
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
-	close(stop)
 	wg.Wait()
+	s.Stop()
 
 	if got := s.Query(nil, time.Time{}); len(got) == 0 {
 		t.Fatal("stress run recorded no series")
@@ -299,11 +260,11 @@ func TestNilStoreIsSafe(t *testing.T) {
 	var s *Store
 	s.Start()
 	s.Stop()
-	s.SampleNow()
+	s.Sample(time.Now())
 	if s.Query(nil, time.Time{}) != nil {
 		t.Error("nil store Query should return nil")
 	}
-	if v := s.SumCounter("x", nil, time.Hour); v != 0 {
+	if v := s.SumCounter("x", nil, time.Time{}); v != 0 {
 		t.Error("nil store SumCounter should return 0")
 	}
 }

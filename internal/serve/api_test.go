@@ -497,8 +497,8 @@ func TestBatcherDrainTyped(t *testing.T) {
 	}
 	stopDone := make(chan struct{})
 	go func() { s.batcher.Stop(); close(stopDone) }()
-	// Give Stop a moment to close the stop channel, then unjam.
-	time.Sleep(10 * time.Millisecond)
+	// Once Stop has closed the stop channel, unjam.
+	<-s.batcher.stop
 	entry.Release(held)
 	entry.Release(held2)
 	select {

@@ -149,10 +149,10 @@ func TestCrashPointRecoveryStages(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.point, func(t *testing.T) {
 			dir := t.TempDir()
+			t.Setenv(durable.CrashPointEnv, tc.point)
 			p := startDurable(t, dir)
 			ctx := context.Background()
 			c := client.New(p.URL)
-			p.Server.durable.WAL.SetCrashPoint(tc.point, nil)
 
 			job, err := c.SubmitJob(ctx, &api.SubmitJobRequest{
 				Type: api.JobSubsample, Subsample: &testSub,
@@ -167,6 +167,7 @@ func TestCrashPointRecoveryStages(t *testing.T) {
 			}
 			p.Kill()
 
+			t.Setenv(durable.CrashPointEnv, "")
 			p2 := startDurable(t, dir)
 			defer p2.Close(ctx)
 			c2 := client.New(p2.URL)

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -142,6 +143,9 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.durable = st
 		st.Register(t.MetricsRegistry())
+		if cp := os.Getenv(durable.CrashPointEnv); cp != "" {
+			s.Logger().Warn("wal crash point armed; appends from that stage on are dropped", "point", cp)
+		}
 		s.jobs.SetDurable(st, func(err error) {
 			s.Logger().Error("wal append failed; next submission will be refused",
 				"err", err.Error())
@@ -264,12 +268,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Jobs exposes the job manager (the tier tests of this and the shard
 // package park and list jobs through it).
 func (s *Server) Jobs() *JobManager { return s.jobs }
-
-// Durable exposes the durability store (nil without Config.DataDir).
-// Embedders and crash-recovery tests use it for fault injection:
-// Store.WAL.SetCrashPoint arms a stage-precise freeze, Store.Freeze
-// simulates process death outright.
-func (s *Server) Durable() *durable.Store { return s.durable }
 
 // routes fills the chassis route table with the v2 surface.
 func (s *Server) routes() {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/serve"
 	"repro/pkg/api"
 	"repro/pkg/client"
@@ -43,6 +44,11 @@ func TestShardDurableRecoveryKeyedRetry(t *testing.T) {
 	ctx := context.Background()
 	base := t.TempDir()
 
+	// Freeze the WAL just before the terminal record: on disk the job will
+	// be mid-run forever, however far the in-memory runner got. Both
+	// replicas are armed, but at replication 1 only the key's owner runs
+	// the job.
+	t.Setenv(durable.CrashPointEnv, "before:terminal")
 	dirs := []string{filepath.Join(base, "r0"), filepath.Join(base, "r1")}
 	reps := make([]*serve.InProc, 2)
 	urls := make([]string, 2)
@@ -79,10 +85,6 @@ func TestShardDurableRecoveryKeyedRetry(t *testing.T) {
 		t.Fatalf("owner %s matches no replica", owner.URL)
 	}
 
-	// Freeze the owner's WAL just before the terminal record: on disk the
-	// job will be mid-run forever, however far the in-memory runner got.
-	reps[ownerIdx].Server.Durable().WAL.SetCrashPoint("before:terminal", nil)
-
 	key := api.NewIdempotencyKey()
 	req := api.SubmitJobRequest{Type: api.JobSubsample, Subsample: &sub, IdempotencyKey: key}
 	job, err := c.SubmitJob(ctx, &req)
@@ -104,8 +106,9 @@ func TestShardDurableRecoveryKeyedRetry(t *testing.T) {
 		return !r.Up()
 	})
 
-	// Respawn on the same address AND the same data dir: the WAL replay
-	// re-enqueues the interrupted job under its original identity.
+	// Respawn on the same address AND the same data dir, disarmed: the WAL
+	// replay re-enqueues the interrupted job under its original identity.
+	t.Setenv(durable.CrashPointEnv, "")
 	reps[ownerIdx] = startDurableReplica(t, deadAddr, ckpt, dirs[ownerIdx])
 	waitFor(t, "re-admission of the respawned owner", 5*time.Second, func() bool {
 		r, _ := rt.ReplicaSet().Get(owner.ID)

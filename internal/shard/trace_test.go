@@ -194,8 +194,8 @@ func TestRouterTraceListAndMetricsLint(t *testing.T) {
 
 // TestDebugSinceRule: /debug/history and /debug/events read since by one
 // rule, on a replica and through the router's fleet-wide merge alike — a
-// Go duration, an RFC3339 time or nothing filters, anything else is a 400
-// rather than a silently unfiltered answer.
+// Go duration of zero or more, an RFC3339 time or nothing filters, anything
+// else is a 400 rather than a silently unfiltered (or empty) answer.
 func TestDebugSinceRule(t *testing.T) {
 	_, ckpt := newCheckpoint(t)
 	p := startReplica(t, "", ckpt)
@@ -213,6 +213,7 @@ func TestDebugSinceRule(t *testing.T) {
 		{"", http.StatusOK},
 		{"5mins", http.StatusBadRequest},
 		{"garbage", http.StatusBadRequest},
+		{"-5m", http.StatusBadRequest},
 	} {
 		for tier, base := range map[string]string{"serve": p.URL, "router": srv.URL} {
 			for _, endpoint := range []string{"/debug/history", "/debug/events"} {

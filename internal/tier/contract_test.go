@@ -138,7 +138,7 @@ func TestTierContract(t *testing.T) {
 					t.Errorf("%s moved by %v for one failed request, want 1", name, got)
 				}
 			}
-			tc.chassis.History().SampleNow()
+			tc.chassis.History().Sample(time.Now())
 			exemplar := false
 			for _, s := range tc.chassis.History().Query([]string{tc.seriesNS + "request_seconds"}, time.Time{}) {
 				if s.Labels["route"] != route {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -63,6 +64,8 @@ func TestRetryExhaustion(t *testing.T) {
 // TestRetryHonorsContext: cancellation during backoff returns promptly
 // with the typed canceled code instead of sleeping out the delay.
 func TestRetryHonorsContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTooManyRequests)
 		json.NewEncoder(w).Encode(api.ErrorEnvelope{
@@ -70,12 +73,24 @@ func TestRetryHonorsContext(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := New(ts.URL, WithRetry(3, time.Millisecond))
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
+	// The caller gives up once the first 429 is in the client's hands: the
+	// body is buffered before cancel, so the attempt decodes as overloaded
+	// and the retry loop enters its 30 s back-off with ctx already done.
+	rt := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err != nil {
+			return nil, err
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
 		cancel()
-	}()
+		return resp, nil
+	})
+	c := New(ts.URL, WithRetry(3, time.Millisecond), WithHTTPClient(&http.Client{Transport: rt}))
 	t0 := time.Now()
 	_, err := c.Infer(ctx, &api.InferRequest{Model: "m"})
 	var ae *api.Error
@@ -86,6 +101,10 @@ func TestRetryHonorsContext(t *testing.T) {
 		t.Fatal("retry loop ignored the canceled context")
 	}
 }
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestLegacyErrorDecode: a v1-style {"error":"msg"} failure still becomes
 // a typed error, with the code recovered from the HTTP status.
