@@ -24,7 +24,7 @@ func Tile(f *Field, sx, sy, sz int) []Hypercube {
 	if f.Is2D() {
 		sz = 1
 	}
-	var cubes []Hypercube
+	cubes := make([]Hypercube, 0, (f.Nx/sx)*(f.Ny/sy)*(f.Nz/sz))
 	id := 0
 	for k := 0; k+sz <= f.Nz; k += sz {
 		for j := 0; j+sy <= f.Ny; j += sy {

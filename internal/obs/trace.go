@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/binary"
 	"sort"
 	"sync"
 	"time"
@@ -42,7 +43,45 @@ type Tracer struct {
 	tier string
 
 	mu   sync.Mutex
-	ring *Ring[Span]
+	ring *Ring[stored]
+}
+
+// stored is a span as the ring keeps it, in a ring that may hold 10⁵ of
+// them: the tier is the tracer's, the start is in Unix nanoseconds and the
+// attributes are one string of length-prefixed keys and values (appendAttr)
+// — 96 bytes a slot and about 16 a span, where the Span itself and its map
+// took 120 and 300. Spans rebuilds the Span.
+type stored struct {
+	TraceID, SpanID, ParentID, Name string
+	start                           int64
+	Seconds                         float64
+	attrs                           string
+}
+
+// appendAttr appends one attribute to an encoded attribute list.
+func appendAttr(b []byte, k, v string) []byte {
+	b = append(binary.AppendUvarint(b, uint64(len(k))), k...)
+	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
+}
+
+// decodeAttrs rebuilds the map of an encoded attribute list, a later key
+// overriding an earlier one.
+func decodeAttrs(s string) map[string]string {
+	if s == "" {
+		return nil
+	}
+	m := map[string]string{}
+	next := func() string {
+		n, w := binary.Uvarint([]byte(s[:min(len(s), binary.MaxVarintLen64)]))
+		v := s[w : w+int(n)]
+		s = s[w+int(n):]
+		return v
+	}
+	for s != "" {
+		k := next()
+		m[k] = next()
+	}
+	return m
 }
 
 // DefaultTraceCapacity bounds the span ring when the caller does not.
@@ -55,17 +94,25 @@ func NewTracer(tier string, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{tier: tier, ring: NewRing[Span](capacity)}
+	return &Tracer{tier: tier, ring: NewRing[stored](capacity)}
 }
 
 // Record stores one finished span (stamping the tracer's tier).
 func (t *Tracer) Record(s Span) {
+	var buf [64]byte
+	attrs := buf[:0]
+	for k, v := range s.Attrs {
+		attrs = appendAttr(attrs, k, v)
+	}
+	t.record(s, attrs)
+}
+
+func (t *Tracer) record(s Span, attrs []byte) {
 	if t == nil || s.TraceID == "" {
 		return
 	}
-	s.Tier = t.tier
 	t.mu.Lock()
-	t.ring.Push(s)
+	t.ring.Push(stored{s.TraceID, s.SpanID, s.ParentID, s.Name, s.Start.UnixNano(), s.Seconds, string(attrs)})
 	t.mu.Unlock()
 }
 
@@ -91,10 +138,12 @@ func (t *Tracer) RegisterDropped(reg *Registry) {
 // ActiveSpan is an in-flight span started by StartSpan; End records it.
 // Nil handles (from a nil Tracer) no-op.
 type ActiveSpan struct {
-	t    *Tracer
-	span Span
-	mu   sync.Mutex
-	done bool
+	t     *Tracer
+	span  Span
+	attrs []byte // appendAttr's encoding, in buf while it fits
+	buf   [32]byte
+	mu    sync.Mutex
+	done  bool
 }
 
 // StartSpan opens a span under the trace carried by ctx, minting a fresh
@@ -118,7 +167,9 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 		Start:    time.Now(),
 	}
 	ctx = api.WithTrace(ctx, api.TraceContext{TraceID: sp.TraceID, SpanID: sp.SpanID})
-	return ctx, &ActiveSpan{t: t, span: sp}
+	a := &ActiveSpan{t: t, span: sp}
+	a.attrs = a.buf[:0]
+	return ctx, a
 }
 
 // SetAttr attaches one attribute to the span.
@@ -127,10 +178,7 @@ func (a *ActiveSpan) SetAttr(k, v string) {
 		return
 	}
 	a.mu.Lock()
-	if a.span.Attrs == nil {
-		a.span.Attrs = map[string]string{}
-	}
-	a.span.Attrs[k] = v
+	a.attrs = appendAttr(a.attrs, k, v)
 	a.mu.Unlock()
 }
 
@@ -162,13 +210,13 @@ func (a *ActiveSpan) End() {
 	}
 	a.done = true
 	a.span.Seconds = time.Since(a.span.Start).Seconds()
-	sp := a.span
+	sp, attrs := a.span, a.attrs
 	a.mu.Unlock()
-	a.t.Record(sp)
+	a.t.record(sp, attrs)
 }
 
 // snapshot copies the ring's live spans, oldest first.
-func (t *Tracer) snapshot() []Span {
+func (t *Tracer) snapshot() []stored {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.ring.Snapshot()
@@ -181,9 +229,11 @@ func (t *Tracer) Spans(traceID string) []Span {
 	}
 	var out []Span
 	for _, s := range t.snapshot() {
-		if s.TraceID == traceID {
-			out = append(out, s)
+		if s.TraceID != traceID {
+			continue
 		}
+		out = append(out, Span{TraceID: s.TraceID, SpanID: s.SpanID, ParentID: s.ParentID, Name: s.Name,
+			Tier: t.tier, Start: time.Unix(0, s.start), Seconds: s.Seconds, Attrs: decodeAttrs(s.attrs)})
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Start.Before(out[b].Start) })
 	return out
@@ -198,20 +248,21 @@ func (t *Tracer) Traces(limit int) []TraceInfo {
 	byID := map[string]*TraceInfo{}
 	var order []string
 	for _, s := range t.snapshot() {
+		start := time.Unix(0, s.start)
 		info, ok := byID[s.TraceID]
 		if !ok {
-			info = &TraceInfo{TraceID: s.TraceID, Start: s.Start, Root: s.Name}
+			info = &TraceInfo{TraceID: s.TraceID, Start: start, Root: s.Name}
 			byID[s.TraceID] = info
 			order = append(order, s.TraceID)
 		}
 		info.Spans++
-		if s.Start.Before(info.Start) {
-			info.Start = s.Start
+		if start.Before(info.Start) {
+			info.Start = start
 		}
 		if s.ParentID == "" {
 			info.Root = s.Name
 		}
-		if end := s.Start.Add(time.Duration(s.Seconds * float64(time.Second))); end.Sub(info.Start).Seconds() > info.Seconds {
+		if end := start.Add(time.Duration(s.Seconds * float64(time.Second))); end.Sub(info.Start).Seconds() > info.Seconds {
 			info.Seconds = end.Sub(info.Start).Seconds()
 		}
 	}

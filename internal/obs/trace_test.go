@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,6 +44,40 @@ func TestStartSpanMintsAndParents(t *testing.T) {
 	}
 	if byName["root"].Tier != "test" {
 		t.Errorf("tier = %q", byName["root"].Tier)
+	}
+}
+
+// TestSpanRoundTrip: the ring keeps a span in its compact form, and Spans
+// gives back what was recorded — start to the nanosecond, every attribute
+// (a repeated key keeping its last value, values long enough to outgrow
+// the active span's buffer), no attribute map where there was none.
+func TestSpanRoundTrip(t *testing.T) {
+	tr := NewTracer("test", 8)
+	long := strings.Repeat("x", 300)
+	start := time.Date(2025, 3, 4, 5, 6, 7, 890123456, time.UTC)
+	tr.Record(Span{TraceID: "t1", SpanID: "s1", ParentID: "p1", Name: "recorded", Start: start, Seconds: 0.25,
+		Attrs: map[string]string{"a": "1", "": "empty key", "long": long}})
+	tr.Record(Span{TraceID: "t1", SpanID: "s2", Name: "bare", Start: start.Add(time.Second)})
+	_, sp := tr.StartSpan(api.WithTrace(context.Background(), api.TraceContext{TraceID: "t1"}), "active")
+	sp.SetAttr("k", "first")
+	sp.SetAttr("long", long)
+	sp.SetAttr("k", "last")
+	sp.End()
+
+	got := tr.Spans("t1")
+	if len(got) != 3 {
+		t.Fatalf("got %d spans, want 3", len(got))
+	}
+	rec, bare, active := got[0], got[1], got[2]
+	if !rec.Start.Equal(start) || rec.Seconds != 0.25 || rec.ParentID != "p1" || rec.Tier != "test" ||
+		len(rec.Attrs) != 3 || rec.Attrs["a"] != "1" || rec.Attrs[""] != "empty key" || rec.Attrs["long"] != long {
+		t.Errorf("recorded span came back as %+v", rec)
+	}
+	if bare.Attrs != nil {
+		t.Errorf("a span without attributes came back with %v", bare.Attrs)
+	}
+	if len(active.Attrs) != 2 || active.Attrs["k"] != "last" || active.Attrs["long"] != long {
+		t.Errorf("active span's attributes came back as %v", active.Attrs)
 	}
 }
 

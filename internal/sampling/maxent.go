@@ -45,53 +45,86 @@ func maxEntKMeans(xs []float64, k int, rng *rand.Rand, labels []int) ([]float64,
 // Name implements PointSampler.
 func (MaxEnt) Name() string { return "maxent" }
 
+// clustering is Xmaxent's seed-independent answer for one cube: the points
+// of each cluster, ascending, and each cluster's node strength. members is
+// empty when the k-means found the cube degenerate.
+type clustering struct {
+	members  [][]int32
+	strength []float64
+}
+
 // SelectPoints implements PointSampler.
 func (m MaxEnt) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 	validateRequest(d, n)
-	k := m.NumClusters
-	if k <= 0 {
-		k = 20
-	}
 	total := d.N()
 	if n >= total {
 		return allIndices(total)
 	}
-	kcv := d.KCV()
-	sc := d.work()
-	if sc.clusterRng == nil {
-		sc.clusterRng = rand.New(rand.NewSource(0)) // re-seeded by every run
-	}
-	sc.labels = grow(sc.labels, total)
-	cents, err := maxEntKMeans(kcv, k, sc.clusterRng, sc.labels)
-	if err != nil {
+	kcv, sc := d.KCV(), d.work()
+	return m.draw(sc.cluster(kcv, m.NumClusters), total, dims(d), n, rng, sc)
+}
+
+// draw is Xmaxent's seeded part, the same over a fresh clustering and a
+// memoised one: n of the total points, allocated across the clusters by
+// strength and drawn uniformly inside each, ascending.
+func (m MaxEnt) draw(c clustering, total, dims, n int, rng *rand.Rand, sc *cubeScratch) []int {
+	if len(c.members) == 0 {
 		// Degenerate data; fall back to uniform selection.
-		return Random{Meter: m.Meter}.SelectPoints(d, n, rng)
+		return Random{Meter: m.Meter}.draw(total, dims, n, rng)
 	}
-	members := sc.groupByCluster(sc.labels, len(cents))
-	strength := sc.nodeStrengths(kcv, members)
 
 	// Entropy-weighted budget allocation across clusters, capped by
 	// cluster population; leftover budget cascades to the next-strongest
 	// clusters.
-	counts := allocateBudget(strength, members, n)
+	counts := allocateBudget(c.strength, c.members, n)
 
 	out := make([]int, 0, n)
-	for c, take := range counts {
+	for i, take := range counts {
 		if take == 0 {
 			continue
 		}
-		for _, j := range sc.permutation(len(members[c]), rng)[:take] {
-			out = append(out, members[c][j])
+		for _, j := range sc.permutation(len(c.members[i]), rng)[:take] {
+			out = append(out, int(c.members[i][j]))
 		}
 	}
 	sort.Ints(out)
-	chargeSampling(m.Meter, total, dims(d), 8) // clustering dominates
+	chargeSampling(m.Meter, total, dims, 8) // clustering dominates
 	return out
+}
+
+// cluster is Xmaxent's seed-independent work on a cube's cluster variable:
+// the fixed-seed k-means, the points grouped by cluster and the clusters'
+// node strengths (k ≤ 0 means 20). The members are views of sc.
+func (sc *cubeScratch) cluster(kcv []float64, k int) clustering {
+	if k <= 0 {
+		k = 20
+	}
+	if sc.clusterRng == nil {
+		sc.clusterRng = rand.New(rand.NewSource(0)) // re-seeded by every run
+	}
+	sc.labels = grow(sc.labels, len(kcv))
+	cents, err := maxEntKMeans(kcv, k, sc.clusterRng, sc.labels)
+	if err != nil {
+		return clustering{}
+	}
+	members := sc.groupByCluster(sc.labels, len(cents))
+	return clustering{members: members, strength: sc.nodeStrengths(kcv, members)}
+}
+
+// own copies the members of a clustering of total points out of the
+// scratch they view, so the memo can keep it; the strengths are its own.
+func (c clustering) own(total int) clustering {
+	idx, members := make([]int32, 0, total), make([][]int32, len(c.members))
+	for i, m := range c.members {
+		idx = append(idx, m...)
+		members[i] = idx[len(idx)-len(m) : len(idx) : len(idx)]
+	}
+	return clustering{members, c.strength}
 }
 
 // groupByCluster returns the points of each of the k clusters, in
 // ascending index order: a counting sort of the labels into the scratch.
-func (sc *cubeScratch) groupByCluster(labels []int, k int) [][]int {
+func (sc *cubeScratch) groupByCluster(labels []int, k int) [][]int32 {
 	start := grow(sc.start, k+1)
 	clear(start)
 	for _, l := range labels {
@@ -103,7 +136,7 @@ func (sc *cubeScratch) groupByCluster(labels []int, k int) [][]int {
 		members[c] = idx[start[c]:start[c]:start[c+1]]
 	}
 	for i, l := range labels {
-		members[l] = append(members[l], i)
+		members[l] = append(members[l], int32(i))
 	}
 	sc.start, sc.memberIdx, sc.members = start, idx, members
 	return members
@@ -114,7 +147,7 @@ func (sc *cubeScratch) groupByCluster(labels []int, k int) [][]int {
 // common support, in one k×maxEntHistBins slab of the scratch, the
 // adjacency matrix holds pairwise KL divergences, and the strength is the
 // row sum.
-func (sc *cubeScratch) nodeStrengths(kcv []float64, members [][]int) []float64 {
+func (sc *cubeScratch) nodeStrengths(kcv []float64, members [][]int32) []float64 {
 	lo, hi := kcv[0], kcv[0]
 	for _, x := range kcv[1:] {
 		if x < lo {
@@ -170,7 +203,7 @@ func (sc *cubeScratch) permutation(n int, rng *rand.Rand) []int {
 // allocateBudget distributes n samples across clusters proportionally to
 // strength, capping each cluster at its population and cascading overflow
 // to the remaining strongest clusters.
-func allocateBudget(strength []float64, members [][]int, n int) []int {
+func allocateBudget(strength []float64, members [][]int32, n int) []int {
 	k := len(strength)
 	counts := make([]int, k)
 	totalStrength := 0.0
@@ -263,15 +296,50 @@ func (h HRandom) SelectCubes(f *grid.Field, cubes []grid.Hypercube, kcvVar strin
 type HMaxEnt struct {
 	NumClusters int // default 5 (paper's SST-P1F100 config uses 5-20)
 	Meter       *energy.Meter
+	memo        *Memo // keeps the strengths per tiling; set by SelectCubesForField
 }
 
 // Name implements HypercubeSelector.
 func (HMaxEnt) Name() string { return "maxent" }
 
+// cubeStrengths is Hmaxent's seed-independent answer over one tiling: each
+// cube's strength (nil when the field is degenerate) and the clusters' count.
+type cubeStrengths struct {
+	strength []float64
+	k        int
+}
+
 // SelectCubes implements HypercubeSelector.
 func (h HMaxEnt) SelectCubes(f *grid.Field, cubes []grid.Hypercube, kcvVar string, nSelect int, rng *rand.Rand) []grid.Hypercube {
 	if nSelect >= len(cubes) {
 		return cubes
+	}
+	st := h.strengths(f, cubes, kcvVar)
+	if st.strength == nil {
+		// Degenerate field; fall back to uniform selection.
+		return HRandom{Meter: h.Meter}.SelectCubes(f, cubes, kcvVar, nSelect, rng)
+	}
+	sel := new(cubeScratch).weightedSample(st.strength, nSelect, rng)
+	out := make([]grid.Hypercube, 0, nSelect)
+	for _, i := range sel {
+		out = append(out, cubes[i])
+	}
+	chargeSampling(h.Meter, len(f.Var(kcvVar))/hMaxEntStride+len(cubes)*st.k, 1, 8)
+	return out
+}
+
+// strengths is phase 1's seed-independent work: the global clustering of
+// the cluster variable, each cube's occupancy and the KL strengths they
+// give. With a memo, h takes them from it or computes them without one and
+// stores them; the cubes are a whole tiling of f (grid.Tile), so the first
+// names its geometry.
+func (h HMaxEnt) strengths(f *grid.Field, cubes []grid.Hypercube, kcvVar string) cubeStrengths {
+	if memo, c := h.memo, cubes[0]; memo != nil {
+		h.memo = nil
+		return memoize(memo, memoKey{tiling{f, kcvVar, h.NumClusters, c.Sx, c.Sy, c.Sz}, wholeTiling}, func() (cubeStrengths, int64) {
+			st := h.strengths(f, cubes, kcvVar)
+			return st, 8 * int64(len(st.strength))
+		})
 	}
 	k := h.NumClusters
 	if k <= 0 {
@@ -286,7 +354,7 @@ func (h HMaxEnt) SelectCubes(f *grid.Field, cubes []grid.Hypercube, kcvVar strin
 	}
 	cents, err := maxEntKMeans(sub, k, rand.New(rand.NewSource(0)), nil)
 	if err != nil {
-		return HRandom{Meter: h.Meter}.SelectCubes(f, cubes, kcvVar, nSelect, rng)
+		return cubeStrengths{}
 	}
 	k = len(cents)
 
@@ -322,12 +390,5 @@ func (h HMaxEnt) SelectCubes(f *grid.Field, cubes []grid.Hypercube, kcvVar strin
 			strength[i] += stats.KLDivergence(row(i), row(j)) / float64(len(cubes)-1)
 		}
 	}
-
-	sel := new(cubeScratch).weightedSample(strength, nSelect, rng)
-	out := make([]grid.Hypercube, 0, nSelect)
-	for _, i := range sel {
-		out = append(out, cubes[i])
-	}
-	chargeSampling(h.Meter, len(kcv)/hMaxEntStride+len(cubes)*k, 1, 8)
-	return out
+	return cubeStrengths{strength, k}
 }

@@ -28,6 +28,11 @@ type PipelineConfig struct {
 	// serve job manager uses to report cancellable progress. It must not
 	// retain the arguments across calls.
 	Progress func(done, total int) `json:"-" yaml:"-"`
+	// Memo, when non-nil, keeps MaxEnt's seed-independent work on the
+	// dataset for the next request over it (see Memo); only the MaxEnt
+	// phases over a named cluster variable consult it. serve keeps one
+	// beside each cached dataset; offline runs leave it nil.
+	Memo *Memo `json:"-" yaml:"-"`
 }
 
 func (c *PipelineConfig) defaults() {
@@ -102,8 +107,20 @@ func SlabRows(n, d int) [][]float64 {
 	return rows
 }
 
+// checkClusters rejects a k outside [0, maxEntHistBins]: more clusters than
+// histogram bins resolve nothing more, at a cost that grows as k².
+func checkClusters(k int) error {
+	if k < 0 || k > maxEntHistBins {
+		return fmt.Errorf("sampling: numClusters %d outside [0, %d]", k, maxEntHistBins)
+	}
+	return nil
+}
+
 // NewHypercubeSelector builds a phase-1 selector by name.
 func NewHypercubeSelector(name string, numClusters int, m *energy.Meter) (HypercubeSelector, error) {
+	if err := checkClusters(numClusters); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "random", "":
 		return HRandom{Meter: m}, nil
@@ -116,6 +133,9 @@ func NewHypercubeSelector(name string, numClusters int, m *energy.Meter) (Hyperc
 
 // NewPointSampler builds a phase-2 sampler by name.
 func NewPointSampler(name string, numClusters int, m *energy.Meter) (PointSampler, error) {
+	if err := checkClusters(numClusters); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "random", "":
 		return Random{Meter: m}, nil
@@ -170,30 +190,24 @@ func SelectCubesForField(ctx context.Context, f *grid.Field, clusterVar string, 
 		return nil, fmt.Errorf("sampling: grid %dx%dx%d too small for %dx%dx%d cubes",
 			f.Nx, f.Ny, f.Nz, cfg.CubeSx, cfg.CubeSy, cfg.CubeSz)
 	}
+	if h, ok := hsel.(HMaxEnt); ok {
+		h.memo = cfg.Memo
+		hsel = h
+	}
 	return hsel.SelectCubes(f, cubes, clusterVar, cfg.NumHypercubes, rng), nil
 }
 
 // SubsampleSnapshotWithCubes runs phase 2 on one snapshot over a fixed cube
-// set. The rng is seeded per snapshot, so results do not depend on how
-// snapshots are distributed across ranks.
+// set, through a CubeSampler of its own. The rng is seeded per snapshot, so
+// results do not depend on how snapshots are distributed across ranks;
+// callers with many snapshots (stream.Run's rank workers, SubsampleDataset)
+// hold one CubeSampler across them.
 func SubsampleSnapshotWithCubes(ctx context.Context, d *grid.Dataset, snap int, kept []grid.Hypercube, cfg PipelineConfig) ([]CubeSample, error) {
-	return SubsampleFieldWithCubes(ctx, d.Snapshots[snap], snap, kept,
-		d.InputVars, d.OutputVars, d.ClusterVar, cfg)
-}
-
-// SubsampleFieldWithCubes runs phase 2 on a single in-memory snapshot
-// without requiring a materialized Dataset: it builds a CubeSampler and runs
-// it over kept, so the scratch is shared by the cubes of this call. Callers
-// with many snapshots (stream.Run's rank workers, SubsampleDataset) hold a
-// CubeSampler themselves and share it across snapshots too.
-func SubsampleFieldWithCubes(ctx context.Context, f *grid.Field, snap int, kept []grid.Hypercube,
-	inVars, outVars []string, clusterVar string, cfg PipelineConfig) ([]CubeSample, error) {
-
-	s, err := NewCubeSampler(cfg, inVars, outVars, clusterVar)
+	s, err := NewCubeSampler(cfg, d.InputVars, d.OutputVars, d.ClusterVar)
 	if err != nil {
 		return nil, err
 	}
-	return s.SampleField(ctx, f, snap, kept)
+	return s.SampleField(ctx, d.Snapshots[snap], snap, kept)
 }
 
 // CubeSampler is phase 2 for one (config, variables) pair: point selection
@@ -265,11 +279,50 @@ func (s *CubeSampler) SampleField(ctx context.Context, f *grid.Field, snap int, 
 	return out, nil
 }
 
-// sampleCube gathers the cube's features and cluster variable into the
-// scratch (x-fastest, the order Hypercube.VarValues uses), lets the point
-// sampler choose, and copies the chosen rows into a CubeSample that owns
-// them.
+// sampleCube lets the point sampler choose inside the cube and copies the
+// chosen points' features and targets from the field's columns into a
+// CubeSample that owns them. A MaxEnt sampler with a memo takes the cube's
+// clustering from it (a miss clusters in the scratch and keeps a copy) and
+// only draws; every other sampler chooses over the cube gathered into the
+// scratch.
 func (s *CubeSampler) sampleCube(f *grid.Field, snap int, cube grid.Hypercube) CubeSample {
+	total, d := cube.NPoints(), len(s.inCols)
+	n := s.cfg.NumSamples
+	if _, isFull := s.psel.(Full); isFull {
+		n = total
+	}
+	var local []int
+	if me, ok := s.psel.(MaxEnt); ok && s.cfg.Memo != nil && s.kcvCol != nil && n < total {
+		key := memoKey{tiling{f, s.clusterVar, me.NumClusters, cube.Sx, cube.Sy, cube.Sz}, [3]int{cube.I0, cube.J0, cube.K0}}
+		c := memoize(s.cfg.Memo, key, func() (clustering, int64) {
+			c := s.sc.cluster(s.gather(f, cube).ClusterVar, me.NumClusters).own(total)
+			return c, int64(4*total + 32*len(c.members))
+		})
+		local = me.draw(c, total, d, n, s.rng, &s.sc)
+	} else {
+		local = s.psel.SelectPoints(s.gather(f, cube), n, s.rng)
+	}
+
+	cs := CubeSample{Snapshot: snap, Cube: cube, LocalIdx: local,
+		Features: SlabRows(len(local), d), Targets: SlabRows(len(local), len(s.outCols))}
+	for r, li := range local {
+		// Decode the cube-local index back to its flat field index.
+		i, j, k := li%cube.Sx, li/cube.Sx%cube.Sy, li/(cube.Sx*cube.Sy)
+		flat := ((cube.K0+k)*f.Ny+cube.J0+j)*f.Nx + cube.I0 + i
+		for c, col := range s.inCols {
+			cs.Features[r][c] = col[flat]
+		}
+		for c, col := range s.outCols {
+			cs.Targets[r][c] = col[flat]
+		}
+	}
+	return cs
+}
+
+// gather copies the cube's features and cluster variable into the scratch,
+// x-fastest (the order Hypercube.VarValues uses): the view a point sampler
+// chooses over.
+func (s *CubeSampler) gather(f *grid.Field, cube grid.Hypercube) *Data {
 	sc := &s.sc
 	total, d := cube.NPoints(), len(s.inCols)
 	sc.raw = grow(sc.raw, total*d)
@@ -299,25 +352,7 @@ func (s *CubeSampler) sampleCube(f *grid.Field, snap int, cube grid.Hypercube) C
 	if s.kcvCol != nil {
 		data.ClusterVar = sc.kcv
 	}
-
-	n := s.cfg.NumSamples
-	if _, isFull := s.psel.(Full); isFull {
-		n = total
-	}
-	local := s.psel.SelectPoints(data, n, s.rng)
-
-	cs := CubeSample{Snapshot: snap, Cube: cube, LocalIdx: local,
-		Features: SlabRows(len(local), d), Targets: SlabRows(len(local), len(s.outCols))}
-	for r, li := range local {
-		copy(cs.Features[r], sc.rows[li])
-		// Decode the cube-local index back to its flat field index.
-		i, j, k := li%cube.Sx, li/cube.Sx%cube.Sy, li/(cube.Sx*cube.Sy)
-		flat := ((cube.K0+k)*f.Ny+cube.J0+j)*f.Nx + cube.I0 + i
-		for c, col := range s.outCols {
-			cs.Targets[r][c] = col[flat]
-		}
-	}
-	return cs
+	return data
 }
 
 // SubsampleSnapshot runs the full two-phase pipeline (Fig. 3) on one

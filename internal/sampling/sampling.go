@@ -99,13 +99,17 @@ func (Random) Name() string { return "random" }
 // SelectPoints implements PointSampler.
 func (r Random) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 	validateRequest(d, n)
-	total := d.N()
+	return r.draw(d.N(), dims(d), n, rng)
+}
+
+// draw picks n of total points of the given dims, ascending.
+func (r Random) draw(total, dims, n int, rng *rand.Rand) []int {
 	if n >= total {
 		return allIndices(total)
 	}
 	idx := rng.Perm(total)[:n]
 	sort.Ints(idx)
-	chargeSampling(r.Meter, n, dims(d), 1)
+	chargeSampling(r.Meter, n, dims, 1)
 	return idx
 }
 

@@ -329,6 +329,21 @@ func TestNewPointSamplerUnknown(t *testing.T) {
 	if _, err := NewHypercubeSelector("bogus", 0, nil); err == nil {
 		t.Fatal("expected error for unknown selector")
 	}
+	// k outside [0, maxEntHistBins]: more clusters than each cluster's
+	// histogram has bins, at a cost that grows as k².
+	for _, k := range []int{-1, maxEntHistBins + 1, 1000} {
+		if _, err := NewPointSampler("maxent", k, nil); err == nil {
+			t.Fatalf("point sampler accepted numClusters %d", k)
+		}
+		if _, err := NewHypercubeSelector("maxent", k, nil); err == nil {
+			t.Fatalf("selector accepted numClusters %d", k)
+		}
+	}
+	for _, k := range []int{0, maxEntHistBins} {
+		if _, err := NewPointSampler("maxent", k, nil); err != nil {
+			t.Fatalf("numClusters %d: %v", k, err)
+		}
+	}
 }
 
 func TestValidateRequestPanics(t *testing.T) {

@@ -25,8 +25,8 @@ type cubeScratch struct {
 
 	labels     []int      // per-point k-means cluster (maxent)
 	start      []int      // first slot of each cluster in memberIdx
-	memberIdx  []int      // point indices grouped by cluster
-	members    [][]int    // per-cluster views over memberIdx
+	memberIdx  []int32    // point indices grouped by cluster
+	members    [][]int32  // per-cluster views over memberIdx
 	pdfs       []float64  // k×maxEntHistBins per-cluster histograms
 	perm       []int      // a cluster's draw permutation
 	clusterRng *rand.Rand // the k-means rng, re-seeded per cube

@@ -206,25 +206,36 @@ func TestCubeSamplerAllocs(t *testing.T) {
 // default k = 20 holds its labels, clusters, histograms, permutation and
 // k-means rng in the scratch, so it allocates only the k-means centroids
 // and seeding distances, the budget split and the CubeSample. (Per-cube
-// members, histograms, Perm slices and rng source cost 283 objects.)
+// members, histograms, Perm slices and rng source cost 283 objects.) With
+// a memo that already holds the cube's clustering nothing is gathered:
+// only the budget split, the draw and the CubeSample are left, <= 9
+// objects.
 func TestMaxEntCubeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	s, d, kept := scratchTestSampler(t, "maxent")
-	s.psel = MaxEnt{}
-	f := d.Snapshots[0]
-	s.SampleField(context.Background(), f, 0, kept[:1]) // binds f, sizes the scratch
-	i := 0
-	got := testing.AllocsPerRun(50, func() {
-		cs := s.sampleCube(f, 0, kept[i%len(kept)])
-		if len(cs.LocalIdx) != 410 {
-			t.Fatalf("selected %d points, want 410", len(cs.LocalIdx))
+	for _, tc := range []struct {
+		memo  bool
+		limit float64
+	}{{false, 24}, {true, 9}} {
+		s, d, kept := scratchTestSampler(t, "maxent")
+		s.psel = MaxEnt{}
+		f := d.Snapshots[0]
+		if tc.memo {
+			s.cfg.Memo = NewMemo(d)
 		}
-		i++
-	})
-	if got > 24 {
-		t.Fatalf("a warm maxent cube allocates %v objects, want <= 24", got)
+		s.SampleField(context.Background(), f, 0, kept) // binds f, sizes the scratch, fills the memo
+		i := 0
+		got := testing.AllocsPerRun(50, func() {
+			cs := s.sampleCube(f, 0, kept[i%len(kept)])
+			if len(cs.LocalIdx) != 410 {
+				t.Fatalf("selected %d points, want 410", len(cs.LocalIdx))
+			}
+			i++
+		})
+		if got > tc.limit {
+			t.Fatalf("a warm maxent cube (memo %v) allocates %v objects, want <= %v", tc.memo, got, tc.limit)
+		}
 	}
 }
 
@@ -233,34 +244,49 @@ func TestMaxEntCubeAllocs(t *testing.T) {
 // field, so it allocates the strided copy, the k-means working set and one
 // occupancy slab, whatever the number of cubes: 64 cubes of 16³ and 512 of
 // 8³ cost the same objects. (Re-labelling every cube as one-element slices
-// cost 409 objects and 14 MiB per call for the 64 cubes.)
+// cost 409 objects and 14 MiB per call for the 64 cubes.) Through a memo
+// that holds the tiling's strengths, only the tiling, the draw and its
+// keys are left: <= 8 objects and <= 64 KiB, the tiling most of them.
 func TestHMaxEntAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	f := synth.GESTSDataset("GESTS-8192", synth.IsotropicConfig{N: 64, Seed: 19, KPeak: 6}).Snapshots[0]
-	var objs []float64
-	for _, edge := range []int{16, 8} {
-		cubes := grid.Tile(f, edge, edge, edge)
-		rng := rand.New(rand.NewSource(1))
-		run := func() {
-			if kept := (HMaxEnt{}).SelectCubes(f, cubes, "enstrophy", 8, rng); len(kept) != 8 {
-				t.Fatalf("kept %d cubes, want 8", len(kept))
-			}
-		}
+	d := synth.GESTSDataset("GESTS-8192", synth.IsotropicConfig{N: 64, Seed: 19, KPeak: 6})
+	f := d.Snapshots[0]
+	measure := func(run func()) (objs, kib float64) {
 		run()
-		got := testing.AllocsPerRun(10, run)
+		objs = testing.AllocsPerRun(10, run)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range 10 {
 			run()
 		}
 		runtime.ReadMemStats(&after)
-		kib := float64(after.TotalAlloc-before.TotalAlloc) / 10 / 1024
+		return objs, float64(after.TotalAlloc-before.TotalAlloc) / 10 / 1024
+	}
+	var objs []float64
+	for _, edge := range []int{16, 8} {
+		cubes := grid.Tile(f, edge, edge, edge)
+		rng := rand.New(rand.NewSource(1))
+		got, kib := measure(func() {
+			if kept := (HMaxEnt{}).SelectCubes(f, cubes, "enstrophy", 8, rng); len(kept) != 8 {
+				t.Fatalf("kept %d cubes, want 8", len(kept))
+			}
+		})
 		if got > 40 || kib > 1024 {
 			t.Fatalf("%d cubes: %v objects and %.0f KiB per call, want <= 40 and <= 1024 KiB", len(cubes), got, kib)
 		}
 		objs = append(objs, got)
+
+		cfg := PipelineConfig{Hypercubes: "maxent", NumHypercubes: 8, CubeSx: edge, Memo: NewMemo(d)}
+		got, kib = measure(func() {
+			if kept, err := SelectCubesForField(context.Background(), f, "enstrophy", cfg); err != nil || len(kept) != 8 {
+				t.Fatalf("kept %d cubes (%v), want 8", len(kept), err)
+			}
+		})
+		if got > 8 || kib > 64 {
+			t.Fatalf("%d cubes through a warm memo: %v objects and %.0f KiB per call, want <= 8 and <= 64 KiB", len(cubes), got, kib)
+		}
 	}
 	if objs[0] != objs[1] {
 		t.Fatalf("64 cubes allocate %v objects, 512 cubes %v: the count grows with the cubes", objs[0], objs[1])

@@ -570,6 +570,21 @@ func TestTypedErrorEnvelope(t *testing.T) {
 	if code, env := post("/v2/subsample", api.SubsampleRequest{Shard: "/no/such/shard.skl"}); code != http.StatusNotFound || env.Error.Code != api.CodeNotFound {
 		t.Fatalf("missing-shard = %d %+v", code, env.Error)
 	}
+	// MaxEnt's cost grows as k²: a k past the histogram's bins is refused,
+	// synchronously and as a job, before any clustering runs.
+	tooMany := api.SubsampleRequest{Dataset: "GESTS-2048", Hypercubes: "maxent", Method: "maxent", Cube: 16, NumClusters: 1000}
+	if code, env := post("/v2/subsample", tooMany); code != http.StatusBadRequest || env.Error.Code != api.CodeInvalidArgument {
+		t.Fatalf("numClusters 1000 = %d %+v", code, env.Error)
+	}
+	c := client.New(ts.URL)
+	job, err := c.SubmitSubsampleJob(context.Background(), &tooMany)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := c.WaitJob(context.Background(), job.ID, 5*time.Millisecond); err != nil ||
+		done.State != api.JobFailed || done.Error == nil || done.Error.Code != api.CodeInvalidArgument {
+		t.Fatalf("numClusters 1000 job = %+v, %v; want failed with invalid_argument", done, err)
+	}
 
 	// Version negotiation advertises the one surface left.
 	resp, err := http.Get(ts.URL + "/api/version")

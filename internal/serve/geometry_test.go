@@ -16,9 +16,18 @@ import (
 // pipeline and the API's request translation, so the same request keeps the
 // same cubes on all three — including the corner where the paths used to
 // disagree, an edge larger than a grid axis that is itself larger than 32.
+// The served leg reads phase 1 through the server's memo, cold then warm.
 func TestSameRequestSameCubesOnEveryPath(t *testing.T) {
 	d := synth.SSTDataset("SST-geometry", 2, synth.StratifiedConfig{Nx: 64, Ny: 16, Nz: 32, Seed: 5})
 	ctx := context.Background()
+	s, _ := newTestServer(t, Config{})
+	s.cache.GetOrLoad(ctx, datasetKey(d.Label, "small"), func() (any, error) {
+		return cachedDataset{d, sampling.NewMemo(d)}, nil
+	})
+	served, memo, _, err := s.resolveDataset(ctx, d.Label, "small")
+	if err != nil || served != d || memo == nil {
+		t.Fatalf("resolveDataset = memo %p, %v; want the cached dataset and its memo", memo, err)
+	}
 	for _, edge := range []int{8, 16, 48, 100} {
 		req := &api.SubsampleRequest{Hypercubes: "maxent", Method: "random",
 			Cube: edge, NumHypercubes: 3, NumSamples: 16, NumClusters: 3, Seed: 7}
@@ -44,12 +53,18 @@ func TestSameRequestSameCubesOnEveryPath(t *testing.T) {
 			t.Fatalf("edge %d: streamed kept %+v, offline %+v", edge, streamed.Kept, want)
 		}
 
-		served, err := sampling.SelectCubesForDataset(ctx, d, 0, pipelineConfig(req, d.Snapshots[0]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(served, want) {
-			t.Fatalf("edge %d: serve kept %+v, offline %+v", edge, served, want)
+		// The served leg goes through the memo cached beside the dataset,
+		// cold and then warm.
+		viaMemo := pipelineConfig(req, served.Snapshots[0])
+		viaMemo.Memo = memo
+		for _, state := range []string{"cold", "warm"} {
+			got, err := sampling.SelectCubesForDataset(ctx, served, 0, viaMemo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("edge %d: serve (%s memo) kept %+v, offline %+v", edge, state, got, want)
+			}
 		}
 	}
 }

@@ -320,6 +320,9 @@ func runProtected(ctx context.Context, run JobRunner, progress func(string, int,
 // (shutting_down when the whole manager is closing, job_canceled when the
 // client asked); other errors to JobFailed with their typed envelope.
 func (jm *JobManager) finish(j *jobEntry, res *api.JobResult, err error) {
+	// The runner is done with its context: cancelling it unlinks it from
+	// the manager's root, which otherwise holds every job's context.
+	j.cancel()
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	j.status.FinishedAt = jm.now()

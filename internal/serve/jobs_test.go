@@ -35,6 +35,28 @@ func waitTerminal(t *testing.T, jm *JobManager, id string) api.Job {
 	return j
 }
 
+// TestJobContextReleased: a finished job's context is cancelled, so the
+// manager's root context does not keep every job's context alive for the
+// life of the server.
+func TestJobContextReleased(t *testing.T) {
+	jm := NewJobManager(1, 4, time.Minute)
+	defer jm.Close()
+	var jobCtx context.Context
+	job, err := submit(jm, func(ctx context.Context, _ func(string, int, int)) (*api.JobResult, error) {
+		jobCtx = ctx
+		return &api.JobResult{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, jm, job.ID); final.State != api.JobSucceeded {
+		t.Fatalf("final = %+v", final)
+	}
+	if jobCtx.Err() == nil {
+		t.Fatal("a succeeded job's context is still live")
+	}
+}
+
 func TestJobLifecycleAndResult(t *testing.T) {
 	jm := NewJobManager(1, 4, time.Minute)
 	defer jm.Close()

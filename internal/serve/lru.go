@@ -9,8 +9,9 @@ import (
 // LRU is a bounded, load-through cache keyed by string. It backs the
 // service's dataset/.skl-shard resolution: repeated /v2/subsample requests
 // for the same dataset hit the cache instead of re-synthesizing or
-// re-reading gigascale snapshots. Loads are deduplicated per key — when two
-// requests race on a cold key, one loads and the other waits for it.
+// re-reading gigascale snapshots; a dataset's entry carries its MaxEnt memo,
+// so the two are evicted together. Loads are deduplicated per key — when
+// two requests race on a cold key, one loads and the other waits for it.
 type LRU struct {
 	mu    sync.Mutex
 	cap   int

@@ -8,6 +8,13 @@
 // job carries a context.Context that reaches the batcher queues, replica
 // acquisition, the cache, and the sampling/training loops.
 //
+// Beside each cached dataset sits a sampling.Memo of MaxEnt's
+// seed-independent work on it (cube strengths, per-cube clusterings),
+// bounded by the dataset's own bytes and evicted with it: a repeat
+// subsample request that differs only in seed or budget only draws.
+// Offline runs keep no memo, so what the paper's figures price is
+// unchanged.
+//
 // With Config.DataDir set the job manager is durable (internal/durable):
 // submissions are fsync'd to a write-ahead log before acknowledgment and
 // recovered on restart, results persist on disk, client idempotency keys

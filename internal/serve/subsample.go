@@ -36,22 +36,35 @@ func asCallerError(err error, code api.ErrorCode) *api.Error {
 func datasetKey(name, scale string) string { return "dataset:" + name + "/" + scale }
 func shardKey(path string) string          { return "shard:" + path }
 
-// resolveDataset returns the (possibly cached) dataset for a request. The
+// cachedDataset is a dataset's cache entry: the dataset and the memo of
+// MaxEnt's seed-independent work on it, evicted together.
+type cachedDataset struct {
+	d    *grid.Dataset
+	memo *sampling.Memo
+}
+
+// resolveDataset returns the (possibly cached) dataset for a request and
+// the memo cached beside it. The
 // context bounds how long a caller waits on another request's in-flight
 // synthesis of the same dataset.
-func (s *Server) resolveDataset(ctx context.Context, name, scaleStr string) (*grid.Dataset, bool, error) {
+func (s *Server) resolveDataset(ctx context.Context, name, scaleStr string) (*grid.Dataset, *sampling.Memo, bool, error) {
 	var scale sickle.Scale
 	if err := scale.UnmarshalText([]byte(scaleStr)); err != nil {
-		return nil, false, api.Errorf(api.CodeInvalidArgument, "%s", err.Error())
+		return nil, nil, false, api.Errorf(api.CodeInvalidArgument, "%s", err.Error())
 	}
 	canonical, _ := scale.MarshalText() // never fails
 	v, hit, err := s.cache.GetOrLoad(ctx, datasetKey(name, string(canonical)), func() (any, error) {
-		return sickle.BuildDatasetUncached(name, scale)
+		d, err := sickle.BuildDatasetUncached(name, scale)
+		if err != nil {
+			return nil, err
+		}
+		return cachedDataset{d, sampling.NewMemo(d)}, nil
 	})
 	if err != nil {
-		return nil, hit, err
+		return nil, nil, hit, err
 	}
-	return v.(*grid.Dataset), hit, nil
+	cd := v.(cachedDataset)
+	return cd.d, cd.memo, hit, nil
 }
 
 // resolveShard returns the (possibly cached) cube samples of a .skl file.
@@ -85,11 +98,11 @@ func pipelineConfig(req *api.SubsampleRequest, f *grid.Field) sampling.PipelineC
 }
 
 // doSubsample runs the two-phase pipeline (or reads a shard) under ctx and
-// reports what was selected. Only dataset/shard loading is cached — the
-// pipeline itself is cheap relative to synthesis and depends on the full
-// request, so it runs per call. progress (may be nil) receives per-cube
-// completion updates; job submissions use it to expose cancellable
-// progress counters.
+// reports what was selected. The dataset or shard comes from the cache, and
+// MaxEnt's seed-independent work (cube strengths, per-cube clusterings)
+// from the memo cached beside the dataset; the seeded draws run per call.
+// progress (may be nil) receives per-cube completion updates; job
+// submissions use it to expose cancellable progress counters.
 func (s *Server) doSubsample(ctx context.Context, req *api.SubsampleRequest, progress func(done, total int)) (*api.SubsampleResponse, error) {
 	t0 := time.Now()
 	if req.Shard != "" {
@@ -109,7 +122,7 @@ func (s *Server) doSubsample(ctx context.Context, req *api.SubsampleRequest, pro
 	if req.Dataset == "" {
 		return nil, api.Errorf(api.CodeInvalidArgument, "serve: request needs dataset or shard")
 	}
-	d, hit, err := s.resolveDataset(ctx, req.Dataset, req.Scale)
+	d, memo, hit, err := s.resolveDataset(ctx, req.Dataset, req.Scale)
 	if err != nil {
 		return nil, asCallerError(err, api.CodeNotFound)
 	}
@@ -119,6 +132,7 @@ func (s *Server) doSubsample(ctx context.Context, req *api.SubsampleRequest, pro
 	}
 	f := d.Snapshots[req.Snapshot]
 	pcfg := pipelineConfig(req, f)
+	pcfg.Memo = memo
 	pcfg.Progress = func(done, total int) {
 		if progress != nil {
 			progress(done, total)
@@ -205,7 +219,7 @@ func (s *Server) trainJobRunner(spec api.TrainJobSpec) JobRunner {
 			return nil, api.Errorf(api.CodeInvalidArgument, "%s", err.Error())
 		}
 		progress("resolve", 0, 0)
-		d, _, err := s.resolveDataset(ctx, spec.Dataset, spec.Scale)
+		d, memo, _, err := s.resolveDataset(ctx, spec.Dataset, spec.Scale)
 		if err != nil {
 			return nil, asCallerError(err, api.CodeNotFound)
 		}
@@ -215,6 +229,7 @@ func (s *Server) trainJobRunner(spec api.TrainJobSpec) JobRunner {
 			sub = *spec.Subsample
 		}
 		pcfg := pipelineConfig(&sub, d.Snapshots[0])
+		pcfg.Memo = memo
 		pcfg.Progress = func(done, total int) { progress("subsample", done, total) }
 		tcfg := train.Config{
 			Epochs: spec.Epochs, Batch: spec.Batch, LR: spec.LR, Seed: spec.Seed,
