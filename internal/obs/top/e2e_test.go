@@ -49,7 +49,7 @@ func e2eCheckpoint(t *testing.T) string {
 func startReplica(t *testing.T, addr, ckpt string, slos []slo.Objective) *serve.InProc {
 	t.Helper()
 	p, err := serve.StartInProc(serve.Config{
-		Addr: addr, MaxBatch: 4, Window: 2 * time.Millisecond,
+		Addr: addr, MaxBatch: 4,
 		HistoryInterval: 20 * time.Millisecond,
 		SLOs:            slos,
 	})

@@ -15,18 +15,17 @@ import (
 	"time"
 
 	"repro/internal/tensor"
-	"repro/internal/train"
 	"repro/pkg/api"
 	"repro/pkg/client"
 )
 
-// infer is admit followed by wait for one example.
+// infer is admitAll followed by wait for one example.
 func (b *Batcher) infer(ctx context.Context, model string, input *tensor.Tensor) (*tensor.Tensor, int, int, error) {
-	req, err := b.admit(ctx, model, input)
+	reqs, err := b.admitAll(ctx, model, []*tensor.Tensor{input})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	res := req.wait()
+	res := reqs[0].wait()
 	return res.output, res.version, res.batchSize, res.err
 }
 
@@ -38,7 +37,7 @@ func (m *Metrics) rejectedTotal() int64 { return int64(m.rejected.Value()) }
 // the reference replica), synchronous subsample, and an async job
 // submit → poll → result round trip.
 func TestClientEndToEnd(t *testing.T) {
-	s, ref := newTestServer(t, Config{MaxBatch: 4, Window: 2 * time.Millisecond})
+	s, ref := newTestServer(t, Config{MaxBatch: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := client.New(ts.URL)
@@ -283,24 +282,16 @@ func TestJobCancelMidSubsample(t *testing.T) {
 // blocking, and that the rejection counter reaches /metrics.
 func TestBackpressureOverloaded(t *testing.T) {
 	s, _ := newTestServer(t, Config{
-		MaxBatch: 1, Window: 20 * time.Millisecond, Workers: 1, QueueCap: 1})
+		MaxBatch: 1, Workers: 1, QueueCap: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := client.New(ts.URL, client.WithRetry(0, 0)) // surface 429s, don't retry
 	ctx := context.Background()
 
-	// Jam the pipeline by holding every replica: the worker, the jobs
-	// buffer, the dispatcher and the capacity-1 queue fill up behind
+	// Jam the pipeline by holding every replica: the running batch, the
+	// dispatcher's first request and the capacity-1 queue fill up behind
 	// Acquire, so further admissions must reject rather than block.
-	entry, _ := s.reg.Lookup("m")
-	held, err := entry.Acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	held2, err := entry.Acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	release := holdReplicas(t, s)
 
 	rng := rand.New(rand.NewSource(31))
 	item := randomItem(rng)
@@ -345,8 +336,7 @@ func TestBackpressureOverloaded(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	entry.Release(held)
-	entry.Release(held2)
+	release()
 	wg.Wait()
 	if okCount == 0 || overloaded == 0 {
 		t.Fatalf("ok=%d overloaded=%d; want both paths exercised", okCount, overloaded)
@@ -367,30 +357,14 @@ func TestBackpressureOverloaded(t *testing.T) {
 // while it waits in the queue.
 func TestMultiItemInferFailures(t *testing.T) {
 	s, ref := newTestServer(t, Config{
-		MaxBatch: 1, Window: time.Millisecond, Workers: 1, QueueCap: 1})
-	entry, _ := s.reg.Lookup("m")
-	jam := func() (release func()) {
-		t.Helper()
-		var held [2]train.Model
-		for i := range held {
-			var err error
-			if held[i], err = entry.Acquire(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return func() {
-			for _, m := range held {
-				entry.Release(m)
-			}
-		}
-	}
+		MaxBatch: 1, Workers: 1, QueueCap: 1})
 	rng := rand.New(rand.NewSource(41))
 	req := &api.InferRequest{Model: "m"}
-	for i := 0; i < 8; i++ { // the jammed pipeline holds four: worker, jobs buffer, dispatcher, queue
+	for i := 0; i < 8; i++ { // the jammed pipeline holds three: running batch, dispatcher, queue
 		req.Items = append(req.Items, randomItem(rng))
 	}
 
-	release := jam()
+	release := holdReplicas(t, s)
 	go func() {
 		for s.met.rejectedTotal() == 0 {
 			time.Sleep(time.Millisecond)
@@ -400,16 +374,16 @@ func TestMultiItemInferFailures(t *testing.T) {
 	_, err := s.doInfer(context.Background(), req)
 	var ae *api.Error
 	if !errors.As(err, &ae) || ae.Code != api.CodeOverloaded || ae.RetryAfterSeconds <= 0 {
-		t.Fatalf("8 items into a jammed 4-slot pipeline: %v, want overloaded with a retry hint", err)
+		t.Fatalf("8 items into a jammed 3-slot pipeline: %v, want overloaded with a retry hint", err)
 	}
 	var refused int
 	if _, scanErr := fmt.Sscanf(ae.Message, "item %d:", &refused); scanErr != nil || refused < 1 || refused > 4 {
 		t.Fatalf("message %q does not name the refused item (1 to 4)", ae.Message)
 	}
 
-	// Four items either all fit the jammed pipeline, the last one staying
-	// in the queue, or one of them is refused.
-	release = jam()
+	// Of four items, at most three fit the jammed pipeline, the third
+	// staying in the queue; the rest are refused.
+	release = holdReplicas(t, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	rejected := s.met.rejectedTotal()
 	go func() {
@@ -445,18 +419,8 @@ func TestMultiItemInferFailures(t *testing.T) {
 // level: requests admitted (queued) before Stop either complete with real
 // results or fail fast with the typed shutting_down error — nothing hangs.
 func TestBatcherDrainTyped(t *testing.T) {
-	s, ref := newTestServer(t, Config{MaxBatch: 1, Window: time.Millisecond, Workers: 1})
-	entry, _ := s.reg.Lookup("m")
-	// Replace the model's pool contents: hold every replica so batches jam
-	// behind Acquire and later requests stay queued.
-	held, err := entry.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	held2, err := entry.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ref := newTestServer(t, Config{MaxBatch: 1, Workers: 1})
+	release := holdReplicas(t, s)
 
 	rng := rand.New(rand.NewSource(41))
 	const n = 6
@@ -486,21 +450,15 @@ func TestBatcherDrainTyped(t *testing.T) {
 			results[i] = result{out: &data}
 		}(i)
 	}
-	// Wait until the pipeline is jammed: worker busy + jobs buffer full +
-	// dispatcher blocked leaves the rest in the queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.batcher.QueueDepth() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled (depth %d)", s.batcher.QueueDepth())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Wait until the pipeline is jammed: one request runs (blocked in
+	// Acquire), the dispatcher holds the next waiting for the one worker
+	// slot, and the rest are queued.
+	waitFor(t, "a jammed pipeline", func() bool { return s.batcher.QueueDepth() == n-2 })
 	stopDone := make(chan struct{})
 	go func() { s.batcher.Stop(); close(stopDone) }()
 	// Once Stop has closed the stop channel, unjam.
 	<-s.batcher.stop
-	entry.Release(held)
-	entry.Release(held2)
+	release()
 	select {
 	case <-stopDone:
 	case <-time.After(10 * time.Second):

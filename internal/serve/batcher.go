@@ -35,13 +35,16 @@ type inferResult struct {
 }
 
 // Batcher implements the service's micro-batch scheduler: per-model queues
-// feed per-model dispatcher goroutines that collect up to MaxBatch requests
-// or wait at most Window after the first arrival, then hand the batch to a
-// bounded worker pool (default GOMAXPROCS workers) that runs ONE forward
-// pass for the whole batch on a pooled model replica. Batching amortizes
-// per-request overhead exactly like inventory batching in queueing systems:
-// under load the mean batch size rises and per-item cost falls, while the
-// Window bound caps the latency a lone request pays.
+// feed per-model dispatcher goroutines, and each batch runs ONE forward
+// pass on a pooled model replica, at most `workers` (default GOMAXPROCS)
+// batches at a time. A dispatcher takes the first queued request, waits
+// for a free worker slot, then takes whatever else is queued, up to
+// MaxBatch; it never waits for arrivals. Under load the mean batch size
+// rises and per-item cost falls, like inventory batching in queueing
+// systems. A call's items are admitted under one hold of b.mu, and a
+// dispatcher takes and releases b.mu before it collects, so a call that
+// was mid-admission is queued whole: a lone call of up to MaxBatch items
+// is one batch.
 //
 // Row independence of the Table 2 architectures (matmuls, layer norms,
 // attention and convolutions never mix batch rows) makes batched outputs
@@ -57,10 +60,11 @@ type Batcher struct {
 	reg      *Registry
 	met      *Metrics
 	maxBatch int
-	window   time.Duration
 	queueCap int
 
-	jobs chan func()
+	// slots holds one token per running batch; its capacity is the
+	// worker bound.
+	slots chan struct{}
 
 	// tracer records per-request queue/execute spans; nil disables tracing.
 	tracer *obs.Tracer
@@ -72,7 +76,6 @@ type Batcher struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wgDisp   sync.WaitGroup // dispatcher goroutines
-	wgWork   sync.WaitGroup // worker goroutines
 }
 
 // defaultQueueCap bounds each per-model queue when the config does not;
@@ -86,14 +89,12 @@ func errShuttingDown() *api.Error {
 	return api.Errorf(api.CodeShuttingDown, "serve: shutting down")
 }
 
-// NewBatcher starts the worker pool. maxBatch <= 0 defaults to 16, window
-// <= 0 to 2ms, workers <= 0 to GOMAXPROCS, queueCap <= 0 to 1024.
-func NewBatcher(reg *Registry, met *Metrics, maxBatch int, window time.Duration, workers, queueCap int) *Batcher {
+// NewBatcher returns a batcher with no queues yet. maxBatch <= 0 defaults
+// to 16, workers (concurrent batches) <= 0 to GOMAXPROCS, queueCap <= 0
+// to 1024.
+func NewBatcher(reg *Registry, met *Metrics, maxBatch, workers, queueCap int) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = 16
-	}
-	if window <= 0 {
-		window = 2 * time.Millisecond
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -102,19 +103,10 @@ func NewBatcher(reg *Registry, met *Metrics, maxBatch int, window time.Duration,
 		queueCap = defaultQueueCap
 	}
 	b := &Batcher{
-		reg: reg, met: met, maxBatch: maxBatch, window: window, queueCap: queueCap,
-		jobs:   make(chan func(), workers),
+		reg: reg, met: met, maxBatch: maxBatch, queueCap: queueCap,
+		slots:  make(chan struct{}, workers),
 		queues: map[string]chan *inferRequest{},
 		stop:   make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		b.wgWork.Add(1)
-		go func() {
-			defer b.wgWork.Done()
-			for job := range b.jobs {
-				job()
-			}
-		}()
 	}
 	met.SetQueueDepthFunc(b.QueueDepth)
 	return b
@@ -124,43 +116,41 @@ func NewBatcher(reg *Registry, met *Metrics, maxBatch int, window time.Duration,
 // before serving traffic (not synchronized with in-flight batches).
 func (b *Batcher) SetTracer(t *obs.Tracer) { b.tracer = t }
 
-// admit enqueues one example for the named model without blocking and
-// returns the request to wait on, so one goroutine can have several
-// examples queued (a multi-item call shares micro-batches with itself and
-// with concurrent callers) and collect them in order. wait then blocks
-// until the result is ready, the queue rejected it (api.CodeOverloaded),
-// the batcher is draining (api.CodeShuttingDown), or ctx is done
-// (api.CodeCanceled / api.CodeDeadlineExceeded). All failures are typed
-// *api.Error values.
-func (b *Batcher) admit(ctx context.Context, model string, input *tensor.Tensor) (*inferRequest, error) {
-	if _, ok := b.reg.Lookup(model); !ok {
-		return nil, api.Errorf(api.CodeModelNotFound, "unknown model %q", model)
-	}
-	req := &inferRequest{ctx: ctx, input: input, resp: make(chan inferResult, 1), enqueued: time.Now()}
-	req.tc, _ = api.TraceFrom(ctx)
+// admitAll enqueues a call's examples for the named model without
+// blocking, each its own queue entry (QueueCap counts items), all under
+// one hold of b.mu (see dispatch), and returns the requests to wait on in
+// order. An example refused at admission ends it: the requests before it
+// are returned with the refusal, api.CodeOverloaded for a full queue or
+// api.CodeShuttingDown once Stop has begun. wait then blocks until a
+// result is ready, the batcher is draining (api.CodeShuttingDown), or ctx
+// is done (api.CodeCanceled / api.CodeDeadlineExceeded). All failures are
+// typed *api.Error values.
+func (b *Batcher) admitAll(ctx context.Context, model string, inputs []*tensor.Tensor) ([]inferRequest, error) {
+	tc, _ := api.TraceFrom(ctx)
+	now := time.Now()
+	reqs := make([]inferRequest, len(inputs))
 	// Admission happens under b.mu so it cannot race Stop: Stop sets
 	// `stopped` under the same lock before draining, so a request admitted
 	// here is either answered by its dispatcher or by the drain loop —
 	// never silently lost (and queueFor can no longer wgDisp.Add a new
 	// dispatcher concurrently with Stop's wgDisp.Wait).
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.stopped {
-		b.mu.Unlock()
 		return nil, errShuttingDown()
 	}
-	admitted := false
-	select {
-	case b.queueForLocked(model) <- req:
-		admitted = true
-	default:
+	q := b.queueForLocked(model)
+	for i, in := range inputs {
+		reqs[i] = inferRequest{ctx: ctx, input: in, resp: make(chan inferResult, 1), tc: tc, enqueued: now}
+		select {
+		case q <- &reqs[i]:
+		default:
+			b.met.ObserveRejected()
+			return reqs[:i], api.Errorf(api.CodeOverloaded,
+				"serve: model %q queue full (%d waiting)", model, b.queueCap).WithRetryAfter(1)
+		}
 	}
-	b.mu.Unlock()
-	if !admitted {
-		b.met.ObserveRejected()
-		return nil, api.Errorf(api.CodeOverloaded,
-			"serve: model %q queue full (%d waiting)", model, b.queueCap).WithRetryAfter(1)
-	}
-	return req, nil
+	return reqs, nil
 }
 
 // wait blocks until the admitted request's batch has run or its context is
@@ -221,25 +211,34 @@ func (b *Batcher) dispatch(model string, q chan *inferRequest) {
 			return
 		case first = <-q:
 		}
-		batch := []*inferRequest{first}
-		timer := time.NewTimer(b.window)
+		// Wait for a free worker slot: whatever queues while every worker
+		// is busy joins this batch.
+		select {
+		case <-b.stop:
+			first.resp <- inferResult{err: errShuttingDown()}
+			return
+		case b.slots <- struct{}{}:
+		}
+		// The barrier: admitAll fills the queue under b.mu, so once the lock
+		// has been taken here, the call `first` belongs to is queued whole.
+		b.mu.Lock()
+		b.mu.Unlock()
+		batch := make([]*inferRequest, 1, b.maxBatch)
+		batch[0] = first
 	collect:
 		for len(batch) < b.maxBatch {
 			select {
 			case r := <-q:
 				batch = append(batch, r)
-			case <-timer.C:
+			default:
 				break collect
 			}
 		}
-		timer.Stop()
 		b.met.ObserveBatch(len(batch))
-		select {
-		case <-b.stop:
-			// Shutdown raced the dispatch; run inline so waiters drain.
+		go func() {
+			defer func() { <-b.slots }()
 			b.runBatch(model, batch)
-		case b.jobs <- func() { b.runBatch(model, batch) }:
-		}
+		}()
 	}
 }
 
@@ -409,21 +408,22 @@ func sameShape(a, b []int) bool {
 	return true
 }
 
-// Stop terminates the dispatchers and workers. Call only after the HTTP
-// server has drained: requests still queued at Stop time are completed
-// inline by their dispatcher before it exits; anything left in a queue
-// afterwards fails fast with the typed shutting_down error.
+// Stop terminates the dispatchers and waits for the running batches. Call
+// only after the HTTP server has drained: a request that is not yet in a
+// running batch when Stop begins fails fast with the typed shutting_down
+// error.
 func (b *Batcher) Stop() {
 	b.stopOnce.Do(func() {
 		// Close admission first (under the same lock Infer admits under):
 		// everything in a queue after this point was admitted before the
-		// flag flipped and is answered by a dispatcher or the drain below.
+		// flag flipped and is answered by a running batch or the drain below.
 		b.mu.Lock()
 		b.stopped = true
 		b.mu.Unlock()
 		close(b.stop)
-		// Wait for dispatchers first: they are the only senders on b.jobs,
-		// so closing it is only safe once they have exited.
+		// Dispatchers are the only takers from the queues and the only
+		// starters of batches; once they are gone, what is queued stays
+		// queued and every running batch holds a slot.
 		b.wgDisp.Wait()
 		b.mu.Lock()
 		queues := make([]chan *inferRequest, 0, len(b.queues))
@@ -442,7 +442,9 @@ func (b *Batcher) Stop() {
 				}
 			}
 		}
-		close(b.jobs)
-		b.wgWork.Wait()
+		// Holding every slot means no batch is running.
+		for i := 0; i < cap(b.slots); i++ {
+			b.slots <- struct{}{}
+		}
 	})
 }

@@ -26,7 +26,7 @@ import (
 // startDurable boots an in-process replica persisting job state to dir.
 func startDurable(t *testing.T, dir string) *InProc {
 	t.Helper()
-	p, err := StartInProc(Config{DataDir: dir, MaxBatch: 4, Window: 2 * time.Millisecond})
+	p, err := StartInProc(Config{DataDir: dir, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@ import (
 // ModelEntry is one servable model version: the arch spec, the checkpoint
 // it was loaded from, and a pool of identical replicas. Replicas exist
 // because the Table 2 models cache forward-pass state in struct fields, so
-// a single instance cannot run two batches concurrently; the pool lets the
-// worker pool run up to len(replicas) batches of the same model in
-// parallel, each replica used by one worker at a time.
+// a single instance cannot run two batches concurrently; the pool lets up
+// to len(replicas) batches of the same model run in parallel, each replica
+// used by one batch at a time.
 type ModelEntry struct {
 	Name       string         `json:"name"`
 	Version    int            `json:"version"`

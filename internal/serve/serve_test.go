@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,14 +22,6 @@ import (
 	"repro/internal/train"
 	"repro/pkg/api"
 )
-
-// meanBatchSize reads the average size of dispatched batches (0 if none).
-func (m *Metrics) meanBatchSize() float64 {
-	if n := m.batch.Count(); n > 0 {
-		return m.batch.Sum() / float64(n)
-	}
-	return 0
-}
 
 // testSpec is a tiny LSTM: input [T=3, C=4] → output [2].
 var testSpec = train.ArchSpec{Arch: "lstm", InDim: 4, Hidden: 8, OutDim: 2}
@@ -108,18 +101,52 @@ func checkOutput(got api.InferItem, want []float64) error {
 	return nil
 }
 
+// holdReplicas takes every replica of model "m" (the two newTestServer
+// registers), so batches jam behind Acquire and later requests stay
+// queued; the returned func gives them back.
+func holdReplicas(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	entry, _ := s.reg.Lookup("m")
+	var held [2]train.Model
+	for i := range held {
+		var err error
+		if held[i], err = entry.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return func() {
+		for _, m := range held {
+			entry.Release(m)
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBatchedInferenceMatchesSingle is the core correctness property: many
 // concurrent clients, whose requests coalesce into micro-batches, must each
 // receive the output a lone unbatched request would have produced — bit for
-// bit.
+// bit. The coalescing is made deterministic: with the replicas held, a
+// lone call occupies the only worker, the next call's item waits in the
+// dispatcher for a slot, and the other n-2 calls queue behind it; once the
+// replicas come back the n-1 queued calls run in ⌈(n-1)/MaxBatch⌉ batches.
 func TestBatchedInferenceMatchesSingle(t *testing.T) {
-	// A generous window so the concurrent burst reliably coalesces.
-	s, ref := newTestServer(t, Config{MaxBatch: 8, Window: 50 * time.Millisecond, Workers: 4})
+	const n, maxBatch = 24, 8
+	s, ref := newTestServer(t, Config{MaxBatch: maxBatch, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	rng := rand.New(rand.NewSource(3))
-	const n = 24
 	items := make([]api.InferItem, n)
 	want := make([][]float64, n)
 	for i := range items {
@@ -129,9 +156,9 @@ func TestBatchedInferenceMatchesSingle(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	call := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			resp, code, err := doInfer(ts.URL, api.InferRequest{Model: "m", Items: []api.InferItem{items[i]}})
 			if err != nil || code != http.StatusOK {
@@ -141,23 +168,87 @@ func TestBatchedInferenceMatchesSingle(t *testing.T) {
 			if err := checkOutput(resp.Outputs[0], want[i]); err != nil {
 				errs[i] = fmt.Errorf("%w (batch %d)", err, resp.BatchSizes[0])
 			}
-		}(i)
+		}()
 	}
+	release := holdReplicas(t, s)
+	call(0)
+	waitFor(t, "the lone call's batch to start", func() bool { return s.met.batch.Count() == 1 })
+	for i := 1; i < n; i++ {
+		call(i)
+	}
+	waitFor(t, fmt.Sprintf("%d queued calls", n-2), func() bool { return s.batcher.QueueDepth() == n-2 })
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if mean := s.met.meanBatchSize(); mean <= 1 {
-		t.Errorf("mean batch size %.2f; micro-batching never engaged under %d concurrent clients", mean, n)
+	if got, most := s.met.batch.Count(), uint64((n-1+maxBatch-1)/maxBatch+1); got > most {
+		t.Errorf("%d calls ran in %d batches, want at most %d", n, got, most)
+	}
+}
+
+// yieldingCtx yields the processor on every Value lookup (admission reads
+// the trace context through one), so an admission that let go of the
+// batcher's lock between items would let the dispatcher in between them.
+type yieldingCtx struct{ context.Context }
+
+func (c yieldingCtx) Value(key any) any {
+	runtime.Gosched()
+	return c.Context.Value(key)
+}
+
+// TestInferCallIsOneBatch pins the admission barrier: a call's items are
+// queued under one lock hold, and the dispatcher takes that lock before it
+// collects, so a lone call of up to MaxBatch items is one batch every
+// time, and a larger one runs in ⌈N/MaxBatch⌉ full batches, in order.
+func TestInferCallIsOneBatch(t *testing.T) {
+	const maxBatch = 16
+	s, ref := newTestServer(t, Config{MaxBatch: maxBatch})
+	rng := rand.New(rand.NewSource(13))
+	infer := func(n int) (*api.InferResponse, []api.InferItem) {
+		t.Helper()
+		req := &api.InferRequest{Model: "m"}
+		for i := 0; i < n; i++ {
+			req.Items = append(req.Items, randomItem(rng))
+		}
+		resp, err := s.doInfer(yieldingCtx{context.Background()}, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, req.Items
+	}
+
+	for rep := 0; rep < 200; rep++ {
+		resp, _ := infer(maxBatch)
+		for i, size := range resp.BatchSizes {
+			if size != maxBatch {
+				t.Fatalf("rep %d: item %d rode in a batch of %d, want the whole call (%d)", rep, i, size, maxBatch)
+			}
+		}
+	}
+
+	const n = 2*maxBatch + 5
+	before := s.met.batch.Count()
+	resp, items := infer(n)
+	if got, want := s.met.batch.Count()-before, uint64((n+maxBatch-1)/maxBatch); got != want {
+		t.Errorf("a %d-item call ran in %d batches, want %d", n, got, want)
+	}
+	for i, item := range items {
+		if want := min(maxBatch, n-i/maxBatch*maxBatch); resp.BatchSizes[i] != want {
+			t.Errorf("item %d rode in a batch of %d, want %d", i, resp.BatchSizes[i], want)
+		}
+		if err := checkOutput(resp.Outputs[i], expect(ref, item)); err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
 	}
 }
 
 // TestMultiItemRequest checks that one request carrying several items gets
 // per-item outputs in order.
 func TestMultiItemRequest(t *testing.T) {
-	s, ref := newTestServer(t, Config{MaxBatch: 4, Window: 5 * time.Millisecond})
+	s, ref := newTestServer(t, Config{MaxBatch: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -245,12 +336,12 @@ func TestHotSwap(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownDrains starts a real listener, launches a burst of
-// requests, waits until every one has been admitted, then shuts down under
-// them: every admitted request must still receive its real (bit-correct)
-// response.
+// TestGracefulShutdownDrains starts a real listener, holds the replicas so
+// a burst of requests is in flight, then shuts down under them and gives
+// the replicas back once draining has begun: every request must still
+// receive its real (bit-correct) response.
 func TestGracefulShutdownDrains(t *testing.T) {
-	s, ref := newTestServer(t, Config{MaxBatch: 4, Window: 20 * time.Millisecond})
+	s, ref := newTestServer(t, Config{MaxBatch: 4})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -267,6 +358,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		items[i] = randomItem(rng)
 		want[i] = expect(ref, items[i])
 	}
+	release := holdReplicas(t, s)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -282,18 +374,17 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		}(i)
 	}
 
-	// Wait until all n requests have entered their handler (in-flight or
-	// already finished); Shutdown then must drain, not drop, them.
-	admitted := func() int64 {
-		return int64(s.met.Inflight.Value() + s.met.Requests.With("/v2/infer").Value())
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for admitted() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests admitted", admitted(), n)
+	// No request can finish while the replicas are held, so all n are in
+	// flight when Shutdown begins; it must drain, not drop, them.
+	waitFor(t, fmt.Sprintf("%d requests in flight", n), func() bool { return s.met.Inflight.Value() == n })
+	go func() {
+		for !s.draining.Load() {
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
-	}
+		release()
+	}()
+	// A connection dialed but never used would hold Shutdown for 5 s.
+	http.DefaultClient.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {

@@ -1,6 +1,6 @@
 // Package serve turns SICKLE-Go's offline pipeline into an online service:
 // a versioned HTTP JSON API (the pkg/api wire contract) over the trained
-// surrogates (micro-batched inference through a bounded worker pool), the
+// surrogates (micro-batched inference on pooled model replicas), the
 // subsampling pipeline (datasets and .skl shards resolved through a
 // bounded LRU cache), and an asynchronous job manager for long-running
 // subsample/train work, with health and Prometheus-style metrics
@@ -55,13 +55,12 @@ const DefaultReplicas = 2
 // Config sizes the service. Zero values select the documented defaults.
 // Two async jobs run at once and terminal jobs are kept for 15 minutes.
 type Config struct {
-	Addr         string        // listen address (default :8080)
-	MaxBatch     int           // micro-batch cap (default 16)
-	Window       time.Duration // batch collection window (default 2ms)
-	Workers      int           // worker pool size (default GOMAXPROCS)
-	QueueCap     int           // per-model queue bound before 429s (default 1024)
-	CacheEntries int           // LRU capacity for datasets/shards (default 8)
-	MaxJobs      int           // live-job admission bound (default 64)
+	Addr         string // listen address (default :8080)
+	MaxBatch     int    // micro-batch cap (default 16)
+	Workers      int    // batches running at once (default GOMAXPROCS)
+	QueueCap     int    // per-model queue bound before 429s (default 1024)
+	CacheEntries int    // LRU capacity for datasets/shards (default 8)
+	MaxJobs      int    // live-job admission bound (default 64)
 
 	// DataDir, when set, makes jobs durable: submissions are fsync'd to
 	// a write-ahead log under this directory before they are
@@ -129,7 +128,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Tier:    t,
 		cfg:     cfg,
 		reg:     reg,
-		batcher: NewBatcher(reg, met, cfg.MaxBatch, cfg.Window, cfg.Workers, cfg.QueueCap),
+		batcher: NewBatcher(reg, met, cfg.MaxBatch, cfg.Workers, cfg.QueueCap),
 		cache:   NewLRU(cfg.CacheEntries),
 		jobs:    NewJobManager(defaultJobWorkers, cfg.MaxJobs, defaultJobTTL),
 		met:     met,
@@ -362,27 +361,18 @@ func (s *Server) doInfer(ctx context.Context, req *api.InferRequest) (*api.Infer
 		}
 		inputs[i] = tensor.FromSlice(it.Data, it.Shape...)
 	}
-	// Enqueue every item separately so items from concurrent clients can
-	// share micro-batches, then gather in order. An item refused at
-	// admission ends the enqueueing — nothing after it could change the
-	// answer, which is the lowest-numbered item's failure.
-	pending := make([]*inferRequest, 0, len(inputs))
-	var refused error
-	for _, in := range inputs {
-		p, err := s.batcher.admit(ctx, req.Model, in)
-		if err != nil {
-			refused = err
-			break
-		}
-		pending = append(pending, p)
-	}
+	// The call is admitted at once, every item its own queue entry so
+	// items from concurrent clients can share micro-batches. An item
+	// refused at admission ends the admission; the answer is the
+	// lowest-numbered item's failure.
+	pending, refused := s.batcher.admitAll(ctx, req.Model, inputs)
 	resp := &api.InferResponse{
 		Model:      req.Model,
 		Outputs:    make([]api.InferItem, 0, len(inputs)),
 		BatchSizes: make([]int, 0, len(inputs)),
 	}
-	for i, p := range pending {
-		res := p.wait()
+	for i := range pending {
+		res := pending[i].wait()
 		if res.err != nil {
 			return nil, itemError(i, res.err)
 		}

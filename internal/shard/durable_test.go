@@ -21,7 +21,7 @@ import (
 func startDurableReplica(t *testing.T, addr, ckpt, dataDir string) *serve.InProc {
 	t.Helper()
 	p, err := serve.StartInProc(serve.Config{
-		Addr: addr, MaxBatch: 4, Window: 2 * time.Millisecond, DataDir: dataDir})
+		Addr: addr, MaxBatch: 4, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}

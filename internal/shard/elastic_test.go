@@ -319,7 +319,7 @@ func TestShardAdminJoinPrefetchAndDrain(t *testing.T) {
 
 	// Join a backend with no models: admission must carry the catalog over
 	// first, so the newcomer never serves a cold cache.
-	fresh, err := serve.StartInProc(serve.Config{MaxBatch: 4, Window: 2 * time.Millisecond})
+	fresh, err := serve.StartInProc(serve.Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

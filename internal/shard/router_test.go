@@ -71,7 +71,7 @@ func newCheckpoint(t *testing.T) (train.Model, string) {
 // from ckpt. addr "" picks an ephemeral port.
 func startReplica(t *testing.T, addr, ckpt string) *serve.InProc {
 	t.Helper()
-	p, err := serve.StartInProc(serve.Config{Addr: addr, MaxBatch: 4, Window: 2 * time.Millisecond})
+	p, err := serve.StartInProc(serve.Config{Addr: addr, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
