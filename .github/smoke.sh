@@ -125,6 +125,15 @@ lints() {
 		grep -q 'no le-bucketed' "$tmp/lint.err"
 }
 
+# usage_exit <stderr-file> <command...>: the command exits 2 and what it
+# wrote to stderr is a message, not a goroutine dump.
+usage_exit() {
+	local err=$1 code=0
+	shift
+	"$@" 2>"$err" || code=$?
+	[ "$code" -eq 2 ] && ! grep -q goroutine "$err"
+}
+
 # (grep reads to EOF: an early -q exit fails curl's write under pipefail.)
 exports() { curl -fsS "$1/metrics" | grep "^$2" >/dev/null; }
 traces_tier() { answers "$1/debug/traces" ".tier == \"$2\" and (.traces | length) > 0"; }
@@ -132,12 +141,13 @@ has_event() { jq -e --arg t "$2" 'any(.events[]; .type == $t)' "$1"; }
 
 cd "$root"
 mkdir -p "$tmp/bin"
-go build -o "$tmp/bin/" ./cmd/sickle-serve ./cmd/sickle-shard ./cmd/sickle-top
+go build -o "$tmp/bin/" ./cmd/sickle-serve ./cmd/sickle-shard ./cmd/sickle-top ./cmd/sickle-stream
 
 case $mode in
 serve)
 	base=http://127.0.0.1:18080 side=http://127.0.0.1:16060
 	serve=(sickle-serve -addr 127.0.0.1:18080 -debug-addr 127.0.0.1:16060 -demo -data-dir "$out/sickle-data")
+	gate "sickle-stream -grid 24 is a usage error (exit 2, no goroutine dump)" usage_exit "$out/stream-grid.err" "$tmp/bin/sickle-stream" -source cfd3d -grid 24
 	boot serve "$base" "${serve[@]}"
 	gate "the -debug-addr sidecar serves pprof" curl -fsS "$side/debug/pprof/cmdline"
 	gate "  ... /metrics" exports "$side" sickle_build_info

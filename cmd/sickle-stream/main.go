@@ -56,6 +56,13 @@ func main() {
 	newLogger := olog.Flags(flag.CommandLine)
 	debugAddr := flag.String("debug-addr", "", "pprof + metrics + traces listen address for the run (\"\" = off)")
 	flag.Parse()
+	// The live 3-D sources transform the grid spectrally (the synth source
+	// at half height along y), so a bad edge is a usage error, not a panic
+	// inside the solver.
+	if n := *gridN; n < 4 || n&(n-1) != 0 {
+		fmt.Fprintf(os.Stderr, "sickle-stream: -grid %d is not a power of two >= 4\n", n)
+		os.Exit(2)
+	}
 
 	lg := newLogger()
 	fatal := func(msg string, kv ...any) {

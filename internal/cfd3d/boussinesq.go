@@ -105,35 +105,20 @@ func NewTaylorGreen(cfg Config) *Solver {
 	return s
 }
 
-func (s *Solver) idx(i, j, k int) int { return (k*s.N+j)*s.N + i }
+// stencil addresses a cell's periodic neighbours: the offsets of its row
+// and of the y/z neighbour rows, its x index and the wrapped i±1.
+type stencil struct{ row, yp, ym, zp, zm, i, ip, im int }
 
-func (s *Solver) wrap(i int) int {
-	i %= s.N
-	if i < 0 {
-		i += s.N
-	}
-	return i
-}
-
-// deriv computes the central difference of f along the given axis at (i,j,k).
-func (s *Solver) deriv(f []float64, i, j, k, axis int) float64 {
-	switch axis {
-	case 0:
-		return (f[s.idx(s.wrap(i+1), j, k)] - f[s.idx(s.wrap(i-1), j, k)]) / (2 * s.H)
-	case 1:
-		return (f[s.idx(i, s.wrap(j+1), k)] - f[s.idx(i, s.wrap(j-1), k)]) / (2 * s.H)
-	default:
-		return (f[s.idx(i, j, s.wrap(k+1))] - f[s.idx(i, j, s.wrap(k-1))]) / (2 * s.H)
-	}
-}
-
-// laplacian computes the 7-point Laplacian at (i,j,k).
-func (s *Solver) laplacian(f []float64, i, j, k int) float64 {
-	c := f[s.idx(i, j, k)]
-	sum := f[s.idx(s.wrap(i+1), j, k)] + f[s.idx(s.wrap(i-1), j, k)] +
-		f[s.idx(i, s.wrap(j+1), k)] + f[s.idx(i, s.wrap(j-1), k)] +
-		f[s.idx(i, j, s.wrap(k+1))] + f[s.idx(i, j, s.wrap(k-1))]
-	return (sum - 6*c) / (s.H * s.H)
+// at returns the advection u·∇f by central differences, each
+// (f[+]−f[−])/(2H), and the 7-point Laplacian of f at the cell.
+func (nb *stencil) at(f []float64, u, v, w, h2, hh float64) (adv, lap float64) {
+	c := f[nb.row+nb.i]
+	xp, xm := f[nb.row+nb.ip], f[nb.row+nb.im]
+	yp, ym := f[nb.yp+nb.i], f[nb.ym+nb.i]
+	zp, zm := f[nb.zp+nb.i], f[nb.zm+nb.i]
+	adv = u*((xp-xm)/h2) + v*((yp-ym)/h2) + w*((zp-zm)/h2)
+	lap = (xp + xm + yp + ym + zp + zm - 6*c) / hh
+	return adv, lap
 }
 
 // Step advances one explicit Euler step with pressure projection. The
@@ -156,25 +141,37 @@ func (s *Solver) step(p *tensor.Pool) {
 
 	nu2, nv2, nw2, nr2 := s.scrU, s.scrV, s.scrW, s.scrR
 
+	h2, hh := 2*s.H, s.H*s.H
 	p.ParallelFor(n, 1, func(k0, k1 int) {
 		for k := k0; k < k1; k++ {
 			for j := 0; j < n; j++ {
+				nb := stencil{row: (k*n + j) * n,
+					yp: (k*n + (j+1)%n) * n, ym: (k*n + (j+n-1)%n) * n,
+					zp: ((k+1)%n*n + j) * n, zm: ((k+n-1)%n*n + j) * n}
 				for i := 0; i < n; i++ {
-					id := s.idx(i, j, k)
-					u, v, w := s.U[id], s.V[id], s.W[id]
-					adv := func(f []float64) float64 {
-						return u*s.deriv(f, i, j, k, 0) + v*s.deriv(f, i, j, k, 1) + w*s.deriv(f, i, j, k, 2)
+					nb.i, nb.ip, nb.im = i, i+1, i-1
+					if i == n-1 {
+						nb.ip = 0
 					}
-					nu2[id] = u + dt*(-adv(s.U)+nu*s.laplacian(s.U, i, j, k))
-					nv2[id] = v + dt*(-adv(s.V)+nu*s.laplacian(s.V, i, j, k))
+					if i == 0 {
+						nb.im = n - 1
+					}
+					id := nb.row + i
+					u, v, w := s.U[id], s.V[id], s.W[id]
+					advU, lapU := nb.at(s.U, u, v, w, h2, hh)
+					advV, lapV := nb.at(s.V, u, v, w, h2, hh)
+					advW, lapW := nb.at(s.W, u, v, w, h2, hh)
+					advR, lapR := nb.at(s.R, u, v, w, h2, hh)
+					nu2[id] = u + dt*(-advU+nu*lapU)
+					nv2[id] = v + dt*(-advV+nu*lapV)
 					// Buoyancy couples w and r as a local oscillator at
 					// frequency N. Explicit Euler amplifies oscillations
 					// (growth √(1+(N·dt)²) per step), so the w↔r pair is
 					// advanced semi-implicitly: the 2×2 linear system
 					//   w' = A - dt·N²·r',  r' = B + dt·w'
 					// is solved in closed form, which is neutrally stable.
-					a := w + dt*(-adv(s.W)+nu*s.laplacian(s.W, i, j, k))
-					bb := s.R[id] + dt*(-adv(s.R)+kap*s.laplacian(s.R, i, j, k))
+					a := w + dt*(-advW+nu*lapW)
+					bb := s.R[id] + dt*(-advR+kap*lapR)
 					wNew := (a - dt*n2*bb) / (1 + dt*dt*n2)
 					nw2[id] = wNew
 					nr2[id] = bb + dt*wNew

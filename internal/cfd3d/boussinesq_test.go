@@ -1,6 +1,9 @@
 package cfd3d
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
@@ -21,9 +24,9 @@ func (s *Solver) kineticEnergy() float64 {
 // maxDivergence returns the max |∇·u| (spectral), a solver health check.
 func (s *Solver) maxDivergence() float64 {
 	n := s.N
-	dudx := spectral.Derivative(s.U, n, n, n, 0)
-	dvdy := spectral.Derivative(s.V, n, n, n, 1)
-	dwdz := spectral.Derivative(s.W, n, n, n, 2)
+	dudx := spectral.Gradient(s.U, n, n, n)[0]
+	dvdy := spectral.Gradient(s.V, n, n, n)[1]
+	dwdz := spectral.Gradient(s.W, n, n, n)[2]
 	m := 0.0
 	for i := range dudx {
 		if d := math.Abs(dudx[i] + dvdy[i] + dwdz[i]); d > m {
@@ -155,31 +158,49 @@ func BenchmarkStep16(b *testing.B) {
 
 // TestStepBitIdenticalToSerialRef evolves two identically seeded solvers,
 // one through the pooled Step and one through the serial reference, and
-// asserts all four fields agree bit for bit.
+// asserts all four fields agree bit for bit, at N = 16 and at the bench's
+// N = 32.
 func TestStepBitIdenticalToSerialRef(t *testing.T) {
 	tensor.SetWorkers(4) // force a real pool even on single-core machines
 	defer tensor.SetWorkers(0)
-	a := NewTaylorGreen(Config{N: 16, Seed: 3})
-	b := NewTaylorGreen(Config{N: 16, Seed: 3})
-	for step := 0; step < 8; step++ {
-		a.Step()
-		b.stepRef()
-	}
-	fields := [][2][]float64{{a.U, b.U}, {a.V, b.V}, {a.W, b.W}, {a.R, b.R}}
-	names := []string{"U", "V", "W", "R"}
-	for fi, pair := range fields {
-		for i := range pair[0] {
-			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
-				t.Fatalf("%s[%d] differs after 8 steps: %v vs %v",
-					names[fi], i, pair[0][i], pair[1][i])
+	for _, n := range []int{16, 32} {
+		a := NewTaylorGreen(Config{N: n, Seed: 3})
+		b := NewTaylorGreen(Config{N: n, Seed: 3})
+		for step := 0; step < 8; step++ {
+			a.Step()
+			b.stepRef()
+		}
+		fields := [][2][]float64{{a.U, b.U}, {a.V, b.V}, {a.W, b.W}, {a.R, b.R}}
+		names := []string{"U", "V", "W", "R"}
+		for fi, pair := range fields {
+			for i := range pair[0] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("N=%d: %s[%d] differs after 8 steps: %v vs %v",
+						n, names[fi], i, pair[0][i], pair[1][i])
+				}
 			}
 		}
 	}
 }
 
-// BenchmarkBoussinesqStep measures solver throughput; scratch reuse keeps
-// the finite-difference part allocation-free (the spectral projection still
-// allocates small per-chunk line buffers).
+// TestStepAllocs: a steady-state step at N = 32 reuses its fields, grids
+// and tile slabs; what is left is the closures handed to the pool.
+func TestStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tensor.SetWorkers(4)
+	defer tensor.SetWorkers(0)
+	s := NewTaylorGreen(Config{N: 32, Seed: 1})
+	s.Step()
+	if a := testing.AllocsPerRun(5, s.Step); a > 16 {
+		t.Fatalf("steady-state Step at N=32 allocates %v objects, want <= 16", a)
+	}
+}
+
+// BenchmarkBoussinesqStep measures solver throughput. The fields, the
+// projection's grids and their tile slabs are reused, so a step allocates
+// only the closures it hands to the kernel pool (TestStepAllocs).
 func BenchmarkBoussinesqStep(b *testing.B) {
 	for _, n := range []int{16, 32} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -191,5 +212,27 @@ func BenchmarkBoussinesqStep(b *testing.B) {
 				s.Step()
 			}
 		})
+	}
+}
+
+// TestGoldenEvolveDataset pins the SHA-256 of every variable of a short
+// N = 32 trajectory, recorded from the per-line FFT and the per-cell `%`
+// stencil: the plan, the tiles, the forward-once pressure and the row
+// offsets must reproduce it bit for bit.
+func TestGoldenEvolveDataset(t *testing.T) {
+	d := EvolveDataset("golden", 4, 2, Config{N: 32, Seed: 1})
+	h := sha256.New()
+	var b [8]byte
+	for _, s := range d.Snapshots {
+		for _, name := range []string{"u", "v", "w", "r", "p", "dissipation", "pv"} {
+			for _, x := range s.Var(name) {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+				h.Write(b[:])
+			}
+		}
+	}
+	const want = "da919156b4b12ad972ff4bd689846e763a57a1a99432d252fd0f26e4c5478e9d"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("EvolveDataset(N 32, 4 snapshots, 2 steps) sha256 = %s, want %s", got, want)
 	}
 }

@@ -8,60 +8,88 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
 
-// FFT computes the in-place forward discrete Fourier transform of x,
-// whose length must be a power of two. The convention is
-// X[k] = Σ_n x[n]·exp(-2πi·kn/N) (no normalization).
-func FFT(x []complex128) {
-	fftInternal(x, false)
+// plan is what every transform of one length shares: the bit-reversal
+// permutation and each stage's twiddles, forward and inverse. A stage of
+// half-size h keeps its twiddles at [h-1, 2h-1).
+type plan struct {
+	rev      []int32
+	fwd, inv []complex128
 }
 
-// IFFT computes the in-place inverse transform, including the 1/N factor,
-// so IFFT(FFT(x)) == x.
-func IFFT(x []complex128) {
-	fftInternal(x, true)
-	inv := 1 / float64(len(x))
-	for i := range x {
-		x[i] = complex(real(x[i])*inv, imag(x[i])*inv)
-	}
-}
+// plans caches one plan per log2 of the length; building one twice in a
+// race is harmless, the first stored wins.
+var plans [64]atomic.Pointer[plan]
 
-func fftInternal(x []complex128, inverse bool) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
+func planFor(n int) *plan {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("spectral: FFT length %d is not a power of two", n))
 	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
+	lg := bits.TrailingZeros(uint(n))
+	if pl := plans[lg].Load(); pl != nil {
+		return pl
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
+	pl := &plan{rev: make([]int32, n), fwd: twiddles(n, -1), inv: twiddles(n, 1)}
+	shift := 64 - uint(lg)
+	for i := range pl.rev {
+		pl.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
 	}
+	plans[lg].CompareAndSwap(nil, pl)
+	return plans[lg].Load()
+}
+
+// twiddles generates every stage's factors by the running product
+// w *= wStep from 1, so a planned butterfly multiplies by the same float64
+// values as one that stepped w itself.
+func twiddles(n int, sign float64) []complex128 {
+	tw := make([]complex128, n-1)
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		ang := sign * 2 * math.Pi / float64(size)
 		wStep := complex(math.Cos(ang), math.Sin(ang))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
+		w := complex(1, 0)
+		for k := half - 1; k < size-1; k++ {
+			tw[k] = w
+			w *= wStep
+		}
+	}
+	return tw
+}
+
+// transform runs the radix-2 FFT of x (len(x) is the plan's length) in
+// place; inverse also applies the 1/N factor.
+func (pl *plan) transform(x []complex128, inverse bool) {
+	n := len(x)
+	for i, j := range pl.rev {
+		if int(j) > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	tw := pl.fwd
+	if inverse {
+		tw = pl.inv
+	}
+	// A stage's butterflies touch disjoint pairs, so running them twiddle by
+	// twiddle changes no result.
+	for half := 1; half < n; half <<= 1 {
+		size := half << 1
+		for k, wk := range tw[half-1 : size-1] {
+			for p := k; p < n; p += size {
+				a := x[p]
+				b := x[p+half] * wk
+				x[p] = a + b
+				x[p+half] = a - b
 			}
+		}
+	}
+	if inverse {
+		inv := 1 / float64(n)
+		for i := range x {
+			x[i] = complex(real(x[i])*inv, imag(x[i])*inv)
 		}
 	}
 }
@@ -71,7 +99,25 @@ func fftInternal(x []complex128, inverse bool) {
 type Grid3 struct {
 	Nx, Ny, Nz int
 	Data       []complex128
+
+	// Transform state, built by the first transform so that a warm one
+	// allocates nothing: the direction the passes read, the x, y and z
+	// passes, and one tile slab per strided-pass chunk.
+	inverse bool
+	passes  [3]pass
+	slabs   []complex128
 }
+
+// pass is one axis of the 3-D transform as the kernel pool runs it.
+type pass struct {
+	units, grain int
+	run          func(lo, hi int)
+}
+
+// A strided pass moves tiles of tileLines neighbouring lines (consecutive
+// i; 8 complex128 fill two cache lines per row) in at most passChunks
+// chunks, each with its own tile slab.
+const tileLines, passChunks = 8, 16
 
 // NewGrid3 allocates a zeroed complex grid. All dimensions must be powers
 // of two.
@@ -109,8 +155,6 @@ func (g *Grid3) RealPart(dst []float64) []float64 {
 	return dst
 }
 
-func (g *Grid3) idx(i, j, k int) int { return (k*g.Ny+j)*g.Nx + i }
-
 // FFT3 performs the forward 3-D transform in place.
 func (g *Grid3) FFT3() { g.transform(false) }
 
@@ -118,56 +162,69 @@ func (g *Grid3) FFT3() { g.transform(false) }
 func (g *Grid3) IFFT3() { g.transform(true) }
 
 // transform runs the separable 3-D FFT as three passes of independent 1-D
-// line transforms; each pass fans its lines out across the kernel pool
-// (every line touches a disjoint set of grid cells, so parallel and serial
-// execution are bit-identical).
+// line transforms fanned out across the kernel pool. Every line touches a
+// disjoint set of cells and sees the same operations whichever chunk runs
+// it, so parallel and serial execution are bit-identical.
 func (g *Grid3) transform(inverse bool) {
-	do := func(line []complex128) {
-		if inverse {
-			IFFT(line)
-		} else {
-			FFT(line)
-		}
+	if g.passes[0].run == nil {
+		g.preparePasses()
 	}
+	g.inverse = inverse
 	p := tensor.DefaultPool()
-	// x-lines are contiguous; one unit per (k, j) line.
-	p.ParallelFor(g.Nz*g.Ny, 8, func(u0, u1 int) {
-		for u := u0; u < u1; u++ {
-			k, j := u/g.Ny, u%g.Ny
-			base := g.idx(0, j, k)
-			do(g.Data[base : base+g.Nx])
-		}
-	})
-	// y-lines; one unit per (k, i) line, with a per-chunk gather buffer.
-	p.ParallelFor(g.Nz*g.Nx, 8, func(u0, u1 int) {
-		buf := make([]complex128, g.Ny)
-		for u := u0; u < u1; u++ {
-			k, i := u/g.Nx, u%g.Nx
-			for j := 0; j < g.Ny; j++ {
-				buf[j] = g.Data[g.idx(i, j, k)]
-			}
-			do(buf)
-			for j := 0; j < g.Ny; j++ {
-				g.Data[g.idx(i, j, k)] = buf[j]
-			}
-		}
-	})
-	// z-lines; one unit per (j, i) line.
-	if g.Nz > 1 {
-		p.ParallelFor(g.Ny*g.Nx, 8, func(u0, u1 int) {
-			bufz := make([]complex128, g.Nz)
-			for u := u0; u < u1; u++ {
-				j, i := u/g.Nx, u%g.Nx
-				for k := 0; k < g.Nz; k++ {
-					bufz[k] = g.Data[g.idx(i, j, k)]
-				}
-				do(bufz)
-				for k := 0; k < g.Nz; k++ {
-					g.Data[g.idx(i, j, k)] = bufz[k]
-				}
-			}
-		})
+	for _, ps := range g.passes {
+		p.ParallelFor(ps.units, ps.grain, ps.run)
 	}
+}
+
+func (g *Grid3) preparePasses() {
+	nx, ny, nz := g.Nx, g.Ny, g.Nz
+	g.slabs = make([]complex128, passChunks*min(tileLines, nx)*max(ny, nz))
+	// x-lines are contiguous; one unit per (k, j) line.
+	g.passes[0] = pass{nz * ny, 8, func(u0, u1 int) {
+		pl := planFor(nx)
+		for u := u0; u < u1; u++ {
+			pl.transform(g.Data[u*nx:(u+1)*nx], g.inverse)
+		}
+	}}
+	// y-lines start at (0, 0, k) and step nx; z-lines start at (0, j, 0)
+	// and step nx·ny. A flat grid has no z pass (zero units).
+	g.passes[1] = g.stridedPass(nz, nx*ny, ny, nx)
+	if nz > 1 {
+		g.passes[2] = g.stridedPass(ny, nx, nz, nx*ny)
+	}
+}
+
+// stridedPass builds the pass over lines of length n whose elements lie
+// step apart, rows of them starting outer apart, rows in all. Its unit is a
+// tile of up to tileLines neighbouring lines (consecutive i): gathered row
+// by row (contiguous reads) into its chunk's slab, each line transformed
+// there, scattered back.
+func (g *Grid3) stridedPass(rows, outer, n, step int) pass {
+	w := min(tileLines, g.Nx)
+	rowTiles := g.Nx / w
+	tiles := rows * rowTiles
+	grain := (tiles + passChunks - 1) / passChunks
+	return pass{tiles, grain, func(u0, u1 int) {
+		pl := planFor(n)
+		slab := g.slabs[u0/grain*w*n:][:w*n]
+		for u := u0; u < u1; u++ {
+			base := u/rowTiles*outer + u%rowTiles*w
+			for e := 0; e < n; e++ {
+				for t, c := range g.Data[base+e*step : base+e*step+w] {
+					slab[t*n+e] = c
+				}
+			}
+			for t := 0; t < w; t++ {
+				pl.transform(slab[t*n:(t+1)*n], g.inverse)
+			}
+			for e := 0; e < n; e++ {
+				row := g.Data[base+e*step : base+e*step+w]
+				for t := range row {
+					row[t] = slab[t*n+e]
+				}
+			}
+		}
+	}}
 }
 
 // WaveNumber maps FFT index m on an axis of length n (domain length 2π) to

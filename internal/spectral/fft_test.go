@@ -1,7 +1,9 @@
 package spectral
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -10,7 +12,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// dftNaive is the O(N²) reference transform FFT is validated against.
+// fft and ifft are the 1-D transforms through a plan, as Grid3's passes
+// run them; ifft includes the 1/N factor, so ifft(fft(x)) == x.
+func fft(x []complex128)  { planFor(len(x)).transform(x, false) }
+func ifft(x []complex128) { planFor(len(x)).transform(x, true) }
+
+// dftNaive is the O(N²) reference transform fft is validated against.
 func dftNaive(x []complex128) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
@@ -34,7 +41,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 		}
 		want := dftNaive(x)
 		got := append([]complex128(nil), x...)
-		FFT(got)
+		fft(got)
 		for i := range got {
 			if cmplx.Abs(got[i]-want[i]) > 1e-9 {
 				t.Fatalf("n=%d: FFT[%d] = %v, want %v", n, i, got[i], want[i])
@@ -49,10 +56,10 @@ func TestFFTNonPowerOfTwoPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	FFT(make([]complex128, 6))
+	fft(make([]complex128, 6))
 }
 
-// Property: IFFT(FFT(x)) == x.
+// Property: ifft(fft(x)) == x.
 func TestFFTRoundTripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -62,8 +69,8 @@ func TestFFTRoundTripQuick(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		y := append([]complex128(nil), x...)
-		FFT(y)
-		IFFT(y)
+		fft(y)
+		ifft(y)
 		for i := range y {
 			if cmplx.Abs(y[i]-x[i]) > 1e-9 {
 				return false
@@ -87,7 +94,7 @@ func TestParsevalQuick(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), 0)
 			tEnergy += real(x[i]) * real(x[i])
 		}
-		FFT(x)
+		fft(x)
 		fEnergy := 0.0
 		for _, c := range x {
 			fEnergy += real(c)*real(c) + imag(c)*imag(c)
@@ -107,7 +114,7 @@ func TestFFTSingleMode(t *testing.T) {
 		ang := 2 * math.Pi * 3 * float64(i) / float64(n)
 		x[i] = complex(math.Cos(ang), math.Sin(ang))
 	}
-	FFT(x)
+	fft(x)
 	for k := range x {
 		want := 0.0
 		if k == 3 {
@@ -159,7 +166,7 @@ func TestDerivativeSine(t *testing.T) {
 			}
 		}
 	}
-	df := Derivative(f, nx, ny, nz, 0)
+	df := Gradient(f, nx, ny, nz)[0]
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
@@ -235,7 +242,7 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		y := append([]complex128(nil), x...)
-		FFT(y)
+		fft(y)
 	}
 }
 
@@ -276,5 +283,243 @@ func TestFFT3BitIdenticalSerialVsParallel(t *testing.T) {
 			math.Float64bits(imag(a.Data[i])) != math.Float64bits(imag(b.Data[i])) {
 			t.Fatalf("FFT3 parallel vs serial differs at %d: %v vs %v", i, a.Data[i], b.Data[i])
 		}
+	}
+}
+
+// fftRef is the transform before plans: the bit-reversal and every twiddle
+// recomputed per call, the twiddle stepped by w *= wStep inside the
+// butterfly loop. The planned FFT must match it bit for bit.
+func fftRef(x []complex128, inverse bool) {
+	n := len(x)
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		ang := sign * 2 * math.Pi / float64(size)
+		wStep := complex(math.Cos(ang), math.Sin(ang))
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+				w *= wStep
+			}
+		}
+	}
+	if inverse {
+		inv := 1 / float64(n)
+		for i := range x {
+			x[i] = complex(real(x[i])*inv, imag(x[i])*inv)
+		}
+	}
+}
+
+// gridRef is the 3-D transform before tiles: every line of every axis
+// gathered one at a time and run through fftRef.
+func gridRef(g *Grid3, inverse bool) {
+	nx, ny, nz := g.Nx, g.Ny, g.Nz
+	at := func(i, j, k int) *complex128 { return &g.Data[(k*ny+j)*nx+i] }
+	line := func(n int, cell func(m int) *complex128) {
+		buf := make([]complex128, n)
+		for m := range buf {
+			buf[m] = *cell(m)
+		}
+		fftRef(buf, inverse)
+		for m := range buf {
+			*cell(m) = buf[m]
+		}
+	}
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			line(nx, func(i int) *complex128 { return at(i, j, k) })
+		}
+	}
+	for k := 0; k < nz; k++ {
+		for i := 0; i < nx; i++ {
+			line(ny, func(j int) *complex128 { return at(i, j, k) })
+		}
+	}
+	if nz > 1 {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				line(nz, func(k int) *complex128 { return at(i, j, k) })
+			}
+		}
+	}
+}
+
+// derivativeRef is ∂f/∂x_axis as it was computed before Gradient: its own
+// forward transform per axis, through gridRef.
+func derivativeRef(f []float64, nx, ny, nz, axis int) []float64 {
+	g := NewGrid3(nx, ny, nz)
+	for i, v := range f {
+		g.Data[i] = complex(v, 0)
+	}
+	gridRef(g, false)
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				m, n := [3]int{i, j, k}[axis], [3]int{nx, ny, nz}[axis]
+				idx := (k*ny+j)*nx + i
+				if m == n/2 && n > 1 {
+					g.Data[idx] = 0
+					continue
+				}
+				g.Data[idx] *= complex(0, WaveNumber(m, n))
+			}
+		}
+	}
+	gridRef(g, true)
+	out := make([]float64, len(f))
+	for i := range out {
+		out[i] = real(g.Data[i])
+	}
+	return out
+}
+
+// pressureRef is PressureFromVelocity as nine separate derivatives, each
+// with its own forward transform, and a Poisson solve through gridRef.
+func pressureRef(u, v, w []float64, nx, ny, nz int) []float64 {
+	var grads [3][3][]float64
+	for a, vel := range [][]float64{u, v, w} {
+		for d := 0; d < 3; d++ {
+			grads[a][d] = derivativeRef(vel, nx, ny, nz, d)
+		}
+	}
+	g := NewGrid3(nx, ny, nz)
+	for p := range g.Data {
+		s := 0.0
+		for a := 0; a < 3; a++ {
+			for b := 0; b < 3; b++ {
+				s += grads[a][b][p] * grads[b][a][p]
+			}
+		}
+		g.Data[p] = complex(-s, 0)
+	}
+	gridRef(g, false)
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				k2 := WaveNumber(i, nx)*WaveNumber(i, nx) + WaveNumber(j, ny)*WaveNumber(j, ny) + WaveNumber(k, nz)*WaveNumber(k, nz)
+				idx := (k*ny+j)*nx + i
+				if k2 == 0 {
+					g.Data[idx] = 0
+					continue
+				}
+				g.Data[idx] = -g.Data[idx] / complex(k2, 0)
+			}
+		}
+	}
+	gridRef(g, true)
+	out := make([]float64, len(g.Data))
+	for i := range out {
+		out[i] = real(g.Data[i])
+	}
+	return out
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v bit for bit", what, i, got[i], want[i])
+		}
+	}
+}
+
+func randomField(rng *rand.Rand, n int) []float64 {
+	f := make([]float64, n)
+	for i := range f {
+		f[i] = rng.NormFloat64()
+	}
+	return f
+}
+
+// TestFFTMatchesRef: fft and ifft through a plan give fftRef's bits for
+// every power of two from 1 to 4096.
+func TestFFTMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 4096; n <<= 1 {
+		for _, inverse := range []bool{false, true} {
+			x := make([]complex128, n)
+			for i := range x {
+				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			want := append([]complex128(nil), x...)
+			fftRef(want, inverse)
+			if inverse {
+				ifft(x)
+			} else {
+				fft(x)
+			}
+			for i := range x {
+				if math.Float64bits(real(x[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(x[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("n=%d inverse=%v: [%d] = %v, want %v bit for bit", n, inverse, i, x[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGradientMatchesRef: one forward transform and three derivatives give
+// the bits of three separate derivativeRef calls, tiles full and partial.
+func TestGradientMatchesRef(t *testing.T) {
+	tensor.SetWorkers(4) // force a real pool even on single-core machines
+	defer tensor.SetWorkers(0)
+	rng := rand.New(rand.NewSource(6))
+	for _, d := range [][3]int{{16, 16, 16}, {4, 16, 8}, {32, 8, 1}} {
+		f := randomField(rng, d[0]*d[1]*d[2])
+		got := Gradient(f, d[0], d[1], d[2])
+		for axis := range got {
+			sameBits(t, fmt.Sprintf("%v ∂%d", d, axis), got[axis], derivativeRef(f, d[0], d[1], d[2], axis))
+		}
+	}
+}
+
+// TestPressureMatchesRef: the forward-once pressure gives the bits of the
+// nine-transform reference, at 16³ and at 4×16×8 (a partly filled tile).
+func TestPressureMatchesRef(t *testing.T) {
+	tensor.SetWorkers(4)
+	defer tensor.SetWorkers(0)
+	rng := rand.New(rand.NewSource(7))
+	for _, d := range [][3]int{{16, 16, 16}, {4, 16, 8}} {
+		n := d[0] * d[1] * d[2]
+		u, v, w := randomField(rng, n), randomField(rng, n), randomField(rng, n)
+		sameBits(t, fmt.Sprintf("%v p", d), PressureFromVelocity(u, v, w, d[0], d[1], d[2]),
+			pressureRef(u, v, w, d[0], d[1], d[2]))
+	}
+}
+
+// TestFFT3Allocs: a warm forward and inverse 3-D transform allocates
+// nothing, with the pool fanning out its passes.
+func TestFFT3Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tensor.SetWorkers(4)
+	defer tensor.SetWorkers(0)
+	g := NewGrid3(32, 32, 32)
+	for i := range g.Data {
+		g.Data[i] = complex(math.Sin(float64(i)), 0)
+	}
+	g.FFT3()
+	g.IFFT3()
+	if a := testing.AllocsPerRun(20, func() {
+		g.FFT3()
+		g.IFFT3()
+	}); a != 0 {
+		t.Fatalf("warm FFT3+IFFT3 at 32³ allocates %v objects, want 0", a)
 	}
 }

@@ -34,21 +34,15 @@ func SolvePoisson(f []float64, nx, ny, nz int) []float64 {
 // velocity checkpoint. u, v, w are x-fastest fields on a periodic [0,2π)³
 // grid.
 func PressureFromVelocity(u, v, w []float64, nx, ny, nz int) []float64 {
-	// Velocity gradients via spectral differentiation.
-	grads := make([][]float64, 9) // [du/dx, du/dy, du/dz, dv/dx, ...]
-	vels := [][]float64{u, v, w}
-	for a, vel := range vels {
-		for d := 0; d < 3; d++ {
-			grads[a*3+d] = Derivative(vel, nx, ny, nz, d)
-		}
-	}
+	// grads[a][d] = ∂u_a/∂x_d: one forward transform per component.
+	grads := [3][3][]float64{Gradient(u, nx, ny, nz), Gradient(v, nx, ny, nz), Gradient(w, nx, ny, nz)}
 	// Source term: -∂ᵢuⱼ ∂ⱼuᵢ = -Σᵢⱼ (∂uⱼ/∂xᵢ)(∂uᵢ/∂xⱼ).
 	src := make([]float64, len(u))
 	for p := range src {
 		s := 0.0
 		for a := 0; a < 3; a++ {
 			for b := 0; b < 3; b++ {
-				s += grads[a*3+b][p] * grads[b*3+a][p]
+				s += grads[a][b][p] * grads[b][a][p]
 			}
 		}
 		src[p] = -s
@@ -56,41 +50,33 @@ func PressureFromVelocity(u, v, w []float64, nx, ny, nz int) []float64 {
 	return SolvePoisson(src, nx, ny, nz)
 }
 
-// Derivative computes ∂f/∂x_axis spectrally (axis: 0=x, 1=y, 2=z) on a
-// periodic [0,2π)³ grid.
-func Derivative(f []float64, nx, ny, nz, axis int) []float64 {
+// Gradient returns ∂f/∂x, ∂f/∂y and ∂f/∂z, computed spectrally on a
+// periodic [0,2π)³ grid from one forward transform of f.
+func Gradient(f []float64, nx, ny, nz int) [3][]float64 {
+	spec := NewGrid3(nx, ny, nz)
+	spec.FromReal(f)
+	spec.FFT3()
 	g := NewGrid3(nx, ny, nz)
-	g.FromReal(f)
-	g.FFT3()
-	for k := 0; k < nz; k++ {
-		kz := WaveNumber(k, nz)
-		for j := 0; j < ny; j++ {
-			ky := WaveNumber(j, ny)
-			for i := 0; i < nx; i++ {
-				kx := WaveNumber(i, nx)
-				var kv float64
-				var m, n int
-				switch axis {
-				case 0:
-					kv, m, n = kx, i, nx
-				case 1:
-					kv, m, n = ky, j, ny
-				default:
-					kv, m, n = kz, k, nz
+	var out [3][]float64
+	for axis := range out {
+		for k := 0; k < nz; k++ {
+			for j := 0; j < ny; j++ {
+				for i := 0; i < nx; i++ {
+					m, n := [3]int{i, j, k}[axis], [3]int{nx, ny, nz}[axis]
+					idx := (k*ny+j)*nx + i
+					// The Nyquist mode is self-conjugate; multiplying it
+					// by i·k would make the result complex. Its derivative
+					// is conventionally set to zero.
+					if m == n/2 && n > 1 {
+						g.Data[idx] = 0
+					} else {
+						g.Data[idx] = spec.Data[idx] * complex(0, WaveNumber(m, n)) // i·k
+					}
 				}
-				idx := (k*ny+j)*nx + i
-				// The Nyquist mode is self-conjugate; multiplying it by
-				// i·k would make the result complex. Its derivative is
-				// conventionally set to zero.
-				if m == n/2 && n > 1 {
-					g.Data[idx] = 0
-					continue
-				}
-				// Multiply by i·k.
-				g.Data[idx] *= complex(0, kv)
 			}
 		}
+		g.IFFT3()
+		out[axis] = g.RealPart(nil)
 	}
-	g.IFFT3()
-	return g.RealPart(nil)
+	return out
 }

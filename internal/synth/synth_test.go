@@ -82,9 +82,9 @@ func TestIsotropicDivergenceFree(t *testing.T) {
 	f := Isotropic(IsotropicConfig{N: 16, Seed: 1})
 	n := f.Nx
 	u, v, w := f.Var("u"), f.Var("v"), f.Var("w")
-	dudx := spectral.Derivative(u, n, n, n, 0)
-	dvdy := spectral.Derivative(v, n, n, n, 1)
-	dwdz := spectral.Derivative(w, n, n, n, 2)
+	dudx := spectral.Gradient(u, n, n, n)[0]
+	dvdy := spectral.Gradient(v, n, n, n)[1]
+	dwdz := spectral.Gradient(w, n, n, n)[2]
 	maxDiv, maxU := 0.0, 0.0
 	for i := range dudx {
 		d := math.Abs(dudx[i] + dvdy[i] + dwdz[i])
