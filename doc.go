@@ -60,7 +60,7 @@
 //
 // All of these share the tensor package's kernel engine: a persistent
 // worker pool (tensor.Pool) with a deterministic ParallelFor, a
-// cache-blocked transpose-free matmul family, and a step-scoped tensor
+// register-tiled transpose-free matmul family, and a step-scoped tensor
 // workspace (tensor.Workspace: every model owns one, and what a pass hands
 // out is valid until that model's next Forward). Every pooled kernel is
 // bit-identical to its serial reference, asserted by parity tests.

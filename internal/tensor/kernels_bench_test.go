@@ -63,6 +63,36 @@ func BenchmarkMatMulTransBAccum(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulLedgerShapes runs the three variants serially at the
+// shapes that dominate a training step (m×k×n; the row count 512 is one
+// batch of cube rows), reporting GFLOP/s.
+func BenchmarkMatMulLedgerShapes(b *testing.B) {
+	SetParallel(false)
+	defer SetParallel(true)
+	for _, sz := range [][3]int{{512, 32, 32}, {512, 32, 4}} {
+		m, k, n := sz[0], sz[1], sz[2]
+		rng := rand.New(rand.NewSource(1))
+		x := Randn(rng, 1, m, k)
+		for _, v := range []struct {
+			name   string
+			y, dst *Tensor
+			kernel func(dst, a, b *Tensor)
+		}{
+			{"ab", Randn(rng, 1, k, n), New(m, n), MatMulAccum},
+			{"abT", Randn(rng, 1, n, k), New(m, n), MatMulTransBAccum},
+			{"aTb", Randn(rng, 1, m, n), New(k, n), MatMulTransAAccum},
+		} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", v.name, m, k, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					v.kernel(v.dst, x, v.y)
+				}
+				b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
 // BenchmarkTransposeThenMatMul measures the pattern the nn layers used
 // before this engine existed (materialize Wᵀ every call), for comparison
 // with BenchmarkMatMulTransBAccum.

@@ -2,17 +2,16 @@ package tensor
 
 import "fmt"
 
-// Matmul kernel tuning. rowGrain batches output rows per ParallelFor chunk;
-// blockK × blockJ tiles keep the active slab of b and the dst row segment
-// resident in L2 while a row of a streams through. The tiling only reorders
-// which (i, j) cells are visited when — for any fixed output cell the terms
-// still accumulate over l in ascending order, exactly as the serial
-// reference kernel does, so blocked and reference results are bit-identical.
-const (
-	rowGrain = 8
-	blockK   = 64
-	blockJ   = 256
-)
+// rowGrain batches output rows per ParallelFor chunk. The kernels are
+// register-tiled: each holds a strip of output cells (or a group of dot
+// products) in locals for the whole inner loop and stores it once, instead
+// of loading and storing a cell per multiply-add. Every cell still takes
+// exactly its reference's adds in its reference's order — l ascending, a
+// zero in a skipped where the reference skips it — so each kernel is bit
+// for bit its serial *Ref (up to which payload survives when two NaNs meet
+// in one add), and the chunking depends only on the shape, so serial and
+// pooled runs agree too.
+const rowGrain = 8
 
 // MatMul returns a @ b for 2-D tensors a (m×k) and b (k×n). The output of
 // New is already zeroed, so the kernel accumulates directly — no redundant
@@ -83,48 +82,74 @@ func checkDst2D(dst *Tensor, m, n int, op string) {
 	}
 }
 
-// matmulAccum computes dst += a @ b with a cache-blocked ikj kernel,
-// parallel over output rows. Accumulation order over l is ascending for
-// every output cell — bit-identical to matmulAccumRef.
+// matmulAccum computes dst += a @ b, parallel over output rows.
 func matmulAccum(dst, a, b []float64, m, k, n int, p *Pool) {
 	if p.Inline(m, rowGrain) {
-		matmulAccumRows(dst, a, b, k, n, 0, m)
+		accumRows(dst, a, b, k, n, k, 1, 0, m)
 		return
 	}
-	p.ParallelFor(m, rowGrain, func(i0, i1 int) { matmulAccumRows(dst, a, b, k, n, i0, i1) })
+	p.ParallelFor(m, rowGrain, func(i0, i1 int) { accumRows(dst, a, b, k, n, k, 1, i0, i1) })
 }
 
-func matmulAccumRows(dst, a, b []float64, k, n, i0, i1 int) {
-	for jb := 0; jb < n; jb += blockJ {
-		j1 := jb + blockJ
-		if j1 > n {
-			j1 = n
-		}
-		for lb := 0; lb < k; lb += blockK {
-			l1 := lb + blockK
-			if l1 > k {
-				l1 = k
+// accumRows adds Σ_l a(i,l)·b[l,:] to dst[i,:] for i in [i0, i1), l
+// ascending over [0, inner), skipping a zero a(i,l), where a(i,l) =
+// a[i*aRow+l*aStep]: (k, 1) reads a row-major for a·b, (1, k) reads it
+// column-major for aᵀ·b. Each dst row is walked in strips of 8 cells, then
+// 4, then 1, held in locals across the whole l loop.
+func accumRows(dst, a, b []float64, inner, n, aRow, aStep, i0, i1 int) {
+	for i := i0; i < i1; i++ {
+		dr := dst[i*n : (i+1)*n]
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			d := dr[j : j+8 : j+8]
+			c0, c1, c2, c3, c4, c5, c6, c7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+			for l, ai := 0, i*aRow; l < inner; l, ai = l+1, ai+aStep {
+				av := a[ai]
+				if av == 0 {
+					continue
+				}
+				br := b[l*n+j : l*n+j+8 : l*n+j+8]
+				c0 += av * br[0]
+				c1 += av * br[1]
+				c2 += av * br[2]
+				c3 += av * br[3]
+				c4 += av * br[4]
+				c5 += av * br[5]
+				c6 += av * br[6]
+				c7 += av * br[7]
 			}
-			for i := i0; i < i1; i++ {
-				ar := a[i*k : (i+1)*k]
-				dr := dst[i*n+jb : i*n+j1]
-				for l := lb; l < l1; l++ {
-					av := ar[l]
-					if av == 0 {
-						continue
-					}
-					br := b[l*n+jb : l*n+j1]
-					for j, bv := range br {
-						dr[j] += av * bv
-					}
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = c0, c1, c2, c3, c4, c5, c6, c7
+		}
+		for ; j+4 <= n; j += 4 {
+			d := dr[j : j+4 : j+4]
+			c0, c1, c2, c3 := d[0], d[1], d[2], d[3]
+			for l, ai := 0, i*aRow; l < inner; l, ai = l+1, ai+aStep {
+				av := a[ai]
+				if av == 0 {
+					continue
+				}
+				br := b[l*n+j : l*n+j+4 : l*n+j+4]
+				c0 += av * br[0]
+				c1 += av * br[1]
+				c2 += av * br[2]
+				c3 += av * br[3]
+			}
+			d[0], d[1], d[2], d[3] = c0, c1, c2, c3
+		}
+		for ; j < n; j++ {
+			c := dr[j]
+			for l, ai := 0, i*aRow; l < inner; l, ai = l+1, ai+aStep {
+				if av := a[ai]; av != 0 {
+					c += av * b[l*n+j]
 				}
 			}
+			dr[j] = c
 		}
 	}
 }
 
 // matmulAccumRef is the serial reference: plain ikj, no tiling, no pool.
-// The parity tests assert the blocked/parallel kernel matches it bit for
+// The parity tests assert the tiled/parallel kernel matches it bit for
 // bit.
 func matmulAccumRef(dst, a, b []float64, m, k, n int) {
 	for i := 0; i < m; i++ {
@@ -142,22 +167,43 @@ func matmulAccumRef(dst, a, b []float64, m, k, n int) {
 	}
 }
 
-// matmulTransBAccum computes dst += a @ bᵀ (b stored n×k). Both operands
-// stream contiguously, so no tiling is needed; rows are parallel.
+// matmulTransBAccum computes dst += a @ bᵀ (b stored n×k), parallel over
+// rows; both operands are read row-major.
 func matmulTransBAccum(dst, a, b []float64, m, k, n int, p *Pool) {
 	if p.Inline(m, rowGrain) {
-		matmulTransBAccumRows(dst, a, b, k, n, 0, m)
+		transBRows(dst, a, b, k, n, 0, m)
 		return
 	}
-	p.ParallelFor(m, rowGrain, func(i0, i1 int) { matmulTransBAccumRows(dst, a, b, k, n, i0, i1) })
+	p.ParallelFor(m, rowGrain, func(i0, i1 int) { transBRows(dst, a, b, k, n, i0, i1) })
 }
 
-func matmulTransBAccumRows(dst, a, b []float64, k, n, i0, i1 int) {
+// transBRows runs four dot products at a time, one row of a against four
+// rows of b; each starts from 0, adds over l ascending and is then added to
+// its cell, as matmulTransBAccumRef does.
+func transBRows(dst, a, b []float64, k, n, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		ar := a[i*k : (i+1)*k]
 		dr := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			br := b[j*k : (j+1)*k]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k : (j+1)*k][:len(ar)]
+			b1 := b[(j+1)*k : (j+2)*k][:len(ar)]
+			b2 := b[(j+2)*k : (j+3)*k][:len(ar)]
+			b3 := b[(j+3)*k : (j+4)*k][:len(ar)]
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			for l, av := range ar {
+				s0 += av * b0[l]
+				s1 += av * b1[l]
+				s2 += av * b2[l]
+				s3 += av * b3[l]
+			}
+			dr[j] += s0
+			dr[j+1] += s1
+			dr[j+2] += s2
+			dr[j+3] += s3
+		}
+		for ; j < n; j++ {
+			br := b[j*k : (j+1)*k][:len(ar)]
 			s := 0.0
 			for l, av := range ar {
 				s += av * br[l]
@@ -184,30 +230,13 @@ func matmulTransBAccumRef(dst, a, b []float64, m, k, n int) {
 }
 
 // matmulTransAAccum computes dst += aᵀ @ b (a stored m×k, dst k×n),
-// parallel over dst rows (columns of a). For each dst cell the terms
-// accumulate over the shared dimension m in ascending order.
+// parallel over dst rows (columns of a).
 func matmulTransAAccum(dst, a, b []float64, m, k, n int, p *Pool) {
 	if p.Inline(k, rowGrain) {
-		matmulTransAAccumRows(dst, a, b, m, k, n, 0, k)
+		accumRows(dst, a, b, m, n, 1, k, 0, k)
 		return
 	}
-	p.ParallelFor(k, rowGrain, func(i0, i1 int) { matmulTransAAccumRows(dst, a, b, m, k, n, i0, i1) })
-}
-
-func matmulTransAAccumRows(dst, a, b []float64, m, k, n, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		dr := dst[i*n : (i+1)*n]
-		for l := 0; l < m; l++ {
-			av := a[l*k+i]
-			if av == 0 {
-				continue
-			}
-			br := b[l*n : (l+1)*n]
-			for j, bv := range br {
-				dr[j] += av * bv
-			}
-		}
-	}
+	p.ParallelFor(k, rowGrain, func(i0, i1 int) { accumRows(dst, a, b, m, n, 1, k, i0, i1) })
 }
 
 // matmulTransAAccumRef is the serial reference for matmulTransAAccum.

@@ -11,9 +11,22 @@ import (
 // kernel is bit-identical to its serial reference implementation, for sizes
 // that exercise partial tiles and multi-chunk ParallelFor decompositions.
 
-var paritySizes = [][3]int{
+var paritySizes = append([][3]int{
 	{1, 1, 1}, {3, 5, 7}, {17, 33, 65}, {64, 64, 64},
 	{100, 70, 130}, {257, 61, 300},
+	// The shapes a training step spends its multiply-adds on.
+	{512, 32, 32}, {448, 32, 4}, {7, 64, 32},
+}, tailSizes()...)
+
+// tailSizes covers every tail of the 8/4/1 column strips (n = 1…9, 15, 16,
+// 17) with m and k that each span several rowGrain chunks: a·b and a·bᵀ
+// split m, aᵀ·b splits k.
+func tailSizes() [][3]int {
+	var out [][3]int
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17} {
+		out = append(out, [3]int{37, 29, n})
+	}
+	return out
 }
 
 func randMat(rng *rand.Rand, m, n int) *Tensor {
@@ -89,6 +102,108 @@ func TestMatMulTransABitIdenticalToRef(t *testing.T) {
 		matmulTransAAccumRef(ref.Data, a.Data, b.Data, m, k, n)
 		bitsEqual(t, "MatMulTransAAccum", dst.Data, ref.Data)
 	}
+}
+
+// TestMatMulSpecialValuesBitIdenticalToRef pins the zero skip: a zero in a
+// (of either sign) facing ±Inf or NaN in b contributes nothing to a·b and
+// aᵀ·b (0·Inf would be NaN), and a cell that every term skips keeps a −0.
+// a·bᵀ skips nothing, so there 0·Inf is NaN on both sides. Which payload
+// survives when two different NaNs meet in an add is the hardware's choice
+// (x86 keeps the first operand's, and a register-held sum is the other
+// operand of the reference's add), so each output column meets one kind of
+// NaN only: the ones ±Inf make, or b's own.
+func TestMatMulSpecialValuesBitIdenticalToRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	// special fills b with ±Inf where output column col(i, j) is even and
+	// NaN where it is odd.
+	special := func(m, n int, col func(i, j int) int) *Tensor {
+		x := randMat(rng, m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				switch v := &x.Data[i*n+j]; {
+				case rng.Intn(3) > 0:
+				case col(i, j)%2 == 1:
+					*v = math.NaN()
+				default:
+					*v = math.Inf(1 - 2*rng.Intn(2))
+				}
+			}
+		}
+		return x
+	}
+	byCol := func(_, j int) int { return j }
+	byRow := func(i, _ int) int { return i }
+	sparse := func(m, n int) *Tensor {
+		x := randMat(rng, m, n)
+		for i := range x.Data {
+			switch rng.Intn(4) {
+			case 0:
+				x.Data[i] = 0
+			case 1:
+				x.Data[i] = math.Copysign(0, -1)
+			}
+		}
+		// A row and a column of zeros leave whole cells untouched.
+		for l := 0; l < n; l++ {
+			x.Data[l] = 0
+		}
+		for i := 0; i < m; i++ {
+			x.Data[i*n] = 0
+		}
+		return x
+	}
+	negZero := func(m, n int) *Tensor {
+		x := randMat(rng, m, n)
+		for i := range x.Data {
+			if rng.Intn(2) == 0 {
+				x.Data[i] = math.Copysign(0, -1)
+			}
+		}
+		return x
+	}
+	const m, k, n = 37, 29, 13
+	a := sparse(m, k)
+	matchesRef(t, "MatMulAccum", MatMulAccum, matmulAccumRef, a, special(k, n, byCol), negZero(m, n))
+	matchesRef(t, "MatMulTransBAccum", MatMulTransBAccum, matmulTransBAccumRef, a, special(n, k, byRow), negZero(m, n))
+	matchesRef(t, "MatMulTransAAccum", MatMulTransAAccum, matmulTransAAccumRef, sparse(m, k), special(m, n, byCol), negZero(k, n))
+}
+
+// matchesRef runs kernel on dst and ref on a copy of it, a being m×k and
+// dst having n columns, and requires the same bits.
+func matchesRef(t *testing.T, name string, kernel func(dst, a, b *Tensor), ref func(dst, a, b []float64, m, k, n int), a, b, dst *Tensor) {
+	t.Helper()
+	want := dst.Clone()
+	kernel(dst, a, b)
+	ref(want.Data, a.Data, b.Data, a.Dim(0), a.Dim(1), dst.Dim(1))
+	bitsEqual(t, name, dst.Data, want.Data)
+}
+
+// FuzzMatMulParity checks all three kernels against their serial
+// references, bit for bit, on shapes up to 70 in each dimension (several
+// rowGrain chunks, so TestMain's 4-worker pool splits them) with a chosen
+// share of exact zeros in a.
+func FuzzMatMulParity(f *testing.F) {
+	f.Add(uint8(37), uint8(29), uint8(13), uint8(64), int64(1))
+	f.Add(uint8(70), uint8(1), uint8(70), uint8(0), int64(2))
+	f.Add(uint8(9), uint8(70), uint8(17), uint8(255), int64(3))
+	f.Fuzz(func(t *testing.T, mb, kb, nb, zeroShare uint8, seed int64) {
+		m, k, n := int(mb)%70+1, int(kb)%70+1, int(nb)%70+1
+		rng := rand.New(rand.NewSource(seed))
+		mat := func(r, c int, zeros bool) *Tensor {
+			x := randMat(rng, r, c)
+			if zeros {
+				for i := range x.Data {
+					if rng.Intn(256) < int(zeroShare) {
+						x.Data[i] = 0
+					}
+				}
+			}
+			return x
+		}
+		matchesRef(t, "MatMulAccum", MatMulAccum, matmulAccumRef, mat(m, k, true), mat(k, n, false), mat(m, n, false))
+		matchesRef(t, "MatMulTransBAccum", MatMulTransBAccum, matmulTransBAccumRef, mat(m, k, true), mat(n, k, false), mat(m, n, false))
+		matchesRef(t, "MatMulTransAAccum", MatMulTransAAccum, matmulTransAAccumRef, mat(m, k, true), mat(m, n, false), mat(k, n, false))
+	})
 }
 
 // TestMatMulTransBMatchesTransposedMatMul checks the transpose-free

@@ -13,7 +13,7 @@
 //     solver steps, spectral transforms, and clustering built on it) is
 //     bit-identical serial or parallel, asserted against unexported *Ref
 //     serial kernels in the parity tests.
-//   - The matmul family is the cache-blocked MatMul and the Accum
+//   - The matmul family is the register-tiled MatMul and the Accum
 //     variants (MatMulAccum, and the transpose-free MatMulTransBAccum /
 //     MatMulTransAAccum orientations) that nn layers accumulate into, so no
 //     transpose and no temporary is materialized per forward/backward.

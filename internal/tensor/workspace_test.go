@@ -85,8 +85,14 @@ func TestParallelForAllocs(t *testing.T) {
 	// not even build the closure.
 	SetParallel(false)
 	defer SetParallel(true)
-	a, b, dst := New(64, 8), New(8, 8), New(64, 8)
-	if n := testing.AllocsPerRun(50, func() { MatMulAccum(dst, a, b); dst.AddScaled(1, a); dst.Scale(0.5) }); n != 0 {
+	a, b, dst, dw := New(64, 8), New(8, 8), New(64, 8), New(8, 8)
+	if n := testing.AllocsPerRun(50, func() {
+		MatMulAccum(dst, a, b)
+		MatMulTransBAccum(dst, a, b)
+		MatMulTransAAccum(dw, a, dst)
+		dst.AddScaled(1, a)
+		dst.Scale(0.5)
+	}); n != 0 {
 		t.Fatalf("serial kernels allocate %v objects", n)
 	}
 }

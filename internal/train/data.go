@@ -82,8 +82,8 @@ func seriesByCube(cubes []sampling.CubeSample) [][]sampling.CubeSample {
 
 // BuildSampleFull converts subsampled cubes into sample-full examples for
 // the MLP-Transformer: input = the cube's sampled points over a window of
-// snapshots [T, N, C]; target = the dense cube of output variables at the
-// final window snapshot [1, C', G, G, G]. Cubes are matched across
+// snapshots [T, N, C]; target = the dense cube of output variables at
+// every window snapshot [T, C', G, G, G]. Cubes are matched across
 // snapshots by cube ID, so a window slides along time for each cube.
 func BuildSampleFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) ([]Example, error) {
 	if window <= 0 {
@@ -111,7 +111,7 @@ func BuildSampleFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) (
 					copy(in.Data[(t*n+p)*c:(t*n+p)*c+c], feat)
 				}
 			}
-			out = append(out, Example{Input: in, Target: denseTarget(d, win[window-1])})
+			out = append(out, Example{Input: in, Target: denseTarget(d, win)})
 		}
 	}
 	if len(out) == 0 {
@@ -120,17 +120,21 @@ func BuildSampleFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) (
 	return out, nil
 }
 
-// denseTarget is the dense cube of output variables at cs's snapshot
-// [1, C', G, G, G], the target of both cube layouts.
-func denseTarget(d *grid.Dataset, cs sampling.CubeSample) *tensor.Tensor {
-	g := cs.Cube.Sx
-	f := d.Snapshots[cs.Snapshot]
-	tgt := tensor.New(1, len(d.OutputVars), g, g, g)
-	flat := cs.Cube.Indices(f)
-	for v, name := range d.OutputVars {
-		src := f.Var(name)
-		for p, fi := range flat {
-			tgt.Data[v*g*g*g+p] = src[fi]
+// denseTarget is the dense cube of output variables at each of win's
+// snapshots [T, C', G, G, G], the target of both cube layouts: the cube
+// models predict one cube per window step.
+func denseTarget(d *grid.Dataset, win []sampling.CubeSample) *tensor.Tensor {
+	g := win[0].Cube.Sx
+	cOut := len(d.OutputVars)
+	tgt := tensor.New(len(win), cOut, g, g, g)
+	for t, cs := range win {
+		f := d.Snapshots[cs.Snapshot]
+		flat := cs.Cube.Indices(f)
+		for v, name := range d.OutputVars {
+			src := f.Var(name)
+			for p, fi := range flat {
+				tgt.Data[(t*cOut+v)*g*g*g+p] = src[fi]
+			}
 		}
 	}
 	return tgt
@@ -139,7 +143,7 @@ func denseTarget(d *grid.Dataset, cs sampling.CubeSample) *tensor.Tensor {
 // BuildFullFull converts cube samples into full-full examples for the
 // CNN-Transformer and MATEY: input = the window's sampled points scattered
 // into a zero cube per step [T, C, G, G, G]; target = dense output cube at
-// the final snapshot [1, C', G, G, G]. Under method "full" every point is
+// every window snapshot [T, C', G, G, G]. Under method "full" every point is
 // sampled, so the input is the dense input-variable cube; under a sparse
 // sampler it is that cube with the unsampled points masked to zero, which is
 // how a dense foundation model consumes a SICKLE selection (Fig. 9).
@@ -161,7 +165,7 @@ func BuildFullFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) ([]
 					}
 				}
 			}
-			out = append(out, Example{Input: in, Target: denseTarget(d, win[window-1])})
+			out = append(out, Example{Input: in, Target: denseTarget(d, win)})
 		}
 	}
 	if len(out) == 0 {

@@ -32,7 +32,7 @@ func refDenseFullFull(d *grid.Dataset, cubes []sampling.CubeSample, window int) 
 					}
 				}
 			}
-			out = append(out, Example{Input: in, Target: denseTarget(d, win[window-1])})
+			out = append(out, Example{Input: in, Target: denseTarget(d, win)})
 		}
 	}
 	return out

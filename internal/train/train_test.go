@@ -204,8 +204,9 @@ func TestBuildSampleFull(t *testing.T) {
 	if in.Dim(0) != 2 || in.Dim(1) != 40 || in.Dim(2) != len(d.InputVars) {
 		t.Fatalf("input shape %v", in.Shape)
 	}
+	// One dense output cube per window snapshot, as the model predicts.
 	tgt := ex[0].Target
-	if tgt.Dim(0) != 1 || tgt.Dim(1) != 1 || tgt.Dim(2) != 8 {
+	if tgt.Dim(0) != 2 || tgt.Dim(1) != 1 || tgt.Dim(2) != 8 {
 		t.Fatalf("target shape %v", tgt.Shape)
 	}
 }
@@ -344,6 +345,38 @@ func TestEndToEndCNNTransformerTrains(t *testing.T) {
 	first, last := hist.TrainLoss[0], hist.TrainLoss[len(hist.TrainLoss)-1]
 	if !(last < first) {
 		t.Fatalf("CNN-Transformer loss did not decrease: %v -> %v", first, last)
+	}
+}
+
+// TestCubeArchitecturesTrainOnAWindow: every cube architecture predicts a
+// cube per window step [B, T, C', G, G, G], so its targets must carry one
+// per step too; at window 2 each trains an epoch to a finite loss.
+func TestCubeArchitecturesTrainOnAWindow(t *testing.T) {
+	for _, arch := range []string{"mlp_transformer", "cnn_transformer", "matey"} {
+		method := "maxent"
+		if arch != "mlp_transformer" {
+			method = "full"
+		}
+		d, cubes := pipelineDataset(t, method)
+		spec := ArchSpec{Arch: arch, Hidden: 8}.SizedFor(d, 8)
+		ex, err := spec.Examples(d, cubes, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factory := func(rng *rand.Rand) Model {
+			m, err := spec.Build(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		_, hist, err := Train(context.Background(), factory, ex, Config{Epochs: 1, Batch: 4, Seed: 16})
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		if loss := hist.TrainLoss[0]; math.IsNaN(loss) || math.IsInf(loss, 0) {
+			t.Fatalf("%s: window-2 loss %v", arch, loss)
+		}
 	}
 }
 
