@@ -1,8 +1,9 @@
 // sickle-train is the T2 stage of the paper's workflow (the artifact's
-// `srun --ntasks-per-node=8 python train.py case.yaml`): it loads a
-// subsample file (or re-runs T1), builds examples for the requested
-// architecture, trains with data-parallel ranks, and prints the
-// "Evaluation on test set" loss and total energy.
+// `srun --ntasks-per-node=8 python train.py case.yaml`) as one sickle.Loop:
+// it loads a subsample file (or re-runs T1), optionally tunes the
+// hyperparameters (-tune), trains the requested architecture with
+// data-parallel ranks, and prints the "Evaluation on test set" loss and
+// total energy.
 //
 // Usage:
 //
@@ -16,7 +17,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +29,6 @@ import (
 	"repro/internal/sickle"
 	"repro/internal/tier"
 	"repro/internal/train"
-	"repro/internal/tune"
 )
 
 func main() {
@@ -70,97 +69,70 @@ func main() {
 		fatal("build dataset", err)
 	}
 
-	// The stages of sickle.Loop, inline because -tune sits between the
-	// example layout and the fit.
-	spec := train.ArchSpec{Arch: strings.ToLower(*arch), Hidden: 16, Heads: 2}
+	loop := sickle.Loop{
+		Pipeline: sampling.PipelineConfig{
+			Hypercubes: "maxent", Method: *method, NumHypercubes: 2, CubeSx: 16,
+			NumClusters: 5, Seed: *seed, Meter: energy.NewMeter(),
+		},
+		Arch:   train.ArchSpec{Arch: strings.ToLower(*arch), Hidden: 16, Heads: 2},
+		Window: *window,
+		Train: train.Config{
+			LR:     0.001,
+			Epochs: *epochs, Batch: *batch, Seed: *seed, Ranks: *ranks,
+			Normalize: true, Meter: energy.NewMeter(), Verbose: true,
+			CostModel: sickle.DefaultCostModel(),
+			Metrics:   rec.MetricsRegistry(), Tracer: rec.Tracer(),
+		},
+	}
+	if loop.Arch.Arch == "cnn_transformer" {
+		loop.Pipeline.Method = "full"
+	}
+	if f := d.Snapshots[0]; f.Is2D() {
+		// 2-D cases sample the whole plane (the OF2D workflow).
+		loop.Pipeline.CubeSx, loop.Pipeline.CubeSy, loop.Pipeline.CubeSz = f.Nx, f.Ny, 1
+		loop.Pipeline.NumHypercubes = 1
+	}
+
+	ctx := context.Background()
 	var cubes []sampling.CubeSample
-	meterSample := energy.NewMeter()
 	if *in != "" {
 		cubes, err = sickle.LoadCubeSamples(*in)
 	} else {
-		pcfg := sampling.PipelineConfig{
-			Hypercubes: "maxent", Method: *method, NumHypercubes: 2, CubeSx: 16,
-			NumClusters: 5, Seed: *seed, Meter: meterSample,
-		}
-		if spec.Arch == "cnn_transformer" {
-			pcfg.Method = "full"
-		}
-		if f := d.Snapshots[0]; f.Is2D() {
-			// 2-D cases sample the whole plane (the OF2D workflow).
-			pcfg.CubeSx, pcfg.CubeSy, pcfg.CubeSz = f.Nx, f.Ny, 1
-			pcfg.NumHypercubes = 1
-		}
-		pcfg.FitTo(d.Snapshots[0])
-		cubes, err = sampling.SubsampleDataset(context.Background(), d, pcfg)
+		cubes, err = loop.Subsample(ctx, d)
 	}
 	if err != nil {
 		fatal("subsample", err)
 	}
-	if len(cubes) == 0 {
-		fatal("subsample", errors.New("no cube samples to train on"))
-	}
-
-	// The spec is both the model factory and, with -ckpt-out, the recipe a
-	// serving process needs to rebuild checkpoint-compatible replicas.
-	spec = spec.SizedFor(d, cubes[0].Cube.Sx)
-	if err := spec.Validate(); err != nil {
-		fatal("validate arch spec", err)
-	}
-	ex, err := spec.Examples(d, cubes, *window)
-	if err != nil {
-		fatal("build examples", err)
-	}
-	factory := spec.Factory()
-	meterTrain := energy.NewMeter()
-
-	lr := 0.001
 	if *doTune {
-		// Hidden width only applies to the LSTM; for the other
-		// architectures the factory ignores it and the search tunes LR
-		// and batch.
-		factoryFor := func(hidden int) train.ModelFactory {
-			if spec.Arch == "lstm" {
-				s := spec
-				s.Hidden = hidden
-				return s.Factory()
-			}
-			return factory
-		}
-		trials, err := tune.Search(context.Background(), factoryFor, ex, tune.Space{}, tune.Config{
-			Trials: 6, RungEpochs: 3, FinalEpochs: *epochs / 2, Seed: *seed, Ranks: *ranks,
-		})
+		var trials []sickle.Trial
+		loop, trials, err = loop.Tune(ctx, d, cubes)
 		if err != nil {
 			fatal("hyperparameter search", err)
 		}
-		fmt.Println("tuning winner:", tune.Best(trials))
-		lr = trials[0].LR
-		*batch = trials[0].Batch
+		fmt.Println("tuning winner:", trials[0])
 	}
-
-	model, hist, err := train.Train(context.Background(), factory, ex, train.Config{
-		LR:     lr,
-		Epochs: *epochs, Batch: *batch, Seed: *seed, Ranks: *ranks,
-		Normalize: true, Meter: meterTrain, Verbose: true,
-		CostModel: sickle.DefaultCostModel(),
-		Metrics:   rec.MetricsRegistry(), Tracer: rec.Tracer(),
-	})
+	res, err := loop.Fit(ctx, d, cubes)
 	if err != nil {
 		fatal("train", err)
 	}
+	hist := res.History
 
 	if *ckptOut != "" {
-		if err := nn.SaveCheckpoint(*ckptOut, model); err != nil {
+		if err := nn.SaveCheckpoint(*ckptOut, res.Model); err != nil {
 			fatal("save checkpoint", err)
 		}
-		specJSON, _ := json.Marshal(spec)
+		// The sized spec is the recipe a serving process needs to rebuild
+		// checkpoint-compatible replicas.
+		specJSON, _ := json.Marshal(res.Spec)
 		fmt.Printf("wrote checkpoint %s (arch spec: %s, input shape %v)\n",
-			*ckptOut, specJSON, ex[0].Input.Shape)
+			*ckptOut, specJSON, res.Examples[0].Input.Shape)
 	}
 	fmt.Printf("model: %s (%d parameters), %d examples, %d ranks\n",
-		model.Name(), hist.Params, len(ex), *ranks)
+		res.Model.Name(), hist.Params, len(res.Examples), *ranks)
 	fmt.Printf("Evaluation on test set: %.6f\n", hist.FinalLoss)
 	fmt.Printf("observability: trace %s (%d epoch spans recorded)\n",
 		hist.TraceID, hist.Epochs)
+	meterSample, meterTrain := loop.Pipeline.Meter, loop.Train.Meter
 	fmt.Printf("sampling  %s\n", meterSample.String())
 	fmt.Printf("training  %s\n", meterTrain.String())
 	meterSample.Add(meterTrain)

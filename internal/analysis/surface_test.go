@@ -23,7 +23,7 @@ var surfaceAllow = map[string]string{
 	// unexported name, and no program path needs the hook.
 	"repro/internal/tensor.SetWorkers":      "nn, train, spectral, cfd2d and cfd3d parity and allocation tests force a real pool on any core count",
 	"repro/internal/tensor.SetParallel":     "the same tests run one code path with and without workers and compare bits",
-	"repro/internal/tensor.Tensor.Reshape":  "nn, train and tune tests build their inputs as views; the package doc promises reshaping without a copy",
+	"repro/internal/tensor.Tensor.Reshape":  "nn and train tests build their inputs as views; the package doc promises reshaping without a copy",
 	"repro/internal/tier.Tier.Handler":      "serve, shard, tier and obs/top tests mount the finished mux under httptest",
 	"repro/internal/serve.InProc.Kill":      "shard and obs/top tests crash a replica without draining it",
 	"repro/internal/serve.Server.Jobs":      "shard and tier tests park a job slot and list a replica's jobs",

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/energy"
 	"repro/internal/sampling"
 	"repro/internal/train"
 )
@@ -154,6 +155,50 @@ func TestLoopRunIsFitOverItsOwnSelection(t *testing.T) {
 	}
 	if _, err := loop.Fit(t.Context(), d, nil); err == nil {
 		t.Fatal("Fit over no samples must fail, not panic")
+	}
+}
+
+// TestLoopFitRejectsSamplesOfAnotherDataset: samples that do not fit the
+// dataset — a .skl file of another case — are an error before the layout
+// indexes the dataset with them, never a panic inside it.
+func TestLoopFitRejectsSamplesOfAnotherDataset(t *testing.T) {
+	d, err := BuildDataset("SST-P1F4", Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := BuildDataset("GESTS-2048", Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := Loop{
+		Pipeline: sampling.PipelineConfig{Method: "random", NumHypercubes: 2, NumSamples: 16, CubeSx: 8, Seed: 1, Meter: energy.NewMeter()},
+		Arch:     train.ArchSpec{Arch: "mlp_transformer", Hidden: 8},
+		Train:    train.Config{Epochs: 1, Batch: 2, Seed: 1},
+	}
+	cubes, err := loop.Subsample(t.Context(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loop.Fit(t.Context(), other, cubes); err == nil {
+		t.Fatal("Fit on GESTS-2048 over SST-P1F4's samples must fail")
+	}
+	f, n := d.Snapshots[0], len(cubes[0].LocalIdx)
+	for name, spoil := range map[string]func(cs *sampling.CubeSample){
+		"snapshot out of range": func(cs *sampling.CubeSample) { cs.Snapshot = len(d.Snapshots) },
+		"negative snapshot":     func(cs *sampling.CubeSample) { cs.Snapshot = -1 },
+		"cube outside the grid": func(cs *sampling.CubeSample) { cs.Cube.I0 = f.Nx - cs.Cube.Sx + 1 },
+		"point outside the cube": func(cs *sampling.CubeSample) {
+			cs.LocalIdx = append([]int{cs.Cube.NPoints()}, cs.LocalIdx[1:]...)
+		},
+		"feature width":   func(cs *sampling.CubeSample) { cs.Features = sampling.SlabRows(n, len(d.InputVars)+1) },
+		"target width":    func(cs *sampling.CubeSample) { cs.Targets = sampling.SlabRows(n, len(d.OutputVars)-1) },
+		"missing targets": func(cs *sampling.CubeSample) { cs.Targets = cs.Targets[1:] },
+	} {
+		spoilt := append([]sampling.CubeSample(nil), cubes...)
+		spoil(&spoilt[len(spoilt)-1])
+		if _, err := loop.Fit(t.Context(), d, spoilt); err == nil {
+			t.Errorf("%s: Fit succeeded", name)
+		}
 	}
 }
 
