@@ -1,9 +1,9 @@
-// Package minimpi is a goroutine-based message-passing runtime that stands
-// in for MPI in SICKLE-Go. It provides ranks, point-to-point sends, and the
-// collectives the sampling pipeline uses (barrier, broadcast, gather,
-// allreduce, scatter), plus an injectable communication cost model so the
-// Fig. 7 scalability experiments can account for interconnect overhead that
-// goroutines on one machine do not exhibit.
+// Package minimpi is a goroutine-based runtime that stands in for MPI in
+// SICKLE-Go. It provides ranks, the partition of a range over them, and the
+// two collectives the program calls (a sum Allreduce and a Gather), plus
+// an injectable communication cost model so the Fig. 7 scalability
+// experiments can account for interconnect overhead that goroutines on one
+// machine do not exhibit.
 //
 // Semantics follow MPI: Run launches size ranks and blocks until all of
 // them return; collectives must be called by every rank.
@@ -41,8 +41,6 @@ type World struct {
 	size    int
 	cost    CostModel
 	barrier *cyclicBarrier
-	// mailboxes[dst][src] is an unbuffered channel for point-to-point.
-	mailboxes [][]chan []float64
 	// shared scratch for collectives, guarded by the barrier protocol.
 	collect [][]float64
 	mu      sync.Mutex
@@ -67,13 +65,6 @@ func Run(size int, cost CostModel, fn func(c *Comm)) *World {
 		collect: make([][]float64, size),
 		simComm: make([]float64, size),
 	}
-	w.mailboxes = make([][]chan []float64, size)
-	for d := range w.mailboxes {
-		w.mailboxes[d] = make([]chan []float64, size)
-		for s := range w.mailboxes[d] {
-			w.mailboxes[d][s] = make(chan []float64, 1)
-		}
-	}
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
 		wg.Add(1)
@@ -86,11 +77,8 @@ func Run(size int, cost CostModel, fn func(c *Comm)) *World {
 	return w
 }
 
-// Rank returns this rank's id in [0, Size).
+// Rank returns this rank's id in [0, size).
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.w.size }
 
 // MaxSimCommSeconds returns the max simulated comm time across ranks
 // (call after Run returns, on the World).
@@ -108,44 +96,10 @@ func (c *Comm) charge(bytes int) {
 	c.w.simComm[c.rank] += c.w.cost.Cost(bytes, c.w.size)
 }
 
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() {
-	c.sync()
-	c.charge(0)
-}
-
-// sync is an uncharged internal barrier used inside collectives, which
-// charge their cost once instead.
+// sync waits for every rank. It is uncharged: each collective charges its
+// cost once instead.
 func (c *Comm) sync() {
 	c.w.barrier.await()
-}
-
-// Send delivers data to rank dst (blocking rendezvous with buffered slack
-// of one message per (src,dst) pair). The slice is not copied.
-func (c *Comm) Send(dst int, data []float64) {
-	c.w.mailboxes[dst][c.rank] <- data
-	c.charge(8 * len(data))
-}
-
-// Recv receives the next message from rank src.
-func (c *Comm) Recv(src int) []float64 {
-	return <-c.w.mailboxes[c.rank][src]
-}
-
-// Bcast distributes root's buffer to every rank; each rank passes its own
-// buffer of identical length which is overwritten (root's is the source).
-func (c *Comm) Bcast(root int, buf []float64) {
-	if c.rank == root {
-		c.w.mu.Lock()
-		c.w.collect[root] = buf
-		c.w.mu.Unlock()
-	}
-	c.sync()
-	if c.rank != root {
-		copy(buf, c.w.collect[root])
-	}
-	c.charge(8 * len(buf))
-	c.sync()
 }
 
 // Gather collects each rank's contribution on the root, which receives a
@@ -167,19 +121,9 @@ func (c *Comm) Gather(root int, data []float64) [][]float64 {
 	return out
 }
 
-// Op is a reduction operator for Allreduce.
-type Op int
-
-// Reduction operators.
-const (
-	Sum Op = iota
-	Max
-	Min
-)
-
-// Allreduce reduces buf element-wise across ranks with op, leaving the
-// result in every rank's buf.
-func (c *Comm) Allreduce(buf []float64, op Op) {
+// Allreduce sums buf element-wise across ranks, leaving the result in
+// every rank's buf.
+func (c *Comm) Allreduce(buf []float64) {
 	c.w.mu.Lock()
 	c.w.collect[c.rank] = buf
 	c.w.mu.Unlock()
@@ -190,19 +134,7 @@ func (c *Comm) Allreduce(buf []float64, op Op) {
 	for i := range res {
 		acc := c.w.collect[0][i]
 		for r := 1; r < c.w.size; r++ {
-			v := c.w.collect[r][i]
-			switch op {
-			case Sum:
-				acc += v
-			case Max:
-				if v > acc {
-					acc = v
-				}
-			case Min:
-				if v < acc {
-					acc = v
-				}
-			}
+			acc += c.w.collect[r][i]
 		}
 		res[i] = acc
 	}
@@ -212,15 +144,15 @@ func (c *Comm) Allreduce(buf []float64, op Op) {
 	c.sync()
 }
 
-// PartitionRange splits [0, n) into Size contiguous chunks and returns this
-// rank's [lo, hi). Remainder items go to the leading ranks, keeping the
-// imbalance at most one.
+// PartitionRange splits [0, n) into one contiguous chunk per rank and
+// returns this rank's [lo, hi). Remainder items go to the leading ranks,
+// keeping the imbalance at most one.
 func (c *Comm) PartitionRange(n int) (lo, hi int) {
-	return PartitionRange(n, c.rank, c.w.size)
+	return partitionRange(n, c.rank, c.w.size)
 }
 
-// PartitionRange splits [0, n) into size chunks for the given rank.
-func PartitionRange(n, rank, size int) (lo, hi int) {
+// partitionRange splits [0, n) into size chunks for the given rank.
+func partitionRange(n, rank, size int) (lo, hi int) {
 	base := n / size
 	rem := n % size
 	lo = rank*base + min(rank, rem)

@@ -336,21 +336,23 @@ func (e *Engine) evaluateObjective(o Objective, at time.Time) ObjectiveReport {
 // errorFraction computes an objective's bad fraction (and sample count)
 // since one window's cutoff. No traffic means no errors.
 func (e *Engine) errorFraction(o Objective, since time.Time) (frac, samples float64) {
-	routeMatch := map[string]string{}
-	if o.Route != "" && o.Route != "*" {
-		routeMatch[e.names.RouteLabel] = o.Route
+	// The name check matters when the tier has no such family: Query reads
+	// the "" of ShardMetrics.QueueGauge as "every family".
+	window := func(name string) tsdb.Sum {
+		return tsdb.Window(e.store.Query([]string{name}, since), 0, func(sr *tsdb.Series) bool {
+			return sr.Name == name && (o.Route == "" || o.Route == "*" || sr.Labels[e.names.RouteLabel] == o.Route)
+		})
 	}
 	switch o.Kind {
 	case KindAvailability:
-		total := e.store.SumCounter(e.names.RequestsTotal, routeMatch, since)
+		total := window(e.names.RequestsTotal).Total
 		if total <= 0 {
 			return 0, 0
 		}
-		bad := e.store.SumCounter(e.names.ErrorsTotal, routeMatch, since)
-		return bad / total, total
+		return window(e.names.ErrorsTotal).Total / total, total
 	case KindLatency:
-		buckets, counts, count, _ := e.store.HistWindow(e.names.LatencyHist, routeMatch, since)
-		if count == 0 {
+		h := window(e.names.LatencyHist)
+		if h.Count == 0 {
 			return 0, 0
 		}
 		// "Good" = observations in buckets whose upper bound is at or
@@ -358,17 +360,23 @@ func (e *Engine) errorFraction(o Objective, since time.Time) (frac, samples floa
 		// bad — conservative, and it makes breaches inducible in tests.
 		cut := o.Threshold.Seconds()
 		var good uint64
-		for i, ub := range buckets {
+		for i, ub := range h.Buckets {
 			if ub <= cut {
-				good += counts[i]
+				good += h.Counts[i]
 			}
 		}
-		return float64(count-good) / float64(count), float64(count)
+		return float64(h.Count-good) / float64(h.Count), float64(h.Count)
 	default: // KindQueueDepth
-		above, total := e.store.GaugeAbove(e.names.QueueGauge, nil, since, o.Depth)
-		if total == 0 {
+		depths := window(e.names.QueueGauge).Gauge
+		if len(depths) == 0 {
 			return 0, 0
 		}
-		return float64(above) / float64(total), float64(total)
+		above := 0
+		for _, d := range depths {
+			if d > o.Depth {
+				above++
+			}
+		}
+		return float64(above) / float64(len(depths)), float64(len(depths))
 	}
 }

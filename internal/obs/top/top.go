@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -95,99 +96,38 @@ func fetch[T any](s *Snapshot, what string, get func() ([]byte, error)) *T {
 // newest sample timestamp anchors the window, so the math is immune to
 // clock skew between collector and target.
 func DeriveReplicaStats(p *tsdb.Payload, window time.Duration) []ReplicaStats {
-	type acc struct {
-		requests, errors float64
-		buckets          []float64
-		counts           []uint64
-		tMin, tMax       float64
-	}
-	// Find the newest timestamp across the payload to anchor the window.
-	newest := 0.0
-	for _, sr := range p.Series {
-		for _, pt := range sr.Points {
-			if pt.T > newest {
-				newest = pt.T
-			}
-		}
-		for _, hp := range sr.HistPoints {
-			if hp.T > newest {
-				newest = hp.T
-			}
-		}
-	}
-	cutoff := newest - window.Seconds()
-
-	accs := map[string]*acc{}
-	get := func(replica string) *acc {
-		a, ok := accs[replica]
-		if !ok {
-			a = &acc{}
-			accs[replica] = a
-		}
-		return a
-	}
-	span := func(a *acc, t float64) {
-		if a.tMin == 0 || t < a.tMin {
-			a.tMin = t
-		}
-		if t > a.tMax {
-			a.tMax = t
-		}
+	cutoff := tsdb.Window(p.Series, 0, nil).Last - window.Seconds()
+	named := func(names ...string) func(*tsdb.Series) bool {
+		return func(sr *tsdb.Series) bool { return slices.Contains(names, sr.Name) }
 	}
 	serve, shard := slo.ServeMetrics, slo.ShardMetrics
-	for _, sr := range p.Series {
-		switch sr.Name {
-		case serve.RequestsTotal, shard.RequestsTotal:
-			a := get(sr.Replica)
-			for _, pt := range sr.Points {
-				if pt.T < cutoff {
-					continue
-				}
-				a.requests += pt.V
-				span(a, pt.T)
-			}
-		case serve.ErrorsTotal, shard.ErrorsTotal:
-			a := get(sr.Replica)
-			for _, pt := range sr.Points {
-				if pt.T < cutoff {
-					continue
-				}
-				a.errors += pt.V
-			}
-		case serve.LatencyHist, shard.LatencyHist:
-			a := get(sr.Replica)
-			if a.buckets == nil {
-				a.buckets = sr.Buckets
-				a.counts = make([]uint64, len(sr.Buckets)+1)
-			}
-			for _, hp := range sr.HistPoints {
-				if hp.T < cutoff {
-					continue
-				}
-				for i, c := range hp.Counts {
-					if i < len(a.counts) {
-						a.counts[i] += c
-					}
-				}
-			}
+	requests := named(serve.RequestsTotal, shard.RequestsTotal)
+	errs := named(serve.ErrorsTotal, shard.ErrorsTotal)
+	latency := named(serve.LatencyHist, shard.LatencyHist)
+	byReplica := map[string][]tsdb.Series{}
+	for i := range p.Series {
+		if sr := &p.Series[i]; requests(sr) || errs(sr) || latency(sr) {
+			byReplica[sr.Replica] = append(byReplica[sr.Replica], *sr)
 		}
 	}
 
-	out := make([]ReplicaStats, 0, len(accs))
-	for replica, a := range accs {
-		elapsed := a.tMax - a.tMin
-		if elapsed <= 0 {
-			elapsed = 1
-		}
+	out := make([]ReplicaStats, 0, len(byReplica))
+	for replica, group := range byReplica {
+		req := tsdb.Window(group, cutoff, requests)
+		lat := tsdb.Window(group, cutoff, latency)
 		rs := ReplicaStats{
 			Replica:  replica,
-			QPS:      a.requests / elapsed,
-			Requests: a.requests,
-			P50:      Quantile(a.buckets, a.counts, 0.50),
-			P99:      Quantile(a.buckets, a.counts, 0.99),
+			Requests: req.Total,
+			P50:      Quantile(lat.Buckets, lat.Counts, 0.50),
+			P99:      Quantile(lat.Buckets, lat.Counts, 0.99),
 		}
-		if a.requests > 0 {
-			rs.ErrorRate = a.errors / a.requests
+		// Each point carries the delta of the interval that ends at it, so
+		// the points cover one interval more than the time between them.
+		if span := req.Last - req.First + p.IntervalSeconds; span > 0 {
+			rs.QPS = req.Total / span
+		}
+		if req.Total > 0 {
+			rs.ErrorRate = tsdb.Window(group, cutoff, errs).Total / req.Total
 		}
 		out = append(out, rs)
 	}

@@ -48,7 +48,7 @@ func TestDeriveReplicaStats(t *testing.T) {
 		}
 		return out
 	}
-	p := &tsdb.Payload{Series: []tsdb.Series{
+	p := &tsdb.Payload{IntervalSeconds: 5, Series: []tsdb.Series{
 		{Name: "sickle_requests_total", Kind: "counter", Replica: "r0",
 			Labels: map[string]string{"route": "/v2/infer"}, Points: pts(40, 30, 30)},
 		{Name: "sickle_request_errors_total", Kind: "counter", Replica: "r0",
@@ -75,9 +75,10 @@ func TestDeriveReplicaStats(t *testing.T) {
 	if r0.Requests != 100 || r1.Requests != 50 {
 		t.Errorf("requests = %g/%g, want 100/50", r0.Requests, r1.Requests)
 	}
-	// Span of the points is 10s.
-	if math.Abs(r0.QPS-10) > 1e-9 || math.Abs(r1.QPS-5) > 1e-9 {
-		t.Errorf("qps = %g/%g, want 10/5", r0.QPS, r1.QPS)
+	// Three 5s points cover 15s: the 10s between the first and the last,
+	// plus the interval that ends at the first.
+	if math.Abs(r0.QPS-100.0/15) > 1e-9 || math.Abs(r1.QPS-50.0/15) > 1e-9 {
+		t.Errorf("qps = %g/%g, want 100/15 and 50/15", r0.QPS, r1.QPS)
 	}
 	if math.Abs(r0.ErrorRate-0.1) > 1e-9 || r1.ErrorRate != 0 {
 		t.Errorf("error rate = %g/%g, want 0.1/0", r0.ErrorRate, r1.ErrorRate)
@@ -100,6 +101,13 @@ func TestDeriveReplicaStats(t *testing.T) {
 				t.Errorf("narrow r1 requests = %g, want 30", r.Requests)
 			}
 		}
+	}
+	// One point is one interval: 2 requests in 20 ms are 100 QPS.
+	one := DeriveReplicaStats(&tsdb.Payload{IntervalSeconds: 0.02, Series: []tsdb.Series{
+		{Name: "sickle_shard_requests_total", Kind: "counter", Points: []tsdb.Point{{T: 1000, V: 2}}},
+	}}, time.Minute)
+	if len(one) != 1 || math.Abs(one[0].QPS-100) > 1e-9 {
+		t.Errorf("one point: %+v, want 100 QPS", one)
 	}
 }
 

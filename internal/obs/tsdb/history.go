@@ -87,6 +87,7 @@ func (s *Store) Query(patterns []string, since time.Time) []Series {
 		if sr.kind == "histogram" {
 			ws.Buckets = sr.buckets
 			ws.Exemplars = exemplarMap(sr.buckets, sr.exemplars)
+			ws.HistPoints = make([]HistPoint, 0, len(pts))
 			for _, p := range pts {
 				if !since.IsZero() && p.t.Before(since) {
 					continue
@@ -97,6 +98,7 @@ func (s *Store) Query(patterns []string, since time.Time) []Series {
 				})
 			}
 		} else {
+			ws.Points = make([]Point, 0, len(pts))
 			for _, p := range pts {
 				if !since.IsZero() && p.t.Before(since) {
 					continue

@@ -4,17 +4,17 @@
 // stored as per-interval deltas (counter resets — a restarted process —
 // are detected and absorbed), gauges as raw values, histograms as
 // per-interval bucket snapshots with their trace-ID exemplars. The store
-// is the substrate the SLO burn-rate engine (internal/obs/slo) evaluates
-// over, and GET /debug/history serves it as JSON; the shard router
-// scatter-gathers every replica's history into one fleet-wide view.
+// is what the SLO burn-rate engine (internal/obs/slo) evaluates, and GET
+// /debug/history serves it as JSON; the shard router scatter-gathers
+// every replica's history into one fleet-wide view.
 //
 // The store reads no clock of its own: Sample stamps a pass with the time
-// it is given (the sampler's tick), and each aggregation takes its cutoff
-// as an argument, the way Query takes since.
+// it is given (the sampler's tick), and Query clips to the cutoff it is
+// handed. The store keeps no aggregation either: Window sums any window of
+// the wire series, one store's or a whole fleet's.
 package tsdb
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -235,84 +235,65 @@ func matchName(pattern, name string) bool {
 	return pattern == name
 }
 
-// matchLabels reports whether a series' labels satisfy a match map; a "*"
-// (or missing) value matches any.
-func matchLabels(match, labels map[string]string) bool {
-	for k, want := range match {
-		if want == "*" || want == "" {
-			continue
-		}
-		if labels[k] != want {
+// Sum is one window of history, reduced by Window.
+type Sum struct {
+	Total float64   // counter deltas, added up
+	Gauge []float64 // gauge samples, series by series, oldest first
+	// Counts merges the histograms' bucket deltas per bucket (+Inf last)
+	// under the first kept histogram's Buckets (+Inf excluded); Count adds
+	// up their observations.
+	Buckets     []float64
+	Counts      []uint64
+	Count       uint64
+	First, Last float64 // unix seconds of the oldest and newest point kept; 0 when none
+}
+
+// Window reduces the points at or after since (unix seconds) of every
+// series keep accepts (nil keeps all): counter deltas add up, gauge
+// samples are gathered, histogram bucket deltas merge per bucket. It is
+// the one rule the SLO engine applies to a store's Query and sickle-top to
+// a fleet's /debug/history payload.
+func Window(series []Series, since float64, keep func(*Series) bool) Sum {
+	var s Sum
+	in := func(t float64) bool {
+		if t < since {
 			return false
 		}
+		if s.First == 0 || t < s.First {
+			s.First = t
+		}
+		s.Last = max(s.Last, t)
+		return true
 	}
-	return true
-}
-
-// ---- aggregation (the SLO engine's substrate) ----
-
-// scan is the one windowed walk the aggregations share: under the read
-// lock it hands each series of the named family and kind whose labels
-// satisfy match, with its points at or after since, to each.
-func (s *Store) scan(name, kind string, match map[string]string, since time.Time, each func(sr *series, pts []point)) {
-	if s == nil {
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, sr := range s.series {
-		if sr.name != name || sr.kind != kind || !matchLabels(match, sr.labels) {
+	for i := range series {
+		sr := &series[i]
+		if keep != nil && !keep(sr) {
 			continue
 		}
-		each(sr, slices.DeleteFunc(sr.pts.Snapshot(), func(p point) bool { return p.t.Before(since) }))
-	}
-}
-
-// SumCounter sums counter deltas since the cutoff across every series of
-// the family matching the label constraints.
-func (s *Store) SumCounter(name string, match map[string]string, since time.Time) float64 {
-	total := 0.0
-	s.scan(name, "counter", match, since, func(_ *series, pts []point) {
-		for _, p := range pts {
-			total += p.v
+		for _, p := range sr.Points {
+			if !in(p.T) {
+				continue
+			}
+			if sr.Kind == "gauge" {
+				s.Gauge = append(s.Gauge, p.V)
+			} else {
+				s.Total += p.V
+			}
 		}
-	})
-	return total
-}
-
-// HistWindow sums histogram bucket deltas since the cutoff across
-// matching series. Returns the bucket bounds (+Inf excluded; nil when no
-// series matched), summed per-bucket counts (+Inf last), and the summed
-// count and sum.
-func (s *Store) HistWindow(name string, match map[string]string, since time.Time) (buckets []float64, counts []uint64, count uint64, sum float64) {
-	s.scan(name, "histogram", match, since, func(sr *series, pts []point) {
-		if buckets == nil {
-			buckets = sr.buckets
-			counts = make([]uint64, len(sr.buckets)+1)
-		}
-		for _, p := range pts {
-			for i, d := range p.bucketDeltas {
-				if i < len(counts) {
-					counts[i] += d
+		for _, p := range sr.HistPoints {
+			if !in(p.T) {
+				continue
+			}
+			if s.Counts == nil {
+				s.Buckets, s.Counts = sr.Buckets, make([]uint64, len(sr.Buckets)+1)
+			}
+			for i, c := range p.Counts {
+				if i < len(s.Counts) {
+					s.Counts[i] += c
 				}
 			}
-			count += p.countDelta
-			sum += p.sumDelta
+			s.Count += p.Count
 		}
-	})
-	return buckets, counts, count, sum
-}
-
-// GaugeAbove counts sampled points above the threshold (and the total
-// sampled points) since the cutoff across matching gauge series.
-func (s *Store) GaugeAbove(name string, match map[string]string, since time.Time, threshold float64) (above, total int) {
-	s.scan(name, "gauge", match, since, func(_ *series, pts []point) {
-		total += len(pts)
-		for _, p := range pts {
-			if p.v > threshold {
-				above++
-			}
-		}
-	})
-	return above, total
+	}
+	return s
 }

@@ -3,7 +3,9 @@ package tsdb
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -171,18 +173,165 @@ func TestAggregatorsOverWindows(t *testing.T) {
 	now := t0.Add(31 * time.Second)
 
 	// Narrow window sees only the second sample; wide window both.
-	if got := s.SumCounter("req_total", map[string]string{"route": "/a"}, now.Add(-5*time.Second)); got != 4 {
-		t.Errorf("SumCounter narrow = %g, want 4", got)
+	route := func(r string) func(*Series) bool {
+		return func(sr *Series) bool { return sr.Name == "req_total" && sr.Labels["route"] == r }
 	}
-	if got := s.SumCounter("req_total", map[string]string{"route": "/a"}, now.Add(-time.Hour)); got != 14 {
-		t.Errorf("SumCounter wide = %g, want 14", got)
+	if got := Window(s.Query([]string{"req_total"}, now.Add(-5*time.Second)), 0, route("/a")).Total; got != 4 {
+		t.Errorf("Window narrow = %g, want 4", got)
+	}
+	all := s.Query(nil, time.Time{})
+	if got := Window(all, unixSec(now.Add(-5*time.Second)), route("/a")).Total; got != 4 {
+		t.Errorf("Window narrow by since = %g, want 4", got)
+	}
+	if got := Window(all, unixSec(now.Add(-time.Hour)), route("/a")).Total; got != 14 {
+		t.Errorf("Window wide = %g, want 14", got)
 	}
 	// No label constraint sums across routes.
-	if got := s.SumCounter("req_total", nil, now.Add(-time.Hour)); got != 15 {
-		t.Errorf("SumCounter all routes = %g, want 15", got)
+	if got := Window(s.Query([]string{"req_total"}, now.Add(-time.Hour)), 0, nil).Total; got != 15 {
+		t.Errorf("Window all routes = %g, want 15", got)
 	}
-	if above, total := s.GaugeAbove("depth", nil, now.Add(-time.Hour), 64); above != 1 || total != 2 {
-		t.Errorf("GaugeAbove = %d/%d, want 1/2", above, total)
+	if got := Window(s.Query([]string{"depth"}, now.Add(-time.Hour)), 0, nil).Gauge; fmt.Sprint(got) != "[5 90]" {
+		t.Errorf("Window gauge samples = %v, want [5 90]", got)
+	}
+}
+
+// TestWindowMatchesBruteForce samples random registry histories (counter
+// increments and restarts, histogram observations, gauge values, three
+// label sets, one of them born mid-history) through a real Store, then sums
+// random windows of them with Query + Window and checks each sum against
+// the per-interval deltas the test itself recorded.
+func TestWindowMatchesBruteForce(t *testing.T) {
+	routes := []string{"/a", "/b", "/c"}
+	bounds := []float64{0.1, 0.5, 1}
+	// interval is what one route added in one sampling interval.
+	type interval struct {
+		req    float64
+		counts []uint64
+		depth  float64
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := obs.NewRegistry()
+		req := reg.Counter("req_total", "h", "route")
+		lat := reg.Histogram("req_seconds", "h", bounds, "route")
+		depth := reg.Gauge("depth", "h", "route")
+		restarted := 0.0 // the cumulative value of a counter whose process restarts
+		reg.CounterFunc("jobs_total", "h", func() float64 { return restarted })
+
+		steps := 5 + rng.Intn(30)
+		born := map[string]int{"/a": 0, "/b": 0, "/c": rng.Intn(steps)}
+		want := make([]map[string]*interval, steps) // nil before a route is born
+		jobs := make([]float64, steps)
+		s := NewStore("prop", reg, time.Second, 64)
+		for i := range steps {
+			want[i] = map[string]*interval{}
+			for _, r := range routes {
+				if i < born[r] {
+					continue
+				}
+				iv := &interval{counts: make([]uint64, len(bounds)+1), depth: float64(rng.Intn(100))}
+				iv.req = float64(rng.Intn(5))
+				req.With(r).Add(iv.req)
+				lat.With(r)
+				for range rng.Intn(4) {
+					v := rng.Float64() * 1.5
+					lat.With(r).Observe(v)
+					b := 0
+					for b < len(bounds) && v > bounds[b] {
+						b++
+					}
+					iv.counts[b]++
+				}
+				depth.With(r).Set(iv.depth)
+				want[i][r] = iv
+			}
+			// A restart that leaves the counter below its last value is
+			// one the store must see: the new value is the whole increase.
+			jobs[i] = float64(rng.Intn(6))
+			if restarted > jobs[i] && rng.Intn(4) == 0 {
+				restarted = jobs[i]
+			} else {
+				restarted += jobs[i]
+			}
+			s.Sample(t0.Add(time.Duration(i) * time.Second))
+		}
+
+		for range 10 {
+			// A cutoff between samples, or exactly on one.
+			cut := t0.Add(time.Duration(rng.Intn(1000*(steps+2))-1000) * time.Millisecond)
+			if rng.Intn(3) == 0 {
+				cut = t0.Add(time.Duration(rng.Intn(steps)) * time.Second)
+			}
+			r := routes[rng.Intn(len(routes))]
+			var wantReq, wantAll, wantJobs float64
+			var wantDepth []float64
+			var wantCounts []uint64
+			var wantCount uint64
+			var wantBounds []float64
+			first, last, firstAll := 0.0, 0.0, 0.0
+			for i := range steps {
+				at := t0.Add(time.Duration(i) * time.Second)
+				if at.Before(cut) {
+					continue
+				}
+				wantJobs += jobs[i]
+				for _, other := range routes {
+					if iv := want[i][other]; iv != nil {
+						wantAll += iv.req
+						if firstAll == 0 {
+							firstAll = unixSec(at)
+						}
+					}
+				}
+				iv := want[i][r]
+				if iv == nil {
+					continue
+				}
+				if first == 0 {
+					first = unixSec(at)
+					wantBounds, wantCounts = bounds, make([]uint64, len(bounds)+1)
+				}
+				last = unixSec(at)
+				wantReq += iv.req
+				wantDepth = append(wantDepth, iv.depth)
+				for b, c := range iv.counts {
+					wantCounts[b] += c
+					wantCount += c
+				}
+			}
+
+			named := func(name string) func(*Series) bool {
+				return func(sr *Series) bool { return sr.Name == name }
+			}
+			label := func(name string) func(*Series) bool {
+				return func(sr *Series) bool { return sr.Name == name && sr.Labels["route"] == r }
+			}
+			got := s.Query(nil, cut)
+			if w := Window(got, 0, label("req_total")); w.Total != wantReq || w.First != first || w.Last != last {
+				t.Fatalf("seed %d cut %v %s: req = %g over [%g, %g], want %g over [%g, %g]",
+					seed, cut, r, w.Total, w.First, w.Last, wantReq, first, last)
+			}
+			if w := Window(got, 0, named("jobs_total")); w.Total != wantJobs {
+				t.Fatalf("seed %d cut %v: restarted counter = %g, want %g", seed, cut, w.Total, wantJobs)
+			}
+			if w := Window(got, 0, label("depth")); fmt.Sprint(w.Gauge) != fmt.Sprint(wantDepth) {
+				t.Fatalf("seed %d cut %v %s: gauge = %v, want %v", seed, cut, r, w.Gauge, wantDepth)
+			}
+			// Every route at once, newest-born series first, as a fleet
+			// payload may list them, cut by Window's own since.
+			all := s.Query([]string{"req_total"}, time.Time{})
+			slices.Reverse(all)
+			if w := Window(all, unixSec(cut), nil); w.Total != wantAll || w.First != firstAll {
+				t.Fatalf("seed %d cut %v: every route = %g from %g, want %g from %g",
+					seed, cut, w.Total, w.First, wantAll, firstAll)
+			}
+			h := Window(s.Query(nil, time.Time{}), unixSec(cut), label("req_seconds"))
+			if fmt.Sprint(h.Counts) != fmt.Sprint(wantCounts) || h.Count != wantCount ||
+				fmt.Sprint(h.Buckets) != fmt.Sprint(wantBounds) {
+				t.Fatalf("seed %d cut %v %s: histogram = %v (%d) over %v, want %v (%d) over %v",
+					seed, cut, r, h.Counts, h.Count, h.Buckets, wantCounts, wantCount, wantBounds)
+			}
+		}
 	}
 }
 
@@ -243,8 +392,8 @@ func TestConcurrentSampleAndQuery(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				since := time.Now().Add(-time.Second)
 				s.Query([]string{"stress_*"}, time.Time{})
-				s.SumCounter("stress_total", nil, since)
-				s.HistWindow("stress_seconds", nil, since)
+				Window(s.Query([]string{"stress_total"}, since), 0, nil)
+				Window(s.Query([]string{"stress_seconds"}, since), 0, nil)
 			}
 		}()
 	}
@@ -264,7 +413,7 @@ func TestNilStoreIsSafe(t *testing.T) {
 	if s.Query(nil, time.Time{}) != nil {
 		t.Error("nil store Query should return nil")
 	}
-	if v := s.SumCounter("x", nil, time.Time{}); v != 0 {
-		t.Error("nil store SumCounter should return 0")
+	if w := Window(s.Query([]string{"x"}, time.Time{}), 0, nil); w.Total != 0 || w.Counts != nil {
+		t.Error("a window of a nil store's history should be empty")
 	}
 }

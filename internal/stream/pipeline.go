@@ -684,7 +684,7 @@ func mergeSketches(c *minimpi.Comm, delta, global *stats.NDHistogram, buf []floa
 	for cell, cnt := range delta.Counts {
 		buf[cell] = float64(cnt)
 	}
-	c.Allreduce(buf, minimpi.Sum)
+	c.Allreduce(buf)
 	for cell, v := range buf {
 		if v > 0 {
 			global.AddCell(cell, int(v+0.5))

@@ -315,7 +315,7 @@ func trainBatch(models []Model, opts []*nn.Adam, batch []Example, cfg Config) fl
 			off += copy(flat[off:], p.Grad.Data)
 		}
 		flat[off] = localLoss
-		c.Allreduce(flat, minimpi.Sum)
+		c.Allreduce(flat)
 		inv := 1 / float64(len(batch))
 		off = 0
 		for _, p := range m.Params() {
