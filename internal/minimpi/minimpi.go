@@ -43,6 +43,7 @@ type World struct {
 	barrier *cyclicBarrier
 	// shared scratch for collectives, guarded by the barrier protocol.
 	collect [][]float64
+	sum     []float64
 	mu      sync.Mutex
 	simComm []float64 // per-rank accumulated simulated comm seconds
 }
@@ -122,25 +123,29 @@ func (c *Comm) Gather(root int, data []float64) [][]float64 {
 }
 
 // Allreduce sums buf element-wise across ranks, leaving the result in
-// every rank's buf.
+// every rank's buf. Each rank sums its partition of the elements, ranks
+// in order, into the world's scratch, which all copy out after a sync.
 func (c *Comm) Allreduce(buf []float64) {
-	c.w.mu.Lock()
-	c.w.collect[c.rank] = buf
-	c.w.mu.Unlock()
+	w := c.w
+	w.mu.Lock()
+	w.collect[c.rank] = buf
+	if len(w.sum) < len(buf) {
+		w.sum = make([]float64, len(buf))
+	}
+	w.mu.Unlock()
 	c.sync()
-	// Every rank computes the reduction over the shared pointers; results
-	// are written to a private slice first so sources stay stable.
-	res := make([]float64, len(buf))
-	for i := range res {
-		acc := c.w.collect[0][i]
-		for r := 1; r < c.w.size; r++ {
-			acc += c.w.collect[r][i]
+	sum := w.sum[:len(buf)]
+	lo, hi := c.PartitionRange(len(buf))
+	for i := lo; i < hi; i++ {
+		acc := w.collect[0][i]
+		for r := 1; r < w.size; r++ {
+			acc += w.collect[r][i]
 		}
-		res[i] = acc
+		sum[i] = acc
 	}
 	c.charge(8 * len(buf))
 	c.sync()
-	copy(buf, res)
+	copy(buf, sum)
 	c.sync()
 }
 

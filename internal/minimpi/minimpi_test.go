@@ -2,6 +2,7 @@ package minimpi
 
 import (
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -229,6 +230,59 @@ func TestParallelSumMatchesSerial(t *testing.T) {
 			t.Fatalf("ranks=%d: sum = %v, want %v", ranks, got, want)
 		}
 	}
+}
+
+// TestAllreduceMatchesSerialSum: at random lengths and rank counts every
+// rank gets, bit for bit, the serial sum that adds ranks 0..n−1 in order.
+func TestAllreduceMatchesSerialSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		ranks, n := 1+rng.Intn(9), rng.Intn(300)
+		in := make([][]float64, ranks)
+		want := make([]float64, n)
+		for r := range in {
+			in[r] = make([]float64, n)
+			for i := range in[r] {
+				in[r][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
+				if r == 0 {
+					want[i] = in[r][i]
+				} else {
+					want[i] += in[r][i]
+				}
+			}
+		}
+		Run(ranks, CostModel{}, func(c *Comm) {
+			buf := append([]float64(nil), in[c.Rank()]...)
+			c.Allreduce(buf)
+			for i := range buf {
+				if math.Float64bits(buf[i]) != math.Float64bits(want[i]) {
+					t.Errorf("ranks %d, n %d, rank %d: element %d = %v, want %v", ranks, n, c.Rank(), i, buf[i], want[i])
+					return
+				}
+			}
+		})
+	}
+}
+
+// TestAllreduceAllocs: repeat calls at one length sum into the world's
+// scratch and allocate nothing.
+func TestAllreduceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const ranks, calls = 4, 50
+	Run(ranks, CostModel{}, func(c *Comm) {
+		buf := make([]float64, 1024)
+		if c.Rank() != 0 {
+			for i := 0; i < calls+1; i++ { // AllocsPerRun's warm-up call and its runs
+				c.Allreduce(buf)
+			}
+			return
+		}
+		if allocs := testing.AllocsPerRun(calls, func() { c.Allreduce(buf) }); allocs != 0 {
+			t.Errorf("a repeat Allreduce of 1024 floats on %d ranks: %.1f allocations, want 0", ranks, allocs)
+		}
+	})
 }
 
 func BenchmarkAllreduce8x1024(b *testing.B) {

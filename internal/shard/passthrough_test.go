@@ -2,10 +2,12 @@ package shard
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -337,5 +339,125 @@ func TestInferHopAllocs(t *testing.T) {
 	t.Logf("%.0f objects, %.1f KiB per Infer", objects, kib)
 	if objects > 410 || kib > 30 {
 		t.Fatalf("one Infer across both hops: %.0f objects, %.1f KiB; want at most 410 and 30", objects, kib)
+	}
+}
+
+// TestRoutedInferContentTypes: through the router to a two-replica fleet,
+// the same request sent as JSON and as the binary tensor frame comes back
+// bit-identical to the serial reference under one Version, each answer in
+// its request's content type; an unknown model sent as a frame still gets
+// the typed JSON envelope.
+func TestRoutedInferContentTypes(t *testing.T) {
+	ref, ckpt := newCheckpoint(t)
+	var urls []string
+	for i := 0; i < 2; i++ {
+		p := startReplica(t, "", ckpt)
+		defer p.Close(context.Background())
+		urls = append(urls, p.URL)
+	}
+	rt := newTestRouter(t, urls)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	rng := rand.New(rand.NewSource(41))
+	req := &api.InferRequest{Model: "m"}
+	for i := 0; i < 4; i++ {
+		req.Items = append(req.Items, randomItem(rng))
+	}
+	jsonBody, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := req.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(contentType string, body []byte) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/v2/infer", contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, raw
+	}
+	var versions []int
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+	}{{"application/json", jsonBody}, {api.ContentTypeTensors, frame}} {
+		resp, raw := post(tc.contentType, tc.body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != tc.contentType {
+			t.Fatalf("%s: status %d, answered as %q", tc.contentType, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		var out api.InferResponse
+		if err := api.Unmarshal(tc.contentType, raw, &out); err != nil {
+			t.Fatalf("%s: %v", tc.contentType, err)
+		}
+		if len(out.Outputs) != len(req.Items) {
+			t.Fatalf("%s: %d outputs for %d items", tc.contentType, len(out.Outputs), len(req.Items))
+		}
+		for i, it := range req.Items {
+			got, want := out.Outputs[i].Data, expect(ref, it)
+			for k := range want {
+				if len(got) != len(want) || math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s: item %d = %v, serial reference %v", tc.contentType, i, got, want)
+				}
+			}
+		}
+		versions = append(versions, out.Version)
+	}
+	if versions[0] != versions[1] {
+		t.Fatalf("Version %d as JSON, %d as a frame", versions[0], versions[1])
+	}
+
+	unknown, err := (&api.InferRequest{Model: "nope", Items: req.Items}).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := post(api.ContentTypeTensors, unknown)
+	var env api.ErrorEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil || resp.StatusCode != http.StatusNotFound ||
+		env.Error == nil || env.Error.Code != api.CodeModelNotFound || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("unknown model as a frame: status %d %q, %s", resp.StatusCode, resp.Header.Get("Content-Type"), raw)
+	}
+}
+
+// TestRoutedKeyIsFrameModel: the routing key the router reads off the
+// front of a frame is the Model a full decode yields, for any name.
+func TestRoutedKeyIsFrameModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	names := []string{"", "m", "modèle-ü-模型", strings.Repeat("k", 1024)}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(1025))
+		rng.Read(b)
+		names = append(names, string(b))
+		runes := make([]rune, rng.Intn(64))
+		for k := range runes {
+			runes[k] = rune(rng.Intn(0x10ffff))
+		}
+		names = append(names, string(runes))
+	}
+	for _, name := range names {
+		items := make([]api.InferItem, rng.Intn(3))
+		for k := range items {
+			items[k] = randomItem(rng)
+		}
+		frame, err := (&api.InferRequest{Model: name, Items: items}).AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var key inferKey
+		var full api.InferRequest
+		if err := api.Unmarshal(api.ContentTypeTensors, frame, &key); err != nil {
+			t.Fatalf("routing key of %q: %v", name, err)
+		}
+		if err := full.UnmarshalBinary(frame); err != nil || key.Model != full.Model || full.Model != name {
+			t.Fatalf("routing key %q, full decode %q (%v), sent %q", key.Model, full.Model, err, name)
+		}
 	}
 }

@@ -223,36 +223,49 @@ func (rt *Router) route(ctx context.Context, key string, retryUnavailable bool, 
 }
 
 // routed is the keyed pass-through handler. It reads the body once and
-// parses no more of it than into, which the caller sizes to the routing
-// key; walks the key's ring candidates forwarding the same bytes to each
-// (failing over on unavailable — infer and subsample are reads, and a
-// duplicate registration is a harmless hot-swap to identical weights that
-// the infer failover order visits anyway); and relays the answer's bytes
-// verbatim. Forward has the answer whole before the first byte goes to the
-// client, so a replica that dies mid-answer is still failed over from.
+// parses no more of it than into, sized to the routing key; forwards the
+// same bytes and Content-Type to each of the key's ring candidates (failing
+// over on unavailable — infer and subsample are reads, and a duplicate
+// registration hot-swaps to identical weights); and relays the answer's
+// bytes and Content-Type verbatim. Forward has the answer whole before the
+// first byte goes out, so a replica dying mid-answer is still failed over.
 func (rt *Router) routed(w http.ResponseWriter, r *http.Request, into any, key func() string) error {
 	ex := client.NewExchange()
 	defer ex.Release()
-	if err := tier.ReadBody(r, &ex.Request, into); err != nil {
+	ex.ContentType = r.Header.Get("Content-Type")
+	err := tier.ReadBody(r, &ex.Request)
+	if err == nil {
+		err = api.Unmarshal(ex.ContentType, ex.Request.Bytes(), into)
+	}
+	if err != nil {
 		return tier.WriteError(w, err)
 	}
-	_, err := rt.route(r.Context(), key(), true, func(ctx context.Context, rep *Replica) error {
+	_, err = rt.route(r.Context(), key(), true, func(ctx context.Context, rep *Replica) error {
 		return rep.C.Forward(ctx, r.Method, r.URL.Path, ex)
 	})
 	if err != nil {
 		return tier.WriteError(w, err)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", ex.AnswerType)
 	w.Header().Set("Content-Length", strconv.Itoa(ex.Answer.Len()))
 	w.WriteHeader(ex.Status)
 	_, err = w.Write(ex.Answer.Bytes())
 	return err
 }
 
+// inferKey is all of an api.InferRequest the router parses, from JSON or
+// off the front of a tensor frame.
+type inferKey struct {
+	Model string `json:"model"`
+}
+
+func (k *inferKey) UnmarshalBinary(b []byte) (err error) {
+	k.Model, err = api.InferModel(b)
+	return err
+}
+
 func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) error {
-	var q struct { // all of an api.InferRequest the router parses
-		Model string `json:"model"`
-	}
+	var q inferKey
 	return rt.routed(w, r, &q, func() string { return q.Model })
 }
 

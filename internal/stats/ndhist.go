@@ -2,7 +2,9 @@ package stats
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // NDHistogram is a fixed-width histogram over a d-dimensional unit-scaled
@@ -128,14 +130,15 @@ func (h *NDHistogram) OccupiedCells() int { return len(h.Counts) }
 // phase-space cells, as exp(H)/cells where H is the entropy of the cell
 // occupancy distribution. 1.0 means perfectly uniform occupancy; values
 // near 0 mean the samples clump into few cells. This is the scalar used to
-// reproduce the paper's Fig. 4 UIPS-clumping comparison.
+// reproduce the paper's Fig. 4 UIPS-clumping comparison, summed in cell
+// order so that one histogram always yields the same bits.
 func (h *NDHistogram) UniformityIndex() float64 {
 	if h.N == 0 || len(h.Counts) == 0 {
 		return 0
 	}
 	p := make([]float64, 0, len(h.Counts))
-	for _, c := range h.Counts {
-		p = append(p, float64(c))
+	for _, cell := range slices.Sorted(maps.Keys(h.Counts)) {
+		p = append(p, float64(h.Counts[cell]))
 	}
 	hent := Entropy(p)
 	// exp(H) is the perplexity: the effective number of uniformly used cells.

@@ -12,6 +12,7 @@ package tier
 import (
 	"bytes"
 	"context"
+	"encoding"
 	"encoding/json"
 	"io"
 	"maps"
@@ -277,32 +278,38 @@ func (t *Tier) Close() {
 
 // ---- envelope helpers ----
 
-// bodies recycles the buffers DecodeBody reads request bodies into; one
-// stays out of the pool once it has grown past maxPooledBody.
+// bodies recycles the buffers request bodies are read into and binary
+// answers built in; one stays out of the pool once it has grown past
+// maxPooledBody.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 1 << 20
 
-// DecodeBody decodes a JSON request body by way of a pooled buffer (v
-// keeps none of it: encoding/json copies what it stores).
+// DecodeBody reads a request body by way of a pooled buffer and decodes v
+// from it as its Content-Type says (api.Unmarshal); v keeps none of it.
 func DecodeBody(r *http.Request, v any) error {
 	buf := bodies.Get().(*bytes.Buffer)
-	err := ReadBody(r, buf, v)
+	defer putBody(buf)
+	if err := ReadBody(r, buf); err != nil {
+		return err
+	}
+	return api.Unmarshal(r.Header.Get("Content-Type"), buf.Bytes(), v)
+}
+
+func putBody(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBody {
 		buf.Reset()
 		bodies.Put(buf)
 	}
-	return err
 }
 
 // MaxBody caps a request body on both tiers (the ledger's Infer body is
 // ≈ 130 KB): a larger one is refused, not buffered.
 const MaxBody = 64 << 20
 
-// ReadBody reads a JSON request body whole into buf, which the caller
-// owns, and unmarshals v from it; a body over MaxBody, or one that is not
-// exactly one JSON value, is a typed invalid_argument.
-func ReadBody(r *http.Request, buf *bytes.Buffer, v any) error {
+// ReadBody reads a request body whole into buf, which the caller owns; a
+// body over MaxBody is a typed invalid_argument.
+func ReadBody(r *http.Request, buf *bytes.Buffer) error {
 	tooLarge := func() error {
 		return api.Errorf(api.CodeInvalidArgument, "request body exceeds the %d MiB limit", MaxBody>>20)
 	}
@@ -325,17 +332,16 @@ func ReadBody(r *http.Request, buf *bytes.Buffer, v any) error {
 			return tooLarge()
 		}
 	}
-	if err == io.EOF {
-		err = json.Unmarshal(buf.Bytes(), v)
-	}
-	if err != nil {
-		return api.Errorf(api.CodeInvalidArgument, "bad JSON: %v", err)
+	if err != io.EOF {
+		return api.Errorf(api.CodeInvalidArgument, "reading request body: %v", err)
 	}
 	return nil
 }
 
-// Call adapts a typed request/response function into a handler: decode the
-// JSON body into Req, run do under the request context, Reply.
+// Call adapts a typed request/response function into a handler: decode Req
+// from the body, run do under the request context, and answer in the
+// request's content type — the tensor frame when the request came in it
+// and Resp has one (encoding.BinaryAppender), else JSON.
 func Call[Req, Resp any](do func(context.Context, *Req) (Resp, error)) HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) error {
 		var req Req
@@ -343,7 +349,21 @@ func Call[Req, Resp any](do func(context.Context, *Req) (Resp, error)) HandlerFu
 			return WriteError(w, err)
 		}
 		resp, err := do(r.Context(), &req)
-		return Reply(w, resp, err)
+		a, ok := any(resp).(encoding.BinaryAppender)
+		if !ok || err != nil || r.Header.Get("Content-Type") != api.ContentTypeTensors {
+			return Reply(w, resp, err)
+		}
+		buf := bodies.Get().(*bytes.Buffer)
+		defer putBody(buf)
+		b, err := a.AppendBinary(buf.AvailableBuffer())
+		if err != nil {
+			return WriteError(w, err)
+		}
+		buf.Write(b) // a copy onto itself, unless b outgrew buf: then buf keeps it for the pool
+		w.Header().Set("Content-Type", api.ContentTypeTensors)
+		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+		_, err = w.Write(b)
+		return err
 	}
 }
 

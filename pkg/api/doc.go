@@ -19,6 +19,14 @@
 // releases. Each code maps to one HTTP status via ErrorCode.HTTPStatus;
 // Overloaded responses additionally carry Retry-After.
 //
+// # Tensor frames
+//
+// POST /v2/infer also speaks ContentTypeTensors, and answers in kind. A
+// frame is little-endian uint32s and float64 bits: the model name's length
+// and bytes; in a response only, the version; the item count; then per
+// item its rank, its dims, its value count, its values, and in a response
+// only, its batch size. Failures stay the JSON envelope.
+//
 // # Jobs
 //
 // Work that outlives a request/response cycle (subsampling a dataset,

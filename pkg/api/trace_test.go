@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -53,5 +54,23 @@ func TestContextPropagation(t *testing.T) {
 	}
 	if _, ok := TraceFrom(WithTrace(context.Background(), TraceContext{})); ok {
 		t.Error("empty trace ID should report not-ok")
+	}
+}
+
+// TestNewIDAllocs: an ID costs the string it returns and nothing else.
+func TestNewIDAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	var sink string
+	for name, mint := range map[string]func() string{
+		"trace": NewTraceID, "span": NewSpanID, "idempotency key": NewIdempotencyKey,
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { sink = mint() }); allocs > 1 {
+			t.Errorf("%s ID: %.0f allocations, want 1", name, allocs)
+		}
+	}
+	if strings.Trim(sink, "0123456789abcdef") != "" {
+		t.Errorf("ID %q is not lower-case hex", sink)
 	}
 }

@@ -15,11 +15,7 @@ import (
 // AdminReplicas fetches the router's current ring membership and
 // replication factor (GET /admin/replicas).
 func (c *Client) AdminReplicas(ctx context.Context) (*api.AdminReplicas, error) {
-	var out api.AdminReplicas
-	if err := c.do(ctx, http.MethodGet, "/admin/replicas", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.AdminReplicas](ctx, c, http.MethodGet, "/admin/replicas", nil)
 }
 
 // AdminJoinReplica adds a running sickle-serve backend to the router's
@@ -27,11 +23,7 @@ func (c *Client) AdminReplicas(ctx context.Context) (*api.AdminReplicas, error) 
 // warm-prefetches the fleet's model catalog onto it before admitting it;
 // the response lists which models made it over.
 func (c *Client) AdminJoinReplica(ctx context.Context, url string) (*api.JoinReplicaResponse, error) {
-	var out api.JoinReplicaResponse
-	if err := c.do(ctx, http.MethodPost, "/admin/replicas", &api.JoinReplicaRequest{URL: url}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.JoinReplicaResponse](ctx, c, http.MethodPost, "/admin/replicas", &api.JoinReplicaRequest{URL: url})
 }
 
 // AdminDrainReplica drains and removes one replica from the router's
@@ -45,9 +37,5 @@ func (c *Client) AdminDrainReplica(ctx context.Context, id string, force bool) (
 	if force {
 		p += "?force=true"
 	}
-	var out api.DrainReplicaResponse
-	if err := c.do(ctx, http.MethodDelete, p, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.DrainReplicaResponse](ctx, c, http.MethodDelete, p, nil)
 }

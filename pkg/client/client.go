@@ -17,6 +17,7 @@ package client
 
 import (
 	"context"
+	"encoding"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -75,11 +76,7 @@ func New(base string, opts ...Option) *Client {
 // /api/version) without changing the client's pinned version — routing
 // layers use it to intersect version sets across backends.
 func (c *Client) ServerVersions(ctx context.Context) (*api.VersionInfo, error) {
-	var info api.VersionInfo
-	if err := c.do(ctx, http.MethodGet, "/api/version", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return call[api.VersionInfo](ctx, c, http.MethodGet, "/api/version", nil)
 }
 
 // Negotiate asks the server which API versions it speaks (GET
@@ -112,69 +109,38 @@ func (c *Client) Version() string { return c.version }
 
 // Infer runs micro-batched inference.
 func (c *Client) Infer(ctx context.Context, req *api.InferRequest) (*api.InferResponse, error) {
-	var out api.InferResponse
-	if err := c.doVersioned(ctx, http.MethodPost, "/infer", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.InferResponse](ctx, c, http.MethodPost, c.versioned("/infer"), req)
 }
 
 // Subsample runs the two-phase pipeline synchronously (small requests; use
 // SubmitSubsampleJob for work worth cancelling).
 func (c *Client) Subsample(ctx context.Context, req *api.SubsampleRequest) (*api.SubsampleResponse, error) {
-	var out api.SubsampleResponse
-	if err := c.doVersioned(ctx, http.MethodPost, "/subsample", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.SubsampleResponse](ctx, c, http.MethodPost, c.versioned("/subsample"), req)
 }
 
 // Models lists the registered models.
 func (c *Client) Models(ctx context.Context) ([]api.ModelInfo, error) {
-	var out []api.ModelInfo
-	if err := c.doVersioned(ctx, http.MethodGet, "/models", nil, &out); err != nil {
+	out, err := call[[]api.ModelInfo](ctx, c, http.MethodGet, c.versioned("/models"), nil)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return *out, nil
 }
 
 // RegisterModel loads (or hot-swaps) a checkpoint under a name.
 func (c *Client) RegisterModel(ctx context.Context, req *api.RegisterModelRequest) (*api.ModelInfo, error) {
-	var out api.ModelInfo
-	if err := c.doVersioned(ctx, http.MethodPost, "/models", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.ModelInfo](ctx, c, http.MethodPost, c.versioned("/models"), req)
 }
 
 // Health fetches /healthz.
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	var out api.Health
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.Health](ctx, c, http.MethodGet, "/healthz", nil)
 }
 
 // MetricsText fetches the raw Prometheus exposition from /metrics.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", api.Errorf(api.CodeFromStatus(resp.StatusCode), "GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	return string(raw), nil
+	raw, err := c.getRaw(ctx, "/metrics", "")
+	return string(raw), err
 }
 
 // DebugTraceJSON fetches one trace's raw JSON payload from
@@ -182,16 +148,24 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 // shard router uses this to merge replica-side spans into its own view of
 // a trace; operators can use it as a programmatic /debug/traces client.
 func (c *Client) DebugTraceJSON(ctx context.Context, traceID string) ([]byte, error) {
-	return c.debugJSON(ctx, "/debug/traces/"+traceID)
+	return c.getRaw(ctx, "/debug/traces/"+traceID, "")
 }
 
-// doVersioned prefixes the path with the negotiated API version.
-func (c *Client) doVersioned(ctx context.Context, method, path string, in, out any) error {
-	return c.do(ctx, method, "/"+c.version+path, in, out)
+// versioned prefixes path with the negotiated API version.
+func (c *Client) versioned(path string) string { return "/" + c.version + path }
+
+// call is do, decoding the answer into a new T.
+func call[T any](ctx context.Context, c *Client, method, path string, in any) (*T, error) {
+	out := new(T)
+	if err := c.do(ctx, method, path, in, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// do performs one JSON round trip with the overloaded-retry loop. in and
-// out may be nil. When ctx carries no trace identity, do mints a fresh
+// do performs one round trip with the overloaded-retry loop, in JSON or,
+// for a type that has one, in the binary tensor frame. in and out may be
+// nil. When ctx carries no trace identity, do mints a fresh
 // trace ID so every SDK call is traceable end to end; either way the
 // identity travels downstream as the X-Sickle-Trace header.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
@@ -210,7 +184,14 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any, 
 	}
 	ex := NewExchange()
 	defer ex.Release()
-	if in != nil {
+	if a, ok := in.(encoding.BinaryAppender); ok { // the Infer request's tensor frame
+		b, err := a.AppendBinary(ex.Request.AvailableBuffer())
+		if err != nil {
+			return err
+		}
+		ex.Request.Write(b) // a copy onto itself unless b outgrew the buffer
+		ex.ContentType = api.ContentTypeTensors
+	} else if in != nil {
 		if err := json.NewEncoder(&ex.Request).Encode(in); err != nil {
 			return err
 		}
@@ -241,14 +222,15 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any, 
 }
 
 // once is one typed attempt: Forward, then out decoded from the answer's
-// bytes (never from the response stream — see Forward on keep-alive).
+// bytes (never from the response stream — see Forward on keep-alive) as
+// its Content-Type says.
 func (c *Client) once(ctx context.Context, method, path string, ex *Exchange, out any) error {
 	if err := c.Forward(ctx, method, path, ex); err != nil || out == nil {
 		return err
 	}
 	// A success body that does not parse was truncated where the framing
 	// could not show it: unavailable, like a short read.
-	if err := json.Unmarshal(ex.Answer.Bytes(), out); err != nil {
+	if err := api.Unmarshal(ex.AnswerType, ex.Answer.Bytes(), out); err != nil {
 		return api.Errorf(api.CodeUnavailable, "%s %s: reading response: %v", method, c.base+path, err)
 	}
 	return nil
@@ -276,10 +258,15 @@ func decodeError(status int, raw []byte) error {
 	}
 }
 
-// debugJSON fetches one debug endpoint's raw JSON payload. Transport
-// failures surface as typed unavailable errors so the shard router's
-// scatter-gather can count them against replica health.
-func (c *Client) debugJSON(ctx context.Context, pathAndQuery string) ([]byte, error) {
+// getRaw fetches one raw payload (/metrics, a /debug view); query is the
+// raw query string without its "?". Transport failures surface as typed
+// unavailable errors so the shard router's scatter-gather can count them
+// against replica health.
+func (c *Client) getRaw(ctx context.Context, path, query string) ([]byte, error) {
+	pathAndQuery := path
+	if query != "" {
+		pathAndQuery += "?" + query
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+pathAndQuery, nil)
 	if err != nil {
 		return nil, err
@@ -304,26 +291,18 @@ func (c *Client) debugJSON(ctx context.Context, pathAndQuery string) ([]byte, er
 // metrics history). query is the raw query string without the leading
 // "?", e.g. "series=sickle_requests_total&since=5m"; "" fetches all.
 func (c *Client) DebugHistoryJSON(ctx context.Context, query string) ([]byte, error) {
-	p := "/debug/history"
-	if query != "" {
-		p += "?" + query
-	}
-	return c.debugJSON(ctx, p)
+	return c.getRaw(ctx, "/debug/history", query)
 }
 
 // DebugEventsJSON fetches the raw /debug/events payload (the event
 // journal tail). query is the raw query string without the leading "?",
 // e.g. "limit=64&type=ejection"; "" uses the server defaults.
 func (c *Client) DebugEventsJSON(ctx context.Context, query string) ([]byte, error) {
-	p := "/debug/events"
-	if query != "" {
-		p += "?" + query
-	}
-	return c.debugJSON(ctx, p)
+	return c.getRaw(ctx, "/debug/events", query)
 }
 
 // DebugSLOJSON fetches the raw /debug/slo payload (the burn-rate
 // engine's current report).
 func (c *Client) DebugSLOJSON(ctx context.Context) ([]byte, error) {
-	return c.debugJSON(ctx, "/debug/slo")
+	return c.getRaw(ctx, "/debug/slo", "")
 }

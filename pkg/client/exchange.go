@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"io"
 	"net/http"
@@ -23,9 +24,11 @@ import (
 // once it has been sent, and Release recycles the buffers only when every
 // body has been closed — otherwise they are left to the collector.
 type Exchange struct {
-	Request bytes.Buffer // body to send; empty sends none
-	Answer  bytes.Buffer // the last answer's body, read to EOF
-	Status  int          // the last answer's HTTP status
+	Request     bytes.Buffer // body to send; empty sends none
+	ContentType string       // Request's Content-Type; "" sends application/json
+	Answer      bytes.Buffer // the last answer's body, read to EOF
+	AnswerType  string       // the last answer's Content-Type
+	Status      int          // the last answer's HTTP status
 
 	lent atomic.Int32 // bodies over Request a transport has not closed yet
 }
@@ -47,7 +50,7 @@ func (ex *Exchange) Release() {
 	}
 	ex.Request.Reset()
 	ex.Answer.Reset()
-	ex.Status = 0
+	ex.ContentType, ex.AnswerType, ex.Status = "", "", 0
 	exchanges.Put(ex)
 }
 
@@ -74,9 +77,10 @@ func (ex *Exchange) body() io.ReadCloser {
 }
 
 // Forward performs one raw round trip, without the retry loop of the typed
-// calls: ex.Request is the body, and the answer — read to EOF, so the
-// keep-alive connection goes back to the transport's pool — is left in
-// ex.Answer with its status in ex.Status. The trace identity in ctx travels
+// calls: ex.Request is the body, sent as ex.ContentType, and the answer —
+// read to EOF, so the keep-alive connection goes back to the transport's
+// pool — is left in ex.Answer with its status in ex.Status and its
+// Content-Type in ex.AnswerType. The trace identity in ctx travels
 // as the X-Sickle-Trace header. Failures are typed exactly as for the typed
 // calls: a status of 400 or more is the *api.Error its body carries, a
 // transport failure or an answer cut short is unavailable.
@@ -92,13 +96,13 @@ func (c *Client) Forward(ctx context.Context, method, path string, ex *Exchange)
 		// turns out dead before anything was written, as it would for the
 		// readers http.NewRequest recognises.
 		req.GetBody = func() (io.ReadCloser, error) { return ex.body(), nil }
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", cmp.Or(ex.ContentType, "application/json"))
 	}
 	if tc, ok := api.TraceFrom(ctx); ok {
 		req.Header.Set(api.TraceHeader, tc.HeaderValue())
 	}
 	ex.Answer.Reset()
-	ex.Status = 0
+	ex.AnswerType, ex.Status = "", 0
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		// Ctx cancellation/deadline surface as their own codes; any other
@@ -112,7 +116,7 @@ func (c *Client) Forward(ctx context.Context, method, path string, ex *Exchange)
 		return ae
 	}
 	defer resp.Body.Close()
-	ex.Status = resp.StatusCode
+	ex.Status, ex.AnswerType = resp.StatusCode, resp.Header.Get("Content-Type")
 	if resp.ContentLength > 0 {
 		// MinRead more, or the read that finds EOF regrows the buffer.
 		ex.Answer.Grow(int(min(resp.ContentLength, maxPooledExchange)) + bytes.MinRead)

@@ -20,7 +20,7 @@ import (
 // provably did not admit) is retried.
 func (c *Client) SubmitJob(ctx context.Context, req *api.SubmitJobRequest) (*api.Job, error) {
 	var out api.Job
-	err := c.doRetry(ctx, http.MethodPost, "/"+c.version+"/jobs", req, &out,
+	err := c.doRetry(ctx, http.MethodPost, c.versioned("/jobs"), req, &out,
 		req.IdempotencyKey != "")
 	if err != nil {
 		return nil, err
@@ -40,11 +40,7 @@ func (c *Client) SubmitTrainJob(ctx context.Context, spec *api.TrainJobSpec) (*a
 
 // Job polls one job's status (GET /v2/jobs/{id}).
 func (c *Client) Job(ctx context.Context, id string) (*api.Job, error) {
-	var out api.Job
-	if err := c.doVersioned(ctx, http.MethodGet, "/jobs/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.Job](ctx, c, http.MethodGet, c.versioned("/jobs/"+id), nil)
 }
 
 // JobByKey looks up the job holding an idempotency key
@@ -53,42 +49,30 @@ func (c *Client) Job(ctx context.Context, id string) (*api.Job, error) {
 // key's owner set before admitting a resubmission; callers can use it to
 // re-find a submission whose job ID they lost.
 func (c *Client) JobByKey(ctx context.Context, key string) (*api.Job, error) {
-	var out api.Job
-	if err := c.doVersioned(ctx, http.MethodGet, "/keys/"+url.PathEscape(key), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.Job](ctx, c, http.MethodGet, c.versioned("/keys/"+url.PathEscape(key)), nil)
 }
 
 // Jobs lists all live jobs (GET /v2/jobs).
 func (c *Client) Jobs(ctx context.Context) ([]api.Job, error) {
-	var out []api.Job
-	if err := c.doVersioned(ctx, http.MethodGet, "/jobs", nil, &out); err != nil {
+	out, err := call[[]api.Job](ctx, c, http.MethodGet, c.versioned("/jobs"), nil)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return *out, nil
 }
 
 // JobResult fetches a succeeded job's output (GET /v2/jobs/{id}/result).
 // Non-terminal jobs answer api.CodeJobNotReady; canceled ones
 // api.CodeJobCanceled.
 func (c *Client) JobResult(ctx context.Context, id string) (*api.JobResult, error) {
-	var out api.JobResult
-	if err := c.doVersioned(ctx, http.MethodGet, "/jobs/"+id+"/result", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.JobResult](ctx, c, http.MethodGet, c.versioned("/jobs/"+id+"/result"), nil)
 }
 
 // CancelJob requests cancellation (DELETE /v2/jobs/{id}) and returns the
 // pre-cancel snapshot; poll Job (or WaitJob) to observe the terminal
 // canceled state.
 func (c *Client) CancelJob(ctx context.Context, id string) (*api.Job, error) {
-	var out api.Job
-	if err := c.doVersioned(ctx, http.MethodDelete, "/jobs/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.Job](ctx, c, http.MethodDelete, c.versioned("/jobs/"+id), nil)
 }
 
 // WaitJob polls until the job reaches a terminal state or ctx ends,
