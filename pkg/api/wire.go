@@ -59,6 +59,7 @@ func InferModel(b []byte) (string, error) {
 
 // appendFrame writes one frame; a response (version set) adds its version
 // and one batch size per item. A pooled b has room already: no size pass.
+// A dim a u32 cannot hold is refused, not wrapped into another shape.
 func appendFrame(b []byte, model string, version *int, items []InferItem, batch []int) ([]byte, error) {
 	if version != nil && len(batch) != len(items) {
 		return nil, Errorf(CodeInternal, "tensor frame: %d batch sizes for %d items", len(batch), len(items))
@@ -73,6 +74,9 @@ func appendFrame(b []byte, model string, version *int, items []InferItem, batch 
 	for i, it := range items {
 		u32(len(it.Shape))
 		for _, d := range it.Shape {
+			if d < 0 || d > math.MaxUint32 {
+				return nil, Errorf(CodeInvalidArgument, "tensor frame: item %d: dim %d does not fit a u32", i, d)
+			}
 			u32(d)
 		}
 		u32(len(it.Data))

@@ -3,21 +3,25 @@ package api
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
-// sameItems compares shapes and every bit of every value: reflect.DeepEqual
-// alone would let -0 pass for 0 and fail NaN against itself.
+// sameItems compares shapes (a missing one as empty) and every bit of every
+// value: reflect.DeepEqual alone would let -0 pass for 0 and fail NaN
+// against itself.
 func sameItems(a, b []InferItem) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if !reflect.DeepEqual(a[i].Shape, b[i].Shape) || len(a[i].Data) != len(b[i].Data) {
+		if !slices.Equal(a[i].Shape, b[i].Shape) || len(a[i].Data) != len(b[i].Data) {
 			return false
 		}
 		for k := range a[i].Data {
@@ -147,13 +151,12 @@ func TestInferWireRefusals(t *testing.T) {
 	} {
 		wantInvalid(t, tc.name, new(InferRequest).UnmarshalBinary(tc.frame))
 	}
-	// A negative dim wraps to ≥ 2³¹, a product no frame holds: the replica
-	// refuses it as JSON's shape check would.
-	negative, err := (&InferRequest{Items: []InferItem{{Shape: []int{-1, -3}, Data: []float64{1, 2, 3}}}}).AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
+	// A dim a u32 cannot hold is refused at the encoder, not wrapped: [-1, 0]
+	// would otherwise arrive as a valid [4294967295, 0].
+	for _, shape := range [][]int{{-1, 0}, {-1, -3}, {math.MaxUint32 + 2}} {
+		_, err := (&InferRequest{Items: []InferItem{{Shape: shape, Data: []float64{}}}}).AppendBinary(nil)
+		wantInvalid(t, fmt.Sprintf("encoding shape %v", shape), err)
 	}
-	wantInvalid(t, "negative dims", new(InferRequest).UnmarshalBinary(negative))
 	if _, err := (&InferResponse{Outputs: []InferItem{{}}}).AppendBinary(nil); err == nil {
 		t.Error("a response without its batch sizes encoded")
 	}
@@ -198,6 +201,71 @@ func FuzzInferWire(f *testing.F) {
 		model := string(in[:min(len(in), 16)])
 		checkFrame(t, &InferRequest{Model: model, Items: items},
 			&InferResponse{Model: model, Version: len(items), Outputs: items, BatchSizes: batch})
+	})
+}
+
+// describes reports whether every item's dims fit a u32 and multiply out
+// to its value count: the items a tensor frame can carry.
+func describes(items []InferItem) bool {
+	for _, it := range items {
+		n := uint64(1) // capped above any count: n·d cannot overflow
+		for _, d := range it.Shape {
+			if d < 0 || d > math.MaxUint32 {
+				return false
+			}
+			n = min(n*uint64(d), math.MaxUint32+1)
+		}
+		if n != uint64(len(it.Data)) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzInferItemJSON: JSON, the default infer content type, and the tensor
+// frame carry the same items. On any item body, twice in a request,
+// Unmarshal accepts what encoding/json accepts and refuses the rest as a
+// typed invalid_argument; an accepted request re-marshals to JSON that
+// decodes to the same bits; and sent as a frame it comes back bit for bit,
+// or is refused as a typed invalid_argument exactly when an item's shape
+// cannot describe its values.
+func FuzzInferItemJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		body := []byte(`{"model":"m","items":[` + string(in) + `,` + string(in) + `]}`)
+		var req InferRequest
+		err := Unmarshal("application/json", body, &req)
+		if wantErr := json.Unmarshal(body, new(InferRequest)); (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q: Unmarshal says %v, encoding/json says %v", in, err, wantErr)
+		}
+		if err != nil {
+			wantInvalid(t, "refused JSON", err)
+			return
+		}
+
+		again, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatalf("%q: re-marshalling: %v", in, err)
+		}
+		var back InferRequest
+		if err := json.Unmarshal(again, &back); err != nil || back.Model != req.Model || !sameItems(back.Items, req.Items) {
+			t.Fatalf("%q: JSON round trip gave %+v, %v; want %+v", in, back, err, req)
+		}
+
+		frame, err := req.AppendBinary(nil)
+		var got InferRequest
+		if err == nil {
+			err = got.UnmarshalBinary(frame)
+		}
+		if describes(req.Items) != (err == nil) {
+			t.Fatalf("%q: items %+v as a frame: %v", in, req.Items, err)
+		}
+		if err != nil {
+			wantInvalid(t, "a shape that cannot describe its values", err)
+			return
+		}
+		if got.Model != req.Model || !sameItems(got.Items, req.Items) {
+			t.Fatalf("%q: %+v came back from its frame as %+v", in, req, got)
+		}
 	})
 }
 
