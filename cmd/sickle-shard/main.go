@@ -3,7 +3,7 @@
 // surface, so pkg/client works against it unchanged. Infer/subsample
 // requests route by model/dataset hash with bounded failover when a backend
 // is unreachable, overloaded, or draining; model listings and the version
-// handshake scatter-gather; jobs stick to the backend that accepted them. A
+// handshake scatter-gather; a job's ID lists the backends that hold it. A
 // health prober ejects dead backends and re-admits them when /healthz
 // answers again.
 //

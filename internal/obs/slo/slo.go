@@ -6,9 +6,10 @@
 // ≥ 14.4×) catches sudden outages, a slow rule (6h AND 1h both ≥ 6×)
 // catches slow bleeds. A breach flips the tier's health to "degraded" —
 // which the shard prober deprioritizes but does not eject — and lands in
-// the event journal. GET /debug/slo serves the full report; the
-// sickle_slo_* gauges surface the same numbers on /metrics. An evaluation
-// is handed its time, and every window ends there.
+// the event journal. The engine evaluates once per history sample, at the
+// sample's time, and every window ends there; GET /debug/slo and the
+// tier's health serve the last report, and the sickle_slo_* gauges
+// surface the same numbers on /metrics.
 package slo
 
 import (
@@ -187,9 +188,10 @@ type Report struct {
 	Objectives []ObjectiveReport `json:"objectives"`
 }
 
-// Engine evaluates objectives against a tsdb store, keeps the
-// sickle_slo_* gauges current, and journals breach transitions. Safe for
-// concurrent use; a nil *Engine reports status "ok" and no objectives.
+// Engine evaluates objectives against a tsdb store after each of its
+// samples, keeps the sickle_slo_* gauges current, and journals breach
+// transitions. Safe for concurrent use; a nil *Engine reports status "ok"
+// and no objectives.
 type Engine struct {
 	tier       string
 	store      *tsdb.Store
@@ -201,6 +203,7 @@ type Engine struct {
 	mu       sync.Mutex
 	breached map[string]bool
 	degraded bool
+	last     Report // the latest evaluation: what Status and HandleSLO serve
 
 	burnG   *obs.GaugeVec
 	breachG *obs.GaugeVec
@@ -213,7 +216,9 @@ func NewEngine(tier string, store *tsdb.Store, names MetricNames, objectives []O
 	e := &Engine{
 		tier: tier, store: store, names: names, objectives: objectives,
 		journal: journal, windows: DefaultWindows, breached: map[string]bool{},
+		last: Report{Tier: tier, Status: "ok", Objectives: []ObjectiveReport{}},
 	}
+	store.OnSample(func(at time.Time) { e.evaluate(at) })
 	if reg != nil {
 		e.burnG = reg.Gauge("sickle_slo_burn_rate",
 			"Error-budget burn rate per objective and window (1.0 = exactly on budget).",
@@ -226,23 +231,28 @@ func NewEngine(tier string, store *tsdb.Store, names MetricNames, objectives []O
 	return e
 }
 
-// Status evaluates and reports the tier's health: "ok" or "degraded".
-func (e *Engine) Status() string {
-	if e == nil {
-		return "ok"
-	}
-	return e.evaluate(time.Now()).Status
-}
+// Status reports the tier's health as of the last sample: "ok" or
+// "degraded" ("ok" before the first).
+func (e *Engine) Status() string { return e.report().Status }
 
-// HandleSLO serves the current evaluation (GET /debug/slo).
+// HandleSLO serves the last evaluation (GET /debug/slo).
 func (e *Engine) HandleSLO(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(e.evaluate(time.Now()))
+	json.NewEncoder(w).Encode(e.report())
+}
+
+func (e *Engine) report() Report {
+	if e == nil {
+		return Report{Status: "ok"}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.last
 }
 
 // evaluate runs every objective over the history up to at, refreshes the
 // gauges, journals breach/recover and degraded/recovered transitions, and
-// returns the report.
+// keeps and returns the report.
 func (e *Engine) evaluate(at time.Time) Report {
 	if e == nil {
 		return Report{Status: "ok"}
@@ -274,6 +284,7 @@ func (e *Engine) evaluate(at time.Time) Report {
 			e.journal.Emit(events.TypeRecovered, "tier recovered: all SLO burn rates under threshold", "")
 		}
 	}
+	e.last = rep
 	return rep
 }
 

@@ -342,3 +342,39 @@ func TestSLOGauges(t *testing.T) {
 		t.Errorf("exposition lint: %v", err)
 	}
 }
+
+// TestEvaluatesOncePerSample: a history sample alone evaluates — the
+// breach is journalled, the gauges move and Status reports it with no
+// reader having asked — and Status between two samples serves the kept
+// report without querying the history.
+func TestEvaluatesOncePerSample(t *testing.T) {
+	h := newHarness(t, Objective{Kind: KindAvailability, Route: "*", Target: 99})
+	h.eng.windows = Windows{
+		Fast: 10 * time.Second, Mid: 10 * time.Second, Slow: 10 * time.Second,
+		FastBurn: 10, SlowBurn: 10,
+	}
+	if got := h.eng.Status(); got != "ok" {
+		t.Fatalf("status before the first sample = %q, want ok", got)
+	}
+	h.reg.Counter(ServeMetrics.RequestsTotal, "h", "route").With("/x").Add(10)
+	h.reg.Counter(ServeMetrics.ErrorsTotal, "h", "route").With("/x").Add(10)
+	h.sample()
+
+	if evs := h.journal.Events(0, events.TypeSLOBreach, time.Time{}); len(evs) != 1 {
+		t.Fatalf("breach events after one sample = %d, want 1", len(evs))
+	}
+	if evs := h.journal.Events(0, events.TypeDegraded, time.Time{}); len(evs) != 1 {
+		t.Fatalf("degraded events after one sample = %d, want 1", len(evs))
+	}
+	if text := h.reg.Render(); !strings.Contains(text, `sickle_slo_breached{slo="availability:*"} 1`) {
+		t.Error("sickle_slo_breached did not move with the sample")
+	}
+	if got := h.eng.Status(); got != "degraded" {
+		t.Fatalf("status after the sample = %q, want degraded", got)
+	}
+	// A Query copies every matching series out of the store; serving the
+	// kept report copies nothing.
+	if allocs := testing.AllocsPerRun(100, func() { h.eng.Status() }); allocs != 0 {
+		t.Fatalf("Status between samples allocated %v objects: it re-read the history", allocs)
+	}
+}

@@ -40,6 +40,7 @@ type Store struct {
 	mu     sync.RWMutex
 	series map[string]*series
 	order  []string
+	after  func(at time.Time) // OnSample's hook
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -135,16 +136,27 @@ func (s *Store) Stop() {
 }
 
 // Sample runs one sampling pass over the registry, stamping its points
-// with at.
+// with at, then hands at to the OnSample hook.
 func (s *Store) Sample(at time.Time) {
 	if s == nil {
 		return
 	}
 	snap := s.reg.Snapshot()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range snap {
 		s.ingestLocked(&snap[i], at)
+	}
+	s.mu.Unlock()
+	if s.after != nil {
+		s.after(at)
+	}
+}
+
+// OnSample installs fn to run after every sampling pass, outside the lock
+// (fn may Query), with the pass's time. Call it before Start. Safe on nil.
+func (s *Store) OnSample(fn func(at time.Time)) {
+	if s != nil {
+		s.after = fn
 	}
 }
 

@@ -15,44 +15,53 @@ import (
 	"repro/pkg/client"
 )
 
-// Job ownership: which replica holds a job, how a client-facing ID names
-// it, and how a keyed submission's owner set is consulted, populated and
-// re-found after its primary dies.
+// Job ownership: which replicas hold a job, how a client-facing ID names
+// them, and how a keyed submission's owner set is consulted and populated.
 
-// Job IDs leaving the router carry the accepting replica as a suffix
-// ("job-3@r1"): raw downstream IDs are only unique per replica (each
-// counts from job-1), so the suffix is a job's only address — stateless,
-// it survives a router restart with no shared store.
-const jobIDSep = "@"
+// A client-facing job ID lists every replica that holds the job, in
+// owner-set order: raw downstream IDs with the holder as a suffix, joined
+// by commas ("job-3@r1,job-5@r2"). An unkeyed job, or any job at K = 1,
+// has the one address of the replica that accepted it ("job-3@r1"). Raw
+// IDs are only unique per replica (each counts from job-1), so the
+// addresses are a job's only name — the router keeps nothing per job, and
+// an ID survives a router restart with no shared store.
+const (
+	jobIDSep   = "@"
+	jobAddrSep = ","
+)
 
-func splitJobID(id string) (raw, replicaID string) {
-	if i := strings.LastIndex(id, jobIDSep); i >= 0 {
-		return id[:i], id[i+1:]
-	}
-	return id, ""
+// jobAddr is one copy of a job: its raw ID on the replica holding it.
+type jobAddr struct {
+	raw string
+	rep *Replica
 }
 
-// stampJob rewrites a downstream job snapshot's ID to the client-facing
-// form naming the replica that holds it, and remembers a keyed job's key
-// under that ID for the copy fallback.
-func (rt *Router) stampJob(job *api.Job, rep *Replica) {
-	job.ID += jobIDSep + rep.ID
-	rt.owners.Remember(job.ID, job.IdempotencyKey)
+// jobID renders addresses (at least one) as a client-facing job ID.
+func jobID(addrs []jobAddr) string {
+	id := addrs[0].raw + jobIDSep + addrs[0].rep.ID
+	for _, a := range addrs[1:] {
+		id += jobAddrSep + a.raw + jobIDSep + a.rep.ID
+	}
+	return id
 }
 
-// maxJobOwnerEntries bounds the copy-fallback memory; an evicted entry
-// only costs that job its failover to a copy.
-const maxJobOwnerEntries = 8192
-
-// jobReplica resolves a client-facing job ID to (raw downstream ID,
-// owning replica) by its "@rN" suffix; an ID without one names no job.
-func (rt *Router) jobReplica(id string) (string, *Replica, error) {
-	raw, rid := splitJobID(id)
-	rep, ok := rt.rs.Get(rid)
-	if raw == "" || !ok {
-		return "", nil, api.Errorf(api.CodeJobNotFound, "shard: no job %q", id)
+// jobAddrs resolves a client-facing job ID to its addresses. Each must be
+// a non-empty raw ID and the ID of a replica the set knows, each replica
+// at most once (which also bounds a cancel's fan-out); any other ID names
+// no job.
+func (rt *Router) jobAddrs(id string) ([]jobAddr, error) {
+	addrs := make([]jobAddr, 0, rt.replication) // a keyed job's copies, usually
+	for rest, more := id, true; more; {
+		var addr string
+		addr, rest, more = strings.Cut(rest, jobAddrSep)
+		i := strings.LastIndex(addr, jobIDSep)
+		rep, ok := rt.rs.Get(addr[i+1:])
+		if i <= 0 || !ok || slices.ContainsFunc(addrs, func(a jobAddr) bool { return a.rep == rep }) {
+			return nil, api.Errorf(api.CodeJobNotFound, "shard: no job %q", id)
+		}
+		addrs = append(addrs, jobAddr{addr[:i], rep})
 	}
-	return raw, rep, nil
+	return addrs, nil
 }
 
 // submitKey routes a job to the replica whose caches its payload will
@@ -67,46 +76,57 @@ func submitKey(req *api.SubmitJobRequest) string {
 	return string(req.Type)
 }
 
-// findByKey asks each candidate in turn for the job holding idemKey and
-// returns the first that has it, with route's accounting: a success
-// resets the replica's failure streak, a typed unavailable counts
-// against its health, and any other answer (job_not_found above all)
-// moves on to the next candidate.
-func (rt *Router) findByKey(ctx context.Context, cands []*Replica, idemKey string) (*api.Job, *Replica, bool) {
+// findByKey asks every candidate for the job holding idemKey and returns
+// the first holder's snapshot with every holder's address, in candidate
+// order (nil, nil when none holds it), with route's accounting: a success
+// resets the replica's failure streak, a typed unavailable counts against
+// its health, and any other answer (job_not_found above all) is a miss.
+func (rt *Router) findByKey(ctx context.Context, cands []*Replica, idemKey string) (*api.Job, []jobAddr) {
+	var first *api.Job
+	var addrs []jobAddr
 	for _, rep := range cands {
 		job, err := rep.C.JobByKey(ctx, idemKey)
 		if err == nil {
 			rt.rs.NoteOK(rep)
-			return job, rep, true
+			if first == nil {
+				first = job
+			}
+			addrs = append(addrs, jobAddr{job.ID, rep})
+			continue
 		}
 		if api.AsError(err).Code == api.CodeUnavailable {
 			rt.met.ObserveFailed(rep.ID)
 			rt.rs.NoteFailure(rep, err)
 		}
 	}
-	return nil, nil, false
+	return first, addrs
 }
 
 // replicate copies a keyed submission onto the remaining members of its
 // owner set, concurrently and best-effort: runners are deterministic and
 // results content-addressed, so a copy is just pre-positioned redundancy —
 // a fan-out failure loses nothing (the admitted primary copy exists) and
-// only costs the key its failover cover. Returns once every copy has been
-// admitted or failed, so a caller observing the submit response can rely
-// on the owner set being populated.
-func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.SubmitJobRequest, admitted *Replica) {
-	if rt.replication <= 1 {
-		return
+// only costs the key its failover cover. Returns the addresses of every
+// copy admitted, the primary's included, in owner-set order (a primary
+// the route failed over to outside the set comes last), once each copy
+// has been admitted or failed.
+func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.SubmitJobRequest, admitted jobAddr) []jobAddr {
+	owners := rt.rs.Sequence(routeKey, rt.replication)
+	if !slices.Contains(owners, admitted.rep) {
+		owners = append(owners, admitted.rep)
 	}
+	addrs := make([]jobAddr, len(owners))
 	var wg sync.WaitGroup
-	for _, rep := range rt.rs.Sequence(routeKey, rt.replication) {
-		if rep == admitted {
+	for i, rep := range owners {
+		if rep == admitted.rep {
+			addrs[i] = admitted
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := rep.C.SubmitJob(ctx, req); err != nil {
+			cp, err := rep.C.SubmitJob(ctx, req)
+			if err != nil {
 				rt.met.ownerReplFailures.Inc()
 				if api.AsError(err).Code == api.CodeUnavailable {
 					rt.rs.NoteFailure(rep, err)
@@ -115,9 +135,11 @@ func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.Submi
 			}
 			rt.rs.NoteOK(rep)
 			rt.met.ownerReplications.With(rep.ID).Inc()
+			addrs[i] = jobAddr{cp.ID, rep}
 		}()
 	}
 	wg.Wait()
+	return slices.DeleteFunc(addrs, func(a jobAddr) bool { return a.rep == nil })
 }
 
 func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
@@ -133,13 +155,13 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	// fleet-level duplicate.
 	if req.IdempotencyKey != "" {
 		owners := rt.rs.Sequence(key, rt.replication)
-		if job, rep, ok := rt.findByKey(r.Context(), owners, req.IdempotencyKey); ok {
+		if job, addrs := rt.findByKey(r.Context(), owners, req.IdempotencyKey); job != nil {
 			rt.met.ownerDedupHits.Inc()
 			tc, _ := api.TraceFrom(r.Context())
 			rt.Journal().Emit(events.TypeDedupHit, "keyed resubmission answered from the owner set",
-				tc.TraceID, "kind", "owner_set", "replica", rep.ID, "job", job.ID)
-			rt.met.ObserveRouted(rep.ID)
-			rt.stampJob(job, rep)
+				tc.TraceID, "kind", "owner_set", "replica", addrs[0].rep.ID, "job", job.ID)
+			rt.met.ObserveRouted(addrs[0].rep.ID)
+			job.ID = jobID(addrs)
 			return tier.WriteJSON(w, http.StatusOK, job)
 		}
 	}
@@ -161,10 +183,11 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return tier.WriteError(w, err)
 	}
-	if req.IdempotencyKey != "" {
-		rt.replicate(r.Context(), key, &req, rep)
+	addrs := []jobAddr{{job.ID, rep}}
+	if req.IdempotencyKey != "" && rt.replication > 1 {
+		addrs = rt.replicate(r.Context(), key, &req, addrs[0])
 	}
-	rt.stampJob(job, rep)
+	job.ID = jobID(addrs)
 	return tier.WriteJSON(w, http.StatusAccepted, job)
 }
 
@@ -178,7 +201,7 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 	var all []api.Job
 	for _, l := range lists {
 		for _, j := range l.val {
-			rt.stampJob(&j, l.rep)
+			j.ID = jobID([]jobAddr{{j.ID, l.rep}})
 			all = append(all, j)
 		}
 	}
@@ -204,70 +227,93 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 	return tier.WriteJSON(w, http.StatusOK, kept)
 }
 
-// forwardSticky forwards one sticky job call to the replica the job ID
-// names and stamps the answer (nil stamp: the payload carries no job ID).
-// There is no general failover — the job state lives only there — but
-// when the replica is unreachable and the job was keyed-and-replicated,
-// the call is retried once against a copy a by-key walk of the other
-// live members finds.
+// forwardSticky forwards one sticky job call to the addresses the job ID
+// lists, in order, moving to the next only on unavailable.
 func forwardSticky[T any](rt *Router, w http.ResponseWriter, r *http.Request,
-	call func(*client.Client, context.Context, string) (*T, error), stamp func(*T, *Replica)) error {
-	ctx := r.Context()
+	call func(*client.Client, context.Context, string) (*T, error), stamp func(*T, string)) error {
 	id := r.PathValue("id")
-	raw, rep, err := rt.jobReplica(id)
+	addrs, err := rt.jobAddrs(id)
 	if err != nil {
 		return tier.WriteError(w, err)
 	}
-	out, err := call(rep.C, ctx, raw)
-	switch {
-	case err == nil:
-		rt.rs.NoteOK(rep)
-	case api.AsError(err).Code == api.CodeUnavailable:
-		rt.rs.NoteFailure(rep, err)
-		if key := rt.owners.Key(id); key != "" {
-			others := slices.DeleteFunc(rt.rs.Live(), func(o *Replica) bool { return o == rep })
-			if copyJob, copyRep, ok := rt.findByKey(ctx, others, key); ok {
-				if copyOut, copyErr := call(copyRep.C, ctx, copyJob.ID); copyErr == nil {
-					out, rep, err = copyOut, copyRep, nil
-				}
-			}
-		}
-	}
-	if err != nil {
-		return tier.WriteError(w, err)
-	}
-	rt.met.ObserveRouted(rep.ID)
-	if stamp != nil {
-		stamp(out, rep)
-	}
-	return tier.WriteJSON(w, http.StatusOK, out)
+	return answerSticky(rt, w, id, addrs, func(i int) (*T, error) {
+		return call(addrs[i].rep.C, r.Context(), addrs[i].raw)
+	}, stamp)
 }
+
+// answerSticky answers from the first address whose attempt is not
+// unavailable, stamped with the ID of that address and those after it
+// (nil stamp: the payload carries no job ID). An accepted ID renders back
+// to itself, so that ID is a suffix of id.
+func answerSticky[T any](rt *Router, w http.ResponseWriter, id string, addrs []jobAddr,
+	attempt func(int) (*T, error), stamp func(*T, string)) error {
+	var err error
+	for i, a := range addrs {
+		var out *T
+		if out, err = attempt(i); err != nil {
+			if api.AsError(err).Code == api.CodeUnavailable {
+				rt.rs.NoteFailure(a.rep, err)
+				_, id, _ = strings.Cut(id, jobAddrSep)
+				continue
+			}
+			return tier.WriteError(w, err)
+		}
+		rt.rs.NoteOK(a.rep)
+		rt.met.ObserveRouted(a.rep.ID)
+		if stamp != nil {
+			stamp(out, id)
+		}
+		return tier.WriteJSON(w, http.StatusOK, out)
+	}
+	return tier.WriteError(w, err)
+}
+
+func setJobID(job *api.Job, id string) { job.ID = id }
 
 func (rt *Router) handleGetJob(w http.ResponseWriter, r *http.Request) error {
-	return forwardSticky(rt, w, r, (*client.Client).Job, rt.stampJob)
-}
-
-func (rt *Router) handleCancelJob(w http.ResponseWriter, r *http.Request) error {
-	return forwardSticky(rt, w, r, (*client.Client).CancelJob, rt.stampJob)
+	return forwardSticky(rt, w, r, (*client.Client).Job, setJobID)
 }
 
 func (rt *Router) handleJobResult(w http.ResponseWriter, r *http.Request) error {
 	return forwardSticky[api.JobResult](rt, w, r, (*client.Client).JobResult, nil)
 }
 
-// handleGetJobByKey mirrors the replica-side by-key lookup at fleet scope:
-// scan the live members for the key's job (ring-independent — the key may
-// have been owned by a membership that no longer exists).
+// handleCancelJob cancels every copy the job ID lists, concurrently (a
+// copy left running would answer a failed-over read as pending or
+// succeeded), and answers as a read would.
+func (rt *Router) handleCancelJob(w http.ResponseWriter, r *http.Request) error {
+	id := r.PathValue("id")
+	addrs, err := rt.jobAddrs(id)
+	if err != nil {
+		return tier.WriteError(w, err)
+	}
+	outs := make([]*api.Job, len(addrs))
+	errs := make([]error, len(addrs))
+	var wg sync.WaitGroup
+	for i, a := range addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = a.rep.C.CancelJob(r.Context(), a.raw)
+		}()
+	}
+	wg.Wait()
+	return answerSticky(rt, w, id, addrs, func(i int) (*api.Job, error) { return outs[i], errs[i] }, setJobID)
+}
+
+// handleGetJobByKey mirrors the replica-side by-key lookup at fleet scope,
+// over every live member (the key may have been owned by a membership
+// that no longer exists), and answers with the ID listing each holder.
 func (rt *Router) handleGetJobByKey(w http.ResponseWriter, r *http.Request) error {
 	key, err := url.PathUnescape(r.PathValue("key"))
 	if err != nil {
 		return tier.WriteError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
-	job, rep, ok := rt.findByKey(r.Context(), rt.rs.Live(), key)
-	if !ok {
+	job, addrs := rt.findByKey(r.Context(), rt.rs.Live(), key)
+	if job == nil {
 		return tier.WriteError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
 	}
-	rt.met.ObserveRouted(rep.ID)
-	rt.stampJob(job, rep)
+	rt.met.ObserveRouted(addrs[0].rep.ID)
+	job.ID = jobID(addrs)
 	return tier.WriteJSON(w, http.StatusOK, job)
 }

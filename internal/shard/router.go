@@ -48,8 +48,8 @@ type Config struct {
 // against it. Keyed requests (infer by model, subsample by dataset,
 // registration by name, job submission by dataset) go to the key's ring
 // owner with bounded failover; listings, the version handshake and the
-// /debug views gather from every replica; job lookups stick to the
-// accepting replica through an ID suffix (owners.go); membership changes
+// /debug views gather from every replica; job lookups go to the replicas
+// the job ID lists (owners.go); membership changes
 // through the admin API (admin.go).
 type Router struct {
 	*tier.Tier
@@ -63,11 +63,6 @@ type Router struct {
 	// resubmitted key found on any of them is answered from the existing
 	// job instead of spawning a duplicate.
 	replication int
-
-	// owners remembers a keyed job's client-facing ID → idempotency key,
-	// which lets a sticky read re-find the job's replicated copy when the
-	// replica its ID names dies. Bounded LRU.
-	owners *ownerCache
 }
 
 // NewRouter builds a ready-to-listen router. Call Start to launch the
@@ -99,7 +94,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		met:         met,
 		start:       time.Now(),
 		replication: cfg.Replication,
-		owners:      newOwnerCache(maxJobOwnerEntries),
 	}
 	t.MetricsRegistry().GaugeFunc("sickle_shard_owner_set_size",
 		"Members in each key's owner set: the replication factor, bounded by ring size.",

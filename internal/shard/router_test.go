@@ -123,6 +123,17 @@ func newTestRouter(t *testing.T, urls []string) *Router {
 	return rt
 }
 
+// splitJobID splits the first address a client-facing job ID lists into
+// its raw ID and replica ID.
+func splitJobID(id string) (raw, replicaID string) {
+	addr, _, _ := strings.Cut(id, jobAddrSep)
+	i := strings.LastIndex(addr, jobIDSep)
+	if i < 0 {
+		return addr, ""
+	}
+	return addr[:i], addr[i+1:]
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
 	t.Helper()

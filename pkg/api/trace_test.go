@@ -29,6 +29,21 @@ func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzTraceHeader: ParseTraceHeader never panics, and a value it accepts
+// renders, through HeaderValue, to one that parses back to the same
+// TraceContext. Seed corpus in testdata/fuzz/FuzzTraceHeader.
+func FuzzTraceHeader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		tc, ok := ParseTraceHeader(v)
+		if !ok {
+			return
+		}
+		if again, ok := ParseTraceHeader(tc.HeaderValue()); !ok || again != tc {
+			t.Fatalf("%q parsed as %+v, whose header %q parses as %+v (ok %v)", v, tc, tc.HeaderValue(), again, ok)
+		}
+	})
+}
+
 func TestNewIDs(t *testing.T) {
 	id, span := NewTraceID(), NewSpanID()
 	if len(id) != 16 || len(span) != 8 {
