@@ -49,11 +49,11 @@ func TestLayerPassAllocs(t *testing.T) {
 		passes = append(passes, pass{"LSTM", 40, func(ws *tensor.Workspace) { l.Backward(ws, l.Forward(ws, x)) }})
 	}
 	{
-		c, x := NewConv3D(rng, 2, 4, 2, 2, 0), seq(3, 2, 4, 4, 4)
+		c, x := NewConv3D(rng, 2, 4, 2), seq(3, 2, 4, 4, 4)
 		passes = append(passes, pass{"Conv3D", 2, func(ws *tensor.Workspace) { c.Backward(ws, c.Forward(ws, x)) }})
 	}
 	{
-		c, x := NewConvTranspose3D(rng, 4, 2, 2, 2), seq(3, 4, 2, 2, 2)
+		c, x := NewConvTranspose3D(rng, 4, 2), seq(3, 4, 2, 2, 2)
 		passes = append(passes, pass{"ConvTranspose3D", 2, func(ws *tensor.Workspace) { c.Backward(ws, c.Forward(ws, x)) }})
 	}
 

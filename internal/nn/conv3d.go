@@ -6,320 +6,229 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv3D is a 3-D convolution over inputs [B, Ci, D, H, W] with cubic
-// kernels, stride and zero padding — the encoder building block of the
-// paper's CNN-Transformer (Table 2). Forward fans (batch, out-channel)
-// pairs across the kernel pool; Backward fans batch items with per-item
-// gradient partials combined in batch order, so parallel and serial runs
-// are bit-identical.
+// Conv3D is the patch encoder of the paper's CNN-Transformer and MATEY
+// (Table 2): a 3-D convolution over [B, Ci, D, H, W] with a K³ kernel on
+// non-overlapping blocks (k = stride, no padding; D, H and W multiples of
+// K). It is a block matmul: one row per K³ block times the weight on the
+// tensor kernels, so each output cell takes the bias, then its adds in
+// (ci, kd, kh, kw) order, serial or pooled alike.
 type Conv3D struct {
-	Ci, Co, K, Stride, Pad int
-	W                      *Param // [Co, Ci, K, K, K]
-	B                      *Param // [Co]
-	x                      *tensor.Tensor
+	Ci, Co, K int
+	W         *Param // [Co, Ci, K, K, K]
+	B         *Param // [Co]
+	x         *tensor.Tensor
 }
 
-// NewConv3D builds a Glorot-initialized 3-D convolution.
-func NewConv3D(rng *rand.Rand, ci, co, k, stride, pad int) *Conv3D {
-	fanIn := ci * k * k * k
-	fanOut := co * k * k * k
-	w := tensor.Rand(rng, xavier(fanIn, fanOut), co, ci, k, k, k)
-	return &Conv3D{Ci: ci, Co: co, K: k, Stride: stride, Pad: pad,
+// NewConv3D builds a Glorot-initialized convolution over k³ blocks.
+func NewConv3D(rng *rand.Rand, ci, co, k int) *Conv3D {
+	w := tensor.Rand(rng, xavier(ci*k*k*k, co*k*k*k), co, ci, k, k, k)
+	return &Conv3D{Ci: ci, Co: co, K: k,
 		W: NewParam("conv3d.w", w), B: NewParam("conv3d.b", tensor.New(co))}
 }
 
 // Params implements Module.
 func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// OutDim returns the output spatial size for input size n.
-func (c *Conv3D) OutDim(n int) int { return (n+2*c.Pad-c.K)/c.Stride + 1 }
-
-// Forward computes y [B, Co, D', H', W'].
+// Forward computes y [B, Co, D/K, H/K, W/K].
 func (c *Conv3D) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
-	c.x = x
-	b, dd, hh, ww := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
 	if x.Dim(1) != c.Ci {
 		panic("nn: Conv3D channel mismatch")
 	}
-	y := ws.New(b, c.Co, c.OutDim(dd), c.OutDim(hh), c.OutDim(ww))
-	// Each (bi, co) unit writes its own output volume — disjoint.
-	p := tensor.DefaultPool()
-	if p.Inline(b*c.Co, 1) {
-		c.forwardUnits(x, y, 0, b*c.Co)
-	} else {
-		p.ParallelFor(b*c.Co, 1, func(u0, u1 int) { c.forwardUnits(x, y, u0, u1) })
+	c.x = x
+	k, cols := c.K, c.W.W.Len()/c.Co
+	y := ws.New(x.Dim(0), c.Co, x.Dim(2)/k, x.Dim(3)/k, x.Dim(4)/k)
+	rows := y.Len() / c.Co
+	s := takeScratch()
+	defer giveScratch(s)
+	p := s.New(rows, cols)
+	blocks(x, p.Data, k, true)
+	wt := s.New(cols, c.Co)
+	for o, w := range c.W.W.Data {
+		wt.Data[o%cols*c.Co+o/cols] = w
 	}
+	yb := s.New(rows, c.Co)
+	copy(yb.Data, c.B.W.Data)
+	tile(yb.Data, c.Co)
+	tensor.MatMulAccum(yb, p, wt)
+	blocks(y, yb.Data, 1, false)
 	return y
 }
 
-func (c *Conv3D) forwardUnits(x, y *tensor.Tensor, u0, u1 int) {
-	ci, dd, hh, ww := x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-	od, oh, ow := y.Dim(2), y.Dim(3), y.Dim(4)
-	k, s, p := c.K, c.Stride, c.Pad
-	xd, wd, yd, bd := x.Data, c.W.W.Data, y.Data, c.B.W.Data
-	for u := u0; u < u1; u++ {
-		bi, co := u/c.Co, u%c.Co
-		bias := bd[co]
-		for zd := 0; zd < od; zd++ {
-			for zh := 0; zh < oh; zh++ {
-				for zw := 0; zw < ow; zw++ {
-					sum := bias
-					for cin := 0; cin < ci; cin++ {
-						xBase := (bi*ci + cin) * dd
-						wBase := ((co*ci + cin) * k) * k * k
-						for kd := 0; kd < k; kd++ {
-							id := zd*s + kd - p
-							if id < 0 || id >= dd {
-								continue
-							}
-							for kh := 0; kh < k; kh++ {
-								ih := zh*s + kh - p
-								if ih < 0 || ih >= hh {
-									continue
-								}
-								xRow := ((xBase+id)*hh + ih) * ww
-								wRow := wBase + (kd*k+kh)*k
-								for kw := 0; kw < k; kw++ {
-									iw := zw*s + kw - p
-									if iw < 0 || iw >= ww {
-										continue
-									}
-									sum += xd[xRow+iw] * wd[wRow+kw]
-								}
-							}
-						}
-					}
-					yd[(((bi*c.Co+co)*od+zd)*oh+zh)*ow+zw] = sum
-				}
-			}
-		}
-	}
-}
-
-// Backward propagates dL/dy and accumulates kernel/bias grads. Batch items
-// accumulate into per-item partial gradients (rows of two workspace
-// tensors, taken before the loop fans out) that are combined in batch
-// order — deterministic regardless of worker count.
+// Backward propagates dL/dy and accumulates kernel/bias grads: dx is the
+// block matmul dy·W scattered back into place.
 func (c *Conv3D) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
-	x := c.x
-	b := x.Dim(0)
-	dx := ws.New(x.Shape...)
-	wParts := ws.New(b, c.W.W.Len())
-	bParts := ws.New(b, c.Co)
-	p := tensor.DefaultPool()
-	if p.Inline(b, 1) {
-		c.backwardItems(dy, dx, wParts, bParts, 0, b)
-	} else {
-		p.ParallelFor(b, 1, func(b0, b1 int) { c.backwardItems(dy, dx, wParts, bParts, b0, b1) })
-	}
-	addParts(c.W.Grad, wParts)
-	addParts(c.B.Grad, bParts)
+	cols, rows := c.W.W.Len()/c.Co, dy.Len()/c.Co
+	s := takeScratch()
+	defer giveScratch(s)
+	dyb := s.New(rows, c.Co)
+	blocks(dy, dyb.Data, 1, true)
+	dxb := s.New(rows, cols)
+	tensor.MatMulAccum(dxb, dyb, s.View(c.W.W, c.Co, cols))
+	dx := ws.New(c.x.Shape...)
+	blocks(dx, dxb.Data, c.K, false)
+	blocks(c.x, dxb.Data, c.K, true) // dxb is free again: x's blocks, for dW
+	addItemGrads(s, c.W, c.B, dy.Data, dxb.Data, dy.Data, c.x.Dim(0), cols)
 	return dx
 }
 
-// addParts adds the rows of parts [B, len(grad)] to grad in row order.
-func addParts(grad, parts *tensor.Tensor) {
-	n := grad.Len()
-	for bi := 0; bi < parts.Dim(0); bi++ {
-		for i, v := range parts.Data[bi*n : (bi+1)*n] {
-			grad.Data[i] += v
-		}
-	}
-}
-
-func (c *Conv3D) backwardItems(dy, dx, wParts, bParts *tensor.Tensor, b0, b1 int) {
-	x := c.x
-	ci, dd, hh, ww := x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-	od, oh, ow := dy.Dim(2), dy.Dim(3), dy.Dim(4)
-	k, s, p := c.K, c.Stride, c.Pad
-	xd, wd, dyd, dxd := x.Data, c.W.W.Data, dy.Data, dx.Data
-	wl := c.W.W.Len()
-	for bi := b0; bi < b1; bi++ {
-		wg := wParts.Data[bi*wl : (bi+1)*wl]
-		bg := bParts.Data[bi*c.Co : (bi+1)*c.Co]
-		for co := 0; co < c.Co; co++ {
-			for zd := 0; zd < od; zd++ {
-				for zh := 0; zh < oh; zh++ {
-					for zw := 0; zw < ow; zw++ {
-						g := dyd[(((bi*c.Co+co)*od+zd)*oh+zh)*ow+zw]
-						if g == 0 {
-							continue
-						}
-						bg[co] += g
-						for cin := 0; cin < ci; cin++ {
-							xBase := (bi*ci + cin) * dd
-							wBase := ((co*ci + cin) * k) * k * k
-							for kd := 0; kd < k; kd++ {
-								id := zd*s + kd - p
-								if id < 0 || id >= dd {
-									continue
-								}
-								for kh := 0; kh < k; kh++ {
-									ih := zh*s + kh - p
-									if ih < 0 || ih >= hh {
-										continue
-									}
-									xRow := ((xBase+id)*hh + ih) * ww
-									wRow := wBase + (kd*k+kh)*k
-									for kw := 0; kw < k; kw++ {
-										iw := zw*s + kw - p
-										if iw < 0 || iw >= ww {
-											continue
-										}
-										wg[wRow+kw] += g * xd[xRow+iw]
-										dxd[xRow+iw] += g * wd[wRow+kw]
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// ConvTranspose3D is the transposed (fractionally strided) 3-D convolution
-// used by the paper's decoders: input [B, Ci, D, H, W] → output
-// [B, Co, (D-1)·S+K, ...] (no padding). Parallel decomposition mirrors
-// Conv3D: batch items are independent units.
+// ConvTranspose3D is the transposed 3-D convolution of the paper's cube
+// decoders: a 2×2×2 kernel at stride 2, no padding, so input [B, Ci, D, H,
+// W] → output [B, Co, 2D, 2H, 2W] with each input voxel filling its own 2³
+// block. It is a block matmul: voxel rows [B·V, Ci] times the weight as
+// [Ci, Co·8] on the tensor kernels, each row then scattered into its block.
 type ConvTranspose3D struct {
-	Ci, Co, K, Stride int
-	W                 *Param // [Ci, Co, K, K, K]
-	B                 *Param // [Co]
-	x                 *tensor.Tensor
+	Ci, Co int
+	W      *Param // [Ci, Co, 2, 2, 2]
+	B      *Param // [Co]
+	x      *tensor.Tensor
 }
 
 // NewConvTranspose3D builds a Glorot-initialized transposed convolution.
-func NewConvTranspose3D(rng *rand.Rand, ci, co, k, stride int) *ConvTranspose3D {
-	fan := ci * k * k * k
-	w := tensor.Rand(rng, xavier(fan, co*k*k*k), ci, co, k, k, k)
-	return &ConvTranspose3D{Ci: ci, Co: co, K: k, Stride: stride,
+func NewConvTranspose3D(rng *rand.Rand, ci, co int) *ConvTranspose3D {
+	w := tensor.Rand(rng, xavier(ci*8, co*8), ci, co, 2, 2, 2)
+	return &ConvTranspose3D{Ci: ci, Co: co,
 		W: NewParam("convt3d.w", w), B: NewParam("convt3d.b", tensor.New(co))}
 }
 
 // Params implements Module.
 func (c *ConvTranspose3D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// OutDim returns the output spatial size for input size n.
-func (c *ConvTranspose3D) OutDim(n int) int { return (n-1)*c.Stride + c.K }
-
-// Forward computes the transposed convolution.
+// Forward computes the transposed convolution: every output cell takes
+// the bias, then one add per input channel in channel order, skipping a
+// zero input.
 func (c *ConvTranspose3D) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tensor {
-	c.x = x
-	b, dd, hh, ww := x.Dim(0), x.Dim(2), x.Dim(3), x.Dim(4)
-	y := ws.New(b, c.Co, c.OutDim(dd), c.OutDim(hh), c.OutDim(ww))
-	// Output volumes are per-batch-item disjoint; scatter-adds from
-	// different input cells of the same item stay on one worker.
-	p := tensor.DefaultPool()
-	if p.Inline(b, 1) {
-		c.forwardItems(x, y, 0, b)
-	} else {
-		p.ParallelFor(b, 1, func(b0, b1 int) { c.forwardItems(x, y, b0, b1) })
+	if x.Dim(1) != c.Ci {
+		panic("nn: ConvTranspose3D channel mismatch")
 	}
+	c.x = x
+	rows, cols := x.Len()/c.Ci, c.Co*8
+	s := takeScratch()
+	defer giveScratch(s)
+	xt := s.New(rows, c.Ci)
+	blocks(x, xt.Data, 1, true)
+	yb := s.New(rows, cols)
+	for j := range cols {
+		yb.Data[j] = c.B.W.Data[j/8]
+	}
+	tile(yb.Data, cols)
+	tensor.MatMulAccum(yb, xt, s.View(c.W.W, c.Ci, cols))
+	y := ws.New(x.Dim(0), c.Co, 2*x.Dim(2), 2*x.Dim(3), 2*x.Dim(4))
+	blocks(y, yb.Data, 2, false)
 	return y
 }
 
-func (c *ConvTranspose3D) forwardItems(x, y *tensor.Tensor, b0, b1 int) {
-	ci, dd, hh, ww := x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-	od, oh, ow := y.Dim(2), y.Dim(3), y.Dim(4)
-	k, s := c.K, c.Stride
-	xd, wd, yd, bd := x.Data, c.W.W.Data, y.Data, c.B.W.Data
-	for bi := b0; bi < b1; bi++ {
-		for co := 0; co < c.Co; co++ {
-			base := ((bi*c.Co + co) * od) * oh * ow
-			bias := bd[co]
-			for i := 0; i < od*oh*ow; i++ {
-				yd[base+i] = bias
-			}
-		}
-		for cin := 0; cin < ci; cin++ {
-			for zd := 0; zd < dd; zd++ {
-				for zh := 0; zh < hh; zh++ {
-					for zw := 0; zw < ww; zw++ {
-						xv := xd[(((bi*ci+cin)*dd+zd)*hh+zh)*ww+zw]
-						if xv == 0 {
-							continue
-						}
-						for co := 0; co < c.Co; co++ {
-							wBase := ((cin*c.Co + co) * k) * k * k
-							for kd := 0; kd < k; kd++ {
-								for kh := 0; kh < k; kh++ {
-									yRow := (((bi*c.Co+co)*od+zd*s+kd)*oh+zh*s+kh)*ow + zw*s
-									wRow := wBase + (kd*k+kh)*k
-									for kw := 0; kw < k; kw++ {
-										yd[yRow+kw] += xv * wd[wRow+kw]
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// Backward propagates dL/dy and accumulates grads, with per-batch-item
-// weight-gradient partials combined in batch order (bit-identical serial or
-// parallel).
+// Backward propagates dL/dy and accumulates grads: dx is the block matmul
+// dY·Wᵀ.
 func (c *ConvTranspose3D) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tensor {
-	x := c.x
-	b := x.Dim(0)
-	dx := ws.New(x.Shape...)
-	wParts := ws.New(b, c.W.W.Len())
-	bParts := ws.New(b, c.Co)
-	p := tensor.DefaultPool()
-	if p.Inline(b, 1) {
-		c.backwardItems(dy, dx, wParts, bParts, 0, b)
-	} else {
-		p.ParallelFor(b, 1, func(b0, b1 int) { c.backwardItems(dy, dx, wParts, bParts, b0, b1) })
-	}
-	addParts(c.W.Grad, wParts)
-	addParts(c.B.Grad, bParts)
+	rows, cols := c.x.Len()/c.Ci, c.Co*8
+	s := takeScratch()
+	defer giveScratch(s)
+	dyb := s.New(rows, cols)
+	blocks(dy, dyb.Data, 2, true)
+	dxt := s.New(rows, c.Ci)
+	tensor.MatMulTransBAccum(dxt, dyb, s.View(c.W.W, c.Ci, cols))
+	dx := ws.New(c.x.Shape...)
+	blocks(dx, dxt.Data, 1, false)
+	addItemGrads(s, c.W, c.B, c.x.Data, dyb.Data, dy.Data, c.x.Dim(0), cols)
 	return dx
 }
 
-func (c *ConvTranspose3D) backwardItems(dy, dx, wParts, bParts *tensor.Tensor, b0, b1 int) {
-	x := c.x
-	ci, dd, hh, ww := x.Dim(1), x.Dim(2), x.Dim(3), x.Dim(4)
-	od, oh, ow := dy.Dim(2), dy.Dim(3), dy.Dim(4)
-	k, s := c.K, c.Stride
-	xd, wd, dyd, dxd := x.Data, c.W.W.Data, dy.Data, dx.Data
-	wl := c.W.W.Len()
-	for bi := b0; bi < b1; bi++ {
-		wg := wParts.Data[bi*wl : (bi+1)*wl]
-		bg := bParts.Data[bi*c.Co : (bi+1)*c.Co]
-		for co := 0; co < c.Co; co++ {
-			base := ((bi*c.Co + co) * od) * oh * ow
-			for i := 0; i < od*oh*ow; i++ {
-				bg[co] += dyd[base+i]
-			}
-		}
-		for cin := 0; cin < ci; cin++ {
-			for zd := 0; zd < dd; zd++ {
-				for zh := 0; zh < hh; zh++ {
-					for zw := 0; zw < ww; zw++ {
-						xv := xd[(((bi*ci+cin)*dd+zd)*hh+zh)*ww+zw]
-						var acc float64
-						for co := 0; co < c.Co; co++ {
-							wBase := ((cin*c.Co + co) * k) * k * k
-							for kd := 0; kd < k; kd++ {
-								for kh := 0; kh < k; kh++ {
-									yRow := (((bi*c.Co+co)*od+zd*s+kd)*oh+zh*s+kh)*ow + zw*s
-									wRow := wBase + (kd*k+kh)*k
-									for kw := 0; kw < k; kw++ {
-										g := dyd[yRow+kw]
-										acc += g * wd[wRow+kw]
-										wg[wRow+kw] += g * xv
-									}
-								}
-							}
-						}
-						dxd[(((bi*ci+cin)*dd+zd)*hh+zh)*ww+zw] = acc
-					}
+// addItemGrads adds a batch's kernel and bias gradients to w and bias one
+// item at a time, each partial from zero, in batch order. Item bi's kernel
+// partial has Σ_z a[bi, r, z]·rows[bi·V + z, :] in row r, for a channel-
+// major a [B, R, V] (a zero adds nothing) and block rows [B·V, cols]; its
+// bias partial has the sums of dy's channels.
+func addItemGrads(s *tensor.Workspace, w, bias *Param, a, rows, dy []float64, b, cols int) {
+	wl, co := w.Grad.Len(), bias.Grad.Len()
+	r, v, n := wl/cols, len(rows)/(b*cols), len(dy)/(b*co)
+	part := s.New(wl + co).Data
+	for bi := 0; bi < b; bi++ {
+		clear(part)
+		for ri := 0; ri < r; ri++ {
+			wr := part[ri*cols : (ri+1)*cols]
+			for z, av := range a[(bi*r+ri)*v : (bi*r+ri+1)*v] {
+				if av == 0 {
+					continue
+				}
+				for l, rv := range rows[(bi*v+z)*cols : (bi*v+z+1)*cols] {
+					wr[l] += av * rv
 				}
 			}
 		}
+		for i, g := range dy[bi*co*n : (bi+1)*co*n] {
+			part[wl+i/n] += g
+		}
+		for i, p := range part[:wl] {
+			w.Grad.Data[i] += p
+		}
+		for i, p := range part[wl:] {
+			bias.Grad.Data[i] += p
+		}
+	}
+}
+
+// blocks moves data between a channel-major cube [B, C, D, H, W] and its
+// block-major form rows [B·V, C·k³], V = (D/k)(H/k)(W/k): one row per k³
+// block, blocks in (d, h, w) order, columns in the weights' (c, kd, kh, kw)
+// order. gather copies the cube into rows, otherwise rows are scattered
+// into the cube. With k = 1 it is the transpose [B, C, V] ↔ [B·V, C].
+func blocks(cube *tensor.Tensor, rows []float64, k int, gather bool) {
+	c, d, h, w := cube.Dim(1), cube.Dim(2), cube.Dim(3), cube.Dim(4)
+	if d%k != 0 || h%k != 0 || w%k != 0 {
+		panic("nn: convolution spatial size is not a multiple of the kernel")
+	}
+	cols, line := c*k*k*k, cube.Data
+	for p := 0; len(line) > 0; p++ { // p = (item, channel)
+		for id := 0; id < d; id++ {
+			row, col := (p/c*(d/k)+id/k)*(h/k), (p%c*k+id%k)*k
+			for ih := 0; ih < h; ih++ {
+				// W-line (p, id, ih) starts at row (id/k, ih/k, 0), column (id%k, ih%k, 0).
+				at := (row+ih/k)*(w/k)*cols + (col+ih%k)*k
+				for iw := 0; iw < w; iw, at = iw+k, at+cols {
+					for kw := range k {
+						if gather {
+							rows[at+kw] = line[iw+kw]
+						} else {
+							line[iw+kw] = rows[at+kw]
+						}
+					}
+				}
+				line = line[w:]
+			}
+		}
+	}
+}
+
+// tile fills dst with repeats of its first n values.
+func tile(dst []float64, n int) {
+	for ; n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
+	}
+}
+
+// scratches is a free list of workspaces for the block-major matrices of
+// one convolution pass, which live only inside one Forward or Backward: on
+// the model's own workspace, every new model would pay for a copy of its
+// largest activations. It keeps up to four, since a pass holds one and a
+// host runs about as many passes at once as it has cores; a sync.Pool lost
+// them too often (to GC cycles and to its per-P slots).
+var scratches = make(chan *tensor.Workspace, 4)
+
+// takeScratch returns a reset workspace from the free list, or a new one.
+func takeScratch() *tensor.Workspace {
+	select {
+	case s := <-scratches:
+		s.Reset()
+		return s
+	default:
+		return new(tensor.Workspace)
+	}
+}
+
+// giveScratch returns s to the free list, or drops it when the list is full.
+func giveScratch(s *tensor.Workspace) {
+	select {
+	case scratches <- s:
+	default:
 	}
 }

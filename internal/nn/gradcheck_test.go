@@ -221,57 +221,39 @@ func TestTransformerBlockGradients(t *testing.T) {
 	checkModuleGrads(t, b, forward, backward)
 }
 
+// TestConv3DGradients checks the kernel, bias and input gradients against
+// finite differences at k = 2 and at k = 4.
 func TestConv3DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	c := NewConv3D(rng, 2, 3, 2, 1, 0)
-	x := tensor.Randn(rng, 1, 1, 2, 3, 3, 3).Reshape(1, 2, 3, 3, 3)
-	out := c.Forward(ws, x)
-	tgt := tensor.Randn(rng, 1, out.Shape...)
-	forward := func() float64 {
-		loss, _ := mseLoss(c.Forward(ws, x), tgt)
-		return loss
-	}
-	backward := func() {
+	for _, k := range []int{2, 4} {
+		c := NewConv3D(rng, 2, 3, k)
+		x := tensor.Randn(rng, 1, 1, 2, 2*k, k, 2*k).Reshape(1, 2, 2*k, k, 2*k)
+		out := c.Forward(ws, x)
+		tgt := tensor.Randn(rng, 1, out.Shape...)
+		forward := func() float64 {
+			loss, _ := mseLoss(c.Forward(ws, x), tgt)
+			return loss
+		}
+		backward := func() {
+			_, g := mseLoss(c.Forward(ws, x), tgt)
+			c.Backward(ws, g)
+		}
+		checkModuleGrads(t, c, forward, backward)
+		ZeroGrads(c)
 		_, g := mseLoss(c.Forward(ws, x), tgt)
-		c.Backward(ws, g)
+		dx := c.Backward(ws, g)
+		num := numGrad(x, forward)
+		if e := maxRelErr(dx.Data, num); e > 1e-4 {
+			t.Fatalf("conv3d k=%d dx mismatch: %v", k, e)
+		}
 	}
-	checkModuleGrads(t, c, forward, backward)
-	ZeroGrads(c)
-	_, g := mseLoss(c.Forward(ws, x), tgt)
-	dx := c.Backward(ws, g)
-	num := numGrad(x, forward)
-	if e := maxRelErr(dx.Data, num); e > 1e-4 {
-		t.Fatalf("conv3d dx mismatch: %v", e)
-	}
-}
-
-func TestConv3DStridePad(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	c := NewConv3D(rng, 1, 2, 3, 2, 1)
-	x := tensor.Randn(rng, 1, 1, 1, 5, 5, 5).Reshape(1, 1, 5, 5, 5)
-	out := c.Forward(ws, x)
-	// (5 + 2 - 3)/2 + 1 = 3
-	if out.Dim(2) != 3 || out.Dim(3) != 3 || out.Dim(4) != 3 {
-		t.Fatalf("strided conv output %v, want spatial 3³", out.Shape)
-	}
-	tgt := tensor.Randn(rng, 1, out.Shape...)
-	forward := func() float64 {
-		loss, _ := mseLoss(c.Forward(ws, x), tgt)
-		return loss
-	}
-	backward := func() {
-		_, g := mseLoss(c.Forward(ws, x), tgt)
-		c.Backward(ws, g)
-	}
-	checkModuleGrads(t, c, forward, backward)
 }
 
 func TestConvTranspose3DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	c := NewConvTranspose3D(rng, 2, 2, 2, 2)
+	c := NewConvTranspose3D(rng, 2, 2)
 	x := tensor.Randn(rng, 1, 1, 2, 2, 2, 2).Reshape(1, 2, 2, 2, 2)
 	out := c.Forward(ws, x)
-	// (2-1)*2+2 = 4
 	if out.Dim(2) != 4 {
 		t.Fatalf("convtranspose output %v, want spatial 4³", out.Shape)
 	}

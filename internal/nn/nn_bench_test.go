@@ -68,7 +68,7 @@ func BenchmarkAttentionForwardBackward(b *testing.B) {
 
 func BenchmarkConv3DForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	c := NewConv3D(rng, 4, 8, 2, 2, 0)
+	c := NewConv3D(rng, 4, 8, 2)
 	x := tensor.Randn(rng, 1, 4, 4, 16, 16, 16)
 	c.Forward(ws, x)
 	dy := tensor.Randn(rng, 1, 4, 8, 8, 8, 8)

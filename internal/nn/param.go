@@ -3,7 +3,8 @@
 // Conv3D/ConvTranspose3D), MSE loss, the Adam optimizer with
 // reduce-on-plateau scheduling, and gradient utilities. Every layer
 // implements its backward pass analytically; tests validate each against
-// finite differences.
+// finite differences, and the two convolutions (block matmuls, k = stride,
+// no padding) bit for bit against the direct loops they replaced.
 package nn
 
 import (

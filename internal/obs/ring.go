@@ -30,6 +30,13 @@ func (r *Ring[T]) Push(v T) {
 // Dropped reports how many elements Push has overwritten.
 func (r *Ring[T]) Dropped() uint64 { return r.dropped }
 
+// each calls f on every live element in place, oldest first.
+func (r *Ring[T]) each(f func(*T)) {
+	for i := range r.buf {
+		f(&r.buf[(r.next+i)%len(r.buf)])
+	}
+}
+
 // Snapshot copies the live elements, oldest first.
 func (r *Ring[T]) Snapshot() []T {
 	out := make([]T, 0, len(r.buf))

@@ -215,23 +215,22 @@ func (a *ActiveSpan) End() {
 	a.t.record(sp, attrs)
 }
 
-// snapshot copies the ring's live spans, oldest first.
-func (t *Tracer) snapshot() []stored {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ring.Snapshot()
-}
-
 // Spans returns every recorded span of one trace, ordered by start time.
+// It walks the ring in place and copies only the trace's own spans.
 func (t *Tracer) Spans(traceID string) []Span {
 	if t == nil {
 		return nil
 	}
-	var out []Span
-	for _, s := range t.snapshot() {
-		if s.TraceID != traceID {
-			continue
+	var kept []stored
+	t.mu.Lock()
+	t.ring.each(func(s *stored) {
+		if s.TraceID == traceID {
+			kept = append(kept, *s)
 		}
+	})
+	t.mu.Unlock()
+	var out []Span
+	for _, s := range kept {
 		out = append(out, Span{TraceID: s.TraceID, SpanID: s.SpanID, ParentID: s.ParentID, Name: s.Name,
 			Tier: t.tier, Start: time.Unix(0, s.start), Seconds: s.Seconds, Attrs: decodeAttrs(s.attrs)})
 	}
@@ -247,7 +246,8 @@ func (t *Tracer) Traces(limit int) []TraceInfo {
 	}
 	byID := map[string]*TraceInfo{}
 	var order []string
-	for _, s := range t.snapshot() {
+	t.mu.Lock()
+	t.ring.each(func(s *stored) {
 		start := time.Unix(0, s.start)
 		info, ok := byID[s.TraceID]
 		if !ok {
@@ -265,7 +265,8 @@ func (t *Tracer) Traces(limit int) []TraceInfo {
 		if end := start.Add(time.Duration(s.Seconds * float64(time.Second))); end.Sub(info.Start).Seconds() > info.Seconds {
 			info.Seconds = end.Sub(info.Start).Seconds()
 		}
-	}
+	})
+	t.mu.Unlock()
 	out := make([]TraceInfo, 0, len(order))
 	for i := len(order) - 1; i >= 0; i-- { // newest first
 		out = append(out, *byID[order[i]])

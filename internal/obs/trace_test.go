@@ -4,7 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -189,5 +193,110 @@ func TestTracerConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := len(tr.Traces(0)); got == 0 {
 		t.Fatal("no traces recorded")
+	}
+}
+
+// spansRef and tracesRef are the brute-force reads the tracer's in-place
+// walks must agree with: a filter over a copy of the whole ring.
+func spansRef(tr *Tracer, traceID string) []Span {
+	var out []Span
+	for _, s := range tr.ring.Snapshot() {
+		if s.TraceID == traceID {
+			out = append(out, Span{TraceID: s.TraceID, SpanID: s.SpanID, ParentID: s.ParentID, Name: s.Name,
+				Tier: tr.tier, Start: time.Unix(0, s.start), Seconds: s.Seconds, Attrs: decodeAttrs(s.attrs)})
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Start.Before(out[b].Start) })
+	return out
+}
+
+func tracesRef(tr *Tracer, limit int) []TraceInfo {
+	var order []*TraceInfo
+	for _, s := range tr.ring.Snapshot() {
+		var info *TraceInfo
+		for _, o := range order {
+			if o.TraceID == s.TraceID {
+				info = o
+			}
+		}
+		start := time.Unix(0, s.start)
+		if info == nil {
+			info = &TraceInfo{TraceID: s.TraceID, Start: start, Root: s.Name}
+			order = append(order, info)
+		}
+		info.Spans++
+		if start.Before(info.Start) {
+			info.Start = start
+		}
+		if s.ParentID == "" {
+			info.Root = s.Name
+		}
+		end := start.Add(time.Duration(s.Seconds * float64(time.Second)))
+		info.Seconds = max(info.Seconds, end.Sub(info.Start).Seconds())
+	}
+	out := []TraceInfo{}
+	for i := len(order) - 1; i >= 0 && (limit <= 0 || len(out) < limit); i-- {
+		out = append(out, *order[i])
+	}
+	return out
+}
+
+// TestTracerReadsMatchBruteForce: over random sequences of spans that fill
+// and overwrite small rings, Spans and Traces equal a filter of the ring's
+// snapshot after every record.
+func TestTracerReadsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	base := time.Unix(1700000000, 0)
+	for trial := 0; trial < 50; trial++ {
+		tr := NewTracer("test", 1+rng.Intn(12))
+		ids := 1 + rng.Intn(5)
+		for i := 0; i < 40; i++ {
+			s := Span{TraceID: fmt.Sprintf("t%d", rng.Intn(ids)), SpanID: fmt.Sprintf("s%d", i),
+				Name: fmt.Sprintf("op%d", rng.Intn(3)), Start: base.Add(time.Duration(rng.Intn(1000)) * time.Millisecond),
+				Seconds: rng.Float64()}
+			if rng.Intn(2) == 0 {
+				s.ParentID = fmt.Sprintf("s%d", rng.Intn(i+1))
+			}
+			if rng.Intn(3) == 0 {
+				s.Attrs = map[string]string{"k": fmt.Sprint(i)}
+			}
+			tr.Record(s)
+			for id := 0; id <= ids; id++ {
+				traceID := fmt.Sprintf("t%d", id)
+				if got, want := tr.Spans(traceID), spansRef(tr, traceID); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d step %d: Spans(%s) = %+v, want %+v", trial, i, traceID, got, want)
+				}
+			}
+			limit := rng.Intn(ids + 2)
+			if got, want := tr.Traces(limit), tracesRef(tr, limit); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d step %d: Traces(%d) = %+v, want %+v", trial, i, limit, got, want)
+			}
+		}
+	}
+}
+
+// TestSpansAllocatesPerMatch: reading one trace from a full 65,536-span
+// ring costs memory in proportion to the trace's spans, not the ring's.
+func TestSpansAllocatesPerMatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const capacity = 1 << 16
+	tr := NewTracer("test", capacity)
+	for i := 0; i < capacity+100; i++ {
+		tr.Record(Span{TraceID: fmt.Sprintf("t%d", i%(capacity/4)), SpanID: "s", Name: "op", Start: time.Now()})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const reads = 10
+	for i := 0; i < reads; i++ {
+		if got := tr.Spans("t7"); len(got) != 4 {
+			t.Fatalf("Spans(t7) holds %d spans, want 4", len(got))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// 4 matches: a few small slices; a copy of the ring would be ~6 MiB.
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > 4<<10 {
+		t.Fatalf("Spans allocates %d bytes a call on a full ring, want O(matching spans)", per)
 	}
 }

@@ -198,31 +198,43 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 	if len(lists) == 0 {
 		return tier.WriteError(w, errNoAnswer("GET /v2/jobs"))
 	}
-	var all []api.Job
+	type held struct {
+		job  api.Job
+		addr jobAddr
+	}
+	var all []held
 	for _, l := range lists {
 		for _, j := range l.val {
-			j.ID = jobID([]jobAddr{{j.ID, l.rep}})
-			all = append(all, j)
+			all = append(all, held{j, jobAddr{j.ID, l.rep}})
 		}
 	}
 	sort.Slice(all, func(a, b int) bool {
-		if !all[a].CreatedAt.Equal(all[b].CreatedAt) {
-			return all[a].CreatedAt.Before(all[b].CreatedAt)
+		ja, jb := all[a], all[b]
+		if !ja.job.CreatedAt.Equal(jb.job.CreatedAt) {
+			return ja.job.CreatedAt.Before(jb.job.CreatedAt)
 		}
-		return all[a].ID < all[b].ID
+		return jobID([]jobAddr{ja.addr}) < jobID([]jobAddr{jb.addr})
 	})
-	// Replicated copies of one keyed submission are one logical job: keep
-	// the oldest copy per key so the fleet listing counts work, not fan-out.
-	seenKey := map[string]bool{}
-	kept := all[:0]
-	for _, j := range all {
-		if k := j.IdempotencyKey; k != "" {
-			if seenKey[k] {
-				continue
-			}
-			seenKey[k] = true
+	// Replicated copies of one keyed submission are one logical job, listed
+	// once under the ID its submission returned: every copy's address,
+	// oldest (the admitted primary) first, with the oldest copy's snapshot.
+	var kept []api.Job
+	var addrs [][]jobAddr
+	byKey := map[string]int{}
+	for _, h := range all {
+		k := h.job.IdempotencyKey
+		if i, ok := byKey[k]; ok {
+			addrs[i] = append(addrs[i], h.addr)
+			continue
 		}
-		kept = append(kept, j)
+		if k != "" {
+			byKey[k] = len(kept)
+		}
+		kept = append(kept, h.job)
+		addrs = append(addrs, []jobAddr{h.addr})
+	}
+	for i := range kept {
+		kept[i].ID = jobID(addrs[i])
 	}
 	return tier.WriteJSON(w, http.StatusOK, kept)
 }

@@ -107,6 +107,46 @@ func TestShardReplicatedResubmitSameID(t *testing.T) {
 	}
 }
 
+// TestShardReplicatedListingID: GET /v2/jobs lists a keyed K=2 job once,
+// under the ID its submission returned byte for byte, and that listed ID
+// still reads the job from the copy once the primary dies.
+func TestShardReplicatedListingID(t *testing.T) {
+	ctx := context.Background()
+	rt, reps, c, kill := replicatedFleet(t, 3)
+	req, routeKey := keyedSubsample(1)
+	owners := rt.ReplicaSet().Sequence(routeKey, 2)
+
+	job, err := c.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatalf("keyed submit: %v", err)
+	}
+	if _, err := c.WaitJob(ctx, job.ID, 5*time.Millisecond); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	list, err := c.Jobs(ctx)
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	var listed []string
+	for _, j := range list {
+		if j.IdempotencyKey == req.IdempotencyKey {
+			listed = append(listed, j.ID)
+		}
+	}
+	if len(listed) != 1 || listed[0] != job.ID {
+		t.Fatalf("listing shows the key as %q, want once as the submit's %q", listed, job.ID)
+	}
+
+	kill(indexOf(t, reps, owners[0]))
+	got, err := c.Job(ctx, listed[0])
+	if err != nil {
+		t.Fatalf("Job by the listed ID, primary dead: %v", err)
+	}
+	if _, rid := splitJobID(got.ID); rid != owners[1].ID {
+		t.Fatalf("read answered as %q, want the copy on %s", got.ID, owners[1].ID)
+	}
+}
+
 // TestShardReplicatedReadAfterRouterRestart: a keyed job's ID carries its
 // copies' addresses, so a router built after the submission — with no
 // memory of it — still reads the job from the copy once its primary dies.

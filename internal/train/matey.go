@@ -9,16 +9,17 @@ import (
 
 // MATEYModel is the multiscale adaptive foundation-model analogue used for
 // the Fig. 9 experiment (Zhang et al., MATEY). It encodes dense cubes
-// [B, T, C, G, G, G] through two parallel Conv3D branches at different
-// strides — a coarse context branch and a fine detail branch — fuses the
-// latents, runs a transformer encoder over time, and decodes to cubes.
+// [B, T, C, G, G, G] through two parallel Conv3D patch branches at
+// different block sizes — a coarse context branch and a fine detail
+// branch — fuses the latents, runs a transformer encoder over time, and
+// decodes to cubes.
 // "Adaptive multiscale" here means both spatial resolutions contribute to
 // one latent token per timestep.
 type MATEYModel struct {
 	scratch
 	InVars, ModelDim, OutVars, G int
-	coarse                       *nn.Conv3D // stride 4
-	fine                         *nn.Conv3D // stride 2
+	coarse                       *nn.Conv3D // 4³ blocks: block matmul, k = stride = 4, no padding
+	fine                         *nn.Conv3D // 2³ blocks: block matmul, k = stride = 2, no padding
 	actC, actF                   *nn.Activation
 	fuse                         *nn.Linear
 	block                        *nn.TransformerBlock
@@ -30,8 +31,8 @@ type MATEYModel struct {
 // NewMATEYModel builds the multiscale model for G³ cubes (G a power of two
 // ≥ 8).
 func NewMATEYModel(rng *rand.Rand, inVars, modelDim, heads, outVars, g int) *MATEYModel {
-	coarse := nn.NewConv3D(rng, inVars, 4, 4, 4, 0) // G -> G/4
-	fine := nn.NewConv3D(rng, inVars, 2, 2, 2, 0)   // G -> G/2
+	coarse := nn.NewConv3D(rng, inVars, 4, 4) // G -> G/4
+	fine := nn.NewConv3D(rng, inVars, 2, 2)   // G -> G/2
 	cg, fg := g/4, g/2
 	cDim := 4 * cg * cg * cg
 	fDim := 2 * fg * fg * fg

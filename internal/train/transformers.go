@@ -10,7 +10,8 @@ import (
 
 // cubeDecoder upsamples a per-timestep latent vector to a dense cube
 // [C', G, G, G] through a linear seed plus stacked ConvTranspose3D layers
-// (kernel 2, stride 2), the paper's ConvTranspose3D decoder.
+// (2³ blocks: block matmul, k = stride = 2, no padding), the paper's
+// ConvTranspose3D decoder.
 type cubeDecoder struct {
 	seedDim, seedCh, outCh, outG int
 	lin                          *nn.Linear
@@ -39,7 +40,7 @@ func newCubeDecoder(rng *rand.Rand, d, outCh, outG int) *cubeDecoder {
 		if next < outCh || l == levels-1 {
 			next = outCh
 		}
-		dec.ups = append(dec.ups, nn.NewConvTranspose3D(rng, cur, next, 2, 2))
+		dec.ups = append(dec.ups, nn.NewConvTranspose3D(rng, cur, next))
 		if l < levels-1 {
 			dec.acts = append(dec.acts, nn.NewActivation("relu"))
 		} else {
@@ -163,8 +164,9 @@ func (m *MLPTransformer) Backward(dy *tensor.Tensor) {
 }
 
 // CNNTransformer is the full-full architecture of Table 2: dense hypercubes
-// [B, T, C, G, G, G] are encoded with strided Conv3D layers, passed through
-// a transformer encoder over time, and decoded back to cubes.
+// [B, T, C, G, G, G] are encoded with Conv3D patch layers (2³ blocks),
+// passed through a transformer encoder over time, and decoded back to
+// cubes.
 type CNNTransformer struct {
 	scratch
 	InVars, ModelDim, OutVars, G int
@@ -179,8 +181,8 @@ type CNNTransformer struct {
 // NewCNNTransformer builds the Conv3D/transformer/ConvTranspose3D stack for
 // G³ cubes (G a power of two ≥ 8).
 func NewCNNTransformer(rng *rand.Rand, inVars, modelDim, heads, outVars, g int) *CNNTransformer {
-	c1 := nn.NewConv3D(rng, inVars, 4, 2, 2, 0) // G -> G/2
-	c2 := nn.NewConv3D(rng, 4, 8, 2, 2, 0)      // G/2 -> G/4
+	c1 := nn.NewConv3D(rng, inVars, 4, 2) // G -> G/2
+	c2 := nn.NewConv3D(rng, 4, 8, 2)      // G/2 -> G/4
 	encG := g / 4
 	flat := 8 * encG * encG * encG
 	m := &CNNTransformer{
