@@ -137,6 +137,9 @@ usage_exit() {
 # (grep reads to EOF: an early -q exit fails curl's write under pipefail.)
 exports() { curl -fsS "$1/metrics" | grep "^$2" >/dev/null; }
 traces_tier() { answers "$1/debug/traces" ".tier == \"$2\" and (.traces | length) > 0"; }
+# json_log <file>: the file is one or more JSON objects, each with string
+# level and msg fields, and nothing else.
+json_log() { jq -e -s 'length > 0 and all(.[]; type == "object" and (.level | type) == "string" and (.msg | type) == "string")' "$1"; }
 has_event() { jq -e --arg t "$2" 'any(.events[]; .type == $t)' "$1"; }
 
 cd "$root"
@@ -179,9 +182,12 @@ serve)
 	# kill -9 and a restart without the variable, replay re-runs it.
 	kill -9 "$booted"
 	wait "$booted" 2>/dev/null || true
-	drill=(sickle-serve -addr 127.0.0.1:18080 -demo -data-dir "$out/crash-data")
+	# The drill replica also logs under -log-json: every line it writes must
+	# be a JSON object with a string level and msg.
+	drill=(sickle-serve -addr 127.0.0.1:18080 -demo -data-dir "$out/crash-data" -log-json)
 	SICKLE_CRASH_POINT=before:terminal boot serve-crash "$base" "${drill[@]}"
 	gate "crash drill: the replica logs that its WAL crash point is armed" grep -q 'wal crash point armed' "$out/serve-crash.log"
+	gate "  ... and under -log-json its log is JSON objects with level and msg only" json_log "$out/serve-crash.log"
 	gate "  ... a keyed job succeeds with the WAL frozen before:terminal" keyed_job "$base" smoke-crash
 	drill_job=$job_id
 	kill -9 "$booted"

@@ -29,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strconv"
@@ -36,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	olog "repro/internal/obs/log"
 	"repro/internal/serve"
 	"repro/internal/tier"
 	"repro/internal/train"
@@ -133,7 +133,7 @@ func parseShape(s string) ([]int, error) {
 // registerDemoModel trains the shared toy surrogate (serve.TrainDemo) and
 // registers it as "demo", so a bare `sickle-serve -demo` answers /v2/infer
 // as soon as it is up.
-func registerDemoModel(s *serve.Server, lg *olog.Logger) error {
+func registerDemoModel(s *serve.Server, lg *slog.Logger) error {
 	dm, err := serve.TrainDemo(context.Background())
 	if err != nil {
 		return err

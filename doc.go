@@ -30,9 +30,9 @@
 // X-Sickle-Trace header live in pkg/api, so one client request through
 // the router reads as one trace with routing, queue, and execute spans),
 // runtime/build/pool gauges, an exposition linter (also a CI gate via
-// cmd/sickle-top -lint), and the structured leveled logger
-// internal/obs/log shared by the binaries, with per-call-site rate
-// limiting on repeated warn/error floods (README "Observability").
+// cmd/sickle-top -lint), and internal/obs/log, which builds the
+// binaries' log/slog logger from -log-level/-log-json and rate-limits
+// repeated warn/error floods per message (README "Observability").
 //
 // On top of that substrate sits the flight recorder (README "Operating
 // sickle"): internal/obs/tsdb samples each tier's registry into a

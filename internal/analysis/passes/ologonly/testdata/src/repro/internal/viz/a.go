@@ -4,9 +4,11 @@ package viz
 import (
 	"fmt"
 	"log"
+	"log/slog"
 )
 
 func render() {
 	fmt.Println("plot written")
 	log.Printf("done")
+	slog.Info("rendered", "frames", 1)
 }

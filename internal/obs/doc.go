@@ -24,6 +24,6 @@
 //   - lint.go — LintExposition: a line-by-line exposition-format checker
 //     used by tests and the CI smoke step to reject malformed series.
 //
-// internal/obs/log (package olog) is the structured leveled logger the
-// binaries and the serve/shard request paths share.
+// internal/obs/log (package olog) builds the binaries' *slog.Logger: slog's
+// text or JSON handler behind a per-message warn/error rate limit.
 package obs

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -284,7 +285,7 @@ func (b *Batcher) runBatch(model string, batch []*inferRequest) {
 	}
 	shape := batch[0].input.Shape
 	for _, r := range batch[1:] {
-		if !sameShape(r.input.Shape, shape) {
+		if !slices.Equal(r.input.Shape, shape) {
 			// Mixed shapes cannot share a forward pass; split rather than
 			// reject, so clients with heterogeneous windows still work.
 			b.runBatch(model, []*inferRequest{r})
@@ -292,7 +293,7 @@ func (b *Batcher) runBatch(model string, batch []*inferRequest) {
 	}
 	uniform := batch[:0]
 	for _, r := range batch {
-		if sameShape(r.input.Shape, shape) {
+		if slices.Equal(r.input.Shape, shape) {
 			uniform = append(uniform, r)
 		}
 	}
@@ -394,18 +395,6 @@ func stackInputs(rep train.Model, batch []*inferRequest) *tensor.Tensor {
 		copy(out.Data[i*stride:(i+1)*stride], r.input.Data)
 	}
 	return out
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Stop terminates the dispatchers and waits for the running batches. Call

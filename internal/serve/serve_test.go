@@ -245,6 +245,36 @@ func TestInferCallIsOneBatch(t *testing.T) {
 	}
 }
 
+// TestMixedShapeCallSplits: the LSTM takes any window length, so one call
+// mixing T=3 and T=5 items reaches the batcher as one batch of two shapes.
+// Each shape runs as its own forward pass, and every output is bit-equal
+// to the item's unbatched run.
+func TestMixedShapeCallSplits(t *testing.T) {
+	s, ref := newTestServer(t, Config{MaxBatch: 8})
+	rng := rand.New(rand.NewSource(17))
+	long := api.InferItem{Shape: []int{5, 4}, Data: make([]float64, 5*4)}
+	for i := range long.Data {
+		long.Data[i] = rng.NormFloat64()
+	}
+	req := &api.InferRequest{Model: "m", Items: []api.InferItem{randomItem(rng), long, randomItem(rng), randomItem(rng)}}
+	resp, err := s.doInfer(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, item := range req.Items {
+		want := 3 // the three T=3 items share a pass
+		if i == 1 {
+			want = 1
+		}
+		if resp.BatchSizes[i] != want {
+			t.Errorf("item %d (shape %v) rode in a batch of %d, want %d", i, item.Shape, resp.BatchSizes[i], want)
+		}
+		if err := checkOutput(resp.Outputs[i], expect(ref, item)); err != nil {
+			t.Errorf("item %d (shape %v): %v", i, item.Shape, err)
+		}
+	}
+}
+
 // TestMultiItemRequest checks that one request carrying several items gets
 // per-item outputs in order.
 func TestMultiItemRequest(t *testing.T) {

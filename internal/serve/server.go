@@ -32,6 +32,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"os"
@@ -40,7 +41,6 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/obs/events"
-	olog "repro/internal/obs/log"
 	"repro/internal/obs/slo"
 	"repro/internal/tensor"
 	"repro/internal/tier"
@@ -71,7 +71,7 @@ type Config struct {
 	DataDir string
 
 	// Logger receives request and lifecycle logs; nil discards them.
-	Logger *olog.Logger
+	Logger *slog.Logger
 	// TraceCapacity bounds the in-memory span ring behind /debug/traces
 	// (default obs.DefaultTraceCapacity).
 	TraceCapacity int

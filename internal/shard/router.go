@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"maps"
 	"net/http"
 	"slices"
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/events"
-	olog "repro/internal/obs/log"
 	"repro/internal/obs/slo"
 	"repro/internal/obs/tsdb"
 	"repro/internal/tier"
@@ -33,7 +33,7 @@ type Config struct {
 	Replication int           // owner-set size K for keyed job submissions (default 1)
 
 	// Logger receives request and lifecycle logs; nil discards them.
-	Logger *olog.Logger
+	Logger *slog.Logger
 	// TraceCapacity bounds the in-memory span ring behind /debug/traces
 	// (default obs.DefaultTraceCapacity).
 	TraceCapacity int

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -24,5 +25,23 @@ func TestSidecarRoutes(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Errorf("sidecar GET %s = %d, want 200", path, rec.Code)
 		}
+	}
+}
+
+// TestZeroConfigLoggerDiscards: a Config without a Logger still yields a
+// usable one, and it writes nothing at any level.
+func TestZeroConfigLoggerDiscards(t *testing.T) {
+	lg := New(Config{}).Logger()
+	if lg == nil {
+		t.Fatal("Logger() is nil")
+	}
+	if lg.Handler() != slog.DiscardHandler {
+		t.Errorf("handler = %T, want slog.DiscardHandler", lg.Handler())
+	}
+	for _, lvl := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if lg.Enabled(context.Background(), lvl) {
+			t.Errorf("level %v enabled on the zero Config's logger", lvl)
+		}
+		lg.Log(context.Background(), lvl, "x", "k", 1)
 	}
 }

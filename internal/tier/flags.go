@@ -2,6 +2,7 @@ package tier
 
 import (
 	"flag"
+	"log/slog"
 	"strings"
 
 	olog "repro/internal/obs/log"
@@ -13,7 +14,7 @@ import (
 // spec fails the parse.
 type Flags struct {
 	// Logger builds the logger the flags describe; call it after Parse.
-	Logger func() *olog.Logger
+	Logger func() *slog.Logger
 	// SLOs are the -slo objectives; DebugAddr goes to Tier.ServeDebug.
 	SLOs      []slo.Objective
 	DebugAddr string

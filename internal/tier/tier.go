@@ -15,6 +15,7 @@ import (
 	"encoding"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"maps"
 	"net"
 	"net/http"
@@ -26,7 +27,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/events"
-	olog "repro/internal/obs/log"
 	"repro/internal/obs/slo"
 	"repro/internal/obs/tsdb"
 	"repro/pkg/api"
@@ -38,7 +38,7 @@ type Config struct {
 	Name       string // tier label on spans, events and history ("serve", "shard")
 	SpanPrefix string // request-span name prefix ("server:", "router:")
 	Addr       string // listen address
-	Logger     *olog.Logger
+	Logger     *slog.Logger
 
 	TraceCapacity   int
 	HistoryInterval time.Duration
@@ -82,6 +82,9 @@ type Tier struct {
 // registry the history store samples. The history sampler is not started;
 // the owning tier does that when it goes live.
 func New(cfg Config) *Tier {
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 	t := &Tier{
@@ -114,8 +117,8 @@ func (t *Tier) History() *tsdb.Store { return t.history }
 // SLO exposes the burn-rate engine behind /debug/slo.
 func (t *Tier) SLO() *slo.Engine { return t.sloEng }
 
-// Logger returns the configured logger (nil discards).
-func (t *Tier) Logger() *olog.Logger { return t.cfg.Logger }
+// Logger returns the configured logger, or one that discards.
+func (t *Tier) Logger() *slog.Logger { return t.cfg.Logger }
 
 // CountRequests installs the series the middleware accounts every routed
 // request on. Call it before the tier serves.
@@ -205,7 +208,7 @@ func (t *Tier) instrument(route string, h HandlerFunc) http.HandlerFunc {
 			span.SetAttr("error", string(api.AsError(err).Code))
 		}
 		span.End()
-		if logger.Enabled(olog.LevelDebug) || err != nil {
+		if logger.Enabled(ctx, slog.LevelDebug) || err != nil {
 			kv := []any{"route", route, "method", r.Method,
 				"trace", span.TraceID(), "seconds", d.Seconds()}
 			if err != nil {
