@@ -16,6 +16,8 @@
 // (including fsync errors) surface as typed api.CodeUnavailable errors
 // and latch the log failed — a replica that cannot persist a submission
 // must refuse it rather than silently degrade to at-most-once.
+// SubmitRecord and TerminalRecord are the one home of the submit and
+// terminal record formats, for live jobs and recovery's re-appends alike.
 //
 // For fault injection, the SICKLE_CRASH_POINT environment variable, read
 // when the log opens, names a stage at which the log freezes: that append
@@ -74,9 +76,6 @@ const (
 	KindTerminal Kind = "terminal"
 )
 
-// stage maps a record kind to its crash-point stage name.
-func stage(k Kind) string { return string(k) }
-
 // Record is one WAL entry. Submit carries Type/Key/Payload, terminal
 // carries State/Error/Result; Time is the event time
 // (created/started/finished).
@@ -93,20 +92,26 @@ type Record struct {
 }
 
 // JobRecord is a job's state folded from its WAL records, in submission
-// order. State is api.JobPending if the job never started, api.JobRunning
-// if a start record was seen without a terminal one, else the terminal
-// state.
+// order. Job.State is api.JobPending if the job never started,
+// api.JobRunning if a start record was seen without a terminal one, else
+// the terminal state.
 type JobRecord struct {
-	ID       string
-	Type     api.JobType
-	Key      string
-	Payload  json.RawMessage
-	State    api.JobState
-	Err      *api.Error
-	Result   json.RawMessage
-	Created  time.Time
-	Started  time.Time
-	Finished time.Time
+	Job             api.Job
+	Payload, Result json.RawMessage
+}
+
+// SubmitRecord admits job, with the serialized submission recovery
+// rebuilds its runner from.
+func SubmitRecord(job api.Job, payload json.RawMessage) Record {
+	return Record{Kind: KindSubmit, ID: job.ID, Type: string(job.Type),
+		Key: job.IdempotencyKey, Payload: payload, Time: job.CreatedAt}
+}
+
+// TerminalRecord ends job, with a succeeded job's serialized result (nil
+// when there is none to keep).
+func TerminalRecord(job api.Job, result json.RawMessage) Record {
+	return Record{Kind: KindTerminal, ID: job.ID, State: string(job.State),
+		Error: job.Error, Result: result, Time: job.FinishedAt}
 }
 
 // Log is the write-ahead job log. Safe for concurrent use; each append
@@ -196,7 +201,7 @@ func (l *Log) Append(rec Record) error {
 	if l.failed != nil {
 		return l.failed
 	}
-	st := stage(rec.Kind)
+	st := string(rec.Kind) // a kind is its crash-point stage name
 	l.hit("before:" + st)
 	if l.frozen {
 		return nil
@@ -333,41 +338,28 @@ func readWAL(path string) ([]Record, error) {
 
 // reduce folds raw records into per-job state, in first-submit order.
 func reduce(recs []Record) []JobRecord {
-	byID := make(map[string]*JobRecord)
-	var order []string
-	for i := range recs {
-		r := &recs[i]
-		switch r.Kind {
-		case KindSubmit:
-			if _, ok := byID[r.ID]; ok {
-				continue
-			}
-			byID[r.ID] = &JobRecord{
-				ID:      r.ID,
-				Type:    api.JobType(r.Type),
-				Key:     r.Key,
-				Payload: r.Payload,
-				State:   api.JobPending,
-				Created: r.Time,
-			}
-			order = append(order, r.ID)
-		case KindStart:
-			if j := byID[r.ID]; j != nil && !j.State.Terminal() {
-				j.State = api.JobRunning
-				j.Started = r.Time
-			}
-		case KindTerminal:
-			if j := byID[r.ID]; j != nil {
-				j.State = api.JobState(r.State)
-				j.Err = r.Error
-				j.Result = r.Result
-				j.Finished = r.Time
-			}
+	var out []JobRecord
+	at := make(map[string]int) // job ID -> its index in out
+	for _, r := range recs {
+		i, seen := at[r.ID]
+		switch {
+		case !seen && r.Kind == KindSubmit:
+			at[r.ID] = len(out)
+			out = append(out, JobRecord{Job: api.Job{
+				ID: r.ID, Type: api.JobType(r.Type), State: api.JobPending,
+				CreatedAt: r.Time, IdempotencyKey: r.Key,
+			}, Payload: r.Payload})
+		case !seen:
+			// a start or terminal record whose submit the log does not hold
+		case r.Kind == KindStart && !out[i].Job.State.Terminal():
+			out[i].Job.State = api.JobRunning
+			out[i].Job.StartedAt = r.Time
+		case r.Kind == KindTerminal:
+			out[i].Job.State = api.JobState(r.State)
+			out[i].Job.Error = r.Error
+			out[i].Job.FinishedAt = r.Time
+			out[i].Result = r.Result
 		}
-	}
-	out := make([]JobRecord, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
 	}
 	return out
 }

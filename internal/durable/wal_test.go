@@ -22,14 +22,12 @@ func openSealed(t *testing.T, dir string) (*Store, []JobRecord) {
 	// Re-append everything the previous incarnation had, like the server
 	// does, so multi-reopen tests don't lose records to compaction.
 	for _, r := range recs {
-		st.WAL.Append(Record{Kind: KindSubmit, ID: r.ID, Type: string(r.Type),
-			Key: r.Key, Payload: r.Payload, Time: r.Created})
-		if r.State == api.JobRunning {
-			st.WAL.Append(Record{Kind: KindStart, ID: r.ID, Time: r.Started})
+		st.WAL.Append(SubmitRecord(r.Job, r.Payload))
+		if r.Job.State == api.JobRunning {
+			st.WAL.Append(Record{Kind: KindStart, ID: r.Job.ID, Time: r.Job.StartedAt})
 		}
-		if r.State.Terminal() {
-			st.WAL.Append(Record{Kind: KindTerminal, ID: r.ID, State: string(r.State),
-				Error: r.Err, Result: r.Result, Time: r.Finished})
+		if r.Job.State.Terminal() {
+			st.WAL.Append(TerminalRecord(r.Job, r.Result))
 		}
 	}
 	if err := st.Seal(); err != nil {
@@ -69,17 +67,17 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d jobs, want 2", len(recs2))
 	}
 	j1, j2 := recs2[0], recs2[1]
-	if j1.ID != "job-1" || j1.State != api.JobSucceeded || j1.Key != "k1" ||
-		string(j1.Payload) != `{"type":"subsample"}` || j1.Type != api.JobSubsample {
+	if j1.Job.ID != "job-1" || j1.Job.State != api.JobSucceeded || j1.Job.IdempotencyKey != "k1" ||
+		string(j1.Payload) != `{"type":"subsample"}` || j1.Job.Type != api.JobSubsample {
 		t.Fatalf("job-1 folded wrong: %+v", j1)
 	}
 	if string(j1.Result) != `{"subsample":{"dataset":"GESTS-2048","points":410}}` {
 		t.Fatalf("job-1 result = %s, want the terminal record's bytes", j1.Result)
 	}
-	if !j1.Created.Equal(now) {
-		t.Fatalf("job-1 created %v, want %v", j1.Created, now)
+	if !j1.Job.CreatedAt.Equal(now) {
+		t.Fatalf("job-1 created %v, want %v", j1.Job.CreatedAt, now)
 	}
-	if j2.ID != "job-2" || j2.State != api.JobRunning {
+	if j2.Job.ID != "job-2" || j2.Job.State != api.JobRunning {
 		t.Fatalf("job-2 folded wrong: %+v", j2)
 	}
 }
@@ -94,11 +92,11 @@ func TestWALTerminalError(t *testing.T) {
 
 	st2, recs := openSealed(t, dir)
 	defer st2.Close()
-	if len(recs) != 1 || recs[0].State != api.JobFailed {
+	if len(recs) != 1 || recs[0].Job.State != api.JobFailed {
 		t.Fatalf("folded %+v", recs)
 	}
-	if recs[0].Err == nil || recs[0].Err.Code != api.CodeInvalidArgument {
-		t.Fatalf("error not preserved: %+v", recs[0].Err)
+	if recs[0].Job.Error == nil || recs[0].Job.Error.Code != api.CodeInvalidArgument {
+		t.Fatalf("error not preserved: %+v", recs[0].Job.Error)
 	}
 }
 
@@ -119,7 +117,7 @@ func TestWALTornTail(t *testing.T) {
 
 	st2, recs := openSealed(t, dir)
 	defer st2.Close()
-	if len(recs) != 1 || recs[0].ID != "job-1" {
+	if len(recs) != 1 || recs[0].Job.ID != "job-1" {
 		t.Fatalf("torn tail: replayed %+v", recs)
 	}
 }
@@ -145,7 +143,7 @@ func TestWALCorruptFrameStopsReplay(t *testing.T) {
 
 	st2, recs := openSealed(t, dir)
 	defer st2.Close()
-	if len(recs) != 1 || recs[0].ID != "job-1" {
+	if len(recs) != 1 || recs[0].Job.ID != "job-1" {
 		t.Fatalf("corrupt frame: replayed %+v", recs)
 	}
 }
@@ -196,7 +194,7 @@ func TestWALCrashPointFreezesLog(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("replayed %d jobs, want 1 (job-2 was post-crash)", len(recs))
 	}
-	if recs[0].ID != "job-1" || recs[0].State != api.JobRunning {
+	if recs[0].Job.ID != "job-1" || recs[0].Job.State != api.JobRunning {
 		t.Fatalf("job-1 should have crashed mid-run: %+v", recs[0])
 	}
 }

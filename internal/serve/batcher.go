@@ -45,7 +45,7 @@ type inferResult struct {
 // systems. A call's items are admitted under one hold of b.mu, and a
 // dispatcher takes and releases b.mu before it collects, so a call that
 // was mid-admission is queued whole: a lone call of up to MaxBatch items
-// is one batch.
+// is one batch. A batch of mixed input shapes runs one pass per shape.
 //
 // Row independence of the Table 2 architectures (matmuls, layer norms,
 // attention and convolutions never mix batch rows) makes batched outputs
@@ -235,7 +235,6 @@ func (b *Batcher) dispatch(model string, q chan *inferRequest) {
 				break collect
 			}
 		}
-		b.met.ObserveBatch(len(batch))
 		go func() {
 			defer func() { <-b.slots }()
 			b.runBatch(model, batch)
@@ -243,36 +242,50 @@ func (b *Batcher) dispatch(model string, q chan *inferRequest) {
 	}
 }
 
-// runBatch stacks the batch, runs one forward pass on a pooled replica,
-// and scatters the output rows back to the waiting requests. Requests
-// whose context died while queued are answered (typed canceled error) and
-// dropped before any compute is spent on them.
+// runBatch answers the requests whose context died while queued (typed
+// canceled error) and drops them before any compute is spent on them,
+// closes each remaining request's queue span, then runs one forward pass
+// per input shape: the first request's shape and every request sharing
+// it, then the rest the same way. Mixed shapes cannot share a pass, and
+// splitting rather than rejecting keeps clients with heterogeneous
+// windows working.
 func (b *Batcher) runBatch(model string, batch []*inferRequest) {
 	live := batch[:0]
+	dispatched := time.Now()
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
 			r.resp <- inferResult{err: api.AsError(err)}
 			continue
 		}
 		live = append(live, r)
-	}
-	batch = live
-	if len(batch) == 0 {
-		return
-	}
-	// Close out each traced request's queue phase: time from admission to
-	// the batch actually running.
-	dispatched := time.Now()
-	for _, r := range batch {
-		if r.tc.TraceID == "" {
-			continue
+		if r.tc.TraceID != "" {
+			b.tracer.Record(obs.Span{
+				TraceID: r.tc.TraceID, SpanID: api.NewSpanID(), ParentID: r.tc.SpanID,
+				Name: "queue:" + model, Start: r.enqueued,
+				Seconds: dispatched.Sub(r.enqueued).Seconds(),
+			})
 		}
-		b.tracer.Record(obs.Span{
-			TraceID: r.tc.TraceID, SpanID: api.NewSpanID(), ParentID: r.tc.SpanID,
-			Name: "queue:" + model, Start: r.enqueued,
-			Seconds: dispatched.Sub(r.enqueued).Seconds(),
-		})
 	}
+	for batch = live; len(batch) > 0; {
+		// Partition in place: the requests sharing batch[0]'s shape move
+		// to the front, in order.
+		n := 1
+		for i := 1; i < len(batch); i++ {
+			if slices.Equal(batch[i].input.Shape, batch[0].input.Shape) {
+				batch[n], batch[i] = batch[i], batch[n]
+				n++
+			}
+		}
+		b.met.ObserveBatch(n)
+		b.runPass(model, batch[:n])
+		batch = batch[n:]
+	}
+}
+
+// runPass stacks a batch of one input shape, runs one forward pass on a
+// pooled replica, and scatters the output rows back to the waiting
+// requests.
+func (b *Batcher) runPass(model string, batch []*inferRequest) {
 	fail := func(err error) {
 		for _, r := range batch {
 			r.resp <- inferResult{err: err}
@@ -283,21 +296,6 @@ func (b *Batcher) runBatch(model string, batch []*inferRequest) {
 		fail(api.Errorf(api.CodeModelNotFound, "serve: model %q disappeared", model))
 		return
 	}
-	shape := batch[0].input.Shape
-	for _, r := range batch[1:] {
-		if !slices.Equal(r.input.Shape, shape) {
-			// Mixed shapes cannot share a forward pass; split rather than
-			// reject, so clients with heterogeneous windows still work.
-			b.runBatch(model, []*inferRequest{r})
-		}
-	}
-	uniform := batch[:0]
-	for _, r := range batch {
-		if slices.Equal(r.input.Shape, shape) {
-			uniform = append(uniform, r)
-		}
-	}
-	batch = uniform
 
 	// recordExec stamps each traced request's execute span: replica
 	// acquisition + the shared forward pass, with the realized batch size.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,12 +25,19 @@ type JobRunner func(ctx context.Context, progress func(stage string, done, total
 // JobManager owns the server's asynchronous work: submissions enter a
 // bounded admission set, at most `workers` jobs run concurrently (each
 // under its own cancellable context), and terminal jobs linger for `ttl`
-// so clients can fetch status/results before the record expires.
+// so clients can fetch status/results before the record expires — at most
+// 4×maxJobs of them, the oldest finished going first.
 type JobManager struct {
 	mu    sync.Mutex
 	jobs  map[string]*jobEntry
 	byKey map[string]string // idempotency key -> job ID, for dedup on retry
 	seq   int
+
+	// active counts the non-terminal jobs, the ones admission limits;
+	// finished holds the terminal ones in FinishedAt order, oldest first,
+	// so retention pops from its front.
+	active   int
+	finished []*jobEntry
 
 	// wal persists job state, results included, across restarts; nil
 	// runs in-memory (the pre-durability behavior). walErr observes
@@ -64,7 +72,6 @@ type jobEntry struct {
 	run    JobRunner
 	done   chan struct{} // closed when the job reaches a terminal state
 	tc     api.TraceContext
-	key    string // idempotency key, for byKey cleanup on purge
 }
 
 // Job-manager defaults; a Server runs with the first two, and
@@ -174,24 +181,17 @@ func (jm *JobManager) Submit(ctx context.Context, typ api.JobType, run JobRunner
 	// Only live (non-terminal) jobs count against admission: retained
 	// finished jobs are history, not load, and counting them would turn
 	// maxJobs into a hard rate limit of maxJobs-per-TTL on an idle server.
-	active := 0
-	for _, j := range jm.jobs {
-		if !j.status.State.Terminal() {
-			active++
-		}
-	}
-	if active >= jm.maxJobs {
+	if jm.active >= jm.maxJobs {
 		return api.Job{}, false, api.Errorf(api.CodeOverloaded,
-			"serve: job queue full (%d active jobs)", active).WithRetryAfter(5)
+			"serve: job queue full (%d active jobs)", jm.active).WithRetryAfter(5)
 	}
 	jm.seq++
-	id := fmt.Sprintf("job-%d", jm.seq)
-	created := jm.now()
+	status := api.Job{
+		ID: fmt.Sprintf("job-%d", jm.seq), Type: typ, State: api.JobPending,
+		CreatedAt: jm.now(), IdempotencyKey: opts.Key,
+	}
 	if jm.wal != nil {
-		if err := jm.wal.Append(durable.Record{
-			Kind: durable.KindSubmit, ID: id, Type: string(typ),
-			Key: opts.Key, Payload: opts.Payload, Time: created,
-		}); err != nil {
+		if err := jm.wal.Append(durable.SubmitRecord(status, opts.Payload)); err != nil {
 			return api.Job{}, false, err
 		}
 	}
@@ -199,21 +199,12 @@ func (jm *JobManager) Submit(ctx context.Context, typ api.JobType, run JobRunner
 	if tc.TraceID != "" {
 		jobCtx = api.WithTrace(jobCtx, tc)
 	}
-	j := &jobEntry{
-		status: api.Job{
-			ID: id, Type: typ, State: api.JobPending, CreatedAt: created,
-			IdempotencyKey: opts.Key,
-		},
-		cancel: cancel,
-		run:    run,
-		done:   make(chan struct{}),
-		tc:     tc,
-		key:    opts.Key,
-	}
-	jm.jobs[id] = j
+	j := &jobEntry{status: status, cancel: cancel, run: run, done: make(chan struct{}), tc: tc}
+	jm.jobs[status.ID] = j
 	if opts.Key != "" {
-		jm.byKey[opts.Key] = id
+		jm.byKey[opts.Key] = status.ID
 	}
+	jm.active++
 	jm.wg.Add(1)
 	go jm.execute(jobCtx, j)
 	return j.status, false, nil
@@ -234,23 +225,19 @@ func (jm *JobManager) Restore(job api.Job, run JobRunner, result *api.JobResult)
 		}
 	}
 	jobCtx, cancel := context.WithCancel(jm.root)
-	j := &jobEntry{
-		status: job,
-		cancel: cancel,
-		run:    run,
-		done:   make(chan struct{}),
-		key:    job.IdempotencyKey,
-	}
+	j := &jobEntry{status: job, cancel: cancel, run: run, done: make(chan struct{})}
 	jm.jobs[job.ID] = j
 	if job.IdempotencyKey != "" {
 		jm.byKey[job.IdempotencyKey] = job.ID
 	}
 	if job.State.Terminal() {
 		j.result = result
+		jm.retainLocked(j)
 		close(j.done)
 		cancel()
 		return
 	}
+	jm.active++
 	j.status.State = api.JobPending
 	j.status.Progress = api.JobProgress{}
 	j.status.StartedAt = time.Time{}
@@ -350,20 +337,18 @@ func (jm *JobManager) finish(j *jobEntry, res *api.JobResult, err error) {
 	// Jobs interrupted by shutdown keep their non-terminal WAL state on
 	// purpose: a drained replica's in-flight jobs resume on restart.
 	if jm.wal != nil && !(jm.closed && j.status.State == api.JobCanceled) {
-		rec := durable.Record{
-			Kind: durable.KindTerminal, ID: j.status.ID,
-			State: string(j.status.State), Error: j.status.Error,
-			Time: j.status.FinishedAt,
-		}
+		var result json.RawMessage
 		if j.status.State == api.JobSucceeded && j.result != nil {
 			if b, merr := json.Marshal(j.result); merr == nil {
-				rec.Result = b
+				result = b
 			}
 		}
-		if werr := jm.wal.Append(rec); werr != nil {
+		if werr := jm.wal.Append(durable.TerminalRecord(j.status, result)); werr != nil {
 			jm.reportWALErr(werr)
 		}
 	}
+	jm.active--
+	jm.retainLocked(j)
 	if j.tc.TraceID != "" {
 		jm.tracer.Record(obs.Span{
 			TraceID: j.tc.TraceID, SpanID: api.NewSpanID(), ParentID: j.tc.SpanID,
@@ -379,40 +364,40 @@ func (jm *JobManager) finish(j *jobEntry, res *api.JobResult, err error) {
 	close(j.done)
 }
 
+// retainLocked files a job that just turned terminal into finished at
+// its FinishedAt position: the end for a live finish, anywhere for a
+// recovered job, since the WAL replays in submit order, not finish order.
+// Callers hold jm.mu.
+func (jm *JobManager) retainLocked(j *jobEntry) {
+	at := j.status.FinishedAt
+	i := len(jm.finished)
+	for i > 0 && at.Before(jm.finished[i-1].status.FinishedAt) {
+		i--
+	}
+	jm.finished = slices.Insert(jm.finished, i, j)
+}
+
 // purgeLocked drops terminal jobs older than the retention TTL and, if
 // history still outnumbers 4×maxJobs, the oldest terminal jobs beyond that
 // cap — memory stays bounded even under a submit storm faster than the
-// TTL. Callers hold jm.mu.
+// TTL. Both are a prefix of finished, so it pops from the front, freeing
+// each job's idempotency key too. The WAL needs no delete record: expired
+// jobs are simply not re-appended at the next compaction. Callers hold
+// jm.mu.
 func (jm *JobManager) purgeLocked() {
 	cutoff := jm.now().Add(-jm.ttl)
-	var terminal []*jobEntry
-	for id, j := range jm.jobs {
-		if !j.status.State.Terminal() {
-			continue
+	for len(jm.finished) > 0 {
+		j := jm.finished[0]
+		if !j.status.FinishedAt.Before(cutoff) && len(jm.finished) <= 4*jm.maxJobs {
+			return
 		}
-		if j.status.FinishedAt.Before(cutoff) {
-			jm.dropLocked(id, j)
-			continue
+		id, key := j.status.ID, j.status.IdempotencyKey
+		delete(jm.jobs, id)
+		if key != "" && jm.byKey[key] == id {
+			delete(jm.byKey, key)
 		}
-		terminal = append(terminal, j)
-	}
-	if excess := len(terminal) - 4*jm.maxJobs; excess > 0 {
-		sort.Slice(terminal, func(a, b int) bool {
-			return terminal[a].status.FinishedAt.Before(terminal[b].status.FinishedAt)
-		})
-		for _, j := range terminal[:excess] {
-			jm.dropLocked(j.status.ID, j)
-		}
-	}
-}
-
-// dropLocked removes one expired job and its idempotency-key
-// reservation. The WAL needs no delete record — expired jobs are simply
-// not re-appended at the next compaction. Callers hold jm.mu.
-func (jm *JobManager) dropLocked(id string, j *jobEntry) {
-	delete(jm.jobs, id)
-	if j.key != "" && jm.byKey[j.key] == id {
-		delete(jm.byKey, j.key)
+		jm.finished[0] = nil
+		jm.finished = jm.finished[1:]
 	}
 }
 

@@ -42,7 +42,8 @@ func newMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-// ObserveBatch records one dispatched micro-batch of the given size.
+// ObserveBatch records one forward pass over a micro-batch of the given
+// size.
 func (m *Metrics) ObserveBatch(size int) {
 	m.batch.Observe(float64(size))
 }

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -247,30 +248,49 @@ func TestInferCallIsOneBatch(t *testing.T) {
 
 // TestMixedShapeCallSplits: the LSTM takes any window length, so one call
 // mixing T=3 and T=5 items reaches the batcher as one batch of two shapes.
-// Each shape runs as its own forward pass, and every output is bit-equal
-// to the item's unbatched run.
+// Each shape runs as exactly one forward pass, whichever shape comes
+// first and however the two interleave, and every output is bit-equal to
+// the item's unbatched run.
 func TestMixedShapeCallSplits(t *testing.T) {
 	s, ref := newTestServer(t, Config{MaxBatch: 8})
 	rng := rand.New(rand.NewSource(17))
-	long := api.InferItem{Shape: []int{5, 4}, Data: make([]float64, 5*4)}
-	for i := range long.Data {
-		long.Data[i] = rng.NormFloat64()
-	}
-	req := &api.InferRequest{Model: "m", Items: []api.InferItem{randomItem(rng), long, randomItem(rng), randomItem(rng)}}
-	resp, err := s.doInfer(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, item := range req.Items {
-		want := 3 // the three T=3 items share a pass
-		if i == 1 {
-			want = 1
+	long := func() api.InferItem {
+		item := api.InferItem{Shape: []int{5, 4}, Data: make([]float64, 5*4)}
+		for i := range item.Data {
+			item.Data[i] = rng.NormFloat64()
 		}
-		if resp.BatchSizes[i] != want {
-			t.Errorf("item %d (shape %v) rode in a batch of %d, want %d", i, item.Shape, resp.BatchSizes[i], want)
+		return item
+	}
+	for _, tc := range []struct {
+		windows []int // each item's T
+		want    []int // the batch size each item rode in
+	}{
+		{[]int{3, 5, 3, 3}, []int{3, 1, 3, 3}},
+		{[]int{3, 5, 3, 5, 5}, []int{2, 3, 2, 3, 3}},
+	} {
+		req := &api.InferRequest{Model: "m"}
+		for _, w := range tc.windows {
+			if w == 5 {
+				req.Items = append(req.Items, long())
+			} else {
+				req.Items = append(req.Items, randomItem(rng))
+			}
 		}
-		if err := checkOutput(resp.Outputs[i], expect(ref, item)); err != nil {
-			t.Errorf("item %d (shape %v): %v", i, item.Shape, err)
+		before := s.met.batch.Count()
+		resp, err := s.doInfer(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.met.batch.Count() - before; got != 2 {
+			t.Errorf("windows %v: %d forward passes observed, want 2 (one per shape)", tc.windows, got)
+		}
+		if !slices.Equal(resp.BatchSizes, tc.want) {
+			t.Errorf("windows %v: BatchSizes %v, want %v", tc.windows, resp.BatchSizes, tc.want)
+		}
+		for i, item := range req.Items {
+			if err := checkOutput(resp.Outputs[i], expect(ref, item)); err != nil {
+				t.Errorf("windows %v, item %d (shape %v): %v", tc.windows, i, item.Shape, err)
+			}
 		}
 	}
 }

@@ -181,35 +181,19 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 	}
 	var restores []restore
 	for _, rec := range records {
-		job := api.Job{
-			ID: rec.ID, Type: rec.Type, State: rec.State, Error: rec.Err,
-			CreatedAt: rec.Created, StartedAt: rec.Started, FinishedAt: rec.Finished,
-			IdempotencyKey: rec.Key,
-		}
-		if rec.State.Terminal() && time.Since(rec.Finished) > defaultJobTTL {
+		job := rec.Job
+		if job.State.Terminal() && time.Since(job.FinishedAt) > defaultJobTTL {
 			wal.CountRecovered("dropped")
 			continue
 		}
-		reappendSubmit := func() {
-			wal.Append(durable.Record{
-				Kind: durable.KindSubmit, ID: rec.ID, Type: string(rec.Type),
-				Key: rec.Key, Payload: rec.Payload, Time: rec.Created,
-			})
-		}
-		reappendTerminal := func(j api.Job, result json.RawMessage) {
-			wal.Append(durable.Record{
-				Kind: durable.KindTerminal, ID: j.ID, State: string(j.State),
-				Error: j.Error, Result: result, Time: j.FinishedAt,
-			})
-		}
+		wal.Append(durable.SubmitRecord(job, rec.Payload))
 		var result *api.JobResult
-		if rec.State == api.JobSucceeded && (json.Unmarshal(rec.Result, &result) != nil || result == nil) {
+		if job.State == api.JobSucceeded && (json.Unmarshal(rec.Result, &result) != nil || result == nil) {
 			// Succeeded without a usable result: run it again.
 			job.State, job.FinishedAt = api.JobPending, time.Time{}
 		}
 		if job.State.Terminal() {
-			reappendSubmit()
-			reappendTerminal(job, rec.Result)
+			wal.Append(durable.TerminalRecord(job, rec.Result))
 			restores = append(restores, restore{job: job, result: result, action: "restored"})
 			continue
 		}
@@ -223,14 +207,12 @@ func (s *Server) recoverJobs(records []durable.JobRecord) {
 			// gets a truthful terminal answer instead of a vanished job.
 			job.State = api.JobFailed
 			job.Error = api.Errorf(api.CodeInternal,
-				"serve: job %s interrupted by restart; submission payload unrecoverable", rec.ID)
+				"serve: job %s interrupted by restart; submission payload unrecoverable", job.ID)
 			job.FinishedAt = time.Now()
-			reappendSubmit()
-			reappendTerminal(job, nil)
+			wal.Append(durable.TerminalRecord(job, nil))
 			restores = append(restores, restore{job: job, action: "interrupted"})
 			continue
 		}
-		reappendSubmit()
 		restores = append(restores, restore{job: job, run: runner, action: "reenqueued"})
 	}
 	// Seal first so the runners the restores spawn append to a log whose
