@@ -135,26 +135,23 @@ func (c *ConvTranspose3D) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *ten
 
 // addItemGrads adds a batch's kernel and bias gradients to w and bias one
 // item at a time, each partial from zero, in batch order. Item bi's kernel
-// partial has Σ_z a[bi, r, z]·rows[bi·V + z, :] in row r, for a channel-
-// major a [B, R, V] (a zero adds nothing) and block rows [B·V, cols]; its
-// bias partial has the sums of dy's channels.
+// partial is a_bi·rows_bi — a channel-major a [B, R, V] times block rows
+// [B·V, cols], one MatMulAccum per item (a zero in a adds nothing); its
+// bias partial has the sums of dy's channels. The three matmul headers
+// come from the workspace once and are re-pointed at each item, so no
+// item allocates.
 func addItemGrads(s *tensor.Workspace, w, bias *Param, a, rows, dy []float64, b, cols int) {
 	wl, co := w.Grad.Len(), bias.Grad.Len()
 	r, v, n := wl/cols, len(rows)/(b*cols), len(dy)/(b*co)
 	part := s.New(wl + co).Data
+	pw := s.View(&tensor.Tensor{Data: part[:wl]}, r, cols)
+	ai := s.View(&tensor.Tensor{Data: a[:r*v]}, r, v)
+	ri := s.View(&tensor.Tensor{Data: rows[:v*cols]}, v, cols)
 	for bi := 0; bi < b; bi++ {
 		clear(part)
-		for ri := 0; ri < r; ri++ {
-			wr := part[ri*cols : (ri+1)*cols]
-			for z, av := range a[(bi*r+ri)*v : (bi*r+ri+1)*v] {
-				if av == 0 {
-					continue
-				}
-				for l, rv := range rows[(bi*v+z)*cols : (bi*v+z+1)*cols] {
-					wr[l] += av * rv
-				}
-			}
-		}
+		ai.Data = a[bi*r*v : (bi+1)*r*v]
+		ri.Data = rows[bi*v*cols : (bi+1)*v*cols]
+		tensor.MatMulAccum(pw, ai, ri)
 		for i, g := range dy[bi*co*n : (bi+1)*co*n] {
 			part[wl+i/n] += g
 		}

@@ -65,7 +65,8 @@ func (rt *Router) handleAdminListReplicas(w http.ResponseWriter, _ *http.Request
 // handleAdminJoinReplica brings a running backend into the ring: create it
 // as a pending (off-ring) member, health-check it, warm-prefetch the
 // fleet's model catalog onto it, and only then admit it — a newcomer never
-// takes keyed traffic with a cold cache.
+// takes keyed traffic with a cold cache, whatever the prober sees of it
+// meanwhile.
 func (rt *Router) handleAdminJoinReplica(w http.ResponseWriter, r *http.Request) error {
 	var req api.JoinReplicaRequest
 	if err := tier.DecodeBody(r, &req); err != nil {
@@ -124,7 +125,7 @@ func (rt *Router) prefetchModels(ctx context.Context, rep *Replica) []string {
 }
 
 // handleAdminDrainReplica is the rolling-drain orchestration: the replica
-// leaves both rings immediately (no new keyed traffic), its sticky jobs
+// leaves the ring immediately (no new keyed traffic), its sticky jobs
 // bleed to terminal states (bounded by the request context; skipped with
 // ?force=true), and only then is it removed from the membership — into
 // the retired set, so job IDs minted while it was a member keep resolving.

@@ -78,8 +78,8 @@ func (m *Metrics) ObserveRouted(replica string) {
 	m.routed.With(replica).Inc()
 }
 
-// ObserveFailed counts one downstream call that failed on replica (and was
-// failed over or surfaced to the client).
+// ObserveFailed counts one downstream call replica refused: unavailable,
+// overloaded or shutting down.
 func (m *Metrics) ObserveFailed(replica string) {
 	m.failed.With(replica).Inc()
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/obs/events"
 	"repro/internal/tier"
@@ -76,30 +75,30 @@ func submitKey(req *api.SubmitJobRequest) string {
 	return string(req.Type)
 }
 
-// findByKey asks every candidate for the job holding idemKey and returns
-// the first holder's snapshot with every holder's address, in candidate
-// order (nil, nil when none holds it), with route's accounting: a success
-// resets the replica's failure streak, a typed unavailable counts against
-// its health, and any other answer (job_not_found above all) is a miss.
-func (rt *Router) findByKey(ctx context.Context, cands []*Replica, idemKey string) (*api.Job, []jobAddr) {
+// findByKey asks each candidate in turn for the job holding idemKey and
+// returns the first holder's snapshot with every holder's address, in
+// candidate order, each answer accounted by observe (job_not_found is a
+// miss), and a typed unavailable one of them answered, if any did: on a
+// miss, the holder may be the one not reached.
+func (rt *Router) findByKey(ctx context.Context, cands []*Replica, idemKey string) (*api.Job, []jobAddr, error) {
 	var first *api.Job
 	var addrs []jobAddr
+	var unreached error
 	for _, rep := range cands {
 		job, err := rep.C.JobByKey(ctx, idemKey)
-		if err == nil {
-			rt.rs.NoteOK(rep)
-			if first == nil {
-				first = job
+		rt.observe(rep, err)
+		if err != nil {
+			if api.AsError(err).Code == api.CodeUnavailable {
+				unreached = err
 			}
-			addrs = append(addrs, jobAddr{job.ID, rep})
 			continue
 		}
-		if api.AsError(err).Code == api.CodeUnavailable {
-			rt.met.ObserveFailed(rep.ID)
-			rt.rs.NoteFailure(rep, err)
+		if first == nil {
+			first = job
 		}
+		addrs = append(addrs, jobAddr{job.ID, rep})
 	}
-	return first, addrs
+	return first, addrs, unreached
 }
 
 // replicate copies a keyed submission onto the remaining members of its
@@ -115,31 +114,22 @@ func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.Submi
 	if !slices.Contains(owners, admitted.rep) {
 		owners = append(owners, admitted.rep)
 	}
-	addrs := make([]jobAddr, len(owners))
-	var wg sync.WaitGroup
-	for i, rep := range owners {
-		if rep == admitted.rep {
-			addrs[i] = admitted
-			continue
+	copies := fanOut(ctx, rt, owners, admitted.rep, func(ctx context.Context, i int) (*api.Job, error) {
+		return owners[i].C.SubmitJob(ctx, req)
+	})
+	addrs := make([]jobAddr, 0, len(copies))
+	for _, cp := range copies {
+		switch {
+		case cp.rep == admitted.rep:
+			addrs = append(addrs, admitted)
+		case cp.err != nil:
+			rt.met.ownerReplFailures.Inc()
+		default:
+			rt.met.ownerReplications.With(cp.rep.ID).Inc()
+			addrs = append(addrs, jobAddr{cp.val.ID, cp.rep})
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cp, err := rep.C.SubmitJob(ctx, req)
-			if err != nil {
-				rt.met.ownerReplFailures.Inc()
-				if api.AsError(err).Code == api.CodeUnavailable {
-					rt.rs.NoteFailure(rep, err)
-				}
-				return
-			}
-			rt.rs.NoteOK(rep)
-			rt.met.ownerReplications.With(rep.ID).Inc()
-			addrs[i] = jobAddr{cp.ID, rep}
-		}()
 	}
-	wg.Wait()
-	return slices.DeleteFunc(addrs, func(a jobAddr) bool { return a.rep == nil })
+	return addrs
 }
 
 func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
@@ -155,7 +145,7 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	// fleet-level duplicate.
 	if req.IdempotencyKey != "" {
 		owners := rt.rs.Sequence(key, rt.replication)
-		if job, addrs := rt.findByKey(r.Context(), owners, req.IdempotencyKey); job != nil {
+		if job, addrs, _ := rt.findByKey(r.Context(), owners, req.IdempotencyKey); job != nil {
 			rt.met.ownerDedupHits.Inc()
 			tc, _ := api.TraceFrom(r.Context())
 			rt.Journal().Emit(events.TypeDedupHit, "keyed resubmission answered from the owner set",
@@ -192,7 +182,7 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 }
 
 func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
-	lists := gather(r.Context(), rt.rs, func(ctx context.Context, rep *Replica) ([]api.Job, error) {
+	lists := gather(r.Context(), rt, nil, func(ctx context.Context, rep *Replica) ([]api.Job, error) {
 		return rep.C.Jobs(ctx)
 	})
 	if len(lists) == 0 {
@@ -249,14 +239,16 @@ func forwardSticky[T any](rt *Router, w http.ResponseWriter, r *http.Request,
 		return tier.WriteError(w, err)
 	}
 	return answerSticky(rt, w, id, addrs, func(i int) (*T, error) {
-		return call(addrs[i].rep.C, r.Context(), addrs[i].raw)
+		out, err := call(addrs[i].rep.C, r.Context(), addrs[i].raw)
+		rt.observe(addrs[i].rep, err)
+		return out, err
 	}, stamp)
 }
 
-// answerSticky answers from the first address whose attempt is not
-// unavailable, stamped with the ID of that address and those after it
-// (nil stamp: the payload carries no job ID). An accepted ID renders back
-// to itself, so that ID is a suffix of id.
+// answerSticky answers from the first address whose (already accounted)
+// attempt is not unavailable, stamped with the ID of that address and
+// those after it (nil stamp: the payload carries no job ID). An accepted
+// ID renders back to itself, so that ID is a suffix of id.
 func answerSticky[T any](rt *Router, w http.ResponseWriter, id string, addrs []jobAddr,
 	attempt func(int) (*T, error), stamp func(*T, string)) error {
 	var err error
@@ -264,13 +256,11 @@ func answerSticky[T any](rt *Router, w http.ResponseWriter, id string, addrs []j
 		var out *T
 		if out, err = attempt(i); err != nil {
 			if api.AsError(err).Code == api.CodeUnavailable {
-				rt.rs.NoteFailure(a.rep, err)
 				_, id, _ = strings.Cut(id, jobAddrSep)
 				continue
 			}
 			return tier.WriteError(w, err)
 		}
-		rt.rs.NoteOK(a.rep)
 		rt.met.ObserveRouted(a.rep.ID)
 		if stamp != nil {
 			stamp(out, id)
@@ -299,33 +289,35 @@ func (rt *Router) handleCancelJob(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return tier.WriteError(w, err)
 	}
-	outs := make([]*api.Job, len(addrs))
-	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
+	reps := make([]*Replica, len(addrs))
 	for i, a := range addrs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i], errs[i] = a.rep.C.CancelJob(r.Context(), a.raw)
-		}()
+		reps[i] = a.rep
 	}
-	wg.Wait()
-	return answerSticky(rt, w, id, addrs, func(i int) (*api.Job, error) { return outs[i], errs[i] }, setJobID)
+	outs := fanOut(r.Context(), rt, reps, nil, func(ctx context.Context, i int) (*api.Job, error) {
+		return addrs[i].rep.C.CancelJob(ctx, addrs[i].raw)
+	})
+	return answerSticky(rt, w, id, addrs, func(i int) (*api.Job, error) { return outs[i].val, outs[i].err }, setJobID)
 }
 
 // handleGetJobByKey mirrors the replica-side by-key lookup at fleet scope,
-// over every live member (the key may have been owned by a membership
-// that no longer exists), and answers with the ID listing each holder.
+// over every live member (every member when none is up: the key may have
+// been owned by a membership that no longer exists), and answers with the
+// ID listing each holder. While a member that may hold the key is
+// unreachable, a miss is typed unavailable, not job_not_found.
 func (rt *Router) handleGetJobByKey(w http.ResponseWriter, r *http.Request) error {
 	key, err := url.PathUnescape(r.PathValue("key"))
 	if err != nil {
 		return tier.WriteError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
-	job, addrs := rt.findByKey(r.Context(), rt.rs.Live(), key)
-	if job == nil {
-		return tier.WriteError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
+	job, addrs, err := rt.findByKey(r.Context(), rt.rs.liveOrAll(), key)
+	switch {
+	case job != nil:
+		rt.met.ObserveRouted(addrs[0].rep.ID)
+		job.ID = jobID(addrs)
+		return tier.WriteJSON(w, http.StatusOK, job)
+	case err != nil:
+		return tier.WriteError(w, api.Errorf(api.CodeUnavailable,
+			"shard: no reachable replica holds idempotency key %q: %v", key, err))
 	}
-	rt.met.ObserveRouted(addrs[0].rep.ID)
-	job.ID = jobID(addrs)
-	return tier.WriteJSON(w, http.StatusOK, job)
+	return tier.WriteError(w, api.Errorf(api.CodeJobNotFound, "shard: no job under idempotency key %q", key))
 }

@@ -22,12 +22,25 @@ type Replica struct {
 	C   *client.Client
 
 	mu          sync.Mutex
+	state       state // written under the set's mu and r.mu both, so either lock reads it
 	up          bool
-	draining    bool
 	consecFails int
 	lastHealth  api.Health
 	lastErr     error
 }
+
+// state is a replica's place in the membership lifecycle, which only moves
+// forward: pending → active → draining → retired (a pending replica may
+// skip straight to draining or retired). Only active members are on the
+// ring; health never moves a replica between states.
+type state uint8
+
+const (
+	pending  state = iota // added, not yet admitted: takes no keyed traffic
+	active                // admitted: on the ring
+	draining              // leaving: off the ring, still serving its sticky jobs
+	retired               // removed: kept only so the job IDs it minted resolve
+)
 
 // Up reports the replica's current liveness (a draining replica is still
 // up — it keeps serving sticky reads while it bleeds).
@@ -70,21 +83,18 @@ type SetConfig struct {
 	Journal *events.Journal
 }
 
-// ReplicaSet owns the router's replica list, the consistent-hash ring over
-// the live subset, and the health prober that ejects unreachable backends
-// and re-admits them when /healthz answers again. Membership is dynamic:
-// AddReplica/Admit bring a newcomer in (off-ring until admitted, so a cold
-// cache never takes traffic), SetDraining takes one off both rings while
-// its sticky jobs bleed, and RemoveReplica retires it — into the former
-// map, so job IDs minted while it was a member keep resolving for reads.
+// ReplicaSet owns the router's replicas, the consistent-hash ring over the
+// active ones, and the health prober that marks unreachable backends down
+// and up again when /healthz answers. The ring changes only with
+// membership: AddReplica brings a newcomer in pending (off the ring, so a
+// cold cache never takes traffic), Admit makes it active, SetDraining
+// takes it off the ring while its sticky jobs bleed, and RemoveReplica
+// retires it. Health is a flag Sequence reads when it walks the ring.
 type ReplicaSet struct {
-	mu       sync.RWMutex // guards membership (replicas/byID/former/nextID) and both rings
-	replicas []*Replica
-	byID     map[string]*Replica
-	former   map[string]*Replica // removed members, kept resolvable for sticky reads
-	nextID   int                 // monotonic — IDs are never reused, or old sticky IDs would misroute
-	ring     *Ring
-	fullRing *Ring // every admitted member regardless of health — the last-resort order when everything is ejected
+	mu       sync.RWMutex        // guards replicas, byID, ring and every replica's state writes
+	replicas []*Replica          // every replica ever added, in join order
+	byID     map[string]*Replica // the same, by ID: the job IDs a retired replica minted keep resolving
+	ring     *Ring               // the active members, whatever their health
 
 	probeEvery   time.Duration
 	probeTimeout time.Duration
@@ -97,10 +107,11 @@ type ReplicaSet struct {
 	wg       sync.WaitGroup
 }
 
-// NewReplicaSet builds the set with every seed replica initially admitted;
+// NewReplicaSet builds the set with every seed replica added and admitted;
 // the first probe round corrects optimism about backends that are already
 // down. Seed replica IDs are r0, r1, ... in URL order; later joiners
-// continue the sequence and never reuse a retired ID.
+// continue the sequence and never reuse a retired ID. A URL given twice is
+// refused, as a second join of it is.
 func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 	if len(cfg.URLs) == 0 {
 		return nil, fmt.Errorf("shard: replica set needs at least one backend URL")
@@ -117,9 +128,7 @@ func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 	}
 	rs := &ReplicaSet{
 		byID:         map[string]*Replica{},
-		former:       map[string]*Replica{},
 		ring:         NewRing(),
-		fullRing:     NewRing(),
 		probeEvery:   cfg.ProbeEvery,
 		probeTimeout: probeTimeout,
 		failAfter:    cfg.FailAfter,
@@ -127,20 +136,13 @@ func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 		journal:      cfg.Journal,
 		stop:         make(chan struct{}),
 	}
-	for i, url := range cfg.URLs {
-		url = strings.TrimRight(strings.TrimSpace(url), "/")
-		if url == "" {
-			return nil, fmt.Errorf("shard: empty replica URL at position %d", i)
+	for _, url := range cfg.URLs {
+		r, err := rs.AddReplica(url)
+		if err != nil {
+			return nil, err
 		}
-		r := rs.newReplica(fmt.Sprintf("r%d", i), url)
-		r.up = true
-		rs.replicas = append(rs.replicas, r)
-		rs.byID[r.ID] = r
-		rs.ring.Add(r.ID)
-		rs.fullRing.Add(r.ID)
-		met.SetUp(r.ID, true)
+		rs.Admit(r)
 	}
-	rs.nextID = len(cfg.URLs)
 	return rs, nil
 }
 
@@ -214,36 +216,31 @@ func (rs *ReplicaSet) ProbeAll() {
 	wg.Wait()
 }
 
-// NoteOK records a successful routed call: the replica is demonstrably
-// alive, so its failure streak resets and, if it had been ejected, it
-// rejoins the ring without waiting for the next probe.
-func (rs *ReplicaSet) NoteOK(r *Replica) { rs.noteUp(r, nil) }
+// Observe is the health account of one downstream answer: a success
+// proves the replica up, a typed unavailable counts toward its ejection,
+// and any other answer says nothing about its health.
+func (rs *ReplicaSet) Observe(r *Replica, err error) {
+	switch {
+	case err == nil:
+		rs.noteUp(r, nil)
+	case api.AsError(err).Code == api.CodeUnavailable:
+		rs.NoteFailure(r, err)
+	}
+}
 
-// noteUp and NoteFailure hold rs.mu around both the up-flag decision and
-// the ring mutation (with r.mu nested for the replica fields): deciding
-// under one lock and mutating the ring under another would let a racing
-// success/failure pair strand a healthy replica off the ring (or a dead
-// one on it) permanently. Lock order is always rs.mu → r.mu.
+// noteUp records a successful probe or call: the failure streak resets and
+// the replica is up. Only an active member's return is a re-admission.
 func (rs *ReplicaSet) noteUp(r *Replica, h *api.Health) {
-	rs.mu.Lock()
 	r.mu.Lock()
-	wasUp := r.up
+	readmitted := !r.up && r.state == active
 	r.up = true
 	r.consecFails = 0
 	r.lastErr = nil
 	if h != nil {
 		r.lastHealth = *h
 	}
-	// Only current, non-draining members may (re)join the ring: a probe or
-	// sticky read succeeding against a draining or already-removed replica
-	// must not put it back in the keyed-traffic rotation.
-	member := rs.byID[r.ID] == r && !r.draining
 	r.mu.Unlock()
-	if !wasUp && member {
-		rs.ring.Add(r.ID)
-	}
-	rs.mu.Unlock()
-	if !wasUp && member {
+	if readmitted {
 		rs.met.readmissions.Inc()
 		rs.met.SetUp(r.ID, true)
 		rs.journal.Emit(events.TypeReadmission, "replica re-admitted to the ring", "",
@@ -252,10 +249,9 @@ func (rs *ReplicaSet) noteUp(r *Replica, h *api.Health) {
 }
 
 // NoteFailure records a failed probe or routed call; failAfter consecutive
-// failures eject the replica from the ring until a probe (or routed call)
-// succeeds again.
+// failures mark the replica down until a probe (or routed call) succeeds
+// again. Only an active member's fall is an ejection.
 func (rs *ReplicaSet) NoteFailure(r *Replica, err error) {
-	rs.mu.Lock()
 	r.mu.Lock()
 	r.consecFails++
 	r.lastErr = err
@@ -263,29 +259,22 @@ func (rs *ReplicaSet) NoteFailure(r *Replica, err error) {
 	if eject {
 		r.up = false
 	}
+	eject = eject && r.state == active
 	r.mu.Unlock()
-	if eject {
-		rs.ring.Remove(r.ID)
-	}
-	rs.mu.Unlock()
 	if eject {
 		rs.met.ejections.Inc()
 		rs.met.SetUp(r.ID, false)
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
 		rs.journal.Emit(events.TypeEjection, "replica ejected from the ring", "",
-			"replica", r.ID, "url", r.URL, "error", msg)
+			"replica", r.ID, "url", r.URL, "error", err.Error())
 	}
 }
 
 // ---- dynamic membership ----
 
-// AddReplica creates a pending member for url: in the membership list (so
-// the prober and healthz see it) but off both rings and marked down, so it
-// takes no traffic until Admit. Fails on a URL already fronted by a
-// current member.
+// AddReplica creates a pending member for url: in the membership (so the
+// prober and healthz see it) but off the ring and marked down, so it takes
+// no traffic until Admit. Fails on a URL already fronted by a member that
+// is not retired.
 func (rs *ReplicaSet) AddReplica(url string) (*Replica, error) {
 	url = strings.TrimRight(strings.TrimSpace(url), "/")
 	if url == "" {
@@ -294,124 +283,108 @@ func (rs *ReplicaSet) AddReplica(url string) (*Replica, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for _, r := range rs.replicas {
-		if r.URL == url {
+		if r.URL == url && r.state != retired {
 			return nil, fmt.Errorf("shard: replica %s already fronts %s", r.ID, url)
 		}
 	}
-	r := rs.newReplica(fmt.Sprintf("r%d", rs.nextID), url)
-	rs.nextID++
+	r := rs.newReplica(fmt.Sprintf("r%d", len(rs.replicas)), url)
 	rs.replicas = append(rs.replicas, r)
 	rs.byID[r.ID] = r
 	rs.met.SetUp(r.ID, false)
 	return r, nil
 }
 
-// Admit puts a pending replica on both rings and marks it up — call only
-// after it has passed a health check and been warm-prefetched. A replica
-// that was removed or set draining in the meantime is left alone.
-func (rs *ReplicaSet) Admit(r *Replica) bool {
+// Admit makes a pending replica active — on the ring and up. Call it only
+// after the replica has passed a health check and been warm-prefetched. A
+// replica set draining or removed in the meantime is left alone.
+func (rs *ReplicaSet) Admit(r *Replica) bool { return rs.advance(r, active) }
+
+// SetDraining takes a member off the ring (no new keyed traffic, not even
+// as a last resort) while keeping it in the membership, up, and
+// resolvable — sticky job reads and the bleed-out keep working.
+func (rs *ReplicaSet) SetDraining(id string) (*Replica, bool) {
+	r, ok := rs.Get(id)
+	return r, ok && rs.advance(r, draining)
+}
+
+// RemoveReplica retires a member: off the ring and out of the membership,
+// while job IDs minted while it was a member keep resolving through Get,
+// so clients can still fetch results of jobs that lived on it. The backend
+// process is left running.
+func (rs *ReplicaSet) RemoveReplica(id string) (*Replica, bool) {
+	r, ok := rs.Get(id)
+	return r, ok && rs.advance(r, retired)
+}
+
+// advance moves r forward to state to (staying put is allowed, leaving
+// retired is not) and keeps the ring to exactly the active members.
+// Admission also marks the replica up with a clean streak.
+func (rs *ReplicaSet) advance(r *Replica, to state) bool {
 	rs.mu.Lock()
 	r.mu.Lock()
-	ok := rs.byID[r.ID] == r && !r.draining
+	ok := r.state <= to && r.state != retired
 	if ok {
-		r.up = true
-		r.consecFails = 0
-		r.lastErr = nil
+		r.state = to
+		if to == active {
+			r.up, r.consecFails, r.lastErr = true, 0, nil
+		}
 	}
 	r.mu.Unlock()
-	if ok {
+	switch {
+	case ok && to == active:
 		rs.ring.Add(r.ID)
-		rs.fullRing.Add(r.ID)
+	case ok:
+		rs.ring.Remove(r.ID)
 	}
 	rs.mu.Unlock()
-	if ok {
-		rs.met.SetUp(r.ID, true)
+	if ok && to != draining {
+		rs.met.SetUp(r.ID, to == active)
 	}
 	return ok
 }
 
-// SetDraining takes a member off both rings (no new keyed traffic, not
-// even as a last resort) while keeping it in the membership, up, and
-// resolvable — sticky job reads and the bleed-out keep working.
-func (rs *ReplicaSet) SetDraining(id string) (*Replica, bool) {
-	rs.mu.Lock()
-	r, ok := rs.byID[id]
-	if ok {
-		r.mu.Lock()
-		r.draining = true
-		r.mu.Unlock()
-		rs.ring.Remove(id)
-		rs.fullRing.Remove(id)
-	}
-	rs.mu.Unlock()
-	return r, ok
-}
-
-// RemoveReplica retires a member: off both rings, out of the membership
-// list, into the former map — where job IDs minted while it was a member
-// keep resolving, so clients can still fetch results of jobs that lived
-// on it. The backend process is left running.
-func (rs *ReplicaSet) RemoveReplica(id string) (*Replica, bool) {
-	rs.mu.Lock()
-	r, ok := rs.byID[id]
-	if ok {
-		delete(rs.byID, id)
-		for i, cur := range rs.replicas {
-			if cur == r {
-				rs.replicas = append(rs.replicas[:i], rs.replicas[i+1:]...)
-				break
-			}
-		}
-		rs.former[id] = r
-		rs.ring.Remove(id)
-		rs.fullRing.Remove(id)
-	}
-	rs.mu.Unlock()
-	if ok {
-		rs.met.SetUp(id, false)
-	}
-	return r, ok
-}
-
-// Replicas returns a snapshot of the current membership in join order.
+// Replicas returns a snapshot of the membership — every replica not
+// retired — in join order.
 func (rs *ReplicaSet) Replicas() []*Replica {
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
-	return append([]*Replica(nil), rs.replicas...)
-}
-
-// Live returns the members currently up, in join order (draining members
-// included — they are alive, just off the rings).
-func (rs *ReplicaSet) Live() []*Replica {
-	out := make([]*Replica, 0, 4)
-	for _, r := range rs.Replicas() {
-		if r.Up() {
+	out := make([]*Replica, 0, len(rs.replicas))
+	for _, r := range rs.replicas {
+		if r.state != retired {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// Get resolves a replica by ID — current members first, then retired ones
-// (whose sticky job IDs must keep resolving for reads).
+// liveOrAll returns the members currently up, in join order (pending and
+// draining members included — they are alive, just off the ring), or
+// every member when none is up: a last-resort attempt beats refusing
+// outright, and one success marks its replica up again.
+func (rs *ReplicaSet) liveOrAll() []*Replica {
+	all := rs.Replicas()
+	live := make([]*Replica, 0, len(all))
+	for _, r := range all {
+		if r.Up() {
+			live = append(live, r)
+		}
+	}
+	if len(live) == 0 {
+		return all
+	}
+	return live
+}
+
+// Get resolves a replica by ID, retired ones included (whose sticky job
+// IDs must keep resolving for reads).
 func (rs *ReplicaSet) Get(id string) (*Replica, bool) {
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
-	if r, ok := rs.byID[id]; ok {
-		return r, true
-	}
-	r, ok := rs.former[id]
+	r, ok := rs.byID[id]
 	return r, ok
 }
 
-// RingMembers reports how many replicas are on the live ring.
-func (rs *ReplicaSet) RingMembers() int {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	return rs.ring.Len()
-}
-
-// Owner returns the live replica owning key.
+// Owner returns the replica owning key: the first Sequence offers.
 func (rs *ReplicaSet) Owner(key string) (*Replica, bool) {
 	seq := rs.Sequence(key, 1)
 	if len(seq) == 0 {
@@ -420,45 +393,47 @@ func (rs *ReplicaSet) Owner(key string) (*Replica, bool) {
 	return seq[0], true
 }
 
-// Sequence returns up to n distinct replicas in consistent-hash order for
-// key: the owner first, then the failover candidates. When every replica
-// has been ejected it falls back to the full admitted set in hash order —
-// a last-resort attempt beats refusing outright, and one success
-// re-admits. Replicas reporting themselves degraded (SLO breach) are
-// stably moved behind the healthy candidates: still reachable, tried last.
+// Sequence returns up to n distinct active members in consistent-hash
+// order for key: the first n of the up, healthy members in ring order,
+// then the up but degraded ones (SLO breach: still reachable, tried
+// last). When no member is up it returns the members in ring order — a
+// last-resort attempt beats refusing outright, and one success marks its
+// replica up again. Filtering the one ring's walk keeps its order, so a
+// key moves only when its owner's health or the membership changes.
 func (rs *ReplicaSet) Sequence(key string, n int) []*Replica {
 	rs.mu.RLock()
-	ids := rs.ring.Sequence(key, n)
-	if len(ids) == 0 {
-		ids = rs.fullRing.Sequence(key, n)
-	}
-	reps := make([]*Replica, 0, len(ids))
-	for _, id := range ids {
-		if r, ok := rs.byID[id]; ok {
-			reps = append(reps, r)
-		}
+	ids := rs.ring.Sequence(key, rs.ring.Len())
+	walk := make([]*Replica, len(ids))
+	for i, id := range ids {
+		walk[i] = rs.byID[id]
 	}
 	rs.mu.RUnlock()
-	out := make([]*Replica, 0, len(reps))
-	var degraded []*Replica
-	for _, r := range reps {
-		if r.Degraded() {
+	// Filter in place: out never grows past the element range reads, so
+	// walk stays whole until the first up member is written.
+	var buf [8]*Replica
+	degraded, out := buf[:0], walk[:0]
+	for _, r := range walk {
+		switch {
+		case r.Degraded():
 			degraded = append(degraded, r)
-		} else {
+		case r.Up():
 			out = append(out, r)
 		}
 	}
-	return append(out, degraded...)
+	if out = append(out, degraded...); len(out) == 0 {
+		out = walk
+	}
+	return out[:min(n, len(out))]
 }
 
-// Snapshot returns every current member's state, in join order.
+// Snapshot returns every member's state, in join order.
 func (rs *ReplicaSet) Snapshot() []ReplicaStatus {
 	reps := rs.Replicas()
 	out := make([]ReplicaStatus, 0, len(reps))
 	for _, r := range reps {
 		r.mu.Lock()
 		out = append(out, ReplicaStatus{
-			ID: r.ID, URL: r.URL, Up: r.up, Draining: r.draining,
+			ID: r.ID, URL: r.URL, Up: r.up, Draining: r.state == draining,
 			ConsecFails: r.consecFails, LastErr: r.lastErr, Health: r.lastHealth,
 		})
 		r.mu.Unlock()

@@ -7,9 +7,10 @@
 // listings and the version handshake are scatter-gathered across live
 // backends; jobs stick to the backend that accepted them via a replica
 // suffix baked into the job ID. A health prober ejects backends after
-// consecutive failures and re-admits them when /healthz answers again,
-// mutating the ring so the keyspace re-converges. cmd/sickle-shard is the
-// binary; .github/smoke.sh shard and elastic are its process smokes.
+// consecutive failures and re-admits them when /healthz answers again;
+// the ring holds the admitted members, and routing skips the ejected ones
+// as it walks it. cmd/sickle-shard is the binary; .github/smoke.sh shard
+// and elastic are its process smokes.
 package shard
 
 import (

@@ -97,7 +97,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	t.MetricsRegistry().GaugeFunc("sickle_shard_owner_set_size",
 		"Members in each key's owner set: the replication factor, bounded by ring size.",
-		func() float64 { return float64(min(rt.replication, rt.rs.RingMembers())) })
+		func() float64 { return float64(len(rt.rs.Sequence("", rt.replication))) })
 	rt.routes()
 	return rt, nil
 }
@@ -158,7 +158,8 @@ func (rt *Router) routes() {
 // an idempotency key, which lets the backend deduplicate a resubmission
 // (unkeyed submissions stay at-most-once). Any other answer — success
 // or an application-level error — is final and passes through
-// unchanged. Returns the replica that answered.
+// unchanged. Every attempt is accounted by observe. Returns the replica
+// that answered.
 //
 // Tracing: one route:<key> span covers the whole candidate walk, with one
 // client:<replicaID> child span per attempt; fn receives the attempt's
@@ -188,25 +189,21 @@ func (rt *Router) route(ctx context.Context, key string, retryUnavailable bool, 
 			attempt.SetAttr("error", string(api.AsError(err).Code))
 		}
 		attempt.End()
+		rt.observe(r, err)
 		if err == nil {
 			routeSpan.SetAttr("replica", r.ID)
 			rt.met.ObserveRouted(r.ID)
-			rt.rs.NoteOK(r)
 			return r, nil
 		}
 		lastErr = err
 		switch api.AsError(err).Code {
 		case api.CodeUnavailable:
-			rt.met.ObserveFailed(r.ID)
-			rt.rs.NoteFailure(r, err)
 			if !retryUnavailable {
 				return r, err
 			}
 		case api.CodeOverloaded, api.CodeShuttingDown:
-			// Busy or draining, not dead: try the next ring node without
-			// dinging the replica's health. Nothing was admitted, so this is
-			// safe even for submissions.
-			rt.met.ObserveFailed(r.ID)
+			// Busy or draining, not dead: try the next ring node. Nothing
+			// was admitted, so this is safe even for submissions.
 		default:
 			// A real application answer (bad request, model_not_found, the
 			// client hanging up): final.
@@ -214,6 +211,20 @@ func (rt *Router) route(ctx context.Context, key string, retryUnavailable bool, 
 		}
 	}
 	return nil, lastErr
+}
+
+// observe is the one account of a downstream answer: the replica's health
+// (ReplicaSet.Observe) and, for a refusal — unavailable, overloaded or
+// shutting down — sickle_shard_failed_requests_total.
+func (rt *Router) observe(rep *Replica, err error) {
+	rt.rs.Observe(rep, err)
+	if err == nil {
+		return
+	}
+	switch api.AsError(err).Code {
+	case api.CodeUnavailable, api.CodeOverloaded, api.CodeShuttingDown:
+		rt.met.ObserveFailed(rep.ID)
+	}
 }
 
 // routed is the keyed pass-through handler. It reads the body once and
@@ -284,46 +295,51 @@ func subsampleKey(req *api.SubsampleRequest) string {
 	return req.Dataset
 }
 
-// ---- gather (every fleet-wide read) ----
+// ---- fan-out and gather (every fleet-wide call) ----
 
-// perReplica is one replica's answer to a gather.
-type perReplica[T any] struct {
+// answer is one replica's reply to a fanned-out call.
+type answer[T any] struct {
 	rep *Replica
 	val T
+	err error
 }
 
-// gather calls every live replica concurrently (every member when all are
-// ejected — a last-resort attempt beats refusing outright) and returns the
-// answers that succeeded, in replica order, so merged views are
-// deterministic. A success resets the replica's failure streak; only a
-// typed unavailable counts against its health.
-func gather[T any](ctx context.Context, rs *ReplicaSet, call func(context.Context, *Replica) (T, error)) []perReplica[T] {
-	replicas := rs.Live()
-	if len(replicas) == 0 {
-		replicas = rs.Replicas()
-	}
-	vals := make([]T, len(replicas))
-	errs := make([]error, len(replicas))
+// fanOut calls call(ctx, i) for every reps[i] but skip, concurrently, and
+// returns the answers in reps order once all are in, each accounted by
+// observe. skip gets no call: its answer holds only the replica.
+func fanOut[T any](ctx context.Context, rt *Router, reps []*Replica, skip *Replica,
+	call func(context.Context, int) (T, error)) []answer[T] {
+	out := make([]answer[T], len(reps))
 	var wg sync.WaitGroup
-	for i, r := range replicas {
+	for i, rep := range reps {
+		out[i].rep = rep
+		if rep == skip {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			vals[i], errs[i] = call(ctx, r)
+			out[i].val, out[i].err = call(ctx, i)
 		}()
 	}
 	wg.Wait()
-	out := make([]perReplica[T], 0, len(replicas))
-	for i, r := range replicas {
-		switch {
-		case errs[i] == nil:
-			rs.NoteOK(r)
-			out = append(out, perReplica[T]{r, vals[i]})
-		case api.AsError(errs[i]).Code == api.CodeUnavailable:
-			rs.NoteFailure(r, errs[i])
+	for _, a := range out {
+		if a.rep != skip {
+			rt.observe(a.rep, a.err)
 		}
 	}
 	return out
+}
+
+// gather fans call out to every live replica but skip (to every member
+// when none is up) and returns the answers that succeeded, in replica
+// order, so merged views are deterministic.
+func gather[T any](ctx context.Context, rt *Router, skip *Replica, call func(context.Context, *Replica) (T, error)) []answer[T] {
+	reps := rt.rs.liveOrAll()
+	answers := fanOut(ctx, rt, reps, skip, func(ctx context.Context, i int) (T, error) {
+		return call(ctx, reps[i])
+	})
+	return slices.DeleteFunc(answers, func(a answer[T]) bool { return a.rep == skip || a.err != nil })
 }
 
 // errNoAnswer is the typed failure of a gather nobody answered.
@@ -335,10 +351,7 @@ func errNoAnswer(what string) error {
 // given) into the newest version of each model, and reports how many
 // replicas answered.
 func (rt *Router) catalog(ctx context.Context, skip *Replica) (map[string]api.ModelInfo, int) {
-	lists := gather(ctx, rt.rs, func(ctx context.Context, rep *Replica) ([]api.ModelInfo, error) {
-		if rep == skip {
-			return nil, nil
-		}
+	lists := gather(ctx, rt, skip, func(ctx context.Context, rep *Replica) ([]api.ModelInfo, error) {
 		return rep.C.Models(ctx)
 	})
 	newest := map[string]api.ModelInfo{}
@@ -365,7 +378,7 @@ func (rt *Router) handleListModels(w http.ResponseWriter, r *http.Request) error
 }
 
 func (rt *Router) handleVersion(w http.ResponseWriter, r *http.Request) error {
-	infos := gather(r.Context(), rt.rs, func(ctx context.Context, rep *Replica) (*api.VersionInfo, error) {
+	infos := gather(r.Context(), rt, nil, func(ctx context.Context, rep *Replica) (*api.VersionInfo, error) {
 		return rep.C.ServerVersions(ctx)
 	})
 	if len(infos) == 0 {
@@ -435,10 +448,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
 // sends JSON that does not parse is left out rather than failing the
 // view — only transport-level unavailability counts against its health.
 func gatherDebug[P any](rt *Router, r *http.Request,
-	fetch func(*client.Client, context.Context, string) ([]byte, error), arg string) []perReplica[*P] {
+	fetch func(*client.Client, context.Context, string) ([]byte, error), arg string) []answer[*P] {
 	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
 	defer cancel()
-	answers := gather(ctx, rt.rs, func(ctx context.Context, rep *Replica) (*P, error) {
+	answers := gather(ctx, rt, nil, func(ctx context.Context, rep *Replica) (*P, error) {
 		raw, err := fetch(rep.C, ctx, arg)
 		if err != nil {
 			if api.AsError(err).Code == api.CodeUnavailable {
@@ -452,7 +465,7 @@ func gatherDebug[P any](rt *Router, r *http.Request,
 		}
 		return p, nil
 	})
-	return slices.DeleteFunc(answers, func(a perReplica[*P]) bool { return a.val == nil })
+	return slices.DeleteFunc(answers, func(a answer[*P]) bool { return a.val == nil })
 }
 
 // handleDebugTrace merges the router's own spans for one trace with the
