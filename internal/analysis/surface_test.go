@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis/load"
 )
 
 // surfaceAllow lists what only _test.go files reach and stays exported
@@ -51,7 +49,7 @@ func TestExportedSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bench, err := load.Load(filepath.Join(root, "bench"), ".")
+	bench, err := benchModule()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,17 @@ import (
 	"repro/internal/analysis/passes/ologonly"
 )
 
-// program type-checks every package of the module, once for both gate
-// tests (TestVet here, TestExportedSurface beside it).
+// program type-checks every package of the module, once for the three
+// gate tests (TestVet here, TestExportedSurface and TestConfigFieldsSet
+// beside it).
 var program = sync.OnceValues(func() ([]*load.Package, error) {
 	return load.Load("../..", "./...")
+})
+
+// benchModule type-checks the bench module, the program's caller outside
+// the root module, once for the surface and settings rules.
+var benchModule = sync.OnceValues(func() ([]*load.Package, error) {
+	return load.Load("../../bench", ".")
 })
 
 // TestVet is the static gate: the six analyzers over every non-test file

@@ -16,13 +16,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// Config sets up the Boussinesq solver.
+// Config sets up the Boussinesq solver. The density diffusivity equals Nu
+// (Prandtl number 1, as in SST-P1) and the time step is 0.25·h, a CFL step
+// for the Taylor-Green u_max ≈ 1; neither is configurable.
 type Config struct {
 	N      int     // cube edge (power of two)
 	Nu     float64 // kinematic viscosity, default 5e-3
-	Kappa  float64 // density diffusivity, default Nu (Pr = 1, as in SST-P1)
 	BruntN float64 // buoyancy frequency of the stable background, default 1
-	Dt     float64 // time step, default 0.25·h/u_max estimated at init
 	Noise  float64 // initial perturbation amplitude, default 0.01
 	Seed   int64
 }
@@ -33,9 +33,6 @@ func (c *Config) defaults() {
 	}
 	if c.Nu == 0 {
 		c.Nu = 5e-3
-	}
-	if c.Kappa == 0 {
-		c.Kappa = c.Nu
 	}
 	if c.BruntN == 0 {
 		c.BruntN = 1
@@ -98,9 +95,6 @@ func NewTaylorGreen(cfg Config) *Solver {
 			}
 		}
 	}
-	if cfg.Dt == 0 {
-		s.Cfg.Dt = 0.25 * s.H // u_max ~ 1 for Taylor-Green
-	}
 	s.project()
 	return s
 }
@@ -134,9 +128,8 @@ func (s *Solver) stepRef() { s.step(nil) }
 
 func (s *Solver) step(p *tensor.Pool) {
 	n := s.N
-	dt := s.Cfg.Dt
+	dt := 0.25 * s.H // u_max ~ 1 for Taylor-Green
 	nu := s.Cfg.Nu
-	kap := s.Cfg.Kappa
 	n2 := s.Cfg.BruntN * s.Cfg.BruntN
 
 	nu2, nv2, nw2, nr2 := s.scrU, s.scrV, s.scrW, s.scrR
@@ -171,7 +164,7 @@ func (s *Solver) step(p *tensor.Pool) {
 					//   w' = A - dt·N²·r',  r' = B + dt·w'
 					// is solved in closed form, which is neutrally stable.
 					a := w + dt*(-advW+nu*lapW)
-					bb := s.R[id] + dt*(-advR+kap*lapR)
+					bb := s.R[id] + dt*(-advR+nu*lapR) // κ = ν
 					wNew := (a - dt*n2*bb) / (1 + dt*dt*n2)
 					nw2[id] = wNew
 					nr2[id] = bb + dt*wNew

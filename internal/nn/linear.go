@@ -53,7 +53,7 @@ func (l *Linear) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.Tenso
 // Activation is an element-wise nonlinearity with cached forward output or
 // input, as its derivative requires.
 type Activation struct {
-	Kind string // "tanh" | "relu" | "sigmoid"
+	Kind string // "tanh" | "relu"
 	out  *tensor.Tensor
 	in   *tensor.Tensor
 }
@@ -62,7 +62,7 @@ type Activation struct {
 // configuration errors surface at construction.
 func NewActivation(kind string) *Activation {
 	switch kind {
-	case "tanh", "relu", "sigmoid":
+	case "tanh", "relu":
 		return &Activation{Kind: kind}
 	}
 	panic("nn: unknown activation " + kind)
@@ -77,9 +77,6 @@ func (a *Activation) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Ten
 	switch a.Kind {
 	case "tanh":
 		tensor.ApplyInto(y, x, tanh)
-		a.out = y
-	case "sigmoid":
-		tensor.ApplyInto(y, x, sigmoid)
 		a.out = y
 	case "relu":
 		a.in = x
@@ -100,11 +97,6 @@ func (a *Activation) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.T
 		for i, g := range dy.Data {
 			o := a.out.Data[i]
 			dx.Data[i] = g * (1 - o*o)
-		}
-	case "sigmoid":
-		for i, g := range dy.Data {
-			o := a.out.Data[i]
-			dx.Data[i] = g * (o * (1 - o))
 		}
 	case "relu":
 		for i, g := range dy.Data {

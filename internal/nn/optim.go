@@ -24,22 +24,28 @@ func MSELossInto(grad, pred, target *tensor.Tensor) float64 {
 	return loss / n
 }
 
-// Adam is the Adam optimizer (Kingma & Ba 2015) with optional weight decay.
-// One Adam drives one module: its moments are kept per parameter, in the
-// order of the Params() list the first Step saw.
+// Adam's moment decay rates and denominator guard: the paper's settings
+// (Kingma & Ba's defaults). Typed, so 1-adamBeta1 rounds as float64
+// arithmetic does.
+const (
+	adamBeta1 float64 = 0.9
+	adamBeta2 float64 = 0.999
+	adamEps   float64 = 1e-8
+)
+
+// Adam is the Adam optimizer (Kingma & Ba 2015) with β₁ 0.9, β₂ 0.999,
+// ε 1e-8 and no weight decay; only the learning rate is settable. One
+// Adam drives one module: its moments are kept per parameter, in the order
+// of the Params() list the first Step saw.
 type Adam struct {
-	LR          float64
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64
-	step        int
-	m, v        [][]float64
+	LR   float64
+	step int
+	m, v [][]float64
 }
 
-// NewAdam builds Adam with the paper's defaults (lr 0.001).
+// NewAdam builds Adam at learning rate lr (the paper's is 0.001).
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	return &Adam{LR: lr}
 }
 
 // Step applies one update to all parameters of mod using their accumulated
@@ -53,8 +59,8 @@ func (a *Adam) Step(mod Module) {
 		panic("nn: Adam stepped on a module other than the one it started with")
 	}
 	a.step++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	bc1 := 1 - math.Pow(adamBeta1, float64(a.step))
+	bc2 := 1 - math.Pow(adamBeta2, float64(a.step))
 	pool := tensor.DefaultPool()
 	for k, p := range params {
 		// The per-element update is independent, so it fans out across the
@@ -71,14 +77,11 @@ func (a *Adam) Step(mod Module) {
 func (a *Adam) update(w, grad, mom, vel []float64, bc1, bc2 float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		g := grad[i]
-		if a.WeightDecay > 0 {
-			g += a.WeightDecay * w[i]
-		}
-		mom[i] = a.Beta1*mom[i] + (1-a.Beta1)*g
-		vel[i] = a.Beta2*vel[i] + (1-a.Beta2)*g*g
+		mom[i] = adamBeta1*mom[i] + (1-adamBeta1)*g
+		vel[i] = adamBeta2*vel[i] + (1-adamBeta2)*g*g
 		mh := mom[i] / bc1
 		vh := vel[i] / bc2
-		w[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+		w[i] -= a.LR * mh / (math.Sqrt(vh) + adamEps)
 	}
 }
 
@@ -98,31 +101,32 @@ func momentsFor(params []*Param) [][]float64 {
 	return out
 }
 
+// The paper's plateau schedule: the LR halves after plateauPatience
+// epochs without a new best validation loss, down to plateauMinLR.
+const (
+	plateauPatience         = 20
+	plateauFactor   float64 = 0.5
+	plateauMinLR    float64 = 1e-6
+)
+
 // PlateauScheduler implements reduce-LR-on-plateau with the paper's
-// training configuration (patience 20, factor 0.5 by default).
+// training configuration (patience 20, factor 0.5, floor 1e-6), none of it
+// settable.
 type PlateauScheduler struct {
-	Opt      *Adam
-	Patience int
-	Factor   float64
-	MinLR    float64
-	best     float64
-	bad      int
-	started  bool
+	Opt     *Adam
+	best    float64
+	bad     int
+	started bool
 }
 
 // NewPlateauScheduler wraps opt with plateau-based LR decay.
-func NewPlateauScheduler(opt *Adam, patience int, factor float64) *PlateauScheduler {
-	if patience <= 0 {
-		patience = 20
-	}
-	if factor <= 0 || factor >= 1 {
-		factor = 0.5
-	}
-	return &PlateauScheduler{Opt: opt, Patience: patience, Factor: factor, MinLR: 1e-6}
+func NewPlateauScheduler(opt *Adam) *PlateauScheduler {
+	return &PlateauScheduler{Opt: opt}
 }
 
 // Observe records an epoch's validation loss, decaying the LR when no
-// improvement has been seen for Patience epochs. It returns the current LR.
+// improvement has been seen for plateauPatience epochs. It returns the
+// current LR.
 func (s *PlateauScheduler) Observe(loss float64) float64 {
 	if !s.started || loss < s.best {
 		s.best = loss
@@ -131,11 +135,11 @@ func (s *PlateauScheduler) Observe(loss float64) float64 {
 		return s.Opt.LR
 	}
 	s.bad++
-	if s.bad >= s.Patience {
+	if s.bad >= plateauPatience {
 		s.bad = 0
-		s.Opt.LR *= s.Factor
-		if s.Opt.LR < s.MinLR {
-			s.Opt.LR = s.MinLR
+		s.Opt.LR *= plateauFactor
+		if s.Opt.LR < plateauMinLR {
+			s.Opt.LR = plateauMinLR
 		}
 	}
 	return s.Opt.LR

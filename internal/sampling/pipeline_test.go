@@ -236,24 +236,6 @@ func TestTemporalSamplingDropsPeriodicRepeats(t *testing.T) {
 	}
 }
 
-func TestTemporalMaxKeep(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	snaps := make([]*grid.Field, 10)
-	for tt := range snaps {
-		f := grid.NewField(16, 16, 1)
-		u := f.AddVar("u", nil)
-		for i := range u {
-			u[i] = float64(tt) + 0.1*rng.NormFloat64() // every snapshot novel
-		}
-		snaps[tt] = f
-	}
-	d := &grid.Dataset{Label: "nov", Snapshots: snaps, InputVars: []string{"u"}}
-	kept := SelectSnapshots(d, TemporalConfig{Var: "u", Threshold: 0.01, MaxKeep: 4})
-	if len(kept) != 4 {
-		t.Fatalf("MaxKeep violated: kept %d", len(kept))
-	}
-}
-
 func TestPipelineEnergyAccounting(t *testing.T) {
 	d := smallSST(t, 1)
 	m := energy.NewMeter()

@@ -11,10 +11,12 @@ import (
 // shedding) oversampling the same phase.
 type TemporalConfig struct {
 	Var       string  // variable whose PDF measures novelty
-	Bins      int     // histogram bins, default 100 (paper's setting)
 	Threshold float64 // minimum JS divergence to keep a snapshot, default 0.01
-	MaxKeep   int     // optional cap on kept snapshots (0 = no cap)
 }
+
+// temporalBins is the histogram resolution of a snapshot's PDF: the
+// paper's setting.
+const temporalBins = 100
 
 // SelectSnapshots returns the indices of snapshots to keep. The first
 // snapshot is always kept; each subsequent snapshot is scored by the
@@ -22,9 +24,6 @@ type TemporalConfig struct {
 // kept snapshot (the smallest divergence over the kept set), and retained
 // only if that reaches the threshold.
 func SelectSnapshots(d *grid.Dataset, cfg TemporalConfig) []int {
-	if cfg.Bins <= 0 {
-		cfg.Bins = 100
-	}
 	if cfg.Threshold == 0 {
 		cfg.Threshold = 0.01
 	}
@@ -52,7 +51,7 @@ func SelectSnapshots(d *grid.Dataset, cfg TemporalConfig) []int {
 	}
 
 	pdf := func(f *grid.Field) []float64 {
-		h := stats.NewHistogram(lo, hi+1e-9, cfg.Bins)
+		h := stats.NewHistogram(lo, hi+1e-9, temporalBins)
 		h.AddAll(f.Var(cfg.Var))
 		return h.PDF()
 	}
@@ -74,9 +73,6 @@ func SelectSnapshots(d *grid.Dataset, cfg TemporalConfig) []int {
 		if minJS >= cfg.Threshold {
 			kept = append(kept, t)
 			keptPDFs = append(keptPDFs, p)
-			if cfg.MaxKeep > 0 && len(kept) >= cfg.MaxKeep {
-				break
-			}
 		}
 	}
 	return kept

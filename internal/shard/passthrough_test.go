@@ -461,3 +461,51 @@ func TestRoutedKeyIsFrameModel(t *testing.T) {
 		}
 	}
 }
+
+// TestShutdownClosesReplicaConnections: a router that has shut down holds
+// no connection to a replica open, so the replica's own graceful shutdown
+// does not wait on an idle connection the router keeps pooled.
+func TestShutdownClosesReplicaConnections(t *testing.T) {
+	var open atomic.Int64
+	replica := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, bigAnswer)
+	}))
+	replica.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	replica.Start()
+	defer replica.Close()
+
+	rt := newTestRouter(t, []string{replica.URL})
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	resp, err := http.Post(front.URL+"/v2/infer", "application/json",
+		strings.NewReader(`{"model":"m","items":[{"data":[1],"shape":[1]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed call: status %d", resp.StatusCode)
+	}
+	if n := open.Load(); n != 1 {
+		t.Fatalf("one routed call left %d connections to the replica open, want 1", n)
+	}
+
+	if err := rt.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for open.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("1 s after the router's Shutdown, %d connections to the replica are still open", open.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

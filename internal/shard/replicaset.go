@@ -20,6 +20,7 @@ type Replica struct {
 	ID  string
 	URL string
 	C   *client.Client
+	tr  *http.Transport // C's own connection pool; Stop closes what it holds idle
 
 	mu          sync.Mutex
 	state       state // written under the set's mu and r.mu both, so either lock reads it
@@ -153,15 +154,16 @@ func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 // pools keep one slow replica from starving the others' idle-connection
 // budget.
 func (rs *ReplicaSet) newReplica(id, url string) *Replica {
-	hc := &http.Client{Transport: &http.Transport{
+	tr := &http.Transport{
 		Proxy:               http.ProxyFromEnvironment,
 		MaxIdleConnsPerHost: 32,
 		IdleConnTimeout:     90 * time.Second,
-	}}
+	}
 	return &Replica{
 		ID:  id,
 		URL: url,
-		C:   client.New(url, client.WithRetry(0, 0), client.WithHTTPClient(hc)),
+		C:   client.New(url, client.WithRetry(0, 0), client.WithHTTPClient(&http.Client{Transport: tr})),
+		tr:  tr,
 	}
 }
 
@@ -185,10 +187,17 @@ func (rs *ReplicaSet) Start() {
 	}()
 }
 
-// Stop halts the prober. Safe to call more than once.
+// Stop halts the prober and closes every replica's pooled connections, so
+// a backend's graceful shutdown does not wait on one the router keeps
+// idle. Safe to call more than once.
 func (rs *ReplicaSet) Stop() {
 	rs.stopOnce.Do(func() { close(rs.stop) })
 	rs.wg.Wait()
+	rs.mu.RLock()
+	defer rs.mu.RUnlock()
+	for _, r := range rs.replicas {
+		r.tr.CloseIdleConnections()
+	}
 }
 
 // ProbeAll probes every member's /healthz concurrently and applies the

@@ -3,6 +3,9 @@ package sickle
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +14,47 @@ import (
 	"repro/internal/sampling"
 	"repro/internal/synth"
 )
+
+// TestGoldenDatasets pins every bit of the synthetic Table 1 analogues the
+// generators build at Small scale (OF2D, the slow lattice run, is left to
+// its own tests): per snapshot, FNV-64a over each variable in VarNames
+// order — its name, then each value's float64 bits little-endian — and
+// then the bits of the snapshot's time. The hashes were taken from the
+// generators before their settings became constants; never regenerate
+// them to make a change pass.
+func TestGoldenDatasets(t *testing.T) {
+	want := map[string]uint64{
+		"TC2D":       0x9a8237ce96755baa,
+		"SST-P1F4":   0xadf676369aa82f4a,
+		"SST-P1F100": 0xb90d811837090fd4,
+		"GESTS-2048": 0x7916029ca51cf90c,
+		"GESTS-8192": 0xe12ec49d116dcd01,
+	}
+	var b [8]byte
+	put := func(h io.Writer, x float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	for name, sum := range want {
+		d, err := BuildDataset(name, Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, f := range d.Snapshots {
+			for _, v := range f.VarNames() {
+				io.WriteString(h, v)
+				for _, x := range f.Var(v) {
+					put(h, x)
+				}
+			}
+			put(h, f.Time)
+		}
+		if got := h.Sum64(); got != sum {
+			t.Errorf("%s: hash %#016x, want %#016x", name, got, sum)
+		}
+	}
+}
 
 // goldenCubes is the selection behind testdata/golden_uips.skl: 2 snapshots
 // × 2 cubes of 8³, 12 uips points each.

@@ -21,13 +21,15 @@ type Fig6Row struct {
 	StdLoss    float64
 }
 
-// Fig6Config scales the experiment.
+// Fig6Config scales the experiment; the LSTM reads windows of fig6Window
+// snapshots, the paper's 3.
 type Fig6Config struct {
 	SampleSizes []int // paper: 540, 1080, 2160
 	Replicates  int   // paper: 3
 	Epochs      int
-	Window      int // paper: 3
 }
+
+const fig6Window = 3
 
 func (c *Fig6Config) defaults() {
 	if len(c.SampleSizes) == 0 {
@@ -38,9 +40,6 @@ func (c *Fig6Config) defaults() {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 60
-	}
-	if c.Window <= 0 {
-		c.Window = 3
 	}
 }
 
@@ -67,7 +66,7 @@ func Fig6(ctx context.Context, scale Scale, cfg Fig6Config) ([]Fig6Row, error) {
 						NumClusters: 10, Seed: seed,
 					},
 					Arch:   train.ArchSpec{Arch: "lstm"},
-					Window: cfg.Window,
+					Window: fig6Window,
 					Train:  train.Config{Epochs: cfg.Epochs, Batch: 8, Seed: seed, Normalize: true},
 				}.Run(ctx, d)
 				if err != nil {
@@ -94,12 +93,14 @@ type Fig8Case struct {
 	Report  energy.Report
 }
 
+// figCubes is the hypercube count Figs. 8 and 9 sample from a snapshot.
+const figCubes = 2
+
 // Fig8Config scales the experiment.
 type Fig8Config struct {
 	Datasets []string
 	Epochs   int
 	CubeEdge int
-	NumCubes int
 }
 
 func (c *Fig8Config) defaults() {
@@ -111,9 +112,6 @@ func (c *Fig8Config) defaults() {
 	}
 	if c.CubeEdge <= 0 {
 		c.CubeEdge = 16
-	}
-	if c.NumCubes <= 0 {
-		c.NumCubes = 2
 	}
 }
 
@@ -146,7 +144,7 @@ func Fig8(ctx context.Context, scale Scale, cfg Fig8Config) ([]Fig8Case, error) 
 			res, err := Loop{
 				Pipeline: sampling.PipelineConfig{
 					Hypercubes: cs.hsel, Method: cs.method,
-					NumHypercubes: cfg.NumCubes, CubeSx: cfg.CubeEdge,
+					NumHypercubes: figCubes, CubeSx: cfg.CubeEdge,
 					NumClusters: 5, Seed: 4,
 				},
 				Arch:  train.ArchSpec{Arch: arch},
@@ -173,7 +171,6 @@ type Fig9Row struct {
 type Fig9Config struct {
 	Epochs   int // paper: 50
 	CubeEdge int
-	NumCubes int
 }
 
 func (c *Fig9Config) defaults() {
@@ -182,9 +179,6 @@ func (c *Fig9Config) defaults() {
 	}
 	if c.CubeEdge <= 0 {
 		c.CubeEdge = 16
-	}
-	if c.NumCubes <= 0 {
-		c.NumCubes = 2
 	}
 }
 
@@ -203,7 +197,7 @@ func Fig9(ctx context.Context, scale Scale, cfg Fig9Config) ([]Fig9Row, error) {
 		res, err := Loop{
 			Pipeline: sampling.PipelineConfig{
 				Hypercubes: "random", Method: method,
-				NumHypercubes: cfg.NumCubes, CubeSx: cfg.CubeEdge,
+				NumHypercubes: figCubes, CubeSx: cfg.CubeEdge,
 				NumClusters: 5, Seed: 6,
 			},
 			Arch:  train.ArchSpec{Arch: "matey"},

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/cfd2d"
 	"repro/internal/cfd3d"
@@ -186,9 +185,8 @@ func (s *CFD3DSource) Next() (*grid.Field, error) {
 // Close implements SnapshotSource.
 func (s *CFD3DSource) Close() error { return nil }
 
-// SynthSource streams independent stratified-turbulence realizations from
-// the synth family with the same seed-drift/decay schedule as
-// synth.SSTDataset, generating each snapshot only when the pipeline asks
+// SynthSource streams the SST-like trajectory of synth.SSTDataset,
+// generating each snapshot (synth.SSTSnapshot) only when the pipeline asks
 // for it.
 type SynthSource struct {
 	cfg          synth.StratifiedConfig
@@ -220,16 +218,7 @@ func (s *SynthSource) Next() (*grid.Field, error) {
 	if s.emitted >= s.numSnapshots {
 		return nil, io.EOF
 	}
-	t := s.emitted
-	c := s.cfg
-	c.Seed = s.cfg.Seed + int64(t)*1009
-	c.URMS = s.cfg.URMS
-	if c.URMS == 0 {
-		c.URMS = 1
-	}
-	c.URMS *= math.Exp(-0.02 * float64(t))
-	f := synth.Stratified(c)
-	f.Time = float64(t)
+	f := synth.SSTSnapshot(s.cfg, s.emitted)
 	s.emitted++
 	return f, nil
 }

@@ -321,22 +321,34 @@ func TestCFD3DSourceMatchesEvolveDataset(t *testing.T) {
 }
 
 // TestSynthSourceMatchesSSTDataset pins the generator adapter to the
-// materializing constructor it replaces.
+// materializing constructor: the same snapshots, every variable and the
+// time bit for bit, for sickle-stream's config and one with gravity along y.
 func TestSynthSourceMatchesSSTDataset(t *testing.T) {
-	cfg := synth.StratifiedConfig{Nx: 16, Ny: 8, Nz: 16, Seed: 13}
-	ref := synth.SSTDataset("ref", 3, cfg)
-	src := NewSynthSource(cfg, 3)
-	for tstep := 0; tstep < 3; tstep++ {
-		f, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.Snapshots[tstep]
-		r, wr := f.Var("r"), want.Var("r")
-		for i := range r {
-			if r[i] != wr[i] {
-				t.Fatalf("snapshot %d: r[%d] = %v, want %v", tstep, i, r[i], wr[i])
+	for _, cfg := range []synth.StratifiedConfig{
+		{Nx: 16, Ny: 8, Nz: 16, Seed: 13, AnisoFactor: 6, Froude: 0.15},
+		{Nx: 8, Ny: 16, Nz: 8, Seed: 5, GravityAxis: 1},
+	} {
+		ref := synth.SSTDataset("ref", 3, cfg)
+		src := NewSynthSource(cfg, 3)
+		for tstep, want := range ref.Snapshots {
+			f, err := src.Next()
+			if err != nil {
+				t.Fatal(err)
 			}
+			if math.Float64bits(f.Time) != math.Float64bits(want.Time) {
+				t.Fatalf("%+v snapshot %d: time %v, want %v", cfg, tstep, f.Time, want.Time)
+			}
+			for _, name := range want.VarNames() {
+				got, wv := f.Var(name), want.Var(name)
+				for i := range wv {
+					if math.Float64bits(got[i]) != math.Float64bits(wv[i]) {
+						t.Fatalf("%+v snapshot %d: %s[%d] = %v, want %v", cfg, tstep, name, i, got[i], wv[i])
+					}
+				}
+			}
+		}
+		if _, err := src.Next(); err != io.EOF {
+			t.Fatalf("%+v: want io.EOF after 3 snapshots, got %v", cfg, err)
 		}
 	}
 }

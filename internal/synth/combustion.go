@@ -14,12 +14,17 @@ import (
 // thin wrinkled band — exactly the regime where UIPS shines in 2-D (Fig 4
 // left) and where random sampling under-covers the tails (Fig 5).
 type CombustionConfig struct {
-	Nx, Ny    int
-	Thickness float64 // flame-front thickness in grid fractions, default 0.02
-	Wrinkle   float64 // front wrinkling amplitude, default 0.15
-	Modes     int     // wrinkling modes, default 6
-	Seed      int64
+	Nx, Ny int
+	Seed   int64
 }
+
+// The flame front's fixed shape. Typed, so expressions over them round as
+// float64 arithmetic does.
+const (
+	frontThickness float64 = 0.02 // in grid fractions
+	frontWrinkle   float64 = 0.15 // wrinkling amplitude of the first mode
+	frontModes             = 6    // wrinkling modes
+)
 
 func (c *CombustionConfig) defaults() {
 	if c.Nx == 0 {
@@ -27,15 +32,6 @@ func (c *CombustionConfig) defaults() {
 	}
 	if c.Ny == 0 {
 		c.Ny = 512
-	}
-	if c.Thickness == 0 {
-		c.Thickness = 0.02
-	}
-	if c.Wrinkle == 0 {
-		c.Wrinkle = 0.15
-	}
-	if c.Modes == 0 {
-		c.Modes = 6
 	}
 }
 
@@ -48,10 +44,9 @@ func Combustion(cfg CombustionConfig) *grid.Field {
 	f := grid.NewField(cfg.Nx, cfg.Ny, 1)
 
 	// Wrinkled front position: x_front(y) = 0.5 + Σ a_m sin(2π m y + φ_m).
-	amps := make([]float64, cfg.Modes)
-	phases := make([]float64, cfg.Modes)
+	var amps, phases [frontModes]float64
 	for m := range amps {
-		amps[m] = cfg.Wrinkle * rng.NormFloat64() / float64(m+1)
+		amps[m] = frontWrinkle * rng.NormFloat64() / float64(m+1)
 		phases[m] = rng.Float64() * 2 * math.Pi
 	}
 
@@ -66,7 +61,7 @@ func Combustion(cfg CombustionConfig) *grid.Field {
 		for i := 0; i < cfg.Nx; i++ {
 			x := float64(i) / float64(cfg.Nx)
 			// Progress variable: tanh profile across the front.
-			z := (x - front) / cfg.Thickness
+			z := (x - front) / frontThickness
 			cval := 0.5 * (1 + math.Tanh(z))
 			// Filtered variance peaks where the gradient is steepest:
 			// sech⁴ profile, maximal at the front center.

@@ -8,6 +8,13 @@ import (
 	"repro/internal/spectral"
 )
 
+// The stratified generator's fixed physics. Typed, so expressions over
+// them round as float64 arithmetic does.
+const (
+	stratKPeak  float64 = 3 // energy-containing wavenumber
+	stratBruntN float64 = 1 // background buoyancy frequency (density gradient)
+)
+
 // StratifiedConfig controls the SST-like stably stratified turbulence
 // generator. Anisotropy pushes energy into horizontal layers: vertical
 // wavenumbers are damped by AnisoFactor and vertical velocity is suppressed
@@ -15,12 +22,9 @@ import (
 // the de Bruyn Kops ensembles.
 type StratifiedConfig struct {
 	Nx, Ny, Nz  int     // powers of two
-	KPeak       float64 // default 3
-	URMS        float64 // default 1
+	URMS        float64 // default 1; the SST trajectory decays it (SSTSnapshot)
 	AnisoFactor float64 // vertical-scale suppression, default 4 (higher = more layered)
 	Froude      float64 // w-suppression ratio w_rms/u_rms, default 0.2
-	BruntN      float64 // background buoyancy frequency (density gradient), default 1
-	Nu          float64 // default 1e-3
 	Seed        int64
 	GravityAxis int // 1 = y (paper's SST-P1F100 config), 2 = z (default)
 }
@@ -35,9 +39,6 @@ func (c *StratifiedConfig) defaults() {
 	if c.Nz == 0 {
 		c.Nz = 16
 	}
-	if c.KPeak == 0 {
-		c.KPeak = 3
-	}
 	if c.URMS == 0 {
 		c.URMS = 1
 	}
@@ -46,12 +47,6 @@ func (c *StratifiedConfig) defaults() {
 	}
 	if c.Froude == 0 {
 		c.Froude = 0.2
-	}
-	if c.BruntN == 0 {
-		c.BruntN = 1
-	}
-	if c.Nu == 0 {
-		c.Nu = 1e-3
 	}
 	if c.GravityAxis == 0 {
 		c.GravityAxis = 2
@@ -66,27 +61,12 @@ func (c *StratifiedConfig) defaults() {
 func Stratified(cfg StratifiedConfig) *grid.Field {
 	cfg.defaults()
 	nx, ny, nz := cfg.Nx, cfg.Ny, cfg.Nz
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	gu := spectral.NewGrid3(nx, ny, nz)
-	gv := spectral.NewGrid3(nx, ny, nz)
-	gw := spectral.NewGrid3(nx, ny, nz)
-
-	// Anisotropic spectrum: damp modes with large wavenumber along gravity.
-	fillSpectralVelocityAniso(gu, gv, gw, rng, cfg)
-
-	gu.IFFT3()
-	gv.IFFT3()
-	gw.IFFT3()
+	u, v, w := solenoidal(nx, ny, nz, rand.New(rand.NewSource(cfg.Seed)), cfg.URMS, cfg.layeredMode)
 
 	f := grid.NewField(nx, ny, nz)
 	f.Dx = 2 * math.Pi / float64(nx)
 	f.Dy = 2 * math.Pi / float64(ny)
 	f.Dz = 2 * math.Pi / float64(nz)
-	u := gu.RealPart(nil)
-	v := gv.RealPart(nil)
-	w := gw.RealPart(nil)
-	rescaleRMSCommon(cfg.URMS, u, v, w)
 	gComp := w
 	if cfg.GravityAxis == 1 {
 		gComp = v
@@ -110,8 +90,8 @@ func Stratified(cfg StratifiedConfig) *grid.Field {
 				default:
 					s = float64(k) / float64(nz)
 				}
-				background := -cfg.BruntN * cfg.BruntN * s
-				fluct := -0.3 * gComp[idx] * cfg.BruntN
+				background := -stratBruntN * stratBruntN * s
+				fluct := -0.3 * gComp[idx] * stratBruntN
 				layer := 0.05 * math.Sin(16*math.Pi*s+0.7*u[idx])
 				r[idx] = background + fluct + layer
 			}
@@ -119,7 +99,7 @@ func Stratified(cfg StratifiedConfig) *grid.Field {
 	}
 
 	f.AddVar("p", spectral.PressureFromVelocity(u, v, w, nx, ny, nz))
-	f.ComputeDissipation(cfg.Nu)
+	f.ComputeDissipation(viscosity)
 	f.ComputePotentialVorticity()
 	// Alias used by the P1F100 config (cluster/input variable "rhoy"),
 	// and dissipation alias "ee" per the paper's YAML.
@@ -128,93 +108,73 @@ func Stratified(cfg StratifiedConfig) *grid.Field {
 	return f
 }
 
-func fillSpectralVelocityAniso(gu, gv, gw *spectral.Grid3, rng *rand.Rand, cfg StratifiedConfig) {
-	nx, ny, nz := gu.Nx, gu.Ny, gu.Nz
-	npts := nx * ny * nz
-	for _, g := range []*spectral.Grid3{gu, gv, gw} {
-		noise := make([]float64, npts)
-		for i := range noise {
-			noise[i] = rng.NormFloat64()
-		}
-		g.FromReal(noise)
-		g.FFT3()
+// layeredMode resolves a mode on the Craya–Herring basis of the gravity
+// axis, weights its vertical part by the Froude number and damps modes
+// with a large wavenumber along gravity.
+func (c StratifiedConfig) layeredMode(kx, ky, kz, k2 float64, du, dv, dw complex128) (complex128, complex128, complex128) {
+	kmag := math.Sqrt(k2)
+	// Gravity unit vector.
+	var gx, gy, gz float64
+	var kg float64 // wavenumber component along gravity
+	switch c.GravityAxis {
+	case 1:
+		gy, kg = 1, ky
+	default:
+		gz, kg = 1, kz
 	}
-	for k := 0; k < nz; k++ {
-		kz := spectral.WaveNumber(k, nz)
-		for j := 0; j < ny; j++ {
-			ky := spectral.WaveNumber(j, ny)
-			for i := 0; i < nx; i++ {
-				kx := spectral.WaveNumber(i, nx)
-				idx := (k*ny+j)*nx + i
-				k2 := kx*kx + ky*ky + kz*kz
-				// Zero mean and Nyquist planes (see isotropic.go).
-				if k2 == 0 || i == nx/2 || j == ny/2 || k == nz/2 {
-					gu.Data[idx], gv.Data[idx], gw.Data[idx] = 0, 0, 0
-					continue
-				}
-				kmag := math.Sqrt(k2)
-				// Gravity unit vector.
-				var gx, gy, gz float64
-				var kg float64 // wavenumber component along gravity
-				switch cfg.GravityAxis {
-				case 1:
-					gy, kg = 1, ky
-				default:
-					gz, kg = 1, kz
-				}
-				// Craya-Herring basis: e1 = k×ĝ/|k×ĝ| is perpendicular to
-				// gravity (purely "horizontal"); e2 = k×e1/|k| carries the
-				// vertical motion. Both are ⊥ k, so any combination is
-				// exactly divergence-free. Weighting e2 by the Froude
-				// number suppresses vertical velocity without breaking
-				// solenoidality.
-				c1x := ky*gz - kz*gy
-				c1y := kz*gx - kx*gz
-				c1z := kx*gy - ky*gx
-				n1 := math.Sqrt(c1x*c1x + c1y*c1y + c1z*c1z)
-				var e1x, e1y, e1z float64
-				if n1 < 1e-12 {
-					// k parallel to gravity: pick any horizontal direction.
-					e1x, e1y, e1z = 1, 0, 0
-					if gx == 1 {
-						e1x, e1y = 0, 1
-					}
-				} else {
-					e1x, e1y, e1z = c1x/n1, c1y/n1, c1z/n1
-				}
-				e2x := (ky*e1z - kz*e1y) / kmag
-				e2y := (kz*e1x - kx*e1z) / kmag
-				e2z := (kx*e1y - ky*e1x) / kmag
-
-				du, dv, dw := gu.Data[idx], gv.Data[idx], gw.Data[idx]
-				a1 := complex(e1x, 0)*du + complex(e1y, 0)*dv + complex(e1z, 0)*dw
-				a2 := (complex(e2x, 0)*du + complex(e2y, 0)*dv + complex(e2z, 0)*dw) * complex(cfg.Froude, 0)
-
-				aniso := math.Exp(-cfg.AnisoFactor * (kg * kg) / (cfg.KPeak * cfg.KPeak))
-				amp := complex(math.Sqrt(modelSpectrum(kmag, cfg.KPeak, -5.0/3.0)/k2)*aniso, 0)
-				gu.Data[idx] = (a1*complex(e1x, 0) + a2*complex(e2x, 0)) * amp
-				gv.Data[idx] = (a1*complex(e1y, 0) + a2*complex(e2y, 0)) * amp
-				gw.Data[idx] = (a1*complex(e1z, 0) + a2*complex(e2z, 0)) * amp
-			}
+	// Craya-Herring basis: e1 = k×ĝ/|k×ĝ| is perpendicular to gravity
+	// (purely "horizontal"); e2 = k×e1/|k| carries the vertical motion.
+	// Both are ⊥ k, so any combination is exactly divergence-free.
+	// Weighting e2 by the Froude number suppresses vertical velocity
+	// without breaking solenoidality.
+	c1x := ky*gz - kz*gy
+	c1y := kz*gx - kx*gz
+	c1z := kx*gy - ky*gx
+	n1 := math.Sqrt(c1x*c1x + c1y*c1y + c1z*c1z)
+	var e1x, e1y, e1z float64
+	if n1 < 1e-12 {
+		// k parallel to gravity: pick any horizontal direction.
+		e1x, e1y, e1z = 1, 0, 0
+		if gx == 1 {
+			e1x, e1y = 0, 1
 		}
+	} else {
+		e1x, e1y, e1z = c1x/n1, c1y/n1, c1z/n1
 	}
+	e2x := (ky*e1z - kz*e1y) / kmag
+	e2y := (kz*e1x - kx*e1z) / kmag
+	e2z := (kx*e1y - ky*e1x) / kmag
+
+	a1 := complex(e1x, 0)*du + complex(e1y, 0)*dv + complex(e1z, 0)*dw
+	a2 := (complex(e2x, 0)*du + complex(e2y, 0)*dv + complex(e2z, 0)*dw) * complex(c.Froude, 0)
+
+	aniso := math.Exp(-c.AnisoFactor * (kg * kg) / (stratKPeak * stratKPeak))
+	amp := complex(math.Sqrt(modelSpectrum(kmag, stratKPeak)/k2)*aniso, 0)
+	return (a1*complex(e1x, 0) + a2*complex(e2x, 0)) * amp,
+		(a1*complex(e1y, 0) + a2*complex(e2y, 0)) * amp,
+		(a1*complex(e1z, 0) + a2*complex(e2z, 0)) * amp
 }
 
-// SSTDataset builds a multi-snapshot SST-like dataset. Each snapshot is an
-// independent realization with a slowly drifting seed plus a decay factor,
+// SSTSnapshot is snapshot t of the SST-like trajectory: an independent
+// realization whose seed drifts by 1009 per step and whose URMS decays as
+// e^(−0.02t), a slow re-laminarization trend. SSTDataset materializes it
+// and stream.SynthSource generates it on demand.
+func SSTSnapshot(cfg StratifiedConfig, t int) *grid.Field {
+	cfg.defaults()
+	cfg.Seed += int64(t) * 1009
+	cfg.URMS *= math.Exp(-0.02 * float64(t))
+	f := Stratified(cfg)
+	f.Time = float64(t)
+	return f
+}
+
+// SSTDataset builds a multi-snapshot SST-like dataset from SSTSnapshot,
 // emulating the time-evolving Taylor-Green ensemble (use cfd3d.Evolve for
 // the dynamically consistent version).
 func SSTDataset(label string, nSnapshots int, cfg StratifiedConfig) *grid.Dataset {
-	cfg.defaults()
 	snaps := make([]*grid.Field, nSnapshots)
-	for t := 0; t < nSnapshots; t++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(t)*1009
-		// Slow decay + re-laminarization trend over the trajectory.
-		c.URMS = cfg.URMS * math.Exp(-0.02*float64(t))
-		f := Stratified(c)
-		f.Time = float64(t)
-		snaps[t] = f
+	for t := range snaps {
+		snaps[t] = SSTSnapshot(cfg, t)
 	}
 	return &grid.Dataset{
 		Label:       label,

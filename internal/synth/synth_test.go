@@ -101,18 +101,18 @@ func TestIsotropicDivergenceFree(t *testing.T) {
 }
 
 func TestIsotropicRMSAndIsotropy(t *testing.T) {
-	f := Isotropic(IsotropicConfig{N: 32, Seed: 2, URMS: 1.5})
+	f := Isotropic(IsotropicConfig{N: 32, Seed: 2})
 	// Components are rescaled by a common factor (to keep the field
-	// solenoidal), so each component RMS is statistically, not exactly, 1.5.
+	// solenoidal), so each component RMS is statistically, not exactly, 1.
 	for _, name := range []string{"u", "v", "w"} {
-		if got := rms(f, name); math.Abs(got-1.5) > 0.25 {
-			t.Fatalf("RMS(%s) = %v, want ~1.5", name, got)
+		if got := rms(f, name); math.Abs(got-1) > 0.2 {
+			t.Fatalf("RMS(%s) = %v, want ~1", name, got)
 		}
 	}
 	// The mean-square over all components is exact by construction.
 	tot := rms(f, "u")*rms(f, "u") + rms(f, "v")*rms(f, "v") + rms(f, "w")*rms(f, "w")
-	if math.Abs(tot-3*1.5*1.5) > 1e-9 {
-		t.Fatalf("total KE = %v, want %v", tot, 3*1.5*1.5)
+	if math.Abs(tot-3) > 1e-9 {
+		t.Fatalf("total KE = %v, want 3", tot)
 	}
 }
 

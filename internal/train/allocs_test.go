@@ -27,7 +27,7 @@ func TestTrainStepAllocs(t *testing.T) {
 			models := []Model{arch.factory(rand.New(rand.NewSource(1)))}
 			opts := []*nn.Adam{nn.NewAdam(1e-3)}
 			ex := goldenExamples(8, arch.in, arch.target)
-			cfg := Config{ClipNorm: 5}
+			cfg := Config{}
 			trainBatch(models, opts, ex, cfg)
 			trainBatch(models, opts, ex[:7], cfg)
 			Evaluate(models[0], ex[:2])

@@ -116,6 +116,6 @@ func BenchmarkTrainStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trainBatch(models, opts, ex, Config{ClipNorm: 5})
+		trainBatch(models, opts, ex, Config{})
 	}
 }

@@ -16,23 +16,21 @@ import (
 	"repro/pkg/api"
 )
 
-// Config mirrors the artifact's train.py options.
+// Config mirrors the artifact's train.py options. The paper fixes the
+// rest: Adam, a plateau schedule of patience 20 and factor 0.5
+// (nn.PlateauScheduler), and a global gradient norm clipped to 5
+// (clipNorm) before every step.
 type Config struct {
 	Epochs    int     // default 50
 	Batch     int     // default 16 (paper's setting)
 	LR        float64 // default 0.001 (paper's setting)
-	Patience  int     // default 20 (paper's LR-plateau patience)
 	Seed      int64
 	Ranks     int // data-parallel ranks, default 1
 	Meter     *energy.Meter
 	CostModel minimpi.CostModel
 	// Normalize standardizes inputs and targets from training statistics.
 	Normalize bool
-	// ClipNorm caps the global gradient norm before each step (default 5;
-	// set negative to disable). Guards LSTM runs against the occasional
-	// exploding-gradient divergence.
-	ClipNorm float64
-	Verbose  bool
+	Verbose   bool
 	// Progress, when non-nil, is called after every completed epoch with
 	// (epochsDone, totalEpochs) — the hook serve's job manager uses to
 	// report training progress.
@@ -50,6 +48,10 @@ type Config struct {
 // testFrac is the held-out share of the examples: the paper's 90:10 split.
 const testFrac = 0.1
 
+// clipNorm caps the global gradient norm before each step: it guards LSTM
+// runs against the occasional exploding-gradient divergence.
+const clipNorm float64 = 5
+
 func (c *Config) defaults() {
 	if c.Epochs <= 0 {
 		c.Epochs = 50
@@ -60,14 +62,8 @@ func (c *Config) defaults() {
 	if c.LR == 0 {
 		c.LR = 0.001
 	}
-	if c.Patience <= 0 {
-		c.Patience = 20
-	}
 	if c.Ranks <= 0 {
 		c.Ranks = 1
-	}
-	if c.ClipNorm == 0 {
-		c.ClipNorm = 5
 	}
 }
 
@@ -165,7 +161,7 @@ func Train(ctx context.Context, factory ModelFactory, examples []Example, cfg Co
 	scheds := make([]*nn.PlateauScheduler, cfg.Ranks)
 	for r := range opts {
 		opts[r] = nn.NewAdam(cfg.LR)
-		scheds[r] = nn.NewPlateauScheduler(opts[r], cfg.Patience, 0.5)
+		scheds[r] = nn.NewPlateauScheduler(opts[r])
 	}
 
 	hist := &History{Params: params}
@@ -276,9 +272,7 @@ func trainBatch(models []Model, opts []*nn.Adam, batch []Example, cfg Config) fl
 		g := m.work().ws.New(pred.Shape...)
 		loss := nn.MSELossInto(g, pred, tgt)
 		m.Backward(g)
-		if cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(m, cfg.ClipNorm)
-		}
+		nn.ClipGradNorm(m, clipNorm)
 		opts[0].Step(m)
 		return loss
 	}
@@ -325,9 +319,7 @@ func trainBatch(models []Model, opts []*nn.Adam, batch []Example, cfg Config) fl
 			off += p.Grad.Len()
 		}
 		losses[r] = flat[off] * inv
-		if cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(m, cfg.ClipNorm)
-		}
+		nn.ClipGradNorm(m, clipNorm)
 		opts[r].Step(m)
 	})
 	return losses[0]
