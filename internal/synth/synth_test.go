@@ -104,8 +104,9 @@ func TestIsotropicRMSAndIsotropy(t *testing.T) {
 	f := Isotropic(IsotropicConfig{N: 32, Seed: 2})
 	// Components are rescaled by a common factor (to keep the field
 	// solenoidal), so each component RMS is statistically, not exactly, 1.
+	// The bound is the relative one the test held at an RMS of 1.5 (±0.25).
 	for _, name := range []string{"u", "v", "w"} {
-		if got := rms(f, name); math.Abs(got-1) > 0.2 {
+		if got := rms(f, name); math.Abs(got-1) > 0.25/1.5 {
 			t.Fatalf("RMS(%s) = %v, want ~1", name, got)
 		}
 	}
