@@ -59,7 +59,7 @@
 // epochs.
 //
 // All of these share the tensor package's kernel engine: a persistent
-// worker pool (tensor.Pool) with a deterministic ParallelFor, a
+// worker pool (tensor.Pool) whose ParallelFor splits by (n, work) alone, a
 // register-tiled transpose-free matmul family, and a step-scoped tensor
 // workspace (tensor.Workspace: every model owns one, and what a pass hands
 // out is valid until that model's next Forward). Every pooled kernel is

@@ -1,7 +1,7 @@
 // Package detparallel protects the kernel engine's determinism contract
 // (PR 3, asserted by internal/tensor's parity tests): every kernel
 // produces bit-identical results serial or parallel, because
-// tensor.ParallelFor's chunk decomposition depends only on (n, grain)
+// tensor.ParallelFor's chunk decomposition depends only on (n, work)
 // and each chunk's work is a pure function of its index range.
 //
 // That contract dies quietly when a chunk body consults anything

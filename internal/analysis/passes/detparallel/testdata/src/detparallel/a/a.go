@@ -10,7 +10,7 @@ import (
 )
 
 func deterministic(p *tensor.Pool, xs []float64) {
-	p.ParallelFor(len(xs), 64, func(lo, hi int) {
+	p.ParallelFor(len(xs), len(xs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xs[i] *= 2
 		}
@@ -18,7 +18,7 @@ func deterministic(p *tensor.Pool, xs []float64) {
 }
 
 func nondeterministic(p *tensor.Pool, xs []float64, m map[string]float64) {
-	p.ParallelFor(len(xs), 64, func(lo, hi int) {
+	p.ParallelFor(len(xs), len(xs), func(lo, hi int) {
 		start := time.Now()  // want `time.Now inside a ParallelFor body`
 		_ = rand.Float64()   // want `rand.Float64 inside a ParallelFor body`
 		for k := range m {   // want `map iteration order inside a ParallelFor body`
@@ -40,7 +40,7 @@ func outsideKernel(m map[string]float64) {
 }
 
 func annotated(p *tensor.Pool, xs []float64) {
-	p.ParallelFor(len(xs), 64, func(lo, hi int) {
+	p.ParallelFor(len(xs), len(xs), func(lo, hi int) {
 		//sicklevet:ignore detparallel benchmark harness timing, not numerics
 		_ = time.Now()
 	})

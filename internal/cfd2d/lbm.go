@@ -163,8 +163,8 @@ func (s *Solver) step(p *tensor.Pool) {
 	nx, ny := s.Nx, s.Ny
 	invTau := 1 / s.Tau
 
-	// Collide.
-	p.ParallelFor(ny, 4, func(y0, y1 int) {
+	// Collide: two 9-direction loops per cell.
+	p.ParallelFor(ny, 18*nx*ny, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < nx; x++ {
 				if s.Solid[y*nx+x] {
@@ -190,7 +190,7 @@ func (s *Solver) step(p *tensor.Pool) {
 
 	// Stream with half-way bounce-back; accumulate momentum exchange into
 	// per-(direction, row) partials.
-	p.ParallelFor(9*ny, 8, func(u0, u1 int) {
+	p.ParallelFor(9*ny, 9*nx*ny, func(u0, u1 int) {
 		for u := u0; u < u1; u++ {
 			i, y := u/ny, u%ny
 			plane := i * nx * ny

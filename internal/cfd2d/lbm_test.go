@@ -3,6 +3,7 @@ package cfd2d
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/tensor"
 )
@@ -187,24 +188,27 @@ func BenchmarkLBMStep(b *testing.B) {
 
 // TestStepBitIdenticalToSerialRef runs two identically configured solvers,
 // one through the pooled Step and one through the serial reference, and
-// asserts the full distribution state and forces agree bit for bit.
+// asserts the full distribution state and forces agree bit for bit. At
+// 96×48 only the collision splits; at 192×96 the streaming does too.
 func TestStepBitIdenticalToSerialRef(t *testing.T) {
 	tensor.SetWorkers(4) // force a real pool even on single-core machines
 	defer tensor.SetWorkers(0)
-	a := New(Config{Nx: 96, Ny: 48})
-	b := New(Config{Nx: 96, Ny: 48})
-	for step := 0; step < 25; step++ {
-		a.Step()
-		b.stepRef()
-	}
-	for i := range a.f {
-		if math.Float64bits(a.f[i]) != math.Float64bits(b.f[i]) {
-			t.Fatalf("step 25: f[%d] differs: %v vs %v", i, a.f[i], b.f[i])
+	defer fannedOut(t, tasksDone())
+	for _, cfg := range []Config{{Nx: 96, Ny: 48}, {Nx: 192, Ny: 96}} {
+		a, b := New(cfg), New(cfg)
+		for step := 0; step < 25; step++ {
+			a.Step()
+			b.stepRef()
 		}
-	}
-	if math.Float64bits(a.Fx) != math.Float64bits(b.Fx) ||
-		math.Float64bits(a.Fy) != math.Float64bits(b.Fy) {
-		t.Fatalf("forces differ: (%v,%v) vs (%v,%v)", a.Fx, a.Fy, b.Fx, b.Fy)
+		for i := range a.f {
+			if math.Float64bits(a.f[i]) != math.Float64bits(b.f[i]) {
+				t.Fatalf("%d×%d, step 25: f[%d] differs: %v vs %v", cfg.Nx, cfg.Ny, i, a.f[i], b.f[i])
+			}
+		}
+		if math.Float64bits(a.Fx) != math.Float64bits(b.Fx) ||
+			math.Float64bits(a.Fy) != math.Float64bits(b.Fy) {
+			t.Fatalf("%d×%d: forces differ: (%v,%v) vs (%v,%v)", cfg.Nx, cfg.Ny, a.Fx, a.Fy, b.Fx, b.Fy)
+		}
 	}
 }
 
@@ -219,3 +223,18 @@ func BenchmarkLBMStepAllocs(b *testing.B) {
 		s.Step()
 	}
 }
+
+// fannedOut fails t unless the kernel pool finished a task since before (a
+// tasksDone reading): a parity test that never reached the pool would only
+// compare the serial code with itself. A helper counts its task after its
+// caller has returned, so this waits for it.
+func fannedOut(t *testing.T, before uint64) {
+	t.Helper()
+	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the kernel pool ran no task: the test never fanned out")
+		}
+	}
+}
+
+func tasksDone() uint64 { _, _, n := tensor.DefaultPool().Stats(); return n }

@@ -135,7 +135,7 @@ func (s *Solver) step(p *tensor.Pool) {
 	nu2, nv2, nw2, nr2 := s.scrU, s.scrV, s.scrW, s.scrR
 
 	h2, hh := 2*s.H, s.H*s.H
-	p.ParallelFor(n, 1, func(k0, k1 int) {
+	p.ParallelFor(n, 28*n*n*n, func(k0, k1 int) { // 4 fields × a 7-point stencil per cell
 		for k := k0; k < k1; k++ {
 			for j := 0; j < n; j++ {
 				nb := stencil{row: (k*n + j) * n,
@@ -195,7 +195,7 @@ func (s *Solver) projectP(p *tensor.Pool) {
 	gv.FFT3()
 	gw.FFT3()
 	// The per-mode projection is independent cell-wise; fan out z-planes.
-	p.ParallelFor(n, 1, func(k0, k1 int) {
+	p.ParallelFor(n, 3*n*n*n, func(k0, k1 int) { // 3 components per mode
 		for k := k0; k < k1; k++ {
 			kz := spectral.WaveNumber(k, n)
 			for j := 0; j < n; j++ {

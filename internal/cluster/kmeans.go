@@ -186,7 +186,7 @@ func Nearest(p, cents []float64) int {
 // serially in point order afterwards, which keeps the whole algorithm
 // deterministic.
 func assign(xs []float64, d int, cents []float64, labels []int) {
-	tensor.DefaultPool().ParallelFor(len(labels), 64, func(lo, hi int) {
+	tensor.DefaultPool().ParallelFor(len(labels), len(labels)*len(cents), func(lo, hi int) { // n·k·d terms
 		for i := lo; i < hi; i++ {
 			labels[i] = Nearest(xs[i*d:(i+1)*d], cents)
 		}

@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
+
+	"repro/internal/tensor"
 )
 
 // kmeansRef is the [][]float64 k-means the flat core replaced, kept as its
@@ -239,6 +242,29 @@ func TestKMeansMatchesReference(t *testing.T) {
 	}
 }
 
+// TestKMeansPooledMatchesSerialRef pins the pooled assignment: at 4,096
+// points, where n·k·d crosses the fan-out threshold, on a 4-worker pool,
+// KMeans (Lloyd and mini-batch) and KMeans1D still equal kmeansRef bit for
+// bit, and the pool ran tasks.
+func TestKMeansPooledMatchesSerialRef(t *testing.T) {
+	tensor.SetWorkers(4) // force a real pool even on single-core machines
+	defer tensor.SetWorkers(0)
+	defer fannedOut(t, tasksDone())
+	gen := rand.New(rand.NewSource(27))
+	for _, d := range []int{1, 2, 4} {
+		xs := make([]float64, 4096*d)
+		for i := range xs {
+			xs[i] = gen.NormFloat64() * 3
+		}
+		for _, batch := range []int{0, 256} {
+			cfg := Config{K: 16, BatchSize: batch, MaxIters: 10, Seed: gen.Int63()}
+			if msg := matchRef(xs, d, cfg, rand.New(rand.NewSource(-1))); msg != "" {
+				t.Fatalf("d %d, %+v: %s", d, cfg, msg)
+			}
+		}
+	}
+}
+
 // FuzzKMeans1D: any finite scalar column clusters bit-identically to
 // kmeansRef. data is read as little-endian int16 values in eighths, which
 // keeps duplicates and exact midpoints common.
@@ -264,3 +290,18 @@ func FuzzKMeans1D(f *testing.F) {
 		}
 	})
 }
+
+// fannedOut fails t unless the kernel pool finished a task since before (a
+// tasksDone reading): a parity test that never reached the pool would only
+// compare the serial code with itself. A helper counts its task after its
+// caller has returned, so this waits for it.
+func fannedOut(t *testing.T, before uint64) {
+	t.Helper()
+	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the kernel pool ran no task: the test never fanned out")
+		}
+	}
+}
+
+func tasksDone() uint64 { _, _, n := tensor.DefaultPool().Stats(); return n }

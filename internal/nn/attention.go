@@ -36,10 +36,10 @@ func (l *LayerNorm) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Tens
 	l.invSD = ws.New(n).Data
 	out := ws.New(n, d)
 	p := tensor.DefaultPool()
-	if p.Inline(n, 16) {
+	if p.Inline(n, n*d) {
 		l.forwardRows(x, out, 0, n)
 	} else {
-		p.ParallelFor(n, 16, func(i0, i1 int) { l.forwardRows(x, out, i0, i1) })
+		p.ParallelFor(n, n*d, func(i0, i1 int) { l.forwardRows(x, out, i0, i1) })
 	}
 	return out
 }
@@ -144,12 +144,12 @@ func (m *MultiHeadAttention) Forward(ws *tensor.Workspace, x *tensor.Tensor) *te
 	m.attn = ws.New(b*m.H, t, t)
 	// (batch, head) pairs are independent: each writes its own attn matrix
 	// and a disjoint column block of ctx, so the fan-out is bit-identical
-	// to the serial loop.
-	p := tensor.DefaultPool()
-	if p.Inline(b*m.H, 1) {
+	// to the serial loop. Scores and context are t·t·d multiply-adds each.
+	p, work := tensor.DefaultPool(), 2*b*t*t*d
+	if p.Inline(b*m.H, work) {
 		m.forwardUnits(ctx, 0, b*m.H)
 	} else {
-		p.ParallelFor(b*m.H, 1, func(u0, u1 int) { m.forwardUnits(ctx, u0, u1) })
+		p.ParallelFor(b*m.H, work, func(u0, u1 int) { m.forwardUnits(ctx, u0, u1) })
 	}
 	return ws.View(m.WO.Forward(ws, ctx), b, t, d)
 }
@@ -215,11 +215,11 @@ func (m *MultiHeadAttention) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *
 
 	// Like Forward, (batch, head) pairs touch disjoint column blocks of
 	// dq/dk/dv, so they fan out across the pool bit-identically.
-	p := tensor.DefaultPool()
-	if p.Inline(b*m.H, 1) {
+	p, work := tensor.DefaultPool(), 4*b*t*t*d
+	if p.Inline(b*m.H, work) {
 		m.backwardUnits(dctx, dq, dk, dv, dattn, 0, b*m.H)
 	} else {
-		p.ParallelFor(b*m.H, 1, func(u0, u1 int) { m.backwardUnits(dctx, dq, dk, dv, dattn, u0, u1) })
+		p.ParallelFor(b*m.H, work, func(u0, u1 int) { m.backwardUnits(dctx, dq, dk, dv, dattn, u0, u1) })
 	}
 
 	dx := m.WQ.Backward(ws, dq)

@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/tensor"
 )
@@ -162,6 +164,11 @@ type convCase struct{ b, ci, co, k, nd, nh, nw int }
 // bit. zeroShare/256 of x, dy and the weights are ±0.
 func checkConvParity(t *testing.T, c convCase, zeroShare int, seed int64) {
 	t.Helper()
+	// Conv3D's forward is one [B·V, Ci·k³] · [Ci·k³, Co] matmul: when the
+	// fan-out rule splits it, the pool must have run.
+	if rows := c.b * c.nd * c.nh * c.nw; !tensor.DefaultPool().Inline(rows, rows*c.ci*c.k*c.k*c.k*c.co) {
+		defer fannedOut(t, tasksDone())
+	}
 	rng := rand.New(rand.NewSource(seed))
 	fill := func(x *tensor.Tensor) *tensor.Tensor {
 		for i := range x.Data {
@@ -228,7 +235,8 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 }
 
 // TestConvMatchesReference pins both layers to their references at the
-// shapes the models and the benchmark run, with zeros in x, dy and W.
+// shapes the models and the benchmark run, with zeros in x, dy and W; the
+// fourth splits on the pool.
 func TestConvMatchesReference(t *testing.T) {
 	tensor.SetWorkers(4)
 	defer tensor.SetWorkers(0)
@@ -246,9 +254,11 @@ func TestConvMatchesReference(t *testing.T) {
 // FuzzConvParity checks Conv3D and ConvTranspose3D against convRef and
 // convTransposeRef, bit for bit, serially and on a 4-worker pool: B 1–4,
 // channels 1–6, k ∈ {2, 4}, 1–3 blocks per side, any share of ±0 in x, dy
-// and the weights.
+// and the weights. The fourth seed (B 4, channels 6, k 4, 3³ blocks) is past
+// the fan-out threshold.
 func FuzzConvParity(f *testing.F) {
 	f.Add(uint8(3), uint8(2), uint8(4), uint8(0), uint8(2), uint8(2), uint8(2), uint8(64), int64(1))
+	f.Add(uint8(3), uint8(5), uint8(5), uint8(1), uint8(2), uint8(2), uint8(2), uint8(64), int64(4))
 	f.Add(uint8(0), uint8(5), uint8(0), uint8(1), uint8(0), uint8(1), uint8(2), uint8(255), int64(2))
 	f.Add(uint8(1), uint8(0), uint8(5), uint8(1), uint8(2), uint8(0), uint8(1), uint8(0), int64(3))
 	tensor.SetWorkers(4)
@@ -258,6 +268,41 @@ func FuzzConvParity(f *testing.F) {
 			nd: int(nd)%3 + 1, nh: int(nh)%3 + 1, nw: int(nw)%3 + 1}
 		checkConvParity(t, c, int(zeroShare), seed)
 	})
+}
+
+// TestTransformerBitIdenticalSerialVsParallel: a transformer block's
+// forward, backward and Adam step, and Adam on a 256×256 linear layer, give
+// the same bits serially and on a 4-worker pool, at a shape where the
+// LayerNorms (1,024 rows of 64), the attention (128 batch-head units of
+// 32×32 scores), the block's matmuls and Adam on the linear weight all split
+// under the fan-out rule.
+func TestTransformerBitIdenticalSerialVsParallel(t *testing.T) {
+	tensor.SetWorkers(4)
+	defer tensor.SetWorkers(0)
+	const b, seq, d, heads, ff = 32, 32, 64, 4, 64
+	run := func(parallel bool) [][]float64 {
+		tensor.SetParallel(parallel)
+		defer tensor.SetParallel(true)
+		rng := rand.New(rand.NewSource(5))
+		blk, lin := NewTransformerBlock(rng, d, heads, ff), NewLinear(rng, 256, 256)
+		x, dy := tensor.Randn(rng, 1, b, seq, d), tensor.Randn(rng, 1, b, seq, d)
+		lin.W.Grad, lin.B.Grad = tensor.Randn(rng, 1, 256, 256), tensor.Randn(rng, 1, 256)
+		var ws tensor.Workspace
+		out := [][]float64{blk.Forward(&ws, x).Clone().Data, blk.Backward(&ws, dy).Clone().Data}
+		NewAdam(1e-3).Step(blk)
+		NewAdam(1e-3).Step(lin)
+		for _, p := range append(blk.Params(), lin.Params()...) {
+			out = append(out, p.W.Data)
+		}
+		return out
+	}
+	want := run(false)
+	before := tasksDone()
+	got := run(true)
+	fannedOut(t, before)
+	for i := range want {
+		bitsEqual(t, fmt.Sprintf("output %d", i), got[i], want[i])
+	}
 }
 
 // TestConvRejectsPartialBlocks: a spatial size that is not a multiple of
@@ -270,3 +315,18 @@ func TestConvRejectsPartialBlocks(t *testing.T) {
 	}()
 	NewConv3D(rand.New(rand.NewSource(1)), 1, 1, 2).Forward(new(tensor.Workspace), tensor.New(1, 1, 4, 3, 4))
 }
+
+// fannedOut fails t unless the kernel pool finished a task since before (a
+// tasksDone reading): a parity test that never reached the pool would only
+// compare the serial code with itself. A helper counts its task after its
+// caller has returned, so this waits for it.
+func fannedOut(t *testing.T, before uint64) {
+	t.Helper()
+	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the kernel pool ran no task: the test never fanned out")
+		}
+	}
+}
+
+func tasksDone() uint64 { _, _, n := tensor.DefaultPool().Stats(); return n }

@@ -66,11 +66,11 @@ func (a *Adam) Step(mod Module) {
 		// The per-element update is independent, so it fans out across the
 		// kernel pool (bit-identical to the serial loop).
 		w, grad, mom, vel := p.W.Data, p.Grad.Data, a.m[k], a.v[k]
-		if pool.Inline(len(w), 4096) {
+		if pool.Inline(len(w), len(w)) {
 			a.update(w, grad, mom, vel, bc1, bc2, 0, len(w))
 			continue
 		}
-		pool.ParallelFor(len(w), 4096, func(lo, hi int) { a.update(w, grad, mom, vel, bc1, bc2, lo, hi) })
+		pool.ParallelFor(len(w), len(w), func(lo, hi int) { a.update(w, grad, mom, vel, bc1, bc2, lo, hi) })
 	}
 }
 

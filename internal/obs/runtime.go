@@ -62,11 +62,11 @@ func RegisterRuntime(reg *Registry) {
 		func() float64 { return float64(cache.get().PauseTotalNs) / 1e9 })
 	reg.GaugeFunc("sickle_tensor_pool_workers",
 		"Workers in the process-wide tensor kernel pool (0 when serial).",
-		func() float64 { w, _, _ := tensor.PoolStats(); return float64(w) })
+		func() float64 { w, _, _ := tensor.DefaultPool().Stats(); return float64(w) })
 	reg.GaugeFunc("sickle_tensor_pool_busy_workers",
 		"Tensor pool workers currently executing a task.",
-		func() float64 { _, b, _ := tensor.PoolStats(); return float64(b) })
+		func() float64 { _, b, _ := tensor.DefaultPool().Stats(); return float64(b) })
 	reg.CounterFunc("sickle_tensor_pool_tasks_total",
 		"Tasks completed by tensor pool workers since process start.",
-		func() float64 { _, _, n := tensor.PoolStats(); return float64(n) })
+		func() float64 { _, _, n := tensor.DefaultPool().Stats(); return float64(n) })
 }

@@ -165,7 +165,6 @@ func TestFlightRecorderKillAndReadmit(t *testing.T) {
 	rt, err := shard.NewRouter(shard.Config{
 		URLs:            []string{replicas[0].URL, replicas[1].URL},
 		ProbeEvery:      25 * time.Millisecond,
-		FailAfter:       2,
 		HistoryInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -298,7 +297,6 @@ func TestFlightRecorderSLOBreachDegradesWithoutEjection(t *testing.T) {
 	rt, err := shard.NewRouter(shard.Config{
 		URLs:            []string{replicas[0].URL, replicas[1].URL},
 		ProbeEvery:      25 * time.Millisecond,
-		FailAfter:       2,
 		HistoryInterval: 20 * time.Millisecond,
 	})
 	if err != nil {

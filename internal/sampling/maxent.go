@@ -363,7 +363,7 @@ func (h HMaxEnt) strengths(f *grid.Field, cubes []grid.Hypercube, kcvVar string)
 	// row of occ, so the fan-out is bit-identical to a serial loop.
 	occ := make([]float64, len(cubes)*k)
 	row := func(i int) []float64 { return occ[i*k : (i+1)*k] }
-	tensor.DefaultPool().ParallelFor(len(cubes), 1, func(lo, hi int) {
+	tensor.DefaultPool().ParallelFor(len(cubes), len(kcv)*k, func(lo, hi int) { // the cubes tile f
 		for ci := lo; ci < hi; ci++ {
 			c, counts := cubes[ci], row(ci)
 			for z := c.K0; z < c.K0+c.Sz; z++ {

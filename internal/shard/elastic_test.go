@@ -22,7 +22,6 @@ func newTestRouterK(t *testing.T, urls []string, k int) *Router {
 	rt, err := NewRouter(Config{
 		URLs:        urls,
 		ProbeEvery:  25 * time.Millisecond,
-		FailAfter:   2,
 		Replication: k,
 	})
 	if err != nil {

@@ -120,7 +120,6 @@ func TestReplicaSetMembershipWalks(t *testing.T) {
 		up, degraded bool
 		consecFails  int
 	}
-	const failAfter = 2
 	for walk := range 64 {
 		rng := rand.New(rand.NewSource(int64(walk)))
 		var urls []string
@@ -128,7 +127,7 @@ func TestReplicaSetMembershipWalks(t *testing.T) {
 			urls = append(urls, fmt.Sprintf("http://walk-%d.invalid", i))
 		}
 		met := newMetrics(obs.NewRegistry())
-		rs, err := NewReplicaSet(SetConfig{URLs: urls, FailAfter: failAfter}, met)
+		rs, err := NewReplicaSet(SetConfig{URLs: urls}, met)
 		if err != nil {
 			t.Fatal(err)
 		}

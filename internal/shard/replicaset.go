@@ -73,12 +73,15 @@ type ReplicaStatus struct {
 	Health      api.Health // last successful /healthz body
 }
 
+// failAfter is how many consecutive failed probes or routed calls eject a
+// replica.
+const failAfter = 2
+
 // SetConfig sizes a ReplicaSet. Zero values select the documented
 // defaults.
 type SetConfig struct {
 	URLs       []string      // backend base URLs (required; more can join later)
 	ProbeEvery time.Duration // health-probe period (default 1s)
-	FailAfter  int           // consecutive failures before ejection (default 2)
 
 	// Journal receives ejection/re-admission events; nil discards them.
 	Journal *events.Journal
@@ -99,7 +102,6 @@ type ReplicaSet struct {
 
 	probeEvery   time.Duration
 	probeTimeout time.Duration
-	failAfter    int
 	met          *Metrics
 	journal      *events.Journal
 
@@ -120,9 +122,6 @@ func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = time.Second
 	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 2
-	}
 	probeTimeout := cfg.ProbeEvery
 	if probeTimeout > 2*time.Second {
 		probeTimeout = 2 * time.Second
@@ -132,7 +131,6 @@ func NewReplicaSet(cfg SetConfig, met *Metrics) (*ReplicaSet, error) {
 		ring:         NewRing(),
 		probeEvery:   cfg.ProbeEvery,
 		probeTimeout: probeTimeout,
-		failAfter:    cfg.FailAfter,
 		met:          met,
 		journal:      cfg.Journal,
 		stop:         make(chan struct{}),
@@ -264,7 +262,7 @@ func (rs *ReplicaSet) NoteFailure(r *Replica, err error) {
 	r.mu.Lock()
 	r.consecFails++
 	r.lastErr = err
-	eject := r.up && r.consecFails >= rs.failAfter
+	eject := r.up && r.consecFails >= failAfter
 	if eject {
 		r.up = false
 	}

@@ -29,7 +29,6 @@ type Config struct {
 	Addr        string        // listen address (default :8090)
 	URLs        []string      // backend base URLs (required)
 	ProbeEvery  time.Duration // health-probe period (default 1s)
-	FailAfter   int           // consecutive failures before ejection (default 2)
 	Replication int           // owner-set size K for keyed job submissions (default 1)
 
 	// Logger receives request and lifecycle logs; nil discards them.
@@ -82,7 +81,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	met := newMetrics(t.MetricsRegistry())
 	t.CountRequests(met.RequestSeries)
 	rs, err := NewReplicaSet(SetConfig{
-		URLs: cfg.URLs, ProbeEvery: cfg.ProbeEvery, FailAfter: cfg.FailAfter, Journal: t.Journal(),
+		URLs: cfg.URLs, ProbeEvery: cfg.ProbeEvery, Journal: t.Journal(),
 	}, met)
 	if err != nil {
 		return nil, err

@@ -115,7 +115,6 @@ func newTestRouter(t *testing.T, urls []string) *Router {
 	rt, err := NewRouter(Config{
 		URLs:       urls,
 		ProbeEvery: 25 * time.Millisecond,
-		FailAfter:  2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -102,22 +102,22 @@ type Grid3 struct {
 
 	// Transform state, built by the first transform so that a warm one
 	// allocates nothing: the direction the passes read, the x, y and z
-	// passes, and one tile slab per strided-pass chunk.
+	// passes, and one tile slab per strided-pass chunk (tensor.MaxChunks).
 	inverse bool
 	passes  [3]pass
 	slabs   []complex128
 }
 
-// pass is one axis of the 3-D transform as the kernel pool runs it.
+// pass is one axis of the 3-D transform as the kernel pool runs it: units
+// split among chunks, and work, one per element and butterfly stage.
 type pass struct {
-	units, grain int
-	run          func(lo, hi int)
+	units, work int
+	run         func(lo, hi int)
 }
 
 // A strided pass moves tiles of tileLines neighbouring lines (consecutive
-// i; 8 complex128 fill two cache lines per row) in at most passChunks
-// chunks, each with its own tile slab.
-const tileLines, passChunks = 8, 16
+// i; 8 complex128 fill two cache lines per row).
+const tileLines = 8
 
 // NewGrid3 allocates a zeroed complex grid. All dimensions must be powers
 // of two.
@@ -135,7 +135,7 @@ func (g *Grid3) FromReal(v []float64) {
 	if len(v) != len(g.Data) {
 		panic("spectral: FromReal length mismatch")
 	}
-	tensor.DefaultPool().ParallelFor(len(v), 8192, func(lo, hi int) {
+	tensor.DefaultPool().ParallelFor(len(v), len(v), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			g.Data[i] = complex(v[i], 0)
 		}
@@ -147,7 +147,7 @@ func (g *Grid3) RealPart(dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, len(g.Data))
 	}
-	tensor.DefaultPool().ParallelFor(len(g.Data), 8192, func(lo, hi int) {
+	tensor.DefaultPool().ParallelFor(len(g.Data), len(g.Data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = real(g.Data[i])
 		}
@@ -172,15 +172,15 @@ func (g *Grid3) transform(inverse bool) {
 	g.inverse = inverse
 	p := tensor.DefaultPool()
 	for _, ps := range g.passes {
-		p.ParallelFor(ps.units, ps.grain, ps.run)
+		p.ParallelFor(ps.units, ps.work, ps.run)
 	}
 }
 
 func (g *Grid3) preparePasses() {
 	nx, ny, nz := g.Nx, g.Ny, g.Nz
-	g.slabs = make([]complex128, passChunks*min(tileLines, nx)*max(ny, nz))
+	g.slabs = make([]complex128, tensor.MaxChunks*min(tileLines, nx)*max(ny, nz))
 	// x-lines are contiguous; one unit per (k, j) line.
-	g.passes[0] = pass{nz * ny, 8, func(u0, u1 int) {
+	g.passes[0] = pass{nz * ny, bits.TrailingZeros(uint(nx)) * len(g.Data), func(u0, u1 int) {
 		pl := planFor(nx)
 		for u := u0; u < u1; u++ {
 			pl.transform(g.Data[u*nx:(u+1)*nx], g.inverse)
@@ -198,15 +198,15 @@ func (g *Grid3) preparePasses() {
 // step apart, rows of them starting outer apart, rows in all. Its unit is a
 // tile of up to tileLines neighbouring lines (consecutive i): gathered row
 // by row (contiguous reads) into its chunk's slab, each line transformed
-// there, scattered back.
+// there, scattered back. Chunk starts lie at least tiles/MaxChunks apart,
+// so u0·MaxChunks/tiles numbers a chunk's slab below MaxChunks.
 func (g *Grid3) stridedPass(rows, outer, n, step int) pass {
 	w := min(tileLines, g.Nx)
 	rowTiles := g.Nx / w
 	tiles := rows * rowTiles
-	grain := (tiles + passChunks - 1) / passChunks
-	return pass{tiles, grain, func(u0, u1 int) {
+	return pass{tiles, bits.TrailingZeros(uint(n)) * len(g.Data), func(u0, u1 int) {
 		pl := planFor(n)
-		slab := g.slabs[u0/grain*w*n:][:w*n]
+		slab := g.slabs[u0*tensor.MaxChunks/tiles*w*n:][:w*n]
 		for u := u0; u < u1; u++ {
 			base := u/rowTiles*outer + u%rowTiles*w
 			for e := 0; e < n; e++ {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/tensor"
 )
@@ -260,28 +261,32 @@ func BenchmarkFFT3_64cubed(b *testing.B) {
 }
 
 // TestFFT3BitIdenticalSerialVsParallel asserts the pooled line fan-out of
-// the 3-D transform matches the serial execution bit for bit.
+// the 3-D transform matches the serial execution bit for bit. 16×8×4 runs
+// every pass on the caller; 32³ and 64×16×8 split each pass.
 func TestFFT3BitIdenticalSerialVsParallel(t *testing.T) {
 	tensor.SetWorkers(4) // force a real pool even on single-core machines
 	defer tensor.SetWorkers(0)
-	mk := func() *Grid3 {
-		g := NewGrid3(16, 8, 4)
-		for i := range g.Data {
-			g.Data[i] = complex(math.Sin(float64(i)*0.7), math.Cos(float64(i)*1.3))
+	defer fannedOut(t, tasksDone())
+	for _, d := range [][3]int{{16, 8, 4}, {32, 32, 32}, {64, 16, 8}} {
+		mk := func() *Grid3 {
+			g := NewGrid3(d[0], d[1], d[2])
+			for i := range g.Data {
+				g.Data[i] = complex(math.Sin(float64(i)*0.7), math.Cos(float64(i)*1.3))
+			}
+			return g
 		}
-		return g
-	}
-	a, b := mk(), mk()
-	tensor.SetParallel(false)
-	b.FFT3()
-	b.IFFT3()
-	tensor.SetParallel(true)
-	a.FFT3()
-	a.IFFT3()
-	for i := range a.Data {
-		if math.Float64bits(real(a.Data[i])) != math.Float64bits(real(b.Data[i])) ||
-			math.Float64bits(imag(a.Data[i])) != math.Float64bits(imag(b.Data[i])) {
-			t.Fatalf("FFT3 parallel vs serial differs at %d: %v vs %v", i, a.Data[i], b.Data[i])
+		a, b := mk(), mk()
+		tensor.SetParallel(false)
+		b.FFT3()
+		b.IFFT3()
+		tensor.SetParallel(true)
+		a.FFT3()
+		a.IFFT3()
+		for i := range a.Data {
+			if math.Float64bits(real(a.Data[i])) != math.Float64bits(real(b.Data[i])) ||
+				math.Float64bits(imag(a.Data[i])) != math.Float64bits(imag(b.Data[i])) {
+				t.Fatalf("%v: FFT3 parallel vs serial differs at %d: %v vs %v", d, i, a.Data[i], b.Data[i])
+			}
 		}
 	}
 }
@@ -523,3 +528,18 @@ func TestFFT3Allocs(t *testing.T) {
 		t.Fatalf("warm FFT3+IFFT3 at 32³ allocates %v objects, want 0", a)
 	}
 }
+
+// fannedOut fails t unless the kernel pool finished a task since before (a
+// tasksDone reading): a parity test that never reached the pool would only
+// compare the serial code with itself. A helper counts its task after its
+// caller has returned, so this waits for it.
+func fannedOut(t *testing.T, before uint64) {
+	t.Helper()
+	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the kernel pool ran no task: the test never fanned out")
+		}
+	}
+}
+
+func tasksDone() uint64 { _, _, n := tensor.DefaultPool().Stats(); return n }

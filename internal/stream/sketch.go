@@ -32,7 +32,7 @@ func featureBounds(f *grid.Field, inVars []string) (lo, hi []float64) {
 		// snapshot-sized variable fans out across the kernel pool.
 		l, h := v[0], v[0]
 		var mu sync.Mutex
-		tensor.DefaultPool().ParallelFor(len(v), 8192, func(p0, p1 int) {
+		tensor.DefaultPool().ParallelFor(len(v), len(v), func(p0, p1 int) {
 			cl, ch := v[p0], v[p0]
 			for _, x := range v[p0:p1] {
 				if x < cl {

@@ -22,7 +22,6 @@ const (
 // the de Bruyn Kops ensembles.
 type StratifiedConfig struct {
 	Nx, Ny, Nz  int     // powers of two
-	URMS        float64 // default 1; the SST trajectory decays it (SSTSnapshot)
 	AnisoFactor float64 // vertical-scale suppression, default 4 (higher = more layered)
 	Froude      float64 // w-suppression ratio w_rms/u_rms, default 0.2
 	Seed        int64
@@ -39,9 +38,6 @@ func (c *StratifiedConfig) defaults() {
 	if c.Nz == 0 {
 		c.Nz = 16
 	}
-	if c.URMS == 0 {
-		c.URMS = 1
-	}
 	if c.AnisoFactor == 0 {
 		c.AnisoFactor = 4
 	}
@@ -53,15 +49,17 @@ func (c *StratifiedConfig) defaults() {
 	}
 }
 
-// Stratified synthesizes one snapshot of stably stratified turbulence:
+// stratified synthesizes one snapshot of stably stratified turbulence:
 // a solenoidal velocity field with anisotropically damped vertical modes, a
 // layered density field (linear background + fluctuations tied to vertical
 // displacement), pressure, dissipation and potential vorticity — the SST
 // variable set of Table 1 (inputs u,v,w,r; outputs p/ε; KCV pv or density).
-func Stratified(cfg StratifiedConfig) *grid.Field {
+// urms is the mean per-component velocity RMS, which the SST trajectory
+// decays (SSTSnapshot).
+func stratified(cfg StratifiedConfig, urms float64) *grid.Field {
 	cfg.defaults()
 	nx, ny, nz := cfg.Nx, cfg.Ny, cfg.Nz
-	u, v, w := solenoidal(nx, ny, nz, rand.New(rand.NewSource(cfg.Seed)), cfg.URMS, cfg.layeredMode)
+	u, v, w := solenoidal(nx, ny, nz, rand.New(rand.NewSource(cfg.Seed)), urms, cfg.layeredMode)
 
 	f := grid.NewField(nx, ny, nz)
 	f.Dx = 2 * math.Pi / float64(nx)
@@ -156,14 +154,12 @@ func (c StratifiedConfig) layeredMode(kx, ky, kz, k2 float64, du, dv, dw complex
 }
 
 // SSTSnapshot is snapshot t of the SST-like trajectory: an independent
-// realization whose seed drifts by 1009 per step and whose URMS decays as
-// e^(−0.02t), a slow re-laminarization trend. SSTDataset materializes it
-// and stream.SynthSource generates it on demand.
+// realization whose seed drifts by 1009 per step and whose velocity RMS
+// decays as e^(−0.02t), a slow re-laminarization trend. SSTDataset
+// materializes it and stream.SynthSource generates it on demand.
 func SSTSnapshot(cfg StratifiedConfig, t int) *grid.Field {
-	cfg.defaults()
 	cfg.Seed += int64(t) * 1009
-	cfg.URMS *= math.Exp(-0.02 * float64(t))
-	f := Stratified(cfg)
+	f := stratified(cfg, math.Exp(-0.02*float64(t)))
 	f.Time = float64(t)
 	return f
 }

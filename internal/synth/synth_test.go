@@ -175,7 +175,7 @@ func TestIsotropicDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestStratifiedAnisotropy(t *testing.T) {
-	f := Stratified(StratifiedConfig{Nx: 32, Ny: 32, Nz: 16, Seed: 5})
+	f := stratified(StratifiedConfig{Nx: 32, Ny: 32, Nz: 16, Seed: 5}, 1)
 	// Vertical velocity must be strongly suppressed vs horizontal.
 	uRMS, wRMS := rms(f, "u"), rms(f, "w")
 	if wRMS > 0.5*uRMS {
@@ -184,7 +184,7 @@ func TestStratifiedAnisotropy(t *testing.T) {
 }
 
 func TestStratifiedDensityStableGradient(t *testing.T) {
-	f := Stratified(StratifiedConfig{Nx: 16, Ny: 16, Nz: 16, Seed: 6})
+	f := stratified(StratifiedConfig{Nx: 16, Ny: 16, Nz: 16, Seed: 6}, 1)
 	r := f.Var("r")
 	// Horizontally averaged density must decrease with z (stable).
 	meanAt := func(k int) float64 {
@@ -202,7 +202,7 @@ func TestStratifiedDensityStableGradient(t *testing.T) {
 }
 
 func TestStratifiedGravityAxisY(t *testing.T) {
-	f := Stratified(StratifiedConfig{Nx: 16, Ny: 16, Nz: 16, Seed: 7, GravityAxis: 1})
+	f := stratified(StratifiedConfig{Nx: 16, Ny: 16, Nz: 16, Seed: 7, GravityAxis: 1}, 1)
 	// With gravity along y, v is the suppressed component.
 	if rms(f, "v") > 0.5*rms(f, "u") {
 		t.Fatalf("gravity-y field should suppress v: v_rms=%v u_rms=%v", rms(f, "v"), rms(f, "u"))
@@ -213,7 +213,7 @@ func TestStratifiedGravityAxisY(t *testing.T) {
 }
 
 func TestStratifiedVariables(t *testing.T) {
-	f := Stratified(StratifiedConfig{Nx: 16, Ny: 16, Nz: 8, Seed: 8})
+	f := stratified(StratifiedConfig{Nx: 16, Ny: 16, Nz: 8, Seed: 8}, 1)
 	for _, v := range []string{"u", "v", "w", "r", "p", "dissipation", "pv"} {
 		if !f.HasVar(v) {
 			t.Fatalf("missing %q", v)
@@ -289,6 +289,6 @@ func BenchmarkIsotropic32(b *testing.B) {
 
 func BenchmarkStratified32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Stratified(StratifiedConfig{Nx: 32, Ny: 32, Nz: 16, Seed: int64(i)})
+		stratified(StratifiedConfig{Nx: 32, Ny: 32, Nz: 16, Seed: int64(i)}, 1)
 	}
 }

@@ -9,7 +9,9 @@ import (
 // Kernel micro-benchmarks. ReportAllocs is on everywhere: the Into/Accum
 // kernels must be zero-alloc, and MatMul's only allocation is its output.
 // The Accum benchmarks accumulate into one dst: the arithmetic is the same
-// whatever dst holds.
+// whatever dst holds. TestMain lowers fanOutWork for the parity tests, so
+// the pooled benchmarks here split finer than a program would; the
+// LedgerShapes split/ sweep sets it per case.
 // Run `go test -bench 'MatMul|Ewise|Reduce' -benchmem ./internal/tensor/`.
 
 func benchMats(m, k, n int) (*Tensor, *Tensor, *Tensor) {
@@ -65,7 +67,9 @@ func BenchmarkMatMulTransBAccum(b *testing.B) {
 
 // BenchmarkMatMulLedgerShapes runs the three variants serially at the
 // shapes that dominate a training step (m×k×n; the row count 512 is one
-// batch of cube rows), reporting GFLOP/s.
+// batch of cube rows), reporting GFLOP/s. Its split/ half is the sweep
+// behind fanOutWork: a·b at m×32×32 for m = 8…512 on the default pool, cut
+// into 1, 2, 4, 8 and 16 chunks (by setting fanOutWork to work/chunks).
 func BenchmarkMatMulLedgerShapes(b *testing.B) {
 	SetParallel(false)
 	defer SetParallel(true)
@@ -88,6 +92,25 @@ func BenchmarkMatMulLedgerShapes(b *testing.B) {
 					v.kernel(v.dst, x, v.y)
 				}
 				b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+	SetParallel(true)
+	defer func(w int) { fanOutWork = w }(fanOutWork)
+	for m := 8; m <= 512; m *= 2 {
+		x, y, dst := benchMats(m, 32, 32)
+		work := m * 32 * 32
+		for c := 1; c <= min(MaxChunks, m); c *= 2 {
+			b.Run(fmt.Sprintf("split/%dx32x32/chunks%d", m, c), func(b *testing.B) {
+				fanOutWork = max(work/c, 1)
+				if c == 1 {
+					fanOutWork = work + 1
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MatMulAccum(dst, x, y)
+				}
+				b.ReportMetric(2*float64(work)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
 	}
@@ -132,10 +155,17 @@ func BenchmarkReduceSum(b *testing.B) {
 	_ = s
 }
 
+// BenchmarkParallelForOverhead prices a fan-out on its own: an empty body
+// over 1, 2, 4, 8 and 16 chunks on the default pool, so chunks1 is the
+// inline call and the rest are the closure and the hand-off.
 func BenchmarkParallelForOverhead(b *testing.B) {
-	p := NewPool(4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.ParallelFor(1<<14, ewiseGrain, func(lo, hi int) {})
+	for c := 1; c <= MaxChunks; c *= 2 {
+		b.Run(fmt.Sprintf("chunks%d", c), func(b *testing.B) {
+			p := DefaultPool()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.ParallelFor(1<<14, c*fanOutWork, func(lo, hi int) {})
+			}
+		})
 	}
 }

@@ -2,16 +2,14 @@ package tensor
 
 import "fmt"
 
-// rowGrain batches output rows per ParallelFor chunk. The kernels are
-// register-tiled: each holds a strip of output cells (or a group of dot
-// products) in locals for the whole inner loop and stores it once, instead
-// of loading and storing a cell per multiply-add. Every cell still takes
-// exactly its reference's adds in its reference's order — l ascending, a
-// zero in a skipped where the reference skips it — so each kernel is bit
-// for bit its serial *Ref (up to which payload survives when two NaNs meet
-// in one add), and the chunking depends only on the shape, so serial and
-// pooled runs agree too.
-const rowGrain = 8
+// The kernels are register-tiled: each holds a strip of output cells (or a
+// group of dot products) in locals for the whole inner loop and stores it
+// once, instead of loading and storing a cell per multiply-add. Every cell
+// still takes exactly its reference's adds in its reference's order — l
+// ascending, a zero in a skipped where the reference skips it — so each
+// kernel is bit for bit its serial *Ref (up to which payload survives when
+// two NaNs meet in one add), and the pool splits rows by the call's
+// multiply-adds alone, so serial and pooled runs agree too.
 
 // MatMul returns a @ b for 2-D tensors a (m×k) and b (k×n). The output of
 // New is already zeroed, so the kernel accumulates directly — no redundant
@@ -84,11 +82,11 @@ func checkDst2D(dst *Tensor, m, n int, op string) {
 
 // matmulAccum computes dst += a @ b, parallel over output rows.
 func matmulAccum(dst, a, b []float64, m, k, n int, p *Pool) {
-	if p.Inline(m, rowGrain) {
+	if p.Inline(m, m*k*n) {
 		accumRows(dst, a, b, k, n, k, 1, 0, m)
 		return
 	}
-	p.ParallelFor(m, rowGrain, func(i0, i1 int) { accumRows(dst, a, b, k, n, k, 1, i0, i1) })
+	p.ParallelFor(m, m*k*n, func(i0, i1 int) { accumRows(dst, a, b, k, n, k, 1, i0, i1) })
 }
 
 // accumRows adds Σ_l a(i,l)·b[l,:] to dst[i,:] for i in [i0, i1), l
@@ -170,11 +168,11 @@ func matmulAccumRef(dst, a, b []float64, m, k, n int) {
 // matmulTransBAccum computes dst += a @ bᵀ (b stored n×k), parallel over
 // rows; both operands are read row-major.
 func matmulTransBAccum(dst, a, b []float64, m, k, n int, p *Pool) {
-	if p.Inline(m, rowGrain) {
+	if p.Inline(m, m*k*n) {
 		transBRows(dst, a, b, k, n, 0, m)
 		return
 	}
-	p.ParallelFor(m, rowGrain, func(i0, i1 int) { transBRows(dst, a, b, k, n, i0, i1) })
+	p.ParallelFor(m, m*k*n, func(i0, i1 int) { transBRows(dst, a, b, k, n, i0, i1) })
 }
 
 // transBRows runs four dot products at a time, one row of a against four
@@ -232,11 +230,11 @@ func matmulTransBAccumRef(dst, a, b []float64, m, k, n int) {
 // matmulTransAAccum computes dst += aᵀ @ b (a stored m×k, dst k×n),
 // parallel over dst rows (columns of a).
 func matmulTransAAccum(dst, a, b []float64, m, k, n int, p *Pool) {
-	if p.Inline(k, rowGrain) {
+	if p.Inline(k, m*k*n) {
 		accumRows(dst, a, b, m, n, 1, k, 0, k)
 		return
 	}
-	p.ParallelFor(k, rowGrain, func(i0, i1 int) { accumRows(dst, a, b, m, n, 1, k, i0, i1) })
+	p.ParallelFor(k, m*k*n, func(i0, i1 int) { accumRows(dst, a, b, m, n, 1, k, i0, i1) })
 }
 
 // matmulTransAAccumRef is the serial reference for matmulTransAAccum.
@@ -265,11 +263,11 @@ func AddRowVecInto(dst, a, v *Tensor) {
 	m, n := a.Dim(0), a.Dim(1)
 	ad, vd, dd := a.Data, v.Data, dst.Data
 	p := DefaultPool()
-	if p.Inline(m, 4*rowGrain) {
+	if p.Inline(m, m*n) {
 		addRowVecRows(dd, ad, vd, n, 0, m)
 		return
 	}
-	p.ParallelFor(m, 4*rowGrain, func(i0, i1 int) { addRowVecRows(dd, ad, vd, n, i0, i1) })
+	p.ParallelFor(m, m*n, func(i0, i1 int) { addRowVecRows(dd, ad, vd, n, i0, i1) })
 }
 
 func addRowVecRows(dd, ad, vd []float64, n, i0, i1 int) {

@@ -19,8 +19,8 @@ var paritySizes = append([][3]int{
 }, tailSizes()...)
 
 // tailSizes covers every tail of the 8/4/1 column strips (n = 1…9, 15, 16,
-// 17) with m and k that each span several rowGrain chunks: a·b and a·bᵀ
-// split m, aᵀ·b splits k.
+// 17) with m and k that each span several chunks at the test's fanOutWork:
+// a·b and a·bᵀ split m, aᵀ·b splits k.
 func tailSizes() [][3]int {
 	var out [][3]int
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17} {
@@ -60,6 +60,7 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 }
 
 func TestMatMulBitIdenticalToRef(t *testing.T) {
+	defer fannedOut(t, tasksDone())
 	rng := rand.New(rand.NewSource(7))
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
@@ -79,6 +80,7 @@ func TestMatMulBitIdenticalToRef(t *testing.T) {
 }
 
 func TestMatMulTransBBitIdenticalToRef(t *testing.T) {
+	defer fannedOut(t, tasksDone())
 	rng := rand.New(rand.NewSource(8))
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
@@ -92,6 +94,7 @@ func TestMatMulTransBBitIdenticalToRef(t *testing.T) {
 }
 
 func TestMatMulTransABitIdenticalToRef(t *testing.T) {
+	defer fannedOut(t, tasksDone())
 	rng := rand.New(rand.NewSource(9))
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
@@ -113,6 +116,7 @@ func TestMatMulTransABitIdenticalToRef(t *testing.T) {
 // operand of the reference's add), so each output column meets one kind of
 // NaN only: the ones ±Inf make, or b's own.
 func TestMatMulSpecialValuesBitIdenticalToRef(t *testing.T) {
+	defer fannedOut(t, tasksDone())
 	rng := rand.New(rand.NewSource(15))
 	// special fills b with ±Inf where output column col(i, j) is even and
 	// NaN where it is odd.
@@ -179,15 +183,19 @@ func matchesRef(t *testing.T, name string, kernel func(dst, a, b *Tensor), ref f
 }
 
 // FuzzMatMulParity checks all three kernels against their serial
-// references, bit for bit, on shapes up to 70 in each dimension (several
-// rowGrain chunks, so TestMain's 4-worker pool splits them) with a chosen
-// share of exact zeros in a.
+// references, bit for bit, on shapes up to 70 in each dimension (most
+// span several chunks at TestMain's fanOutWork, so its 4-worker pool
+// splits them, and those must reach the pool) with a chosen share of exact
+// zeros in a.
 func FuzzMatMulParity(f *testing.F) {
 	f.Add(uint8(37), uint8(29), uint8(13), uint8(64), int64(1))
 	f.Add(uint8(70), uint8(1), uint8(70), uint8(0), int64(2))
 	f.Add(uint8(9), uint8(70), uint8(17), uint8(255), int64(3))
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zeroShare uint8, seed int64) {
 		m, k, n := int(mb)%70+1, int(kb)%70+1, int(nb)%70+1
+		if chunks(m, m*k*n) > 1 || chunks(k, m*k*n) > 1 {
+			defer fannedOut(t, tasksDone())
+		}
 		rng := rand.New(rand.NewSource(seed))
 		mat := func(r, c int, zeros bool) *Tensor {
 			x := randMat(rng, r, c)
@@ -232,7 +240,11 @@ func TestMatMulTransAMatchesTransposedMatMul(t *testing.T) {
 // decomposition until a kernel reduces through it again or it is deleted
 // with them.
 
-// chunkedSum reduces f over [0, n) with fixed ewiseGrain chunks: each
+// sumChunk is chunkedSum's partial length: it sets the reduction's
+// summation order, so it is part of its result, not a fan-out choice.
+const sumChunk = 4096
+
+// chunkedSum reduces f over [0, n) with fixed sumChunk chunks: each
 // chunk's partial is accumulated left-to-right, partials are combined in
 // chunk order. The decomposition depends only on n, so the result is
 // bit-identical with or without a pool (see chunkedSumRef).
@@ -240,15 +252,15 @@ func chunkedSum(n int, p *Pool, f func(lo, hi int) float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	chunks := (n + ewiseGrain - 1) / ewiseGrain
+	chunks := (n + sumChunk - 1) / sumChunk
 	if chunks == 1 {
 		return f(0, n)
 	}
 	partials := make([]float64, chunks)
-	p.ParallelFor(chunks, 1, func(c0, c1 int) {
+	p.ParallelFor(chunks, n, func(c0, c1 int) {
 		for c := c0; c < c1; c++ {
-			lo := c * ewiseGrain
-			hi := lo + ewiseGrain
+			lo := c * sumChunk
+			hi := lo + sumChunk
 			if hi > n {
 				hi = n
 			}
@@ -281,8 +293,9 @@ func (t *Tensor) Sum() float64 {
 }
 
 func TestElementwiseBitIdenticalSerialVsParallel(t *testing.T) {
+	defer fannedOut(t, tasksDone())
 	rng := rand.New(rand.NewSource(12))
-	n := 3*ewiseGrain + 17 // multi-chunk with a partial tail
+	n := 12305 // multi-chunk with a partial tail
 	a := Randn(rng, 1, n)
 	b := Randn(rng, 1, n)
 
@@ -303,8 +316,9 @@ func TestElementwiseBitIdenticalSerialVsParallel(t *testing.T) {
 }
 
 func TestReductionsBitIdenticalSerialVsParallel(t *testing.T) {
+	defer fannedOut(t, tasksDone())
 	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, ewiseGrain - 1, ewiseGrain, 5*ewiseGrain + 3} {
+	for _, n := range []int{0, 1, sumChunk - 1, sumChunk, 5*sumChunk + 3} {
 		a := Randn(rng, 1e6, n)
 		sumP := a.Sum()
 		SetParallel(false)
@@ -329,6 +343,7 @@ func TestReductionsBitIdenticalSerialVsParallel(t *testing.T) {
 }
 
 func TestMatVecBitIdenticalSerialVsParallel(t *testing.T) {
+	defer fannedOut(t, tasksDone())
 	rng := rand.New(rand.NewSource(14))
 	a := randMat(rng, 301, 53)
 	x := Randn(rng, 1, 53, 1) // a vector is the n = 1 right-hand side
@@ -341,8 +356,11 @@ func TestMatVecBitIdenticalSerialVsParallel(t *testing.T) {
 
 // TestMain forces a real multi-worker pool for the whole package test run,
 // so the parity assertions exercise genuine cross-goroutine scheduling even
-// on single-core machines (where DefaultPool would otherwise be nil).
+// on single-core machines (where DefaultPool would otherwise be nil), and
+// lowers fanOutWork so that shapes of a few hundred multiply-adds already
+// split: most parity shapes are far below the production threshold.
 func TestMain(m *testing.M) {
 	SetWorkers(4)
+	fanOutWork = 64
 	os.Exit(m.Run())
 }

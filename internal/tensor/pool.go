@@ -12,13 +12,13 @@ import (
 // and fed recycled job structs through a bounded queue, so a ParallelFor
 // call allocates nothing of its own.
 //
-// Determinism contract: ParallelFor decomposes [0, n) into fixed chunks of
-// `grain` iterations. The decomposition depends only on (n, grain) — never
-// on the worker count or on whether a pool is present — so any kernel whose
-// per-chunk work writes disjoint outputs (or fills per-chunk partials that
-// are combined in chunk order afterwards) produces bit-identical results
-// serial or parallel, on any machine. All kernels in this repository follow
-// that contract, and the parity tests assert it.
+// Determinism contract: ParallelFor decomposes [0, n) into chunks that
+// depend only on (n, work) — never on the worker count or on whether a pool
+// is present — so any kernel whose per-chunk work writes disjoint outputs
+// (or fills per-chunk partials that are combined in chunk order afterwards)
+// produces bit-identical results serial or parallel, on any machine. All
+// kernels in this repository follow that contract, and the parity tests
+// assert it.
 type Pool struct {
 	workers int
 	tasks   chan *job
@@ -106,12 +106,6 @@ func (p *Pool) Stats() (workers, busy int, tasksDone uint64) {
 	return p.workers, int(p.busy.Load()), p.tasksDone.Load()
 }
 
-// PoolStats reports Stats for the process-wide default pool (zeros when
-// parallelism is off or the process is single-core).
-func PoolStats() (workers, busy int, tasksDone uint64) {
-	return DefaultPool().Stats()
-}
-
 var (
 	defaultPool     atomic.Pointer[Pool]
 	defaultPoolOnce sync.Once
@@ -157,38 +151,57 @@ func SetWorkers(n int) {
 	defaultPool.Store(NewPool(n))
 }
 
-// Inline reports whether ParallelFor(n, grain, fn) would simply call
-// fn(0, n) on the caller: no pool, or a single chunk. A closure handed to
-// ParallelFor escapes, so it costs an allocation even on that path;
-// kernels on hot paths ask Inline first and call their range function
-// directly, constructing the closure only when there is work to share.
-func (p *Pool) Inline(n, grain int) bool { return p == nil || n <= max(grain, 1) }
+// The fan-out rule: a call runs as work/fanOutWork chunks, at least 1 and
+// at most MaxChunks or n, where work counts multiply-add-sized steps
+// (multiply-adds for a matmul, elements for an element-wise kernel,
+// inner-loop iterations elsewhere). The sweep behind both (2-core Xeon,
+// GOMAXPROCS 2, medians of 6): an empty fan-out costs 0.39 µs at 2 chunks
+// and 0.96 µs at 16 (BenchmarkParallelForOverhead); a·b at m×32×32
+// (BenchmarkMatMulLedgerShapes/split) first gains from a split at 2^16
+// multiply-adds (60.0 → 53.5 µs in 2 chunks; 2^15 gains 32.5 → 30.4, within
+// noise, 2^14 loses 14.2 → 15.1), and at 2^19 runs 419, 314, 271, 248 and
+// 235 µs in 1, 2, 4, 8 and 16 chunks. Tests lower fanOutWork to reach the
+// pool at small shapes; nothing else sets it.
+var fanOutWork = 1 << 15
 
-// ParallelFor runs fn over [0, n) split into chunks of grain iterations.
-// fn(lo, hi) must be safe to run concurrently with other chunks (disjoint
-// writes). A nil pool, a single chunk, or a saturated task queue degrade to
-// inline execution on the caller; the chunk decomposition is unchanged, so
-// results are identical. ParallelFor may be called from inside a chunk
-// (nested data parallelism): the inner call simply shares the queue, and
-// because the caller always works through the remaining chunks itself, no
-// call can deadlock waiting for a free worker.
-func (p *Pool) ParallelFor(n, grain int, fn func(lo, hi int)) {
+// MaxChunks is the most chunks one call is split into; a strided FFT pass
+// keeps a scratch slab per chunk, so MaxChunks of them.
+const MaxChunks = 16
+
+func chunks(n, work int) int { return max(1, min(work/fanOutWork, MaxChunks, n)) }
+
+// Inline reports whether ParallelFor(n, work, fn) would run on the caller
+// alone: no pool, or one chunk. A closure handed to ParallelFor escapes, so
+// hot kernels whose chunks write disjoint outputs ask Inline first and call
+// their range function on [0, n) directly.
+func (p *Pool) Inline(n, work int) bool { return p == nil || chunks(n, work) == 1 }
+
+// ParallelFor runs fn over [0, n) in chunks of one length (the last may be
+// shorter), so chunk starts lie at least n/MaxChunks apart. fn(lo, hi) must
+// be safe to run concurrently with other chunks (disjoint writes). A nil
+// pool or a saturated task queue runs the same chunks on the caller.
+// ParallelFor may be called from inside a chunk (nested data parallelism):
+// the inner call simply shares the queue, and because the caller always
+// works through the remaining chunks itself, no call can deadlock waiting
+// for a free worker.
+func (p *Pool) ParallelFor(n, work int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if p.Inline(n, grain) {
-		fn(0, n)
+	c := chunks(n, work)
+	grain := (n + c - 1) / c
+	if p == nil || c == 1 {
+		for lo := 0; lo < n; lo += grain {
+			fn(lo, min(lo+grain, n))
+		}
 		return
 	}
-	if grain <= 0 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
+	c = (n + grain - 1) / grain // rounding the grain up can leave fewer
 	j := jobs.Get().(*job)
-	j.fn, j.n, j.grain, j.chunks = fn, n, grain, chunks
+	j.fn, j.n, j.grain, j.chunks = fn, n, grain, c
 	j.next.Store(0)
-	j.pending.Add(chunks)
-	helpers := min(p.workers, chunks-1)
+	j.pending.Add(c)
+	helpers := min(p.workers, c-1)
 	j.refs.Store(int32(1 + helpers)) // the caller's, and one per helper
 queue:
 	for sent := 0; sent < helpers; sent++ {

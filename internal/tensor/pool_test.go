@@ -1,20 +1,23 @@
 package tensor
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestParallelForCoversAllIndices(t *testing.T) {
 	p := NewPool(4)
 	for _, n := range []int{0, 1, 7, 100, 4096, 10001} {
-		for _, grain := range []int{1, 3, 64, 4096} {
+		for _, work := range []int{1, fanOutWork, 3 * fanOutWork, 64 * fanOutWork} {
 			var hits atomic.Int64
 			seen := make([]int32, n)
-			p.ParallelFor(n, grain, func(lo, hi int) {
+			p.ParallelFor(n, work, func(lo, hi int) {
 				if lo < 0 || hi > n || lo >= hi {
-					t.Errorf("bad chunk [%d,%d) for n=%d grain=%d", lo, hi, n, grain)
+					t.Errorf("bad chunk [%d,%d) for n=%d work=%d", lo, hi, n, work)
 				}
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&seen[i], 1)
@@ -22,11 +25,11 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 				}
 			})
 			if hits.Load() != int64(n) {
-				t.Fatalf("n=%d grain=%d: %d iterations executed", n, grain, hits.Load())
+				t.Fatalf("n=%d work=%d: %d iterations executed", n, work, hits.Load())
 			}
 			for i, c := range seen {
 				if c != 1 {
-					t.Fatalf("n=%d grain=%d: index %d executed %d times", n, grain, i, c)
+					t.Fatalf("n=%d work=%d: index %d executed %d times", n, work, i, c)
 				}
 			}
 		}
@@ -56,9 +59,9 @@ func TestParallelForNilPoolRunsInline(t *testing.T) {
 func TestParallelForNested(t *testing.T) {
 	p := NewPool(4)
 	var total atomic.Int64
-	p.ParallelFor(64, 1, func(lo, hi int) {
+	p.ParallelFor(64, 64*fanOutWork, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p.ParallelFor(128, 8, func(ilo, ihi int) {
+			p.ParallelFor(128, 128*fanOutWork, func(ilo, ihi int) {
 				total.Add(int64(ihi - ilo))
 			})
 		}
@@ -114,10 +117,10 @@ func TestParallelForJobRecycling(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				n := 17 + (g*rounds+r)%40
 				var outer atomic.Int64
-				p.ParallelFor(n, 3, func(lo, hi int) {
+				p.ParallelFor(n, n*fanOutWork, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						var inner atomic.Int64
-						p.ParallelFor(i+2, 1, func(ilo, ihi int) {
+						p.ParallelFor(i+2, (i+2)*fanOutWork, func(ilo, ihi int) {
 							for k := ilo; k < ihi; k++ {
 								inner.Add(int64(k))
 							}
@@ -145,7 +148,7 @@ func TestParallelForJobRecycling(t *testing.T) {
 func TestParallelForLateHelper(t *testing.T) {
 	p := &Pool{workers: 1, tasks: make(chan *job, 3)}
 	var iterations atomic.Int64
-	call := func() { p.ParallelFor(4, 1, func(lo, hi int) { iterations.Add(int64(hi - lo)) }) }
+	call := func() { p.ParallelFor(4, 4*fanOutWork, func(lo, hi int) { iterations.Add(int64(hi - lo)) }) }
 	for i := 0; i < cap(p.tasks); i++ {
 		call()
 	}
@@ -179,3 +182,69 @@ func TestParallelForLateHelper(t *testing.T) {
 		t.Fatalf("late helpers ran chunks: %d iterations in total", got)
 	}
 }
+
+// TestChunksRule is the fan-out rule's property test. Over random (n, work),
+// from far below fanOutWork to far above MaxChunks of it, on pools of nil,
+// 1, 2 and 4 workers: every index runs once, every pool runs the same
+// chunks, there are at most MaxChunks of them and exactly one below
+// fanOutWork, Inline agrees, and lo·MaxChunks/n numbers the chunks apart
+// (the strided FFT passes keep a slab per chunk by that number).
+func TestChunksRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	pools := []*Pool{nil, NewPool(1), NewPool(2), NewPool(4)}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(300)
+		work := int(rng.Int63n(1 << rng.Intn(24)))
+		var want [][2]int
+		for pi, p := range pools {
+			var mu sync.Mutex
+			var got [][2]int
+			seen := make([]int32, n)
+			p.ParallelFor(n, work, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[i], 1)
+				}
+				mu.Lock()
+				got = append(got, [2]int{lo, hi})
+				mu.Unlock()
+			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("n=%d work=%d pool %d: index %d ran %d times", n, work, pi, i, c)
+				}
+			}
+			slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
+			if pi == 0 {
+				want = got
+			} else if !slices.Equal(got, want) {
+				t.Fatalf("n=%d work=%d: pool %d ran chunks %v, the nil pool %v", n, work, pi, got, want)
+			}
+			if p != nil && p.Inline(n, work) != (len(got) == 1) {
+				t.Fatalf("n=%d work=%d: Inline is %v with %d chunks", n, work, p.Inline(n, work), len(got))
+			}
+		}
+		if len(want) > MaxChunks || work < fanOutWork && len(want) != 1 {
+			t.Fatalf("n=%d work=%d: %d chunks", n, work, len(want))
+		}
+		for c := 1; c < len(want); c++ {
+			if want[c-1][0]*MaxChunks/n == want[c][0]*MaxChunks/n {
+				t.Fatalf("n=%d work=%d: chunks %v and %v share a slab number", n, work, want[c-1], want[c])
+			}
+		}
+	}
+}
+
+// fannedOut fails t unless the default pool finished a task since before
+// (a tasksDone reading): a parity test that never reached the pool would
+// only compare the serial code with itself. A helper counts its task after
+// its caller has returned, so this waits for it.
+func fannedOut(t *testing.T, before uint64) {
+	t.Helper()
+	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the kernel pool ran no task: the test never fanned out")
+		}
+	}
+}
+
+func tasksDone() uint64 { _, _, n := DefaultPool().Stats(); return n }

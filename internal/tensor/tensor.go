@@ -152,14 +152,10 @@ func assertSameLen(a, b *Tensor, op string) {
 	}
 }
 
-// ewiseGrain is the fixed element-wise/reduction chunk size. It is part of
-// the determinism contract: chunk boundaries depend only on tensor length,
-// so chunked reductions give the same bits on every machine.
-const ewiseGrain = 4096
-
 // The element-wise kernels below share one shape: a range function that
 // does the work on [lo, hi), called directly when the pool would run it
-// inline anyway (see Pool.Inline) and through ParallelFor otherwise.
+// inline anyway (see Pool.Inline) and through ParallelFor otherwise; their
+// work is their element count.
 
 // AddInto computes dst = a + b element-wise.
 func AddInto(dst, a, b *Tensor) {
@@ -167,11 +163,11 @@ func AddInto(dst, a, b *Tensor) {
 	assertSameLen(dst, a, "add")
 	ad, bd, dd := a.Data, b.Data, dst.Data
 	p := DefaultPool()
-	if p.Inline(len(dd), ewiseGrain) {
+	if p.Inline(len(dd), len(dd)) {
 		addRange(dd, ad, bd, 0, len(dd))
 		return
 	}
-	p.ParallelFor(len(dd), ewiseGrain, func(lo, hi int) { addRange(dd, ad, bd, lo, hi) })
+	p.ParallelFor(len(dd), len(dd), func(lo, hi int) { addRange(dd, ad, bd, lo, hi) })
 }
 
 func addRange(dd, ad, bd []float64, lo, hi int) {
@@ -186,11 +182,11 @@ func MulInto(dst, a, b *Tensor) {
 	assertSameLen(dst, a, "mul")
 	ad, bd, dd := a.Data, b.Data, dst.Data
 	p := DefaultPool()
-	if p.Inline(len(dd), ewiseGrain) {
+	if p.Inline(len(dd), len(dd)) {
 		mulRange(dd, ad, bd, 0, len(dd))
 		return
 	}
-	p.ParallelFor(len(dd), ewiseGrain, func(lo, hi int) { mulRange(dd, ad, bd, lo, hi) })
+	p.ParallelFor(len(dd), len(dd), func(lo, hi int) { mulRange(dd, ad, bd, lo, hi) })
 }
 
 func mulRange(dd, ad, bd []float64, lo, hi int) {
@@ -203,11 +199,11 @@ func mulRange(dd, ad, bd []float64, lo, hi int) {
 func (t *Tensor) Scale(s float64) {
 	d := t.Data
 	p := DefaultPool()
-	if p.Inline(len(d), ewiseGrain) {
+	if p.Inline(len(d), len(d)) {
 		scaleRange(d, s, 0, len(d))
 		return
 	}
-	p.ParallelFor(len(d), ewiseGrain, func(lo, hi int) { scaleRange(d, s, lo, hi) })
+	p.ParallelFor(len(d), len(d), func(lo, hi int) { scaleRange(d, s, lo, hi) })
 }
 
 func scaleRange(d []float64, s float64, lo, hi int) {
@@ -221,11 +217,11 @@ func (t *Tensor) AddScaled(s float64, u *Tensor) {
 	assertSameLen(t, u, "axpy")
 	d, ud := t.Data, u.Data
 	p := DefaultPool()
-	if p.Inline(len(d), ewiseGrain) {
+	if p.Inline(len(d), len(d)) {
 		axpyRange(d, s, ud, 0, len(d))
 		return
 	}
-	p.ParallelFor(len(d), ewiseGrain, func(lo, hi int) { axpyRange(d, s, ud, lo, hi) })
+	p.ParallelFor(len(d), len(d), func(lo, hi int) { axpyRange(d, s, ud, lo, hi) })
 }
 
 func axpyRange(d []float64, s float64, ud []float64, lo, hi int) {
@@ -246,11 +242,11 @@ func ApplyInto(dst, src *Tensor, f func(float64) float64) {
 	assertSameLen(dst, src, "apply")
 	dd, sd := dst.Data, src.Data
 	p := DefaultPool()
-	if p.Inline(len(dd), ewiseGrain) {
+	if p.Inline(len(dd), len(dd)) {
 		applyRange(dd, sd, f, 0, len(dd))
 		return
 	}
-	p.ParallelFor(len(dd), ewiseGrain, func(lo, hi int) { applyRange(dd, sd, f, lo, hi) })
+	p.ParallelFor(len(dd), len(dd), func(lo, hi int) { applyRange(dd, sd, f, lo, hi) })
 }
 
 func applyRange(dd, sd []float64, f func(float64) float64, lo, hi int) {

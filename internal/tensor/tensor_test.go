@@ -161,9 +161,10 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelMatchesSerial exercises the goroutine path (m >=
-// parallelThreshold) against a naive triple loop.
+// TestMatMulParallelMatchesSerial exercises the pooled path against a
+// naive triple loop.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
+	defer fannedOut(t, tasksDone())
 	rng := rand.New(rand.NewSource(2))
 	m, k, n := 97, 33, 41
 	a := Rand(rng, 1, m, k)

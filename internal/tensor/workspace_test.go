@@ -77,8 +77,9 @@ func TestParallelForAllocs(t *testing.T) {
 			data[i]++
 		}
 	}
-	p.ParallelFor(len(data), 4, fn) // fills the job pool
-	if n := testing.AllocsPerRun(200, func() { p.ParallelFor(len(data), 4, fn) }); n != 0 {
+	work := len(data) * fanOutWork
+	p.ParallelFor(len(data), work, fn) // fills the job pool
+	if n := testing.AllocsPerRun(200, func() { p.ParallelFor(len(data), work, fn) }); n != 0 {
 		t.Fatalf("multi-chunk ParallelFor allocates %v objects per call", n)
 	}
 	// The kernels ask Inline first, so with one chunk or no pool they do
