@@ -3,9 +3,9 @@ package cfd2d
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/pooltest"
 )
 
 // liftCoefficient returns Cl = 2Fy/(ρ U0² D) for the latest step.
@@ -193,7 +193,7 @@ func BenchmarkLBMStep(b *testing.B) {
 func TestStepBitIdenticalToSerialRef(t *testing.T) {
 	tensor.SetWorkers(4) // force a real pool even on single-core machines
 	defer tensor.SetWorkers(0)
-	defer fannedOut(t, tasksDone())
+	defer pooltest.FannedOut(t, tensor.DefaultPool)()
 	for _, cfg := range []Config{{Nx: 96, Ny: 48}, {Nx: 192, Ny: 96}} {
 		a, b := New(cfg), New(cfg)
 		for step := 0; step < 25; step++ {
@@ -223,18 +223,3 @@ func BenchmarkLBMStepAllocs(b *testing.B) {
 		s.Step()
 	}
 }
-
-// fannedOut fails t unless the kernel pool finished a task since before (a
-// tasksDone reading): a parity test that never reached the pool would only
-// compare the serial code with itself. A helper counts its task after its
-// caller has returned, so this waits for it.
-func fannedOut(t *testing.T, before uint64) {
-	t.Helper()
-	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatal("the kernel pool ran no task: the test never fanned out")
-		}
-	}
-}
-
-func tasksDone() uint64 { _, _, n := tensor.DefaultPool().Stats(); return n }

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/spectral"
 	"repro/internal/tensor"
+	"repro/internal/tensor/pooltest"
 )
 
 // kineticEnergy returns the volume-averaged kinetic energy ½⟨|u|²⟩.
@@ -164,7 +164,7 @@ func BenchmarkStep16(b *testing.B) {
 func TestStepBitIdenticalToSerialRef(t *testing.T) {
 	tensor.SetWorkers(4) // force a real pool even on single-core machines
 	defer tensor.SetWorkers(0)
-	defer fannedOut(t, tasksDone())
+	defer pooltest.FannedOut(t, tensor.DefaultPool)()
 	for _, n := range []int{16, 32} {
 		a := NewTaylorGreen(Config{N: n, Seed: 3})
 		b := NewTaylorGreen(Config{N: n, Seed: 3})
@@ -238,18 +238,3 @@ func TestGoldenEvolveDataset(t *testing.T) {
 		t.Fatalf("EvolveDataset(N 32, 4 snapshots, 2 steps) sha256 = %s, want %s", got, want)
 	}
 }
-
-// fannedOut fails t unless the kernel pool finished a task since before (a
-// tasksDone reading): a parity test that never reached the pool would only
-// compare the serial code with itself. A helper counts its task after its
-// caller has returned, so this waits for it.
-func fannedOut(t *testing.T, before uint64) {
-	t.Helper()
-	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatal("the kernel pool ran no task: the test never fanned out")
-		}
-	}
-}
-
-func tasksDone() uint64 { _, _, n := tensor.DefaultPool().Stats(); return n }

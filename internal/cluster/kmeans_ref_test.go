@@ -7,9 +7,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/pooltest"
 )
 
 // kmeansRef is the [][]float64 k-means the flat core replaced, kept as its
@@ -249,7 +249,7 @@ func TestKMeansMatchesReference(t *testing.T) {
 func TestKMeansPooledMatchesSerialRef(t *testing.T) {
 	tensor.SetWorkers(4) // force a real pool even on single-core machines
 	defer tensor.SetWorkers(0)
-	defer fannedOut(t, tasksDone())
+	defer pooltest.FannedOut(t, tensor.DefaultPool)()
 	gen := rand.New(rand.NewSource(27))
 	for _, d := range []int{1, 2, 4} {
 		xs := make([]float64, 4096*d)
@@ -290,18 +290,3 @@ func FuzzKMeans1D(f *testing.F) {
 		}
 	})
 }
-
-// fannedOut fails t unless the kernel pool finished a task since before (a
-// tasksDone reading): a parity test that never reached the pool would only
-// compare the serial code with itself. A helper counts its task after its
-// caller has returned, so this waits for it.
-func fannedOut(t *testing.T, before uint64) {
-	t.Helper()
-	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatal("the kernel pool ran no task: the test never fanned out")
-		}
-	}
-}
-
-func tasksDone() uint64 { _, _, n := tensor.DefaultPool().Stats(); return n }

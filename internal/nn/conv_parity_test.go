@@ -5,9 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/pooltest"
 )
 
 // convRef is the direct Conv3D the layer ran before it became a block
@@ -167,7 +167,7 @@ func checkConvParity(t *testing.T, c convCase, zeroShare int, seed int64) {
 	// Conv3D's forward is one [B·V, Ci·k³] · [Ci·k³, Co] matmul: when the
 	// fan-out rule splits it, the pool must have run.
 	if rows := c.b * c.nd * c.nh * c.nw; !tensor.DefaultPool().Inline(rows, rows*c.ci*c.k*c.k*c.k*c.co) {
-		defer fannedOut(t, tasksDone())
+		defer pooltest.FannedOut(t, tensor.DefaultPool)()
 	}
 	rng := rand.New(rand.NewSource(seed))
 	fill := func(x *tensor.Tensor) *tensor.Tensor {
@@ -297,9 +297,9 @@ func TestTransformerBitIdenticalSerialVsParallel(t *testing.T) {
 		return out
 	}
 	want := run(false)
-	before := tasksDone()
+	fannedOut := pooltest.FannedOut(t, tensor.DefaultPool)
 	got := run(true)
-	fannedOut(t, before)
+	fannedOut()
 	for i := range want {
 		bitsEqual(t, fmt.Sprintf("output %d", i), got[i], want[i])
 	}
@@ -315,18 +315,3 @@ func TestConvRejectsPartialBlocks(t *testing.T) {
 	}()
 	NewConv3D(rand.New(rand.NewSource(1)), 1, 1, 2).Forward(new(tensor.Workspace), tensor.New(1, 1, 4, 3, 4))
 }
-
-// fannedOut fails t unless the kernel pool finished a task since before (a
-// tasksDone reading): a parity test that never reached the pool would only
-// compare the serial code with itself. A helper counts its task after its
-// caller has returned, so this waits for it.
-func fannedOut(t *testing.T, before uint64) {
-	t.Helper()
-	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatal("the kernel pool ran no task: the test never fanned out")
-		}
-	}
-}
-
-func tasksDone() uint64 { _, _, n := tensor.DefaultPool().Stats(); return n }

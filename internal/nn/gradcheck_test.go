@@ -122,8 +122,7 @@ func TestLSTMGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := NewLSTM(rng, 3, 5)
 	x := tensor.Randn(rng, 1, 2, 4, 3) // [B=2, T=4, C=3]
-	x = x.Reshape(2, 4, 3)
-	tgt := tensor.Randn(rng, 1, 2, 4, 5).Reshape(2, 4, 5)
+	tgt := tensor.Randn(rng, 1, 2, 4, 5)
 	forward := func() float64 {
 		loss, _ := mseLoss(l.Forward(ws, x), tgt)
 		return loss
@@ -138,8 +137,8 @@ func TestLSTMGradients(t *testing.T) {
 func TestLSTMInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := NewLSTM(rng, 3, 4)
-	x := tensor.Randn(rng, 1, 2, 3, 3).Reshape(2, 3, 3)
-	tgt := tensor.Randn(rng, 1, 2, 3, 4).Reshape(2, 3, 4)
+	x := tensor.Randn(rng, 1, 2, 3, 3)
+	tgt := tensor.Randn(rng, 1, 2, 3, 4)
 	_, g := mseLoss(l.Forward(ws, x), tgt)
 	dx := l.Backward(ws, g)
 	num := numGrad(x, func() float64 {
@@ -183,8 +182,8 @@ func TestLayerNormGradients(t *testing.T) {
 func TestAttentionGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewMultiHeadAttention(rng, 6, 2)
-	x := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
-	tgt := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
+	x := tensor.Randn(rng, 1, 2, 3, 6)
+	tgt := tensor.Randn(rng, 1, 2, 3, 6)
 	forward := func() float64 {
 		loss, _ := mseLoss(m.Forward(ws, x), tgt)
 		return loss
@@ -208,8 +207,8 @@ func TestTransformerBlockGradients(t *testing.T) {
 	// tanh feed-forward: the check must avoid ReLU kinks, which make
 	// finite differences disagree with the (correct) subgradient.
 	b := NewTransformerBlockAct(rng, 6, 2, 8, "tanh")
-	x := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
-	tgt := tensor.Randn(rng, 1, 2, 3, 6).Reshape(2, 3, 6)
+	x := tensor.Randn(rng, 1, 2, 3, 6)
+	tgt := tensor.Randn(rng, 1, 2, 3, 6)
 	forward := func() float64 {
 		loss, _ := mseLoss(b.Forward(ws, x), tgt)
 		return loss
@@ -227,7 +226,7 @@ func TestConv3DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, k := range []int{2, 4} {
 		c := NewConv3D(rng, 2, 3, k)
-		x := tensor.Randn(rng, 1, 1, 2, 2*k, k, 2*k).Reshape(1, 2, 2*k, k, 2*k)
+		x := tensor.Randn(rng, 1, 1, 2, 2*k, k, 2*k)
 		out := c.Forward(ws, x)
 		tgt := tensor.Randn(rng, 1, out.Shape...)
 		forward := func() float64 {
@@ -252,7 +251,7 @@ func TestConv3DGradients(t *testing.T) {
 func TestConvTranspose3DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := NewConvTranspose3D(rng, 2, 2)
-	x := tensor.Randn(rng, 1, 1, 2, 2, 2, 2).Reshape(1, 2, 2, 2, 2)
+	x := tensor.Randn(rng, 1, 1, 2, 2, 2, 2)
 	out := c.Forward(ws, x)
 	if out.Dim(2) != 4 {
 		t.Fatalf("convtranspose output %v, want spatial 4³", out.Shape)

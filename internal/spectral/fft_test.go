@@ -8,9 +8,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/pooltest"
 )
 
 // fft and ifft are the 1-D transforms through a plan, as Grid3's passes
@@ -266,7 +266,7 @@ func BenchmarkFFT3_64cubed(b *testing.B) {
 func TestFFT3BitIdenticalSerialVsParallel(t *testing.T) {
 	tensor.SetWorkers(4) // force a real pool even on single-core machines
 	defer tensor.SetWorkers(0)
-	defer fannedOut(t, tasksDone())
+	defer pooltest.FannedOut(t, tensor.DefaultPool)()
 	for _, d := range [][3]int{{16, 8, 4}, {32, 32, 32}, {64, 16, 8}} {
 		mk := func() *Grid3 {
 			g := NewGrid3(d[0], d[1], d[2])
@@ -528,18 +528,3 @@ func TestFFT3Allocs(t *testing.T) {
 		t.Fatalf("warm FFT3+IFFT3 at 32³ allocates %v objects, want 0", a)
 	}
 }
-
-// fannedOut fails t unless the kernel pool finished a task since before (a
-// tasksDone reading): a parity test that never reached the pool would only
-// compare the serial code with itself. A helper counts its task after its
-// caller has returned, so this waits for it.
-func fannedOut(t *testing.T, before uint64) {
-	t.Helper()
-	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatal("the kernel pool ran no task: the test never fanned out")
-		}
-	}
-}
-
-func tasksDone() uint64 { _, _, n := tensor.DefaultPool().Stats(); return n }

@@ -9,9 +9,8 @@ import (
 // Kernel micro-benchmarks. ReportAllocs is on everywhere: the Into/Accum
 // kernels must be zero-alloc, and MatMul's only allocation is its output.
 // The Accum benchmarks accumulate into one dst: the arithmetic is the same
-// whatever dst holds. TestMain lowers fanOutWork for the parity tests, so
-// the pooled benchmarks here split finer than a program would; the
-// LedgerShapes split/ sweep sets it per case.
+// whatever dst holds. The pooled benchmarks split as a program does; the
+// LedgerShapes split/ sweep sets fanOutWork per case.
 // Run `go test -bench 'MatMul|Ewise|Reduce' -benchmem ./internal/tensor/`.
 
 func benchMats(m, k, n int) (*Tensor, *Tensor, *Tensor) {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+
+	"repro/internal/tensor/pooltest"
 )
 
 // The parity suite asserts the tentpole invariant: every blocked/pooled
@@ -19,7 +21,7 @@ var paritySizes = append([][3]int{
 }, tailSizes()...)
 
 // tailSizes covers every tail of the 8/4/1 column strips (n = 1…9, 15, 16,
-// 17) with m and k that each span several chunks at the test's fanOutWork:
+// 17) with m and k that each span several chunks at lowFanOut's threshold:
 // a·b and a·bᵀ split m, aᵀ·b splits k.
 func tailSizes() [][3]int {
 	var out [][3]int
@@ -60,7 +62,8 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 }
 
 func TestMatMulBitIdenticalToRef(t *testing.T) {
-	defer fannedOut(t, tasksDone())
+	lowFanOut(t)
+	defer pooltest.FannedOut(t, DefaultPool)()
 	rng := rand.New(rand.NewSource(7))
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
@@ -80,7 +83,8 @@ func TestMatMulBitIdenticalToRef(t *testing.T) {
 }
 
 func TestMatMulTransBBitIdenticalToRef(t *testing.T) {
-	defer fannedOut(t, tasksDone())
+	lowFanOut(t)
+	defer pooltest.FannedOut(t, DefaultPool)()
 	rng := rand.New(rand.NewSource(8))
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
@@ -94,7 +98,8 @@ func TestMatMulTransBBitIdenticalToRef(t *testing.T) {
 }
 
 func TestMatMulTransABitIdenticalToRef(t *testing.T) {
-	defer fannedOut(t, tasksDone())
+	lowFanOut(t)
+	defer pooltest.FannedOut(t, DefaultPool)()
 	rng := rand.New(rand.NewSource(9))
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
@@ -116,7 +121,8 @@ func TestMatMulTransABitIdenticalToRef(t *testing.T) {
 // operand of the reference's add), so each output column meets one kind of
 // NaN only: the ones ±Inf make, or b's own.
 func TestMatMulSpecialValuesBitIdenticalToRef(t *testing.T) {
-	defer fannedOut(t, tasksDone())
+	lowFanOut(t)
+	defer pooltest.FannedOut(t, DefaultPool)()
 	rng := rand.New(rand.NewSource(15))
 	// special fills b with ±Inf where output column col(i, j) is even and
 	// NaN where it is odd.
@@ -184,7 +190,7 @@ func matchesRef(t *testing.T, name string, kernel func(dst, a, b *Tensor), ref f
 
 // FuzzMatMulParity checks all three kernels against their serial
 // references, bit for bit, on shapes up to 70 in each dimension (most
-// span several chunks at TestMain's fanOutWork, so its 4-worker pool
+// span several chunks at lowFanOut's threshold, so its 4-worker pool
 // splits them, and those must reach the pool) with a chosen share of exact
 // zeros in a.
 func FuzzMatMulParity(f *testing.F) {
@@ -193,8 +199,9 @@ func FuzzMatMulParity(f *testing.F) {
 	f.Add(uint8(9), uint8(70), uint8(17), uint8(255), int64(3))
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zeroShare uint8, seed int64) {
 		m, k, n := int(mb)%70+1, int(kb)%70+1, int(nb)%70+1
+		lowFanOut(t)
 		if chunks(m, m*k*n) > 1 || chunks(k, m*k*n) > 1 {
-			defer fannedOut(t, tasksDone())
+			defer pooltest.FannedOut(t, DefaultPool)()
 		}
 		rng := rand.New(rand.NewSource(seed))
 		mat := func(r, c int, zeros bool) *Tensor {
@@ -293,7 +300,8 @@ func (t *Tensor) Sum() float64 {
 }
 
 func TestElementwiseBitIdenticalSerialVsParallel(t *testing.T) {
-	defer fannedOut(t, tasksDone())
+	lowFanOut(t)
+	defer pooltest.FannedOut(t, DefaultPool)()
 	rng := rand.New(rand.NewSource(12))
 	n := 12305 // multi-chunk with a partial tail
 	a := Randn(rng, 1, n)
@@ -316,7 +324,8 @@ func TestElementwiseBitIdenticalSerialVsParallel(t *testing.T) {
 }
 
 func TestReductionsBitIdenticalSerialVsParallel(t *testing.T) {
-	defer fannedOut(t, tasksDone())
+	lowFanOut(t)
+	defer pooltest.FannedOut(t, DefaultPool)()
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{0, 1, sumChunk - 1, sumChunk, 5*sumChunk + 3} {
 		a := Randn(rng, 1e6, n)
@@ -343,7 +352,8 @@ func TestReductionsBitIdenticalSerialVsParallel(t *testing.T) {
 }
 
 func TestMatVecBitIdenticalSerialVsParallel(t *testing.T) {
-	defer fannedOut(t, tasksDone())
+	lowFanOut(t)
+	defer pooltest.FannedOut(t, DefaultPool)()
 	rng := rand.New(rand.NewSource(14))
 	a := randMat(rng, 301, 53)
 	x := Randn(rng, 1, 53, 1) // a vector is the n = 1 right-hand side
@@ -356,11 +366,17 @@ func TestMatVecBitIdenticalSerialVsParallel(t *testing.T) {
 
 // TestMain forces a real multi-worker pool for the whole package test run,
 // so the parity assertions exercise genuine cross-goroutine scheduling even
-// on single-core machines (where DefaultPool would otherwise be nil), and
-// lowers fanOutWork so that shapes of a few hundred multiply-adds already
-// split: most parity shapes are far below the production threshold.
+// on single-core machines (where DefaultPool would otherwise be nil).
 func TestMain(m *testing.M) {
 	SetWorkers(4)
-	fanOutWork = 64
 	os.Exit(m.Run())
+}
+
+// lowFanOut lowers fanOutWork to 64 until tb ends, so that shapes of a few
+// hundred multiply-adds already split: most parity shapes sit far below
+// the production threshold. Benchmarks keep the production rule.
+func lowFanOut(tb testing.TB) {
+	w := fanOutWork
+	fanOutWork = 64
+	tb.Cleanup(func() { fanOutWork = w })
 }

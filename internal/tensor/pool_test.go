@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestParallelForCoversAllIndices(t *testing.T) {
@@ -233,18 +232,3 @@ func TestChunksRule(t *testing.T) {
 		}
 	}
 }
-
-// fannedOut fails t unless the default pool finished a task since before
-// (a tasksDone reading): a parity test that never reached the pool would
-// only compare the serial code with itself. A helper counts its task after
-// its caller has returned, so this waits for it.
-func fannedOut(t *testing.T, before uint64) {
-	t.Helper()
-	for end := time.Now().Add(10 * time.Second); tasksDone() <= before; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatal("the kernel pool ran no task: the test never fanned out")
-		}
-	}
-}
-
-func tasksDone() uint64 { _, _, n := DefaultPool().Stats(); return n }

@@ -94,35 +94,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a view of the same data with a new shape. One dimension
-// may be -1, in which case it is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	infer := -1
-	n := 1
-	for i, s := range shape {
-		if s == -1 {
-			if infer != -1 {
-				panic("tensor: at most one -1 dimension allowed in Reshape")
-			}
-			infer = i
-		} else {
-			n *= s
-		}
-	}
-	out := append([]int(nil), shape...)
-	if infer >= 0 {
-		if n == 0 || len(t.Data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension: %d elements into shape %v", len(t.Data), shape))
-		}
-		out[infer] = len(t.Data) / n
-		n *= out[infer]
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v changes element count", t.Shape, shape))
-	}
-	return &Tensor{Shape: out, Data: t.Data}
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float64) {
 	for i := range t.Data {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tensor/pooltest"
 )
 
 // Multi-index element access, which only the tests need: kernels and
@@ -82,9 +84,40 @@ func TestAtSetRoundTrip(t *testing.T) {
 	}
 }
 
+// reshape returns a view of t's data with a new shape. One dimension may be
+// -1, in which case it is inferred. No program code reshapes a tensor this
+// way (a workspace View is how kernels and layers do), so it lives beside
+// its tests.
+func reshape(t *Tensor, shape ...int) *Tensor {
+	infer := -1
+	n := 1
+	for i, s := range shape {
+		if s == -1 {
+			if infer != -1 {
+				panic("tensor: at most one -1 dimension allowed in reshape")
+			}
+			infer = i
+		} else {
+			n *= s
+		}
+	}
+	out := append([]int(nil), shape...)
+	if infer >= 0 {
+		if n == 0 || len(t.Data)%n != 0 {
+			panic(fmt.Sprintf("tensor: cannot infer dimension: %d elements into shape %v", len(t.Data), shape))
+		}
+		out[infer] = len(t.Data) / n
+		n *= out[infer]
+	}
+	if n != len(t.Data) {
+		panic(fmt.Sprintf("tensor: reshape %v -> %v changes element count", t.Shape, shape))
+	}
+	return &Tensor{Shape: out, Data: t.Data}
+}
+
 func TestReshapeInfer(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := a.Reshape(3, -1)
+	b := reshape(a, 3, -1)
 	if b.Dim(0) != 3 || b.Dim(1) != 2 {
 		t.Fatalf("Reshape got %v, want [3 2]", b.Shape)
 	}
@@ -100,7 +133,7 @@ func TestReshapeBadCountPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(2, 3).Reshape(4, 2)
+	reshape(New(2, 3), 4, 2)
 }
 
 func TestElementwiseOps(t *testing.T) {
@@ -164,7 +197,7 @@ func TestMatMulIdentity(t *testing.T) {
 // TestMatMulParallelMatchesSerial exercises the pooled path against a
 // naive triple loop.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
-	defer fannedOut(t, tasksDone())
+	defer pooltest.FannedOut(t, DefaultPool)()
 	rng := rand.New(rand.NewSource(2))
 	m, k, n := 97, 33, 41
 	a := Rand(rng, 1, m, k)

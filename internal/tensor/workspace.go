@@ -72,10 +72,10 @@ func (w *Workspace) NewBatch(n int, x *Tensor) *Tensor {
 	return w.New(append(append(dims[:0], n), x.Shape...)...)
 }
 
-// View returns a tensor of the given shape over t's storage — Reshape
-// without the header allocation. The view takes a slot of its own, so it
-// lives as long as any other tensor of the step; t may or may not belong
-// to the workspace.
+// View returns a tensor of the given shape over t's storage, with no
+// header allocation. The view takes a slot of its own, so it lives as long
+// as any other tensor of the step; t may or may not belong to the
+// workspace.
 func (w *Workspace) View(t *Tensor, shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {

@@ -8,29 +8,34 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/tensor/pooltest"
 )
 
-// synthExamples builds deterministic [T, N, C] → cube examples for the
-// MLP-Transformer, exercising Linear, attention, LayerNorm and
+// synthExamples builds deterministic [T, N, C] → cube examples of N points
+// for the MLP-Transformer, exercising Linear, attention, LayerNorm and
 // ConvTranspose3D in one stack.
-func synthExamples(n int) []Example {
+func synthExamples(n, points int) []Example {
 	rng := rand.New(rand.NewSource(42))
 	ex := make([]Example, n)
 	for i := range ex {
 		ex[i] = Example{
-			Input:  tensor.Randn(rng, 1, 2, 6, 3),
+			Input:  tensor.Randn(rng, 1, 2, points, 3),
 			Target: tensor.Randn(rng, 1, 2, 1, 4, 4, 4),
 		}
 	}
 	return ex
 }
 
+// The parity runs' MLP-Transformer is 32 wide and reads 64 points, so a
+// batch of 4 takes the encoder's second layer through a [512, 32]·[32, 32]
+// matmul: 2^19 multiply-adds, which the fan-out rule splits in 16.
+const parityWidth, parityPoints = 32, 64
+
+func parityFactory(rng *rand.Rand) Model { return NewMLPTransformer(rng, 3, parityWidth, 2, 1, 4) }
+
 func runTraining(t *testing.T) (Model, *History) {
 	t.Helper()
-	factory := func(rng *rand.Rand) Model {
-		return NewMLPTransformer(rng, 3, 8, 2, 1, 4)
-	}
-	m, hist, err := Train(context.Background(), factory, synthExamples(24), Config{
+	m, hist, err := Train(context.Background(), parityFactory, synthExamples(24, parityPoints), Config{
 		Epochs: 5, Batch: 4, Seed: 7, Normalize: true,
 	})
 	if err != nil {
@@ -47,7 +52,9 @@ func runTraining(t *testing.T) (Model, *History) {
 func TestTrainingBitIdenticalSerialVsParallel(t *testing.T) {
 	tensor.SetWorkers(4) // force a real pool even on single-core machines
 	defer tensor.SetWorkers(0)
+	fannedOut := pooltest.FannedOut(t, tensor.DefaultPool)
 	mPar, histPar := runTraining(t)
+	fannedOut()
 	tensor.SetParallel(false)
 	defer tensor.SetParallel(true)
 	mSer, histSer := runTraining(t)
@@ -83,10 +90,7 @@ func TestTrainingDDPBitIdenticalSerialVsParallel(t *testing.T) {
 	tensor.SetWorkers(4) // force a real pool even on single-core machines
 	defer tensor.SetWorkers(0)
 	run := func() *History {
-		factory := func(rng *rand.Rand) Model {
-			return NewMLPTransformer(rng, 3, 8, 2, 1, 4)
-		}
-		_, hist, err := Train(context.Background(), factory, synthExamples(16), Config{
+		_, hist, err := Train(context.Background(), parityFactory, synthExamples(16, parityPoints), Config{
 			Epochs: 2, Batch: 4, Seed: 7, Ranks: 2,
 		})
 		if err != nil {
@@ -94,7 +98,9 @@ func TestTrainingDDPBitIdenticalSerialVsParallel(t *testing.T) {
 		}
 		return hist
 	}
+	fannedOut := pooltest.FannedOut(t, tensor.DefaultPool)
 	histPar := run()
+	fannedOut()
 	tensor.SetParallel(false)
 	defer tensor.SetParallel(true)
 	histSer := run()
@@ -112,7 +118,7 @@ func TestTrainingDDPBitIdenticalSerialVsParallel(t *testing.T) {
 func BenchmarkTrainStep(b *testing.B) {
 	models := []Model{NewMLPTransformer(rand.New(rand.NewSource(1)), 3, 8, 2, 1, 4)}
 	opts := []*nn.Adam{nn.NewAdam(1e-3)}
-	ex := synthExamples(8)
+	ex := synthExamples(8, 6)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

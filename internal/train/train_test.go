@@ -25,12 +25,12 @@ func mseLoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 func TestLSTMModelShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewLSTMModel(rng, 4, 8, 1)
-	x := tensor.Randn(rng, 1, 3, 5, 4).Reshape(3, 5, 4) // [B=3,T=5,C=4]
+	x := tensor.Randn(rng, 1, 3, 5, 4) // [B=3,T=5,C=4]
 	y := m.Forward(x)
 	if y.Dim(0) != 3 || y.Dim(1) != 1 {
 		t.Fatalf("LSTM output shape %v, want [3 1]", y.Shape)
 	}
-	_, g := mseLoss(y, tensor.Randn(rng, 1, 3, 1).Reshape(3, 1))
+	_, g := mseLoss(y, tensor.Randn(rng, 1, 3, 1))
 	m.Backward(g) // must not panic; grads accumulate
 	if nn.GradNorm(m) == 0 {
 		t.Fatal("no gradients accumulated")
@@ -45,7 +45,7 @@ func TestTable2Shapes(t *testing.T) {
 
 	// MLP-Transformer: [B, T, N, C] -> [B, T, C', G, G, G].
 	mt := NewMLPTransformer(rng, 3, 16, 2, 1, g)
-	x := tensor.Randn(rng, 1, 2, 2, 10, 3).Reshape(2, 2, 10, 3)
+	x := tensor.Randn(rng, 1, 2, 2, 10, 3)
 	y := mt.Forward(x)
 	want := []int{2, 2, 1, g, g, g}
 	for i, w := range want {
@@ -61,7 +61,7 @@ func TestTable2Shapes(t *testing.T) {
 
 	// CNN-Transformer: [B, T, C, G, G, G] -> [B, T, C', G, G, G].
 	ct := NewCNNTransformer(rng, 2, 16, 2, 1, g)
-	x2 := tensor.Randn(rng, 1, 2, 2, 2, g, g, g).Reshape(2, 2, 2, g, g, g)
+	x2 := tensor.Randn(rng, 1, 2, 2, 2, g, g, g)
 	y2 := ct.Forward(x2)
 	want2 := []int{2, 2, 1, g, g, g}
 	for i, w := range want2 {
@@ -95,7 +95,7 @@ func syntheticRegression(n int, seed int64) []Example {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Example, n)
 	for i := range out {
-		in := tensor.Randn(rng, 1, 3, 2).Reshape(3, 2) // [T=3, C=2]
+		in := tensor.Randn(rng, 1, 3, 2) // [T=3, C=2]
 		s := 0.0
 		for _, v := range in.Data {
 			s += v
