@@ -116,13 +116,19 @@ answers() { curl -fsS "$1" | jq -e "$2"; }
 # counted <base> <series-prefix>: the series' values sum to more than zero.
 counted() { curl -fsS "$1/metrics" | awk -v p="$2" 'index($1, p) == 1 { s += $2 } END { exit !(s > 0) }'; }
 
-# lints <base>: the live exposition passes the Prometheus text-format lint,
-# and the same gate fails on a 200 that carries no le= series (/healthz,
-# reached by turning the /metrics suffix into a query string).
+# exposition <file>: internal/obs's TestExpositionFile runs (is not
+# skipped) on the saved body and passes; its output lands in <file>.out.
+exposition() {
+	SICKLE_EXPOSITION_FILE=$1 "$tmp/bin/obs.test" -test.run '^TestExpositionFile$' -test.v >"$1.out" 2>&1 &&
+		grep -q -- '--- PASS: TestExpositionFile' "$1.out"
+}
+
+# lints <base>: the live /metrics passes the exposition check, and the same
+# check fails on a 200 that carries no le= series (/healthz).
 lints() {
-	"$tmp/bin/sickle-top" -target "$1" -lint &&
-		! "$tmp/bin/sickle-top" -target "$1/healthz?x=" -lint 2>"$tmp/lint.err" &&
-		grep -q 'no le-bucketed' "$tmp/lint.err"
+	curl -fsS "$1/metrics" >"$tmp/metrics.txt" && curl -fsS "$1/healthz" >"$tmp/healthz.txt" &&
+		exposition "$tmp/metrics.txt" &&
+		! exposition "$tmp/healthz.txt" && grep -q 'no le-bucketed' "$tmp/healthz.txt.out"
 }
 
 # usage_exit <stderr-file> <command...>: the command exits 2 and what it
@@ -145,6 +151,7 @@ has_event() { jq -e --arg t "$2" 'any(.events[]; .type == $t)' "$1"; }
 cd "$root"
 mkdir -p "$tmp/bin"
 go build -o "$tmp/bin/" ./cmd/sickle-serve ./cmd/sickle-shard ./cmd/sickle-top ./cmd/sickle-stream
+go test -c -o "$tmp/bin/obs.test" ./internal/obs
 
 case $mode in
 serve)
@@ -162,7 +169,7 @@ serve)
 	smoke_b=$job_id
 	gate "  ... was served from the content-addressed cache" counted "$base" sickle_dedup_hits_total
 	gate "  ... and the WAL took appends" counted "$base" sickle_wal_appends_total
-	gate "sickle-top -lint passes /metrics and fails a 200 without le= series" lints "$base"
+	gate "TestExpositionFile passes /metrics and fails a 200 without le= series" lints "$base"
 	gate "/debug/traces lists tier serve" traces_tier "$base" serve
 	# Crash recovery: no ceremony, same data dir, and the WAL replay must
 	# surface the jobs above as recovery events in the journal.
@@ -203,7 +210,7 @@ shard)
 	gate "keyed job through the router: 202 then 200 with one ID, succeeded" keyed_job "$base" smoke-a
 	gate "  ... whose ID names the replica that admitted it ($job_id)" test "${job_id#*@r}" != "$job_id"
 	gate "the ring routed requests to a replica" counted "$base" sickle_shard_routed_requests_total
-	gate "sickle-top -lint passes /metrics and fails a 200 without le= series" lints "$base"
+	gate "TestExpositionFile passes /metrics and fails a 200 without le= series" lints "$base"
 	gate "/debug/traces lists tier shard" traces_tier "$base" shard
 	# Flight recorder: the console's one-shot snapshot comes back healthy with
 	# scatter-gathered per-replica history, and the /debug surfaces answer.

@@ -12,8 +12,6 @@
 //	sickle-stream -source replay -dataset SST-P1F4 -n 4 -window 2 -o stream
 //	sickle-stream -source cfd3d -grid 32 -snapshots 16 -steps-per 2 -o stream
 //	sickle-stream -case case.yaml -compare-offline
-//
-//sicklevet:file-ignore ologonly the run summary is the CLI result, printed once after the pipeline exits
 package main
 
 import (

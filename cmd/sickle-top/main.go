@@ -11,17 +11,14 @@
 //	sickle-top -target http://localhost:8090            # live dashboard, 2s refresh
 //	sickle-top -target http://localhost:8090 -once      # one JSON snapshot (CI)
 //	sickle-top -target http://localhost:8090 -once -text  # one rendered frame
-//	sickle-top -target http://localhost:8090 -lint      # gate the /metrics exposition (CI)
 //
 // -once exits 0 even when the target is degraded; pipe the JSON through
-// your own assertions. -lint exits non-zero on any violation of the
-// Prometheus text format. See internal/obs/top for the collection library.
+// your own assertions. See internal/obs/top for the collection library.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -31,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/top"
 	"repro/pkg/client"
 )
@@ -44,7 +40,6 @@ func main() {
 	text := flag.Bool("text", false, "with -once, print the rendered dashboard instead of JSON")
 	noColor := flag.Bool("no-color", false, "disable ANSI colors")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-endpoint request timeout")
-	lint := flag.Bool("lint", false, "fetch the target's /metrics, lint the exposition, exit non-zero on violations (for CI)")
 	flag.Parse()
 
 	base := strings.TrimRight(*target, "/")
@@ -53,13 +48,6 @@ func main() {
 		client.WithRetry(0, 0))
 	color := !*noColor
 
-	if *lint {
-		if err := lintMetrics(c); err != nil {
-			fmt.Fprintln(os.Stderr, "sickle-top:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *once {
 		ctx, cancel := context.WithTimeout(context.Background(), 4**timeout)
 		defer cancel()
@@ -101,25 +89,4 @@ func main() {
 		case <-t.C:
 		}
 	}
-}
-
-// lintMetrics checks the target's live exposition against the Prometheus
-// text-format rules (obs.LintExposition: HELP/TYPE present, counters suffixed
-// _total, histograms with cumulative le buckets plus _sum/_count). It also
-// wants at least one le-bucketed series, so a server that silently dropped
-// its latency histograms fails the gate.
-func lintMetrics(c *client.Client) error {
-	text, err := c.MetricsText(context.Background())
-	if err != nil {
-		return err
-	}
-	errs := obs.LintExposition(text)
-	if !strings.Contains(text, `le="`) {
-		errs = append(errs, errors.New("no le-bucketed histogram series in the exposition"))
-	}
-	if err := errors.Join(errs...); err != nil {
-		return fmt.Errorf("%d exposition violation(s):\n%w", len(errs), err)
-	}
-	fmt.Printf("metrics exposition clean (%d families, %d bytes)\n", strings.Count(text, "# TYPE "), len(text))
-	return nil
 }

@@ -10,8 +10,6 @@
 //	sickle-train -dataset SST-P1F4 -arch MLP_Transformer -epochs 20 -n 2
 //	sickle-train -in sub.skl -dataset SST-P1F4 -arch MLP_Transformer
 //	sickle-train -dataset SST-P1F4 -arch LSTM -ckpt-out model.sknn   # then serve it
-//
-//sicklevet:file-ignore ologonly the training summary is the CLI result, printed once after the run exits
 package main
 
 import (

@@ -29,8 +29,7 @@
 // /debug/traces endpoints on every tier (trace identity and the
 // X-Sickle-Trace header live in pkg/api, so one client request through
 // the router reads as one trace with routing, queue, and execute spans),
-// runtime/build/pool gauges, an exposition linter (also a CI gate via
-// cmd/sickle-top -lint), and internal/obs/log, which builds the
+// runtime/build/pool gauges, and internal/obs/log, which builds the
 // binaries' log/slog logger from -log-level/-log-json and rate-limits
 // repeated warn/error floods per message (README "Observability").
 //
@@ -69,12 +68,13 @@
 // "Performance").
 //
 // The contracts above are machine-enforced by a test: internal/analysis's
-// TestVet runs six stdlib-only analyzers (closecheck, ctxfirst, apierr,
-// metricname, ologonly, detparallel) over every package inside
-// `go test ./...` and fails on any finding. Deliberate exceptions annotate
-// with //sicklevet:ignore <analyzer> <reason>, and a directive that no
-// longer excuses anything is itself a finding (README "Development: static
-// analysis"). The exported surface is held to what the program calls by
+// TestVet runs four stdlib-only analyzers (closecheck, ctxfirst, apierr,
+// metricname) over every package inside `go test ./...` and fails on any
+// finding. Deliberate exceptions annotate with //sicklevet:ignore
+// <analyzer> <reason>, and a directive that no longer excuses anything is
+// itself a finding; TestNoStrayOutput keeps ad-hoc printing out of the
+// long-running packages (README "Development: static analysis"). The
+// exported surface is held to what the program calls by
 // internal/analysis's TestExportedSurface: a function or method exported
 // from internal/ that only _test.go files reach is deleted, unexported
 // beside its test, or listed with its reason in that test's allowlist

@@ -1,4 +1,4 @@
-// Package analysis is the static gate: six analyzers (under passes/)
+// Package analysis is the static gate: four analyzers (under passes/)
 // machine-check the stack's correctness contracts, and TestVet runs them
 // over the whole program inside `go test ./...`. It needs only the standard
 // library — the repository carries no third-party dependency — so it is a

@@ -10,24 +10,17 @@ import (
 
 // The escape hatch. A finding is deliberate when the code carries
 //
-//	//sicklevet:ignore <analyzer>[,<analyzer>...] <reason>
+//	//sicklevet:ignore <analyzer> <reason>
 //
-// on the same line as the diagnostic or on the line directly above it, or
-// when the file carries
-//
-//	//sicklevet:file-ignore <analyzer>[,<analyzer>...] <reason>
-//
-// anywhere (conventionally next to the package clause), which suppresses
-// that analyzer for the whole file. The analyzer list may be the literal
-// "all". The reason is mandatory: a suppression that cannot say why it
-// exists is itself a diagnostic. So is one that cannot be doing its job —
-// a directive naming an analyzer outside the run (a typo suppresses
-// nothing, silently) or one that suppressed no finding (what it excused
-// was fixed) — which keeps the hatch from rotting.
+// on the same line as the diagnostic or on the line directly above it.
+// The reason is mandatory: a suppression that cannot say why it exists is
+// itself a diagnostic, as is any other //sicklevet: form. So is one that
+// cannot be doing its job — a directive naming an analyzer outside the run
+// (a typo suppresses nothing, silently) or one that suppressed no finding
+// (what it excused was fixed) — which keeps the hatch from rotting.
 
 const (
-	linePrefix = "//sicklevet:ignore"
-	filePrefix = "//sicklevet:file-ignore"
+	directivePrefix = "//sicklevet:"
 	// directiveChecker is the Analyzer name on diagnostics about the
 	// directives themselves.
 	directiveChecker = "sicklevet"
@@ -35,14 +28,13 @@ const (
 
 // ignoreDirective is one parsed suppression.
 type ignoreDirective struct {
-	pos       token.Position
-	analyzers []string // nil means "all"
-	wholeFile bool
-	used      bool // suppressed at least one finding
+	pos      token.Position
+	analyzer string
+	used     bool // suppressed at least one finding
 }
 
 // ignoreSet holds every directive of one package's files, plus a
-// diagnostic per malformed one (missing reason, empty analyzer list).
+// diagnostic per malformed one.
 type ignoreSet struct {
 	directives []*ignoreDirective
 	malformed  []Diagnostic
@@ -62,18 +54,13 @@ func parseIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
 }
 
 func (s *ignoreSet) parse(pos token.Position, text string) {
-	wholeFile := false
-	switch {
-	case strings.HasPrefix(text, filePrefix):
-		text, wholeFile = text[len(filePrefix):], true
-	case strings.HasPrefix(text, linePrefix):
-		text = text[len(linePrefix):]
-	default:
+	text, ok := strings.CutPrefix(text, directivePrefix)
+	if !ok {
 		return
 	}
+	// "ignore", the analyzer, then the reason.
 	fields := strings.Fields(text)
-	// fields[0] is the analyzer list, the rest is the reason.
-	if len(fields) < 2 {
+	if len(fields) < 3 || fields[0] != "ignore" {
 		s.malformed = append(s.malformed, Diagnostic{
 			Pos:      pos,
 			Analyzer: directiveChecker,
@@ -82,11 +69,7 @@ func (s *ignoreSet) parse(pos token.Position, text string) {
 		})
 		return
 	}
-	d := &ignoreDirective{pos: pos, wholeFile: wholeFile}
-	if fields[0] != "all" {
-		d.analyzers = strings.Split(fields[0], ",")
-	}
-	s.directives = append(s.directives, d)
+	s.directives = append(s.directives, &ignoreDirective{pos: pos, analyzer: fields[1]})
 }
 
 // suppressed reports whether a finding of the named analyzer at pos is
@@ -94,10 +77,8 @@ func (s *ignoreSet) parse(pos token.Position, text string) {
 func (s *ignoreSet) suppressed(analyzer string, pos token.Position) bool {
 	covered := false
 	for _, d := range s.directives {
-		if d.pos.Filename != pos.Filename || d.analyzers != nil && !slices.Contains(d.analyzers, analyzer) {
-			continue
-		}
-		if d.wholeFile || d.pos.Line == pos.Line || d.pos.Line == pos.Line-1 {
+		if d.pos.Filename == pos.Filename && d.analyzer == analyzer &&
+			(d.pos.Line == pos.Line || d.pos.Line == pos.Line-1) {
 			d.used, covered = true, true
 		}
 	}
@@ -110,13 +91,10 @@ func (s *ignoreSet) suppressed(analyzer string, pos token.Position) bool {
 func (s *ignoreSet) stale(analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range s.directives {
-		unknown := slices.IndexFunc(d.analyzers, func(name string) bool {
-			return !slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == name })
-		})
 		var msg string
 		switch {
-		case unknown >= 0:
-			msg = fmt.Sprintf("sicklevet directive names %q, which is not an analyzer of this run", d.analyzers[unknown])
+		case !slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == d.analyzer }):
+			msg = fmt.Sprintf("sicklevet directive names %q, which is not an analyzer of this run", d.analyzer)
 		case !d.used:
 			msg = "sicklevet directive suppresses nothing: remove it"
 		default:

@@ -50,50 +50,19 @@ func f() {
 	}
 }
 
-func TestAnalyzerListAndAll(t *testing.T) {
-	s := parseSrc(t, `package p
-
-//sicklevet:ignore closecheck,ctxfirst shared reason
-var x = 1
-
-//sicklevet:ignore all kitchen sink
-var y = 2
-`)
-	for _, name := range []string{"closecheck", "ctxfirst"} {
-		if !s.suppressed(name, at(4)) {
-			t.Errorf("comma list should cover %s", name)
-		}
-	}
-	if s.suppressed("ologonly", at(4)) {
-		t.Error("comma list must not cover unnamed analyzer")
-	}
-	if !s.suppressed("ologonly", at(7)) {
-		t.Error("all should cover every analyzer")
-	}
-}
-
-func TestFileIgnore(t *testing.T) {
-	s := parseSrc(t, `//sicklevet:file-ignore ologonly CLI result output
-package p
-
-var x = 1
-`)
-	if !s.suppressed("ologonly", at(4)) {
-		t.Error("file-ignore should cover the whole file")
-	}
-	if s.suppressed("closecheck", at(4)) {
-		t.Error("file-ignore names ologonly only")
-	}
-}
-
+// TestMissingReasonIsMalformed: a directive without a reason, and any
+// //sicklevet: form other than ignore, suppresses nothing and is reported.
 func TestMissingReasonIsMalformed(t *testing.T) {
 	s := parseSrc(t, `package p
 
 //sicklevet:ignore closecheck
 var x = 1
+
+//sicklevet:file-ignore closecheck a whole file
+var y = 2
 `)
-	if len(s.malformed) != 1 {
-		t.Fatalf("want 1 malformed directive, got %d", len(s.malformed))
+	if len(s.malformed) != 2 || len(s.directives) != 0 {
+		t.Fatalf("want 2 malformed directives and none parsed, got %d and %d", len(s.malformed), len(s.directives))
 	}
 }
 
@@ -109,15 +78,11 @@ func TestStaleDirectives(t *testing.T) {
 		want            []string // a substring of each diagnostic, in order
 	}{
 		{"live", "//sicklevet:ignore ctxfirst lifecycle root", []string{"ctxfirst"}, nil},
-		{"live, one of a list", "//sicklevet:ignore closecheck,ctxfirst shared reason", []string{"ctxfirst"}, nil},
-		{"live, all", "//sicklevet:ignore all kitchen sink", []string{"closecheck"}, nil},
-		{"live, whole file", "//sicklevet:file-ignore ctxfirst CLI", []string{"ctxfirst"}, nil},
-		{"typo", "//sicklevet:file-ignore ctxfrist a typo", []string{"ctxfirst"}, []string{`names "ctxfrist"`}},
-		{"typo beside a live name", "//sicklevet:ignore ctxfirst,closechek why", []string{"ctxfirst"}, []string{`names "closechek"`}},
-		{"analyzer outside the run", "//sicklevet:ignore ologonly result output", nil, []string{`names "ologonly"`}},
+		{"typo", "//sicklevet:ignore ctxfrist a typo", []string{"ctxfirst"}, []string{`names "ctxfrist"`}},
+		{"a list is not a name", "//sicklevet:ignore closecheck,ctxfirst why", []string{"ctxfirst"}, []string{`names "closecheck,ctxfirst"`}},
+		{"analyzer outside the run", "//sicklevet:ignore apierr result output", nil, []string{`names "apierr"`}},
 		{"finding fixed", "//sicklevet:ignore ctxfirst lifecycle root", nil, []string{"suppresses nothing"}},
 		{"another analyzer's finding", "//sicklevet:ignore ctxfirst lifecycle root", []string{"closecheck"}, []string{"suppresses nothing"}},
-		{"all, nothing left", "//sicklevet:ignore all kitchen sink", nil, []string{"suppresses nothing"}},
 	} {
 		s := parseSrc(t, "package p\n\n"+tc.directive+"\nvar x = 1\n")
 		for _, a := range tc.findings {

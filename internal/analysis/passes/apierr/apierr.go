@@ -1,9 +1,14 @@
-// Package apierr enforces the pkg/api error contract (PR 4): every
-// failure that crosses the HTTP boundary is a typed *api.Error carrying a
-// code from the registered code↔status table, so clients can branch on
-// Code and the envelope renderer can map it to a status. A naked
-// fmt.Errorf born inside a handler reaches the wire as a generic 500
+// Package apierr enforces the pkg/api error contract: every failure that
+// crosses the HTTP boundary is a typed *api.Error carrying a code from the
+// registered code↔status table, so clients can branch on Code and the
+// envelope renderer can map it to a status. The bug class it prevents: a
+// naked fmt.Errorf born inside a handler reaches the wire as a generic 500
 // with an unclassifiable message.
+//
+// It has never caught program code: the program's findings were all fixed
+// in 09f8573, and none of them was apierr's. It stays because nothing else
+// checks the errors a handler makes; tier's FuzzDecodeBody covers only the
+// decode boundary in front of it.
 //
 // Two rules:
 //

@@ -1,9 +1,11 @@
 // Package closecheck reports discarded Close/Sync errors on writable
 // files and writers.
 //
-// The contract (ROADMAP "durability"): data is not durable until Close
-// and Sync have returned nil, so a write path that drops either error can
-// report success for data that never reached the disk. The analyzer flags
+// The bug class: data is not durable until Close and Sync have returned
+// nil, so a write path that drops either error can report success for
+// data that never reached the disk. It caught 13 such Close calls on
+// error paths in durable, sickle, serve and stream (09f8573), each now an
+// acknowledged `_ =` discard. The analyzer flags
 //
 //	f.Close()        // statement: error silently dropped
 //	defer f.Close()  // defer on a write path: error unobservable

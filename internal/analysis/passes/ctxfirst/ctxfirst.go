@@ -1,8 +1,12 @@
 // Package ctxfirst enforces the stack's context-first cancellation
-// contract (established in PR 4 and load-bearing for the serve/shard
-// tiers): cancellation flows from the caller, so library code must not
-// mint root contexts, functions that take a context take it first, and
-// outbound HTTP requests carry one.
+// contract, load-bearing for the serve/shard tiers: cancellation flows from
+// the caller, so library code must not mint root contexts, functions that
+// take a context take it first, and outbound HTTP requests carry one. The
+// bug class is a request whose cancellation and trace stop at a library
+// boundary. It caught six library entry points minting
+// context.Background() (sickle.Fig6 to Fig9, stream.Run, tune.Search) and
+// JobManager.execute and runProtected taking their context second
+// (09f8573). No text search can see parameter order.
 //
 // Three rules:
 //

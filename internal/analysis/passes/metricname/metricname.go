@@ -1,6 +1,9 @@
 // Package metricname lints every series registered on the obs metrics
-// registry, complementing the runtime exposition linter
-// (obs.LintExposition gates the wire format; this pass gates the source).
+// registry at its source; internal/obs's tests hold the text Render makes
+// of them to the exposition format. The bug class is a series nobody can
+// find or whose meaning forks: durable's dedup counters were named by
+// concatenating a prefix, invisible to grep, until this pass made them the
+// constant sickle_dedup_* names (09f8573).
 //
 // For each call to Counter/Gauge/Histogram/CounterFunc/GaugeFunc/
 // GaugeMapFunc on an *obs.Registry:

@@ -66,7 +66,7 @@ func TestRun(t *testing.T) {
 		},
 		{
 			name:      "a directive with nothing left to suppress is reported where it stands",
-			files:     []file{{"a.go", "package p\n\n//sicklevet:file-ignore calls the calls were removed\nfunc f() {}\n"}},
+			files:     []file{{"a.go", "package p\n\n//sicklevet:ignore calls the call was removed\nfunc f() {}\n"}},
 			analyzers: []*Analyzer{calls, funcs},
 			want:      []string{"a.go:3:1 sicklevet", "a.go:4:6 funcs"},
 		},

@@ -19,14 +19,14 @@ import (
 var surfaceAllow = map[string]string{
 	// Cross-package test seams: another package's tests cannot reach an
 	// unexported name, and no program path needs the hook.
-	"repro/internal/tensor.SetWorkers":      "nn, train, spectral, cfd2d and cfd3d parity and allocation tests force a real pool on any core count",
+	"repro/internal/tensor.SetWorkers":      "the parity and allocation tests of every package whose kernels fan out force a real pool on any core count",
 	"repro/internal/tensor.SetParallel":     "the same tests run one code path with and without workers and compare bits",
 	"repro/internal/tier.Tier.Handler":      "serve, shard, tier and obs/top tests mount the finished mux under httptest",
 	"repro/internal/serve.InProc.Kill":      "shard and obs/top tests crash a replica without draining it",
 	"repro/internal/serve.Server.Jobs":      "shard and tier tests park a job slot and list a replica's jobs",
 	"repro/internal/obs.ActiveSpan.SpanID":  "serve, tier and train tests check that child spans are parented to this span",
-	"repro/internal/analysis/analysistest/": "the harness the six analyzer packages' tests run their testdata through",
-	"repro/internal/tensor/pooltest/":       "the check that a parity test reached the kernel pool, shared by the tests of every package whose kernels fan out",
+	"repro/internal/analysis/analysistest/": "the harness the four analyzer packages' tests run their testdata through",
+	"repro/internal/tensor/pooltest/":       "the goroutine checks tests share: a parity test reached the kernel pool; no goroutine outlived a package's tests",
 }
 
 // TestExportedSurface is the surface rule: a function or method exported

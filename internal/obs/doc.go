@@ -21,8 +21,6 @@
 //   - runtime.go — RegisterRuntime: process-level gauges (goroutines,
 //     heap, GC pause, start time, sickle_build_info) plus tensor.Pool
 //     worker-utilization gauges, registered onto any Registry.
-//   - lint.go — LintExposition: a line-by-line exposition-format checker
-//     used by tests and the CI smoke step to reject malformed series.
 //
 // internal/obs/log (package olog) builds the binaries' *slog.Logger: slog's
 // text or JSON handler behind a per-message warn/error rate limit.

@@ -83,9 +83,6 @@ func TestRegisterExposesDroppedCounter(t *testing.T) {
 	if !strings.Contains(text, "sickle_obs_events_dropped_total 1") {
 		t.Errorf("render missing dropped counter:\n%s", text)
 	}
-	if err := obs.LintExposition(text); err != nil {
-		t.Errorf("exposition lint: %v", err)
-	}
 }
 
 func TestMergeIsTimeOrderedAndStable(t *testing.T) {

@@ -105,7 +105,7 @@ func TestLabelEscaping(t *testing.T) {
 	if !strings.Contains(out, `demo_esc{v="a\"b\\c\n"} 1`) {
 		t.Errorf("label escaping wrong:\n%s", out)
 	}
-	if errs := LintExposition(out); len(errs) != 0 {
+	if errs := lintExposition(out); len(errs) != 0 {
 		t.Errorf("escaped output fails lint: %v", errs)
 	}
 }
@@ -153,7 +153,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if g.With().Value() != 8*500 {
 		t.Errorf("gauge lost updates: %g", g.With().Value())
 	}
-	if errs := LintExposition(reg.Render()); len(errs) != 0 {
+	if errs := lintExposition(reg.Render()); len(errs) != 0 {
 		t.Errorf("stressed registry fails lint: %v", errs)
 	}
 }
@@ -174,7 +174,7 @@ func TestRegisterRuntime(t *testing.T) {
 			t.Errorf("runtime metrics missing %q", want)
 		}
 	}
-	if errs := LintExposition(out); len(errs) != 0 {
+	if errs := lintExposition(out); len(errs) != 0 {
 		t.Errorf("runtime metrics fail lint: %v", errs)
 	}
 }

@@ -338,9 +338,6 @@ func TestSLOGauges(t *testing.T) {
 			t.Errorf("rendered metrics missing %q", want)
 		}
 	}
-	if err := obs.LintExposition(text); err != nil {
-		t.Errorf("exposition lint: %v", err)
-	}
 }
 
 // TestEvaluatesOncePerSample: a history sample alone evaluates — the

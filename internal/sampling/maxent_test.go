@@ -15,6 +15,8 @@ import (
 	"repro/internal/grid"
 	"repro/internal/stats"
 	"repro/internal/synth"
+	"repro/internal/tensor"
+	"repro/internal/tensor/pooltest"
 )
 
 // TestGoldenMaxEntSelection pins both MaxEnt phases to what the [][]float64
@@ -138,6 +140,34 @@ func hmaxentStrengthsRef(t *testing.T, f *grid.Field, cubes []grid.Hypercube, kc
 		}
 	}
 	return strength
+}
+
+// TestHMaxEntStrengthsBitIdenticalSerialVsParallel pins phase 1's pooled
+// occupancy count: a 32³ field tiled into 64 cubes at k = 5 counts
+// 2¹⁵·5 cell-cluster steps, 5 chunks, and each of 8 pooled runs must score
+// every cube as the serial run does, bit for bit.
+func TestHMaxEntStrengthsBitIdenticalSerialVsParallel(t *testing.T) {
+	tensor.SetWorkers(4) // force a real pool even on single-core machines
+	defer tensor.SetWorkers(0)
+	defer pooltest.FannedOut(t, tensor.DefaultPool)()
+	f := synth.GESTSDataset("GESTS-2048", synth.IsotropicConfig{N: 32, Seed: 17, KPeak: 4}).Snapshots[0]
+	cubes := grid.Tile(f, 8, 8, 8)
+	h := HMaxEnt{NumClusters: 5}
+	tensor.SetParallel(false)
+	want := h.strengths(f, cubes, "enstrophy")
+	tensor.SetParallel(true)
+	for run := range 8 {
+		got := h.strengths(f, cubes, "enstrophy")
+		if got.k != want.k || len(got.strength) != len(cubes) {
+			t.Fatalf("run %d: %d clusters and %d strengths pooled, %d and %d serial",
+				run, got.k, len(got.strength), want.k, len(want.strength))
+		}
+		for i := range got.strength {
+			if math.Float64bits(got.strength[i]) != math.Float64bits(want.strength[i]) {
+				t.Fatalf("run %d: cube %d strength %v pooled, %v serial", run, i, got.strength[i], want.strength[i])
+			}
+		}
+	}
 }
 
 // TestHMaxEntMatchesReference: phase 1's fanned-out occupancy counting

@@ -16,8 +16,9 @@ import (
 )
 
 // TestMetricsExpositionLint drives real traffic through the handler and
-// then checks /metrics line by line: valid exposition, le-bucketed request
-// histograms, build info, and every pre-registry series name intact.
+// then checks /metrics for le-bucketed request histograms, build info, and
+// every pre-registry series name intact. The exposition format itself is
+// internal/obs's property test of Registry.Render.
 func TestMetricsExpositionLint(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -33,9 +34,6 @@ func TestMetricsExpositionLint(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	text := rec.Body.String()
 
-	if errs := obs.LintExposition(text); len(errs) != 0 {
-		t.Errorf("/metrics fails lint: %v", errs)
-	}
 	for _, want := range []string{
 		`sickle_request_seconds_bucket{route="/v2/infer",le="`,
 		`sickle_request_seconds_sum{route="/v2/infer"}`,

@@ -291,6 +291,36 @@ func TestFFT3BitIdenticalSerialVsParallel(t *testing.T) {
 	}
 }
 
+// TestRealCopiesBitIdenticalSerialVsParallel pins the pooled copies into
+// and out of a grid, FromReal and RealPart: at 64×32×32 each splits in two,
+// and a real field taken through FFT3 and IFFT3 comes back the same bits
+// pooled as serial.
+func TestRealCopiesBitIdenticalSerialVsParallel(t *testing.T) {
+	tensor.SetWorkers(4) // force a real pool even on single-core machines
+	defer tensor.SetWorkers(0)
+	defer pooltest.FannedOut(t, tensor.DefaultPool)()
+	v := make([]float64, 64*32*32)
+	for i := range v {
+		v[i] = math.Sin(float64(i) * 0.3)
+	}
+	roundTrip := func() []float64 {
+		g := NewGrid3(64, 32, 32)
+		g.FromReal(v)
+		g.FFT3()
+		g.IFFT3()
+		return g.RealPart(nil)
+	}
+	tensor.SetParallel(false)
+	want := roundTrip()
+	tensor.SetParallel(true)
+	got := roundTrip()
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("cell %d: %v pooled, %v serial", i, got[i], want[i])
+		}
+	}
+}
+
 // fftRef is the transform before plans: the bit-reversal and every twiddle
 // recomputed per call, the twiddle stepped by w *= wStep inside the
 // butterfly loop. The planned FFT must match it bit for bit.

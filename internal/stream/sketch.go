@@ -3,6 +3,7 @@ package stream
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -28,7 +29,8 @@ func featureBounds(f *grid.Field, inVars []string) (lo, hi []float64) {
 	hi = make([]float64, len(inVars))
 	for j, name := range inVars {
 		v := f.Var(name)
-		// Min/max is exact under any evaluation order, so the scan over a
+		// Each chunk's min/max is fixed by its bounds, and merging them under
+		// below gives the same bits in any order, so the scan over a
 		// snapshot-sized variable fans out across the kernel pool.
 		l, h := v[0], v[0]
 		var mu sync.Mutex
@@ -43,10 +45,10 @@ func featureBounds(f *grid.Field, inVars []string) (lo, hi []float64) {
 				}
 			}
 			mu.Lock()
-			if cl < l {
+			if below(cl, l) {
 				l = cl
 			}
-			if ch > h {
+			if below(h, ch) {
 				h = ch
 			}
 			mu.Unlock()
@@ -60,6 +62,11 @@ func featureBounds(f *grid.Field, inVars []string) (lo, hi []float64) {
 	}
 	return lo, hi
 }
+
+// below is <, except that −0 is below +0: a total order on the non-NaN
+// values, so a min or max of the chunks' partials under it is the same
+// bits whichever chunk is merged first.
+func below(a, b float64) bool { return a < b || a == b && math.Signbit(a) && !math.Signbit(b) }
 
 // maxDenseCells bounds the dense buffer a sketch merge allreduces: 2^20
 // cells = 8 MiB of float64 per rank per merge, well within the pipeline's

@@ -1,6 +1,7 @@
-// Package pooltest is the check the kernel packages' parity tests share:
-// that a test reached the kernel pool's workers, and so did not compare the
-// serial path with itself.
+// Package pooltest holds the two goroutine checks tests share: FannedOut,
+// that a kernel package's parity test reached the kernel pool's workers and
+// so did not compare the serial path with itself, and NoLeaks, that no
+// goroutine of a package outlived its tests.
 package pooltest
 
 import (

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/tier"
@@ -216,13 +215,5 @@ func TestTierContract(t *testing.T) {
 				t.Errorf("429 Retry-After = %q, want a positive number of seconds", rec.Header().Get("Retry-After"))
 			}
 		})
-	}
-
-	// Both tiers' expositions still lint clean after all of the above.
-	for name, c := range map[string]*tier.Tier{"serve": replica.Server.Tier, "shard": router.Tier} {
-		rec, _ := do(c.Handler(), "GET", "/metrics", "", "")
-		if errs := obs.LintExposition(rec.Body.String()); len(errs) != 0 {
-			t.Errorf("%s /metrics fails lint: %v", name, errs)
-		}
 	}
 }
