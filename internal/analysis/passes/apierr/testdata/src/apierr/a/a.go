@@ -35,7 +35,7 @@ func codes() {
 	var c api.ErrorCode = "bogus_code" // want `not a registered api.ErrorCode`
 	c = api.ErrorCode("also_bogus")    // want `not a registered api.ErrorCode`
 	c = api.CodeNotFound
-	c = "" // unset sentinel: fine
+	c = ""                 // unset sentinel: fine
 	if c == "weird_code" { // want `not a registered api.ErrorCode`
 		return
 	}

@@ -148,15 +148,7 @@ func (sc *cubeScratch) groupByCluster(labels []int, k int) [][]int32 {
 // adjacency matrix holds pairwise KL divergences, and the strength is the
 // row sum.
 func (sc *cubeScratch) nodeStrengths(kcv []float64, members [][]int32) []float64 {
-	lo, hi := kcv[0], kcv[0]
-	for _, x := range kcv[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
+	lo, hi := stats.MinMax(kcv)
 	if hi == lo {
 		hi = lo + 1
 	}

@@ -8,17 +8,18 @@ import (
 
 // cubeScratch is the working memory of phase 2 over one cube: the gathered
 // feature rows and cluster variable, and whatever the sampler needs on top
-// (normalized copy, cells, weights, draw keys, MaxEnt's clusters). Every
+// (normalized copy, cell entries, weights, draw keys, MaxEnt's clusters). Every
 // buffer grows to the largest cube seen and is reused for the next one;
 // nothing in here is ever handed to a caller — a CubeSample copies it.
 type cubeScratch struct {
 	raw      []float64   // n×d gathered features, row-major
 	rows     [][]float64 // row headers over raw: the Data.Features view
 	kcv      []float64   // gathered cluster variable, or Data.KCV's copy of feature 0
-	norm     []float64   // [0,1]-scaled copy of the features (uips, lhs)
+	norm     []float64   // [0,1]-scaled copy of the features (lhs)
 	normRows [][]float64
 	lo, hi   []float64 // per-dimension min and max of the features
-	cells    []int     // per-point histogram cell (uips)
+	row      []float64 // one point's [0,1]-scaled features (uips)
+	cells    []int     // per-point histogram entry (uips)
 	w        []float64 // per-point weights (uips)
 	keys     []weightedKey
 	hist     *stats.NDHistogram // uips density estimate, Reset per cube
@@ -49,32 +50,15 @@ func (sc *cubeScratch) normalized(pts [][]float64) [][]float64 {
 		return nil
 	}
 	d := len(pts[0])
+	sc.lo, sc.hi = stats.ColumnBounds(pts, sc.lo, sc.hi)
 	sc.norm = grow(sc.norm, len(pts)*d)
 	sc.normRows = grow(sc.normRows, len(pts))
-	sc.lo = append(sc.lo[:0], pts[0]...)
-	sc.hi = append(sc.hi[:0], pts[0]...)
-	lo, hi := sc.lo, sc.hi
 	for i, p := range pts {
 		row := sc.norm[i*d : (i+1)*d : (i+1)*d]
-		copy(row, p)
+		for j, v := range p {
+			row[j] = stats.UnitScale(v, sc.lo[j], sc.hi[j])
+		}
 		sc.normRows[i] = row
-		for j, v := range row {
-			if v < lo[j] {
-				lo[j] = v
-			}
-			if v > hi[j] {
-				hi[j] = v
-			}
-		}
-	}
-	for _, row := range sc.normRows {
-		for j, v := range row {
-			if r := hi[j] - lo[j]; r > 0 {
-				row[j] = (v - lo[j]) / r
-			} else {
-				row[j] = 0
-			}
-		}
 	}
 	return sc.normRows
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/energy"
+	"repro/internal/stats"
 )
 
 // UIPS implements uniform-in-phase-space selection (Hassanaly et al. 2023)
@@ -41,23 +42,24 @@ func (u UIPS) SelectPoints(d *Data, n int, rng *rand.Rand) []int {
 		bins = 20
 	}
 	sc := d.work()
-	pts := sc.normalized(d.Features)
-	h := sc.unitHistogram(len(pts[0]), bins)
-	// One cell lookup per point serves both the count and, once the
-	// histogram is complete, the point's inverse-PDF weight.
+	sc.lo, sc.hi = stats.ColumnBounds(d.Features, sc.lo, sc.hi)
+	sc.row = grow(sc.row, len(sc.lo))
+	lo, hi, row := sc.lo, sc.hi, sc.row
+	h := sc.unitHistogram(len(lo), bins)
+	// Each point's cell comes straight from its raw row, scaled as LHS's
+	// normalized copy is; its entry reads the final count back.
 	sc.cells = grow(sc.cells, total)
-	for i, p := range pts {
-		sc.cells[i] = h.CellIndex(p)
-		h.AddCell(sc.cells[i], 1)
+	for i, p := range d.Features {
+		for j, v := range p {
+			row[j] = stats.UnitScale(v, lo[j], hi[j])
+		}
+		sc.cells[i] = h.AddCell(h.CellIndex(row), 1)
 	}
 	sc.w = grow(sc.w, total)
 	w := sc.w
-	for i, cell := range sc.cells {
-		prob := float64(h.Counts[cell]) / float64(h.N)
-		if prob <= 0 {
-			prob = 1e-12
-		}
-		w[i] = 1 / prob
+	for i, k := range sc.cells {
+		_, c := h.Entry(k)
+		w[i] = 1 / (float64(c) / float64(h.N))
 	}
 	// Weights are clipped relative to the mean weight, summed in point
 	// order.

@@ -4,7 +4,7 @@ import "fmt"
 
 // NDHistogram operations that no program path calls any more: the streaming
 // sketch merge allreduces dense count buffers and folds them in with
-// AddCell, and UIPS reads Counts by cell id. They live beside the tests
+// AddCell, and UIPS reads its counts back by entry. They live beside the tests
 // that are written against them (the Reset guard uses Merge as its
 // same-geometry check and Probability as its emptiness check).
 
@@ -36,10 +36,9 @@ func (h *NDHistogram) Merge(other *NDHistogram) error {
 				j, h.Lo[j], h.Hi[j], other.Lo[j], other.Hi[j])
 		}
 	}
-	for cell, c := range other.Counts {
-		h.Counts[cell] += c
+	for k := range other.OccupiedCells() {
+		h.AddCell(other.Entry(k))
 	}
-	h.N += other.N
 	return nil
 }
 
@@ -48,5 +47,5 @@ func (h *NDHistogram) Probability(p []float64) float64 {
 	if h.N == 0 {
 		return 0
 	}
-	return float64(h.Counts[h.CellIndex(p)]) / float64(h.N)
+	return float64(h.Count(h.CellIndex(p))) / float64(h.N)
 }

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -52,12 +54,12 @@ func TestNDHistogramMergeMatchesPooledAdd(t *testing.T) {
 	if merged.N != pooled.N {
 		t.Fatalf("merged N = %d, pooled N = %d", merged.N, pooled.N)
 	}
-	if len(merged.Counts) != len(pooled.Counts) {
-		t.Fatalf("merged cells = %d, pooled cells = %d", len(merged.Counts), len(pooled.Counts))
+	if merged.OccupiedCells() != pooled.OccupiedCells() {
+		t.Fatalf("merged cells = %d, pooled cells = %d", merged.OccupiedCells(), pooled.OccupiedCells())
 	}
-	for cell, c := range pooled.Counts {
-		if merged.Counts[cell] != c {
-			t.Fatalf("cell %d: merged %d, pooled %d", cell, merged.Counts[cell], c)
+	for k := range pooled.OccupiedCells() {
+		if cell, c := pooled.Entry(k); merged.Count(cell) != c {
+			t.Fatalf("cell %d: merged %d, pooled %d", cell, merged.Count(cell), c)
 		}
 	}
 	if a, b := merged.UniformityIndex(), pooled.UniformityIndex(); math.Abs(a-b) > 1e-12 {
@@ -89,7 +91,7 @@ func TestNDHistogramTotalCells(t *testing.T) {
 
 // TestNDHistogramResetAllocs: Reset returns the histogram to its just-built state
 // (same geometry, no counts), and refilling the cells it held before
-// allocates nothing — the map keeps its buckets.
+// allocates nothing — the table and its entries keep their capacity.
 func TestNDHistogramResetAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := make([][]float64, 2000)
@@ -112,12 +114,12 @@ func TestNDHistogramResetAllocs(t *testing.T) {
 		t.Fatalf("after Reset: N=%d, %d occupied cells", h.N, h.OccupiedCells())
 	}
 	fill()
-	if h.N != want.N || len(h.Counts) != len(want.Counts) {
-		t.Fatalf("refill: N=%d/%d cells, want %d/%d", h.N, len(h.Counts), want.N, len(want.Counts))
+	if h.N != want.N || h.OccupiedCells() != want.OccupiedCells() {
+		t.Fatalf("refill: N=%d/%d cells, want %d/%d", h.N, h.OccupiedCells(), want.N, want.OccupiedCells())
 	}
-	for cell, c := range want.Counts {
-		if h.Counts[cell] != c {
-			t.Fatalf("refill: cell %d holds %d, want %d", cell, h.Counts[cell], c)
+	for k := range want.OccupiedCells() {
+		if cell, c := want.Entry(k); h.Count(cell) != c {
+			t.Fatalf("refill: cell %d holds %d, want %d", cell, h.Count(cell), c)
 		}
 	}
 	if err := h.Merge(want); err != nil {
@@ -157,7 +159,7 @@ func TestUniformityIndexRepeatable(t *testing.T) {
 	slices.Reverse(reversed)
 	h := build(forward)
 	if h.OccupiedCells() < 1000 {
-		t.Fatalf("%d occupied cells: too few for map order to show", h.OccupiedCells())
+		t.Fatalf("%d occupied cells: too few for insertion order to show", h.OccupiedCells())
 	}
 	want := math.Float64bits(h.UniformityIndex())
 	for call := 0; call < 100; call++ {
@@ -170,4 +172,146 @@ func TestUniformityIndexRepeatable(t *testing.T) {
 			t.Errorf("%s insertion: %x, forward insertion %x", name, got, want)
 		}
 	}
+}
+
+// TestNDHistogramOverflow: a geometry whose Bins^Dims cell ids would wrap
+// an int panics at construction (20 bins in 15 dimensions is 3.3·10¹⁹, past
+// 2⁶³), the largest that fits builds, and an add that would wrap N, or a
+// non-positive weight, panics instead of corrupting a count.
+func TestNDHistogramOverflow(t *testing.T) {
+	box := func(d int) (lo, hi []float64) {
+		lo, hi = make([]float64, d), make([]float64, d)
+		for j := range hi {
+			hi[j] = 1
+		}
+		return lo, hi
+	}
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	for _, g := range []struct{ bins, dims int }{{20, 15}, {2, 64}, {3, 40}, {math.MaxInt/2 + 1, 2}} {
+		lo, hi := box(g.dims)
+		panics(fmt.Sprintf("%d bins in %d dims", g.bins, g.dims), func() { NewNDHistogram(lo, hi, g.bins) })
+	}
+	lo, hi := box(62)
+	h := NewNDHistogram(lo, hi, 2)
+	if got := h.TotalCells(); got != 1<<62 {
+		t.Fatalf("2 bins in 62 dims: %d cells, want 2^62", got)
+	}
+	top := make([]float64, 62)
+	for j := range top {
+		top[j] = 0.99
+	}
+	last := 1<<62 - 1
+	if cell := h.CellIndex(top); cell != last || h.Count(cell) != 0 {
+		t.Fatalf("top cell %d holds %d, want %d holding 0", cell, h.Count(cell), last)
+	}
+	h.AddCell(last, math.MaxInt-1)
+	h.AddCell(0, 1)
+	if h.N != math.MaxInt || h.Count(last) != math.MaxInt-1 || h.Count(0) != 1 {
+		t.Fatalf("N = %d, top cell %d, cell 0 %d", h.N, h.Count(last), h.Count(0))
+	}
+	panics("N past MaxInt", func() { h.AddCell(0, 1) })
+	panics("zero weight", func() { h.AddCell(1, 0) })
+	panics("negative weight", func() { h.AddCell(1, -1) })
+	if h.N != math.MaxInt || h.Count(0) != 1 || h.OccupiedCells() != 2 {
+		t.Fatalf("a refused add changed the histogram: N = %d, cell 0 %d, %d cells", h.N, h.Count(0), h.OccupiedCells())
+	}
+}
+
+// FuzzNDHistogram drives the cell table through any sequence of adds and
+// resets, growing it as far as the input reaches, against a map[int]int
+// model. dims (1-3) and bins (1-64) set the geometry; ops is read four bytes
+// at a time: 0xff as the first byte resets, anything else adds 1-4
+// observations to the cell the next three bytes name, modulo TotalCells.
+// After every op the table must agree with the model: Count of the cell
+// touched and of a cell the model does not hold, and at every reset and at
+// the end, N, OccupiedCells, one walk that visits each occupied cell once
+// with its count, and UniformityIndex bit for bit against the model summed
+// in ascending cell order. A Reset and refill of the same adds allocates
+// nothing.
+func FuzzNDHistogram(f *testing.F) {
+	f.Add(uint8(0), uint8(7), []byte{1, 0, 0, 3, 2, 0, 0, 5, 0xff, 0, 0, 0, 1, 0, 0, 3})
+	f.Add(uint8(2), uint8(63), []byte{})
+	f.Fuzz(func(t *testing.T, dims, bins uint8, ops []byte) {
+		d, b := 1+int(dims%3), 1+int(bins%64)
+		lo, hi := make([]float64, d), make([]float64, d)
+		for j := range hi {
+			hi[j] = 1
+		}
+		h := NewNDHistogram(lo, hi, b)
+		total := h.TotalCells()
+		model := map[int]int{}
+		check := func() {
+			t.Helper()
+			n := 0
+			for _, c := range model {
+				n += c
+			}
+			if h.N != n || h.OccupiedCells() != len(model) {
+				t.Fatalf("N %d over %d cells, model %d over %d", h.N, h.OccupiedCells(), n, len(model))
+			}
+			seen := map[int]bool{}
+			for k := range h.OccupiedCells() {
+				cell, c := h.Entry(k)
+				if seen[cell] || model[cell] != c {
+					t.Fatalf("entry %d: cell %d holds %d (seen before: %v), model %d", k, cell, c, seen[cell], model[cell])
+				}
+				seen[cell] = true
+			}
+			var want float64
+			if n > 0 {
+				p := make([]float64, 0, len(model))
+				for _, cell := range slices.Sorted(maps.Keys(model)) {
+					p = append(p, float64(model[cell]))
+				}
+				want = math.Exp(Entropy(p)) / float64(len(p))
+			}
+			if got := h.UniformityIndex(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("UniformityIndex %v, model %v", got, want)
+			}
+		}
+		type add struct{ cell, w int }
+		var since []add // the adds since the last reset
+		for i := 0; i+4 <= len(ops); i += 4 {
+			if ops[i] == 0xff {
+				check()
+				h.Reset()
+				clear(model)
+				since = since[:0]
+				continue
+			}
+			cell := (int(ops[i+1])<<16 | int(ops[i+2])<<8 | int(ops[i+3])) % total
+			w := 1 + int(ops[i]%4)
+			h.AddCell(cell, w)
+			model[cell] += w
+			since = append(since, add{cell, w})
+			if got := h.Count(cell); got != model[cell] {
+				t.Fatalf("op %d: cell %d holds %d, model %d", i/4, cell, got, model[cell])
+			}
+			if absent := (cell + 1) % total; model[absent] == 0 && h.Count(absent) != 0 {
+				t.Fatalf("op %d: absent cell %d holds %d", i/4, absent, h.Count(absent))
+			}
+		}
+		check()
+		if raceEnabled {
+			return
+		}
+		refill := func() {
+			h.Reset()
+			for _, a := range since {
+				h.AddCell(a.cell, a.w)
+			}
+		}
+		if got := testing.AllocsPerRun(3, refill); got != 0 {
+			t.Fatalf("Reset + refill of %d adds allocates %v objects, want 0", len(since), got)
+		}
+		check()
+	})
 }

@@ -81,15 +81,7 @@ func HistogramFromData(xs []float64, bins int) *Histogram {
 	if len(xs) == 0 {
 		return NewHistogram(0, 1, bins)
 	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
+	lo, hi := MinMax(xs)
 	if hi == lo {
 		hi = lo + 1
 	}
@@ -284,11 +276,35 @@ func NormalizeColumns(pts [][]float64) (mins, maxs []float64) {
 	if len(pts) == 0 {
 		return nil, nil
 	}
-	d := len(pts[0])
-	mins = make([]float64, d)
-	maxs = make([]float64, d)
-	copy(mins, pts[0])
-	copy(maxs, pts[0])
+	mins, maxs = ColumnBounds(pts, nil, nil)
+	for _, p := range pts {
+		for j, v := range p {
+			p[j] = UnitScale(v, mins[j], maxs[j])
+		}
+	}
+	return mins, maxs
+}
+
+// MinMax returns the smallest and largest of xs (non-empty) under < and >,
+// so of equal values, ±0 included, the first seen is kept.
+func MinMax(xs []float64) (lo, hi float64) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	return lo, hi
+}
+
+// ColumnBounds returns the per-column min and max of pts (n×d, non-empty)
+// in mins and maxs, whose capacity it reuses.
+func ColumnBounds(pts [][]float64, mins, maxs []float64) ([]float64, []float64) {
+	mins = append(mins[:0], pts[0]...)
+	maxs = append(maxs[:0], pts[0]...)
 	for _, p := range pts {
 		for j, v := range p {
 			if v < mins[j] {
@@ -299,15 +315,14 @@ func NormalizeColumns(pts [][]float64) (mins, maxs []float64) {
 			}
 		}
 	}
-	for _, p := range pts {
-		for j := range p {
-			r := maxs[j] - mins[j]
-			if r > 0 {
-				p[j] = (p[j] - mins[j]) / r
-			} else {
-				p[j] = 0
-			}
-		}
-	}
 	return mins, maxs
+}
+
+// UnitScale maps v into [0, 1] by its column's bounds lo and hi, or to 0
+// when the column is constant.
+func UnitScale(v, lo, hi float64) float64 {
+	if r := hi - lo; r > 0 {
+		return (v - lo) / r
+	}
+	return 0
 }

@@ -681,7 +681,8 @@ func writeShards(paths []string, cubes []sampling.CubeSample) error {
 // effectiveBins), reused for every merge of the run.
 func mergeSketches(c *minimpi.Comm, delta, global *stats.NDHistogram, buf []float64) {
 	clear(buf)
-	for cell, cnt := range delta.Counts {
+	for k := range delta.OccupiedCells() {
+		cell, cnt := delta.Entry(k)
 		buf[cell] = float64(cnt)
 	}
 	c.Allreduce(buf)

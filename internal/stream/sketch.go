@@ -35,15 +35,7 @@ func featureBounds(f *grid.Field, inVars []string) (lo, hi []float64) {
 		l, h := v[0], v[0]
 		var mu sync.Mutex
 		tensor.DefaultPool().ParallelFor(len(v), len(v), func(p0, p1 int) {
-			cl, ch := v[p0], v[p0]
-			for _, x := range v[p0:p1] {
-				if x < cl {
-					cl = x
-				}
-				if x > ch {
-					ch = x
-				}
-			}
+			cl, ch := stats.MinMax(v[p0:p1])
 			mu.Lock()
 			if below(cl, l) {
 				l = cl
@@ -113,7 +105,7 @@ func invDensityWeight(global, delta *stats.NDHistogram, p []float64) float64 {
 		return 1
 	}
 	cell := global.CellIndex(p)
-	c := global.Counts[cell] + delta.Counts[cell]
+	c := global.Count(cell) + delta.Count(cell)
 	if c <= 0 {
 		c = 1
 	}
