@@ -3,11 +3,12 @@ package tensor
 import "fmt"
 
 // The kernels are register-tiled: each holds a strip of output cells (or a
-// group of dot products) in locals for the whole inner loop and stores it
-// once, instead of loading and storing a cell per multiply-add. Every cell
-// still takes exactly its reference's adds in its reference's order — l
-// ascending, a zero in a skipped where the reference skips it — so each
-// kernel is bit for bit its serial *Ref (up to which payload survives when
+// group of dot products) in registers for the whole inner loop and stores
+// it once. With AVX2 most strips run in matmul_amd64.s, one cell per YMM
+// lane. Every cell still takes exactly its reference's adds in its
+// reference's order — l ascending, multiply and add rounded apart, a zero
+// in a skipped where the reference skips it — so each kernel on either
+// path is bit for bit its serial *Ref (up to which payload survives when
 // two NaNs meet in one add), and the pool splits rows by the call's
 // multiply-adds alone, so serial and pooled runs agree too.
 
@@ -92,12 +93,24 @@ func matmulAccum(dst, a, b []float64, m, k, n int, p *Pool) {
 // accumRows adds Σ_l a(i,l)·b[l,:] to dst[i,:] for i in [i0, i1), l
 // ascending over [0, inner), skipping a zero a(i,l), where a(i,l) =
 // a[i*aRow+l*aStep]: (k, 1) reads a row-major for a·b, (1, k) reads it
-// column-major for aᵀ·b. Each dst row is walked in strips of 8 cells, then
-// 4, then 1, held in locals across the whole l loop.
+// column-major for aᵀ·b. Each dst row is walked in strips of 16, 8 and 4
+// cells (AVX2) or 8 and 4 (Go), then 1, held in registers across the whole
+// l loop.
 func accumRows(dst, a, b []float64, inner, n, aRow, aStep, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		dr := dst[i*n : (i+1)*n]
 		j := 0
+		if useAVX2 && inner > 0 {
+			// The assembly checks no bounds: index the last a and b it reads.
+			ai, bl := i*aRow, (inner-1)*n
+			_ = a[ai+(inner-1)*aStep]
+			for w := 16; w >= 4; w /= 2 {
+				for ; j+w <= n; j += w {
+					_ = b[bl+j+w-1]
+					axpy(&dr[j], &a[ai], &b[j], inner, aStep, n, w)
+				}
+			}
+		}
 		for ; j+8 <= n; j += 8 {
 			d := dr[j : j+8 : j+8]
 			c0, c1, c2, c3, c4, c5, c6, c7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
@@ -175,14 +188,36 @@ func matmulTransBAccum(dst, a, b []float64, m, k, n int, p *Pool) {
 	p.ParallelFor(m, m*k*n, func(i0, i1 int) { transBRows(dst, a, b, k, n, i0, i1) })
 }
 
-// transBRows runs four dot products at a time, one row of a against four
-// rows of b; each starts from 0, adds over l ascending and is then added to
-// its cell, as matmulTransBAccumRef does.
+// The a·bᵀ assembly runs when k ≤ dotK (16 columns of b transposed onto
+// the stack take 8 KiB) on at least dotRows rows: below that, zeroing and
+// filling the strip costs more than it saves (1.4 against 0.5 µs, 1×32×32).
+const dotK, dotRows = 64, 4
+
+// transBRows computes dot products that each start from 0, add over l
+// ascending and are then added to their cell, as matmulTransBAccumRef
+// does: with AVX2 every row of a against 16 transposed rows of b at a
+// time, then four dot products at a time, a row of a against 4 rows of b.
 func transBRows(dst, a, b []float64, k, n, i0, i1 int) {
+	j0 := 0
+	if useAVX2 && k > 0 && k <= dotK && i1-i0 >= dotRows {
+		var bt [16 * dotK]float64
+		for ; j0+16 <= n; j0 += 16 {
+			for c := 0; c < 16; c++ {
+				for l, v := range b[(j0+c)*k : (j0+c+1)*k] {
+					bt[l*16+c] = v
+				}
+			}
+			for i := i0; i < i1; i++ {
+				// The slices check the bounds the assembly does not.
+				d, ar := dst[i*n+j0:i*n+j0+16], a[i*k:(i+1)*k]
+				dot16(&d[0], &ar[0], &bt[0], k)
+			}
+		}
+	}
 	for i := i0; i < i1; i++ {
 		ar := a[i*k : (i+1)*k]
 		dr := dst[i*n : (i+1)*n]
-		j := 0
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			b0 := b[j*k : (j+1)*k][:len(ar)]
 			b1 := b[(j+1)*k : (j+2)*k][:len(ar)]

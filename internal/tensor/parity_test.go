@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -14,19 +15,35 @@ import (
 // that exercise partial tiles and multi-chunk ParallelFor decompositions.
 
 var paritySizes = append([][3]int{
-	{1, 1, 1}, {3, 5, 7}, {17, 33, 65}, {64, 64, 64},
+	{0, 5, 7}, {1, 1, 1}, {3, 5, 7}, {17, 33, 65}, {64, 64, 64},
 	{100, 70, 130}, {257, 61, 300},
 	// The shapes a training step spends its multiply-adds on.
 	{512, 32, 32}, {448, 32, 4}, {7, 64, 32},
-}, tailSizes()...)
+	// Around the longest inner dimension the a·bᵀ assembly takes.
+	{67, 64, 33}, {67, 65, 33},
+}, append(tailSizes(), stripSizes()...)...)
 
-// tailSizes covers every tail of the 8/4/1 column strips (n = 1…9, 15, 16,
-// 17) with m and k that each span several chunks at lowFanOut's threshold:
-// a·b and a·bᵀ split m, aᵀ·b splits k.
+// tailSizes covers every tail of the 16/8/4/1 column strips (n = 1…9 and
+// 15…17) with m and k that each span several chunks at lowFanOut's
+// threshold: a·b and a·bᵀ split m, aᵀ·b splits k.
 func tailSizes() [][3]int {
 	var out [][3]int
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17} {
 		out = append(out, [3]int{37, 29, n})
+	}
+	return out
+}
+
+// stripSizes puts n on and either side of every strip boundary and k on
+// the edges of the assembly's l loop (none, one, and around 32). m = 67
+// gives a·bᵀ chunks of 5 rows at lowFanOut's threshold and a last chunk of
+// 2, on either side of dotRows.
+func stripSizes() [][3]int {
+	var out [][3]int
+	for _, n := range []int{7, 8, 15, 16, 17, 24, 31, 32, 33, 48, 64} {
+		for _, k := range []int{0, 1, 31, 32, 33} {
+			out = append(out, [3]int{67, k, n})
+		}
 	}
 	return out
 }
@@ -48,6 +65,31 @@ func randMat(rng *rand.Rand, m, n int) *Tensor {
 	return t
 }
 
+// specialA is randMat with ±0 and subnormals everywhere, and NaNs or ±Infs
+// in the rows (byRow) or columns (byCol) whose key(i, l) is 0 or 1 mod 3. Each output cell
+// sums over one row of a (a·b, a·bᵀ) or one column (aᵀ·b), so keying by it
+// lets a cell meet NaNs of one payload only: a's own, or the ones ±Inf
+// makes against a zero or an opposite Inf.
+func specialA(rng *rand.Rand, m, k int, key func(i, l int) int) *Tensor {
+	x := randMat(rng, m, k)
+	for i := 0; i < m; i++ {
+		for l := 0; l < k; l++ {
+			v := &x.Data[i*k+l]
+			switch r := rng.Intn(8); {
+			case r == 0:
+				*v = math.Copysign(0, -1)
+			case r == 1:
+				*v = math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20)) * float64(1-2*rng.Intn(2))
+			case r == 2 && key(i, l)%3 == 0:
+				*v = math.NaN()
+			case r == 2 && key(i, l)%3 == 1:
+				*v = math.Inf(1 - 2*rng.Intn(2))
+			}
+		}
+	}
+	return x
+}
+
 func bitsEqual(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -61,24 +103,52 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 	}
 }
 
+// eachPath runs f with the Go strips, then, where the CPU has AVX2, with
+// the assembly strips, naming the path it runs.
+func eachPath(f func(path string)) {
+	have := useAVX2
+	defer func() { useAVX2 = have }()
+	useAVX2 = false
+	f("go")
+	if have {
+		useAVX2 = true
+		f("avx2")
+	}
+}
+
+// matchesRef runs kernel on copies of dst, once per path, and ref on
+// another copy, a being m×k and dst having n columns, and requires the
+// same bits.
+func matchesRef(t *testing.T, name string, kernel func(dst, a, b *Tensor), ref func(dst, a, b []float64, m, k, n int), a, b, dst *Tensor) {
+	t.Helper()
+	want := dst.Clone()
+	ref(want.Data, a.Data, b.Data, a.Dim(0), a.Dim(1), dst.Dim(1))
+	eachPath(func(path string) {
+		got := dst.Clone()
+		kernel(got, a, b)
+		bitsEqual(t, fmt.Sprintf("%s %v×%v (%s)", name, a.Shape, b.Shape, path), got.Data, want.Data)
+	})
+}
+
+func byRow(i, _ int) int { return i }
+func byCol(_, l int) int { return l }
+
+// The three BitIdentical tests run every paritySizes shape on both paths
+// with ±0, subnormals, NaN and ±Inf in a (specialA) and −0 in dst.
+
 func TestMatMulBitIdenticalToRef(t *testing.T) {
 	lowFanOut(t)
 	defer pooltest.FannedOut(t, DefaultPool)()
 	rng := rand.New(rand.NewSource(7))
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
-		a, b := randMat(rng, m, k), randMat(rng, k, n)
-		got := MatMul(a, b)
+		a, b := specialA(rng, m, k, byRow), randMat(rng, k, n)
 		want := make([]float64, m*n)
 		matmulAccumRef(want, a.Data, b.Data, m, k, n)
-		bitsEqual(t, "MatMul", got.Data, want)
+		eachPath(func(path string) { bitsEqual(t, "MatMul "+path, MatMul(a, b).Data, want) })
 
 		// Accum on a non-zero destination.
-		dst := randMat(rng, m, n)
-		ref := dst.Clone()
-		MatMulAccum(dst, a, b)
-		matmulAccumRef(ref.Data, a.Data, b.Data, m, k, n)
-		bitsEqual(t, "MatMulAccum", dst.Data, ref.Data)
+		matchesRef(t, "MatMulAccum", MatMulAccum, matmulAccumRef, a, b, negZero(rng, m, n))
 	}
 }
 
@@ -88,12 +158,7 @@ func TestMatMulTransBBitIdenticalToRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
-		a, bT := randMat(rng, m, k), randMat(rng, n, k)
-		dst := randMat(rng, m, n)
-		ref := dst.Clone()
-		MatMulTransBAccum(dst, a, bT)
-		matmulTransBAccumRef(ref.Data, a.Data, bT.Data, m, k, n)
-		bitsEqual(t, "MatMulTransBAccum", dst.Data, ref.Data)
+		matchesRef(t, "MatMulTransBAccum", MatMulTransBAccum, matmulTransBAccumRef, specialA(rng, m, k, byRow), randMat(rng, n, k), negZero(rng, m, n))
 	}
 }
 
@@ -103,13 +168,19 @@ func TestMatMulTransABitIdenticalToRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, sz := range paritySizes {
 		m, k, n := sz[0], sz[1], sz[2]
-		a, b := randMat(rng, m, k), randMat(rng, m, n)
-		dst := randMat(rng, k, n)
-		ref := dst.Clone()
-		MatMulTransAAccum(dst, a, b)
-		matmulTransAAccumRef(ref.Data, a.Data, b.Data, m, k, n)
-		bitsEqual(t, "MatMulTransAAccum", dst.Data, ref.Data)
+		matchesRef(t, "MatMulTransAAccum", MatMulTransAAccum, matmulTransAAccumRef, specialA(rng, m, k, byCol), randMat(rng, m, n), negZero(rng, k, n))
 	}
+}
+
+// negZero is randMat with half its values −0.
+func negZero(rng *rand.Rand, m, n int) *Tensor {
+	x := randMat(rng, m, n)
+	for i := range x.Data {
+		if rng.Intn(2) == 0 {
+			x.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	return x
 }
 
 // TestMatMulSpecialValuesBitIdenticalToRef pins the zero skip: a zero in a
@@ -141,8 +212,6 @@ func TestMatMulSpecialValuesBitIdenticalToRef(t *testing.T) {
 		}
 		return x
 	}
-	byCol := func(_, j int) int { return j }
-	byRow := func(i, _ int) int { return i }
 	sparse := func(m, n int) *Tensor {
 		x := randMat(rng, m, n)
 		for i := range x.Data {
@@ -162,35 +231,18 @@ func TestMatMulSpecialValuesBitIdenticalToRef(t *testing.T) {
 		}
 		return x
 	}
-	negZero := func(m, n int) *Tensor {
-		x := randMat(rng, m, n)
-		for i := range x.Data {
-			if rng.Intn(2) == 0 {
-				x.Data[i] = math.Copysign(0, -1)
-			}
-		}
-		return x
-	}
-	const m, k, n = 37, 29, 13
+	// n = 29 runs a 16-cell strip, then 8, 4 and 1 on either path; m = 67
+	// splits into chunks that take the a·bᵀ assembly.
+	const m, k, n = 67, 29, 29
 	a := sparse(m, k)
-	matchesRef(t, "MatMulAccum", MatMulAccum, matmulAccumRef, a, special(k, n, byCol), negZero(m, n))
-	matchesRef(t, "MatMulTransBAccum", MatMulTransBAccum, matmulTransBAccumRef, a, special(n, k, byRow), negZero(m, n))
-	matchesRef(t, "MatMulTransAAccum", MatMulTransAAccum, matmulTransAAccumRef, sparse(m, k), special(m, n, byCol), negZero(k, n))
+	matchesRef(t, "MatMulAccum", MatMulAccum, matmulAccumRef, a, special(k, n, byCol), negZero(rng, m, n))
+	matchesRef(t, "MatMulTransBAccum", MatMulTransBAccum, matmulTransBAccumRef, a, special(n, k, byRow), negZero(rng, m, n))
+	matchesRef(t, "MatMulTransAAccum", MatMulTransAAccum, matmulTransAAccumRef, sparse(m, k), special(m, n, byCol), negZero(rng, k, n))
 }
 
-// matchesRef runs kernel on dst and ref on a copy of it, a being m×k and
-// dst having n columns, and requires the same bits.
-func matchesRef(t *testing.T, name string, kernel func(dst, a, b *Tensor), ref func(dst, a, b []float64, m, k, n int), a, b, dst *Tensor) {
-	t.Helper()
-	want := dst.Clone()
-	kernel(dst, a, b)
-	ref(want.Data, a.Data, b.Data, a.Dim(0), a.Dim(1), dst.Dim(1))
-	bitsEqual(t, name, dst.Data, want.Data)
-}
-
-// FuzzMatMulParity checks all three kernels against their serial
-// references, bit for bit, on shapes up to 70 in each dimension (most
-// span several chunks at lowFanOut's threshold, so its 4-worker pool
+// FuzzMatMulParity checks all three kernels on both paths against their
+// serial references, bit for bit, on shapes up to 70 in each dimension
+// (most span several chunks at lowFanOut's threshold, so its 4-worker pool
 // splits them, and those must reach the pool) with a chosen share of exact
 // zeros in a.
 func FuzzMatMulParity(f *testing.F) {

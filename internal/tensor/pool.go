@@ -9,8 +9,9 @@ import (
 // Pool is a persistent worker pool for data-parallel kernels. It exists so
 // that hot loops (matmul, element-wise ops, solver steps) do not pay a
 // goroutine spawn + scheduler wakeup per call: the workers are started once
-// and fed recycled job structs through a bounded queue, so a ParallelFor
-// call allocates nothing of its own.
+// and fed job structs through a bounded queue, and the jobs come back to a
+// free list any goroutine takes from, so a ParallelFor call allocates
+// nothing of its own.
 //
 // Determinism contract: ParallelFor decomposes [0, n) into chunks that
 // depend only on (n, work) — never on the worker count or on whether a pool
@@ -22,6 +23,7 @@ import (
 type Pool struct {
 	workers int
 	tasks   chan *job
+	free    []atomic.Pointer[job]
 
 	// Utilization counters read by the observability layer: how many
 	// workers are executing a task right now, and how many tasks the
@@ -40,14 +42,19 @@ func NewPool(workers int) *Pool {
 		workers = 1
 	}
 	// 4 slots per worker: room for a few nested or concurrent calls to
-	// queue their helpers; a full queue only costs a call its helpers.
-	p := &Pool{workers: workers, tasks: make(chan *job, 4*workers)}
+	// queue their helpers; a full queue only costs a call its helpers. The
+	// free list starts full, one job per queue slot: queued helpers keep at
+	// most that many out once their callers have returned.
+	p := &Pool{workers: workers, tasks: make(chan *job, 4*workers), free: make([]atomic.Pointer[job], 4*workers)}
+	for i := range p.free {
+		p.free[i].Store(new(job))
+	}
 	for i := 0; i < workers; i++ {
 		go func() {
 			for j := range p.tasks {
 				p.busy.Add(1)
 				j.run()
-				j.release()
+				p.release(j)
 				p.busy.Add(-1)
 				p.tasksDone.Add(1)
 			}
@@ -58,10 +65,11 @@ func NewPool(workers int) *Pool {
 
 // job is one multi-chunk ParallelFor call: the caller and every helper it
 // queued claim chunks from next until none are left. Jobs are recycled
-// through jobs, and refs decides when: the caller holds one reference and
-// each queued helper one, so a helper that only starts after the caller
-// has returned still finds its own job (with no chunk left to claim), and
-// the struct is reissued only once the last of them has let go.
+// through the pool's free list, and refs decides when: the caller holds
+// one reference and each queued helper one, so a helper that only starts
+// after the caller has returned still finds its own job (with no chunk
+// left to claim), and the struct is reissued only once the last of them
+// has let go.
 type job struct {
 	fn               func(lo, hi int)
 	n, grain, chunks int
@@ -69,8 +77,6 @@ type job struct {
 	pending          sync.WaitGroup // chunks not yet finished
 	refs             atomic.Int32
 }
-
-var jobs = sync.Pool{New: func() any { return new(job) }}
 
 // run executes chunks until all are claimed. Completion is tracked per
 // CHUNK, not per helper: a queued helper that only starts after all chunks
@@ -90,11 +96,30 @@ func (j *job) run() {
 	}
 }
 
-func (j *job) release() {
+// release drops one reference to j and, with the last, puts j in the
+// lowest empty free slot (none empty: the collector takes it). Unlike a
+// sync.Pool's per-P slots, these hand any job to any goroutine and survive
+// collections.
+func (p *Pool) release(j *job) {
 	if j.refs.Add(-1) == 0 {
 		j.fn = nil // do not pin the caller's closure while the job sits in the pool
-		jobs.Put(j)
+		for i := range p.free {
+			if p.free[i].CompareAndSwap(nil, j) {
+				return
+			}
+		}
 	}
+}
+
+// takeJob takes the job in the lowest full slot, the one most likely
+// still in cache, or allocates one when every slot is empty.
+func (p *Pool) takeJob() *job {
+	for i := range p.free {
+		if j := p.free[i].Swap(nil); j != nil {
+			return j
+		}
+	}
+	return new(job)
 }
 
 // Stats reports the pool's size and utilization: total workers, workers
@@ -155,13 +180,15 @@ func SetWorkers(n int) {
 // at most MaxChunks or n, where work counts multiply-add-sized steps
 // (multiply-adds for a matmul, elements for an element-wise kernel,
 // inner-loop iterations elsewhere). The sweep behind both (2-core Xeon,
-// GOMAXPROCS 2, medians of 6): an empty fan-out costs 0.39 µs at 2 chunks
-// and 0.96 µs at 16 (BenchmarkParallelForOverhead); a·b at m×32×32
-// (BenchmarkMatMulLedgerShapes/split) first gains from a split at 2^16
-// multiply-adds (60.0 → 53.5 µs in 2 chunks; 2^15 gains 32.5 → 30.4, within
-// noise, 2^14 loses 14.2 → 15.1), and at 2^19 runs 419, 314, 271, 248 and
-// 235 µs in 1, 2, 4, 8 and 16 chunks. Tests lower fanOutWork to reach the
-// pool at small shapes; nothing else sets it.
+// GOMAXPROCS 2, medians of 6): an empty fan-out costs 0.46 µs at 2 chunks
+// and 0.58 µs at 16 (BenchmarkParallelForOverhead). With the Go strips a·b
+// at m×32×32 (BenchmarkMatMulLedgerShapes/split) first gained from a split
+// at 2^16 multiply-adds and at 2^19 ran 164, 154, 121, 123 and 129 µs in 1,
+// 2, 4, 8 and 16 chunks; with the AVX2 strips no split below 2^19 gains
+// (2^16: 4.47 µs whole, 5.13 in 2 chunks) and 2^19 runs 35.6, 39.6, 33.2,
+// 36.1 and 37.6 µs. fanOutWork stays at 2^15 for the element-wise, FFT and
+// solver kernels, whose steps got no cheaper. Tests lower fanOutWork to
+// reach the pool at small shapes; nothing else sets it.
 var fanOutWork = 1 << 15
 
 // MaxChunks is the most chunks one call is split into; a strided FFT pass
@@ -197,7 +224,7 @@ func (p *Pool) ParallelFor(n, work int, fn func(lo, hi int)) {
 		return
 	}
 	c = (n + grain - 1) / grain // rounding the grain up can leave fewer
-	j := jobs.Get().(*job)
+	j := p.takeJob()
 	j.fn, j.n, j.grain, j.chunks = fn, n, grain, c
 	j.next.Store(0)
 	j.pending.Add(c)
@@ -217,5 +244,5 @@ queue:
 	}
 	j.run()
 	j.pending.Wait()
-	j.release()
+	p.release(j)
 }

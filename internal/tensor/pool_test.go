@@ -145,13 +145,16 @@ func TestParallelForJobRecycling(t *testing.T) {
 // another struct), and when the helper finally runs it must find no chunk
 // to claim and give the job back.
 func TestParallelForLateHelper(t *testing.T) {
-	p := &Pool{workers: 1, tasks: make(chan *job, 3)}
+	p := &Pool{workers: 1, tasks: make(chan *job, 3), free: make([]atomic.Pointer[job], 4)}
 	var iterations atomic.Int64
 	call := func() { p.ParallelFor(4, 4*fanOutWork, func(lo, hi int) { iterations.Add(int64(hi - lo)) }) }
 	for i := 0; i < cap(p.tasks); i++ {
 		call()
 	}
 	call() // queue full: this one runs without a helper and recycles its job itself
+	if p.takeJob().fn != nil || p.free[0].Load() != nil {
+		t.Fatal("the call without helpers did not give its job back")
+	}
 	if got := iterations.Load(); got != 4*int64(cap(p.tasks)+1) {
 		t.Fatalf("callers covered %d iterations", got)
 	}
@@ -169,8 +172,8 @@ func TestParallelForLateHelper(t *testing.T) {
 			t.Fatal("job was recycled under its queued helper")
 		}
 		j.run()
-		j.release()
-		if j.fn != nil {
+		p.release(j)
+		if j.fn != nil || p.takeJob() != j {
 			t.Fatal("last reference gone but the job was not recycled")
 		}
 	}
