@@ -77,7 +77,11 @@ func KMeans(pts [][]float64, cfg Config) (*Result, error) {
 	res := &Result{Centroids: make([][]float64, len(cents)/d), Labels: make([]int, n)}
 	assign(xs, d, cents, res.Labels)
 	for i, j := range res.Labels {
-		res.Inertia += sqDist(xs[i*d:(i+1)*d], cents[j*d:(j+1)*d])
+		dd := sqDist(xs[i*d:(i+1)*d], cents[j*d:(j+1)*d])
+		if !(dd < math.MaxFloat64) { // NaN or overflow: count the scan's start
+			dd = math.MaxFloat64
+		}
+		res.Inertia += dd
 	}
 	for j := range res.Centroids {
 		res.Centroids[j] = cents[j*d : (j+1)*d : (j+1)*d]
@@ -150,10 +154,13 @@ func seedPlusPlus(xs []float64, d, k int, rng *rand.Rand) []float64 {
 		}
 		c := xs[idx*d : (idx+1)*d]
 		cents = append(cents, c...)
-		for i := range d2 {
-			if dd := sqDist(xs[i*d:(i+1)*d], c); dd < d2[i] {
-				d2[i] = dd
+		for i, cur := range d2 {
+			// A select (see Nearest) on the float compare: a NaN stays.
+			dd, take := sqDist(xs[i*d:(i+1)*d], c), uint64(0)
+			if dd < cur {
+				take = ^uint64(0)
 			}
+			d2[i] = math.Float64frombits(math.Float64bits(dd)&take | math.Float64bits(cur)&^take)
 		}
 	}
 	return cents
@@ -162,19 +169,22 @@ func seedPlusPlus(xs []float64, d, k int, rng *rand.Rand) []float64 {
 // Nearest returns the index of the centroid nearest to p, the lowest index
 // among equally near ones. cents holds the centroids row-major, len(p)
 // values each.
+// The running best is a select (CMOV), not a branch, on purpose: the winner
+// follows the data. Comparing the squares' bits is exact: a square is never
+// negative nor −0, and NaN and +Inf bits sort above MaxFloat64's.
 func Nearest(p, cents []float64) int {
-	best, bestD := 0, math.MaxFloat64
+	best, bestB := 0, math.Float64bits(math.MaxFloat64)
 	if len(p) == 1 { // the scalar cluster variable: no row slicing
 		for j, c := range cents {
-			if dd := (p[0] - c) * (p[0] - c); dd < bestD {
-				best, bestD = j, dd
+			if b := math.Float64bits((p[0] - c) * (p[0] - c)); b < bestB {
+				best, bestB = j, b
 			}
 		}
 		return best
 	}
-	for j, d := 0, len(p); j < len(cents)/d; j++ {
-		if dd := sqDist(p, cents[j*d:(j+1)*d]); dd < bestD {
-			best, bestD = j, dd
+	for j, d, k := 0, len(p), len(cents)/len(p); j < k; j++ {
+		if b := math.Float64bits(sqDist(p, cents[j*d:(j+1)*d])); b < bestB {
+			best, bestB = j, b
 		}
 	}
 	return best

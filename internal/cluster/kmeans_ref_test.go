@@ -265,11 +265,18 @@ func TestKMeansPooledMatchesSerialRef(t *testing.T) {
 	}
 }
 
-// FuzzKMeans1D: any finite scalar column clusters bit-identically to
-// kmeansRef. data is read as little-endian int16 values in eighths, which
-// keeps duplicates and exact midpoints common.
+// fuzzSpecials are the values FuzzKMeans1D decodes from the reserved int16
+// codes -32767 to -32763, so the selects' non-finite paths are fuzzed: a
+// NaN, ±Inf, and ±1e200, whose squares overflow to +Inf.
+var fuzzSpecials = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200, -1e200}
+
+// FuzzKMeans1D: any scalar column clusters bit-identically to kmeansRef.
+// data is read as little-endian int16 values in eighths, which keeps
+// duplicates and exact midpoints common, except the codes fuzzSpecials
+// reserves.
 func FuzzKMeans1D(f *testing.F) {
 	f.Add([]byte{0, 0, 8, 0, 16, 0, 24, 0}, uint8(2), uint16(0), uint8(0), int64(1))
+	f.Add([]byte{1, 128, 8, 0, 2, 128, 16, 0, 3, 128, 4, 128, 5, 128, 24, 0}, uint8(3), uint16(4), uint8(9), int64(2))
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 1, 0, 1, 0}, uint8(4), uint16(2), uint8(5), int64(7))
 	f.Add([]byte{0, 128, 255, 127, 4, 0, 12, 0, 4, 0, 12, 0, 8, 0}, uint8(24), uint16(3), uint8(60), int64(-3))
 	f.Fuzz(func(t *testing.T, data []byte, k uint8, batch uint16, iters uint8, seed int64) {
@@ -282,11 +289,113 @@ func FuzzKMeans1D(f *testing.F) {
 		}
 		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = float64(int16(binary.LittleEndian.Uint16(data[2*i:]))) / 8
+			v := int16(binary.LittleEndian.Uint16(data[2*i:]))
+			xs[i] = float64(v) / 8
+			if s := int(v) + 32767; s >= 0 && s < len(fuzzSpecials) {
+				xs[i] = fuzzSpecials[s]
+			}
 		}
 		cfg := Config{K: 1 + int(k)%25, BatchSize: int(batch) % 512, MaxIters: int(iters) % 64, Seed: seed}
 		if msg := matchRef(xs, 1, cfg, rand.New(rand.NewSource(seed^1))); msg != "" {
 			t.Fatalf("n %d, %+v: %s", n, cfg, msg)
 		}
 	})
+}
+
+// nearestSpecials are the values where Nearest's select could part from
+// the `dd < bestD` branch: ±0, NaNs of both signs, ±Inf, 1e200 (whose
+// square overflows to +Inf), a subnormal and a few ordinary values.
+var nearestSpecials = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8_0000_dead_beef),
+	math.Inf(1), math.Inf(-1), 1e200, -1e200, 5e-324, 1, -1, 2.5,
+}
+
+// TestNearestSpecialValues holds Nearest to nearestRef on every d = 1
+// point and three-centroid set drawn from nearestSpecials, then on random
+// d = 3 points and sets of one to six centroids drawn from them, equal
+// centroids and NaN coordinates included; an all-NaN set answers 0.
+func TestNearestSpecialValues(t *testing.T) {
+	check := func(p []float64, rows [][]float64) {
+		t.Helper()
+		flat := slices.Concat(rows...)
+		if got, want := Nearest(p, flat), func() int { j, _ := nearestRef(p, rows); return j }(); got != want {
+			t.Fatalf("Nearest(%v, %v) = %d, reference %d", p, rows, got, want)
+		}
+	}
+	sp := nearestSpecials
+	for _, p := range sp {
+		for _, a := range sp {
+			for _, b := range sp {
+				for _, c := range sp {
+					check([]float64{p}, [][]float64{{a}, {b}, {c}})
+				}
+			}
+		}
+	}
+	gen := rand.New(rand.NewSource(50))
+	pick := func() []float64 {
+		return []float64{sp[gen.Intn(len(sp))], sp[gen.Intn(len(sp))], sp[gen.Intn(len(sp))]}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		rows := make([][]float64, 1+gen.Intn(6))
+		for j := range rows {
+			rows[j] = pick()
+			if j > 0 && gen.Intn(4) == 0 {
+				rows[j] = rows[gen.Intn(j)] // an equal centroid: the lower index wins
+			}
+		}
+		check(pick(), rows)
+	}
+	nan := math.NaN()
+	for _, p := range [][]float64{{1}, {1, 2, 3}} {
+		rows := [][]float64{make([]float64, len(p)), make([]float64, len(p)), make([]float64, len(p))}
+		for _, r := range rows {
+			for x := range r {
+				r[x] = nan
+			}
+		}
+		if got := Nearest(p, slices.Concat(rows...)); got != 0 {
+			t.Fatalf("Nearest(%v, all NaN) = %d, want 0", p, got)
+		}
+		check(p, rows)
+	}
+}
+
+// TestSeedPlusPlusNaN pins the k-means++ distance update to the reference
+// on points that make a distance NaN: a NaN point, or +Inf against +Inf.
+// `dd < d2[i]` keeps a NaN d2[i] where a compare on the bits would replace
+// it, and which point is drawn next depends on it. Half the trials have
+// infinite points but no NaN one, so the NaN comes only from Inf − Inf and
+// the total is not NaN from the start. Clustering such points must still
+// equal kmeansRef bit for bit.
+func TestSeedPlusPlusNaN(t *testing.T) {
+	gen := rand.New(rand.NewSource(51))
+	for trial := 0; trial < 400; trial++ {
+		d := 1 + trial%3
+		n := 2 + gen.Intn(60)
+		xs := make([]float64, n*d)
+		for i := range xs {
+			xs[i] = gen.NormFloat64()
+			switch gen.Intn(6) {
+			case 0:
+				xs[i] = []float64{math.NaN(), 1e200}[trial/2%2]
+			case 1:
+				xs[i] = math.Inf(1 - 2*gen.Intn(2))
+			}
+		}
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = xs[i*d : (i+1)*d]
+		}
+		k, seed := 1+gen.Intn(8), gen.Int63()
+		got := seedPlusPlus(xs, d, min(k, n), rand.New(rand.NewSource(seed)))
+		want := slices.Concat(seedPlusPlusRef(pts, min(k, n), rand.New(rand.NewSource(seed)))...)
+		if !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("trial %d: seedPlusPlus = %v, reference %v", trial, got, want)
+		}
+		cfg := Config{K: k, BatchSize: []int{0, 8}[trial%2], MaxIters: 5, Seed: seed}
+		if msg := matchRef(xs, d, cfg, rand.New(rand.NewSource(-1))); msg != "" {
+			t.Fatalf("trial %d (d %d, n %d, %+v): %s", trial, d, n, cfg, msg)
+		}
+	}
 }

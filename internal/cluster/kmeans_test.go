@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,5 +190,30 @@ func BenchmarkMiniBatchKMeans10000x5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		KMeans(pts, Config{K: 5, Seed: 1, BatchSize: 256, MaxIters: 50})
+	}
+}
+
+var nearestSink int
+
+// BenchmarkNearest scans 20 centroids, MaxEnt's count, for a fresh point
+// per iteration from a 2 MiB pool of normals, at d = 1 and d = 3. The
+// points must be fresh: on a point repeated every iteration the branch
+// predictor learns which centroid wins and hides the mispredictions a
+// branchy scan pays on real data (a repeated input read a branchy ReLU at
+// 0.3 ns per element against 3.7 ns inside a training run).
+func BenchmarkNearest(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	pool := make([]float64, 1<<18)
+	for i := range pool {
+		pool[i] = rng.NormFloat64()
+	}
+	for _, d := range []int{1, 3} {
+		cents := pool[:20*d]
+		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				off := i * d % (len(pool) - d)
+				nearestSink = Nearest(pool[off:off+d], cents)
+			}
+		})
 	}
 }

@@ -80,10 +80,9 @@ func (a *Activation) Forward(ws *tensor.Workspace, x *tensor.Tensor) *tensor.Ten
 		a.out = y
 	case "relu":
 		a.in = x
+		out := y.Data[:len(x.Data)]
 		for i, v := range x.Data {
-			if !(v < 0) { // y is zeroed; NaN passes through as it always did
-				y.Data[i] = v
-			}
+			out[i] = math.Float64frombits(math.Float64bits(v) & keep(v))
 		}
 	}
 	return y
@@ -99,13 +98,23 @@ func (a *Activation) Backward(ws *tensor.Workspace, dy *tensor.Tensor) *tensor.T
 			dx.Data[i] = g * (1 - o*o)
 		}
 	case "relu":
+		in, out := a.in.Data[:len(dy.Data)], dx.Data[:len(dy.Data)]
 		for i, g := range dy.Data {
-			if !(a.in.Data[i] < 0) {
-				dx.Data[i] = g
-			}
+			out[i] = math.Float64frombits(math.Float64bits(g) & keep(in[i]))
 		}
 	}
 	return dx
+}
+
+// keep is ReLU's mask, all ones unless v < 0: v & keep(v) passes NaN and
+// −0 as they are and turns a negative into +0. It is a select (CMOV), not a
+// branch, on purpose: the sign follows the data, and the branch mispredicted.
+func keep(v float64) uint64 {
+	m := ^uint64(0)
+	if v < 0 {
+		m = 0
+	}
+	return m
 }
 
 func tanh(x float64) float64 { return math.Tanh(x) }

@@ -78,16 +78,21 @@ func (m MaxEnt) draw(c clustering, total, dims, n int, rng *rand.Rand, sc *cubeS
 	// clusters.
 	counts := allocateBudget(c.strength, c.members, n)
 
-	out := make([]int, 0, n)
+	// The picks are distinct (clusters partition the cube, each drawn
+	// without replacement): a stack bitset, up to a 32³ cube, orders them.
+	// It starts zeroed, as buf is fresh and grow's make zeroes.
+	var buf [512]uint64
+	picks := grow(buf[:0], (total+63)/64)
 	for i, take := range counts {
 		if take == 0 {
 			continue
 		}
 		for _, j := range sc.permutation(len(c.members[i]), rng)[:take] {
-			out = append(out, int(c.members[i][j]))
+			m := c.members[i][j]
+			picks[m>>6] |= 1 << (m & 63)
 		}
 	}
-	sort.Ints(out)
+	out := ascending(picks, n)
 	chargeSampling(m.Meter, total, dims, 8) // clustering dominates
 	return out
 }

@@ -192,8 +192,8 @@ func selectTop(keys []weightedKey, n int) {
 // w, using the Efraimidis-Spirakis exponential keys method: the n largest
 // keys form the sample (ties go to the lower index). Zero/negative weights
 // are treated as tiny but nonzero so every item remains reachable when the
-// budget exceeds the positive mass. The result is sorted ascending; the
-// keys are held in the scratch, so only the returned indices are allocated.
+// budget exceeds the positive mass. The result is ascending; the keys are
+// held in the scratch, so only the returned indices are allocated.
 func (sc *cubeScratch) weightedSample(w []float64, n int, rng *rand.Rand) []int {
 	if n >= len(w) {
 		return allIndices(len(w))
@@ -209,12 +209,12 @@ func (sc *cubeScratch) weightedSample(w []float64, n int, rng *rand.Rand) []int 
 	if n > 0 {
 		selectTop(sc.keys, n)
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = sc.keys[i].idx
+	var buf [512]uint64 // the picks are distinct: a zeroed bitset orders them
+	picks := grow(buf[:0], (len(w)+63)/64)
+	for _, key := range sc.keys[:n] {
+		picks[key.idx>>6] |= 1 << (key.idx & 63)
 	}
-	sort.Ints(out)
-	return out
+	return ascending(picks, n)
 }
 
 // validateRequest panics on nonsensical sample requests; samplers share it.

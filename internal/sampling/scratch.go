@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/stats"
@@ -40,6 +41,19 @@ func grow[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
+}
+
+// ascending returns the indices set in picks in order, in a new slice of
+// capacity n: what sorting distinct picks gives, without a sort's
+// compares, which branch on the data and mispredict.
+func ascending(picks []uint64, n int) []int {
+	out := make([]int, 0, n)
+	for w, word := range picks {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	return out
 }
 
 // normalized returns a [0,1]-scaled copy of pts held in the scratch
