@@ -10,10 +10,10 @@ import (
 // UIPS implements uniform-in-phase-space selection (Hassanaly et al. 2023)
 // in the binned variant the paper adopted: the joint feature PDF is
 // estimated with a fixed-width histogram over the normalized phase space,
-// and points are accepted with probability ∝ 1/p̂(x) (clipped), so that the
-// accepted set covers phase space approximately uniformly. The acceptance
-// scale is found by bisection to hit the requested count in expectation,
-// then the draw is finalized by weighted sampling without replacement.
+// and each point is weighted by 1/p̂(x), clipped at uipsClipMax times the
+// mean weight, so that the selection covers phase space approximately
+// uniformly. Exactly n points are drawn without replacement with
+// probability ∝ weight, by Efraimidis–Spirakis keys (weightedSample).
 //
 // The paper's Fig. 4 behaviour — good uniformity in 2-D, clumping on 3-D
 // anisotropic data — emerges from the binning: in higher dimension with

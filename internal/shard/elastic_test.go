@@ -177,7 +177,7 @@ func TestShardReplicatedKeyedSubmitNoDuplicateOnFailover(t *testing.T) {
 // running after the primary reported succeeded; a read that fails over in
 // that window sees the job's state go backwards. That window is real and
 // is NOT fixed here — it closes when results are replicated instead of
-// executions (ROADMAP open item 1). This test pins only the failover
+// executions (ROADMAP, "Replicate results, not executions"). This test pins only the failover
 // itself, so it waits for the copy to finish before killing the primary.
 func TestShardReplicatedReadFailsOverToCopy(t *testing.T) {
 	_, ckpt := newCheckpoint(t)

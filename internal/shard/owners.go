@@ -1,11 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"net/http"
 	"net/url"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/obs/events"
@@ -18,7 +18,7 @@ import (
 // them, and how a keyed submission's owner set is consulted and populated.
 
 // A client-facing job ID lists every replica that holds the job, in
-// owner-set order: raw downstream IDs with the holder as a suffix, joined
+// holders' order: raw downstream IDs with the holder as a suffix, joined
 // by commas ("job-3@r1,job-5@r2"). An unkeyed job, or any job at K = 1,
 // has the one address of the replica that accepted it ("job-3@r1"). Raw
 // IDs are only unique per replica (each counts from job-1), so the
@@ -75,41 +75,60 @@ func submitKey(req *api.SubmitJobRequest) string {
 	return string(req.Type)
 }
 
-// findByKey asks each candidate in turn for the job holding idemKey and
-// returns the first holder's snapshot with every holder's address, in
-// candidate order, each answer accounted by observe (job_not_found is a
-// miss), and a typed unavailable one of them answered, if any did: on a
-// miss, the holder may be the one not reached.
-func (rt *Router) findByKey(ctx context.Context, cands []*Replica, idemKey string) (*api.Job, []jobAddr, error) {
-	var first *api.Job
-	var addrs []jobAddr
-	var unreached error
-	for _, rep := range cands {
-		job, err := rep.C.JobByKey(ctx, idemKey)
-		rt.observe(rep, err)
-		if err != nil {
-			if api.AsError(err).Code == api.CodeUnavailable {
-				unreached = err
-			}
-			continue
-		}
-		if first == nil {
-			first = job
-		}
-		addrs = append(addrs, jobAddr{job.ID, rep})
+// holders names a job from its copies' answers (failed ones hold none;
+// copies is reordered) for submit, resubmit, key lookup and listing
+// alike: the oldest copy's snapshot and replica, under the ID listing
+// every copy oldest first, ties by address; nil when no copy answered.
+// Age is each replica's own clock: the admitting primary leads while the
+// clocks agree to within the submit-to-copy gap, and skew beyond it
+// changes which copy reads try first, never whether the views agree.
+func holders(copies []answer[*api.Job]) (*api.Job, *Replica) {
+	held := slices.DeleteFunc(copies, func(c answer[*api.Job]) bool { return c.err != nil })
+	if len(held) == 0 {
+		return nil, nil
 	}
-	return first, addrs, unreached
+	slices.SortFunc(held, func(a, b answer[*api.Job]) int {
+		return cmp.Or(byAge(a.val, b.val), strings.Compare(a.rep.ID, b.rep.ID))
+	})
+	addrs := make([]jobAddr, len(held))
+	for i, c := range held {
+		addrs[i] = jobAddr{c.val.ID, c.rep}
+	}
+	held[0].val.ID = jobID(addrs)
+	return held[0].val, held[0].rep
+}
+
+// byAge orders snapshots oldest first, ties by ID.
+func byAge(a, b *api.Job) int {
+	return cmp.Or(a.CreatedAt.Compare(b.CreatedAt), strings.Compare(a.ID, b.ID))
+}
+
+// findByKey asks every candidate at once for the job holding idemKey and
+// names it from the holders that answered (job_not_found is a miss),
+// with a typed unavailable one of them answered, if any did: on a miss,
+// the holder may be the one not reached.
+func (rt *Router) findByKey(ctx context.Context, cands []*Replica, idemKey string) (*api.Job, *Replica, error) {
+	answers := fanOut(ctx, rt, cands, nil, func(ctx context.Context, i int) (*api.Job, error) {
+		return cands[i].C.JobByKey(ctx, idemKey)
+	})
+	var unreached error
+	for _, a := range answers {
+		if a.err != nil && api.AsError(a.err).Code == api.CodeUnavailable {
+			unreached = a.err
+		}
+	}
+	job, rep := holders(answers)
+	return job, rep, unreached
 }
 
 // replicate copies a keyed submission onto the remaining members of its
 // owner set, concurrently and best-effort: runners are deterministic and
 // results content-addressed, so a copy is just pre-positioned redundancy —
 // a fan-out failure loses nothing (the admitted primary copy exists) and
-// only costs the key its failover cover. Returns the addresses of every
-// copy admitted, the primary's included, in owner-set order (a primary
-// the route failed over to outside the set comes last), once each copy
-// has been admitted or failed.
-func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.SubmitJobRequest, admitted jobAddr) []jobAddr {
+// only costs the key its failover cover. Once each copy has been admitted
+// or failed, it names the job from every copy admitted, the primary's
+// included (a primary the route failed over to outside the set too).
+func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.SubmitJobRequest, admitted answer[*api.Job]) (*api.Job, *Replica) {
 	owners := rt.rs.Sequence(routeKey, rt.replication)
 	if !slices.Contains(owners, admitted.rep) {
 		owners = append(owners, admitted.rep)
@@ -117,19 +136,17 @@ func (rt *Router) replicate(ctx context.Context, routeKey string, req *api.Submi
 	copies := fanOut(ctx, rt, owners, admitted.rep, func(ctx context.Context, i int) (*api.Job, error) {
 		return owners[i].C.SubmitJob(ctx, req)
 	})
-	addrs := make([]jobAddr, 0, len(copies))
-	for _, cp := range copies {
+	for i, cp := range copies {
 		switch {
 		case cp.rep == admitted.rep:
-			addrs = append(addrs, admitted)
+			copies[i] = admitted
 		case cp.err != nil:
 			rt.met.ownerReplFailures.Inc()
 		default:
 			rt.met.ownerReplications.With(cp.rep.ID).Inc()
-			addrs = append(addrs, jobAddr{cp.val.ID, cp.rep})
 		}
 	}
-	return addrs
+	return holders(copies)
 }
 
 func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error {
@@ -145,13 +162,12 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	// fleet-level duplicate.
 	if req.IdempotencyKey != "" {
 		owners := rt.rs.Sequence(key, rt.replication)
-		if job, addrs, _ := rt.findByKey(r.Context(), owners, req.IdempotencyKey); job != nil {
+		if job, rep, _ := rt.findByKey(r.Context(), owners, req.IdempotencyKey); job != nil {
 			rt.met.ownerDedupHits.Inc()
 			tc, _ := api.TraceFrom(r.Context())
 			rt.Journal().Emit(events.TypeDedupHit, "keyed resubmission answered from the owner set",
-				tc.TraceID, "kind", "owner_set", "replica", addrs[0].rep.ID, "job", job.ID)
-			rt.met.ObserveRouted(addrs[0].rep.ID)
-			job.ID = jobID(addrs)
+				tc.TraceID, "kind", "owner_set", "replica", rep.ID, "job", job.ID)
+			rt.met.ObserveRouted(rep.ID)
 			return tier.WriteJSON(w, http.StatusOK, job)
 		}
 	}
@@ -173,11 +189,11 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return tier.WriteError(w, err)
 	}
-	addrs := []jobAddr{{job.ID, rep}}
 	if req.IdempotencyKey != "" && rt.replication > 1 {
-		addrs = rt.replicate(r.Context(), key, &req, addrs[0])
+		job, _ = rt.replicate(r.Context(), key, &req, answer[*api.Job]{rep: rep, val: job})
+	} else {
+		job, _ = holders([]answer[*api.Job]{{rep: rep, val: job}})
 	}
-	job.ID = jobID(addrs)
 	return tier.WriteJSON(w, http.StatusAccepted, job)
 }
 
@@ -188,44 +204,25 @@ func (rt *Router) handleListJobs(w http.ResponseWriter, r *http.Request) error {
 	if len(lists) == 0 {
 		return tier.WriteError(w, errNoAnswer("GET /v2/jobs"))
 	}
-	type held struct {
-		job  api.Job
-		addr jobAddr
-	}
-	var all []held
+	// Copies of one keyed submission are one logical job, listed under the
+	// ID its submission returned; an unkeyed job is its one copy.
+	kept, keyed := []*api.Job{}, map[string][]answer[*api.Job]{}
 	for _, l := range lists {
-		for _, j := range l.val {
-			all = append(all, held{j, jobAddr{j.ID, l.rep}})
+		for i := range l.val {
+			cp := answer[*api.Job]{rep: l.rep, val: &l.val[i]}
+			if k := cp.val.IdempotencyKey; k != "" {
+				keyed[k] = append(keyed[k], cp)
+				continue
+			}
+			job, _ := holders([]answer[*api.Job]{cp})
+			kept = append(kept, job)
 		}
 	}
-	sort.Slice(all, func(a, b int) bool {
-		ja, jb := all[a], all[b]
-		if !ja.job.CreatedAt.Equal(jb.job.CreatedAt) {
-			return ja.job.CreatedAt.Before(jb.job.CreatedAt)
-		}
-		return jobID([]jobAddr{ja.addr}) < jobID([]jobAddr{jb.addr})
-	})
-	// Replicated copies of one keyed submission are one logical job, listed
-	// once under the ID its submission returned: every copy's address,
-	// oldest (the admitted primary) first, with the oldest copy's snapshot.
-	var kept []api.Job
-	var addrs [][]jobAddr
-	byKey := map[string]int{}
-	for _, h := range all {
-		k := h.job.IdempotencyKey
-		if i, ok := byKey[k]; ok {
-			addrs[i] = append(addrs[i], h.addr)
-			continue
-		}
-		if k != "" {
-			byKey[k] = len(kept)
-		}
-		kept = append(kept, h.job)
-		addrs = append(addrs, []jobAddr{h.addr})
+	for _, copies := range keyed {
+		job, _ := holders(copies)
+		kept = append(kept, job)
 	}
-	for i := range kept {
-		kept[i].ID = jobID(addrs[i])
-	}
+	slices.SortFunc(kept, byAge)
 	return tier.WriteJSON(w, http.StatusOK, kept)
 }
 
@@ -309,11 +306,10 @@ func (rt *Router) handleGetJobByKey(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return tier.WriteError(w, api.Errorf(api.CodeInvalidArgument, "bad idempotency key encoding: %v", err))
 	}
-	job, addrs, err := rt.findByKey(r.Context(), rt.rs.liveOrAll(), key)
+	job, rep, err := rt.findByKey(r.Context(), rt.rs.liveOrAll(), key)
 	switch {
 	case job != nil:
-		rt.met.ObserveRouted(addrs[0].rep.ID)
-		job.ID = jobID(addrs)
+		rt.met.ObserveRouted(rep.ID)
 		return tier.WriteJSON(w, http.StatusOK, job)
 	case err != nil:
 		return tier.WriteError(w, api.Errorf(api.CodeUnavailable,

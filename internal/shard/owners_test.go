@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -61,9 +62,11 @@ func keyedSubsample(seed int64) (*api.SubmitJobRequest, string) {
 }
 
 // TestShardReplicatedResubmitSameID: at K=2 a keyed job's ID lists both
-// owners' copies in owner-set order, and a resubmission of the key gets
-// that ID back byte for byte. An unkeyed job keeps the single address of
-// the replica that accepted it.
+// owners' copies oldest first — the ring's primary, admitted before its
+// copy, leads while the replicas share a clock (as these in-proc ones
+// do) — and a resubmission of the key gets that ID back byte for byte.
+// An unkeyed job keeps the single address of the replica that accepted
+// it.
 func TestShardReplicatedResubmitSameID(t *testing.T) {
 	ctx := context.Background()
 	rt, _, c, _ := replicatedFleet(t, 3)
@@ -144,6 +147,69 @@ func TestShardReplicatedListingID(t *testing.T) {
 	}
 	if _, rid := splitJobID(got.ID); rid != owners[1].ID {
 		t.Fatalf("read answered as %q, want the copy on %s", got.ID, owners[1].ID)
+	}
+}
+
+// TestKeyedJobOneID: on a healthy fleet of four replicas, at K = 1, 2 and
+// 3, every ID handed out for a keyed job — the submit's, the resubmit's,
+// the router's key lookup's and the listing's — is the same byte for
+// byte, and a read by it answers. Each job names a shard path that does
+// not exist, so it fails fast, but its copies, IDs and listing are real;
+// the paths spread the routing keys over the ring.
+func TestKeyedJobOneID(t *testing.T) {
+	ctx := context.Background()
+	urls := make([]string, 4)
+	for i := range urls {
+		p, err := serve.StartInProc(serve.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close(context.Background()) })
+		urls[i] = p.URL
+	}
+	const keys = 16
+	for k := 1; k <= 3; k++ {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			ts := httptest.NewServer(newTestRouterK(t, urls, k).Handler())
+			defer ts.Close()
+			c := client.New(ts.URL, client.WithRetry(0, 0))
+			submitted := map[string]string{} // idempotency key → the submit's ID
+			for i := range keys {
+				sub := api.SubsampleRequest{Shard: fmt.Sprintf("/nowhere/k%d/%x.skl", k, i*7919)}
+				req := api.SubmitJobRequest{Type: api.JobSubsample, Subsample: &sub,
+					IdempotencyKey: api.NewIdempotencyKey()}
+				first, err := c.SubmitJob(ctx, &req)
+				if err != nil {
+					t.Fatalf("submit %s: %v", sub.Shard, err)
+				}
+				submitted[req.IdempotencyKey] = first.ID
+				if again, err := c.SubmitJob(ctx, &req); err != nil || again.ID != first.ID {
+					t.Errorf("%s: resubmit = %+v, %v; the submit gave %q", sub.Shard, again, err, first.ID)
+				}
+				if byKey, err := c.JobByKey(ctx, req.IdempotencyKey); err != nil || byKey.ID != first.ID {
+					t.Errorf("%s: JobByKey = %+v, %v; the submit gave %q", sub.Shard, byKey, err, first.ID)
+				}
+				if read, err := c.Job(ctx, first.ID); err != nil || read.IdempotencyKey != req.IdempotencyKey {
+					t.Errorf("%s: read by %q = %+v, %v", sub.Shard, first.ID, read, err)
+				}
+			}
+			list, err := c.Jobs(ctx)
+			if err != nil {
+				t.Fatalf("list: %v", err)
+			}
+			listed := 0
+			for _, j := range list {
+				if want, ok := submitted[j.IdempotencyKey]; ok {
+					listed++
+					if j.ID != want {
+						t.Errorf("listing names key %s %q, its submit %q", j.IdempotencyKey, j.ID, want)
+					}
+				}
+			}
+			if listed != keys {
+				t.Fatalf("listing shows %d entries under the %d keys, want one each", listed, keys)
+			}
+		})
 	}
 }
 

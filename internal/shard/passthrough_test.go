@@ -462,6 +462,35 @@ func TestRoutedKeyIsFrameModel(t *testing.T) {
 	}
 }
 
+// FuzzRoutingKey: for any body under either content type, whenever the
+// typed decode of an infer or a model registration succeeds, the router's
+// partial decode succeeds too and yields the same routing key — inferKey
+// from JSON or off the front of a tensor frame, registerKey from JSON (a
+// registration has no frame, so it is JSON under both types). Seed corpus
+// in testdata/fuzz/FuzzRoutingKey.
+func FuzzRoutingKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte, tensors bool) {
+		ct := "application/json"
+		if tensors {
+			ct = api.ContentTypeTensors
+		}
+		var infer api.InferRequest
+		if api.Unmarshal(ct, body, &infer) == nil {
+			var k inferKey
+			if err := api.Unmarshal(ct, body, &k); err != nil || k.Model != infer.Model {
+				t.Fatalf("%s %q: infer decodes model %q, the router routes by %q (%v)", ct, body, infer.Model, k.Model, err)
+			}
+		}
+		var reg api.RegisterModelRequest
+		if api.Unmarshal(ct, body, &reg) == nil {
+			var k registerKey
+			if err := api.Unmarshal(ct, body, &k); err != nil || k.Name != reg.Name {
+				t.Fatalf("%s %q: registration decodes name %q, the router routes by %q (%v)", ct, body, reg.Name, k.Name, err)
+			}
+		}
+	})
+}
+
 // TestShutdownClosesReplicaConnections: a router that has shut down holds
 // no connection to a replica open, so the replica's own graceful shutdown
 // does not wait on an idle connection the router keeps pooled.

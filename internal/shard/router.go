@@ -278,10 +278,13 @@ func (rt *Router) handleSubsample(w http.ResponseWriter, r *http.Request) error 
 	return rt.routed(w, r, &q, func() string { return subsampleKey(&q) })
 }
 
+// registerKey is all of an api.RegisterModelRequest the router parses.
+type registerKey struct {
+	Name string `json:"name"`
+}
+
 func (rt *Router) handleRegisterModel(w http.ResponseWriter, r *http.Request) error {
-	var q struct { // all of an api.RegisterModelRequest the router parses
-		Name string `json:"name"`
-	}
+	var q registerKey
 	return rt.routed(w, r, &q, func() string { return q.Name })
 }
 

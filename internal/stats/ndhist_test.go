@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -199,16 +200,17 @@ func TestNDHistogramOverflow(t *testing.T) {
 		lo, hi := box(g.dims)
 		panics(fmt.Sprintf("%d bins in %d dims", g.bins, g.dims), func() { NewNDHistogram(lo, hi, g.bins) })
 	}
-	lo, hi := box(62)
+	dims := bits.UintSize - 2 // 2^dims cells: the largest power of two an int holds
+	lo, hi := box(dims)
 	h := NewNDHistogram(lo, hi, 2)
-	if got := h.TotalCells(); got != 1<<62 {
-		t.Fatalf("2 bins in 62 dims: %d cells, want 2^62", got)
+	if got := h.TotalCells(); got != 1<<dims {
+		t.Fatalf("2 bins in %d dims: %d cells, want 2^%d", dims, got, dims)
 	}
-	top := make([]float64, 62)
+	top := make([]float64, dims)
 	for j := range top {
 		top[j] = 0.99
 	}
-	last := 1<<62 - 1
+	last := 1<<dims - 1
 	if cell := h.CellIndex(top); cell != last || h.Count(cell) != 0 {
 		t.Fatalf("top cell %d holds %d, want %d holding 0", cell, h.Count(cell), last)
 	}

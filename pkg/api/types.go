@@ -54,8 +54,8 @@ type SubsampleResponse struct {
 
 // ModelSpec names a servable architecture together with the dimensions
 // needed to rebuild an identical replica — the contract a checkpoint
-// imposes on its reader. It mirrors the trainer's ArchSpec field for
-// field so v1 payloads stay byte-compatible.
+// imposes on its reader. It mirrors train.ArchSpec field for field, JSON
+// names too, so the SDK imports nothing of the program; serve converts.
 type ModelSpec struct {
 	Arch   string `json:"arch"`             // lstm | mlp_transformer | cnn_transformer | matey
 	InDim  int    `json:"inDim"`            // lstm: input width; others: input variables

@@ -74,7 +74,7 @@ func appendFrame(b []byte, model string, version *int, items []InferItem, batch 
 	for i, it := range items {
 		u32(len(it.Shape))
 		for _, d := range it.Shape {
-			if d < 0 || d > math.MaxUint32 {
+			if d < 0 || uint64(d) > math.MaxUint32 {
 				return nil, Errorf(CodeInvalidArgument, "tensor frame: item %d: dim %d does not fit a u32", i, d)
 			}
 			u32(d)
